@@ -1,0 +1,54 @@
+"""Exact certification of Waring decompositions of symmetric tensors.
+
+The package takes a finite set of rational projective points (a candidate
+decomposition of a degree-d form into d-th powers of linear forms) and
+computes exact invariants: Hilbert function profiles, Cayley-Bacharach
+properties, Kruskal ranks of Veronese images, and Terracini dimensions.
+A cascade of sufficient criteria turns these invariants into certificates
+of rank and uniqueness.  All arithmetic is exact over the rationals.
+"""
+
+from .certify import (Certificate, CriterionResult, Diagnostics, GenericInfo,
+                      Verdict, binary_generic_rank, certify, check_minimal,
+                      complementary_bound, criterion_alignment_bound,
+                      criterion_half_degree, criterion_half_degree_spanning,
+                      criterion_plane_gup, criterion_quartic,
+                      criterion_reshaped_kruskal, criterion_sylvester,
+                      generic_info)
+from .geometry import (DuplicatePointError, Form, Monomial, PointSet,
+                       ProjectivePoint, coordinate_matrix, evaluate_form,
+                       is_linearly_independent, max_collinear_subset_size,
+                       monomial_basis, multinomial, random_point_set, span_dim,
+                       union, veronese_embed, veronese_embed_set)
+from .hilbert import (HilbertProfile, check_gkr_inequality, evaluation_matrix,
+                      hilbert_function, hilbert_profile, is_separated,
+                      satisfies_cb, separates_point, span_intersection_dim,
+                      union_profile_drop)
+from .kruskal import (KruskalReport, degree_partitions, gup_cutoff, is_gup,
+                      is_lgp, kruskal_rank, reshaped_kruskal,
+                      veronese_kruskal_rank)
+from .linalg import Matrix, row_space_intersection_dim
+from .terracini import (TerraciniReport, generic_terracini_dimension,
+                        tangent_space_basis, terracini_dimension)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "Certificate", "CriterionResult", "Diagnostics", "DuplicatePointError",
+    "Form", "GenericInfo", "HilbertProfile", "KruskalReport", "Matrix",
+    "Monomial", "PointSet", "ProjectivePoint", "TerraciniReport", "Verdict",
+    "binary_generic_rank", "certify", "check_gkr_inequality", "check_minimal",
+    "complementary_bound", "coordinate_matrix", "criterion_alignment_bound",
+    "criterion_half_degree", "criterion_half_degree_spanning",
+    "criterion_plane_gup", "criterion_quartic", "criterion_reshaped_kruskal",
+    "criterion_sylvester", "degree_partitions", "evaluate_form",
+    "evaluation_matrix", "generic_info", "generic_terracini_dimension",
+    "gup_cutoff", "hilbert_function", "hilbert_profile", "is_gup",
+    "is_linearly_independent", "is_lgp", "is_separated", "kruskal_rank",
+    "max_collinear_subset_size", "monomial_basis", "multinomial",
+    "random_point_set", "reshaped_kruskal", "row_space_intersection_dim",
+    "satisfies_cb", "separates_point", "span_dim", "span_intersection_dim",
+    "tangent_space_basis", "terracini_dimension", "union",
+    "union_profile_drop", "veronese_embed", "veronese_embed_set",
+    "veronese_kruskal_rank",
+]

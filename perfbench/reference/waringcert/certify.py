@@ -1,0 +1,417 @@
+"""Identifiability certificates for candidate Waring decompositions.
+
+Given a finite point set A in P^n and a degree d, the certifier first checks
+that the degree-d Veronese images of A are linearly independent (otherwise
+the candidate is certifiably non-minimal), then runs a fixed cascade of
+sufficient criteria.  The first criterion whose hypothesis holds certifies
+that len(A) is the Waring rank and that A is the unique decomposition; when
+none applies the result is Inconclusive, which certifies nothing.
+
+Every verdict is backed by exact rational arithmetic; there are no numeric
+tolerances anywhere.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass
+from math import comb
+
+from .geometry import PointSet, max_collinear_subset_size, span_dim
+from .hilbert import HilbertProfile, hilbert_function, hilbert_profile
+from .kruskal import (degree_partitions, gup_cutoff, is_gup, kruskal_rank,
+                      reshaped_kruskal, veronese_kruskal_rank)
+from .terracini import TerraciniReport, generic_terracini_dimension, terracini_dimension
+
+
+class Verdict(enum.Enum):
+    IDENTIFIABLE = "Identifiable"
+    NOT_MINIMAL = "NotMinimal"
+    INCONCLUSIVE = "Inconclusive"
+
+
+@dataclass(frozen=True)
+class CriterionResult:
+    """A fired criterion: its identifier and a short justification."""
+
+    criterion: str
+    detail: str
+
+
+@dataclass(frozen=True)
+class Diagnostics:
+    """Invariants of the input collected while certifying.
+
+    veronese_kruskal_ranks lists (degree, rank) pairs for every Veronese
+    degree the cascade consulted; degree 1 (the Kruskal rank of A itself)
+    is always present.  terracini is None when the degree is below 2.
+    """
+
+    minimal: bool
+    hilbert: HilbertProfile
+    kruskal_rank: int
+    veronese_kruskal_ranks: tuple[tuple[int, int], ...]
+    max_collinear: int
+    span_dim: int
+    terracini: TerraciniReport | None
+    complementary_bound: int
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Outcome of certification for one (point set, degree) input.
+
+    Identifiable means: the degree-d form with support A has Waring rank
+    exactly set_size and A is its unique decomposition of that size.
+    NotMinimal means the Veronese images are dependent, so the candidate is
+    certifiably not a minimal decomposition of anything it represents.
+    Inconclusive certifies nothing.
+    """
+
+    verdict: Verdict
+    degree: int
+    set_size: int
+    ambient_dim: int
+    criterion: str | None
+    rank: int | None
+    diagnostics: Diagnostics
+    notes: tuple[str, ...]
+
+    def __post_init__(self):
+        fired = self.verdict is Verdict.IDENTIFIABLE
+        if fired != (self.criterion is not None) or fired != (self.rank is not None):
+            raise ValueError("criterion and rank must be set exactly for Identifiable")
+
+
+def check_minimal(a: PointSet, d: int) -> bool:
+    """Whether the degree-d Veronese images of a are linearly independent.
+
+    Dependence certifies non-minimality: a dependent image can be removed
+    from any decomposition supported on a after adjusting coefficients.
+    Independence alone does not certify minimality.
+    """
+    if d < 1:
+        raise ValueError(f"degree must be >= 1, got {d}")
+    return hilbert_function(a, d) == len(a)
+
+
+def binary_generic_rank(d: int) -> int:
+    """Generic Waring rank of a binary degree-d form."""
+    if d < 1:
+        raise ValueError(f"degree must be >= 1, got {d}")
+    return (d + 1) // 2 if d % 2 else (d + 2) // 2
+
+
+def _eval_sylvester(a: PointSet, d: int) -> tuple[CriterionResult | None, str]:
+    if a.ambient_dim != 1:
+        return None, f"not applicable (ambient dimension {a.ambient_dim}, needs 1)"
+    l = len(a)
+    r = binary_generic_rank(d)
+    if l < r:
+        return (CriterionResult("sylvester", f"{l} points below the generic binary rank {r}"),
+                f"fired ({l} < {r})")
+    if l == r and d % 2 == 1:
+        return (CriterionResult("sylvester",
+                                f"{l} points at the generic binary rank {r}, odd degree {d}"),
+                f"fired ({l} = {r}, degree odd)")
+    return None, f"{l} points do not satisfy the binary rank bound (generic rank {r})"
+
+
+def criterion_sylvester(a: PointSet, d: int) -> CriterionResult | None:
+    """Binary forms: fires when len(a) is below the generic rank of degree-d
+    binary forms, or equals it with d odd."""
+    return _eval_sylvester(a, d)[0]
+
+
+def _eval_half_degree(a: PointSet, d: int) -> tuple[CriterionResult | None, str]:
+    l = len(a)
+    if 2 * l <= d + 1:
+        return (CriterionResult("half-degree", f"2*{l} <= {d} + 1"),
+                f"fired (2*{l} <= {d} + 1)")
+    return None, f"2*{l} = {2 * l} > {d + 1} = d + 1"
+
+
+def criterion_half_degree(a: PointSet, d: int) -> CriterionResult | None:
+    """Fires when twice the set size is at most d + 1."""
+    return _eval_half_degree(a, d)[0]
+
+
+def _eval_half_degree_spanning(a: PointSet, d: int) -> tuple[CriterionResult | None, str]:
+    l = len(a)
+    n = a.ambient_dim
+    if span_dim(a) != n:
+        return None, f"the points span a proper subspace (dimension {span_dim(a)} < {n})"
+    if 2 * l <= d + n:
+        return (CriterionResult("half-degree-spanning", f"spanning and 2*{l} <= {d} + {n}"),
+                f"fired (spanning, 2*{l} <= {d} + {n})")
+    return None, f"2*{l} = {2 * l} > {d + n} = d + n"
+
+
+def criterion_half_degree_spanning(a: PointSet, d: int) -> CriterionResult | None:
+    """Fires when the points span P^n and twice the size is at most d + n."""
+    return _eval_half_degree_spanning(a, d)[0]
+
+
+def _eval_alignment_bound(a: PointSet, d: int) -> tuple[CriterionResult | None, str]:
+    l = len(a)
+    if l > d:
+        return None, f"{l} points exceed the degree {d}"
+    m = max_collinear_subset_size(a)
+    if 2 * m < d:
+        return (CriterionResult("alignment-bound",
+                                f"{l} <= {d} and largest aligned subset {m} < {d}/2"),
+                f"fired ({l} <= {d}, aligned subset {m} < {d}/2)")
+    return None, f"an aligned subset of size {m} is not below {d}/2"
+
+
+def criterion_alignment_bound(a: PointSet, d: int) -> CriterionResult | None:
+    """Fires when len(a) <= d and every aligned subset has size below d/2."""
+    return _eval_alignment_bound(a, d)[0]
+
+
+def _eval_plane_gup(a: PointSet, d: int, jobs: int) -> tuple[CriterionResult | None, str]:
+    if a.ambient_dim != 2:
+        return None, f"not applicable (ambient dimension {a.ambient_dim}, needs 2)"
+    l = len(a)
+    if 8 * l >= d * d + d:
+        return None, f"8*{l} = {8 * l} is not below d^2 + d = {d * d + d}"
+    if not is_gup(a, jobs=jobs):
+        return None, "the points are not in general uniform position"
+    return (CriterionResult("plane-gup",
+                            f"general uniform position in the plane and 8*{l} < {d * d + d}"),
+            f"fired (GUP, 8*{l} < {d * d + d})")
+
+
+def criterion_plane_gup(a: PointSet, d: int, jobs: int = 1) -> CriterionResult | None:
+    """Plane sets in general uniform position with 8*len(a) < d^2 + d."""
+    return _eval_plane_gup(a, d, jobs)[0]
+
+
+def _eval_reshaped_kruskal(a: PointSet, d: int, jobs: int) -> tuple[CriterionResult | None, str]:
+    if d < 3:
+        return None, f"not applicable (degree {d} cannot be split into three parts)"
+    reports = reshaped_kruskal(a, d, jobs=jobs)
+    for rep in reports:
+        if rep.passes:
+            return (CriterionResult(
+                "reshaped-kruskal",
+                f"partition {rep.partition} with Veronese Kruskal ranks {rep.ranks}"),
+                f"fired (partition {rep.partition}, ranks {rep.ranks})")
+    best = max(rep.bound for rep in reports)
+    return None, f"no partition passes (best bound {best} < {len(a)})"
+
+
+def criterion_reshaped_kruskal(a: PointSet, d: int, jobs: int = 1) -> CriterionResult | None:
+    """Fires when some partition d = x + y + z satisfies the reshaped
+    Kruskal inequality 2*len(a) <= k_x + k_y + k_z - 2; the witnessing
+    partition is recorded in the result."""
+    return _eval_reshaped_kruskal(a, d, jobs)[0]
+
+
+def _eval_quartic(a: PointSet, jobs: int) -> tuple[CriterionResult | None, str]:
+    l = len(a)
+    n = a.ambient_dim
+    k = kruskal_rank(a, jobs=jobs)
+    if l > 2 * k - 1:
+        return None, f"{l} points exceed 2k - 1 = {2 * k - 1} (k = {k})"
+    if l < 2 * k - 1:
+        fired, reason = _eval_reshaped_kruskal(a, 4, jobs)
+        return fired, f"{l} < 2k - 1 = {2 * k - 1}, delegated to reshaping: {reason}"
+    report = terracini_dimension(a, 4)
+    if report.tangents_independent:
+        return (CriterionResult(
+            "quartic",
+            f"boundary size 2k - 1 = {l} and tangent spaces in direct sum "
+            f"(dimension {report.dim})"),
+            f"fired (2k - 1 = {l}, Terracini dimension {report.dim})")
+    return None, (f"boundary size 2k - 1 = {l} but the Terracini dimension "
+                  f"{report.dim} is below {(n + 1) * l - 1}")
+
+
+def criterion_quartic(a: PointSet, jobs: int = 1) -> CriterionResult | None:
+    """Degree-4 criterion driven by the Kruskal rank k of the points.
+
+    With l = len(a): above 2k - 1 nothing is certified; below, the test is
+    delegated to the reshaped Kruskal criterion in degree 4; at the boundary
+    l = 2k - 1 the criterion fires exactly when the Terracini dimension is
+    the maximal (n+1)*l - 1.
+    """
+    return _eval_quartic(a, jobs)[0]
+
+
+def complementary_bound(a: PointSet, d: int) -> int:
+    """Lower bound on the size of any other minimal decomposition.
+
+    For binary forms with len(a) < d + 1 any second minimal decomposition B
+    satisfies len(a) + len(B) >= d + 2; for a set spanning P^n the analogous
+    bound is d + n.  Returns 0 when neither hypothesis applies.  Meaningful
+    when a itself is minimal.
+    """
+    if d < 1:
+        raise ValueError(f"degree must be >= 1, got {d}")
+    l = len(a)
+    n = a.ambient_dim
+    if n == 1 and l < d + 1:
+        return d + 2 - l
+    if span_dim(a) == n:
+        return max(0, d + n - l)
+    return 0
+
+
+def certify(a: PointSet, d: int, jobs: int = 1) -> Certificate:
+    """Run the certification cascade on a candidate decomposition.
+
+    The criteria run in a fixed order from cheapest to most expensive:
+    sylvester, half-degree, half-degree-spanning, alignment-bound,
+    plane-gup, reshaped-kruskal (degree >= 3), quartic (degree 4).  The
+    first hit decides; the notes record one line per criterion examined.
+    """
+    if d < 1:
+        raise ValueError(f"degree must be >= 1, got {d}")
+    l = len(a)
+    n = a.ambient_dim
+    minimal = check_minimal(a, d)
+    notes: list[str] = []
+    fired: CriterionResult | None = None
+    evaluated: list[str] = []
+
+    if not minimal:
+        notes.append(
+            f"the degree-{d} Veronese images are linearly dependent "
+            f"(h({d}) = {hilbert_function(a, d)} < {l}), so the candidate "
+            "is not a minimal decomposition; no criterion was attempted")
+    else:
+        cascade: list[tuple[str, object]] = [
+            ("sylvester", lambda: _eval_sylvester(a, d)),
+            ("half-degree", lambda: _eval_half_degree(a, d)),
+            ("half-degree-spanning", lambda: _eval_half_degree_spanning(a, d)),
+            ("alignment-bound", lambda: _eval_alignment_bound(a, d)),
+            ("plane-gup", lambda: _eval_plane_gup(a, d, jobs)),
+        ]
+        if d >= 3:
+            cascade.append(("reshaped-kruskal", lambda: _eval_reshaped_kruskal(a, d, jobs)))
+        if d == 4:
+            cascade.append(("quartic", lambda: _eval_quartic(a, jobs)))
+        for name, evaluate in cascade:
+            evaluated.append(name)
+            result, reason = evaluate()
+            notes.append(f"{name}: {reason}")
+            if result is not None:
+                fired = result
+                break
+
+    examined = {1}
+    if "reshaped-kruskal" in evaluated:
+        for part in degree_partitions(d):
+            examined.update(part)
+    if fired is not None and fired.criterion == "plane-gup":
+        examined.update(range(1, gup_cutoff(n, l) + 1))
+    ranks = tuple((j, veronese_kruskal_rank(a, j, jobs=jobs)) for j in sorted(examined))
+    diagnostics = Diagnostics(
+        minimal=minimal,
+        hilbert=hilbert_profile(a),
+        kruskal_rank=kruskal_rank(a, jobs=jobs),
+        veronese_kruskal_ranks=ranks,
+        max_collinear=max_collinear_subset_size(a),
+        span_dim=span_dim(a),
+        terracini=terracini_dimension(a, d) if d >= 2 else None,
+        complementary_bound=complementary_bound(a, d),
+    )
+    if not minimal:
+        verdict = Verdict.NOT_MINIMAL
+    elif fired is not None:
+        verdict = Verdict.IDENTIFIABLE
+    else:
+        verdict = Verdict.INCONCLUSIVE
+        notes.append("no criterion applies; this certifies nothing about the input")
+    return Certificate(
+        verdict=verdict,
+        degree=d,
+        set_size=l,
+        ambient_dim=n,
+        criterion=fired.criterion if fired else None,
+        rank=l if fired else None,
+        diagnostics=diagnostics,
+        notes=tuple(notes),
+    )
+
+
+EXPECTED_TWO_DECOMPOSITIONS = {
+    (6, 2): 9,
+    (4, 3): 8,
+    (3, 5): 9,
+}
+
+
+@dataclass(frozen=True)
+class GenericInfo:
+    """Generic rank data for degree-d forms on P^n.
+
+    expected_generic_rank is ceil(C(n+d, d) / (n + 1)).  generic_rank is
+    the true generic rank; when oracle_verified is True it was computed by
+    sweeping the randomized Terracini oracle, otherwise it falls back to
+    the expected value.  exceptions lists the known failures of generic
+    identifiability at subgeneric rank for these parameters.
+    """
+
+    ambient_dim: int
+    degree: int
+    space_dim: int
+    expected_generic_rank: int
+    generic_rank: int
+    oracle_verified: bool
+    exceptions: tuple[str, ...]
+
+
+def generic_info(n: int, d: int, trials: int = 2, seed: int = 0,
+                 max_space_dim: int = 500) -> GenericInfo:
+    """Generic rank of degree-d forms on P^n, with identifiability caveats.
+
+    The true generic rank is the least r whose generic Terracini dimension
+    fills the whole space of degree-d forms; the sweep runs whenever the
+    number of monomials C(n+d, d) is at most max_space_dim.  Requires
+    d >= 2 (in degree 1 every form has rank 1).
+    """
+    if n < 1:
+        raise ValueError(f"ambient dimension must be >= 1, got {n}")
+    if d < 2:
+        raise ValueError(f"degree must be >= 2, got {d}")
+    space = comb(n + d, d)
+    expected = -(-space // (n + 1))
+    if space <= max_space_dim:
+        r = 1
+        while True:
+            report = generic_terracini_dimension(n, d, r, trials=trials, seed=seed)
+            if report.dim == space - 1:
+                break
+            r += 1
+        generic_rank = r
+        verified = True
+    else:
+        generic_rank = expected
+        verified = False
+
+    exceptions = []
+    if d == 2 and n >= 2:
+        exceptions.append(
+            f"degree 2: quadrics of every rank from 2 to {n} have infinitely "
+            "many decompositions, so no subgeneric rank is identifiable")
+    special = EXPECTED_TWO_DECOMPOSITIONS.get((d, n))
+    if special is not None:
+        exceptions.append(
+            f"rank {special}: the generic form of rank {special} has exactly "
+            "two decompositions")
+    if not verified:
+        exceptions.append(
+            "generic rank not verified by the Terracini oracle (space "
+            f"dimension {space} exceeds the budget {max_space_dim}); "
+            "reporting the expected value")
+    return GenericInfo(
+        ambient_dim=n,
+        degree=d,
+        space_dim=space,
+        expected_generic_rank=expected,
+        generic_rank=generic_rank,
+        oracle_verified=verified,
+        exceptions=tuple(exceptions),
+    )

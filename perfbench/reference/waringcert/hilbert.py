@@ -1,0 +1,222 @@
+"""Hilbert functions of finite projective point sets, and separation tests.
+
+For a finite set Z in P^n, the Hilbert function h_Z(d) is the rank of the
+matrix that evaluates all degree-d monomials at the points of Z.  Its first
+difference Dh_Z(d) = h_Z(d) - h_Z(d-1) encodes how the points impose new
+conditions degree by degree; the nonzero differences form the h-vector.
+
+Separation language: Z is separated in degree d when h_Z(d) = len(Z), and a
+single point is separated when some degree-d form vanishes on the rest of Z
+but not there.  A set has the Cayley-Bacharach property in degree i when no
+point is separated in degree i.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+from .geometry import PointSet, monomial_basis, union
+from .linalg import Matrix
+
+
+def evaluation_matrix(a: PointSet, d: int) -> Matrix:
+    """The len(a) x C(n+d, d) matrix of monomial values at the points.
+
+    Row i evaluates every degree-d monomial (lexicographic basis order) at
+    the canonical coordinates of point i.  The rank agrees with the rank of
+    the Veronese coordinate matrix because the multinomial weights of the
+    embedding only rescale columns.
+    """
+    if d < 0:
+        raise ValueError(f"evaluation degree must be >= 0, got {d}")
+    basis = monomial_basis(a.ambient_dim, d)
+    return Matrix([mon.evaluate(p.coords) for mon in basis] for p in a)
+
+
+@lru_cache(maxsize=None)
+def hilbert_function(a: PointSet, d: int) -> int:
+    """h_Z(d): the number of independent conditions Z imposes in degree d.
+
+    Defined as 0 for negative d.  Always between 1 and len(a) for d >= 0,
+    and nondecreasing in d.
+    """
+    if d < 0:
+        return 0
+    return evaluation_matrix(a, d).rank()
+
+
+@dataclass(frozen=True)
+class HilbertProfile:
+    """Hilbert function values and first differences over 0..j_max.
+
+    Invariants enforced at construction: values and diffs are consistent
+    cumulative sums starting at h(0) = 1, no value exceeds set_size, and
+    whenever j_max >= set_size - 1 the values have stabilised at set_size
+    from degree set_size - 1 on (so differences beyond j_max are zero).
+    """
+
+    set_size: int
+    values: tuple[int, ...]
+    diffs: tuple[int, ...]
+    j_max: int
+
+    def __post_init__(self):
+        if self.set_size < 1:
+            raise ValueError("set_size must be >= 1")
+        if self.j_max != len(self.values) - 1 or len(self.values) != len(self.diffs):
+            raise ValueError("values/diffs lengths do not match j_max")
+        running = 0
+        for j, (v, dv) in enumerate(zip(self.values, self.diffs)):
+            running += dv
+            if v != running:
+                raise ValueError(f"values and diffs disagree at degree {j}")
+            if dv < 0:
+                raise ValueError(f"negative difference at degree {j}")
+            if v > self.set_size:
+                raise ValueError(f"h({j}) = {v} exceeds the set size")
+            if j >= self.set_size - 1 and v != self.set_size:
+                raise ValueError(f"h({j}) has not stabilised at the set size")
+        if self.values[0] != 1:
+            raise ValueError("h(0) must equal 1")
+
+    @classmethod
+    def from_diffs(cls, diffs: tuple[int, ...] | list[int]) -> "HilbertProfile":
+        """Profile with the given first differences, zero-padded as needed.
+
+        The set size is the sum of the differences; the padding extends the
+        range to degree set_size - 1 so the stabilisation invariant holds.
+        """
+        ds = list(diffs)
+        size = sum(ds)
+        while len(ds) < size:
+            ds.append(0)
+        values = []
+        running = 0
+        for dv in ds:
+            running += dv
+            values.append(running)
+        return cls(set_size=size, values=tuple(values), diffs=tuple(ds),
+                   j_max=len(ds) - 1)
+
+    @property
+    def h_vector(self) -> tuple[int, ...]:
+        """The differences up to the last nonzero entry."""
+        last = max((j for j, dv in enumerate(self.diffs) if dv), default=0)
+        return self.diffs[: last + 1]
+
+    def value_at(self, d: int) -> int:
+        """h(d), extending by 0 below degree 0 and by set_size above j_max."""
+        if d < 0:
+            return 0
+        if d <= self.j_max:
+            return self.values[d]
+        return self.set_size
+
+    def diff_at(self, d: int) -> int:
+        """Dh(d), zero outside the stored range."""
+        if d < 0 or d > self.j_max:
+            return 0
+        return self.diffs[d]
+
+    @property
+    def separation_degree(self) -> int:
+        """The least d with h(d) = set_size."""
+        return next(j for j, v in enumerate(self.values) if v == self.set_size)
+
+
+def hilbert_profile(a: PointSet, j_max: int | None = None) -> HilbertProfile:
+    """Hilbert function values of a for degrees 0..max(j_max, len(a) - 1).
+
+    The range always reaches degree len(a) - 1, where the function is
+    guaranteed to have stabilised at len(a); callers may request more.
+    """
+    top = len(a) - 1 if j_max is None else max(j_max, len(a) - 1)
+    values = tuple(hilbert_function(a, d) for d in range(top + 1))
+    diffs = tuple(v - (values[j - 1] if j else 0) for j, v in enumerate(values))
+    return HilbertProfile(set_size=len(a), values=values, diffs=diffs, j_max=top)
+
+
+def is_separated(a: PointSet, d: int) -> bool:
+    """True when degree-d forms distinguish every point: h(d) = len(a)."""
+    return hilbert_function(a, d) == len(a)
+
+
+def separates_point(a: PointSet, index: int, d: int) -> bool:
+    """True when some degree-d form vanishes on a minus the point but not there.
+
+    Equivalent to the coordinate vector e_index lying in the image of the
+    evaluation map, which happens exactly when removing the point lowers the
+    Hilbert function by one.
+    """
+    if not 0 <= index < len(a):
+        raise IndexError(f"point index {index} out of range")
+    if d < 0:
+        return False
+    if len(a) == 1:
+        return True
+    return hilbert_function(a.without(index), d) == hilbert_function(a, d) - 1
+
+
+def satisfies_cb(a: PointSet, i: int) -> bool:
+    """Cayley-Bacharach property in degree i: no point is separated.
+
+    Every degree-i form vanishing at all points but one must vanish there
+    too.  Defined as False for singletons (a nonzero constant separates the
+    lone point, and every criterion using the property assumes len >= 2).
+    """
+    if i < 0:
+        raise ValueError(f"degree must be >= 0, got {i}")
+    if len(a) == 1:
+        return False
+    return not any(separates_point(a, j, i) for j in range(len(a)))
+
+
+def check_gkr_inequality(profile: HilbertProfile, i: int) -> bool:
+    """Necessary condition on the differences of a Cayley-Bacharach set.
+
+    For a set with the degree-i Cayley-Bacharach property the differences
+    satisfy, for every j with 0 <= j <= i + 1:
+
+        Dh(0) + ... + Dh(j)  <=  Dh(i+1-j) + ... + Dh(i+1)
+
+    This checks the inequality verbatim for an arbitrary profile, treating
+    differences outside the stored range as zero.  It is only a necessary
+    condition, so True never certifies the Cayley-Bacharach property.
+    """
+    if i < 0:
+        raise ValueError(f"degree must be >= 0, got {i}")
+    for j in range(i + 2):
+        low = sum(profile.diff_at(t) for t in range(j + 1))
+        high = sum(profile.diff_at(t) for t in range(i + 1 - j, i + 2))
+        if low > high:
+            return False
+    return True
+
+
+def union_profile_drop(a: PointSet, b: PointSet, d: int) -> bool:
+    """True when the union of a and b is not separated in degree d.
+
+    The union deduplicates shared points.  A drop (h strictly below the
+    union's size) is a necessary condition for a and b to be two Waring
+    decompositions of one degree-d form.
+    """
+    z = union(a, b)
+    return hilbert_function(z, d) < len(z)
+
+
+def span_intersection_dim(a: PointSet, b: PointSet, d: int) -> int:
+    """Projective dimension of span(nu_d(a)) meet span(nu_d(b)), a, b disjoint.
+
+    By the Grassmann formula the dimension is h_a(d) + h_b(d) - h_Z(d) - 1
+    where Z is the union; -1 means the spans are disjoint.  When both
+    embedded sets are linearly independent this reduces to the closed form
+    len(Z) - h_Z(d) - 1.  Raises ValueError when the sets share a point,
+    where neither formula counts the overlap.
+    """
+    shared = [p for p in a if p in b]
+    if shared:
+        raise ValueError(f"point sets share {len(shared)} point(s)")
+    z = union(a, b)
+    return (hilbert_function(a, d) + hilbert_function(b, d)
+            - hilbert_function(z, d) - 1)

@@ -1,0 +1,201 @@
+"""Kruskal ranks of point sets and of their Veronese images.
+
+The Kruskal rank k_A of a finite set A is the largest k such that every
+subset of at most k points is linearly independent.  It is bounded by
+min(len(A), n + 1) in P^n; a set attaining the bound is in linearly general
+position (LGP).  A set is in general uniform position (GUP) when every
+Veronese image v_j(A) has maximal Kruskal rank, for j up to the first degree
+whose monomial space is at least as large as the set.
+
+The reshaping criterion splits a degree d = a + b + c and compares twice the
+set size against k_a + k_b + k_c - 2, where k_j is the Kruskal rank of the
+degree-j Veronese image.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
+from math import comb
+
+from .geometry import PointSet, coordinate_matrix, veronese_embed_set
+from .linalg import _bareiss_rank, _integer_rows
+
+IntRows = tuple[tuple[int, ...], ...]
+
+
+def _int_rows(a: PointSet) -> IntRows:
+    """Canonical coordinates scaled row-by-row to integers."""
+    return tuple(tuple(r) for r in _integer_rows(coordinate_matrix(a).entries))
+
+
+def _subset_rank(rows: IntRows, subset: tuple[int, ...]) -> int:
+    return _bareiss_rank([list(rows[i]) for i in subset])
+
+
+def _chunk_all_independent(rows: IntRows,
+                           subsets: tuple[tuple[int, ...], ...]) -> bool:
+    return all(_subset_rank(rows, s) == len(s) for s in subsets)
+
+
+def _all_subsets_independent(rows: IntRows, size: int, jobs: int) -> bool:
+    """Whether every ``size``-subset of the rows is linearly independent."""
+    subs = combinations(range(len(rows)), size)
+    if jobs <= 1:
+        return all(_subset_rank(rows, s) == size for s in subs)
+    all_subs = tuple(subs)
+    if len(all_subs) < 4 * jobs:
+        return all(_subset_rank(rows, s) == size for s in all_subs)
+    step = -(-len(all_subs) // (4 * jobs))
+    chunks = [all_subs[i:i + step] for i in range(0, len(all_subs), step)]
+    # All chunks are evaluated and and-reduced, so the result is independent
+    # of scheduling order.
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return all(pool.map(_chunk_all_independent,
+                            [rows] * len(chunks), chunks))
+
+
+def _kruskal_of_rows(rows: IntRows, jobs: int) -> int:
+    """Kruskal rank of a list of nonzero, pairwise nonproportional rows.
+
+    If every s-subset is independent then so is every smaller subset, since
+    a dependent subset stays dependent under extension.  That justifies the
+    fast paths: a full-rank set has Kruskal rank equal to its size, and a
+    clean scan at the upper bound settles the answer in one pass.
+    """
+    l = len(rows)
+    ambient = len(rows[0])
+    k_max = min(l, ambient)
+    if k_max <= 2:
+        return k_max if l > 1 else 1
+    if l == k_max:
+        top_clean = _bareiss_rank([list(r) for r in rows]) == l
+    else:
+        top_clean = _all_subsets_independent(rows, k_max, jobs)
+    if top_clean:
+        return k_max
+    # Some k_max-subset is dependent, so the answer is below k_max; climb
+    # until the first dependent size.
+    for s in range(3, k_max):
+        if not _all_subsets_independent(rows, s, jobs):
+            return s - 1
+    return k_max - 1
+
+
+@lru_cache(maxsize=None)
+def _kruskal_rank_cached(a: PointSet) -> int:
+    return _kruskal_of_rows(_int_rows(a), jobs=1)
+
+
+def kruskal_rank(a: PointSet, jobs: int = 1) -> int:
+    """Largest k such that every k-subset of a is linearly independent.
+
+    Always between 1 and min(len(a), n + 1); at least 2 unless a is a
+    singleton, because distinct projective points are never proportional.
+    """
+    if jobs > 1:
+        return _kruskal_of_rows(_int_rows(a), jobs)
+    return _kruskal_rank_cached(a)
+
+
+def is_lgp(a: PointSet) -> bool:
+    """Linearly general position: the Kruskal rank attains min(len, n + 1)."""
+    return kruskal_rank(a) == min(len(a), a.ambient_dim + 1)
+
+
+@lru_cache(maxsize=None)
+def _veronese_kruskal_cached(a: PointSet, j: int) -> int:
+    return _kruskal_of_rows(_int_rows(veronese_embed_set(a, j)), jobs=1)
+
+
+def veronese_kruskal_rank(a: PointSet, j: int, jobs: int = 1) -> int:
+    """Kruskal rank of the degree-j Veronese image of a; j >= 1."""
+    if j < 1:
+        raise ValueError(f"Veronese degree must be >= 1, got {j}")
+    if jobs > 1:
+        return _kruskal_of_rows(_int_rows(veronese_embed_set(a, j)), jobs)
+    return _veronese_kruskal_cached(a, j)
+
+
+def gup_cutoff(n: int, size: int) -> int:
+    """First degree j whose monomial space has dimension >= size."""
+    j = 1
+    while comb(n + j, j) < size:
+        j += 1
+    return j
+
+
+def is_gup(a: PointSet, jobs: int = 1) -> bool:
+    """General uniform position: every early Veronese image has maximal k.
+
+    Checks k(v_j(a)) = min(len(a), C(n+j, j)) for each j from 1 up to the
+    first degree whose monomial space is at least as large as the set; from
+    that degree on the condition asks for full linear independence, which
+    is preserved in all higher degrees.
+    """
+    cutoff = gup_cutoff(a.ambient_dim, len(a))
+    for j in range(1, cutoff + 1):
+        target = min(len(a), comb(a.ambient_dim + j, j))
+        if veronese_kruskal_rank(a, j, jobs=jobs) != target:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class KruskalReport:
+    """Outcome of the reshaping test for one partition d = a + b + c."""
+
+    set_size: int
+    partition: tuple[int, int, int]
+    ranks: tuple[int, int, int]
+    bound: int
+    passes: bool
+
+    def __post_init__(self):
+        if sorted(self.partition) != list(self.partition) or self.partition[0] < 1:
+            raise ValueError(f"bad partition {self.partition}")
+        expected_bound = (sum(self.ranks) - 2) // 2
+        if self.bound != expected_bound:
+            raise ValueError(f"bound {self.bound} does not match ranks {self.ranks}")
+        if self.passes != (2 * self.set_size <= sum(self.ranks) - 2):
+            raise ValueError("passes flag disagrees with the rank inequality")
+
+
+def degree_partitions(d: int) -> tuple[tuple[int, int, int], ...]:
+    """All partitions d = a + b + c with 1 <= a <= b <= c, most unbalanced first.
+
+    Ordered by descending largest part, then ascending smallest, so the
+    cheapest and most often sufficient split (1, 1, d - 2) comes first.
+    """
+    if d < 3:
+        raise ValueError(f"degree must be >= 3 to split into three parts, got {d}")
+    parts = []
+    for x in range(1, d // 3 + 1):
+        for y in range(x, (d - x) // 2 + 1):
+            parts.append((x, y, d - x - y))
+    return tuple(sorted(parts, key=lambda p: (-p[2], p[0], p[1])))
+
+
+def reshaped_kruskal(a: PointSet, d: int, jobs: int = 1) -> tuple[KruskalReport, ...]:
+    """Reshaping test over every three-part partition of the degree.
+
+    For d = x + y + z the test passes when 2*len(a) <= k_x + k_y + k_z - 2
+    with k_j the Kruskal rank of the degree-j Veronese image.  One passing
+    partition certifies that len(a) is the rank and the decomposition is
+    unique.  Reports appear in the partition order of degree_partitions.
+    """
+    l = len(a)
+    reports = []
+    for part in degree_partitions(d):
+        ranks = tuple(veronese_kruskal_rank(a, j, jobs=jobs) for j in part)
+        total = sum(ranks)
+        reports.append(KruskalReport(
+            set_size=l,
+            partition=part,
+            ranks=ranks,
+            bound=(total - 2) // 2,
+            passes=2 * l <= total - 2,
+        ))
+    return tuple(reports)

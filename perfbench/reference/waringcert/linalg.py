@@ -1,0 +1,206 @@
+"""Exact linear algebra over the rationals.
+
+Every computation in this package reduces to ranks and kernels of matrices
+with ``fractions.Fraction`` entries.  Ranks are computed by fraction-free
+Bareiss elimination on integer-scaled rows, which keeps intermediate values
+integral and the pivot choice bit-deterministic; kernels come from a reduced
+row echelon form over ``Fraction``.  No floating point is used anywhere.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+from typing import Iterable, Sequence
+
+Vector = tuple[Fraction, ...]
+
+
+def _to_fraction_rows(rows: Iterable[Iterable[object]]) -> tuple[Vector, ...]:
+    out = []
+    for row in rows:
+        out.append(tuple(Fraction(x) for x in row))
+    return tuple(out)
+
+
+class Matrix:
+    """Immutable rational matrix.
+
+    Entries are stored as a tuple of row tuples of ``Fraction``.  Construction
+    accepts any nesting of iterables whose items ``Fraction`` accepts (ints,
+    Fractions, numeric strings).  Rows must all have the same length.
+    """
+
+    __slots__ = ("entries", "rows", "cols", "_rank")
+
+    def __init__(self, rows: Iterable[Iterable[object]]):
+        entries = _to_fraction_rows(rows)
+        if entries:
+            width = len(entries[0])
+            for i, row in enumerate(entries):
+                if len(row) != width:
+                    raise ValueError(
+                        f"ragged matrix: row 0 has {width} entries, row {i} has {len(row)}"
+                    )
+        else:
+            width = 0
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "rows", len(entries))
+        object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "_rank", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Matrix is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"Matrix({[list(map(str, row)) for row in self.entries]})"
+
+    @classmethod
+    def identity(cls, k: int) -> "Matrix":
+        return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)])
+
+    def row(self, i: int) -> Vector:
+        return self.entries[i]
+
+    def transpose(self) -> "Matrix":
+        return Matrix(zip(*self.entries)) if self.rows else Matrix([])
+
+    def stack(self, other: "Matrix") -> "Matrix":
+        """Vertical concatenation; both matrices must have the same width."""
+        if self.cols != other.cols and self.rows and other.rows:
+            raise ValueError(
+                f"cannot stack: widths differ ({self.cols} vs {other.cols})"
+            )
+        return Matrix(self.entries + other.entries)
+
+    def apply(self, vec: Sequence[object]) -> Vector:
+        """Matrix-vector product, used by tests to check kernel membership."""
+        if len(vec) != self.cols:
+            raise ValueError(f"vector has length {len(vec)}, expected {self.cols}")
+        v = [Fraction(x) for x in vec]
+        return tuple(sum((row[j] * v[j] for j in range(self.cols)), Fraction(0))
+                     for row in self.entries)
+
+    def rank(self) -> int:
+        """Rank, via fraction-free Bareiss elimination.
+
+        Rows are first scaled to integers (rank is invariant under nonzero
+        row scaling).  The pivot in each column is the first row with a
+        nonzero entry, so the elimination path is deterministic.
+        """
+        cached = self._rank
+        if cached is None:
+            cdef = _bareiss_rank(_integer_rows(self.entries))
+            object.__setattr__(self, "_rank", cdef)
+            cached = cdef
+        return cached
+
+    def kernel_basis(self) -> tuple[Vector, ...]:
+        """Basis of the right kernel, one vector per free column of the RREF.
+
+        Vectors are ordered by ascending free column; the vector for free
+        column f has entry 1 at position f and, at each pivot column, the
+        negated RREF entry of that pivot row in column f.  Rank plus the
+        number of basis vectors equals the column count.
+        """
+        reduced, pivot_cols = _rref([list(row) for row in self.entries])
+        pivots = set(pivot_cols)
+        basis = []
+        for f in range(self.cols):
+            if f in pivots:
+                continue
+            v = [Fraction(0)] * self.cols
+            v[f] = Fraction(1)
+            for r, pc in enumerate(pivot_cols):
+                v[pc] = -reduced[r][f]
+            basis.append(tuple(v))
+        return tuple(basis)
+
+
+def _integer_rows(entries: Sequence[Vector]) -> list[list[int]]:
+    out = []
+    for row in entries:
+        scale = lcm(*(x.denominator for x in row)) if row else 1
+        out.append([int(x * scale) for x in row])
+    return out
+
+
+def _bareiss_rank(m: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination.
+
+    The division by the previous pivot is exact (Sylvester's determinant
+    identity); columns with no pivot below the current row are skipped and
+    never touched again, which preserves exactness.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    piv = 0
+    prev = 1
+    for col in range(ncols):
+        if piv == nrows:
+            break
+        hit = next((r for r in range(piv, nrows) if m[r][col]), None)
+        if hit is None:
+            continue
+        if hit != piv:
+            m[piv], m[hit] = m[hit], m[piv]
+        p = m[piv][col]
+        for r in range(piv + 1, nrows):
+            factor = m[r][col]
+            row_r = m[r]
+            row_p = m[piv]
+            # The full update must run even when factor == 0: every row below
+            # the pivot is rescaled so that the later exact divisions by prev
+            # stay divisions of minors (Sylvester's identity).
+            for c in range(col + 1, ncols):
+                row_r[c] = (p * row_r[c] - factor * row_p[c]) // prev
+            row_r[col] = 0
+        prev = p
+        piv += 1
+    return piv
+
+
+def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form in place; returns (matrix, pivot columns)."""
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivot_cols: list[int] = []
+    piv = 0
+    for col in range(ncols):
+        if piv == nrows:
+            break
+        hit = next((r for r in range(piv, nrows) if m[r][col]), None)
+        if hit is None:
+            continue
+        if hit != piv:
+            m[piv], m[hit] = m[hit], m[piv]
+        scale = m[piv][col]
+        m[piv] = [x / scale for x in m[piv]]
+        for r in range(nrows):
+            if r != piv and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[piv])]
+        pivot_cols.append(col)
+        piv += 1
+    return m, pivot_cols
+
+
+def row_space_intersection_dim(m1: Matrix, m2: Matrix) -> int:
+    """Dimension of the intersection of the two row spaces.
+
+    Computed by the Grassmann formula rank(m1) + rank(m2) - rank(stacked).
+    Raises ValueError when the ambient dimensions (column counts) differ.
+    """
+    if m1.cols != m2.cols:
+        raise ValueError(
+            f"row spaces live in different ambient spaces ({m1.cols} vs {m2.cols})"
+        )
+    return m1.rank() + m2.rank() - m1.stack(m2).rank()

@@ -1,0 +1,128 @@
+"""Terracini spaces: joined tangent spaces of the Veronese variety.
+
+At a point p of P^n, the tangent space to the degree-d Veronese variety at
+nu_d(p) is spanned by the forms L^(d-1) * x_j for j = 0..n, where L is the
+linear form with coefficient vector p.  The Terracini space of a point set
+is the projective span of all these tangent spaces together; its dimension
+controls the local geometry of the secant variety at the decomposition.
+
+For r points the dimension can never exceed (n+1)r - 1, nor the dimension
+N = C(n+d, d) - 1 of the space of degree-d forms.  Random integer point
+sets attain the generic value with overwhelming probability, which gives a
+practical randomized oracle for generic Terracini dimensions.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
+
+from .geometry import Form, PointSet, ProjectivePoint, random_point_set
+from .linalg import Matrix
+
+
+@dataclass(frozen=True)
+class TerraciniReport:
+    """Dimension bookkeeping for one Terracini space computation.
+
+    All dimensions are projective: ``dim`` is the rank of the coefficient
+    matrix minus one.  ``max_possible`` is (n+1)r - 1, the dimension when
+    all tangent spaces are in direct sum; ``veronese_dim`` is the ambient
+    dimension N; ``expected_dim`` is the smaller of the two.
+    """
+
+    num_points: int
+    ambient_dim: int
+    degree: int
+    dim: int
+    max_possible: int
+    veronese_dim: int
+
+    def __post_init__(self):
+        if self.max_possible != (self.ambient_dim + 1) * self.num_points - 1:
+            raise ValueError("max_possible disagrees with (n+1)r - 1")
+        if self.dim > min(self.max_possible, self.veronese_dim):
+            raise ValueError(f"dim {self.dim} exceeds its upper bound")
+
+    @property
+    def expected_dim(self) -> int:
+        return min(self.max_possible, self.veronese_dim)
+
+    @property
+    def is_expected(self) -> bool:
+        """True when the tangent spaces fill as much as dimensions allow."""
+        return self.dim == self.expected_dim
+
+    @property
+    def tangents_independent(self) -> bool:
+        """True when the tangent spaces are in direct sum."""
+        return self.dim == self.max_possible
+
+
+def tangent_space_basis(p: ProjectivePoint, d: int) -> tuple[Form, ...]:
+    """Forms spanning the tangent space to the Veronese at nu_d(p).
+
+    Returns L^(d-1) * x_j for j = 0..n with L the linear form whose
+    coefficients are the canonical coordinates of p.  Requires d >= 2; in
+    degree 1 the Veronese is the identity and tangency is vacuous.
+    """
+    if d < 2:
+        raise ValueError(f"tangent spaces need degree >= 2, got {d}")
+    base = Form.linear_power(p.coords, d - 1)
+    return tuple(base.times_variable(j) for j in range(p.ambient_dim + 1))
+
+
+@lru_cache(maxsize=None)
+def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
+    """Projective dimension of the span of all tangent spaces along a.
+
+    Stacks the coefficient vectors of every tangent form of every point and
+    takes the matrix rank minus one.  Requires d >= 2.
+    """
+    if d < 2:
+        raise ValueError(f"Terracini dimension needs degree >= 2, got {d}")
+    n = a.ambient_dim
+    rows = []
+    for p in a:
+        for form in tangent_space_basis(p, d):
+            rows.append(form.coefficient_vector())
+    rank = Matrix(rows).rank()
+    return TerraciniReport(
+        num_points=len(a),
+        ambient_dim=n,
+        degree=d,
+        dim=rank - 1,
+        max_possible=(n + 1) * len(a) - 1,
+        veronese_dim=comb(n + d, d) - 1,
+    )
+
+
+def generic_terracini_dimension(n: int, d: int, r: int, trials: int = 2,
+                                seed: int = 0, bound: int = 50) -> TerraciniReport:
+    """Terracini dimension at r random points of P^n, maximised over trials.
+
+    Each trial draws r distinct points with integer coordinates uniform in
+    [-bound, bound] from a generator seeded by ``seed`` and keeps the report
+    of largest dimension.  The generic dimension is the maximum over all
+    point sets, so random draws can only undershoot; more trials shrink the
+    (already negligible) chance of a degenerate draw.  Deterministic for
+    fixed arguments.
+    """
+    if n < 1:
+        raise ValueError(f"ambient dimension must be >= 1, got {n}")
+    if r < 1:
+        raise ValueError(f"point count must be >= 1, got {r}")
+    if trials < 1:
+        raise ValueError(f"trial count must be >= 1, got {trials}")
+    rng = random.Random(seed)
+    best: TerraciniReport | None = None
+    for _ in range(trials):
+        sample = random_point_set(n, r, rng, bound=bound)
+        report = terracini_dimension(sample, d)
+        if best is None or report.dim > best.dim:
+            best = report
+        if best.dim == best.expected_dim:
+            break
+    return best
