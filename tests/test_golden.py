@@ -1,0 +1,178 @@
+"""Golden corpus: the CLI's structured output must stay byte-identical.
+
+``tests/golden/`` holds one point file per case (``<case>.pts``) and the
+``--format structured`` output of each verb run on it
+(``<case>.<verb>.json``).  The cases are seeded random sets chosen so that
+the corpus reaches every criterion of the cascade, NotMinimal, Inconclusive
+and the Alexander-Hirschowitz defective case of five plane points at degree
+4, plus one hand-written set with rational coordinates, zeros, negative
+leading entries and three collinear points.
+
+A change that alters the output on purpose bumps ``schema_version`` and
+regenerates the corpus from the committed point files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from waringcert import ProjectivePoint
+from waringcert.cli import parse_point_file, run
+
+GOLDEN = Path(__file__).with_name("golden")
+
+# case name -> (n, number of points, degree, seed) for seeded random sets
+# with integer coordinates in [-9, 9]; the comment names the outcome.
+RANDOM_CASES = {
+    "p1-3-d5": (1, 3, 5, 1),           # sylvester at the generic rank, odd degree
+    "p1-2-d4": (1, 2, 4, 1),           # sylvester below the generic rank
+    "p2-2-d3": (2, 2, 3, 1),           # half-degree
+    "p3-4-d5": (3, 4, 5, 1),           # half-degree-spanning
+    "p2-5-d5": (2, 5, 5, 1),           # alignment-bound
+    "p2-10-d9": (2, 10, 9, 1),         # plane-gup
+    "p2-6-d5": (2, 6, 5, 1),           # reshaped-kruskal
+    "p3-6-d4": (3, 6, 4, 1),           # reshaped-kruskal in degree 4
+    "p3-7-d4": (3, 7, 4, 1),           # quartic
+    "p4-9-d4": (4, 9, 4, 1),           # quartic
+    "p1-5-d3": (1, 5, 3, 1),           # NotMinimal
+    "p2-11-d3": (2, 11, 3, 1),         # NotMinimal
+    "p3-9-d4": (3, 9, 4, 1),           # Inconclusive, defective (3, 4) r = 9
+    "p2-5-d4": (2, 5, 4, 1),           # Inconclusive, defective (2, 4) r = 5
+    "p2-4-d2": (2, 4, 2, 1),           # Inconclusive, quadrics
+    "p3-3-d1": (3, 3, 1, 1),           # Inconclusive, degree 1
+}
+
+# A hand-written plane set: (1:0:0), (0:1:0) and (-2:1:0) lie on z = 0.
+RATIONAL_CASE = ("rational-p2-7-d5", 5, """\
+label: rationals, zeros and a collinear triple
+dim: 2
+1 0 0
+0 1 0
+-2 1 0
+0 0 -3
+1/2 -1/3 2
+-4 7/5 1
+3 -1 -1/6
+""")
+
+
+def _random_rows(n, size, seed):
+    rng = random.Random(seed)
+    rows, seen = [], set()
+    while len(rows) < size:
+        row = tuple(rng.randint(-9, 9) for _ in range(n + 1))
+        if not any(row):
+            continue
+        point = ProjectivePoint(row)
+        if point in seen:
+            continue
+        seen.add(point)
+        rows.append(row)
+    return rows
+
+
+def _point_text(n, rows):
+    body = "".join(" ".join(str(x) for x in row) + "\n" for row in rows)
+    return f"dim: {n}\n{body}"
+
+
+def _case_degrees():
+    degrees = {name: spec[2] for name, spec in RANDOM_CASES.items()}
+    degrees[RATIONAL_CASE[0]] = RATIONAL_CASE[1]
+    return degrees
+
+
+DEGREES = _case_degrees()
+
+
+def _verb_argv(verb, degree, size):
+    if verb == "certify":
+        return ["certify", "-", "--degree", str(degree)]
+    if verb == "hilbert":
+        return ["hilbert", "-"]
+    if verb == "hilbert-max":
+        return ["hilbert", "-", "--max-degree", str(size + 2)]
+    if verb == "kruskal":
+        return ["kruskal", "-", "--degree", "3"]
+    return ["terracini", "-", "--degree", str(max(degree, 2))]
+
+
+VERBS = ("certify", "hilbert", "hilbert-max", "kruskal", "terracini")
+EXIT_BY_VERDICT = {"Identifiable": 0, "Inconclusive": 2, "NotMinimal": 3}
+
+
+def run_verb(argv, text):
+    """Run the CLI in process on ``text`` as stdin; returns (exit code, stdout)."""
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run([*argv, "--format", "structured"])
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+def _point_file(case):
+    return (GOLDEN / f"{case}.pts").read_text(encoding="utf-8")
+
+
+def _size(text):
+    return len(parse_point_file(text).points)
+
+
+@pytest.mark.parametrize("verb", VERBS)
+@pytest.mark.parametrize("case", sorted(DEGREES))
+def test_structured_output_is_byte_identical(case, verb):
+    text = _point_file(case)
+    code, out = run_verb(_verb_argv(verb, DEGREES[case], _size(text)), text)
+    golden = (GOLDEN / f"{case}.{verb}.json").read_bytes().decode("utf-8")
+    assert out == golden, f"{case} {verb}: structured output changed"
+    if verb == "certify":
+        verdict = json.loads(out)["certificate"]["verdict"]
+        assert code == EXIT_BY_VERDICT[verdict]
+    else:
+        assert code == 0
+
+
+def test_corpus_reaches_every_outcome():
+    outcomes = set()
+    for case in DEGREES:
+        cert = json.loads((GOLDEN / f"{case}.certify.json").read_text())["certificate"]
+        outcomes.add(cert["criterion"] or cert["verdict"])
+        if (cert["ambient_dim"], cert["set_size"], cert["degree"]) == (2, 5, 4):
+            assert cert["verdict"] == "Inconclusive"
+            assert cert["diagnostics"]["terracini"]["dim"] == 13
+    assert outcomes == {
+        "sylvester", "half-degree", "half-degree-spanning", "alignment-bound",
+        "plane-gup", "reshaped-kruskal", "quartic", "NotMinimal", "Inconclusive",
+    }
+
+
+def regenerate():
+    """Write the point files (once) and every verb's output for each case."""
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (n, size, _, seed) in RANDOM_CASES.items():
+        path = GOLDEN / f"{name}.pts"
+        if not path.exists():
+            path.write_text(_point_text(n, _random_rows(n, size, seed)), encoding="utf-8")
+    path = GOLDEN / f"{RATIONAL_CASE[0]}.pts"
+    if not path.exists():
+        path.write_text(RATIONAL_CASE[2], encoding="utf-8")
+    for case, degree in DEGREES.items():
+        text = _point_file(case)
+        for verb in VERBS:
+            _, out = run_verb(_verb_argv(verb, degree, _size(text)), text)
+            (GOLDEN / f"{case}.{verb}.json").write_bytes(out.encode("utf-8"))
+
+
+if __name__ == "__main__":
+    regenerate()
