@@ -5,7 +5,8 @@ decomposition of a degree-d form into d-th powers of linear forms) and
 computes exact invariants: Hilbert function profiles, Cayley-Bacharach
 properties, Kruskal ranks of Veronese images, and Terracini dimensions.
 A cascade of sufficient criteria turns these invariants into certificates
-of rank and uniqueness.  All arithmetic is exact over the rationals.
+of rank and uniqueness.  All arithmetic is exact: every rank is taken on
+integer rows built from primitive integer representatives of the points.
 """
 
 from .certify import (Certificate, CriterionResult, Diagnostics, GenericInfo,
@@ -18,8 +19,9 @@ from .certify import (Certificate, CriterionResult, Diagnostics, GenericInfo,
 from .geometry import (DuplicatePointError, Form, Monomial, PointSet,
                        ProjectivePoint, coordinate_matrix, evaluate_form,
                        is_linearly_independent, max_collinear_subset_size,
-                       monomial_basis, multinomial, random_point_set, span_dim,
-                       union, veronese_embed, veronese_embed_set)
+                       monomial_basis, monomial_values, multinomial,
+                       random_point_set, span_dim, union, veronese_embed,
+                       veronese_embed_set)
 from .hilbert import (HilbertProfile, check_gkr_inequality, evaluation_matrix,
                       hilbert_function, hilbert_profile, is_separated,
                       satisfies_cb, separates_point, span_intersection_dim,
@@ -27,7 +29,7 @@ from .hilbert import (HilbertProfile, check_gkr_inequality, evaluation_matrix,
 from .kruskal import (KruskalReport, degree_partitions, gup_cutoff, is_gup,
                       is_lgp, kruskal_rank, reshaped_kruskal,
                       veronese_kruskal_rank)
-from .linalg import Matrix, row_space_intersection_dim
+from .linalg import Matrix, integer_rank, row_space_intersection_dim
 from .terracini import (TerraciniReport, generic_terracini_dimension,
                         tangent_space_basis, terracini_dimension)
 
@@ -43,9 +45,9 @@ __all__ = [
     "criterion_plane_gup", "criterion_quartic", "criterion_reshaped_kruskal",
     "criterion_sylvester", "degree_partitions", "evaluate_form",
     "evaluation_matrix", "generic_info", "generic_terracini_dimension",
-    "gup_cutoff", "hilbert_function", "hilbert_profile", "is_gup",
+    "gup_cutoff", "hilbert_function", "hilbert_profile", "integer_rank", "is_gup",
     "is_linearly_independent", "is_lgp", "is_separated", "kruskal_rank",
-    "max_collinear_subset_size", "monomial_basis", "multinomial",
+    "max_collinear_subset_size", "monomial_basis", "monomial_values", "multinomial",
     "random_point_set", "reshaped_kruskal", "row_space_intersection_dim",
     "satisfies_cb", "separates_point", "span_dim", "span_intersection_dim",
     "tangent_space_basis", "terracini_dimension", "union",

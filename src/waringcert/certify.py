@@ -369,7 +369,9 @@ def generic_info(n: int, d: int, trials: int = 2, seed: int = 0,
 
     The true generic rank is the least r whose generic Terracini dimension
     fills the whole space of degree-d forms; the sweep runs whenever the
-    number of monomials C(n+d, d) is at most max_space_dim.  Requires
+    number of monomials C(n+d, d) is at most max_space_dim.  It starts at
+    the expected rank ceil(C(n+d, d) / (n + 1)): r points span at most
+    (n+1)r - 1 dimensions, so no smaller r fills the space.  Requires
     d >= 2 (in degree 1 every form has rank 1).
     """
     if n < 1:
@@ -379,7 +381,7 @@ def generic_info(n: int, d: int, trials: int = 2, seed: int = 0,
     space = comb(n + d, d)
     expected = -(-space // (n + 1))
     if space <= max_space_dim:
-        r = 1
+        r = expected
         while True:
             report = generic_terracini_dimension(n, d, r, trials=trials, seed=seed)
             if report.dim == space - 1:

@@ -1,9 +1,12 @@
 """Projective points, monomials, forms, and the Veronese embedding.
 
 Points live in projective space P^n over the rationals and are stored in a
-canonical scaling: the first nonzero coordinate equals 1.  Degree-d monomials
-in n+1 variables are enumerated in lexicographic order on exponent vectors,
-largest first, so the basis for (n, d) = (1, 2) reads x0^2, x0*x1, x1^2.
+canonical scaling: the first nonzero coordinate equals 1.  Each point also
+has a primitive integer representative, computed on first use, and every
+rank in the package is taken on integer rows built from it by
+``monomial_values``.  Degree-d monomials in n+1 variables are enumerated in
+lexicographic order on exponent vectors, largest first, so the basis for
+(n, d) = (1, 2) reads x0^2, x0*x1, x1^2.
 
 The Veronese map uses the power-expansion convention: the coordinate of
 nu_d(p) at exponent vector e is the multinomial coefficient d!/prod(e_i!)
@@ -18,10 +21,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import Matrix
+from .linalg import Matrix, integer_rank
 
 
 class DuplicatePointError(ValueError):
@@ -38,7 +41,7 @@ class DuplicatePointError(ValueError):
 class ProjectivePoint:
     """A point of P^n, stored with first nonzero coordinate scaled to 1."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_primitive")
 
     coords: tuple[Fraction, ...]
 
@@ -57,6 +60,23 @@ class ProjectivePoint:
     @property
     def ambient_dim(self) -> int:
         return len(self.coords) - 1
+
+    @property
+    def primitive_coords(self) -> tuple[int, ...]:
+        """The primitive integer representative, with positive leading entry.
+
+        The canonical coordinates times the lcm of their denominators; the
+        entries then have gcd 1, because for each prime the coordinate of
+        largest denominator valuation keeps a unit there.  Computed on
+        first use and cached.
+        """
+        try:
+            return self._primitive
+        except AttributeError:
+            scale = lcm(*(c.denominator for c in self.coords))
+            value = tuple(c.numerator * (scale // c.denominator) for c in self.coords)
+            object.__setattr__(self, "_primitive", value)
+            return value
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProjectivePoint):
@@ -212,6 +232,38 @@ def monomial_basis(n: int, d: int) -> tuple[Monomial, ...]:
     return tuple(Monomial(e) for e in exps)
 
 
+def monomial_values(a: PointSet, d: int) -> list[list[int]]:
+    """The degree-d monomials at the primitive representatives of the points.
+
+    Row i lists p^e for every exponent vector e of the lexicographic basis
+    ``monomial_basis(n, d)``, p the primitive integer representative of point
+    i.  The row is built from a table of the powers p_j^0..p_j^d, one product
+    per entry: the monomials of degree e in x_j..x_n are x_j^k times those of
+    degree e - k in x_(j+1)..x_n, for k from e down to 0.
+
+    These rows have the rank and the Kruskal rank of the evaluation matrix
+    and of the Veronese coordinates of the set: they differ from either by a
+    nonzero scaling of each row and of each column.
+    """
+    if d < 0:
+        raise ValueError(f"monomial degree must be >= 0, got {d}")
+    rows = []
+    for p in a:
+        powers = []
+        for x in p.primitive_coords:
+            table = [1]
+            for _ in range(d):
+                table.append(table[-1] * x)
+            powers.append(table)
+        tail = [[v] for v in powers[-1]]
+        for table in reversed(powers[1:-1]):
+            tail = [[table[k] * v for k in range(e, -1, -1) for v in tail[e - k]]
+                    for e in range(d + 1)]
+        first = powers[0]
+        rows.append([first[k] * v for k in range(d, -1, -1) for v in tail[d - k]])
+    return rows
+
+
 def multinomial(d: int, exponents: Sequence[int]) -> int:
     """d! / prod(e_i!) for an exponent vector summing to d."""
     if sum(exponents) != d:
@@ -325,14 +377,7 @@ def veronese_embed(p: ProjectivePoint, d: int) -> ProjectivePoint:
     """
     if d < 1:
         raise ValueError(f"Veronese degree must be >= 1, got {d}")
-    row = []
-    for mon in monomial_basis(p.ambient_dim, d):
-        value = Fraction(multinomial(d, mon.exponents))
-        for c, e in zip(p.coords, mon.exponents):
-            if e:
-                value *= c ** e
-        row.append(value)
-    return ProjectivePoint(row)
+    return ProjectivePoint(Form.linear_power(p.coords, d).coefficient_vector())
 
 
 def veronese_embed_set(a: PointSet, d: int) -> PointSet:
@@ -348,12 +393,12 @@ def coordinate_matrix(a: PointSet) -> Matrix:
 @lru_cache(maxsize=None)
 def span_dim(a: PointSet) -> int:
     """Projective dimension of the linear span: rank of coordinates minus 1."""
-    return coordinate_matrix(a).rank() - 1
+    return integer_rank(p.primitive_coords for p in a) - 1
 
 
 def is_linearly_independent(a: PointSet) -> bool:
     """True when the coordinate vectors of the points are independent."""
-    return coordinate_matrix(a).rank() == len(a)
+    return span_dim(a) + 1 == len(a)
 
 
 @lru_cache(maxsize=None)
@@ -369,14 +414,14 @@ def max_collinear_subset_size(a: PointSet) -> int:
     if l == 1:
         return 1
     best = 2
-    rows = [p.coords for p in a]
+    rows = [p.primitive_coords for p in a]
     for i in range(l):
         for j in range(i + 1, l):
             count = 2
             for k in range(l):
                 if k == i or k == j:
                     continue
-                if Matrix([rows[i], rows[j], rows[k]]).rank() == 2:
+                if integer_rank((rows[i], rows[j], rows[k])) == 2:
                     count += 1
             if count > best:
                 best = count

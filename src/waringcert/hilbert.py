@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import PointSet, monomial_basis, union
-from .linalg import Matrix
+from .geometry import PointSet, monomial_basis, monomial_values, union
+from .linalg import Matrix, integer_rank
 
 
 def evaluation_matrix(a: PointSet, d: int) -> Matrix:
@@ -26,7 +26,8 @@ def evaluation_matrix(a: PointSet, d: int) -> Matrix:
     Row i evaluates every degree-d monomial (lexicographic basis order) at
     the canonical coordinates of point i.  The rank agrees with the rank of
     the Veronese coordinate matrix because the multinomial weights of the
-    embedding only rescale columns.
+    embedding only rescale columns.  This is the rational form of the rows
+    that ``hilbert_function`` ranks as integers.
     """
     if d < 0:
         raise ValueError(f"evaluation degree must be >= 0, got {d}")
@@ -39,11 +40,13 @@ def hilbert_function(a: PointSet, d: int) -> int:
     """h_Z(d): the number of independent conditions Z imposes in degree d.
 
     Defined as 0 for negative d.  Always between 1 and len(a) for d >= 0,
-    and nondecreasing in d.
+    and nondecreasing in d.  Computed as the rank of the integer monomial
+    values at the primitive representatives, which differ from the
+    evaluation matrix only by a nonzero scaling of each row.
     """
     if d < 0:
         return 0
-    return evaluation_matrix(a, d).rank()
+    return integer_rank(monomial_values(a, d))
 
 
 @dataclass(frozen=True)
@@ -130,11 +133,20 @@ def hilbert_profile(a: PointSet, j_max: int | None = None) -> HilbertProfile:
 
     The range always reaches degree len(a) - 1, where the function is
     guaranteed to have stabilised at len(a); callers may request more.
+    Ranks are computed only up to the separation degree, the first d with
+    h(d) = len(a): h is nondecreasing and bounded by len(a), so every later
+    value is len(a) and is filled in without a rank.
     """
-    top = len(a) - 1 if j_max is None else max(j_max, len(a) - 1)
-    values = tuple(hilbert_function(a, d) for d in range(top + 1))
+    l = len(a)
+    top = l - 1 if j_max is None else max(j_max, l - 1)
+    values = []
+    for d in range(top + 1):
+        values.append(hilbert_function(a, d))
+        if values[-1] == l:
+            values.extend([l] * (top - d))
+            break
     diffs = tuple(v - (values[j - 1] if j else 0) for j, v in enumerate(values))
-    return HilbertProfile(set_size=len(a), values=values, diffs=diffs, j_max=top)
+    return HilbertProfile(set_size=l, values=tuple(values), diffs=diffs, j_max=top)
 
 
 def is_separated(a: PointSet, d: int) -> bool:

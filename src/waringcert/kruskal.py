@@ -10,6 +10,11 @@ whose monomial space is at least as large as the set.
 The reshaping criterion splits a degree d = a + b + c and compares twice the
 set size against k_a + k_b + k_c - 2, where k_j is the Kruskal rank of the
 degree-j Veronese image.
+
+The degree-j image is taken as the integer rows ``monomial_values(a, j)``:
+they differ from the Veronese coordinates by a nonzero scaling of each row
+and of each column (the multinomial weights), and such scalings keep every
+subset's rank, hence the Kruskal rank.
 """
 
 from __future__ import annotations
@@ -17,64 +22,77 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
-from .geometry import PointSet, coordinate_matrix, veronese_embed_set
-from .linalg import _bareiss_rank, _integer_rows
+from .geometry import PointSet, monomial_values
 
-IntRows = tuple[tuple[int, ...], ...]
-
-
-def _int_rows(a: PointSet) -> IntRows:
-    """Canonical coordinates scaled row-by-row to integers."""
-    return tuple(tuple(r) for r in _integer_rows(coordinate_matrix(a).entries))
+IntRows = list[list[int]]
 
 
-def _subset_rank(rows: IntRows, subset: tuple[int, ...]) -> int:
-    return _bareiss_rank([list(rows[i]) for i in subset])
+def _independent_from(cands: IntRows, pos: int, prev: int, need: int) -> bool:
+    """Whether cands[pos] with any need - 1 later rows is independent.
 
-
-def _chunk_all_independent(rows: IntRows,
-                           subsets: tuple[tuple[int, ...], ...]) -> bool:
-    return all(_subset_rank(rows, s) == len(s) for s in subsets)
+    The rows in ``cands`` are the rows of one subset sweep after the
+    fraction-free elimination steps of the pivots already chosen (prev is
+    the last pivot, 1 before any), so "independent" includes those pivot
+    rows.  A reduced row is zero exactly when its row lies in their span.
+    Taking cands[pos] as the next pivot, at its first nonzero column, every
+    later row r becomes (p*r - r[col]*pivot) / prev, an exact division
+    (Sylvester's identity), and the pivot column is dropped.  Subsets that
+    share a prefix thus share its elimination: each extra row costs one
+    row reduction instead of a full elimination.
+    """
+    pivot = cands[pos]
+    col = next((c for c, x in enumerate(pivot) if x), None)
+    if col is None:
+        return False
+    if need == 1:
+        return True
+    p = pivot[col]
+    rest = []
+    for r in cands[pos + 1:]:
+        f = r[col]
+        row = [(p * x - f * y) // prev for x, y in zip(r, pivot)]
+        del row[col]
+        rest.append(row)
+    if need == 2:
+        return all(map(any, rest))
+    return all(_independent_from(rest, i, p, need - 1)
+               for i in range(len(rest) - need + 2))
 
 
 def _all_subsets_independent(rows: IntRows, size: int, jobs: int) -> bool:
-    """Whether every ``size``-subset of the rows is linearly independent."""
-    subs = combinations(range(len(rows)), size)
-    if jobs <= 1:
-        return all(_subset_rank(rows, s) == size for s in subs)
-    all_subs = tuple(subs)
-    if len(all_subs) < 4 * jobs:
-        return all(_subset_rank(rows, s) == size for s in all_subs)
-    step = -(-len(all_subs) // (4 * jobs))
-    chunks = [all_subs[i:i + step] for i in range(0, len(all_subs), step)]
-    # All chunks are evaluated and and-reduced, so the result is independent
-    # of scheduling order.
+    """Whether every ``size``-subset of the rows is linearly independent.
+
+    One depth-first sweep over the subsets in lexicographic order, split by
+    the least index of the subset; with jobs > 1 those branches run in a
+    process pool.
+    """
+    firsts = range(len(rows) - size + 1)
+    if jobs <= 1 or len(firsts) < 2:
+        return all(_independent_from(rows, i, 1, size) for i in firsts)
+    # Every branch is evaluated and the results and-reduced, so the answer
+    # does not depend on scheduling order.
+    count = len(firsts)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return all(pool.map(_chunk_all_independent,
-                            [rows] * len(chunks), chunks))
+        return all(pool.map(_independent_from, [rows] * count, firsts,
+                            [1] * count, [size] * count))
 
 
 def _kruskal_of_rows(rows: IntRows, jobs: int) -> int:
     """Kruskal rank of a list of nonzero, pairwise nonproportional rows.
 
     If every s-subset is independent then so is every smaller subset, since
-    a dependent subset stays dependent under extension.  That justifies the
-    fast paths: a full-rank set has Kruskal rank equal to its size, and a
-    clean scan at the upper bound settles the answer in one pass.
+    a dependent subset stays dependent under extension.  So a clean sweep at
+    the upper bound settles the answer in one pass (for a set no larger than
+    the ambient space that sweep is a single elimination).
     """
     l = len(rows)
     ambient = len(rows[0])
     k_max = min(l, ambient)
     if k_max <= 2:
         return k_max if l > 1 else 1
-    if l == k_max:
-        top_clean = _bareiss_rank([list(r) for r in rows]) == l
-    else:
-        top_clean = _all_subsets_independent(rows, k_max, jobs)
-    if top_clean:
+    if _all_subsets_independent(rows, k_max, jobs):
         return k_max
     # Some k_max-subset is dependent, so the answer is below k_max; climb
     # until the first dependent size.
@@ -84,20 +102,13 @@ def _kruskal_of_rows(rows: IntRows, jobs: int) -> int:
     return k_max - 1
 
 
-@lru_cache(maxsize=None)
-def _kruskal_rank_cached(a: PointSet) -> int:
-    return _kruskal_of_rows(_int_rows(a), jobs=1)
-
-
 def kruskal_rank(a: PointSet, jobs: int = 1) -> int:
     """Largest k such that every k-subset of a is linearly independent.
 
     Always between 1 and min(len(a), n + 1); at least 2 unless a is a
     singleton, because distinct projective points are never proportional.
     """
-    if jobs > 1:
-        return _kruskal_of_rows(_int_rows(a), jobs)
-    return _kruskal_rank_cached(a)
+    return _veronese_kruskal(a, 1, jobs)
 
 
 def is_lgp(a: PointSet) -> bool:
@@ -107,16 +118,20 @@ def is_lgp(a: PointSet) -> bool:
 
 @lru_cache(maxsize=None)
 def _veronese_kruskal_cached(a: PointSet, j: int) -> int:
-    return _kruskal_of_rows(_int_rows(veronese_embed_set(a, j)), jobs=1)
+    return _kruskal_of_rows(monomial_values(a, j), jobs=1)
+
+
+def _veronese_kruskal(a: PointSet, j: int, jobs: int) -> int:
+    if jobs > 1:
+        return _kruskal_of_rows(monomial_values(a, j), jobs)
+    return _veronese_kruskal_cached(a, j)
 
 
 def veronese_kruskal_rank(a: PointSet, j: int, jobs: int = 1) -> int:
     """Kruskal rank of the degree-j Veronese image of a; j >= 1."""
     if j < 1:
         raise ValueError(f"Veronese degree must be >= 1, got {j}")
-    if jobs > 1:
-        return _kruskal_of_rows(_int_rows(veronese_embed_set(a, j)), jobs)
-    return _veronese_kruskal_cached(a, j)
+    return _veronese_kruskal(a, j, jobs)
 
 
 def gup_cutoff(n: int, size: int) -> int:

@@ -1,10 +1,15 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers and the rationals.
 
-Every computation in this package reduces to ranks and kernels of matrices
-with ``fractions.Fraction`` entries.  Ranks are computed by fraction-free
-Bareiss elimination on integer-scaled rows, which keeps intermediate values
-integral and the pivot choice bit-deterministic; kernels come from a reduced
-row echelon form over ``Fraction``.  No floating point is used anywhere.
+Every rank in this package is taken by fraction-free Bareiss elimination on
+integer rows, whose exact divisions keep every intermediate value an
+integer minor of the input: by ``integer_rank`` here, and by the Kruskal
+subset sweeps, which share the elimination of common subset prefixes.
+Callers build integer rows directly (monomial values at primitive integer
+representatives of the points), so no ``Fraction`` arithmetic runs on the
+hot path.  ``Matrix`` is the rational front end kept for the public API and
+the tests: it scales each row to integers and then calls ``integer_rank``,
+and it computes kernels from a reduced row echelon form over ``Fraction``.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -90,15 +95,14 @@ class Matrix:
                      for row in self.entries)
 
     def rank(self) -> int:
-        """Rank, via fraction-free Bareiss elimination.
+        """Rank, via ``integer_rank`` on the rows scaled to integers.
 
-        Rows are first scaled to integers (rank is invariant under nonzero
-        row scaling).  The pivot in each column is the first row with a
-        nonzero entry, so the elimination path is deterministic.
+        Rank is invariant under nonzero row scaling, so each row is
+        multiplied by the least common multiple of its denominators.
         """
         cached = self._rank
         if cached is None:
-            cdef = _bareiss_rank(_integer_rows(self.entries))
+            cdef = integer_rank(_integer_rows(self.entries))
             object.__setattr__(self, "_rank", cdef)
             cached = cdef
         return cached
@@ -133,39 +137,40 @@ def _integer_rows(entries: Sequence[Vector]) -> list[list[int]]:
     return out
 
 
-def _bareiss_rank(m: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
+def integer_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix, given as rows, by fraction-free elimination.
 
-    The division by the previous pivot is exact (Sylvester's determinant
-    identity); columns with no pivot below the current row are skipped and
-    never touched again, which preserves exactness.
+    Bareiss elimination on a copy of the rows: the division by the previous
+    pivot is exact (Sylvester's determinant identity), so every entry stays
+    an integer minor of the input.  The pivot in each column is the first
+    remaining row with a nonzero entry; columns with no pivot are skipped
+    and never touched again, which preserves exactness.
     """
+    m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    piv = 0
+    rank = 0
     prev = 1
     for col in range(ncols):
-        if piv == nrows:
-            break
-        hit = next((r for r in range(piv, nrows) if m[r][col]), None)
+        hit = next((r for r in range(rank, nrows) if m[r][col]), None)
         if hit is None:
             continue
-        if hit != piv:
-            m[piv], m[hit] = m[hit], m[piv]
-        p = m[piv][col]
-        for r in range(piv + 1, nrows):
-            factor = m[r][col]
+        m[rank], m[hit] = m[hit], m[rank]
+        row_p = m[rank]
+        p = row_p[col]
+        for r in range(rank + 1, nrows):
             row_r = m[r]
-            row_p = m[piv]
-            # The full update must run even when factor == 0: every row below
-            # the pivot is rescaled so that the later exact divisions by prev
-            # stay divisions of minors (Sylvester's identity).
+            factor = row_r[col]
+            # The update must run even when factor == 0: every row below the
+            # pivot is rescaled so that the later exact divisions by prev
+            # stay divisions of minors.
             for c in range(col + 1, ncols):
                 row_r[c] = (p * row_r[c] - factor * row_p[c]) // prev
-            row_r[col] = 0
         prev = p
-        piv += 1
-    return piv
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

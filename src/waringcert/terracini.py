@@ -10,6 +10,13 @@ For r points the dimension can never exceed (n+1)r - 1, nor the dimension
 N = C(n+d, d) - 1 of the space of degree-d forms.  Random integer point
 sets attain the generic value with overwhelming probability, which gives a
 practical randomized oracle for generic Terracini dimensions.
+
+The rank is taken on integer rows.  The coefficient of x^e in L^(d-1)*x_j is
+e_j * multinomial(d, e) / d * p^(e - u_j), u_j the j-th unit vector, so
+dividing column e by multinomial(d, e) and multiplying the row by d leaves
+e_j * p^(e - u_j): the partial derivative of the monomial x^e at p.  Those
+are read off the degree-(d-1) monomial values of the primitive integer
+representatives; column and row scalings keep the rank.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .geometry import Form, PointSet, ProjectivePoint, random_point_set
-from .linalg import Matrix
+from .geometry import (Form, PointSet, ProjectivePoint, monomial_basis,
+                       monomial_values, random_point_set)
+from .linalg import integer_rank
 
 
 @dataclass(frozen=True)
@@ -75,20 +83,38 @@ def tangent_space_basis(p: ProjectivePoint, d: int) -> tuple[Form, ...]:
 
 
 @lru_cache(maxsize=None)
+def _derivative_index(n: int, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each variable j, (e_j, index of e - u_j in the degree-(d-1) basis)
+    per exponent vector e of the degree-d basis; (0, 0) where e_j = 0."""
+    lower = {mon.exponents: i for i, mon in enumerate(monomial_basis(n, d - 1))}
+    table = []
+    for j in range(n + 1):
+        entries = []
+        for mon in monomial_basis(n, d):
+            e = mon.exponents
+            if e[j]:
+                entries.append((e[j], lower[e[:j] + (e[j] - 1,) + e[j + 1:]]))
+            else:
+                entries.append((0, 0))
+        table.append(tuple(entries))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
 def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     """Projective dimension of the span of all tangent spaces along a.
 
-    Stacks the coefficient vectors of every tangent form of every point and
-    takes the matrix rank minus one.  Requires d >= 2.
+    Stacks one integer row per tangent form L^(d-1)*x_j of every point (the
+    coefficient vector up to the scalings in the module docstring) and takes
+    the rank minus one.  Requires d >= 2.
     """
     if d < 2:
         raise ValueError(f"Terracini dimension needs degree >= 2, got {d}")
     n = a.ambient_dim
-    rows = []
-    for p in a:
-        for form in tangent_space_basis(p, d):
-            rows.append(form.coefficient_vector())
-    rank = Matrix(rows).rank()
+    index = _derivative_index(n, d)
+    rows = [[f * values[i] for f, i in partials]
+            for values in monomial_values(a, d - 1) for partials in index]
+    rank = integer_rank(rows)
     return TerraciniReport(
         num_points=len(a),
         ambient_dim=n,

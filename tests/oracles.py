@@ -8,7 +8,7 @@ tests keep the inputs small enough for the exponential algorithms.
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import comb, factorial, prod
 
 
 def laplace_det(rows):
@@ -126,3 +126,31 @@ def brute_max_collinear(coord_rows):
             if minor_rank(sub) <= 2:
                 return size
     return best
+
+
+def kruskal_by_subsets(rows, rank):
+    """Largest k such that every k-subset of the rows has rank k.
+
+    Checks every subset size from 1 up, with the given rank function.
+    """
+    best = 0
+    for size in range(1, len(rows) + 1):
+        if any(rank([rows[i] for i in subset]) < size
+               for subset in combinations(range(len(rows)), size)):
+            break
+        best = size
+    return best
+
+
+def generic_rank_from_one(n, d, trials=2, seed=0):
+    """Least r whose generic Terracini dimension fills the degree-d forms.
+
+    The plain sweep from r = 1 over the library's randomized Terracini
+    oracle, for comparison with a sweep that starts later.
+    """
+    from waringcert import generic_terracini_dimension
+    space = comb(n + d, d)
+    r = 1
+    while generic_terracini_dimension(n, d, r, trials=trials, seed=seed).dim != space - 1:
+        r += 1
+    return r

@@ -28,6 +28,7 @@ from waringcert import (
 )
 
 from conftest import random_points
+from oracles import generic_rank_from_one
 
 
 def binary(count):
@@ -324,3 +325,33 @@ def test_generic_info_argument_validation():
         generic_info(0, 4)
     with pytest.raises(ValueError):
         generic_info(2, 1)
+
+
+# Generic sets at these sizes are not identifiable, so no criterion may
+# certify them: quadrics of rank 2..n+1 (every decomposition moves), the
+# Alexander-Hirschowitz defective cases (n, d, r) = (2, 4, 5), (3, 4, 9),
+# (4, 3, 7), (4, 4, 14), and the cases whose generic form has exactly two
+# decompositions, (2, 6, 9), (3, 4, 8), (5, 3, 9).
+QUADRIC_SIZES = [(n, 2, r) for n in range(1, 5) for r in range(2, n + 2)]
+DEFECTIVE_SIZES = [(2, 4, 5), (3, 4, 9), (4, 3, 7), (4, 4, 14)]
+TWO_DECOMPOSITION_SIZES = [(2, 6, 9), (3, 4, 8), (5, 3, 9)]
+
+
+@pytest.mark.parametrize("n, d, r",
+                         QUADRIC_SIZES + DEFECTIVE_SIZES + TWO_DECOMPOSITION_SIZES)
+def test_non_identifiable_sizes_are_never_certified(n, d, r):
+    for seed in range(3):
+        cert = certify(general_points(n, r, seed), d)
+        assert cert.verdict is not Verdict.IDENTIFIABLE, (
+            f"{r} generic points of P^{n} at degree {d} (seed {seed}) were "
+            f"certified by {cert.criterion}, but the generic form of rank {r} "
+            "has more than one decomposition")
+
+
+@pytest.mark.parametrize("n, d", [(2, 4), (2, 6), (4, 3), (3, 4), (2, 7), (5, 3), (2, 8)])
+def test_generic_sweep_start_matches_sweep_from_one(n, d):
+    for seed in (0, 5):
+        info = generic_info(n, d, seed=seed)
+        assert info.oracle_verified
+        assert info.generic_rank == generic_rank_from_one(n, d, seed=seed)
+        assert info.generic_rank >= info.expected_generic_rank

@@ -1,0 +1,139 @@
+"""The integer rank paths against the Fraction oracles that stay public.
+
+Every rank in the library is taken on integer rows built from the primitive
+integer representatives of the points.  These properties compare each of
+them with the same invariant computed the long way, over ``Fraction``:
+evaluation matrices, ``Form`` coefficient vectors of the tangent forms, and
+the weighted Veronese coordinates.  Coordinates are rationals with
+denominators, zeros and negative leading entries.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
+
+from waringcert import (
+    Matrix,
+    PointSet,
+    ProjectivePoint,
+    evaluation_matrix,
+    hilbert_function,
+    hilbert_profile,
+    integer_rank,
+    kruskal_rank,
+    max_collinear_subset_size,
+    monomial_basis,
+    monomial_values,
+    span_dim,
+    tangent_space_basis,
+    terracini_dimension,
+    veronese_embed_set,
+    veronese_kruskal_rank,
+)
+
+from oracles import brute_max_collinear, kruskal_by_subsets, minor_rank
+
+KERNEL_SETTINGS = dict(max_examples=40, deadline=None, derandomize=True)
+
+coordinate = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5))
+
+
+@st.composite
+def point_sets(draw, max_n=3, max_size=7):
+    n = draw(st.integers(1, max_n))
+    size = draw(st.integers(1, max_size))
+    row = st.lists(coordinate, min_size=n + 1, max_size=n + 1).filter(any)
+    rows = draw(st.lists(row, min_size=size, max_size=size,
+                         unique_by=lambda r: ProjectivePoint(r)))
+    return PointSet.from_rows(rows)
+
+
+def fraction_rank(rows):
+    return Matrix(rows).rank()
+
+
+@settings(**KERNEL_SETTINGS)
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+                min_size=1, max_size=4))
+def test_integer_rank_matches_minor_oracle_and_keeps_input(rows):
+    before = [list(r) for r in rows]
+    assert integer_rank(rows) == minor_rank(rows)
+    assert rows == before
+
+
+@settings(**KERNEL_SETTINGS)
+@given(point_sets())
+def test_primitive_coords_are_primitive_and_proportional(a):
+    for p in a:
+        prim = p.primitive_coords
+        assert all(isinstance(x, int) for x in prim)
+        assert next(x for x in prim if x) > 0
+        g = 0
+        for x in prim:
+            g = gcd(g, x)
+        assert g == 1
+        assert ProjectivePoint(prim) == p
+
+
+@settings(**KERNEL_SETTINGS)
+@given(point_sets(), st.integers(0, 4))
+def test_monomial_values_evaluate_the_basis(a, d):
+    basis = monomial_basis(a.ambient_dim, d)
+    expected = [[mon.evaluate(p.primitive_coords) for mon in basis] for p in a]
+    assert monomial_values(a, d) == expected
+
+
+@settings(**KERNEL_SETTINGS)
+@given(point_sets(), st.integers(0, 4))
+def test_hilbert_function_matches_evaluation_matrix(a, d):
+    assert hilbert_function(a, d) == evaluation_matrix(a, d).rank()
+
+
+@settings(**KERNEL_SETTINGS)
+@given(point_sets(), st.one_of(st.none(), st.integers(0, 10)))
+def test_early_stopped_profile_matches_full_profile(a, j_max):
+    profile = hilbert_profile(a, j_max=j_max)
+    top = len(a) - 1 if j_max is None else max(j_max, len(a) - 1)
+    full = tuple(evaluation_matrix(a, d).rank() for d in range(top + 1))
+    assert profile.j_max == top
+    assert profile.values == full
+
+
+@settings(**KERNEL_SETTINGS)
+@given(point_sets(max_size=6), st.integers(2, 4))
+def test_terracini_dimension_matches_tangent_forms(a, d):
+    rows = [form.coefficient_vector()
+            for p in a for form in tangent_space_basis(p, d)]
+    assert terracini_dimension(a, d).dim == fraction_rank(rows) - 1
+
+
+@settings(**KERNEL_SETTINGS)
+@given(point_sets(max_size=6), st.integers(1, 3))
+def test_veronese_kruskal_rank_matches_weighted_embedding(a, j):
+    rows = [p.coords for p in veronese_embed_set(a, j)]
+    assert veronese_kruskal_rank(a, j) == kruskal_by_subsets(rows, fraction_rank)
+
+
+@settings(**KERNEL_SETTINGS)
+@given(point_sets(max_size=6))
+def test_kruskal_and_span_match_coordinate_matrix(a):
+    rows = [p.coords for p in a]
+    assert kruskal_rank(a) == kruskal_by_subsets(rows, fraction_rank)
+    assert span_dim(a) == fraction_rank(rows) - 1
+
+
+@settings(**KERNEL_SETTINGS)
+@given(point_sets(max_n=3, max_size=6))
+def test_max_collinear_matches_brute_force(a):
+    assert max_collinear_subset_size(a) == brute_max_collinear([p.coords for p in a])
+
+
+def test_collinear_rational_points_with_negative_leads():
+    a = PointSet.from_rows([
+        (Fraction(-1, 2), 0, 0), (0, Fraction(3, 7), 0), (-2, 1, 0),
+        (0, 0, Fraction(-5, 3)), (Fraction(1, 2), Fraction(-1, 3), 2)])
+    assert [p.primitive_coords for p in a][:4] == [(1, 0, 0), (0, 1, 0), (2, -1, 0), (0, 0, 1)]
+    assert max_collinear_subset_size(a) == 3
