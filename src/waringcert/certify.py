@@ -169,28 +169,28 @@ def criterion_alignment_bound(a: PointSet, d: int) -> CriterionResult | None:
     return _eval_alignment_bound(a, d)[0]
 
 
-def _eval_plane_gup(a: PointSet, d: int, jobs: int) -> tuple[CriterionResult | None, str]:
+def _eval_plane_gup(a: PointSet, d: int) -> tuple[CriterionResult | None, str]:
     if a.ambient_dim != 2:
         return None, f"not applicable (ambient dimension {a.ambient_dim}, needs 2)"
     l = len(a)
     if 8 * l >= d * d + d:
         return None, f"8*{l} = {8 * l} is not below d^2 + d = {d * d + d}"
-    if not is_gup(a, jobs=jobs):
+    if not is_gup(a):
         return None, "the points are not in general uniform position"
     return (CriterionResult("plane-gup",
                             f"general uniform position in the plane and 8*{l} < {d * d + d}"),
             f"fired (GUP, 8*{l} < {d * d + d})")
 
 
-def criterion_plane_gup(a: PointSet, d: int, jobs: int = 1) -> CriterionResult | None:
+def criterion_plane_gup(a: PointSet, d: int) -> CriterionResult | None:
     """Plane sets in general uniform position with 8*len(a) < d^2 + d."""
-    return _eval_plane_gup(a, d, jobs)[0]
+    return _eval_plane_gup(a, d)[0]
 
 
-def _eval_reshaped_kruskal(a: PointSet, d: int, jobs: int) -> tuple[CriterionResult | None, str]:
+def _eval_reshaped_kruskal(a: PointSet, d: int) -> tuple[CriterionResult | None, str]:
     if d < 3:
         return None, f"not applicable (degree {d} cannot be split into three parts)"
-    reports = reshaped_kruskal(a, d, jobs=jobs)
+    reports = reshaped_kruskal(a, d)
     for rep in reports:
         if rep.passes:
             return (CriterionResult(
@@ -201,21 +201,21 @@ def _eval_reshaped_kruskal(a: PointSet, d: int, jobs: int) -> tuple[CriterionRes
     return None, f"no partition passes (best bound {best} < {len(a)})"
 
 
-def criterion_reshaped_kruskal(a: PointSet, d: int, jobs: int = 1) -> CriterionResult | None:
+def criterion_reshaped_kruskal(a: PointSet, d: int) -> CriterionResult | None:
     """Fires when some partition d = x + y + z satisfies the reshaped
     Kruskal inequality 2*len(a) <= k_x + k_y + k_z - 2; the witnessing
     partition is recorded in the result."""
-    return _eval_reshaped_kruskal(a, d, jobs)[0]
+    return _eval_reshaped_kruskal(a, d)[0]
 
 
-def _eval_quartic(a: PointSet, jobs: int) -> tuple[CriterionResult | None, str]:
+def _eval_quartic(a: PointSet) -> tuple[CriterionResult | None, str]:
     l = len(a)
     n = a.ambient_dim
-    k = kruskal_rank(a, jobs=jobs)
+    k = kruskal_rank(a)
     if l > 2 * k - 1:
         return None, f"{l} points exceed 2k - 1 = {2 * k - 1} (k = {k})"
     if l < 2 * k - 1:
-        fired, reason = _eval_reshaped_kruskal(a, 4, jobs)
+        fired, reason = _eval_reshaped_kruskal(a, 4)
         return fired, f"{l} < 2k - 1 = {2 * k - 1}, delegated to reshaping: {reason}"
     report = terracini_dimension(a, 4)
     if report.tangents_independent:
@@ -228,7 +228,7 @@ def _eval_quartic(a: PointSet, jobs: int) -> tuple[CriterionResult | None, str]:
                   f"{report.dim} is below {(n + 1) * l - 1}")
 
 
-def criterion_quartic(a: PointSet, jobs: int = 1) -> CriterionResult | None:
+def criterion_quartic(a: PointSet) -> CriterionResult | None:
     """Degree-4 criterion driven by the Kruskal rank k of the points.
 
     With l = len(a): above 2k - 1 nothing is certified; below, the test is
@@ -236,7 +236,7 @@ def criterion_quartic(a: PointSet, jobs: int = 1) -> CriterionResult | None:
     l = 2k - 1 the criterion fires exactly when the Terracini dimension is
     the maximal (n+1)*l - 1.
     """
-    return _eval_quartic(a, jobs)[0]
+    return _eval_quartic(a)[0]
 
 
 def complementary_bound(a: PointSet, d: int) -> int:
@@ -258,7 +258,7 @@ def complementary_bound(a: PointSet, d: int) -> int:
     return 0
 
 
-def certify(a: PointSet, d: int, jobs: int = 1) -> Certificate:
+def certify(a: PointSet, d: int) -> Certificate:
     """Run the certification cascade on a candidate decomposition.
 
     The criteria run in a fixed order from cheapest to most expensive:
@@ -286,12 +286,12 @@ def certify(a: PointSet, d: int, jobs: int = 1) -> Certificate:
             ("half-degree", lambda: _eval_half_degree(a, d)),
             ("half-degree-spanning", lambda: _eval_half_degree_spanning(a, d)),
             ("alignment-bound", lambda: _eval_alignment_bound(a, d)),
-            ("plane-gup", lambda: _eval_plane_gup(a, d, jobs)),
+            ("plane-gup", lambda: _eval_plane_gup(a, d)),
         ]
         if d >= 3:
-            cascade.append(("reshaped-kruskal", lambda: _eval_reshaped_kruskal(a, d, jobs)))
+            cascade.append(("reshaped-kruskal", lambda: _eval_reshaped_kruskal(a, d)))
         if d == 4:
-            cascade.append(("quartic", lambda: _eval_quartic(a, jobs)))
+            cascade.append(("quartic", lambda: _eval_quartic(a)))
         for name, evaluate in cascade:
             evaluated.append(name)
             result, reason = evaluate()
@@ -306,11 +306,11 @@ def certify(a: PointSet, d: int, jobs: int = 1) -> Certificate:
             examined.update(part)
     if fired is not None and fired.criterion == "plane-gup":
         examined.update(range(1, gup_cutoff(n, l) + 1))
-    ranks = tuple((j, veronese_kruskal_rank(a, j, jobs=jobs)) for j in sorted(examined))
+    ranks = tuple((j, veronese_kruskal_rank(a, j)) for j in sorted(examined))
     diagnostics = Diagnostics(
         minimal=minimal,
         hilbert=hilbert_profile(a),
-        kruskal_rank=kruskal_rank(a, jobs=jobs),
+        kruskal_rank=kruskal_rank(a),
         veronese_kruskal_ranks=ranks,
         max_collinear=max_collinear_subset_size(a),
         span_dim=span_dim(a),

@@ -240,17 +240,17 @@ def _cmd_kruskal(args: argparse.Namespace) -> int:
     doc = parse_point_file(_read_input(args.file))
     a = doc.points
     top = max(args.degree, 1)
-    ranks = {j: veronese_kruskal_rank(a, j, jobs=args.jobs)
-             for j in range(1, top + 1)}
+    ranks = {j: veronese_kruskal_rank(a, j) for j in range(1, top + 1)}
     cutoff = gup_cutoff(a.ambient_dim, len(a))
-    gup = is_gup(a, jobs=args.jobs)
+    gup = is_gup(a)
+    lgp = is_lgp(a)
     report = {
         "schema_version": 1,
         "generator": _GENERATOR,
         "command": "kruskal",
         "input": _input_block(doc, args.file),
         "kruskal_rank": ranks[1],
-        "linearly_general_position": is_lgp(a),
+        "linearly_general_position": lgp,
         "veronese_kruskal_ranks": [[j, ranks[j]] for j in sorted(ranks)],
         "general_uniform_position": gup,
         "gup_cutoff_degree": cutoff,
@@ -258,7 +258,7 @@ def _cmd_kruskal(args: argparse.Namespace) -> int:
     lines = [
         f"point set: {_describe_set(doc)}",
         f"kruskal rank: {ranks[1]}",
-        f"linearly general position: {'yes' if is_lgp(a) else 'no'}",
+        f"linearly general position: {'yes' if lgp else 'no'}",
         "veronese kruskal ranks:",
     ]
     for j in sorted(ranks):
@@ -326,7 +326,7 @@ _EXIT_BY_VERDICT = {
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     doc = parse_point_file(_read_input(args.file))
-    cert = certify(doc.points, args.degree, jobs=args.jobs)
+    cert = certify(doc.points, args.degree)
     report = {
         "schema_version": 1,
         "generator": _GENERATOR,
@@ -400,13 +400,10 @@ def _cmd_generic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, with_jobs: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("human", "structured"),
                         default="human",
                         help="human text or JSON with sorted keys (default: human)")
-    if with_jobs:
-        parser.add_argument("--jobs", type=int, default=1, metavar="K",
-                            help="worker processes for subset sweeps (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="point set file, or - for stdin")
     p.add_argument("--degree", type=int, default=1, metavar="J",
                    help="report Veronese Kruskal ranks up to degree J (default: 1)")
-    _add_common(p, with_jobs=True)
+    _add_common(p)
     p.set_defaults(func=_cmd_kruskal)
 
     p = sub.add_parser("terracini", help="Terracini dimension of a point set")
@@ -444,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="point set file, or - for stdin")
     p.add_argument("--degree", type=int, required=True, metavar="D",
                    help="degree of the candidate decomposition (>= 1)")
-    _add_common(p, with_jobs=True)
+    _add_common(p)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("generic", help="expected and true generic rank for "
@@ -464,9 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 1
     if getattr(args, "trials", 1) < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return 1

@@ -20,9 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import factorial, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Matrix, integer_rank
 
@@ -91,9 +91,13 @@ class ProjectivePoint:
 
 
 class PointSet:
-    """An ordered, duplicate-free tuple of points of a common P^n."""
+    """An ordered, duplicate-free tuple of points of a common P^n.
 
-    __slots__ = ("points",)
+    Invariants of the set computed with ``memo_on_set`` are kept in its
+    ``_memo`` dict, so they live exactly as long as the set does.
+    """
+
+    __slots__ = ("points", "_memo")
 
     points: tuple[ProjectivePoint, ...]
 
@@ -115,6 +119,7 @@ class PointSet:
                 raise DuplicatePointError(seen[p], i)
             seen[p] = i
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PointSet is immutable")
@@ -160,6 +165,23 @@ class PointSet:
 
     def subset(self, indices: Sequence[int]) -> "PointSet":
         return PointSet(self.points[i] for i in indices)
+
+
+def memo_on_set(fn: Callable) -> Callable:
+    """Cache ``fn(a, *args)`` in ``a._memo``, keyed on fn and the args.
+
+    Each invariant is computed once per set and freed with it; nothing
+    module-level holds a point set alive.  Raised errors are not cached.
+    """
+    @wraps(fn)
+    def cached(a: PointSet, *args):
+        key = (fn, *args)
+        try:
+            return a._memo[key]
+        except KeyError:
+            value = a._memo[key] = fn(a, *args)
+            return value
+    return cached
 
 
 def union(a: PointSet, b: PointSet) -> PointSet:
@@ -390,7 +412,7 @@ def coordinate_matrix(a: PointSet) -> Matrix:
     return Matrix(p.coords for p in a)
 
 
-@lru_cache(maxsize=None)
+@memo_on_set
 def span_dim(a: PointSet) -> int:
     """Projective dimension of the linear span: rank of coordinates minus 1."""
     return integer_rank(p.primitive_coords for p in a) - 1
@@ -401,7 +423,7 @@ def is_linearly_independent(a: PointSet) -> bool:
     return span_dim(a) + 1 == len(a)
 
 
-@lru_cache(maxsize=None)
+@memo_on_set
 def max_collinear_subset_size(a: PointSet) -> int:
     """Size of the largest subset of a lying on one projective line.
 

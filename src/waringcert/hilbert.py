@@ -14,9 +14,9 @@ point is separated in degree i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .geometry import PointSet, monomial_basis, monomial_values, union
+from .geometry import (PointSet, memo_on_set, monomial_basis, monomial_values,
+                       union)
 from .linalg import Matrix, integer_rank
 
 
@@ -35,7 +35,7 @@ def evaluation_matrix(a: PointSet, d: int) -> Matrix:
     return Matrix([mon.evaluate(p.coords) for mon in basis] for p in a)
 
 
-@lru_cache(maxsize=None)
+@memo_on_set
 def hilbert_function(a: PointSet, d: int) -> int:
     """h_Z(d): the number of independent conditions Z imposes in degree d.
 

@@ -15,16 +15,18 @@ The degree-j image is taken as the integer rows ``monomial_values(a, j)``:
 they differ from the Veronese coordinates by a nonzero scaling of each row
 and of each column (the multinomial weights), and such scalings keep every
 subset's rank, hence the Kruskal rank.
+
+Every rank is found by one serial subset sweep and cached on the point set,
+so each Veronese degree of a set is swept at most once, whichever of the
+Kruskal, GUP and reshaping tests asks first.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
-from .geometry import PointSet, monomial_values
+from .geometry import PointSet, memo_on_set, monomial_values
 
 IntRows = list[list[int]]
 
@@ -61,25 +63,18 @@ def _independent_from(cands: IntRows, pos: int, prev: int, need: int) -> bool:
                for i in range(len(rest) - need + 2))
 
 
-def _all_subsets_independent(rows: IntRows, size: int, jobs: int) -> bool:
+def _all_subsets_independent(rows: IntRows, size: int) -> bool:
     """Whether every ``size``-subset of the rows is linearly independent.
 
-    One depth-first sweep over the subsets in lexicographic order, split by
-    the least index of the subset; with jobs > 1 those branches run in a
-    process pool.
+    One depth-first sweep over the subsets in lexicographic order, branch
+    by branch on the least index of the subset, stopping at the first
+    dependent subset.
     """
-    firsts = range(len(rows) - size + 1)
-    if jobs <= 1 or len(firsts) < 2:
-        return all(_independent_from(rows, i, 1, size) for i in firsts)
-    # Every branch is evaluated and the results and-reduced, so the answer
-    # does not depend on scheduling order.
-    count = len(firsts)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return all(pool.map(_independent_from, [rows] * count, firsts,
-                            [1] * count, [size] * count))
+    return all(_independent_from(rows, i, 1, size)
+               for i in range(len(rows) - size + 1))
 
 
-def _kruskal_of_rows(rows: IntRows, jobs: int) -> int:
+def _kruskal_of_rows(rows: IntRows) -> int:
     """Kruskal rank of a list of nonzero, pairwise nonproportional rows.
 
     If every s-subset is independent then so is every smaller subset, since
@@ -92,46 +87,36 @@ def _kruskal_of_rows(rows: IntRows, jobs: int) -> int:
     k_max = min(l, ambient)
     if k_max <= 2:
         return k_max if l > 1 else 1
-    if _all_subsets_independent(rows, k_max, jobs):
+    if _all_subsets_independent(rows, k_max):
         return k_max
     # Some k_max-subset is dependent, so the answer is below k_max; climb
     # until the first dependent size.
     for s in range(3, k_max):
-        if not _all_subsets_independent(rows, s, jobs):
+        if not _all_subsets_independent(rows, s):
             return s - 1
     return k_max - 1
 
 
-def kruskal_rank(a: PointSet, jobs: int = 1) -> int:
+@memo_on_set
+def veronese_kruskal_rank(a: PointSet, j: int) -> int:
+    """Kruskal rank of the degree-j Veronese image of a; j >= 1."""
+    if j < 1:
+        raise ValueError(f"Veronese degree must be >= 1, got {j}")
+    return _kruskal_of_rows(monomial_values(a, j))
+
+
+def kruskal_rank(a: PointSet) -> int:
     """Largest k such that every k-subset of a is linearly independent.
 
     Always between 1 and min(len(a), n + 1); at least 2 unless a is a
     singleton, because distinct projective points are never proportional.
     """
-    return _veronese_kruskal(a, 1, jobs)
+    return veronese_kruskal_rank(a, 1)
 
 
 def is_lgp(a: PointSet) -> bool:
     """Linearly general position: the Kruskal rank attains min(len, n + 1)."""
     return kruskal_rank(a) == min(len(a), a.ambient_dim + 1)
-
-
-@lru_cache(maxsize=None)
-def _veronese_kruskal_cached(a: PointSet, j: int) -> int:
-    return _kruskal_of_rows(monomial_values(a, j), jobs=1)
-
-
-def _veronese_kruskal(a: PointSet, j: int, jobs: int) -> int:
-    if jobs > 1:
-        return _kruskal_of_rows(monomial_values(a, j), jobs)
-    return _veronese_kruskal_cached(a, j)
-
-
-def veronese_kruskal_rank(a: PointSet, j: int, jobs: int = 1) -> int:
-    """Kruskal rank of the degree-j Veronese image of a; j >= 1."""
-    if j < 1:
-        raise ValueError(f"Veronese degree must be >= 1, got {j}")
-    return _veronese_kruskal(a, j, jobs)
 
 
 def gup_cutoff(n: int, size: int) -> int:
@@ -142,7 +127,7 @@ def gup_cutoff(n: int, size: int) -> int:
     return j
 
 
-def is_gup(a: PointSet, jobs: int = 1) -> bool:
+def is_gup(a: PointSet) -> bool:
     """General uniform position: every early Veronese image has maximal k.
 
     Checks k(v_j(a)) = min(len(a), C(n+j, j)) for each j from 1 up to the
@@ -153,7 +138,7 @@ def is_gup(a: PointSet, jobs: int = 1) -> bool:
     cutoff = gup_cutoff(a.ambient_dim, len(a))
     for j in range(1, cutoff + 1):
         target = min(len(a), comb(a.ambient_dim + j, j))
-        if veronese_kruskal_rank(a, j, jobs=jobs) != target:
+        if veronese_kruskal_rank(a, j) != target:
             return False
     return True
 
@@ -193,7 +178,7 @@ def degree_partitions(d: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(parts, key=lambda p: (-p[2], p[0], p[1])))
 
 
-def reshaped_kruskal(a: PointSet, d: int, jobs: int = 1) -> tuple[KruskalReport, ...]:
+def reshaped_kruskal(a: PointSet, d: int) -> tuple[KruskalReport, ...]:
     """Reshaping test over every three-part partition of the degree.
 
     For d = x + y + z the test passes when 2*len(a) <= k_x + k_y + k_z - 2
@@ -204,7 +189,7 @@ def reshaped_kruskal(a: PointSet, d: int, jobs: int = 1) -> tuple[KruskalReport,
     l = len(a)
     reports = []
     for part in degree_partitions(d):
-        ranks = tuple(veronese_kruskal_rank(a, j, jobs=jobs) for j in part)
+        ranks = tuple(veronese_kruskal_rank(a, j) for j in part)
         total = sum(ranks)
         reports.append(KruskalReport(
             set_size=l,

@@ -7,8 +7,7 @@ subset sweeps, which share the elimination of common subset prefixes.
 Callers build integer rows directly (monomial values at primitive integer
 representatives of the points), so no ``Fraction`` arithmetic runs on the
 hot path.  ``Matrix`` is the rational front end kept for the public API and
-the tests: it scales each row to integers and then calls ``integer_rank``,
-and it computes kernels from a reduced row echelon form over ``Fraction``.
+the tests: it scales each row to integers and then calls ``integer_rank``.
 No floating point is used anywhere.
 """
 
@@ -68,15 +67,8 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({[list(map(str, row)) for row in self.entries]})"
 
-    @classmethod
-    def identity(cls, k: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)])
-
     def row(self, i: int) -> Vector:
         return self.entries[i]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.entries)) if self.rows else Matrix([])
 
     def stack(self, other: "Matrix") -> "Matrix":
         """Vertical concatenation; both matrices must have the same width."""
@@ -85,14 +77,6 @@ class Matrix:
                 f"cannot stack: widths differ ({self.cols} vs {other.cols})"
             )
         return Matrix(self.entries + other.entries)
-
-    def apply(self, vec: Sequence[object]) -> Vector:
-        """Matrix-vector product, used by tests to check kernel membership."""
-        if len(vec) != self.cols:
-            raise ValueError(f"vector has length {len(vec)}, expected {self.cols}")
-        v = [Fraction(x) for x in vec]
-        return tuple(sum((row[j] * v[j] for j in range(self.cols)), Fraction(0))
-                     for row in self.entries)
 
     def rank(self) -> int:
         """Rank, via ``integer_rank`` on the rows scaled to integers.
@@ -106,27 +90,6 @@ class Matrix:
             object.__setattr__(self, "_rank", cdef)
             cached = cdef
         return cached
-
-    def kernel_basis(self) -> tuple[Vector, ...]:
-        """Basis of the right kernel, one vector per free column of the RREF.
-
-        Vectors are ordered by ascending free column; the vector for free
-        column f has entry 1 at position f and, at each pivot column, the
-        negated RREF entry of that pivot row in column f.  Rank plus the
-        number of basis vectors equals the column count.
-        """
-        reduced, pivot_cols = _rref([list(row) for row in self.entries])
-        pivots = set(pivot_cols)
-        basis = []
-        for f in range(self.cols):
-            if f in pivots:
-                continue
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for r, pc in enumerate(pivot_cols):
-                v[pc] = -reduced[r][f]
-            basis.append(tuple(v))
-        return tuple(basis)
 
 
 def _integer_rows(entries: Sequence[Vector]) -> list[list[int]]:
@@ -171,31 +134,6 @@ def integer_rank(rows: Iterable[Sequence[int]]) -> int:
         if rank == nrows:
             break
     return rank
-
-
-def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (matrix, pivot columns)."""
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivot_cols: list[int] = []
-    piv = 0
-    for col in range(ncols):
-        if piv == nrows:
-            break
-        hit = next((r for r in range(piv, nrows) if m[r][col]), None)
-        if hit is None:
-            continue
-        if hit != piv:
-            m[piv], m[hit] = m[hit], m[piv]
-        scale = m[piv][col]
-        m[piv] = [x / scale for x in m[piv]]
-        for r in range(nrows):
-            if r != piv and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[piv])]
-        pivot_cols.append(col)
-        piv += 1
-    return m, pivot_cols
 
 
 def row_space_intersection_dim(m1: Matrix, m2: Matrix) -> int:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .geometry import (Form, PointSet, ProjectivePoint, monomial_basis,
-                       monomial_values, random_point_set)
+from .geometry import (Form, PointSet, ProjectivePoint, memo_on_set,
+                       monomial_basis, monomial_values, random_point_set)
 from .linalg import integer_rank
 
 
@@ -100,7 +100,7 @@ def _derivative_index(n: int, d: int) -> tuple[tuple[tuple[int, int], ...], ...]
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
+@memo_on_set
 def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     """Projective dimension of the span of all tangent spaces along a.
 

@@ -225,10 +225,7 @@ def test_generic_plane_sextics_exception_note(capsys):
     assert "exactly two decompositions" in out
 
 
-def test_jobs_and_trials_validation(tmp_path, capsys):
-    path = write(tmp_path, "p.pts", "dim: 1\n1 0\n0 1\n")
-    code, _, err = run_cli(capsys, ["certify", path, "--degree", "3", "--jobs", "0"])
-    assert code == 1 and "--jobs" in err
+def test_trials_validation(capsys):
     code, _, err = run_cli(capsys, ["generic", "2", "4", "--trials", "0"])
     assert code == 1 and "--trials" in err
 
@@ -278,3 +275,16 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["certificate"]["criterion"] == "sylvester"
+
+
+def test_cold_import_loads_no_process_pool():
+    # Importing the CLI must not pull in the multiprocessing machinery: it
+    # costs every cold run start-up time and nothing uses it.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, waringcert.cli; "
+         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+         "if m in sys.modules))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -203,11 +203,3 @@ def test_veronese_rank_nondecreasing_in_degree():
         ranks = [veronese_kruskal_rank(a, j) for j in (1, 2, 3)]
         assert ranks == sorted(ranks)
         assert ranks[-1] <= len(a)
-
-
-def test_parallel_results_match_serial():
-    a = random_points(3, 6, random.Random(49), bound=20)
-    assert kruskal_rank(a, jobs=2) == kruskal_rank(a, jobs=1)
-    serial = reshaped_kruskal(a, 4, jobs=1)
-    parallel = reshaped_kruskal(a, 4, jobs=2)
-    assert serial == parallel
