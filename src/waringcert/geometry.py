@@ -18,10 +18,12 @@ vector p.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
-from math import factorial, lcm
+from itertools import combinations
+from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Matrix, integer_rank
@@ -56,6 +58,11 @@ class ProjectivePoint:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ProjectivePoint is immutable")
+
+    def __reduce__(self):
+        # Rebuild from the coordinates: the slot restore would go through
+        # the blocking __setattr__, and the primitive cache starts empty.
+        return (ProjectivePoint, (self.coords,))
 
     @property
     def ambient_dim(self) -> int:
@@ -123,6 +130,11 @@ class PointSet:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PointSet is immutable")
+
+    def __reduce__(self):
+        # Rebuild from the points, so a copy or an unpickled set starts
+        # with an empty memo.
+        return (PointSet, (self.points,))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[object]]) -> "PointSet":
@@ -427,27 +439,26 @@ def is_linearly_independent(a: PointSet) -> bool:
 def max_collinear_subset_size(a: PointSet) -> int:
     """Size of the largest subset of a lying on one projective line.
 
-    Enumerates lines through point pairs and counts incident points; a third
-    point is on the line through two others exactly when the three coordinate
-    rows have rank 2.  Returns 1 for a singleton and 2 when no three points
-    are aligned.
+    For each point i, the later points j are grouped by the line through i
+    and j, named by its primitive Pluecker vector: the 2x2 minors of the
+    two primitive coordinate rows, divided by their gcd, with positive
+    leading entry.  A largest aligned subset is found from its first point,
+    so the answer is 1 plus the largest group; O(l^2) lines, no rank.
+    Returns 1 for a singleton and 2 when no three points are aligned.
     """
-    l = len(a)
-    if l == 1:
-        return 1
-    best = 2
     rows = [p.primitive_coords for p in a]
-    for i in range(l):
-        for j in range(i + 1, l):
-            count = 2
-            for k in range(l):
-                if k == i or k == j:
-                    continue
-                if integer_rank((rows[i], rows[j], rows[k])) == 2:
-                    count += 1
-            if count > best:
-                best = count
-    return best
+    pairs = list(combinations(range(len(rows[0])), 2))
+    best = 0
+    for i, p in enumerate(rows[:-1]):
+        lines: Counter[tuple[int, ...]] = Counter()
+        for q in rows[i + 1:]:
+            minors = [p[u] * q[v] - p[v] * q[u] for u, v in pairs]
+            g = gcd(*minors)
+            if next(x for x in minors if x) < 0:
+                g = -g
+            lines[tuple(x // g for x in minors)] += 1
+        best = max(best, *lines.values())
+    return 1 + best
 
 
 def random_point_set(n: int, size: int, rng: random.Random,

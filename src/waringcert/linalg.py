@@ -1,14 +1,20 @@
 """Exact linear algebra over the integers and the rationals.
 
-Every rank in this package is taken by fraction-free Bareiss elimination on
-integer rows, whose exact divisions keep every intermediate value an
-integer minor of the input: by ``integer_rank`` here, and by the Kruskal
-subset sweeps, which share the elimination of common subset prefixes.
-Callers build integer rows directly (monomial values at primitive integer
-representatives of the points), so no ``Fraction`` arithmetic runs on the
-hot path.  ``Matrix`` is the rational front end kept for the public API and
-the tests: it scales each row to integers and then calls ``integer_rank``.
-No floating point is used anywhere.
+Every rank in this package is taken on integer rows, exactly: a modular
+full-rank proof, Bareiss otherwise.  ``integer_rank`` first eliminates
+modulo the prime p = 1073741789; a rank over F_p is a lower bound on the rank
+over Q (a minor that is nonzero mod p is a nonzero integer), so when it
+reaches min(rows, cols) the rank is proved with no entry growth.  Only
+matrices short of full rank mod p, which include every rank-deficient one,
+go on to fraction-free Bareiss elimination, whose exact divisions keep
+every intermediate value an integer minor of the input.  The Kruskal subset
+sweeps run their own Bareiss elimination, sharing the work of common
+subset prefixes.  Callers build integer rows directly (monomial values at
+primitive integer representatives of the points), so no ``Fraction``
+arithmetic runs on the hot path.  ``Matrix`` is the rational front end kept
+for the public API and the tests: it scales each row to integers and then
+calls ``integer_rank``.  No floating point and no randomness is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -100,16 +106,65 @@ def _integer_rows(entries: Sequence[Vector]) -> list[list[int]]:
     return out
 
 
-def integer_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of an integer matrix, given as rows, by fraction-free elimination.
+# The largest prime below 2**30: residues are one CPython digit.
+_PRIME = 1073741789
 
-    Bareiss elimination on a copy of the rows: the division by the previous
-    pivot is exact (Sylvester's determinant identity), so every entry stays
-    an integer minor of the input.  The pivot in each column is the first
-    remaining row with a nonzero entry; columns with no pivot are skipped
-    and never touched again, which preserves exactness.
+
+def integer_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix, given as rows; the input is not modified.
+
+    When the rank modulo p = ``_PRIME`` is min(rows, cols), that is the rank:
+    rank mod p <= rank over Q <= min(rows, cols).  Otherwise the rank is
+    taken by Bareiss elimination.  Both steps are exact.
     """
     m = [list(r) for r in rows]
+    full = min(len(m), len(m[0])) if m else 0
+    if _reaches_rank_mod_p(m, full):
+        return full
+    return _bareiss_rank(m)
+
+
+def _reaches_rank_mod_p(rows: Sequence[Sequence[int]], target: int) -> bool:
+    """True when the rows reduced modulo ``_PRIME`` have rank ``target``.
+
+    Gaussian elimination over F_p on a reduced copy.  Each step removes the
+    pivot row and updates only the columns right of the pivot, in the rows
+    with a nonzero entry in the pivot column.  It stops as soon as the
+    remaining rows and columns can no longer reach ``target``.
+    """
+    m = [[x % _PRIME for x in r] for r in rows]
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    for col in range(ncols):
+        if rank == target:
+            break
+        hit = next((i for i, r in enumerate(m) if r[col]), None)
+        if hit is None:
+            if rank + min(len(m), ncols - col - 1) < target:
+                return False
+            continue
+        pivot = m.pop(hit)
+        neg_inv = _PRIME - pow(pivot[col], -1, _PRIME)
+        tail = pivot[col + 1:]
+        for r in m:
+            factor = r[col]
+            if factor:
+                factor = factor * neg_inv % _PRIME
+                r[col + 1:] = [(x + factor * y) % _PRIME
+                               for x, y in zip(r[col + 1:], tail)]
+        rank += 1
+    return rank == target
+
+
+def _bareiss_rank(m: list[list[int]]) -> int:
+    """Rank by fraction-free elimination, in place on the rows ``m``.
+
+    Bareiss elimination: the division by the previous pivot is exact
+    (Sylvester's determinant identity), so every entry stays an integer
+    minor of the input.  The pivot in each column is the first remaining
+    row with a nonzero entry; columns with no pivot are skipped and never
+    touched again, which preserves exactness.
+    """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     rank = 0

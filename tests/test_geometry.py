@@ -1,5 +1,7 @@
 """Projective points, monomials, forms, and the Veronese embedding."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from waringcert import (
     Monomial,
     PointSet,
     ProjectivePoint,
+    certify,
     evaluate_form,
     is_linearly_independent,
     max_collinear_subset_size,
@@ -34,6 +37,23 @@ def test_point_canonicalization():
     assert ProjectivePoint((2, 4)) == ProjectivePoint((3, 6))
     with pytest.raises(ValueError):
         ProjectivePoint((0, 0, 0))
+
+
+def test_pickle_and_copies_rebuild_with_empty_caches():
+    a = PointSet.from_rows([(2, Fraction(-1, 3), 0), (0, 1, 3), (2, 1, 1),
+                            (1, 1, 1), (0, 0, 1), (3, -1, 2)])
+    reference = certify(a, 3)
+    assert a._memo
+    for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert clone == a and hash(clone) == hash(a)
+        assert clone._memo == {}
+        assert certify(clone, 3) == reference
+    p = a[0]
+    assert p.primitive_coords == (6, -1, 0)
+    for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert clone == p and clone.coords == p.coords
+        assert not hasattr(clone, "_primitive")
+        assert clone.primitive_coords == (6, -1, 0)
 
 
 def test_point_set_rejects_duplicates_with_indices():
@@ -140,6 +160,33 @@ def test_max_collinear_examples():
     assert max_collinear_subset_size(pair) == 2
     binary = PointSet.from_rows([(1, 0), (0, 1), (1, 1), (1, 2)])
     assert max_collinear_subset_size(binary) == 4
+    # Two lines through (1:0:0), which is not the first point of either:
+    # x2 = 0 holds three of the points, x1 = 0 holds four.
+    two_lines = PointSet.from_rows([
+        (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (1, 0, -1)])
+    assert max_collinear_subset_size(two_lines) == 4
+    # From (1:0:0) the lines to the other points of x2 = 0 have Pluecker
+    # vectors (1, 0, 0), (2, 0, 0) and (-3, 0, 0): one line, named three ways.
+    scaled = PointSet.from_rows([(1, 0, 0), (0, 1, 0), (1, 2, 0), (1, -3, 0)])
+    assert max_collinear_subset_size(scaled) == 4
+    # A line of P^3 through p = (1:2:-1:3) and q = (0:1:1:-2) and the
+    # points p + q, 2p - q, p - 3q: its pairs give minor vectors with gcd
+    # up to 5 and both signs of leading entry.  Two points lie off it.
+    p, q = (1, 2, -1, 3), (0, 1, 1, -2)
+    line3 = [p, q] + [tuple(s * x + t * y for x, y in zip(p, q))
+                      for s, t in ((1, 1), (2, -1), (1, -3))]
+    assert max_collinear_subset_size(
+        PointSet.from_rows(line3 + [(0, 0, 1, 0), (0, 0, 0, 1)])) == 5
+    assert max_collinear_subset_size(
+        PointSet.from_rows([(0, 0, 1, 0)] + line3[::-1])) == 5
+    # A line of P^4 holding four points, with a collinear triple elsewhere.
+    p, q = (2, 0, -4, 6, 2), (0, 3, 3, 0, -6)
+    line4 = [tuple(s * x + t * y for x, y in zip(p, q))
+             for s, t in ((1, 0), (0, 1), (1, 1), (3, -2))]
+    triple = [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, -1)]
+    assert max_collinear_subset_size(PointSet.from_rows(triple + line4)) == 4
+    assert max_collinear_subset_size(
+        PointSet.from_rows(triple + line4[:2])) == 3
 
 
 def test_max_collinear_matches_brute_force():
@@ -148,6 +195,19 @@ def test_max_collinear_matches_brute_force():
         a = random_points(2, rng.randint(1, 6), rng, bound=3)
         rows = [p.coords for p in a]
         assert max_collinear_subset_size(a) == brute_max_collinear(rows)
+    # In P^3 and P^4 random points are rarely aligned, so add points of the
+    # line through the first two and shuffle.
+    for n in (3, 4):
+        for _ in range(8):
+            rows = [p.coords for p in random_points(n, rng.randint(2, 4), rng, bound=3)]
+            for _ in range(rng.randint(1, 3)):
+                s, t = rng.choice([1, 2, -3]), rng.choice([1, -1, 4])
+                point = ProjectivePoint(s * x + t * y for x, y in zip(rows[0], rows[1]))
+                if point.coords not in rows:
+                    rows.append(point.coords)
+            rng.shuffle(rows)
+            a = PointSet.from_rows(rows)
+            assert max_collinear_subset_size(a) == brute_max_collinear(rows)
 
 
 def test_evaluate_form_examples():

@@ -51,8 +51,26 @@ def point_sets(draw, max_n=3, max_size=7):
     return PointSet.from_rows(rows)
 
 
+@st.composite
+def aligned_point_sets(draw):
+    """Point sets of P^1..P^4 with extra points on the line of the first two."""
+    a = draw(point_sets(max_n=4, max_size=4))
+    rows = [p.coords for p in a]
+    if len(rows) >= 2:
+        weights = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+        for s, t in draw(st.lists(weights, max_size=3)):
+            point = ProjectivePoint(s * x + t * y for x, y in zip(rows[0], rows[1]))
+            if point.coords not in rows:
+                rows.append(point.coords)
+    return PointSet.from_rows(draw(st.permutations(rows)))
+
+
 def fraction_rank(rows):
     return Matrix(rows).rank()
+
+
+# The prime of the modular pass in integer_rank, the largest below 2**30.
+P = 1073741789
 
 
 @settings(**KERNEL_SETTINGS)
@@ -62,6 +80,46 @@ def test_integer_rank_matches_minor_oracle_and_keeps_input(rows):
     before = [list(r) for r in rows]
     assert integer_rank(rows) == minor_rank(rows)
     assert rows == before
+
+
+def test_integer_rank_falls_back_when_the_prime_divides_minors():
+    assert integer_rank([[1, 0], [0, P]]) == 2
+    assert integer_rank([[P, 2 * P, 0], [3 * P, -P, P]]) == 2
+    assert integer_rank([[P], [-P]]) == 1
+    # Rank 2 over Q, rank 1 modulo P: the second column carries the prime.
+    rows = [[1, P, 2], [2, 3 * P, 4], [-1, 5 * P, -2]]
+    assert integer_rank(rows) == minor_rank(rows) == 2
+
+
+def matrix_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+big = st.integers(-2 ** 40, 2 ** 40)
+
+
+@st.composite
+def low_rank_products(draw):
+    """A * B with inner size k below min(rows, cols), entries up to 2**40.
+
+    In about half the draws the last column of A is multiplied by P, so the
+    rank modulo P falls below the rank over Q whenever that column counts.
+    """
+    nrows, ncols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    k = draw(st.integers(1, min(nrows, ncols) - 1))
+    a = draw(st.lists(st.lists(big, min_size=k, max_size=k),
+                      min_size=nrows, max_size=nrows))
+    b = draw(st.lists(st.lists(big, min_size=ncols, max_size=ncols),
+                      min_size=k, max_size=k))
+    if draw(st.booleans()):
+        a = [row[:-1] + [row[-1] * P] for row in a]
+    return matrix_product(a, b)
+
+
+@settings(**KERNEL_SETTINGS)
+@given(low_rank_products())
+def test_integer_rank_of_rank_deficient_products(rows):
+    assert integer_rank(rows) == minor_rank(rows) < min(len(rows), len(rows[0]))
 
 
 @settings(**KERNEL_SETTINGS)
@@ -126,7 +184,7 @@ def test_kruskal_and_span_match_coordinate_matrix(a):
 
 
 @settings(**KERNEL_SETTINGS)
-@given(point_sets(max_n=3, max_size=6))
+@given(st.one_of(point_sets(max_n=3, max_size=6), aligned_point_sets()))
 def test_max_collinear_matches_brute_force(a):
     assert max_collinear_subset_size(a) == brute_max_collinear([p.coords for p in a])
 
