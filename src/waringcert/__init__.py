@@ -26,19 +26,20 @@ from .hilbert import (HilbertProfile, check_gkr_inequality, evaluation_matrix,
                       hilbert_function, hilbert_profile, is_separated,
                       satisfies_cb, separates_point, span_intersection_dim,
                       union_profile_drop)
-from .kruskal import (KruskalReport, degree_partitions, gup_cutoff, is_gup,
-                      is_lgp, kruskal_rank, reshaped_kruskal,
-                      veronese_kruskal_rank)
+from .kruskal import (KruskalReport, ReshapingSearch, degree_partitions,
+                      gup_cutoff, is_gup, is_lgp, kruskal_rank,
+                      reshaped_kruskal, veronese_kruskal_rank)
 from .linalg import Matrix, integer_rank, row_space_intersection_dim
 from .terracini import (TerraciniReport, generic_terracini_dimension,
                         tangent_space_basis, terracini_dimension)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Certificate", "CriterionResult", "Diagnostics", "DuplicatePointError",
     "Form", "GenericInfo", "HilbertProfile", "KruskalReport", "Matrix",
-    "Monomial", "PointSet", "ProjectivePoint", "TerraciniReport", "Verdict",
+    "Monomial", "PointSet", "ProjectivePoint", "ReshapingSearch",
+    "TerraciniReport", "Verdict",
     "binary_generic_rank", "certify", "check_gkr_inequality", "check_minimal",
     "complementary_bound", "coordinate_matrix", "criterion_alignment_bound",
     "criterion_half_degree", "criterion_half_degree_spanning",

@@ -7,8 +7,8 @@ sufficient criteria.  The first criterion whose hypothesis holds certifies
 that len(A) is the Waring rank and that A is the unique decomposition; when
 none applies the result is Inconclusive, which certifies nothing.
 
-Every verdict is backed by exact rational arithmetic; there are no numeric
-tolerances anywhere.
+Every verdict is backed by exact integer arithmetic on primitive integer
+representatives of the points; there are no numeric tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from math import comb
 
 from .geometry import PointSet, max_collinear_subset_size, span_dim
 from .hilbert import HilbertProfile, hilbert_function, hilbert_profile
-from .kruskal import (degree_partitions, gup_cutoff, is_gup, kruskal_rank,
-                      reshaped_kruskal, veronese_kruskal_rank)
+from .kruskal import (gup_cutoff, is_gup, kruskal_rank, reshaped_kruskal,
+                      veronese_kruskal_rank)
 from .terracini import TerraciniReport, generic_terracini_dimension, terracini_dimension
 
 
@@ -42,9 +42,14 @@ class CriterionResult:
 class Diagnostics:
     """Invariants of the input collected while certifying.
 
-    veronese_kruskal_ranks lists (degree, rank) pairs for every Veronese
-    degree the cascade consulted; degree 1 (the Kruskal rank of A itself)
-    is always present.  terracini is None when the degree is below 2.
+    The Hilbert profile, the Kruskal rank, the largest collinear subset,
+    the span dimension and the complementary bound are always present.
+    The costly invariants are reported only where the cascade computed
+    them: veronese_kruskal_ranks lists (degree, rank) pairs for degree 1
+    (the Kruskal rank of A itself), the degrees the reshaped Kruskal search
+    swept, and degrees 1 to the GUP cutoff when plane-gup fired; terracini
+    is the degree-4 report the quartic criterion took at its boundary size
+    l = 2k - 1, and None otherwise.
     """
 
     minimal: bool
@@ -106,20 +111,19 @@ def _eval_sylvester(a: PointSet, d: int) -> tuple[CriterionResult | None, str]:
     if a.ambient_dim != 1:
         return None, f"not applicable (ambient dimension {a.ambient_dim}, needs 1)"
     l = len(a)
-    r = binary_generic_rank(d)
-    if l < r:
-        return (CriterionResult("sylvester", f"{l} points below the generic binary rank {r}"),
-                f"fired ({l} < {r})")
-    if l == r and d % 2 == 1:
-        return (CriterionResult("sylvester",
-                                f"{l} points at the generic binary rank {r}, odd degree {d}"),
-                f"fired ({l} = {r}, degree odd)")
-    return None, f"{l} points do not satisfy the binary rank bound (generic rank {r})"
+    if 2 * l <= d + 1:
+        return (CriterionResult("sylvester", f"{l} binary points with 2*{l} <= {d} + 1"),
+                f"fired (2*{l} <= {d} + 1)")
+    return None, (f"{l} points do not satisfy the binary rank bound "
+                  f"(2*{l} > {d} + 1)")
 
 
 def criterion_sylvester(a: PointSet, d: int) -> CriterionResult | None:
-    """Binary forms: fires when len(a) is below the generic rank of degree-d
-    binary forms, or equals it with d odd."""
+    """Binary forms: fires when 2*len(a) <= d + 1.
+
+    That is, len(a) is below the generic rank of degree-d binary forms, or
+    equals it with d odd (Sylvester's theorem).
+    """
     return _eval_sylvester(a, d)[0]
 
 
@@ -190,15 +194,14 @@ def criterion_plane_gup(a: PointSet, d: int) -> CriterionResult | None:
 def _eval_reshaped_kruskal(a: PointSet, d: int) -> tuple[CriterionResult | None, str]:
     if d < 3:
         return None, f"not applicable (degree {d} cannot be split into three parts)"
-    reports = reshaped_kruskal(a, d)
-    for rep in reports:
-        if rep.passes:
-            return (CriterionResult(
-                "reshaped-kruskal",
-                f"partition {rep.partition} with Veronese Kruskal ranks {rep.ranks}"),
-                f"fired (partition {rep.partition}, ranks {rep.ranks})")
-    best = max(rep.bound for rep in reports)
-    return None, f"no partition passes (best bound {best} < {len(a)})"
+    search = reshaped_kruskal(a, d)
+    rep = search.passing
+    if rep is None:
+        return None, f"no partition passes (proven bound {search.bound} < {len(a)})"
+    return (CriterionResult(
+        "reshaped-kruskal",
+        f"partition {rep.partition} with Veronese Kruskal ranks {rep.ranks}"),
+        f"fired (partition {rep.partition}, ranks {rep.ranks})")
 
 
 def criterion_reshaped_kruskal(a: PointSet, d: int) -> CriterionResult | None:
@@ -302,11 +305,12 @@ def certify(a: PointSet, d: int) -> Certificate:
 
     examined = {1}
     if "reshaped-kruskal" in evaluated:
-        for part in degree_partitions(d):
-            examined.update(part)
+        examined.update(j for j, _ in reshaped_kruskal(a, d).ranks)
     if fired is not None and fired.criterion == "plane-gup":
         examined.update(range(1, gup_cutoff(n, l) + 1))
     ranks = tuple((j, veronese_kruskal_rank(a, j)) for j in sorted(examined))
+    # The quartic criterion takes the Terracini rank only at l = 2k - 1.
+    took_terracini = "quartic" in evaluated and l == 2 * kruskal_rank(a) - 1
     diagnostics = Diagnostics(
         minimal=minimal,
         hilbert=hilbert_profile(a),
@@ -314,7 +318,7 @@ def certify(a: PointSet, d: int) -> Certificate:
         veronese_kruskal_ranks=ranks,
         max_collinear=max_collinear_subset_size(a),
         span_dim=span_dim(a),
-        terracini=terracini_dimension(a, d) if d >= 2 else None,
+        terracini=terracini_dimension(a, d) if took_terracini else None,
         complementary_bound=complementary_bound(a, d),
     )
     if not minimal:

@@ -41,6 +41,7 @@ from .kruskal import gup_cutoff, is_gup, is_lgp, veronese_kruskal_rank
 from .terracini import TerraciniReport, terracini_dimension
 
 _GENERATOR = f"waringcert {__version__}"
+_SCHEMA_VERSION = 2
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
@@ -173,10 +174,14 @@ def _emit(doc: dict, human_lines: list[str], fmt: str) -> None:
 
 
 def _profile_block(profile: HilbertProfile) -> dict:
+    # Values and differences through the separation degree s; from s on,
+    # h stays at the set size ("stable_tail").
     return {
         "j_max": profile.j_max,
         "values": list(profile.values),
         "diffs": list(profile.diffs),
+        "stable_tail": {"from_degree": profile.separation_degree,
+                        "value": profile.set_size},
         "h_vector": list(profile.h_vector),
         "separation_degree": profile.separation_degree,
     }
@@ -216,7 +221,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
             else:
                 break
     report = {
-        "schema_version": 1,
+        "schema_version": _SCHEMA_VERSION,
         "generator": _GENERATOR,
         "command": "hilbert",
         "input": _input_block(doc, args.file),
@@ -226,7 +231,8 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
     lines = [
         f"point set: {_describe_set(doc)}",
         f"degrees 0..{profile.j_max}",
-        "h    : " + " ".join(str(v) for v in profile.values),
+        "h    : " + " ".join(str(v) for v in profile.values)
+        + f" (= {profile.set_size} from degree {sep} on)",
         "diff : " + " ".join(str(v) for v in profile.diffs),
         f"h-vector: {tuple(profile.h_vector)}",
         f"separated from degree: {sep}",
@@ -245,7 +251,7 @@ def _cmd_kruskal(args: argparse.Namespace) -> int:
     gup = is_gup(a)
     lgp = is_lgp(a)
     report = {
-        "schema_version": 1,
+        "schema_version": _SCHEMA_VERSION,
         "generator": _GENERATOR,
         "command": "kruskal",
         "input": _input_block(doc, args.file),
@@ -274,7 +280,7 @@ def _cmd_terracini(args: argparse.Namespace) -> int:
     doc = parse_point_file(_read_input(args.file))
     rep = terracini_dimension(doc.points, args.degree)
     report = {
-        "schema_version": 1,
+        "schema_version": _SCHEMA_VERSION,
         "generator": _GENERATOR,
         "command": "terracini",
         "input": _input_block(doc, args.file),
@@ -328,7 +334,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     doc = parse_point_file(_read_input(args.file))
     cert = certify(doc.points, args.degree)
     report = {
-        "schema_version": 1,
+        "schema_version": _SCHEMA_VERSION,
         "generator": _GENERATOR,
         "command": "certify",
         "input": _input_block(doc, args.file),
@@ -369,7 +375,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_generic(args: argparse.Namespace) -> int:
     info = generic_info(args.n, args.d, trials=args.trials, seed=args.seed)
     report = {
-        "schema_version": 1,
+        "schema_version": _SCHEMA_VERSION,
         "generator": _GENERATOR,
         "command": "generic",
         "arguments": {"n": args.n, "d": args.d, "seed": args.seed,

@@ -51,12 +51,18 @@ def hilbert_function(a: PointSet, d: int) -> int:
 
 @dataclass(frozen=True)
 class HilbertProfile:
-    """Hilbert function values and first differences over 0..j_max.
+    """Hilbert function values and first differences over degrees 0..j_max.
+
+    Only degrees 0..s are stored, where s is the separation degree, the
+    first degree with h(s) = set_size: h is nondecreasing and bounded by
+    the set size, so it equals set_size from degree s on and every later
+    difference is zero.  j_max is the requested range, at least s; the
+    stored part takes O(s) memory however large j_max is.
 
     Invariants enforced at construction: values and diffs are consistent
-    cumulative sums starting at h(0) = 1, no value exceeds set_size, and
-    whenever j_max >= set_size - 1 the values have stabilised at set_size
-    from degree set_size - 1 on (so differences beyond j_max are zero).
+    cumulative sums starting at h(0) = 1, no value exceeds set_size, the
+    last stored value, and no earlier one, is set_size, and the values
+    have stabilised by degree set_size - 1.
     """
 
     set_size: int
@@ -67,8 +73,10 @@ class HilbertProfile:
     def __post_init__(self):
         if self.set_size < 1:
             raise ValueError("set_size must be >= 1")
-        if self.j_max != len(self.values) - 1 or len(self.values) != len(self.diffs):
-            raise ValueError("values/diffs lengths do not match j_max")
+        if len(self.values) != len(self.diffs) or not self.values:
+            raise ValueError("values and diffs must be nonempty and of equal length")
+        if self.j_max < len(self.values) - 1:
+            raise ValueError("j_max is below the stored range")
         running = 0
         for j, (v, dv) in enumerate(zip(self.values, self.diffs)):
             running += dv
@@ -82,70 +90,70 @@ class HilbertProfile:
                 raise ValueError(f"h({j}) has not stabilised at the set size")
         if self.values[0] != 1:
             raise ValueError("h(0) must equal 1")
+        if self.values[-1] != self.set_size or self.set_size in self.values[:-1]:
+            raise ValueError("values must end at the first degree with h = set_size")
 
     @classmethod
     def from_diffs(cls, diffs: tuple[int, ...] | list[int]) -> "HilbertProfile":
-        """Profile with the given first differences, zero-padded as needed.
+        """Profile with the given first differences.
 
-        The set size is the sum of the differences; the padding extends the
-        range to degree set_size - 1 so the stabilisation invariant holds.
+        The set size is the sum of the differences; the range reaches at
+        least degree set_size - 1, and trailing zero differences only
+        extend it.
         """
-        ds = list(diffs)
-        size = sum(ds)
-        while len(ds) < size:
-            ds.append(0)
+        size = sum(diffs)
         values = []
         running = 0
-        for dv in ds:
+        for dv in diffs:
             running += dv
             values.append(running)
-        return cls(set_size=size, values=tuple(values), diffs=tuple(ds),
-                   j_max=len(ds) - 1)
+            if running == size:
+                break
+        if any(diffs[len(values):]):
+            raise ValueError("nonzero difference after h reaches the set size")
+        return cls(set_size=size, values=tuple(values), diffs=tuple(diffs[:len(values)]),
+                   j_max=max(len(diffs), size) - 1)
 
     @property
     def h_vector(self) -> tuple[int, ...]:
-        """The differences up to the last nonzero entry."""
-        last = max((j for j, dv in enumerate(self.diffs) if dv), default=0)
-        return self.diffs[: last + 1]
+        """The differences through the separation degree; the last is nonzero."""
+        return self.diffs
 
     def value_at(self, d: int) -> int:
-        """h(d), extending by 0 below degree 0 and by set_size above j_max."""
+        """h(d), extending by 0 below degree 0 and by set_size above s."""
         if d < 0:
             return 0
-        if d <= self.j_max:
+        if d < len(self.values):
             return self.values[d]
         return self.set_size
 
     def diff_at(self, d: int) -> int:
         """Dh(d), zero outside the stored range."""
-        if d < 0 or d > self.j_max:
-            return 0
-        return self.diffs[d]
+        if 0 <= d < len(self.diffs):
+            return self.diffs[d]
+        return 0
 
     @property
     def separation_degree(self) -> int:
         """The least d with h(d) = set_size."""
-        return next(j for j, v in enumerate(self.values) if v == self.set_size)
+        return len(self.values) - 1
 
 
 def hilbert_profile(a: PointSet, j_max: int | None = None) -> HilbertProfile:
-    """Hilbert function values of a for degrees 0..max(j_max, len(a) - 1).
+    """Hilbert profile of a over degrees 0..max(j_max, len(a) - 1).
 
     The range always reaches degree len(a) - 1, where the function is
     guaranteed to have stabilised at len(a); callers may request more.
-    Ranks are computed only up to the separation degree, the first d with
-    h(d) = len(a): h is nondecreasing and bounded by len(a), so every later
-    value is len(a) and is filled in without a rank.
+    Ranks are computed, and values stored, only up to the separation
+    degree, the first d with h(d) = len(a): h is nondecreasing and bounded
+    by len(a), so every later value is len(a).
     """
     l = len(a)
-    top = l - 1 if j_max is None else max(j_max, l - 1)
-    values = []
-    for d in range(top + 1):
-        values.append(hilbert_function(a, d))
-        if values[-1] == l:
-            values.extend([l] * (top - d))
-            break
+    values = [hilbert_function(a, 0)]
+    while values[-1] < l:
+        values.append(hilbert_function(a, len(values)))
     diffs = tuple(v - (values[j - 1] if j else 0) for j, v in enumerate(values))
+    top = l - 1 if j_max is None else max(j_max, l - 1)
     return HilbertProfile(set_size=l, values=tuple(values), diffs=diffs, j_max=top)
 
 

@@ -9,7 +9,9 @@ whose monomial space is at least as large as the set.
 
 The reshaping criterion splits a degree d = a + b + c and compares twice the
 set size against k_a + k_b + k_c - 2, where k_j is the Kruskal rank of the
-degree-j Veronese image.
+degree-j Veronese image.  Since k_j <= min(len(A), C(n+j, j)) (Kruskal 1977;
+Chiantini, Ottaviani and Vannieuwenhoven 2017), most partitions are ruled
+out before any subset is swept.
 
 The degree-j image is taken as the integer rows ``monomial_values(a, j)``:
 they differ from the Veronese coordinates by a nonzero scaling of each row
@@ -166,8 +168,8 @@ class KruskalReport:
 def degree_partitions(d: int) -> tuple[tuple[int, int, int], ...]:
     """All partitions d = a + b + c with 1 <= a <= b <= c, most unbalanced first.
 
-    Ordered by descending largest part, then ascending smallest, so the
-    cheapest and most often sufficient split (1, 1, d - 2) comes first.
+    Ordered by descending largest part, then ascending smallest;
+    reshaped_kruskal breaks ties of sweep cost in this order.
     """
     if d < 3:
         raise ValueError(f"degree must be >= 3 to split into three parts, got {d}")
@@ -178,24 +180,64 @@ def degree_partitions(d: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(parts, key=lambda p: (-p[2], p[0], p[1])))
 
 
-def reshaped_kruskal(a: PointSet, d: int) -> tuple[KruskalReport, ...]:
-    """Reshaping test over every three-part partition of the degree.
+@dataclass(frozen=True)
+class ReshapingSearch:
+    """Outcome of the reshaping test over the partitions of one degree.
 
-    For d = x + y + z the test passes when 2*len(a) <= k_x + k_y + k_z - 2
-    with k_j the Kruskal rank of the degree-j Veronese image.  One passing
-    partition certifies that len(a) is the rank and the decomposition is
-    unique.  Reports appear in the partition order of degree_partitions.
+    passing is the first partition found to pass, with its exact ranks, or
+    None when no partition passes.  ranks lists (degree, Kruskal rank) for
+    every Veronese degree the search swept, by degree.  bound is the largest
+    proven upper bound on (k_x + k_y + k_z - 2) // 2 over all partitions,
+    taking k_j exact where swept and min(len(a), C(n+j, j)) elsewhere; it is
+    below len(a) exactly when no partition passes.
+    """
+
+    passing: KruskalReport | None
+    ranks: tuple[tuple[int, int], ...]
+    bound: int
+
+
+@memo_on_set
+def reshaped_kruskal(a: PointSet, d: int) -> ReshapingSearch:
+    """Reshaping test: does some partition d = x + y + z pass?
+
+    A partition passes when 2*len(a) <= k_x + k_y + k_z - 2, with k_j the
+    Kruskal rank of the degree-j Veronese image; one passing partition
+    certifies that len(a) is the rank and the decomposition is unique.
+
+    With l = len(a), each k_j is at most min(l, C(n+j, j)), so a partition
+    whose sum of these caps, minus 2, is below 2*l is dropped with no sweep.
+    The rest are tried cheapest first: degree j costs one elimination when
+    C(n+j, j) >= l and C(l, C(n+j, j)) subsets otherwise, a partition the
+    sum over its parts, ties in degree_partitions order.  Within a
+    partition the cheapest degrees are swept first, and each exact rank
+    replaces its cap, so a partition stops as soon as it cannot pass.  The
+    search stops at the first partition that passes.
     """
     l = len(a)
-    reports = []
-    for part in degree_partitions(d):
-        ranks = tuple(veronese_kruskal_rank(a, j) for j in part)
-        total = sum(ranks)
-        reports.append(KruskalReport(
-            set_size=l,
-            partition=part,
-            ranks=ranks,
-            bound=(total - 2) // 2,
-            passes=2 * l <= total - 2,
-        ))
-    return tuple(reports)
+    n = a.ambient_dim
+    parts = degree_partitions(d)
+    known: dict[int, int] = {}
+
+    def cost(j: int) -> int:
+        m = comb(n + j, j)
+        return 1 if m >= l else comb(l, m)
+
+    def upper(p: tuple[int, int, int]) -> int:
+        return sum(known.get(j, min(l, comb(n + j, j))) for j in p) - 2
+
+    passing = None
+    for p in sorted(parts, key=lambda p: sum(map(cost, p))):
+        pending = sorted({j for j in p if j not in known}, key=lambda j: (cost(j), j))
+        # A partition whose bound is below 2*l is dropped before any sweep.
+        while pending and upper(p) >= 2 * l:
+            j = pending.pop(0)
+            known[j] = veronese_kruskal_rank(a, j)
+        if upper(p) >= 2 * l:
+            # Every part is exact now, so the partition passes.
+            ranks = tuple(known[j] for j in p)
+            passing = KruskalReport(set_size=l, partition=p, ranks=ranks,
+                                    bound=(sum(ranks) - 2) // 2, passes=True)
+            break
+    return ReshapingSearch(passing=passing, ranks=tuple(sorted(known.items())),
+                           bound=max(map(upper, parts)) // 2)

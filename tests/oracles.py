@@ -154,3 +154,21 @@ def generic_rank_from_one(n, d, trials=2, seed=0):
     while generic_terracini_dimension(n, d, r, trials=trials, seed=seed).dim != space - 1:
         r += 1
     return r
+
+
+def reshaped_kruskal_table(a, d):
+    """The reshaping test on every partition of d, with no bound or early stop.
+
+    One ``KruskalReport`` per partition in ``degree_partitions`` order, each
+    with the exact Veronese Kruskal ranks of its parts: the exhaustive table
+    that the library's pruned, cheapest-first search must agree with.
+    """
+    from waringcert import KruskalReport, degree_partitions, veronese_kruskal_rank
+    l = len(a)
+    reports = []
+    for part in degree_partitions(d):
+        ranks = tuple(veronese_kruskal_rank(a, j) for j in part)
+        total = sum(ranks)
+        reports.append(KruskalReport(set_size=l, partition=part, ranks=ranks,
+                                     bound=(total - 2) // 2, passes=2 * l <= total - 2))
+    return tuple(reports)

@@ -13,7 +13,8 @@ from collections import Counter
 from math import prod
 
 from oracles import (apolarity_pairing, form_power, kernel_vector,
-                     linear_form_power, minor_rank, tangent_forms)
+                     linear_form_power, minor_rank, reshaped_kruskal_table,
+                     tangent_forms)
 
 from waringcert import (PointSet, ProjectivePoint, Verdict,
                         binary_generic_rank, certify, coordinate_matrix,
@@ -183,14 +184,15 @@ def test_criterion_05_span_intersection_oracle():
 def test_criterion_06_reshaped_kruskal_boundary():
     for n in (2, 3, 4):
         at_boundary = random_point_set(n, 2 * n, random.Random(200 + n), bound=20)
-        reports = reshaped_kruskal(at_boundary, 4)
-        assert len(reports) == 1
-        assert reports[0].partition == (1, 1, 2)
-        assert reports[0].bound == 2 * n
-        assert reports[0].passes
+        passing = reshaped_kruskal(at_boundary, 4).passing
+        assert reshaped_kruskal_table(at_boundary, 4) == (passing,)
+        assert passing.partition == (1, 1, 2)
+        assert passing.bound == 2 * n
+        assert passing.passes
 
         over = random_point_set(n, 2 * n + 1, random.Random(210 + n), bound=20)
-        assert not reshaped_kruskal(over, 4)[0].passes
+        assert reshaped_kruskal(over, 4).passing is None
+        assert not reshaped_kruskal_table(over, 4)[0].passes
 
 
 def test_criterion_07_quartic_end_to_end():

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from waringcert import kruskal
 from waringcert import (
     Certificate,
     Diagnostics,
@@ -26,6 +27,7 @@ from waringcert import (
     gup_cutoff,
     kruskal_rank,
     random_point_set,
+    reshaped_kruskal,
 )
 
 from conftest import random_points
@@ -67,6 +69,20 @@ def test_criterion_sylvester():
     assert criterion_sylvester(binary(3), 4) is None
     assert criterion_sylvester(binary(2), 4).criterion == "sylvester"
     assert criterion_sylvester(general_points(2, 3, 72), 5) is None
+
+
+def test_sylvester_inequality_matches_the_two_branch_rule():
+    # Sylvester's theorem as stated on the generic binary rank r: below r,
+    # or at r with d odd.  The criterion checks the one inequality
+    # 2l <= d + 1; the two agree for every d < 200 and l <= d + 1.
+    points = binary(200)
+    for l in range(1, 201):
+        a = points.subset(range(l))
+        for d in range(max(1, l - 1), 200):
+            r = binary_generic_rank(d)
+            two_branch = l < r or (l == r and d % 2 == 1)
+            assert (2 * l <= d + 1) == two_branch, (l, d)
+            assert (criterion_sylvester(a, d) is not None) == two_branch, (l, d)
 
 
 def test_criterion_half_degree():
@@ -204,6 +220,56 @@ def test_certify_reshaped_path():
     assert cert.criterion == "reshaped-kruskal"
     ranks = dict(cert.diagnostics.veronese_kruskal_ranks)
     assert 2 * cert.set_size <= ranks[1] + ranks[1] + ranks[2] - 2
+
+
+def test_diagnostics_hold_only_the_ranks_the_cascade_took():
+    # The quartic criterion takes the Terracini rank at its boundary l = 2k - 1.
+    five = certify(general_points(2, 5, 83), 4)
+    assert five.verdict is Verdict.INCONCLUSIVE
+    assert five.diagnostics.terracini.dim == 13
+    nine = certify(general_points(4, 9, 86), 4)
+    assert nine.criterion == "quartic"
+    assert nine.diagnostics.terracini.dim == nine.diagnostics.terracini.max_possible == 44
+    # No other path computes it.
+    for a, d in ((binary(3), 5), (general_points(3, 6, 78), 4),
+                 (general_points(2, 6, 85), 4), (general_points(2, 9, 87), 6),
+                 (general_points(3, 12, 88), 5)):
+        assert certify(a, d).diagnostics.terracini is None, (len(a), d)
+    assert certify(binary(3), 5).diagnostics.veronese_kruskal_ranks == ((1, 2),)
+
+
+def test_certify_sweeps_no_veronese_degree_the_bound_rules_out(monkeypatch):
+    widths = []
+    sweep = kruskal._all_subsets_independent
+
+    def counting(rows, size):
+        widths.append(len(rows[0]))
+        return sweep(rows, size)
+
+    monkeypatch.setattr(kruskal, "_all_subsets_independent", counting)
+    # (2, 16, 6): every partition of 6 is ruled out by min(l, C(2+j, j)),
+    # so only the Kruskal rank of the set itself (rows of width 3) is swept.
+    a = general_points(2, 16, 90)
+    cert = certify(a, 6)
+    assert kruskal_rank(a) == 3
+    assert cert.verdict is Verdict.INCONCLUSIVE
+    assert widths and set(widths) == {3}
+    assert cert.diagnostics.veronese_kruskal_ranks == ((1, 3),)
+    # (2, 13, 9): (1, 4, 4) is the cheapest partition left, and its degree 4
+    # (width 15 >= 13 points) is one elimination; no other degree above 1
+    # is swept.
+    widths.clear()
+    cert = certify(general_points(2, 13, 91), 9)
+    assert cert.criterion == "reshaped-kruskal"
+    assert [w for w in widths if w > 3] == [15]
+    assert "(1, 4, 4)" in cert.notes[-1]
+    # (2, 11, 10): (3, 3, 4) is the cheapest partition left (degree 4 is one
+    # elimination, degree 3 sweeps C(11, 10) subsets), ahead of (1, 3, 6),
+    # which comes first in degree_partitions order; degree 1 is not needed.
+    widths.clear()
+    search = reshaped_kruskal(general_points(2, 11, 92), 10)
+    assert search.passing.partition == (3, 3, 4)
+    assert widths == [15, 10]
 
 
 def test_certify_inconclusive_beyond_criteria():

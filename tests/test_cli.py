@@ -120,6 +120,23 @@ def test_hilbert_max_degree_flag(tmp_path, capsys):
     assert json.loads(out)["profile"]["j_max"] == 8
 
 
+def test_hilbert_output_size_does_not_grow_with_max_degree(tmp_path, capsys):
+    # Only the digits of J itself differ: the stable tail is one statement.
+    path = write(tmp_path, "four.pts", "dim: 2\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n")
+    for fmt in ("human", "structured"):
+        sizes = {}
+        for j in ("8", "1000000"):
+            code, out, _ = run_cli(
+                capsys, ["hilbert", path, "--max-degree", j, "--format", fmt])
+            assert code == 0
+            sizes[j] = len(out)
+        assert sizes["1000000"] - sizes["8"] == len("1000000") - len("8")
+    profile = json.loads(out)["profile"]
+    assert profile["values"] == [1, 3, 4]
+    assert profile["stable_tail"] == {"from_degree": 2, "value": 4}
+    assert profile["j_max"] == 1000000
+
+
 def test_kruskal_simplex_plus_ones(tmp_path, capsys):
     path = write(tmp_path, "s.pts", "dim: 2\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n")
     code, out, _ = run_cli(capsys, ["kruskal", path, "--format", "structured"])
@@ -257,7 +274,7 @@ def test_structured_output_round_trips(tmp_path, capsys):
         capsys, ["certify", path, "--degree", "6", "--format", "structured"])
     parsed = json.loads(out)
     assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out
-    assert parsed["schema_version"] == 1
+    assert parsed["schema_version"] == 2
 
 
 def test_version_flag(capsys):

@@ -1,14 +1,16 @@
-"""Golden corpus: the CLI's structured output must stay byte-identical.
+"""Golden corpus: the CLI's output must stay byte-identical.
 
 ``tests/golden/`` holds one point file per case (``<case>.pts``) and the
-``--format structured`` output of each verb run on it
-(``<case>.<verb>.json``).  The cases are seeded random sets chosen so that
-the corpus reaches every criterion of the cascade, NotMinimal, Inconclusive
-and the Alexander-Hirschowitz defective case of five plane points at degree
-4, plus one hand-written set with rational coordinates, zeros, negative
-leading entries and three collinear points.
+``--format structured`` and human output of each verb run on it
+(``<case>.<verb>.json`` and ``<case>.<verb>.txt``).  The cases are seeded
+random sets chosen so that the corpus reaches every criterion of the
+cascade, NotMinimal, Inconclusive and the Alexander-Hirschowitz defective
+case of five plane points at degree 4, plus one hand-written set with
+rational coordinates, zeros, negative leading entries and three collinear
+points.
 
-A change that alters the output on purpose bumps ``schema_version`` and
+A change that alters the structured output on purpose bumps
+``schema_version``; any change that alters the output on purpose
 regenerates the corpus from the committed point files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -106,16 +108,18 @@ def _verb_argv(verb, degree, size):
 
 VERBS = ("certify", "hilbert", "hilbert-max", "kruskal", "terracini")
 EXIT_BY_VERDICT = {"Identifiable": 0, "Inconclusive": 2, "NotMinimal": 3}
+# --format value -> golden file suffix
+FORMATS = {"structured": "json", "human": "txt"}
 
 
-def run_verb(argv, text):
+def run_verb(argv, text, fmt="structured"):
     """Run the CLI in process on ``text`` as stdin; returns (exit code, stdout)."""
     out = io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(text)
     try:
         with contextlib.redirect_stdout(out):
-            code = run([*argv, "--format", "structured"])
+            code = run([*argv, "--format", fmt])
     finally:
         sys.stdin = saved
     return code, out.getvalue()
@@ -129,18 +133,34 @@ def _size(text):
     return len(parse_point_file(text).points)
 
 
+def _golden(case, verb, fmt):
+    return (GOLDEN / f"{case}.{verb}.{FORMATS[fmt]}").read_bytes().decode("utf-8")
+
+
+def _check_exit_code(case, verb, code):
+    if verb == "certify":
+        verdict = json.loads(_golden(case, verb, "structured"))["certificate"]["verdict"]
+        assert code == EXIT_BY_VERDICT[verdict]
+    else:
+        assert code == 0
+
+
 @pytest.mark.parametrize("verb", VERBS)
 @pytest.mark.parametrize("case", sorted(DEGREES))
 def test_structured_output_is_byte_identical(case, verb):
     text = _point_file(case)
     code, out = run_verb(_verb_argv(verb, DEGREES[case], _size(text)), text)
-    golden = (GOLDEN / f"{case}.{verb}.json").read_bytes().decode("utf-8")
-    assert out == golden, f"{case} {verb}: structured output changed"
-    if verb == "certify":
-        verdict = json.loads(out)["certificate"]["verdict"]
-        assert code == EXIT_BY_VERDICT[verdict]
-    else:
-        assert code == 0
+    assert out == _golden(case, verb, "structured"), f"{case} {verb}: structured output changed"
+    _check_exit_code(case, verb, code)
+
+
+@pytest.mark.parametrize("verb", VERBS)
+@pytest.mark.parametrize("case", sorted(DEGREES))
+def test_human_output_is_byte_identical(case, verb):
+    text = _point_file(case)
+    code, out = run_verb(_verb_argv(verb, DEGREES[case], _size(text)), text, "human")
+    assert out == _golden(case, verb, "human"), f"{case} {verb}: human output changed"
+    _check_exit_code(case, verb, code)
 
 
 def test_corpus_reaches_every_outcome():
@@ -170,8 +190,9 @@ def regenerate():
     for case, degree in DEGREES.items():
         text = _point_file(case)
         for verb in VERBS:
-            _, out = run_verb(_verb_argv(verb, degree, _size(text)), text)
-            (GOLDEN / f"{case}.{verb}.json").write_bytes(out.encode("utf-8"))
+            for fmt, suffix in FORMATS.items():
+                _, out = run_verb(_verb_argv(verb, degree, _size(text)), text, fmt)
+                (GOLDEN / f"{case}.{verb}.{suffix}").write_bytes(out.encode("utf-8"))
 
 
 if __name__ == "__main__":

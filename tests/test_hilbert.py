@@ -91,8 +91,11 @@ def test_hilbert_degree_one_is_span_dim_plus_one():
 def test_profile_from_diffs_and_accessors():
     p = HilbertProfile.from_diffs((1, 2, 2, 1))
     assert p.set_size == 6
-    assert p.values == (1, 3, 5, 6, 6, 6)
+    assert p.values == (1, 3, 5, 6)
+    assert p.diffs == (1, 2, 2, 1)
     assert p.j_max == 5
+    assert [p.value_at(d) for d in range(6)] == [1, 3, 5, 6, 6, 6]
+    assert [p.diff_at(d) for d in range(6)] == [1, 2, 2, 1, 0, 0]
     assert p.value_at(-1) == 0
     assert p.value_at(100) == 6
     assert p.diff_at(-3) == 0
@@ -110,13 +113,19 @@ def test_profile_validation_rejects_bad_data():
         HilbertProfile(set_size=1, values=(1, 2), diffs=(1, 1), j_max=1)
     with pytest.raises(ValueError):
         HilbertProfile(set_size=3, values=(1, 2), diffs=(1, 1), j_max=2)
+    with pytest.raises(ValueError):
+        HilbertProfile(set_size=2, values=(1, 2, 2), diffs=(1, 1, 0), j_max=2)
+    with pytest.raises(ValueError):
+        HilbertProfile(set_size=2, values=(1, 2), diffs=(1, 1), j_max=0)
 
 
 def test_profile_extension_beyond_stabilization():
     a = conic_points(4)
     p = hilbert_profile(a, j_max=7)
     assert p.j_max == 7
-    assert p.values[3:] == (4, 4, 4, 4, 4)
+    assert p.values == (1, 3, 4)
+    assert [p.value_at(d) for d in range(3, 8)] == [4, 4, 4, 4, 4]
+    assert hilbert_profile(a, j_max=10 ** 9).values == p.values
 
 
 def test_is_separated_examples():

@@ -157,7 +157,8 @@ def test_early_stopped_profile_matches_full_profile(a, j_max):
     top = len(a) - 1 if j_max is None else max(j_max, len(a) - 1)
     full = tuple(evaluation_matrix(a, d).rank() for d in range(top + 1))
     assert profile.j_max == top
-    assert profile.values == full
+    assert tuple(profile.value_at(d) for d in range(top + 1)) == full
+    assert profile.values == full[:full.index(len(a)) + 1]
 
 
 @settings(**KERNEL_SETTINGS)

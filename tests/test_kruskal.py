@@ -3,10 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waringcert import (
     KruskalReport,
     PointSet,
+    ProjectivePoint,
+    certify,
+    check_minimal,
+    criterion_alignment_bound,
+    criterion_half_degree,
+    criterion_half_degree_spanning,
+    criterion_plane_gup,
+    criterion_sylvester,
     degree_partitions,
     gup_cutoff,
     is_gup,
@@ -14,10 +23,12 @@ from waringcert import (
     kruskal_rank,
     reshaped_kruskal,
     span_dim,
+    terracini_dimension,
     veronese_kruskal_rank,
 )
 
 from conftest import random_points
+from oracles import reshaped_kruskal_table
 
 
 def simplex_plus_ones(n):
@@ -118,30 +129,37 @@ def test_degree_partitions_order():
 
 def test_reshaped_kruskal_quartic_general_six_in_p3():
     a = random_points(3, 6, random.Random(41), bound=20)
-    reports = reshaped_kruskal(a, 4)
-    assert len(reports) == 1
-    rep = reports[0]
+    search = reshaped_kruskal(a, 4)
+    rep = search.passing
     assert rep.partition == (1, 1, 2)
     assert rep.ranks == (4, 4, 6)
     assert rep.bound == 6
     assert rep.passes
+    assert reshaped_kruskal_table(a, 4) == (rep,)
+    assert search.ranks == ((1, 4), (2, 6))
 
 
 def test_reshaped_kruskal_fails_above_two_n():
     for n in (2, 3):
         a = random_points(n, 2 * n + 1, random.Random(50 + n), bound=20)
-        reports = reshaped_kruskal(a, 4)
+        search = reshaped_kruskal(a, 4)
+        reports = reshaped_kruskal_table(a, 4)
+        assert search.passing is None
         assert not any(rep.passes for rep in reports)
         assert reports[0].bound == 2 * n
+        # (1, 1, 2) is ruled out by the caps min(l, C(n+j, j)) alone.
+        assert search.bound == 2 * n
+        assert search.ranks == ()
 
 
 def test_reshaped_kruskal_cubic_pair():
     a = random_points(2, 2, random.Random(43))
-    (rep,) = reshaped_kruskal(a, 3)
+    rep = reshaped_kruskal(a, 3).passing
     assert rep.partition == (1, 1, 1)
     assert rep.ranks == (2, 2, 2)
     assert rep.bound == 2
     assert rep.passes
+    assert reshaped_kruskal_table(a, 3) == (rep,)
 
 
 def test_reshaped_kruskal_rejects_low_degree():
@@ -168,9 +186,12 @@ def test_report_ranks_within_bounds():
     for _ in range(6):
         n = rng.choice([2, 3])
         a = random_points(n, rng.randint(3, 6), rng)
-        for rep in reshaped_kruskal(a, rng.choice([3, 4, 5])):
+        d = rng.choice([3, 4, 5])
+        for rep in reshaped_kruskal_table(a, d):
             for part, rank in zip(rep.partition, rep.ranks):
                 assert 1 <= rank <= min(len(a), comb(n + part, part))
+        for part, rank in reshaped_kruskal(a, d).ranks:
+            assert 1 <= rank <= min(len(a), comb(n + part, part))
 
 
 def test_kruskal_rank_bounded_by_span():
@@ -203,3 +224,51 @@ def test_veronese_rank_nondecreasing_in_degree():
         ranks = [veronese_kruskal_rank(a, j) for j in (1, 2, 3)]
         assert ranks == sorted(ranks)
         assert ranks[-1] <= len(a)
+
+
+@st.composite
+def small_integer_sets(draw):
+    """Sets in P^1..P^3 with coordinates in [-2, 2]: small coordinates put
+    many points on common lines and conics, so exact Veronese Kruskal ranks
+    fall below their caps min(l, C(n+j, j))."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1).filter(any)
+    rows = draw(st.lists(row, min_size=2, max_size=10,
+                         unique_by=lambda r: ProjectivePoint(r)))
+    return PointSet.from_rows(rows)
+
+
+def _oracle_outcome(a, d):
+    """The cascade's outcome, with the reshaping test taken from the table."""
+    if not check_minimal(a, d):
+        return "NotMinimal"
+    for name, criterion in (("sylvester", criterion_sylvester),
+                            ("half-degree", criterion_half_degree),
+                            ("half-degree-spanning", criterion_half_degree_spanning),
+                            ("alignment-bound", criterion_alignment_bound),
+                            ("plane-gup", criterion_plane_gup)):
+        if criterion(a, d) is not None:
+            return name
+    if any(rep.passes for rep in reshaped_kruskal_table(a, d)):
+        return "reshaped-kruskal"
+    if (d == 4 and len(a) == 2 * kruskal_rank(a) - 1
+            and terracini_dimension(a, 4).tangents_independent):
+        return "quartic"
+    return "Inconclusive"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_integer_sets(), st.integers(3, 8))
+def test_reshaped_search_agrees_with_exhaustive_table(a, d):
+    search = reshaped_kruskal(a, d)
+    table = reshaped_kruskal_table(a, d)
+    passing = [rep for rep in table if rep.passes]
+    assert (search.passing is not None) == bool(passing)
+    if passing:
+        assert search.passing in passing
+    assert search.bound >= max(rep.bound for rep in table)
+    assert (search.bound >= len(a)) == bool(passing)
+
+    cert = certify(a, d)
+    assert (cert.criterion or cert.verdict.value) == _oracle_outcome(a, d)
+    assert cert.rank == (len(a) if cert.criterion else None)
