@@ -1,27 +1,38 @@
 """Exact linear algebra over the integers and the rationals.
 
-Every rank in this package is taken on integer rows, exactly: a modular
-full-rank proof, Bareiss otherwise.  ``integer_rank`` first eliminates
-modulo the prime p = 1073741789; a rank over F_p is a lower bound on the rank
-over Q (a minor that is nonzero mod p is a nonzero integer), so when it
-reaches min(rows, cols) the rank is proved with no entry growth.  Only
-matrices short of full rank mod p, which include every rank-deficient one,
-go on to fraction-free Bareiss elimination, whose exact divisions keep
-every intermediate value an integer minor of the input.  The Kruskal subset
-sweeps run their own Bareiss elimination, sharing the work of common
-subset prefixes.  Callers build integer rows directly (monomial values at
-primitive integer representatives of the points), so no ``Fraction``
-arithmetic runs on the hot path.  ``Matrix`` is the rational front end kept
-for the public API and the tests: it scales each row to integers and then
-calls ``integer_rank``.  No floating point and no randomness is used
-anywhere.
+Every rank in this package is taken on integer rows, exactly, and proved as
+a lower bound that meets an upper bound.  ``integer_rank`` first eliminates
+modulo the prime p = 1073741789.  The rank r over F_p is a lower bound on
+the rank over Q: a minor that is nonzero mod p is a nonzero integer.  The
+upper bound is min(rows, cols), or cols - k when the caller offers integer
+right-kernel vectors: each is checked exactly, T v = 0 over Z, and k is the
+rank modulo p of those that pass (independence mod p implies independence
+over Q).  They are asked for only when the gap cols - r is at most r.  When
+the bounds meet, the rank is proved with no entry growth.
+Only matrices whose bounds do not meet go on to fraction-free Bareiss
+elimination, whose exact divisions keep every intermediate value an
+integer minor of the input.
+
+The modular pass packs each row into one Python int of fixed-width slots,
+W = 61 + min(rows, cols).bit_length() bits each, so that a row update is a
+single multiply-add of whole ints; ``_rank_mod_p`` proves that no slot
+overflows.  ``integer_kernel`` gives a fraction-free kernel basis, for
+callers that build kernel vectors from smaller matrices.  The Kruskal
+subset sweeps run their own Bareiss elimination, sharing the work of
+common subset prefixes.  Callers build integer rows directly (monomial
+values at primitive integer representatives of the points), so no
+``Fraction`` arithmetic runs on the hot path.  ``Matrix`` is the rational
+front end kept for the public API and the tests: it scales each row to
+integers and then calls ``integer_rank``.  No floating point and no
+randomness is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -106,54 +117,153 @@ def _integer_rows(entries: Sequence[Vector]) -> list[list[int]]:
     return out
 
 
-# The largest prime below 2**30: residues are one CPython digit.
+# The largest prime below 2**30: a residue is one CPython digit, and the
+# product of two residues is below 2**60.
 _PRIME = 1073741789
 
 
-def integer_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of an integer matrix, given as rows; the input is not modified.
+def integer_rank(rows: Iterable[Sequence[int]],
+                 kernel: Callable[[], Iterable[Sequence[int]]] | None = None) -> int:
+    """Rank of an integer matrix T, given as rows; the input is not modified.
 
-    When the rank modulo p = ``_PRIME`` is min(rows, cols), that is the rank:
-    rank mod p <= rank over Q <= min(rows, cols).  Otherwise the rank is
-    taken by Bareiss elimination.  Both steps are exact.
+    The rank is proved as a lower bound that meets an upper bound.  The
+    lower bound is r, the rank modulo p = ``_PRIME``.  The upper bound is
+    min(rows, cols), or cols - k when k integer vectors v with T v = 0 are
+    independent modulo p (so over Q too).  Bareiss elimination runs only
+    when the two bounds do not meet.
+
+    ``kernel`` is an optional zero-argument callable yielding candidate
+    right-kernel vectors, integer sequences of length cols.  It is called
+    only when r falls short of min(rows, cols) and the gap cols - r is at
+    most r: closing the gap takes at least cols - r checks of T v, each
+    touching every entry, while Bareiss takes r pivot steps of about that
+    cost, so a larger gap is left to Bareiss.  Each candidate is checked
+    exactly, T v = 0 over Z, and one that fails is never used; candidates
+    are drawn until the checked ones have rank cols - r modulo p, or run
+    out.
     """
-    m = [list(r) for r in rows]
-    full = min(len(m), len(m[0])) if m else 0
-    if _reaches_rank_mod_p(m, full):
-        return full
-    return _bareiss_rank(m)
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    full = min(len(rows), ncols)
+    rank = _rank_mod_p(rows, full)
+    if rank == full:
+        return rank
+    gap = ncols - rank
+    if kernel is not None and gap <= rank:
+        checked = []
+        need = gap
+        for v in kernel():
+            if len(v) == ncols and not any(sum(map(mul, row, v)) for row in rows):
+                checked.append(v)
+                if len(checked) == need:
+                    k = _rank_mod_p(checked, gap)
+                    if k == gap:
+                        return rank
+                    # Each new vector adds at most one to k.
+                    need += gap - k
+    return _bareiss_rank([list(row) for row in rows])
 
 
-def _reaches_rank_mod_p(rows: Sequence[Sequence[int]], target: int) -> bool:
-    """True when the rows reduced modulo ``_PRIME`` have rank ``target``.
+def _rank_mod_p(rows: Sequence[Sequence[int]], target: int) -> int:
+    """min(target, rank of the rows modulo ``_PRIME``); the input is not modified.
 
-    Gaussian elimination over F_p on a reduced copy.  Each step removes the
-    pivot row and updates only the columns right of the pivot, in the rows
-    with a nonzero entry in the pivot column.  It stops as soon as the
-    remaining rows and columns can no longer reach ``target``.
+    Gaussian elimination over F_p with each row packed into one int of
+    fixed-width slots: the entry of column c, reduced to [0, p), sits in
+    slot cols - 1 - c, and a slot is W = 61 + m.bit_length() bits wide, where
+    m = min(rows, cols).  For each column only that slot of each remaining
+    row is extracted and reduced; the first row with a nonzero residue is
+    the pivot.  The pivot row is removed, and its slots right of the pivot
+    column are unpacked, reduced to [0, p) and repacked as ``tail``.  Every
+    other row v with residue x becomes (v & low) + f * tail, f = -x / pivot
+    mod p in [0, p): one multiply-add of whole ints, where ``& low`` drops
+    the slots of the columns already eliminated.  Elimination stops as soon
+    as the rank reaches ``target``.
+
+    No slot overflows into its neighbour.  A slot starts below p, and an
+    update adds f * t < p**2 < 2**60 to it (f and the tail slot t are both
+    in [0, p)).  A row is updated only at a pivot step that leaves the rank
+    below target <= m, so fewer than m times, and every slot stays below
+    p + (m - 1) * p**2 < m * 2**60 < 2**(W - 1).  With no carries between
+    slots, each slot holds an integer congruent modulo p to its entry of
+    the row being eliminated over F_p.
     """
-    m = [[x % _PRIME for x in r] for r in rows]
-    ncols = len(m[0]) if m else 0
+    p = _PRIME
+    ncols = len(rows[0]) if rows else 0
+    width = 61 + min(len(rows), ncols).bit_length()
+    mask = (1 << width) - 1
+    packed = []
+    for row in rows:
+        v = 0
+        for x in row:
+            v = (v << width) | (x % p)
+        packed.append(v)
     rank = 0
     for col in range(ncols):
         if rank == target:
             break
-        hit = next((i for i, r in enumerate(m) if r[col]), None)
+        shift = (ncols - 1 - col) * width
+        residues = [((v >> shift) & mask) % p for v in packed]
+        hit = next((i for i, x in enumerate(residues) if x), None)
         if hit is None:
-            if rank + min(len(m), ncols - col - 1) < target:
-                return False
             continue
-        pivot = m.pop(hit)
-        neg_inv = _PRIME - pow(pivot[col], -1, _PRIME)
-        tail = pivot[col + 1:]
-        for r in m:
-            factor = r[col]
-            if factor:
-                factor = factor * neg_inv % _PRIME
-                r[col + 1:] = [(x + factor * y) % _PRIME
-                               for x, y in zip(r[col + 1:], tail)]
         rank += 1
-    return rank == target
+        if rank == target:
+            break
+        neg_inv = p - pow(residues.pop(hit), -1, p)
+        low = (1 << shift) - 1
+        rest = packed.pop(hit) & low
+        tail = 0
+        at = 0
+        while rest:
+            tail |= ((rest & mask) % p) << at
+            rest >>= width
+            at += width
+        for i, x in enumerate(residues):
+            if x:
+                packed[i] = (packed[i] & low) + (x * neg_inv % p) * tail
+    return rank
+
+
+def integer_kernel(rows: Iterable[Sequence[int]]) -> list[list[int]]:
+    """A basis of the right kernel of an integer matrix, as primitive integer vectors.
+
+    Fraction-free Gauss-Jordan elimination: each pivot clears its column in
+    every other row by the integer row operation a * row - b * pivot, and
+    each new row is divided by the gcd of its entries.  Row i of the result
+    is then zero in every pivot column but its own, c_i, so each column f
+    without a pivot gives the kernel vector with entry s at f and
+    -row_i[f] * s / row_i[c_i] at each c_i, s the lcm of the row_i[c_i]
+    with row_i[f] nonzero.  The rows must be nonempty.
+    """
+    m = [list(r) for r in rows]
+    ncols = len(m[0])
+    pivots: list[int] = []
+    for col in range(ncols):
+        top = len(pivots)
+        hit = next((i for i in range(top, len(m)) if m[i][col]), None)
+        if hit is None:
+            continue
+        m[top], m[hit] = m[hit], m[top]
+        pivot = m[top]
+        a = pivot[col]
+        for i, row in enumerate(m):
+            b = row[col]
+            if b and i != top:
+                row = [a * x - b * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        used = [(m[i][free], m[i][c], c) for i, c in enumerate(pivots) if m[i][free]]
+        scale = lcm(*(lead for _, lead, _ in used))
+        v = [0] * ncols
+        v[free] = scale
+        for x, lead, c in used:
+            v[c] = -x * scale // lead
+        g = gcd(*v)
+        basis.append([x // g for x in v])
+    return basis
 
 
 def _bareiss_rank(m: list[list[int]]) -> int:

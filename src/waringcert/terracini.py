@@ -17,6 +17,22 @@ dividing column e by multinomial(d, e) and multiplying the row by d leaves
 e_j * p^(e - u_j): the partial derivative of the monomial x^e at p.  Those
 are read off the degree-(d-1) monomial values of the primitive integer
 representatives; column and row scalings keep the rank.
+
+In this scaling the right kernel has a meaning (Terracini's lemma).  Row
+(p, j) pairs a vector c with d/dx_j G at p, where G = sum of c_e x^e, so c
+is in the kernel exactly when the form G is singular at every point.  If F
+vanishes on the points in degree e and H in degree d - e, the product rule
+makes F*H such a form.  These products are the kernel vectors offered to
+``integer_rank`` when the rows fall short of full rank modulo its prime;
+the forms vanishing in degree e are the integer kernel of the degree-e
+monomial values.  At the Alexander-Hirschowitz defective quartics, (2, 4)
+at 5 points, (3, 4) at 9 and (4, 4) at 14, the square of the quadric
+through the points proves the rank one short of full; in degree 2, the
+products of linear forms vanishing on the span do it for a set in a
+proper subspace (Alexander-Hirschowitz, J. Algebraic Geom. 1995;
+Brambilla-Ottaviani, J. Pure Appl. Algebra 2008).  Seven points of P^4 in
+degree 3 are defective with no such product (no linear form vanishes on
+them), and their rank is left to Bareiss.
 """
 
 from __future__ import annotations
@@ -25,10 +41,12 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import add
+from typing import Iterator
 
 from .geometry import (Form, PointSet, ProjectivePoint, memo_on_set,
                        monomial_basis, monomial_values, random_point_set)
-from .linalg import integer_rank
+from .linalg import integer_kernel, integer_rank
 
 
 @dataclass(frozen=True)
@@ -100,21 +118,67 @@ def _derivative_index(n: int, d: int) -> tuple[tuple[tuple[int, int], ...], ...]
     return tuple(table)
 
 
+def _terracini_rows(a: PointSet, d: int) -> list[list[int]]:
+    """One integer row per point p and variable j: d/dx_j of every degree-d
+    monomial at p (the tangent form L^(d-1)*x_j up to the module docstring's
+    scalings)."""
+    index = _derivative_index(a.ambient_dim, d)
+    return [[f * values[i] for f, i in partials]
+            for values in monomial_values(a, d - 1) for partials in index]
+
+
+@lru_cache(maxsize=None)
+def _product_index(n: int, e: int, f: int) -> tuple[tuple[int, ...], ...]:
+    """Entry [i][k]: the index in the degree-(e+f) basis of the product of
+    monomial i of the degree-e basis and monomial k of the degree-f basis."""
+    index = {mon.exponents: i for i, mon in enumerate(monomial_basis(n, e + f))}
+    return tuple(
+        tuple(index[tuple(map(add, x.exponents, y.exponents))]
+              for y in monomial_basis(n, f))
+        for x in monomial_basis(n, e))
+
+
+def _singular_products(a: PointSet, d: int) -> Iterator[list[int]]:
+    """Coefficient vectors of the products F*H, F in I(Z)_e and H in I(Z)_(d-e).
+
+    For e = 1..d//2 in turn; I(Z)_e, the degree-e forms vanishing on the
+    points, is the integer kernel of ``monomial_values(a, e)``.  Each
+    product is singular at every point, so it lies in the right kernel of
+    ``_terracini_rows(a, d)`` (module docstring).  Built lazily: a degree e
+    and each product are computed only when the consumer asks for more.
+    """
+    n = a.ambient_dim
+    size = comb(n + d, d)
+    for e in range(1, d // 2 + 1):
+        low = integer_kernel(monomial_values(a, e))
+        if not low:
+            continue
+        high = low if 2 * e == d else integer_kernel(monomial_values(a, d - e))
+        index = _product_index(n, e, d - e)
+        for i, f in enumerate(low):
+            for h in (high[i:] if 2 * e == d else high):
+                v = [0] * size
+                for x, slots in zip(f, index):
+                    if x:
+                        for y, k in zip(h, slots):
+                            v[k] += x * y
+                yield v
+
+
 @memo_on_set
 def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     """Projective dimension of the span of all tangent spaces along a.
 
     Stacks one integer row per tangent form L^(d-1)*x_j of every point (the
     coefficient vector up to the scalings in the module docstring) and takes
-    the rank minus one.  Requires d >= 2.
+    the rank minus one.  When the rows fall short of full rank modulo the
+    prime, the products of ``_singular_products`` are offered to
+    ``integer_rank`` as right-kernel vectors.  Requires d >= 2.
     """
     if d < 2:
         raise ValueError(f"Terracini dimension needs degree >= 2, got {d}")
     n = a.ambient_dim
-    index = _derivative_index(n, d)
-    rows = [[f * values[i] for f, i in partials]
-            for values in monomial_values(a, d - 1) for partials in index]
-    rank = integer_rank(rows)
+    rank = integer_rank(_terracini_rows(a, d), kernel=lambda: _singular_products(a, d))
     return TerraciniReport(
         num_points=len(a),
         ambient_dim=n,

@@ -1,8 +1,13 @@
-"""Shared helpers for the test suite: seeded random point-set corpora."""
+"""Shared helpers for the test suite: seeded random point-set corpora, and
+a count of the Bareiss fallbacks."""
 
 import random
 
-from waringcert import PointSet, ProjectivePoint
+import pytest
+
+from waringcert import PointSet, ProjectivePoint, linalg
+
+BAREISS = linalg._bareiss_rank
 
 
 def random_points(n, size, rng, bound=9):
@@ -30,3 +35,16 @@ def corpus(seed, count, dims, max_size, bound=9, min_size=1):
         size = rng.randint(min_size, max_size)
         sets.append(random_points(n, size, rng, bound=bound))
     return sets
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """The row counts of every ``linalg._bareiss_rank`` call, in order."""
+    calls = []
+
+    def counted(m):
+        calls.append(len(m))
+        return BAREISS(m)
+
+    monkeypatch.setattr(linalg, "_bareiss_rank", counted)
+    return calls

@@ -46,6 +46,27 @@ def minor_rank(rows):
     return 0
 
 
+def rank_mod_p(rows, p):
+    """Rank of the integer rows modulo the prime p.
+
+    Plain Gaussian elimination over F_p on a list-of-lists copy: every
+    entry reduced, every row below the pivot updated entry by entry.
+    """
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        hit = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if hit is None:
+            continue
+        m[rank], m[hit] = m[hit], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        for i in range(rank + 1, len(m)):
+            factor = m[i][col] * inv % p
+            m[i] = [(x - factor * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 def _poly_mul(f, g):
     out = {}
     for ea, ca in f.items():

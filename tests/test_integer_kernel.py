@@ -31,6 +31,7 @@ from waringcert import (
     veronese_embed_set,
     veronese_kruskal_rank,
 )
+from waringcert.linalg import integer_kernel
 
 from oracles import brute_max_collinear, kruskal_by_subsets, minor_rank
 
@@ -120,6 +121,22 @@ def low_rank_products(draw):
 @given(low_rank_products())
 def test_integer_rank_of_rank_deficient_products(rows):
     assert integer_rank(rows) == minor_rank(rows) < min(len(rows), len(rows[0]))
+
+
+small_matrices = st.integers(1, 5).flatmap(lambda c: st.lists(
+    st.lists(st.integers(-4, 4), min_size=c, max_size=c), min_size=1, max_size=5))
+
+
+@settings(**KERNEL_SETTINGS)
+@given(st.one_of(small_matrices, low_rank_products()))
+def test_integer_kernel_is_a_primitive_basis_of_the_right_kernel(rows):
+    basis = integer_kernel(rows)
+    assert len(basis) == len(rows[0]) - minor_rank(rows)
+    for v in basis:
+        assert len(v) == len(rows[0]) and gcd(*v) == 1
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
+    if basis:
+        assert minor_rank(basis) == len(basis)
 
 
 @settings(**KERNEL_SETTINGS)

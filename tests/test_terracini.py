@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,12 +13,14 @@ from waringcert import (
     TerraciniReport,
     generic_terracini_dimension,
     hilbert_function,
+    random_point_set,
     tangent_space_basis,
     terracini_dimension,
     veronese_embed,
 )
+from waringcert.terracini import _singular_products, _terracini_rows
 
-from conftest import random_points
+from conftest import BAREISS, random_points
 
 
 def test_tangent_basis_binary_square():
@@ -153,3 +156,60 @@ def test_generic_oracle_argument_validation():
         generic_terracini_dimension(2, 2, 0)
     with pytest.raises(ValueError):
         generic_terracini_dimension(2, 2, 2, trials=0)
+
+
+def _rank_and_fallbacks(a, d, calls):
+    """The Terracini rank of a at degree d, checked against Bareiss on the
+    same rows, and the number of Bareiss fallbacks it took."""
+    before = len(calls)
+    rank = terracini_dimension(a, d).dim + 1
+    assert rank == BAREISS(_terracini_rows(a, d))
+    return rank, len(calls) - before
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n, d, l, rank", [(2, 4, 5, 14), (3, 4, 9, 34), (4, 4, 14, 69)])
+def test_defective_quartic_rank_is_proved_by_the_square_of_the_quadric(
+        bareiss_calls, seed, n, d, l, rank):
+    # Alexander-Hirschowitz: one short of the expected rank.  The quadric Q
+    # through the points gives the kernel vector Q**2.
+    a = random_point_set(n, l, random.Random(seed), bound=50)
+    assert _rank_and_fallbacks(a, d, bareiss_calls) == (rank, 0)
+
+
+SUBSPACE_SETS = [
+    # Three collinear points of P^2.
+    [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+    # Four points of the plane x3 = 0 in P^3.
+    [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, -2, 3, 0)],
+    # Five points of P^4 spanning a plane.
+    [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (1, 1, 1, 0, 0),
+     (2, -1, 5, 0, 0)],
+    # Three points of a line of P^3, on and off the coordinate axes.
+    [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)],
+    [(1, 2, 3, 4), (2, -1, 0, 5), (3, 1, 3, 9)],
+]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("rows", SUBSPACE_SETS)
+def test_sets_in_a_proper_subspace_are_proved_by_linear_products(bareiss_calls, rows, d):
+    a = PointSet.from_rows(rows)
+    rank, fallbacks = _rank_and_fallbacks(a, d, bareiss_calls)
+    assert fallbacks == 0
+    assert rank < min((a.ambient_dim + 1) * len(a), comb(a.ambient_dim + d, d))
+
+
+def test_a_gap_wider_than_the_rank_is_left_to_bareiss(bareiss_calls):
+    # Twelve points of a line of P^3 in degree 6: rank 19 of 84 columns.
+    a = PointSet.from_rows([(1, t, 0, 0) for t in range(12)])
+    assert _rank_and_fallbacks(a, 6, bareiss_calls) == (19, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_seven_points_at_degree_three_in_p4_keep_the_bareiss_fallback(bareiss_calls, seed):
+    # (4, 3, 7) is defective, but no product of forms vanishing on the
+    # points is a cubic: I(Z)_1 = 0.  Bareiss decides, once.
+    a = random_point_set(4, 7, random.Random(seed), bound=50)
+    assert list(_singular_products(a, 3)) == []
+    assert _rank_and_fallbacks(a, 3, bareiss_calls) == (34, 1)
