@@ -7,7 +7,9 @@ random sets chosen so that the corpus reaches every criterion of the
 cascade, NotMinimal, Inconclusive and the Alexander-Hirschowitz defective
 case of five plane points at degree 4, plus one hand-written set with
 rational coordinates, zeros, negative leading entries and three collinear
-points.
+points.  ``generic-<n>-<d>.json`` and ``.txt`` hold the output of
+``generic n d`` for forms with no exception, the quadric note, the
+two-decomposition note and a space over the oracle budget.
 
 A change that alters the structured output on purpose bumps
 ``schema_version``; any change that alters the output on purpose
@@ -106,13 +108,22 @@ def _verb_argv(verb, degree, size):
     return ["terracini", "-", "--degree", str(max(degree, 2))]
 
 
+# case name -> (n, d) for the generic verb, which reads no point file.
+GENERIC_CASES = {
+    "generic-2-4": (2, 4),             # no exception, defective generic rank
+    "generic-3-2": (3, 2),             # quadrics
+    "generic-2-6": (2, 6),             # two decompositions at rank 9
+    "generic-5-7": (5, 7),             # over the oracle budget, not verified
+}
+
+
 VERBS = ("certify", "hilbert", "hilbert-max", "kruskal", "terracini")
 EXIT_BY_VERDICT = {"Identifiable": 0, "Inconclusive": 2, "NotMinimal": 3}
 # --format value -> golden file suffix
 FORMATS = {"structured": "json", "human": "txt"}
 
 
-def run_verb(argv, text, fmt="structured"):
+def run_verb(argv, text="", fmt="structured"):
     """Run the CLI in process on ``text`` as stdin; returns (exit code, stdout)."""
     out = io.StringIO()
     saved = sys.stdin
@@ -163,6 +174,16 @@ def test_human_output_is_byte_identical(case, verb):
     _check_exit_code(case, verb, code)
 
 
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@pytest.mark.parametrize("case", sorted(GENERIC_CASES))
+def test_generic_output_is_byte_identical(case, fmt):
+    n, d = GENERIC_CASES[case]
+    code, out = run_verb(["generic", str(n), str(d)], fmt=fmt)
+    golden = (GOLDEN / f"{case}.{FORMATS[fmt]}").read_bytes().decode("utf-8")
+    assert out == golden, f"{case}: {fmt} output changed"
+    assert code == 0
+
+
 def test_corpus_reaches_every_outcome():
     outcomes = set()
     for case in DEGREES:
@@ -193,6 +214,10 @@ def regenerate():
             for fmt, suffix in FORMATS.items():
                 _, out = run_verb(_verb_argv(verb, degree, _size(text)), text, fmt)
                 (GOLDEN / f"{case}.{verb}.{suffix}").write_bytes(out.encode("utf-8"))
+    for case, (n, d) in GENERIC_CASES.items():
+        for fmt, suffix in FORMATS.items():
+            _, out = run_verb(["generic", str(n), str(d)], fmt=fmt)
+            (GOLDEN / f"{case}.{suffix}").write_bytes(out.encode("utf-8"))
 
 
 if __name__ == "__main__":
