@@ -1,9 +1,10 @@
 """Command line interface.
 
 Verbs: hilbert, kruskal, terracini, certify, generic.  Point sets are read
-from a small text format; reports are printed either as aligned human text
-or as JSON with sorted keys.  Output is byte-identical for identical input,
-flags, and seed.
+from a small text format.  Each verb builds one report dict, which is
+printed either as JSON with sorted keys or as human text rendered from the
+dict alone by ``render_human``.  Output is byte-identical for identical
+input, flags, and seed.
 
 Point set file format, one point per line:
 
@@ -34,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
-from .certify import Certificate, Verdict, certify, generic_info
+from .certify import Verdict, certify, generic_info
 from .geometry import DuplicatePointError, PointSet, ProjectivePoint
 from .hilbert import HilbertProfile, hilbert_profile, satisfies_cb
 from .kruskal import gup_cutoff, is_gup, is_lgp, veronese_kruskal_rank
@@ -153,26 +154,6 @@ def _canonical_digest(points: PointSet) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _input_block(doc: PointSetDocument, path: str) -> dict:
-    block = {
-        "path": path,
-        "ambient_dim": doc.points.ambient_dim,
-        "set_size": len(doc.points),
-        "digest": _canonical_digest(doc.points),
-    }
-    if doc.label is not None:
-        block["label"] = doc.label
-    return block
-
-
-def _emit(doc: dict, human_lines: list[str], fmt: str) -> None:
-    if fmt == "structured":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
-
-
 def _profile_block(profile: HilbertProfile) -> dict:
     # Values and differences through the separation degree s; from s on,
     # h stays at the set size ("stable_tail").
@@ -201,108 +182,45 @@ def _terracini_block(report: TerraciniReport) -> dict:
     }
 
 
-def _describe_set(doc: PointSetDocument) -> str:
-    base = f"{len(doc.points)} points in P^{doc.points.ambient_dim}"
-    if doc.label:
-        return f"{base} (label: {doc.label})"
-    return base
+# Each _cmd_* returns (the verb's fields of the report, exit code); run()
+# adds the header and the input block and prints the report.
 
-
-def _cmd_hilbert(args: argparse.Namespace) -> int:
-    doc = parse_point_file(_read_input(args.file))
-    a = doc.points
-    profile = hilbert_profile(a, j_max=args.max_degree)
-    sep = profile.separation_degree
+def _cmd_hilbert(args: argparse.Namespace, points: PointSet) -> tuple[dict, int]:
+    profile = hilbert_profile(points, j_max=args.max_degree)
     cb_max: int | None = None
-    if len(a) >= 2:
-        for i in range(sep):
-            if satisfies_cb(a, i):
-                cb_max = i
-            else:
-                break
-    report = {
-        "schema_version": _SCHEMA_VERSION,
-        "generator": _GENERATOR,
-        "command": "hilbert",
-        "input": _input_block(doc, args.file),
-        "profile": _profile_block(profile),
-        "cayley_bacharach_max": cb_max,
-    }
-    lines = [
-        f"point set: {_describe_set(doc)}",
-        f"degrees 0..{profile.j_max}",
-        "h    : " + " ".join(str(v) for v in profile.values)
-        + f" (= {profile.set_size} from degree {sep} on)",
-        "diff : " + " ".join(str(v) for v in profile.diffs),
-        f"h-vector: {tuple(profile.h_vector)}",
-        f"separated from degree: {sep}",
-        f"cayley-bacharach up to: {'none' if cb_max is None else cb_max}",
-    ]
-    _emit(report, lines, args.format)
-    return 0
+    for i in range(profile.separation_degree if len(points) >= 2 else 0):
+        if not satisfies_cb(points, i):
+            break
+        cb_max = i
+    return {"profile": _profile_block(profile), "cayley_bacharach_max": cb_max}, 0
 
 
-def _cmd_kruskal(args: argparse.Namespace) -> int:
-    doc = parse_point_file(_read_input(args.file))
-    a = doc.points
-    top = max(args.degree, 1)
-    ranks = {j: veronese_kruskal_rank(a, j) for j in range(1, top + 1)}
-    cutoff = gup_cutoff(a.ambient_dim, len(a))
-    gup = is_gup(a)
-    lgp = is_lgp(a)
-    report = {
-        "schema_version": _SCHEMA_VERSION,
-        "generator": _GENERATOR,
-        "command": "kruskal",
-        "input": _input_block(doc, args.file),
-        "kruskal_rank": ranks[1],
-        "linearly_general_position": lgp,
-        "veronese_kruskal_ranks": [[j, ranks[j]] for j in sorted(ranks)],
-        "general_uniform_position": gup,
-        "gup_cutoff_degree": cutoff,
-    }
-    lines = [
-        f"point set: {_describe_set(doc)}",
-        f"kruskal rank: {ranks[1]}",
-        f"linearly general position: {'yes' if lgp else 'no'}",
-        "veronese kruskal ranks:",
-    ]
-    for j in sorted(ranks):
-        lines.append(f"  degree {j}: {ranks[j]}")
-    lines.append(
-        f"general uniform position: {'yes' if gup else 'no'} "
-        f"(checked degrees 1..{cutoff})")
-    _emit(report, lines, args.format)
-    return 0
-
-
-def _cmd_terracini(args: argparse.Namespace) -> int:
-    doc = parse_point_file(_read_input(args.file))
-    rep = terracini_dimension(doc.points, args.degree)
-    report = {
-        "schema_version": _SCHEMA_VERSION,
-        "generator": _GENERATOR,
-        "command": "terracini",
-        "input": _input_block(doc, args.file),
-        "terracini": _terracini_block(rep),
-    }
-    lines = [
-        f"point set: {_describe_set(doc)}",
-        f"degree: {rep.degree}",
-        f"terracini dimension: {rep.dim}",
-        f"max possible ((n+1)r - 1): {rep.max_possible}",
-        f"form space dimension N: {rep.veronese_dim}",
-        f"expected (min of the two): {rep.expected_dim}",
-        f"attains expected: {'yes' if rep.is_expected else 'no'}",
-        f"tangent spaces independent: {'yes' if rep.tangents_independent else 'no'}",
-    ]
-    _emit(report, lines, args.format)
-    return 0
-
-
-def _certificate_block(cert: Certificate) -> dict:
-    diag = cert.diagnostics
+def _cmd_kruskal(args: argparse.Namespace, points: PointSet) -> tuple[dict, int]:
+    ranks = [[j, veronese_kruskal_rank(points, j)] for j in range(1, args.degree + 1)]
     return {
+        "kruskal_rank": ranks[0][1],
+        "linearly_general_position": is_lgp(points),
+        "veronese_kruskal_ranks": ranks,
+        "general_uniform_position": is_gup(points),
+        "gup_cutoff_degree": gup_cutoff(points.ambient_dim, len(points)),
+    }, 0
+
+
+def _cmd_terracini(args: argparse.Namespace, points: PointSet) -> tuple[dict, int]:
+    return {"terracini": _terracini_block(terracini_dimension(points, args.degree))}, 0
+
+
+_EXIT_BY_VERDICT = {
+    Verdict.IDENTIFIABLE: 0,
+    Verdict.INCONCLUSIVE: 2,
+    Verdict.NOT_MINIMAL: 3,
+}
+
+
+def _cmd_certify(args: argparse.Namespace, points: PointSet) -> tuple[dict, int]:
+    cert = certify(points, args.degree)
+    diag = cert.diagnostics
+    block = {
         "verdict": cert.verdict.value,
         "degree": cert.degree,
         "set_size": cert.set_size,
@@ -321,63 +239,12 @@ def _certificate_block(cert: Certificate) -> dict:
         },
         "notes": list(cert.notes),
     }
+    return {"certificate": block}, _EXIT_BY_VERDICT[cert.verdict]
 
 
-_EXIT_BY_VERDICT = {
-    Verdict.IDENTIFIABLE: 0,
-    Verdict.INCONCLUSIVE: 2,
-    Verdict.NOT_MINIMAL: 3,
-}
-
-
-def _cmd_certify(args: argparse.Namespace) -> int:
-    doc = parse_point_file(_read_input(args.file))
-    cert = certify(doc.points, args.degree)
-    report = {
-        "schema_version": _SCHEMA_VERSION,
-        "generator": _GENERATOR,
-        "command": "certify",
-        "input": _input_block(doc, args.file),
-        "certificate": _certificate_block(cert),
-    }
-    diag = cert.diagnostics
-    lines = [
-        f"point set: {_describe_set(doc)}",
-        f"degree: {cert.degree}",
-        f"verdict: {cert.verdict.value}",
-    ]
-    if cert.verdict is Verdict.IDENTIFIABLE:
-        lines.append(f"criterion: {cert.criterion}")
-        lines.append(f"certified rank: {cert.rank}")
-        lines.append("the decomposition is unique of this size")
-    lines.extend([
-        "diagnostics:",
-        f"  minimal candidate: {'yes' if diag.minimal else 'no'}",
-        f"  hilbert h-vector: {tuple(diag.hilbert.h_vector)}",
-        f"  kruskal rank: {diag.kruskal_rank}",
-        "  veronese kruskal ranks: "
-        + ", ".join(f"k_{j}={k}" for j, k in diag.veronese_kruskal_ranks),
-        f"  max collinear subset: {diag.max_collinear}",
-        f"  span dimension: {diag.span_dim}",
-    ])
-    if diag.terracini is not None:
-        lines.append(
-            f"  terracini dimension: {diag.terracini.dim} "
-            f"(max possible {diag.terracini.max_possible}, N {diag.terracini.veronese_dim})")
-    lines.append(f"  complementary decomposition bound: {diag.complementary_bound}")
-    lines.append("notes:")
-    for note in cert.notes:
-        lines.append(f"  - {note}")
-    _emit(report, lines, args.format)
-    return _EXIT_BY_VERDICT[cert.verdict]
-
-
-def _cmd_generic(args: argparse.Namespace) -> int:
+def _cmd_generic(args: argparse.Namespace, points: None) -> tuple[dict, int]:
     info = generic_info(args.n, args.d, trials=args.trials, seed=args.seed)
-    report = {
-        "schema_version": _SCHEMA_VERSION,
-        "generator": _GENERATOR,
-        "command": "generic",
+    return {
         "arguments": {"n": args.n, "d": args.d, "seed": args.seed,
                       "trials": args.trials},
         "space_dim": info.space_dim,
@@ -385,31 +252,100 @@ def _cmd_generic(args: argparse.Namespace) -> int:
         "generic_rank": info.generic_rank,
         "oracle_verified": info.oracle_verified,
         "exceptions": list(info.exceptions),
-    }
-    lines = [
-        f"degree-{info.degree} forms on P^{info.ambient_dim}",
-        f"monomial space dimension: {info.space_dim}",
-        f"expected generic rank: {info.expected_generic_rank}",
-        f"generic rank: {info.generic_rank}"
-        + ("" if info.oracle_verified else " (not oracle-verified)"),
-        "verified by terracini oracle: "
-        + (f"yes (seed {args.seed}, trials {args.trials})"
-           if info.oracle_verified else "no"),
-    ]
-    if info.exceptions:
-        lines.append("identifiability exceptions:")
-        for note in info.exceptions:
-            lines.append(f"  - {note}")
+    }, 0
+
+
+def render_human(report: dict) -> list[str]:
+    """The human text of a report, built from the report dict alone."""
+    yes_no = {True: "yes", False: "no"}
+    command = report["command"]
+    if command == "generic":
+        arguments, verified = report["arguments"], report["oracle_verified"]
+        lines = [
+            f"degree-{arguments['d']} forms on P^{arguments['n']}",
+            f"monomial space dimension: {report['space_dim']}",
+            f"expected generic rank: {report['expected_generic_rank']}",
+            f"generic rank: {report['generic_rank']}"
+            + ("" if verified else " (not oracle-verified)"),
+            "verified by terracini oracle: "
+            + (f"yes (seed {arguments['seed']}, trials {arguments['trials']})"
+               if verified else "no"),
+        ]
+        if not report["exceptions"]:
+            return lines + ["identifiability exceptions: none known"]
+        return lines + ["identifiability exceptions:",
+                        *(f"  - {note}" for note in report["exceptions"])]
+
+    source = report["input"]
+    lines = [f"point set: {source['set_size']} points in P^{source['ambient_dim']}"
+             + (f" (label: {source['label']})" if source.get("label") else "")]
+    if command == "hilbert":
+        profile, cb_max = report["profile"], report["cayley_bacharach_max"]
+        tail = profile["stable_tail"]
+        lines += [
+            f"degrees 0..{profile['j_max']}",
+            "h    : " + " ".join(str(v) for v in profile["values"])
+            + f" (= {tail['value']} from degree {tail['from_degree']} on)",
+            "diff : " + " ".join(str(v) for v in profile["diffs"]),
+            f"h-vector: {tuple(profile['h_vector'])}",
+            f"separated from degree: {profile['separation_degree']}",
+            f"cayley-bacharach up to: {'none' if cb_max is None else cb_max}",
+        ]
+    elif command == "kruskal":
+        lines += [
+            f"kruskal rank: {report['kruskal_rank']}",
+            f"linearly general position: {yes_no[report['linearly_general_position']]}",
+            "veronese kruskal ranks:",
+            *(f"  degree {j}: {k}" for j, k in report["veronese_kruskal_ranks"]),
+            f"general uniform position: {yes_no[report['general_uniform_position']]} "
+            f"(checked degrees 1..{report['gup_cutoff_degree']})",
+        ]
+    elif command == "terracini":
+        rep = report["terracini"]
+        lines += [
+            f"degree: {rep['degree']}",
+            f"terracini dimension: {rep['dim']}",
+            f"max possible ((n+1)r - 1): {rep['max_possible']}",
+            f"form space dimension N: {rep['veronese_dim']}",
+            f"expected (min of the two): {rep['expected_dim']}",
+            f"attains expected: {yes_no[rep['is_expected']]}",
+            f"tangent spaces independent: {yes_no[rep['tangents_independent']]}",
+        ]
     else:
-        lines.append("identifiability exceptions: none known")
-    _emit(report, lines, args.format)
-    return 0
+        cert = report["certificate"]
+        diag, terracini = cert["diagnostics"], cert["diagnostics"]["terracini"]
+        lines += [f"degree: {cert['degree']}", f"verdict: {cert['verdict']}"]
+        if cert["verdict"] == Verdict.IDENTIFIABLE.value:
+            lines += [f"criterion: {cert['criterion']}",
+                      f"certified rank: {cert['rank']}",
+                      "the decomposition is unique of this size"]
+        lines += [
+            "diagnostics:",
+            f"  minimal candidate: {yes_no[diag['minimal']]}",
+            f"  hilbert h-vector: {tuple(diag['hilbert']['h_vector'])}",
+            f"  kruskal rank: {diag['kruskal_rank']}",
+            "  veronese kruskal ranks: "
+            + ", ".join(f"k_{j}={k}" for j, k in diag["veronese_kruskal_ranks"]),
+            f"  max collinear subset: {diag['max_collinear']}",
+            f"  span dimension: {diag['span_dim']}",
+        ]
+        if terracini is not None:
+            lines.append(
+                f"  terracini dimension: {terracini['dim']} (max possible "
+                f"{terracini['max_possible']}, N {terracini['veronese_dim']})")
+        lines += [
+            f"  complementary decomposition bound: {diag['complementary_bound']}",
+            "notes:",
+            *(f"  - {note}" for note in cert["notes"]),
+        ]
+    return lines
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, func) -> None:
     parser.add_argument("--format", choices=("human", "structured"),
                         default="human",
                         help="human text or JSON with sorted keys (default: human)")
+    parser.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,30 +361,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="point set file, or - for stdin")
     p.add_argument("--max-degree", type=int, default=None, metavar="J",
                    help="extend the profile to degree J (default: set size - 1)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_hilbert)
+    _add_common(p, _cmd_hilbert)
 
     p = sub.add_parser("kruskal", help="Kruskal ranks and position properties")
     p.add_argument("file", help="point set file, or - for stdin")
     p.add_argument("--degree", type=int, default=1, metavar="J",
                    help="report Veronese Kruskal ranks up to degree J (default: 1)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_kruskal)
+    _add_common(p, _cmd_kruskal)
 
     p = sub.add_parser("terracini", help="Terracini dimension of a point set")
     p.add_argument("file", help="point set file, or - for stdin")
     p.add_argument("--degree", type=int, required=True, metavar="D",
                    help="degree of the Veronese embedding (>= 2)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_terracini)
+    _add_common(p, _cmd_terracini)
 
     p = sub.add_parser("certify", help="run the identifiability cascade; exit "
                                        "code 0/2/3 = Identifiable/Inconclusive/NotMinimal")
     p.add_argument("file", help="point set file, or - for stdin")
     p.add_argument("--degree", type=int, required=True, metavar="D",
                    help="degree of the candidate decomposition (>= 1)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_certify)
+    _add_common(p, _cmd_certify)
 
     p = sub.add_parser("generic", help="expected and true generic rank for "
                                        "degree-d forms on P^n")
@@ -459,22 +391,46 @@ def build_parser() -> argparse.ArgumentParser:
                         "output is deterministic for a fixed seed)")
     p.add_argument("--trials", type=int, default=2,
                    help="random draws per rank in the oracle sweep (default: 2)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_generic)
+    _add_common(p, _cmd_generic)
     return parser
 
 
+# verb -> (flag, least value it accepts), checked before any input is read
+_FLAG_FLOORS = {"generic": ("trials", 1), "kruskal": ("degree", 1),
+                "hilbert": ("max_degree", 0)}
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "trials", 1) < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return 1
+    args = build_parser().parse_args(argv)
+    if args.verb in _FLAG_FLOORS:
+        dest, least = _FLAG_FLOORS[args.verb]
+        value = getattr(args, dest)
+        if value is not None and value < least:
+            print(f"error: --{dest.replace('_', '-')} must be >= {least}",
+                  file=sys.stderr)
+            return 1
+    report = {"schema_version": _SCHEMA_VERSION, "generator": _GENERATOR,
+              "command": args.verb}
     try:
-        return args.func(args)
+        points = None
+        if args.verb != "generic":
+            doc = parse_point_file(_read_input(args.file))
+            points = doc.points
+            report["input"] = {"path": args.file, "ambient_dim": points.ambient_dim,
+                               "set_size": len(points),
+                               "digest": _canonical_digest(points)}
+            if doc.label is not None:
+                report["input"]["label"] = doc.label
+        fields, code = args.func(args, points)
     except (PointFileError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    report.update(fields)
+    if args.format == "structured":
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print("\n".join(render_human(report)))
+    return code
 
 
 def main() -> None:

@@ -84,6 +84,18 @@ def test_parse_point_file_duplicates_name_both_lines():
     assert "lines 2 and 4" in str(exc.value)
 
 
+def test_empty_label_header(tmp_path, capsys):
+    # An empty label is kept in the structured input block but adds no
+    # "(label: )" suffix to the human point set line.
+    path = write(tmp_path, "unnamed.pts", "label:\ndim: 1\n1 0\n0 1\n")
+    code, out, _ = run_cli(capsys, ["hilbert", path, "--format", "structured"])
+    assert code == 0
+    assert json.loads(out)["input"]["label"] == ""
+    code, out, _ = run_cli(capsys, ["hilbert", path])
+    assert code == 0
+    assert out.splitlines()[0] == "point set: 2 points in P^1"
+
+
 def test_hilbert_conic_profile(tmp_path, capsys):
     path = write(tmp_path, "conic.pts", CONIC6)
     code, out, err = run_cli(capsys, ["hilbert", path])
@@ -166,6 +178,27 @@ def test_kruskal_degree_flag_doubles(tmp_path, capsys):
     assert report["veronese_kruskal_ranks"] == [[1, 3], [2, 5]]
     assert report["general_uniform_position"] is True
     assert report["gup_cutoff_degree"] == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kruskal", "--degree", "0"], "error: --degree must be >= 1\n"),
+    (["kruskal", "--degree", "-3"], "error: --degree must be >= 1\n"),
+    (["hilbert", "--max-degree", "-1"], "error: --max-degree must be >= 0\n"),
+], ids=["kruskal-degree-0", "kruskal-degree-negative", "hilbert-max-degree-negative"])
+def test_out_of_range_degree_flags_are_rejected(tmp_path, capsys, argv, message):
+    path = write(tmp_path, "s.pts", "dim: 2\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n")
+    for fmt in ("human", "structured"):
+        code, out, err = run_cli(capsys, [argv[0], path, *argv[1:], "--format", fmt])
+        assert (code, out, err) == (1, "", message)
+
+
+def test_hilbert_max_degree_zero_is_accepted(tmp_path, capsys):
+    # The profile always reaches degree l - 1, so 0 gives the default range.
+    path = write(tmp_path, "s.pts", "dim: 2\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n")
+    code, out, _ = run_cli(
+        capsys, ["hilbert", path, "--max-degree", "0", "--format", "structured"])
+    assert code == 0
+    assert json.loads(out)["profile"]["j_max"] == 3
 
 
 def test_terracini_five_plane_points(tmp_path, capsys):

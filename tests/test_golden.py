@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from waringcert import ProjectivePoint
-from waringcert.cli import parse_point_file, run
+from waringcert.cli import parse_point_file, render_human, run
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -182,6 +182,15 @@ def test_generic_output_is_byte_identical(case, fmt):
     golden = (GOLDEN / f"{case}.{FORMATS[fmt]}").read_bytes().decode("utf-8")
     assert out == golden, f"{case}: {fmt} output changed"
     assert code == 0
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.json")))
+def test_human_text_renders_from_structured_report(name):
+    # The human text is a view of the structured report: every field it
+    # shows is in the JSON.
+    report = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    text = (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
+    assert "\n".join(render_human(report)) + "\n" == text
 
 
 def test_corpus_reaches_every_outcome():
