@@ -45,6 +45,7 @@ RANDOM_CASES = {
     "p3-6-d4": (3, 6, 4, 1),           # reshaped-kruskal in degree 4
     "p3-7-d4": (3, 7, 4, 1),           # quartic
     "p4-9-d4": (4, 9, 4, 1),           # quartic
+    "p4-7-d3": (4, 7, 3, 1),           # defective Terracini (4, 3) r = 7
     "p1-5-d3": (1, 5, 3, 1),           # NotMinimal
     "p2-11-d3": (2, 11, 3, 1),         # NotMinimal
     "p3-9-d4": (3, 9, 4, 1),           # Inconclusive, defective (3, 4) r = 9
@@ -114,6 +115,7 @@ GENERIC_CASES = {
     "generic-3-2": (3, 2),             # quadrics
     "generic-2-6": (2, 6),             # two decompositions at rank 9
     "generic-5-7": (5, 7),             # over the oracle budget, not verified
+    "generic-4-3": (4, 3),             # defective generic rank, (4, 3) at 7 points
 }
 
 
