@@ -32,7 +32,13 @@ products of linear forms vanishing on the span do it for a set in a
 proper subspace (Alexander-Hirschowitz, J. Algebraic Geom. 1995;
 Brambilla-Ottaviani, J. Pure Appl. Algebra 2008).  Seven points of P^4 in
 degree 3 are defective with no such product (no linear form vanishes on
-them), and their rank is left to Bareiss.
+them).  Seven points of P^4 in linearly general position lie on one
+rational normal curve, whose secant variety is a cubic hypersurface
+singular along the curve; that cubic is offered first, built exactly from
+the points by ``_secant_cubic``.  Where the points are too special for
+its construction it yields nothing, and a wrong cubic would fail the
+exact check; either way the rank falls back to Bareiss.  No rank is taken
+from the Alexander-Hirschowitz list.
 """
 
 from __future__ import annotations
@@ -40,8 +46,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
-from operator import add
+from itertools import combinations
+from math import comb, gcd
+from operator import add, mul
 from typing import Iterator
 
 from .geometry import (Form, PointSet, ProjectivePoint, memo_on_set,
@@ -138,6 +145,17 @@ def _product_index(n: int, e: int, f: int) -> tuple[tuple[int, ...], ...]:
         for x in monomial_basis(n, e))
 
 
+def _multiply(f: list[int], h: list[int], e: int, g: int, n: int) -> list[int]:
+    """Coefficient vector of F*H, F of degree e and H of degree g on P^n,
+    each given by its coefficients in the monomial basis of its degree."""
+    v = [0] * comb(n + e + g, n)
+    for x, slots in zip(f, _product_index(n, e, g)):
+        if x:
+            for y, k in zip(h, slots):
+                v[k] += x * y
+    return v
+
+
 def _singular_products(a: PointSet, d: int) -> Iterator[list[int]]:
     """Coefficient vectors of the products F*H, F in I(Z)_e and H in I(Z)_(d-e).
 
@@ -146,23 +164,85 @@ def _singular_products(a: PointSet, d: int) -> Iterator[list[int]]:
     product is singular at every point, so it lies in the right kernel of
     ``_terracini_rows(a, d)`` (module docstring).  Built lazily: a degree e
     and each product are computed only when the consumer asks for more.
+    Seven points of P^4 spanning it have no such product at d = 3; there
+    ``_secant_cubic`` gives the kernel vector.
     """
     n = a.ambient_dim
-    size = comb(n + d, d)
     for e in range(1, d // 2 + 1):
         low = integer_kernel(monomial_values(a, e))
         if not low:
             continue
         high = low if 2 * e == d else integer_kernel(monomial_values(a, d - e))
-        index = _product_index(n, e, d - e)
         for i, f in enumerate(low):
             for h in (high[i:] if 2 * e == d else high):
-                v = [0] * size
-                for x, slots in zip(f, index):
-                    if x:
-                        for y, k in zip(h, slots):
-                            v[k] += x * y
-                yield v
+                yield _multiply(f, h, e, d - e, n)
+
+
+def _secant_cubic(a: PointSet) -> Iterator[list[int]]:
+    """The secant cubic G of the rational normal curve through seven points
+    of P^4, as one primitive coefficient vector; nothing where the
+    construction does not apply.
+
+    Let P_0..P_6 be the primitive rows, b_i (i = 0..4) the linear form
+    vanishing on the P_j with j in {0..4} other than i, mu_i = b_i(P_5),
+    nu_i = b_i(P_6) and delta_ij = mu_i nu_j - mu_j nu_i.  Then
+
+        G = sum over S = {i<j<k} in {0..4} of eps_S mu_u mu_w nu_u nu_w
+            delta_uw delta_ij delta_ik delta_jk b_i b_j b_k,
+
+    with {u<w} the complement of S and eps_S = (-1)^(number of pairs
+    s in S, t not in S with t < s) = -(-1)^(i+j+k); the code takes
+    (-1)^(i+j+k), which is -G.  In the coordinates z_i = b_i / mu_i
+    the first five points are the coordinate points, P_5 = (1:...:1) and
+    P_6 = (q_i), q_i = nu_i / mu_i.  The curve is then
+    t -> (q_i prod over j != i of (q_j t - 1)); by Lagrange interpolation
+    its 3 x 3 catalecticant is the sum of w_i z_i v_i v_i^T with
+    v_i = (1, q_i, q_i^2), and Cauchy-Binet turns its determinant, cleared
+    of denominators, into the ten terms above.  Scaling b_i scales every
+    term by the same factor, so the sign and scale of each kernel vector
+    do not matter.
+
+    Declines when the four rows for some b_i leave a kernel of dimension
+    other than one, or when some mu_i, nu_i or delta_ij is 0.  That covers
+    b_i(P_i) = 0 too: the five points then span the hyperplane b_i = 0,
+    every b_j that is built is its equation, and every delta_ij vanishes.
+    Otherwise the b_i are a basis of the linear forms and every
+    coefficient above is nonzero, so G is not zero.  G is only a candidate:
+    ``integer_rank`` checks it exactly.
+    """
+    rows = monomial_values(a, 1)
+    forms = []
+    for i in range(5):
+        basis = integer_kernel(rows[:i] + rows[i + 1:5])
+        if len(basis) != 1:
+            return
+        forms.append(basis[0])
+    mu = [sum(map(mul, b, rows[5])) for b in forms]
+    nu = [sum(map(mul, b, rows[6])) for b in forms]
+    delta = {(i, j): mu[i] * nu[j] - mu[j] * nu[i] for i, j in combinations(range(5), 2)}
+    if not all(mu + nu) or not all(delta.values()):
+        return
+    cubic = [0] * comb(7, 3)
+    for i, j, k in combinations(range(5), 3):
+        u, w = (t for t in range(5) if t not in (i, j, k))
+        scale = (mu[u] * mu[w] * nu[u] * nu[w] * delta[u, w]
+                 * delta[i, j] * delta[i, k] * delta[j, k])
+        if (i + j + k) % 2:
+            scale = -scale
+        term = _multiply(_multiply(forms[i], forms[j], 1, 1, 4),
+                         [scale * c for c in forms[k]], 2, 1, 4)
+        cubic = list(map(add, cubic, term))
+    g = gcd(*cubic)
+    yield [c // g for c in cubic]
+
+
+def _kernel_candidates(a: PointSet, d: int) -> Iterator[list[int]]:
+    """Right-kernel candidates for ``_terracini_rows(a, d)``: the secant
+    cubic when there are seven points of P^4 and d = 3, then the products
+    of ``_singular_products``."""
+    if (a.ambient_dim, len(a), d) == (4, 7, 3):
+        yield from _secant_cubic(a)
+    yield from _singular_products(a, d)
 
 
 @memo_on_set
@@ -172,13 +252,14 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     Stacks one integer row per tangent form L^(d-1)*x_j of every point (the
     coefficient vector up to the scalings in the module docstring) and takes
     the rank minus one.  When the rows fall short of full rank modulo the
-    prime, the products of ``_singular_products`` are offered to
-    ``integer_rank`` as right-kernel vectors.  Requires d >= 2.
+    prime, ``_kernel_candidates`` offers ``integer_rank`` right-kernel
+    vectors: the secant cubic of seven points of P^4 at d = 3, and the
+    products of ``_singular_products``.  Requires d >= 2.
     """
     if d < 2:
         raise ValueError(f"Terracini dimension needs degree >= 2, got {d}")
     n = a.ambient_dim
-    rank = integer_rank(_terracini_rows(a, d), kernel=lambda: _singular_products(a, d))
+    rank = integer_rank(_terracini_rows(a, d), kernel=lambda: _kernel_candidates(a, d))
     return TerraciniReport(
         num_points=len(a),
         ambient_dim=n,

@@ -5,11 +5,12 @@
 (``<case>.<verb>.json`` and ``<case>.<verb>.txt``).  The cases are seeded
 random sets chosen so that the corpus reaches every criterion of the
 cascade, NotMinimal, Inconclusive and the Alexander-Hirschowitz defective
-case of five plane points at degree 4, plus one hand-written set with
-rational coordinates, zeros, negative leading entries and three collinear
-points.  ``generic-<n>-<d>.json`` and ``.txt`` hold the output of
-``generic n d`` for forms with no exception, the quadric note, the
-two-decomposition note and a space over the oracle budget.
+cases of five plane points at degree 4 and seven points of P^4 at degree 3,
+plus one hand-written set with rational coordinates, zeros, negative
+leading entries and three collinear points.  ``generic-<n>-<d>.json`` and
+``.txt`` hold the output of ``generic n d`` for forms with no exception,
+the quadric note, the two-decomposition note, a space over the oracle
+budget and the defective cubics of P^4.
 
 A change that alters the structured output on purpose bumps
 ``schema_version``; any change that alters the output on purpose
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from waringcert import ProjectivePoint
+from waringcert import ProjectivePoint, terracini_dimension
 from waringcert.cli import parse_point_file, render_human, run
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -207,6 +208,25 @@ def test_corpus_reaches_every_outcome():
         "sylvester", "half-degree", "half-degree-spanning", "alignment-bound",
         "plane-gup", "reshaped-kruskal", "quartic", "NotMinimal", "Inconclusive",
     }
+    # Seven points of P^4 at degree 3: Terracini dimension 33, one short of 34.
+    report = json.loads((GOLDEN / "p4-7-d3.terracini.json").read_text())["terracini"]
+    assert (report["dim"], report["expected_dim"]) == (33, 34)
+
+
+def test_the_defective_cubic_case_is_proved_without_bareiss(bareiss_calls):
+    # The golden set of seven points of P^4 takes the secant cubic certificate.
+    a = parse_point_file(_point_file("p4-7-d3")).points
+    assert terracini_dimension(a, 3).dim == 33
+    assert bareiss_calls == []
+
+
+def test_every_golden_file_belongs_to_a_case():
+    expected = {f"{case}.{suffix}" for case in GENERIC_CASES for suffix in FORMATS.values()}
+    for case in DEGREES:
+        expected.add(f"{case}.pts")
+        expected.update(f"{case}.{verb}.{suffix}" for verb in VERBS
+                        for suffix in FORMATS.values())
+    assert {p.name for p in GOLDEN.iterdir()} == expected
 
 
 def regenerate():

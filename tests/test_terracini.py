@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waringcert import (
     Matrix,
@@ -13,14 +15,17 @@ from waringcert import (
     TerraciniReport,
     generic_terracini_dimension,
     hilbert_function,
+    monomial_basis,
     random_point_set,
     tangent_space_basis,
     terracini_dimension,
     veronese_embed,
 )
-from waringcert.terracini import _singular_products, _terracini_rows
+from waringcert import terracini
+from waringcert.terracini import _secant_cubic, _singular_products, _terracini_rows
 
 from conftest import BAREISS, random_points
+from oracles import apolarity_pairing, tangent_forms
 
 
 def test_tangent_basis_binary_square():
@@ -207,9 +212,109 @@ def test_a_gap_wider_than_the_rank_is_left_to_bareiss(bareiss_calls):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_seven_points_at_degree_three_in_p4_keep_the_bareiss_fallback(bareiss_calls, seed):
+def test_seven_points_at_degree_three_in_p4_are_proved_by_the_secant_cubic(bareiss_calls, seed):
     # (4, 3, 7) is defective, but no product of forms vanishing on the
-    # points is a cubic: I(Z)_1 = 0.  Bareiss decides, once.
+    # points is a cubic: I(Z)_1 = 0.  The secant cubic of the rational
+    # normal curve through the points closes the gap instead.
     a = random_point_set(4, 7, random.Random(seed), bound=50)
     assert list(_singular_products(a, 3)) == []
+    assert _rank_and_fallbacks(a, 3, bareiss_calls) == (34, 0)
+
+
+FRAME = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+         (0, 0, 0, 0, 1)]
+
+SPECIAL_SEVEN = [
+    # P_5 on x0 = 0, the hyperplane through P_1..P_4: mu_0 = 0.
+    FRAME + [(0, 1, 2, 3, 4), (1, 2, 3, 5, 7)],
+    # P_6 on x2 = 0: nu_2 = 0.
+    FRAME + [(1, 1, 1, 1, 1), (1, 2, 0, 5, 7)],
+    # P_0, P_5 and P_6 collinear: nu_1 / mu_1 = nu_2 / mu_2, so delta_12 = 0.
+    FRAME + [(1, 1, 1, 1, 1), (2, 1, 1, 1, 1)],
+    # Five points on the hyperplane x4 = 0, the first five among them.
+    [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+     (1, 2, 3, 4, 0), (1, 1, 1, 1, 1), (2, -1, 3, 1, 5)],
+    # Five points on x4 = 0, two of them P_5 and P_6: delta_34 = 0.
+    [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 1),
+     (3, 1, -2, 5, 7), (1, 1, 2, 1, 0), (2, -1, 3, 1, 0)],
+    # Three collinear points among the first five: P_2 = P_0 + P_1.
+    [(1, 2, 0, 1, 3), (0, 1, 1, -1, 2), (1, 3, 1, 0, 5), (2, 0, 1, 1, 1),
+     (1, -1, 2, 0, 4), (3, 1, 1, 2, -1), (1, 1, -2, 3, 2)],
+    # Three collinear points, one of them P_5: P_5 = P_0 - P_3.
+    [(1, 2, 0, 1, 3), (0, 1, 1, -1, 2), (2, 0, 1, 1, 1), (1, 1, -2, 3, 2),
+     (1, -1, 2, 0, 4), (0, 1, 2, -2, 1), (3, 1, 1, 2, -1)],
+]
+
+
+@pytest.mark.parametrize("rows", SPECIAL_SEVEN)
+def test_the_secant_cubic_declines_on_special_sets(bareiss_calls, rows):
+    # The rank is still exact: the helper compares it with Bareiss.
+    a = PointSet.from_rows(rows)
+    assert list(_secant_cubic(a)) == []
+    _rank_and_fallbacks(a, 3, bareiss_calls)
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+@pytest.mark.parametrize("change", ["coefficient", "sign"])
+def test_a_wrong_secant_cubic_is_rejected(bareiss_calls, monkeypatch, change):
+    # One coefficient moved, or the sign of one monomial flipped: the exact
+    # check rejects the candidate and Bareiss decides, once.
+    def altered(a):
+        for g in _secant_cubic(a):
+            k = next(i for i, c in enumerate(g) if c)
+            g[k] = g[k] + 1 if change == "coefficient" else -g[k]
+            yield g
+
+    monkeypatch.setattr(terracini, "_secant_cubic", altered)
+    a = random_point_set(4, 7, random.Random(0), bound=50)
     assert _rank_and_fallbacks(a, 3, bareiss_calls) == (34, 1)
+
+
+def small_points(n, size):
+    coordinate = st.integers(-3, 3)
+    row = st.lists(coordinate, min_size=n + 1, max_size=n + 1).filter(any)
+    return st.lists(row, min_size=size, max_size=size,
+                    unique_by=lambda r: ProjectivePoint(r)).map(PointSet.from_rows)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_points(4, 7))
+def test_seven_small_points_of_p4_rank_exactly(a):
+    # Small coordinates put many sets in special position, where the
+    # construction declines; where it does not, its cubic is a kernel vector.
+    rows = _terracini_rows(a, 3)
+    for g in _secant_cubic(a):
+        assert any(g)
+        assert not any(_dot(row, g) for row in rows)
+    assert terracini_dimension(a, 3).dim + 1 == BAREISS(rows)
+
+
+def _as_form(g):
+    return {mon.exponents: Fraction(c) for mon, c in zip(monomial_basis(4, 3), g) if c}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_secant_cubic_is_apolar_to_every_tangent_form(seed):
+    # Independent of the Terracini rows and their column scaling: G pairs to
+    # zero with each L**2 * x_j, so G is singular at every point.
+    a = random_point_set(4, 7, random.Random(seed), bound=50)
+    (g,) = _secant_cubic(a)
+    cubic = _as_form(g)
+    assert cubic
+    for p in a:
+        for tangent in tangent_forms(p.primitive_coords, 3):
+            assert apolarity_pairing(cubic, tangent) == 0
+
+
+@pytest.mark.parametrize("order", [(6, 5, 4, 3, 2, 1, 0), (2, 5, 0, 6, 3, 1, 4),
+                                   (1, 2, 3, 4, 5, 6, 0)])
+def test_the_secant_cubic_does_not_depend_on_the_order_of_the_points(order):
+    # Another five points form the basis, and P_5, P_6 change roles, but the
+    # rational normal curve through seven points, and its secant cubic, is one.
+    a = random_point_set(4, 7, random.Random(3), bound=50)
+    (g,) = _secant_cubic(a)
+    (h,) = _secant_cubic(a.subset(order))
+    assert h in (g, [-c for c in g])
