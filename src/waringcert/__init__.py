@@ -18,17 +18,17 @@ from .certify import (Certificate, CriterionResult, Diagnostics, GenericInfo,
                       generic_info)
 from .geometry import (DuplicatePointError, Form, Monomial, PointSet,
                        ProjectivePoint, coordinate_matrix, evaluate_form,
-                       is_linearly_independent, max_collinear_subset_size,
-                       monomial_basis, monomial_values, multinomial,
-                       random_point_set, span_dim, union, veronese_embed,
-                       veronese_embed_set)
+                       max_collinear_subset_size, monomial_basis,
+                       monomial_values, multinomial, random_point_set, union,
+                       veronese_embed, veronese_embed_set)
 from .hilbert import (HilbertProfile, check_gkr_inequality, evaluation_matrix,
-                      hilbert_function, hilbert_profile, is_separated,
-                      satisfies_cb, separates_point, span_intersection_dim,
+                      hilbert_function, hilbert_profile,
+                      is_linearly_independent, is_separated, satisfies_cb,
+                      separates_point, span_dim, span_intersection_dim,
                       union_profile_drop)
 from .kruskal import (KruskalReport, ReshapingSearch, degree_partitions,
-                      gup_cutoff, is_gup, is_lgp, kruskal_rank,
-                      reshaped_kruskal, veronese_kruskal_rank)
+                      gup_cutoff, is_gup, is_lgp, kruskal_and_collinear,
+                      kruskal_rank, reshaped_kruskal, veronese_kruskal_rank)
 from .linalg import Matrix, integer_rank, row_space_intersection_dim
 from .terracini import (TerraciniReport, generic_terracini_dimension,
                         tangent_space_basis, terracini_dimension)
@@ -47,7 +47,8 @@ __all__ = [
     "criterion_sylvester", "degree_partitions", "evaluate_form",
     "evaluation_matrix", "generic_info", "generic_terracini_dimension",
     "gup_cutoff", "hilbert_function", "hilbert_profile", "integer_rank", "is_gup",
-    "is_linearly_independent", "is_lgp", "is_separated", "kruskal_rank",
+    "is_linearly_independent", "is_lgp", "is_separated",
+    "kruskal_and_collinear", "kruskal_rank",
     "max_collinear_subset_size", "monomial_basis", "monomial_values", "multinomial",
     "random_point_set", "reshaped_kruskal", "row_space_intersection_dim",
     "satisfies_cb", "separates_point", "span_dim", "span_intersection_dim",

@@ -17,10 +17,10 @@ import enum
 from dataclasses import dataclass
 from math import comb
 
-from .geometry import PointSet, max_collinear_subset_size, span_dim
-from .hilbert import HilbertProfile, hilbert_function, hilbert_profile
-from .kruskal import (gup_cutoff, is_gup, kruskal_rank, reshaped_kruskal,
-                      veronese_kruskal_rank)
+from .geometry import PointSet
+from .hilbert import HilbertProfile, hilbert_profile, span_dim
+from .kruskal import (gup_cutoff, is_gup, kruskal_and_collinear, kruskal_rank,
+                      reshaped_kruskal, veronese_kruskal_rank)
 from .terracini import TerraciniReport, generic_terracini_dimension, terracini_dimension
 
 
@@ -94,10 +94,14 @@ def check_minimal(a: PointSet, d: int) -> bool:
     Dependence certifies non-minimality: a dependent image can be removed
     from any decomposition supported on a after adjusting coefficients.
     Independence alone does not certify minimality.
+
+    The images are independent exactly when h(d) = len(a), read from the
+    Hilbert profile: above the separation degree that takes no rank, and
+    at or below it the profile's own rank of degree d is the answer.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    return hilbert_function(a, d) == len(a)
+    return hilbert_profile(a).value_at(d) == len(a)
 
 
 def binary_generic_rank(d: int) -> int:
@@ -160,7 +164,7 @@ def _eval_alignment_bound(a: PointSet, d: int) -> tuple[CriterionResult | None, 
     l = len(a)
     if l > d:
         return None, f"{l} points exceed the degree {d}"
-    m = max_collinear_subset_size(a)
+    m = kruskal_and_collinear(a)[1]
     if 2 * m < d:
         return (CriterionResult("alignment-bound",
                                 f"{l} <= {d} and largest aligned subset {m} < {d}/2"),
@@ -273,6 +277,7 @@ def certify(a: PointSet, d: int) -> Certificate:
         raise ValueError(f"degree must be >= 1, got {d}")
     l = len(a)
     n = a.ambient_dim
+    profile = hilbert_profile(a)
     minimal = check_minimal(a, d)
     notes: list[str] = []
     fired: CriterionResult | None = None
@@ -281,7 +286,7 @@ def certify(a: PointSet, d: int) -> Certificate:
     if not minimal:
         notes.append(
             f"the degree-{d} Veronese images are linearly dependent "
-            f"(h({d}) = {hilbert_function(a, d)} < {l}), so the candidate "
+            f"(h({d}) = {profile.value_at(d)} < {l}), so the candidate "
             "is not a minimal decomposition; no criterion was attempted")
     else:
         cascade: list[tuple[str, object]] = [
@@ -311,12 +316,13 @@ def certify(a: PointSet, d: int) -> Certificate:
     ranks = tuple((j, veronese_kruskal_rank(a, j)) for j in sorted(examined))
     # The quartic criterion takes the Terracini rank only at l = 2k - 1.
     took_terracini = "quartic" in evaluated and l == 2 * kruskal_rank(a) - 1
+    k, m = kruskal_and_collinear(a)
     diagnostics = Diagnostics(
         minimal=minimal,
-        hilbert=hilbert_profile(a),
-        kruskal_rank=kruskal_rank(a),
+        hilbert=profile,
+        kruskal_rank=k,
         veronese_kruskal_ranks=ranks,
-        max_collinear=max_collinear_subset_size(a),
+        max_collinear=m,
         span_dim=span_dim(a),
         terracini=terracini_dimension(a, d) if took_terracini else None,
         complementary_bound=complementary_bound(a, d),

@@ -4,9 +4,9 @@ Points live in projective space P^n over the rationals and are stored in a
 canonical scaling: the first nonzero coordinate equals 1.  Each point also
 has a primitive integer representative, computed on first use, and every
 rank in the package is taken on integer rows built from it by
-``monomial_values``.  Degree-d monomials in n+1 variables are enumerated in
-lexicographic order on exponent vectors, largest first, so the basis for
-(n, d) = (1, 2) reads x0^2, x0*x1, x1^2.
+``monomial_values``, which keeps them on the set.  Degree-d monomials in
+n+1 variables are enumerated in lexicographic order on exponent vectors,
+largest first, so the basis for (n, d) = (1, 2) reads x0^2, x0*x1, x1^2.
 
 The Veronese map uses the power-expansion convention: the coordinate of
 nu_d(p) at exponent vector e is the multinomial coefficient d!/prod(e_i!)
@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import combinations
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .linalg import Matrix, integer_rank
+from .linalg import Matrix
 
 
 class DuplicatePointError(ValueError):
@@ -43,7 +43,7 @@ class DuplicatePointError(ValueError):
 class ProjectivePoint:
     """A point of P^n, stored with first nonzero coordinate scaled to 1."""
 
-    __slots__ = ("coords", "_primitive")
+    __slots__ = ("coords", "_primitive", "_hash")
 
     coords: tuple[Fraction, ...]
 
@@ -54,14 +54,19 @@ class ProjectivePoint:
         lead = next((x for x in raw if x != 0), None)
         if lead is None:
             raise ValueError("the zero vector is not a projective point")
-        object.__setattr__(self, "coords", tuple(x / lead for x in raw))
+        coords = tuple(x / lead for x in raw)
+        object.__setattr__(self, "coords", coords)
+        # Hashing a Fraction takes a modular inverse, so the hash of the
+        # coordinates is taken once, here, for the sets and dicts to come.
+        object.__setattr__(self, "_hash", hash(coords))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ProjectivePoint is immutable")
 
     def __reduce__(self):
         # Rebuild from the coordinates: the slot restore would go through
-        # the blocking __setattr__, and the primitive cache starts empty.
+        # the blocking __setattr__; the primitive cache starts empty and the
+        # hash is taken afresh.
         return (ProjectivePoint, (self.coords,))
 
     @property
@@ -91,7 +96,7 @@ class ProjectivePoint:
         return self.coords == other.coords
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return self._hash
 
     def __repr__(self) -> str:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
@@ -100,8 +105,9 @@ class ProjectivePoint:
 class PointSet:
     """An ordered, duplicate-free tuple of points of a common P^n.
 
-    Invariants of the set computed with ``memo_on_set`` are kept in its
-    ``_memo`` dict, so they live exactly as long as the set does.
+    Invariants of the set computed with ``memo_on_set``, and the rows of
+    ``monomial_values``, are kept in its ``_memo`` dict, so they live
+    exactly as long as the set does.
     """
 
     __slots__ = ("points", "_memo")
@@ -266,14 +272,29 @@ def monomial_basis(n: int, d: int) -> tuple[Monomial, ...]:
     return tuple(Monomial(e) for e in exps)
 
 
-def monomial_values(a: PointSet, d: int) -> list[list[int]]:
+@lru_cache(maxsize=None)
+def _suffix_starts(n: int, d: int) -> tuple[int, ...]:
+    """For i = 0..n, the index in the degree-(d-1) basis at which the
+    monomials in x_i..x_n alone begin; they run to the end of the basis."""
+    size = comb(n + d - 1, n)
+    return tuple(size - comb(n - i + d - 1, n - i) for i in range(n + 1))
+
+
+def monomial_values(a: PointSet, d: int) -> tuple[tuple[int, ...], ...]:
     """The degree-d monomials at the primitive representatives of the points.
 
     Row i lists p^e for every exponent vector e of the lexicographic basis
     ``monomial_basis(n, d)``, p the primitive integer representative of point
-    i.  The row is built from a table of the powers p_j^0..p_j^d, one product
-    per entry: the monomials of degree e in x_j..x_n are x_j^k times those of
-    degree e - k in x_(j+1)..x_n, for k from e down to 0.
+    i.  The rows are kept on the set as tuples, so the Hilbert function, the
+    Kruskal sweeps and the Terracini rows share one immutable table.
+
+    The lexicographic basis of degree d is x_0 times the whole basis of
+    degree d - 1, then x_1 times its monomials in x_1..x_n, and so on: each
+    x_i times the suffix of the degree-(d-1) basis free of x_0..x_(i-1).  So
+    a degree-d row is one product per entry of the degree-(d-1) row.  When
+    degree d - 1 is kept on the set (the Hilbert walk leaves it there) that
+    is one step; otherwise the step is iterated up from degree 0, keeping
+    only degree d.
 
     These rows have the rank and the Kruskal rank of the evaluation matrix
     and of the Veronese coordinates of the set: they differ from either by a
@@ -281,20 +302,20 @@ def monomial_values(a: PointSet, d: int) -> list[list[int]]:
     """
     if d < 0:
         raise ValueError(f"monomial degree must be >= 0, got {d}")
-    rows = []
-    for p in a:
-        powers = []
-        for x in p.primitive_coords:
-            table = [1]
-            for _ in range(d):
-                table.append(table[-1] * x)
-            powers.append(table)
-        tail = [[v] for v in powers[-1]]
-        for table in reversed(powers[1:-1]):
-            tail = [[table[k] * v for k in range(e, -1, -1) for v in tail[e - k]]
-                    for e in range(d + 1)]
-        first = powers[0]
-        rows.append([first[k] * v for k in range(d, -1, -1) for v in tail[d - k]])
+    memo = a._memo
+    rows = memo.get(("monomial_values", d))
+    if rows is None:
+        rows = memo.get(("monomial_values", d - 1))
+        first = d
+        if rows is None:
+            rows, first = ((1,),) * len(a), 1
+        coords = [p.primitive_coords for p in a]
+        n = a.ambient_dim
+        for k in range(first, d + 1):
+            starts = _suffix_starts(n, k)
+            rows = tuple(tuple([x * v for x, s in zip(p, starts) for v in row[s:]])
+                         for p, row in zip(coords, rows))
+        memo[("monomial_values", d)] = rows
     return rows
 
 
@@ -425,17 +446,6 @@ def coordinate_matrix(a: PointSet) -> Matrix:
 
 
 @memo_on_set
-def span_dim(a: PointSet) -> int:
-    """Projective dimension of the linear span: rank of coordinates minus 1."""
-    return integer_rank(p.primitive_coords for p in a) - 1
-
-
-def is_linearly_independent(a: PointSet) -> bool:
-    """True when the coordinate vectors of the points are independent."""
-    return span_dim(a) + 1 == len(a)
-
-
-@memo_on_set
 def max_collinear_subset_size(a: PointSet) -> int:
     """Size of the largest subset of a lying on one projective line.
 
@@ -445,6 +455,8 @@ def max_collinear_subset_size(a: PointSet) -> int:
     leading entry.  A largest aligned subset is found from its first point,
     so the answer is 1 plus the largest group; O(l^2) lines, no rank.
     Returns 1 for a singleton and 2 when no three points are aligned.
+    ``kruskal.kruskal_and_collinear`` reads the same number off the
+    Kruskal rank where it can, and runs this search otherwise.
     """
     rows = [p.primitive_coords for p in a]
     pairs = list(combinations(range(len(rows[0])), 2))

@@ -39,14 +39,31 @@ def evaluation_matrix(a: PointSet, d: int) -> Matrix:
 def hilbert_function(a: PointSet, d: int) -> int:
     """h_Z(d): the number of independent conditions Z imposes in degree d.
 
-    Defined as 0 for negative d.  Always between 1 and len(a) for d >= 0,
-    and nondecreasing in d.  Computed as the rank of the integer monomial
-    values at the primitive representatives, which differ from the
-    evaluation matrix only by a nonzero scaling of each row.
+    Defined as 0 for negative d and 1 at d = 0, where the one monomial is
+    the constant 1; no rank is taken for either.  Always between 1 and
+    len(a) for d >= 0, and nondecreasing in d.  For d >= 1, the rank of the
+    integer monomial values at the primitive representatives, which differ
+    from the evaluation matrix only by a nonzero scaling of each row.  This
+    is one rank of the degree-d rows; ``hilbert_profile`` gives h(d) above
+    the separation degree with no rank.
     """
-    if d < 0:
-        return 0
+    if d <= 0:
+        return 1 if d == 0 else 0
     return integer_rank(monomial_values(a, d))
+
+
+def span_dim(a: PointSet) -> int:
+    """Projective dimension of the linear span: h(1) - 1.
+
+    The degree-1 monomial values are the primitive coordinates, so h(1) is
+    the rank of the coordinate matrix, taken once for both.
+    """
+    return hilbert_function(a, 1) - 1
+
+
+def is_linearly_independent(a: PointSet) -> bool:
+    """True when the coordinate vectors of the points are independent."""
+    return hilbert_function(a, 1) == len(a)
 
 
 @dataclass(frozen=True)
@@ -146,7 +163,10 @@ def hilbert_profile(a: PointSet, j_max: int | None = None) -> HilbertProfile:
     guaranteed to have stabilised at len(a); callers may request more.
     Ranks are computed, and values stored, only up to the separation
     degree, the first d with h(d) = len(a): h is nondecreasing and bounded
-    by len(a), so every later value is len(a).
+    by len(a), so every later value is len(a).  Each degree's rank is kept
+    on the set, so later calls, and ``value_at`` above the separation
+    degree, take no rank.  The walk leaves each degree's monomial values on
+    the set, so each next degree's rows are one step from the last.
     """
     l = len(a)
     values = [hilbert_function(a, 0)]

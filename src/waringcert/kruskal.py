@@ -18,19 +18,30 @@ they differ from the Veronese coordinates by a nonzero scaling of each row
 and of each column (the multinomial weights), and such scalings keep every
 subset's rank, hence the Kruskal rank.
 
-Every rank is found by one serial subset sweep and cached on the point set,
-so each Veronese degree of a set is swept at most once, whichever of the
-Kruskal, GUP and reshaping tests asks first.
+Each rank is read from an invariant already at hand where one decides it,
+and found by serial subset sweeps otherwise; it is cached on the point set,
+so each Veronese degree of a set is computed at most once, whichever of the
+Kruskal, GUP and reshaping tests asks first.  When C(n+j, j) >= len(A) the
+only subset of the bound's size is A itself, so k_j = len(A) exactly when
+h_A(j) = len(A), read off the Hilbert profile; the sweeps climb only when
+it falls short.  Three distinct points are dependent exactly when they are
+collinear, so k_1 >= 3 exactly when no three points are aligned: in the
+plane, where k_1 <= 3, the collinearity search gives k_1, and in higher
+dimensions k_1 >= 3 gives the largest aligned subset, 2
+(``kruskal_and_collinear``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Sequence
 
-from .geometry import PointSet, memo_on_set, monomial_values
+from .geometry import (PointSet, max_collinear_subset_size, memo_on_set,
+                       monomial_values)
+from .hilbert import hilbert_profile
 
-IntRows = list[list[int]]
+IntRows = Sequence[Sequence[int]]
 
 
 def _independent_from(cands: IntRows, pos: int, prev: int, need: int) -> bool:
@@ -76,35 +87,79 @@ def _all_subsets_independent(rows: IntRows, size: int) -> bool:
                for i in range(len(rows) - size + 1))
 
 
-def _kruskal_of_rows(rows: IntRows) -> int:
-    """Kruskal rank of a list of nonzero, pairwise nonproportional rows.
+def _climb(rows: IntRows, top: int) -> int:
+    """Kruskal rank of rows whose top-subsets are not all independent.
 
     If every s-subset is independent then so is every smaller subset, since
-    a dependent subset stays dependent under extension.  So a clean sweep at
-    the upper bound settles the answer in one pass (for a set no larger than
-    the ambient space that sweep is a single elimination).
+    a dependent subset stays dependent under extension; so the answer is
+    one below the first size from 3 up whose sweep finds a dependent subset.
+    Needs top >= 3 and nonzero, pairwise nonproportional rows.
     """
-    l = len(rows)
-    ambient = len(rows[0])
-    k_max = min(l, ambient)
-    if k_max <= 2:
-        return k_max if l > 1 else 1
-    if _all_subsets_independent(rows, k_max):
-        return k_max
-    # Some k_max-subset is dependent, so the answer is below k_max; climb
-    # until the first dependent size.
-    for s in range(3, k_max):
+    for s in range(3, top):
         if not _all_subsets_independent(rows, s):
             return s - 1
-    return k_max - 1
+    return top - 1
+
+
+def _veronese_kruskal(a: PointSet, j: int) -> int:
+    """Kruskal rank of the degree-j image, from the Hilbert profile where it
+    decides the answer and by subset sweeps otherwise.
+
+    Distinct points have nonproportional images, so a set of at most two
+    points, and any set in the two-dimensional space of binary linear forms,
+    has k_j = min(len(a), C(n+j, j)) with no sweep.  When C(n+j, j) >=
+    len(a) the whole set is the only subset of the bound's size: k_j =
+    len(a) when h(j) = len(a), and the climb runs only when h(j) is below.
+    Otherwise one sweep at the bound C(n+j, j) settles the answer when it
+    finds no dependent subset, and the climb runs when it does.
+    """
+    l = len(a)
+    m = comb(a.ambient_dim + j, j)
+    if min(l, m) <= 2:
+        return min(l, m)
+    if m >= l:
+        if hilbert_profile(a).value_at(j) == l:
+            return l
+        return _climb(monomial_values(a, j), l)
+    rows = monomial_values(a, j)
+    if _all_subsets_independent(rows, m):
+        return m
+    return _climb(rows, m)
+
+
+@memo_on_set
+def kruskal_and_collinear(a: PointSet) -> tuple[int, int]:
+    """The Kruskal rank k_1 of a, and the size of its largest collinear subset.
+
+    Each is read from the other where it can be: for len(a) >= 3, three
+    distinct points are dependent exactly when they are collinear, so
+    k_1 >= 3 exactly when the largest collinear subset has size 2.  In the
+    plane k_1 <= 3, so the collinearity search ``max_collinear_subset_size``
+    gives k_1 with no subset sweep.  Elsewhere k_1 comes from
+    ``_veronese_kruskal`` (no work on the line or for at most two points),
+    and the collinearity search runs only when k_1 < 3.
+    """
+    if a.ambient_dim == 2 and len(a) >= 3:
+        m = max_collinear_subset_size(a)
+        return (3 if m == 2 else 2), m
+    k = _veronese_kruskal(a, 1)
+    if k >= 3:
+        return k, 2
+    return k, max_collinear_subset_size(a)
 
 
 @memo_on_set
 def veronese_kruskal_rank(a: PointSet, j: int) -> int:
-    """Kruskal rank of the degree-j Veronese image of a; j >= 1."""
+    """Kruskal rank of the degree-j Veronese image of a; j >= 1.
+
+    Degree 1 is read from ``kruskal_and_collinear``, every other degree
+    from ``_veronese_kruskal``.
+    """
     if j < 1:
         raise ValueError(f"Veronese degree must be >= 1, got {j}")
-    return _kruskal_of_rows(monomial_values(a, j))
+    if j == 1:
+        return kruskal_and_collinear(a)[0]
+    return _veronese_kruskal(a, j)
 
 
 def kruskal_rank(a: PointSet) -> int:
@@ -207,12 +262,13 @@ def reshaped_kruskal(a: PointSet, d: int) -> ReshapingSearch:
 
     With l = len(a), each k_j is at most min(l, C(n+j, j)), so a partition
     whose sum of these caps, minus 2, is below 2*l is dropped with no sweep.
-    The rest are tried cheapest first: degree j costs one elimination when
-    C(n+j, j) >= l and C(l, C(n+j, j)) subsets otherwise, a partition the
-    sum over its parts, ties in degree_partitions order.  Within a
-    partition the cheapest degrees are swept first, and each exact rank
-    replaces its cap, so a partition stops as soon as it cannot pass.  The
-    search stops at the first partition that passes.
+    The rest are tried cheapest first: degree j costs 1 when C(n+j, j) >= l
+    (the Hilbert profile decides it unless the set is special) and
+    C(l, C(n+j, j)) subsets otherwise, a partition the sum over its parts,
+    ties in degree_partitions order.  Within a partition the cheapest
+    degrees are swept first, and each exact rank replaces its cap, so a
+    partition stops as soon as it cannot pass.  The search stops at the
+    first partition that passes.
     """
     l = len(a)
     n = a.ambient_dim

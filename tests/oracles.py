@@ -135,6 +135,32 @@ def kernel_vector(rows):
     ]
 
 
+def monomial_values_by_powers(coord_rows, d):
+    """The degree-d monomials of the lexicographic basis at each integer row.
+
+    Built from a table of the powers x_j^0..x_j^d of each coordinate, one
+    product per entry: the monomials of degree e in x_j..x_n are x_j^k times
+    those of degree e - k in x_(j+1)..x_n, for k from e down to 0.  The
+    library's former construction, kept as an oracle for its degree-by-
+    degree one.
+    """
+    rows = []
+    for coords in coord_rows:
+        powers = []
+        for x in coords:
+            table = [1]
+            for _ in range(d):
+                table.append(table[-1] * x)
+            powers.append(table)
+        tail = [[v] for v in powers[-1]]
+        for table in reversed(powers[1:-1]):
+            tail = [[table[k] * v for k in range(e, -1, -1) for v in tail[e - k]]
+                    for e in range(d + 1)]
+        first = powers[0]
+        rows.append([first[k] * v for k in range(d, -1, -1) for v in tail[d - k]])
+    return rows
+
+
 def brute_max_collinear(coord_rows):
     """Largest subset lying on one projective line, by exhaustive search."""
     count = len(coord_rows)

@@ -248,28 +248,30 @@ def test_certify_sweeps_no_veronese_degree_the_bound_rules_out(monkeypatch):
 
     monkeypatch.setattr(kruskal, "_all_subsets_independent", counting)
     # (2, 16, 6): every partition of 6 is ruled out by min(l, C(2+j, j)),
-    # so only the Kruskal rank of the set itself (rows of width 3) is swept.
+    # and in the plane the Kruskal rank of the set is read from the
+    # collinearity search, so nothing is swept.
     a = general_points(2, 16, 90)
     cert = certify(a, 6)
     assert kruskal_rank(a) == 3
     assert cert.verdict is Verdict.INCONCLUSIVE
-    assert widths and set(widths) == {3}
+    assert widths == []
     assert cert.diagnostics.veronese_kruskal_ranks == ((1, 3),)
-    # (2, 13, 9): (1, 4, 4) is the cheapest partition left, and its degree 4
-    # (width 15 >= 13 points) is one elimination; no other degree above 1
-    # is swept.
+    # (2, 13, 9): (1, 4, 4) is the cheapest partition left; its degree 4
+    # (width 15 >= 13 points) is read from the Hilbert profile and its
+    # degree 1 from the collinearity search, so no wider rows are swept.
     widths.clear()
     cert = certify(general_points(2, 13, 91), 9)
     assert cert.criterion == "reshaped-kruskal"
-    assert [w for w in widths if w > 3] == [15]
+    assert [w for w in widths if w > 3] == []
     assert "(1, 4, 4)" in cert.notes[-1]
-    # (2, 11, 10): (3, 3, 4) is the cheapest partition left (degree 4 is one
-    # elimination, degree 3 sweeps C(11, 10) subsets), ahead of (1, 3, 6),
-    # which comes first in degree_partitions order; degree 1 is not needed.
+    # (2, 11, 10): (3, 3, 4) is the cheapest partition left (degree 4 is
+    # read from the Hilbert profile, degree 3 sweeps C(11, 10) subsets),
+    # ahead of (1, 3, 6), which comes first in degree_partitions order;
+    # degree 1 is not needed.
     widths.clear()
     search = reshaped_kruskal(general_points(2, 11, 92), 10)
     assert search.passing.partition == (3, 3, 4)
-    assert widths == [15, 10]
+    assert widths == [10]
 
 
 def test_certify_inconclusive_beyond_criteria():

@@ -56,6 +56,27 @@ def test_pickle_and_copies_rebuild_with_empty_caches():
         assert clone.primitive_coords == (6, -1, 0)
 
 
+def test_point_hash_is_taken_once_and_agrees_across_scalings_and_pickling(monkeypatch):
+    pairs = [
+        (ProjectivePoint((2, 4, 6)), ProjectivePoint((Fraction(1, 3), Fraction(2, 3), 1))),
+        (ProjectivePoint((0, -3, 6)), ProjectivePoint((0, Fraction(1, 7), Fraction(-2, 7)))),
+        (ProjectivePoint((5, 0, 0, 1)), ProjectivePoint((Fraction(-5, 2), 0, 0, Fraction(-1, 2)))),
+    ]
+    for p, q in pairs:
+        assert p == q and hash(p) == hash(q) == hash(p.coords)
+        clone = pickle.loads(pickle.dumps(q))
+        assert clone == p and hash(clone) == hash(p)
+        assert {p: 1}[clone] == 1
+    # Hashing the point again does not hash its Fraction coordinates again.
+    p = pairs[0][1]
+    calls = []
+    original = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: calls.append(x) or original(x))
+    assert len({p, pairs[0][0]}) == 1
+    assert PointSet([p, pairs[1][0]]) is not None
+    assert calls == []
+
+
 def test_point_set_rejects_duplicates_with_indices():
     rows = [(1, 0), (0, 1), (2, 0)]
     with pytest.raises(DuplicatePointError) as exc:

@@ -157,7 +157,7 @@ def test_primitive_coords_are_primitive_and_proportional(a):
 @given(point_sets(), st.integers(0, 4))
 def test_monomial_values_evaluate_the_basis(a, d):
     basis = monomial_basis(a.ambient_dim, d)
-    expected = [[mon.evaluate(p.primitive_coords) for mon in basis] for p in a]
+    expected = tuple(tuple(mon.evaluate(p.primitive_coords) for mon in basis) for p in a)
     assert monomial_values(a, d) == expected
 
 
