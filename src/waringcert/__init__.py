@@ -16,43 +16,36 @@ from .certify import (Certificate, CriterionResult, Diagnostics, GenericInfo,
                       criterion_plane_gup, criterion_quartic,
                       criterion_reshaped_kruskal, criterion_sylvester,
                       generic_info)
-from .geometry import (DuplicatePointError, Form, Monomial, PointSet,
-                       ProjectivePoint, coordinate_matrix, evaluate_form,
+from .geometry import (DuplicatePointError, PointSet, ProjectivePoint,
                        max_collinear_subset_size, monomial_basis,
-                       monomial_values, multinomial, random_point_set, union,
-                       veronese_embed, veronese_embed_set)
-from .hilbert import (HilbertProfile, check_gkr_inequality, evaluation_matrix,
-                      hilbert_function, hilbert_profile,
-                      is_linearly_independent, is_separated, satisfies_cb,
-                      separates_point, span_dim, span_intersection_dim,
-                      union_profile_drop)
+                       monomial_values, random_point_set, union)
+from .hilbert import (HilbertProfile, check_gkr_inequality, hilbert_function,
+                      hilbert_profile, is_linearly_independent, is_separated,
+                      satisfies_cb, separates_point, span_dim,
+                      span_intersection_dim, union_profile_drop)
 from .kruskal import (KruskalReport, ReshapingSearch, degree_partitions,
                       gup_cutoff, is_gup, is_lgp, kruskal_and_collinear,
                       kruskal_rank, reshaped_kruskal, veronese_kruskal_rank)
-from .linalg import Matrix, integer_rank, row_space_intersection_dim
+from .linalg import integer_rank
 from .terracini import (TerraciniReport, generic_terracini_dimension,
-                        tangent_space_basis, terracini_dimension)
+                        terracini_dimension)
 
 __version__ = "0.2.0"
 
 __all__ = [
     "Certificate", "CriterionResult", "Diagnostics", "DuplicatePointError",
-    "Form", "GenericInfo", "HilbertProfile", "KruskalReport", "Matrix",
-    "Monomial", "PointSet", "ProjectivePoint", "ReshapingSearch",
-    "TerraciniReport", "Verdict",
+    "GenericInfo", "HilbertProfile", "KruskalReport", "PointSet",
+    "ProjectivePoint", "ReshapingSearch", "TerraciniReport", "Verdict",
     "binary_generic_rank", "certify", "check_gkr_inequality", "check_minimal",
-    "complementary_bound", "coordinate_matrix", "criterion_alignment_bound",
+    "complementary_bound", "criterion_alignment_bound",
     "criterion_half_degree", "criterion_half_degree_spanning",
     "criterion_plane_gup", "criterion_quartic", "criterion_reshaped_kruskal",
-    "criterion_sylvester", "degree_partitions", "evaluate_form",
-    "evaluation_matrix", "generic_info", "generic_terracini_dimension",
-    "gup_cutoff", "hilbert_function", "hilbert_profile", "integer_rank", "is_gup",
-    "is_linearly_independent", "is_lgp", "is_separated",
-    "kruskal_and_collinear", "kruskal_rank",
-    "max_collinear_subset_size", "monomial_basis", "monomial_values", "multinomial",
-    "random_point_set", "reshaped_kruskal", "row_space_intersection_dim",
-    "satisfies_cb", "separates_point", "span_dim", "span_intersection_dim",
-    "tangent_space_basis", "terracini_dimension", "union",
-    "union_profile_drop", "veronese_embed", "veronese_embed_set",
-    "veronese_kruskal_rank",
+    "criterion_sylvester", "degree_partitions", "generic_info",
+    "generic_terracini_dimension", "gup_cutoff", "hilbert_function",
+    "hilbert_profile", "integer_rank", "is_gup", "is_linearly_independent",
+    "is_lgp", "is_separated", "kruskal_and_collinear", "kruskal_rank",
+    "max_collinear_subset_size", "monomial_basis", "monomial_values",
+    "random_point_set", "reshaped_kruskal", "satisfies_cb", "separates_point",
+    "span_dim", "span_intersection_dim", "terracini_dimension", "union",
+    "union_profile_drop", "veronese_kruskal_rank",
 ]

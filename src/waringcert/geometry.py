@@ -1,4 +1,4 @@
-"""Projective points, monomials, forms, and the Veronese embedding.
+"""Projective points, point sets, and the monomial values on them.
 
 Points live in projective space P^n over the rationals and are stored in a
 canonical scaling: the first nonzero coordinate equals 1.  Each point also
@@ -8,25 +8,22 @@ rank in the package is taken on integer rows built from it by
 n+1 variables are enumerated in lexicographic order on exponent vectors,
 largest first, so the basis for (n, d) = (1, 2) reads x0^2, x0*x1, x1^2.
 
-The Veronese map uses the power-expansion convention: the coordinate of
-nu_d(p) at exponent vector e is the multinomial coefficient d!/prod(e_i!)
-times p^e.  With this weighting the coordinates of nu_d(p) are exactly the
-coefficients of the expanded d-th power of the linear form with coefficient
-vector p.
+The monomial values of a point differ from its image under the degree-d
+Veronese map only by a scaling of each column (the multinomial weight
+d!/prod(e_i!) of the exponent vector e) and by the scaling of the point,
+so the rows of a set have the rank and the Kruskal rank of its Veronese
+image.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import combinations
-from math import comb, factorial, gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
-
-from .linalg import Matrix
+from math import comb, gcd, lcm
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class DuplicatePointError(ValueError):
@@ -213,50 +210,10 @@ def union(a: PointSet, b: PointSet) -> PointSet:
     return PointSet(merged)
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """A monomial in n+1 variables, as its exponent vector.
-
-    The dataclass ordering is lexicographic on exponent vectors; bases are
-    listed largest first, so x0 sorts above x1 and x0^d opens every basis.
-    """
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.exponents or any(e < 0 for e in self.exponents):
-            raise ValueError(f"bad exponent vector {self.exponents}")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    @property
-    def num_variables(self) -> int:
-        return len(self.exponents)
-
-    def evaluate(self, coords: Sequence[Fraction]) -> Fraction:
-        if len(coords) != len(self.exponents):
-            raise ValueError("coordinate count does not match variable count")
-        value = Fraction(1)
-        for c, e in zip(coords, self.exponents):
-            if e:
-                value *= c ** e
-        return value
-
-    def __str__(self) -> str:
-        parts = []
-        for i, e in enumerate(self.exponents):
-            if e == 1:
-                parts.append(f"x{i}")
-            elif e > 1:
-                parts.append(f"x{i}^{e}")
-        return "*".join(parts) if parts else "1"
-
-
 @lru_cache(maxsize=None)
-def monomial_basis(n: int, d: int) -> tuple[Monomial, ...]:
-    """All degree-d monomials in n+1 variables, lexicographically descending."""
+def monomial_basis(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent vectors of the degree-d monomials in n+1 variables,
+    lexicographically descending."""
     if n < 0 or d < 0:
         raise ValueError(f"bad basis parameters n={n}, d={d}")
     exps: list[tuple[int, ...]] = []
@@ -269,7 +226,7 @@ def monomial_basis(n: int, d: int) -> tuple[Monomial, ...]:
             build(prefix + [e], remaining - e, position + 1)
 
     build([], d, 0)
-    return tuple(Monomial(e) for e in exps)
+    return tuple(exps)
 
 
 @lru_cache(maxsize=None)
@@ -319,132 +276,6 @@ def monomial_values(a: PointSet, d: int) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
-def multinomial(d: int, exponents: Sequence[int]) -> int:
-    """d! / prod(e_i!) for an exponent vector summing to d."""
-    if sum(exponents) != d:
-        raise ValueError(f"exponents {exponents} do not sum to {d}")
-    value = factorial(d)
-    for e in exponents:
-        value //= factorial(e)
-    return value
-
-
-class Form:
-    """A homogeneous form of fixed degree in n+1 variables.
-
-    Stored as a mapping from Monomial to nonzero Fraction coefficient.  The
-    zero form is allowed and keeps its nominal degree and variable count.
-    """
-
-    __slots__ = ("num_variables", "degree", "terms")
-
-    def __init__(self, num_variables: int, degree: int,
-                 terms: Mapping[Monomial, object]):
-        if num_variables < 1 or degree < 0:
-            raise ValueError(f"bad form shape ({num_variables} vars, degree {degree})")
-        clean: dict[Monomial, Fraction] = {}
-        for mon, coeff in terms.items():
-            c = Fraction(coeff)
-            if mon.num_variables != num_variables:
-                raise ValueError(f"monomial {mon} has the wrong variable count")
-            if mon.degree != degree:
-                raise ValueError(f"monomial {mon} has degree {mon.degree}, expected {degree}")
-            if c != 0:
-                clean[mon] = c
-        object.__setattr__(self, "num_variables", num_variables)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Form is immutable")
-
-    @classmethod
-    def from_exponents(cls, num_variables: int, degree: int,
-                       coeffs: Mapping[tuple[int, ...], object]) -> "Form":
-        return cls(num_variables, degree,
-                   {Monomial(e): c for e, c in coeffs.items()})
-
-    @classmethod
-    def linear_power(cls, coords: Sequence[object], k: int) -> "Form":
-        """(c_0 x_0 + ... + c_n x_n)^k, expanded by the multinomial theorem."""
-        cs = [Fraction(x) for x in coords]
-        n = len(cs) - 1
-        coeffs = {}
-        for mon in monomial_basis(n, k):
-            value = Fraction(multinomial(k, mon.exponents))
-            for c, e in zip(cs, mon.exponents):
-                if e:
-                    value *= c ** e
-            coeffs[mon] = value
-        return cls(n + 1, k, coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def times_variable(self, j: int) -> "Form":
-        """The product of this form with the variable x_j."""
-        if not 0 <= j < self.num_variables:
-            raise ValueError(f"variable index {j} out of range")
-        shifted = {}
-        for mon, coeff in self.terms.items():
-            e = list(mon.exponents)
-            e[j] += 1
-            shifted[Monomial(tuple(e))] = coeff
-        return Form(self.num_variables, self.degree + 1, shifted)
-
-    def coefficient_vector(self) -> tuple[Fraction, ...]:
-        """Coefficients in the lexicographic monomial basis of this degree."""
-        basis = monomial_basis(self.num_variables - 1, self.degree)
-        zero = Fraction(0)
-        return tuple(self.terms.get(mon, zero) for mon in basis)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Form):
-            return NotImplemented
-        return (self.num_variables == other.num_variables
-                and self.degree == other.degree and self.terms == other.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "Form(0)"
-        body = " + ".join(f"{c}*{m}" for m, c in sorted(
-            self.terms.items(), key=lambda kv: kv[0], reverse=True))
-        return f"Form({body})"
-
-
-def evaluate_form(f: Form, p: ProjectivePoint) -> Fraction:
-    """Evaluate at the canonical coordinates of p.
-
-    The value depends on the chosen scaling of p; only vanishing versus
-    nonvanishing is projectively meaningful, which is all callers use.
-    """
-    if f.num_variables != p.ambient_dim + 1:
-        raise ValueError("form and point have different variable counts")
-    return sum((c * m.evaluate(p.coords) for m, c in f.terms.items()), Fraction(0))
-
-
-def veronese_embed(p: ProjectivePoint, d: int) -> ProjectivePoint:
-    """Image of p under the degree-d Veronese embedding of P^n.
-
-    Coordinates are multinomial(d, e) * p^e over the lexicographic basis,
-    i.e. the coefficients of the d-th power of the linear form with
-    coefficient vector p.
-    """
-    if d < 1:
-        raise ValueError(f"Veronese degree must be >= 1, got {d}")
-    return ProjectivePoint(Form.linear_power(p.coords, d).coefficient_vector())
-
-
-def veronese_embed_set(a: PointSet, d: int) -> PointSet:
-    """Pointwise Veronese image; injectivity keeps the set duplicate-free."""
-    return PointSet(veronese_embed(p, d) for p in a)
-
-
-def coordinate_matrix(a: PointSet) -> Matrix:
-    """The len(a) x (n+1) matrix of canonical coordinate rows."""
-    return Matrix(p.coords for p in a)
-
-
 @memo_on_set
 def max_collinear_subset_size(a: PointSet) -> int:
     """Size of the largest subset of a lying on one projective line.
@@ -473,19 +304,42 @@ def max_collinear_subset_size(a: PointSet) -> int:
     return 1 + best
 
 
+def _box_point_count(n: int, bound: int) -> int:
+    """The number of points of P^n with coordinates in [-bound, bound].
+
+    Each such point is the pair of primitive vectors +-v of the box.  The
+    nonzero vectors of the box whose gcd is divisible by k are k times the
+    nonzero vectors of the box of bound // k, so Moebius inversion over k
+    counts the primitive ones.
+    """
+    mu = [0, 1] + [0] * (bound - 1)
+    for k in range(1, bound + 1):
+        for m in range(2 * k, bound + 1, k):
+            mu[m] -= mu[k]
+    return sum(mu[k] * ((2 * (bound // k) + 1) ** (n + 1) - 1)
+               for k in range(1, bound + 1)) // 2
+
+
 def random_point_set(n: int, size: int, rng: random.Random,
                      bound: int = 50) -> PointSet:
     """A random set of ``size`` distinct points of P^n.
 
     Coordinates are drawn uniformly from the integers in [-bound, bound];
     zero vectors and points already drawn (after canonical scaling) are
-    rejected and redrawn.  Determinism is the caller's responsibility via
-    the supplied rng.
+    rejected and redrawn.  Raises ValueError when the box holds fewer than
+    ``size`` distinct points; the points (1 : x_1 : ... : x_n) alone number
+    (2 bound + 1)^n, so only a larger ``size`` takes the exact count.
+    Determinism is the caller's responsibility via the supplied rng.
     """
     if n < 1 or size < 1:
         raise ValueError(f"bad sampling parameters n={n}, size={size}")
     if bound < 1:
         raise ValueError(f"coordinate bound must be >= 1, got {bound}")
+    if size > (2 * bound + 1) ** n:
+        count = _box_point_count(n, bound)
+        if size > count:
+            raise ValueError(f"P^{n} has only {count} points with coordinates "
+                             f"in [-{bound}, {bound}], fewer than {size}")
     chosen: list[ProjectivePoint] = []
     seen: set[ProjectivePoint] = set()
     while len(chosen) < size:

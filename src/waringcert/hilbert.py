@@ -15,24 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import (PointSet, memo_on_set, monomial_basis, monomial_values,
-                       union)
-from .linalg import Matrix, integer_rank
-
-
-def evaluation_matrix(a: PointSet, d: int) -> Matrix:
-    """The len(a) x C(n+d, d) matrix of monomial values at the points.
-
-    Row i evaluates every degree-d monomial (lexicographic basis order) at
-    the canonical coordinates of point i.  The rank agrees with the rank of
-    the Veronese coordinate matrix because the multinomial weights of the
-    embedding only rescale columns.  This is the rational form of the rows
-    that ``hilbert_function`` ranks as integers.
-    """
-    if d < 0:
-        raise ValueError(f"evaluation degree must be >= 0, got {d}")
-    basis = monomial_basis(a.ambient_dim, d)
-    return Matrix([mon.evaluate(p.coords) for mon in basis] for p in a)
+from .geometry import PointSet, memo_on_set, monomial_values, union
+from .linalg import integer_rank
 
 
 @memo_on_set
@@ -43,9 +27,9 @@ def hilbert_function(a: PointSet, d: int) -> int:
     the constant 1; no rank is taken for either.  Always between 1 and
     len(a) for d >= 0, and nondecreasing in d.  For d >= 1, the rank of the
     integer monomial values at the primitive representatives, which differ
-    from the evaluation matrix only by a nonzero scaling of each row.  This
-    is one rank of the degree-d rows; ``hilbert_profile`` gives h(d) above
-    the separation degree with no rank.
+    from the values at any other representatives only by a nonzero scaling
+    of each row.  This is one rank of the degree-d rows; ``hilbert_profile``
+    gives h(d) above the separation degree with no rank.
     """
     if d <= 0:
         return 1 if d == 0 else 0

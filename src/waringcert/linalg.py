@@ -1,4 +1,4 @@
-"""Exact linear algebra over the integers and the rationals.
+"""Exact linear algebra over the integers.
 
 Every rank in this package is taken on integer rows, exactly, and proved as
 a lower bound that meets an upper bound.  ``integer_rank`` first eliminates
@@ -21,100 +21,15 @@ callers that build kernel vectors from smaller matrices.  The Kruskal
 subset sweeps run their own Bareiss elimination, sharing the work of
 common subset prefixes.  Callers build integer rows directly (monomial
 values at primitive integer representatives of the points), so no
-``Fraction`` arithmetic runs on the hot path.  ``Matrix`` is the rational
-front end kept for the public API and the tests: it scales each row to
-integers and then calls ``integer_rank``.  No floating point and no
-randomness is used anywhere.
+``Fraction`` arithmetic runs here.  No floating point and no randomness is
+used anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
-
-Vector = tuple[Fraction, ...]
-
-
-def _to_fraction_rows(rows: Iterable[Iterable[object]]) -> tuple[Vector, ...]:
-    out = []
-    for row in rows:
-        out.append(tuple(Fraction(x) for x in row))
-    return tuple(out)
-
-
-class Matrix:
-    """Immutable rational matrix.
-
-    Entries are stored as a tuple of row tuples of ``Fraction``.  Construction
-    accepts any nesting of iterables whose items ``Fraction`` accepts (ints,
-    Fractions, numeric strings).  Rows must all have the same length.
-    """
-
-    __slots__ = ("entries", "rows", "cols", "_rank")
-
-    def __init__(self, rows: Iterable[Iterable[object]]):
-        entries = _to_fraction_rows(rows)
-        if entries:
-            width = len(entries[0])
-            for i, row in enumerate(entries):
-                if len(row) != width:
-                    raise ValueError(
-                        f"ragged matrix: row 0 has {width} entries, row {i} has {len(row)}"
-                    )
-        else:
-            width = 0
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_rank", None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Matrix is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"Matrix({[list(map(str, row)) for row in self.entries]})"
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        """Vertical concatenation; both matrices must have the same width."""
-        if self.cols != other.cols and self.rows and other.rows:
-            raise ValueError(
-                f"cannot stack: widths differ ({self.cols} vs {other.cols})"
-            )
-        return Matrix(self.entries + other.entries)
-
-    def rank(self) -> int:
-        """Rank, via ``integer_rank`` on the rows scaled to integers.
-
-        Rank is invariant under nonzero row scaling, so each row is
-        multiplied by the least common multiple of its denominators.
-        """
-        cached = self._rank
-        if cached is None:
-            cdef = integer_rank(_integer_rows(self.entries))
-            object.__setattr__(self, "_rank", cdef)
-            cached = cdef
-        return cached
-
-
-def _integer_rows(entries: Sequence[Vector]) -> list[list[int]]:
-    out = []
-    for row in entries:
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * scale) for x in row])
-    return out
 
 
 # The largest prime below 2**30: a residue is one CPython digit, and the
@@ -300,15 +215,3 @@ def _bareiss_rank(m: list[list[int]]) -> int:
             break
     return rank
 
-
-def row_space_intersection_dim(m1: Matrix, m2: Matrix) -> int:
-    """Dimension of the intersection of the two row spaces.
-
-    Computed by the Grassmann formula rank(m1) + rank(m2) - rank(stacked).
-    Raises ValueError when the ambient dimensions (column counts) differ.
-    """
-    if m1.cols != m2.cols:
-        raise ValueError(
-            f"row spaces live in different ambient spaces ({m1.cols} vs {m2.cols})"
-        )
-    return m1.rank() + m2.rank() - m1.stack(m2).rank()

@@ -51,8 +51,8 @@ from math import comb, gcd
 from operator import add, mul
 from typing import Iterator
 
-from .geometry import (Form, PointSet, ProjectivePoint, memo_on_set,
-                       monomial_basis, monomial_values, random_point_set)
+from .geometry import (PointSet, memo_on_set, monomial_basis, monomial_values,
+                       random_point_set)
 from .linalg import integer_kernel, integer_rank
 
 
@@ -94,29 +94,15 @@ class TerraciniReport:
         return self.dim == self.max_possible
 
 
-def tangent_space_basis(p: ProjectivePoint, d: int) -> tuple[Form, ...]:
-    """Forms spanning the tangent space to the Veronese at nu_d(p).
-
-    Returns L^(d-1) * x_j for j = 0..n with L the linear form whose
-    coefficients are the canonical coordinates of p.  Requires d >= 2; in
-    degree 1 the Veronese is the identity and tangency is vacuous.
-    """
-    if d < 2:
-        raise ValueError(f"tangent spaces need degree >= 2, got {d}")
-    base = Form.linear_power(p.coords, d - 1)
-    return tuple(base.times_variable(j) for j in range(p.ambient_dim + 1))
-
-
 @lru_cache(maxsize=None)
 def _derivative_index(n: int, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each variable j, (e_j, index of e - u_j in the degree-(d-1) basis)
     per exponent vector e of the degree-d basis; (0, 0) where e_j = 0."""
-    lower = {mon.exponents: i for i, mon in enumerate(monomial_basis(n, d - 1))}
+    lower = {e: i for i, e in enumerate(monomial_basis(n, d - 1))}
     table = []
     for j in range(n + 1):
         entries = []
-        for mon in monomial_basis(n, d):
-            e = mon.exponents
+        for e in monomial_basis(n, d):
             if e[j]:
                 entries.append((e[j], lower[e[:j] + (e[j] - 1,) + e[j + 1:]]))
             else:
@@ -138,11 +124,9 @@ def _terracini_rows(a: PointSet, d: int) -> list[list[int]]:
 def _product_index(n: int, e: int, f: int) -> tuple[tuple[int, ...], ...]:
     """Entry [i][k]: the index in the degree-(e+f) basis of the product of
     monomial i of the degree-e basis and monomial k of the degree-f basis."""
-    index = {mon.exponents: i for i, mon in enumerate(monomial_basis(n, e + f))}
-    return tuple(
-        tuple(index[tuple(map(add, x.exponents, y.exponents))]
-              for y in monomial_basis(n, f))
-        for x in monomial_basis(n, e))
+    index = {m: i for i, m in enumerate(monomial_basis(n, e + f))}
+    return tuple(tuple(index[tuple(map(add, x, y))] for y in monomial_basis(n, f))
+                 for x in monomial_basis(n, e))
 
 
 def _multiply(f: list[int], h: list[int], e: int, g: int, n: int) -> list[int]:

@@ -1,9 +1,10 @@
 """Independent reference computations used to cross-check the library.
 
 Everything here is deliberately naive: determinants by Laplace expansion,
-ranks by scanning all square minors, powers of linear forms by repeated
-polynomial multiplication.  Slow but obviously correct, which is the point;
-tests keep the inputs small enough for the exponential algorithms.
+ranks by scanning all square minors or by Gauss-Jordan elimination over
+``Fraction``, powers of linear forms by repeated polynomial multiplication.
+Slow but obviously correct, which is the point; tests keep the inputs small
+enough for the exponential algorithms.
 """
 
 from fractions import Fraction
@@ -44,6 +45,24 @@ def minor_rank(rows):
                 if laplace_det(sub) != 0:
                     return size
     return 0
+
+
+def fraction_rank(rows):
+    """Rank by Gauss-Jordan elimination over ``Fraction`` on a copy of the rows."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        hit = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if hit is None:
+            continue
+        m[rank], m[hit] = m[hit], m[rank]
+        pivot = m[rank]
+        for i, row in enumerate(m):
+            if i != rank and row[col]:
+                factor = row[col] / pivot[col]
+                m[i] = [x - factor * y for x, y in zip(row, pivot)]
+        rank += 1
+    return rank
 
 
 def rank_mod_p(rows, p):

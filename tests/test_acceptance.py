@@ -12,19 +12,17 @@ import random
 from collections import Counter
 from math import prod
 
-from oracles import (apolarity_pairing, form_power, kernel_vector,
-                     linear_form_power, minor_rank, reshaped_kruskal_table,
-                     tangent_forms)
+from oracles import (apolarity_pairing, form_power, fraction_rank,
+                     kernel_vector, linear_form_power, minor_rank,
+                     reshaped_kruskal_table, tangent_forms)
 
 from waringcert import (PointSet, ProjectivePoint, Verdict,
-                        binary_generic_rank, certify, coordinate_matrix,
-                        evaluation_matrix, generic_info,
+                        binary_generic_rank, certify, generic_info,
                         generic_terracini_dimension, hilbert_function,
-                        hilbert_profile, kruskal_rank, random_point_set,
-                        reshaped_kruskal, row_space_intersection_dim,
-                        satisfies_cb, span_dim, span_intersection_dim,
-                        terracini_dimension, union_profile_drop,
-                        veronese_embed_set)
+                        hilbert_profile, kruskal_rank, monomial_basis,
+                        random_point_set, reshaped_kruskal, satisfies_cb,
+                        span_dim, span_intersection_dim, terracini_dimension,
+                        union_profile_drop)
 
 _CORPUS = None
 
@@ -137,6 +135,13 @@ def test_criterion_03_growth_and_subset_monotonicity():
             assert sprof.diff_at(d) <= prof.diff_at(d)
 
 
+def _veronese_rows(a, d):
+    """The coefficients of L**d for the linear form L of each point."""
+    basis = monomial_basis(a.ambient_dim, d)
+    return [[power.get(e, 0) for e in basis]
+            for power in (linear_form_power(p.coords, d) for p in a)]
+
+
 def test_criterion_04_span_formula():
     rng = random.Random(404)
     caps = {1: 8, 2: 8, 3: 6}
@@ -146,15 +151,15 @@ def test_criterion_04_span_formula():
         z = random_point_set(n, rng.randint(1, caps[n]), rng, bound=9)
         d = rng.randint(1, 4)
         h = hilbert_function(z, d)
-        image = veronese_embed_set(z, d)
+        rows = _veronese_rows(z, d)
+        image = PointSet.from_rows(rows)
         # evaluation rank equals projective span dimension plus one ...
         assert h == span_dim(image) + 1
         # ... and equals the degree-1 value of the embedded set
         assert h == hilbert_function(image, 1)
-        ev = evaluation_matrix(z, d)
-        if len(z) <= 4 and ev.cols <= 6:
+        if len(z) <= 4 and len(rows[0]) <= 6:
             # independent cofactor-minor rank oracle on small instances
-            assert ev.rank() == minor_rank(ev.entries)
+            assert h == minor_rank(rows)
             checked_small += 1
     assert checked_small >= 5
 
@@ -170,9 +175,9 @@ def test_criterion_05_span_intersection_oracle():
         a = full.subset(range(sa))
         b = full.subset(range(sa, sa + sb))
         d = rng.randint(1, 4)
-        direct = row_space_intersection_dim(
-            coordinate_matrix(veronese_embed_set(a, d)),
-            coordinate_matrix(veronese_embed_set(b, d)))
+        rows_a, rows_b = _veronese_rows(a, d), _veronese_rows(b, d)
+        direct = (fraction_rank(rows_a) + fraction_rank(rows_b)
+                  - fraction_rank(rows_a + rows_b))
         got = span_intersection_dim(a, b, d)
         assert got == direct - 1
         if got >= 0:

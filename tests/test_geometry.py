@@ -1,30 +1,29 @@
-"""Projective points, monomials, forms, and the Veronese embedding."""
+"""Projective points, monomials, and the monomial values of point sets."""
 
 import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from waringcert import (
     DuplicatePointError,
-    Form,
-    Monomial,
     PointSet,
     ProjectivePoint,
     certify,
-    evaluate_form,
+    generic_terracini_dimension,
     is_linearly_independent,
     max_collinear_subset_size,
     monomial_basis,
-    multinomial,
+    monomial_values,
     random_point_set,
     span_dim,
     union,
-    veronese_embed,
-    veronese_embed_set,
+    veronese_kruskal_rank,
 )
+from waringcert.geometry import _box_point_count
 
 from conftest import random_points
 from oracles import brute_max_collinear, linear_form_power
@@ -102,34 +101,35 @@ def test_union_keeps_first_set_order():
 
 def test_monomial_basis_lex_descending():
     basis = monomial_basis(2, 2)
-    assert [m.exponents for m in basis] == [
+    assert list(basis) == [
         (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
-    assert all(m.degree == 2 for m in basis)
+    assert all(sum(e) == 2 for e in basis)
     assert len(monomial_basis(3, 4)) == 35
 
 
-def test_multinomial_values():
-    assert multinomial(3, (1, 2)) == 3
-    assert multinomial(4, (2, 2)) == 6
-    assert multinomial(5, (5, 0)) == 1
-    assert multinomial(3, (1, 1, 1)) == 6
+def veronese_image(p, d):
+    """The Veronese coordinates of p, from its monomial values: each weighted
+    by the coefficient of its monomial in (x_0 + ... + x_n)**d."""
+    n = p.ambient_dim
+    weights = linear_form_power((1,) * (n + 1), d)
+    (values,) = monomial_values(PointSet([p]), d)
+    return tuple(weights[e] * v for e, v in zip(monomial_basis(n, d), values))
 
 
 def test_veronese_binary_examples():
-    assert veronese_embed(ProjectivePoint((1, 1)), 2).coords == (1, 2, 1)
-    assert veronese_embed(ProjectivePoint((1, 2)), 3).coords == (1, 6, 12, 8)
+    assert veronese_image(ProjectivePoint((1, 1)), 2) == (1, 2, 1)
+    assert veronese_image(ProjectivePoint((1, 2)), 3) == (1, 6, 12, 8)
 
 
 def test_veronese_degree_one_is_identity():
     p = ProjectivePoint((3, -1, 2))
-    assert veronese_embed(p, 1) == p
+    assert veronese_image(p, 1) == p.primitive_coords == (3, -1, 2)
 
 
 def test_veronese_coordinate_point():
-    image = veronese_embed(ProjectivePoint((0, 1, 0)), 2)
-    basis = monomial_basis(2, 2)
-    expected = tuple(1 if m.exponents == (0, 2, 0) else 0 for m in basis)
-    assert image.coords == expected
+    image = veronese_image(ProjectivePoint((0, 1, 0)), 2)
+    expected = tuple(int(e == (0, 2, 0)) for e in monomial_basis(2, 2))
+    assert image == expected
 
 
 def test_veronese_matches_power_expansion_oracle():
@@ -138,10 +138,9 @@ def test_veronese_matches_power_expansion_oracle():
         n = rng.choice([1, 2, 3])
         d = rng.randint(1, 4)
         p = random_points(n, 1, rng)[0]
-        image = veronese_embed(p, d)
-        oracle = linear_form_power(p.coords, d)
-        for mon, value in zip(monomial_basis(n, d), image.coords):
-            assert value == oracle.get(mon.exponents, Fraction(0))
+        oracle = linear_form_power(p.primitive_coords, d)
+        for e, value in zip(monomial_basis(n, d), veronese_image(p, d)):
+            assert value == oracle.get(e, 0)
 
 
 def test_veronese_coordinate_sum_is_power_of_sum():
@@ -150,16 +149,15 @@ def test_veronese_coordinate_sum_is_power_of_sum():
         n = rng.choice([1, 2, 3])
         d = rng.randint(1, 5)
         p = random_points(n, 1, rng)[0]
-        image = veronese_embed(p, d)
-        assert sum(image.coords) == sum(p.coords) ** d
+        assert sum(veronese_image(p, d)) == sum(p.primitive_coords) ** d
 
 
 def test_veronese_set_injective_on_corpus():
+    # Distinct points have independent images: a Kruskal rank of at least 2.
     rng = random.Random(13)
     for _ in range(10):
         a = random_points(rng.choice([1, 2, 3]), rng.randint(2, 8), rng)
-        image = veronese_embed_set(a, rng.randint(1, 4))
-        assert len(image) == len(a)
+        assert veronese_kruskal_rank(a, rng.randint(1, 4)) >= 2
 
 
 def test_span_dim_examples():
@@ -231,36 +229,35 @@ def test_max_collinear_matches_brute_force():
             assert max_collinear_subset_size(a) == brute_max_collinear(rows)
 
 
-def test_evaluate_form_examples():
-    conic = Form.from_exponents(3, 2, {(1, 1, 0): 1, (0, 0, 2): -1})
-    assert evaluate_form(conic, ProjectivePoint((1, 1, 1))) == 0
-    assert evaluate_form(conic, ProjectivePoint((1, 2, 1))) == 1
-    f = Form.from_exponents(2, 2, {(2, 0): 1, (1, 1): 2})
-    assert evaluate_form(f, ProjectivePoint((1, 3))) == 7
-    with pytest.raises(ValueError):
-        evaluate_form(f, ProjectivePoint((1, 1, 1)))
-
-
-def test_linear_power_and_times_variable():
-    square = Form.linear_power((1, 1), 2)
-    assert square.coefficient_vector() == (1, 2, 1)
-    cubed = square.times_variable(0)
-    assert cubed.degree == 3
-    assert cubed.coefficient_vector() == (1, 2, 1, 0)
-    assert Form(2, 3, {}).is_zero()
-
-
-def test_form_rejects_mismatched_monomials():
-    with pytest.raises(ValueError):
-        Form(2, 2, {Monomial((1, 0)): 1})
-    with pytest.raises(ValueError):
-        Form(2, 2, {Monomial((1, 1, 1)): 1})
-    with pytest.raises(ValueError):
-        Monomial((1, -1))
-
-
 def test_random_point_set_deterministic():
     a = random_point_set(2, 6, random.Random(99))
     b = random_point_set(2, 6, random.Random(99))
     assert a == b
     assert len(a) == 6 and a.ambient_dim == 2
+
+
+def test_box_point_count_matches_enumeration():
+    for n in (1, 2):
+        for bound in range(1, 5):
+            points = {ProjectivePoint(v) for v in product(range(-bound, bound + 1),
+                                                          repeat=n + 1) if any(v)}
+            assert _box_point_count(n, bound) == len(points)
+
+
+@pytest.mark.parametrize("n, bound", [(1, 1), (1, 2), (2, 1)])
+def test_random_point_set_takes_every_point_of_a_small_box(n, bound):
+    count = _box_point_count(n, bound)
+    a = random_point_set(n, count, random.Random(0), bound=bound)
+    assert len(set(a)) == count
+    assert all(max(map(abs, p.primitive_coords)) <= bound for p in a)
+    with pytest.raises(ValueError, match=f"only {count} points"):
+        random_point_set(n, count + 1, random.Random(0), bound=bound)
+
+
+def test_sampling_past_the_box_raises_instead_of_hanging():
+    # P^1 has four points with coordinates in [-1, 1].
+    assert _box_point_count(1, 1) == 4
+    with pytest.raises(ValueError):
+        random_point_set(1, 5, random.Random(0), bound=1)
+    with pytest.raises(ValueError):
+        generic_terracini_dimension(1, 8, 5, bound=1)

@@ -8,11 +8,11 @@ from waringcert import (
     HilbertProfile,
     PointSet,
     check_gkr_inequality,
-    evaluation_matrix,
     hilbert_function,
     hilbert_profile,
     is_separated,
     kruskal_rank,
+    monomial_values,
     satisfies_cb,
     separates_point,
     span_dim,
@@ -37,22 +37,20 @@ COLLINEAR3 = PointSet.from_rows([(1, 0, 0), (1, 1, 0), (1, 2, 0)])
 
 
 def test_evaluation_matrix_degree_zero():
-    m = evaluation_matrix(conic_points(4), 0)
-    assert m.rows == 4 and m.cols == 1
-    assert all(m.row(i) == (1,) for i in range(4))
-    assert m.rank() == 1
+    a = conic_points(4)
+    assert monomial_values(a, 0) == ((1,),) * 4
+    assert hilbert_function(a, 0) == 1
 
 
 def test_evaluation_matrix_coordinate_pair():
-    m = evaluation_matrix(PointSet.from_rows([(1, 0), (0, 1)]), 1)
-    assert m.entries == ((1, 0), (0, 1))
+    a = PointSet.from_rows([(1, 0), (0, 1)])
+    assert monomial_values(a, 1) == ((1, 0), (0, 1))
 
 
 def test_evaluation_matrix_binary_vandermonde():
     a = PointSet.from_rows([(1, t) for t in range(3)])
-    m = evaluation_matrix(a, 2)
-    assert m.entries == ((1, 0, 0), (1, 1, 1), (1, 2, 4))
-    assert m.rank() == 3
+    assert monomial_values(a, 2) == ((1, 0, 0), (1, 1, 1), (1, 2, 4))
+    assert hilbert_function(a, 2) == 3
 
 
 def test_hilbert_function_conic_profile():

@@ -1,39 +1,38 @@
-"""The integer rank paths against the Fraction oracles that stay public.
+"""The integer rank paths against independent ``Fraction`` references.
 
 Every rank in the library is taken on integer rows built from the primitive
 integer representatives of the points.  These properties compare each of
-them with the same invariant computed the long way, over ``Fraction``:
-evaluation matrices, ``Form`` coefficient vectors of the tangent forms, and
-the weighted Veronese coordinates.  Coordinates are rationals with
-denominators, zeros and negative leading entries.
+them with the same invariant computed the long way, by ``fraction_rank`` of
+``oracles``: monomial evaluations at the canonical coordinates, the tangent
+forms L**(d-1) * x_j and the powers L**j expanded by repeated
+multiplication.  Coordinates are rationals with denominators, zeros and
+negative leading entries.
 """
 
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 from hypothesis import given, settings, strategies as st
 
 from waringcert import (
-    Matrix,
     PointSet,
     ProjectivePoint,
-    evaluation_matrix,
     hilbert_function,
     hilbert_profile,
     integer_rank,
     kruskal_rank,
     max_collinear_subset_size,
-    monomial_basis,
     monomial_values,
     span_dim,
-    tangent_space_basis,
     terracini_dimension,
-    veronese_embed_set,
     veronese_kruskal_rank,
 )
 from waringcert.linalg import integer_kernel
 
-from oracles import brute_max_collinear, kruskal_by_subsets, minor_rank
+from oracles import (brute_max_collinear, fraction_rank, kruskal_by_subsets,
+                     linear_form_power, minor_rank, monomial_values_by_powers,
+                     tangent_forms)
 
 KERNEL_SETTINGS = dict(max_examples=40, deadline=None, derandomize=True)
 
@@ -66,8 +65,20 @@ def aligned_point_sets(draw):
     return PointSet.from_rows(draw(st.permutations(rows)))
 
 
-def fraction_rank(rows):
-    return Matrix(rows).rank()
+def exponents(nvars, d):
+    return [e for e in product(range(d + 1), repeat=nvars) if sum(e) == d]
+
+
+def evaluation_rows(a, d):
+    """Every degree-d monomial at the canonical coordinates of each point."""
+    exps = exponents(a.ambient_dim + 1, d)
+    return [[prod(c ** k for c, k in zip(p.coords, e)) for e in exps] for p in a]
+
+
+def coefficient_rows(forms, nvars, d):
+    """The degree-d forms ({exponent tuple: value}) as coefficient rows."""
+    exps = exponents(nvars, d)
+    return [[f.get(e, 0) for e in exps] for f in forms]
 
 
 # The prime of the modular pass in integer_rank, the largest below 2**30.
@@ -156,15 +167,14 @@ def test_primitive_coords_are_primitive_and_proportional(a):
 @settings(**KERNEL_SETTINGS)
 @given(point_sets(), st.integers(0, 4))
 def test_monomial_values_evaluate_the_basis(a, d):
-    basis = monomial_basis(a.ambient_dim, d)
-    expected = tuple(tuple(mon.evaluate(p.primitive_coords) for mon in basis) for p in a)
-    assert monomial_values(a, d) == expected
+    expected = monomial_values_by_powers([p.primitive_coords for p in a], d)
+    assert monomial_values(a, d) == tuple(map(tuple, expected))
 
 
 @settings(**KERNEL_SETTINGS)
 @given(point_sets(), st.integers(0, 4))
 def test_hilbert_function_matches_evaluation_matrix(a, d):
-    assert hilbert_function(a, d) == evaluation_matrix(a, d).rank()
+    assert hilbert_function(a, d) == fraction_rank(evaluation_rows(a, d))
 
 
 @settings(**KERNEL_SETTINGS)
@@ -172,7 +182,7 @@ def test_hilbert_function_matches_evaluation_matrix(a, d):
 def test_early_stopped_profile_matches_full_profile(a, j_max):
     profile = hilbert_profile(a, j_max=j_max)
     top = len(a) - 1 if j_max is None else max(j_max, len(a) - 1)
-    full = tuple(evaluation_matrix(a, d).rank() for d in range(top + 1))
+    full = tuple(fraction_rank(evaluation_rows(a, d)) for d in range(top + 1))
     assert profile.j_max == top
     assert tuple(profile.value_at(d) for d in range(top + 1)) == full
     assert profile.values == full[:full.index(len(a)) + 1]
@@ -181,15 +191,16 @@ def test_early_stopped_profile_matches_full_profile(a, j_max):
 @settings(**KERNEL_SETTINGS)
 @given(point_sets(max_size=6), st.integers(2, 4))
 def test_terracini_dimension_matches_tangent_forms(a, d):
-    rows = [form.coefficient_vector()
-            for p in a for form in tangent_space_basis(p, d)]
+    nvars = a.ambient_dim + 1
+    rows = coefficient_rows([f for p in a for f in tangent_forms(p.coords, d)], nvars, d)
     assert terracini_dimension(a, d).dim == fraction_rank(rows) - 1
 
 
 @settings(**KERNEL_SETTINGS)
 @given(point_sets(max_size=6), st.integers(1, 3))
 def test_veronese_kruskal_rank_matches_weighted_embedding(a, j):
-    rows = [p.coords for p in veronese_embed_set(a, j)]
+    rows = coefficient_rows([linear_form_power(p.coords, j) for p in a],
+                            a.ambient_dim + 1, j)
     assert veronese_kruskal_rank(a, j) == kruskal_by_subsets(rows, fraction_rank)
 
 
