@@ -9,13 +9,9 @@ of rank and uniqueness.  All arithmetic is exact: every rank is taken on
 integer rows built from primitive integer representatives of the points.
 """
 
-from .certify import (Certificate, CriterionResult, Diagnostics, GenericInfo,
-                      Verdict, binary_generic_rank, certify, check_minimal,
-                      complementary_bound, criterion_alignment_bound,
-                      criterion_half_degree, criterion_half_degree_spanning,
-                      criterion_plane_gup, criterion_quartic,
-                      criterion_reshaped_kruskal, criterion_sylvester,
-                      generic_info)
+from .certify import (Certificate, Diagnostics, GenericInfo, Verdict,
+                      binary_generic_rank, certify, check_minimal,
+                      complementary_bound, generic_info)
 from .geometry import (DuplicatePointError, PointSet, ProjectivePoint,
                        max_collinear_subset_size, monomial_basis,
                        monomial_values, random_point_set, union)
@@ -33,19 +29,16 @@ from .terracini import (TerraciniReport, generic_terracini_dimension,
 __version__ = "0.2.0"
 
 __all__ = [
-    "Certificate", "CriterionResult", "Diagnostics", "DuplicatePointError",
-    "GenericInfo", "HilbertProfile", "KruskalReport", "PointSet",
-    "ProjectivePoint", "ReshapingSearch", "TerraciniReport", "Verdict",
-    "binary_generic_rank", "certify", "check_gkr_inequality", "check_minimal",
-    "complementary_bound", "criterion_alignment_bound",
-    "criterion_half_degree", "criterion_half_degree_spanning",
-    "criterion_plane_gup", "criterion_quartic", "criterion_reshaped_kruskal",
-    "criterion_sylvester", "degree_partitions", "generic_info",
-    "generic_terracini_dimension", "gup_cutoff", "hilbert_function",
-    "hilbert_profile", "integer_rank", "is_gup", "is_linearly_independent",
-    "is_lgp", "is_separated", "kruskal_and_collinear", "kruskal_rank",
-    "max_collinear_subset_size", "monomial_basis", "monomial_values",
-    "random_point_set", "reshaped_kruskal", "satisfies_cb", "separates_point",
-    "span_dim", "span_intersection_dim", "terracini_dimension", "union",
+    "Certificate", "Diagnostics", "DuplicatePointError", "GenericInfo",
+    "HilbertProfile", "KruskalReport", "PointSet", "ProjectivePoint",
+    "ReshapingSearch", "TerraciniReport", "Verdict", "binary_generic_rank",
+    "certify", "check_gkr_inequality", "check_minimal", "complementary_bound",
+    "degree_partitions", "generic_info", "generic_terracini_dimension",
+    "gup_cutoff", "hilbert_function", "hilbert_profile", "integer_rank",
+    "is_gup", "is_linearly_independent", "is_lgp", "is_separated",
+    "kruskal_and_collinear", "kruskal_rank", "max_collinear_subset_size",
+    "monomial_basis", "monomial_values", "random_point_set",
+    "reshaped_kruskal", "satisfies_cb", "separates_point", "span_dim",
+    "span_intersection_dim", "terracini_dimension", "union",
     "union_profile_drop", "veronese_kruskal_rank",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 from .geometry import PointSet
 from .hilbert import HilbertProfile, hilbert_profile, span_dim
@@ -28,14 +28,6 @@ class Verdict(enum.Enum):
     IDENTIFIABLE = "Identifiable"
     NOT_MINIMAL = "NotMinimal"
     INCONCLUSIVE = "Inconclusive"
-
-
-@dataclass(frozen=True)
-class CriterionResult:
-    """A fired criterion: its identifier and a short justification."""
-
-    criterion: str
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -111,139 +103,104 @@ def binary_generic_rank(d: int) -> int:
     return (d + 1) // 2 if d % 2 else (d + 2) // 2
 
 
-def _eval_sylvester(a: PointSet, d: int) -> tuple[CriterionResult | None, str]:
+def _sylvester(a: PointSet, d: int) -> tuple[bool, str]:
+    """Binary forms: 2*len(a) <= d + 1, that is, len(a) is below the generic
+    rank of degree-d binary forms, or equals it with d odd (Sylvester)."""
     if a.ambient_dim != 1:
-        return None, f"not applicable (ambient dimension {a.ambient_dim}, needs 1)"
+        return False, f"not applicable (ambient dimension {a.ambient_dim}, needs 1)"
     l = len(a)
     if 2 * l <= d + 1:
-        return (CriterionResult("sylvester", f"{l} binary points with 2*{l} <= {d} + 1"),
-                f"fired (2*{l} <= {d} + 1)")
-    return None, (f"{l} points do not satisfy the binary rank bound "
-                  f"(2*{l} > {d} + 1)")
+        return True, f"fired (2*{l} <= {d} + 1)"
+    return False, (f"{l} points do not satisfy the binary rank bound "
+                   f"(2*{l} > {d} + 1)")
 
 
-def criterion_sylvester(a: PointSet, d: int) -> CriterionResult | None:
-    """Binary forms: fires when 2*len(a) <= d + 1.
-
-    That is, len(a) is below the generic rank of degree-d binary forms, or
-    equals it with d odd (Sylvester's theorem).
-    """
-    return _eval_sylvester(a, d)[0]
-
-
-def _eval_half_degree(a: PointSet, d: int) -> tuple[CriterionResult | None, str]:
+def _half_degree(a: PointSet, d: int) -> tuple[bool, str]:
+    """Twice the set size is at most d + 1."""
     l = len(a)
     if 2 * l <= d + 1:
-        return (CriterionResult("half-degree", f"2*{l} <= {d} + 1"),
-                f"fired (2*{l} <= {d} + 1)")
-    return None, f"2*{l} = {2 * l} > {d + 1} = d + 1"
+        return True, f"fired (2*{l} <= {d} + 1)"
+    return False, f"2*{l} = {2 * l} > {d + 1} = d + 1"
 
 
-def criterion_half_degree(a: PointSet, d: int) -> CriterionResult | None:
-    """Fires when twice the set size is at most d + 1."""
-    return _eval_half_degree(a, d)[0]
-
-
-def _eval_half_degree_spanning(a: PointSet, d: int) -> tuple[CriterionResult | None, str]:
+def _half_degree_spanning(a: PointSet, d: int) -> tuple[bool, str]:
+    """The points span P^n and twice the set size is at most d + n."""
     l = len(a)
     n = a.ambient_dim
     if span_dim(a) != n:
-        return None, f"the points span a proper subspace (dimension {span_dim(a)} < {n})"
+        return False, f"the points span a proper subspace (dimension {span_dim(a)} < {n})"
     if 2 * l <= d + n:
-        return (CriterionResult("half-degree-spanning", f"spanning and 2*{l} <= {d} + {n}"),
-                f"fired (spanning, 2*{l} <= {d} + {n})")
-    return None, f"2*{l} = {2 * l} > {d + n} = d + n"
+        return True, f"fired (spanning, 2*{l} <= {d} + {n})"
+    return False, f"2*{l} = {2 * l} > {d + n} = d + n"
 
 
-def criterion_half_degree_spanning(a: PointSet, d: int) -> CriterionResult | None:
-    """Fires when the points span P^n and twice the size is at most d + n."""
-    return _eval_half_degree_spanning(a, d)[0]
-
-
-def _eval_alignment_bound(a: PointSet, d: int) -> tuple[CriterionResult | None, str]:
+def _alignment_bound(a: PointSet, d: int) -> tuple[bool, str]:
+    """len(a) <= d and every aligned subset has size below d/2."""
     l = len(a)
     if l > d:
-        return None, f"{l} points exceed the degree {d}"
+        return False, f"{l} points exceed the degree {d}"
     m = kruskal_and_collinear(a)[1]
     if 2 * m < d:
-        return (CriterionResult("alignment-bound",
-                                f"{l} <= {d} and largest aligned subset {m} < {d}/2"),
-                f"fired ({l} <= {d}, aligned subset {m} < {d}/2)")
-    return None, f"an aligned subset of size {m} is not below {d}/2"
+        return True, f"fired ({l} <= {d}, aligned subset {m} < {d}/2)"
+    return False, f"an aligned subset of size {m} is not below {d}/2"
 
 
-def criterion_alignment_bound(a: PointSet, d: int) -> CriterionResult | None:
-    """Fires when len(a) <= d and every aligned subset has size below d/2."""
-    return _eval_alignment_bound(a, d)[0]
-
-
-def _eval_plane_gup(a: PointSet, d: int) -> tuple[CriterionResult | None, str]:
+def _plane_gup(a: PointSet, d: int) -> tuple[bool, str]:
+    """Plane sets in general uniform position with 8*len(a) < d^2 + d."""
     if a.ambient_dim != 2:
-        return None, f"not applicable (ambient dimension {a.ambient_dim}, needs 2)"
+        return False, f"not applicable (ambient dimension {a.ambient_dim}, needs 2)"
     l = len(a)
     if 8 * l >= d * d + d:
-        return None, f"8*{l} = {8 * l} is not below d^2 + d = {d * d + d}"
+        return False, f"8*{l} = {8 * l} is not below d^2 + d = {d * d + d}"
     if not is_gup(a):
-        return None, "the points are not in general uniform position"
-    return (CriterionResult("plane-gup",
-                            f"general uniform position in the plane and 8*{l} < {d * d + d}"),
-            f"fired (GUP, 8*{l} < {d * d + d})")
+        return False, "the points are not in general uniform position"
+    return True, f"fired (GUP, 8*{l} < {d * d + d})"
 
 
-def criterion_plane_gup(a: PointSet, d: int) -> CriterionResult | None:
-    """Plane sets in general uniform position with 8*len(a) < d^2 + d."""
-    return _eval_plane_gup(a, d)[0]
-
-
-def _eval_reshaped_kruskal(a: PointSet, d: int) -> tuple[CriterionResult | None, str]:
-    if d < 3:
-        return None, f"not applicable (degree {d} cannot be split into three parts)"
+def _reshaped_kruskal(a: PointSet, d: int) -> tuple[bool, str]:
+    """Some partition d = x + y + z satisfies the reshaped Kruskal inequality
+    2*len(a) <= k_x + k_y + k_z - 2; the note names the witness.  Needs d >= 3."""
     search = reshaped_kruskal(a, d)
     rep = search.passing
     if rep is None:
-        return None, f"no partition passes (proven bound {search.bound} < {len(a)})"
-    return (CriterionResult(
-        "reshaped-kruskal",
-        f"partition {rep.partition} with Veronese Kruskal ranks {rep.ranks}"),
-        f"fired (partition {rep.partition}, ranks {rep.ranks})")
+        return False, f"no partition passes (proven bound {search.bound} < {len(a)})"
+    return True, f"fired (partition {rep.partition}, ranks {rep.ranks})"
 
 
-def criterion_reshaped_kruskal(a: PointSet, d: int) -> CriterionResult | None:
-    """Fires when some partition d = x + y + z satisfies the reshaped
-    Kruskal inequality 2*len(a) <= k_x + k_y + k_z - 2; the witnessing
-    partition is recorded in the result."""
-    return _eval_reshaped_kruskal(a, d)[0]
+def _quartic(a: PointSet, d: int) -> tuple[bool, str]:
+    """Degree 4, driven by the Kruskal rank k of the points.
 
-
-def _eval_quartic(a: PointSet) -> tuple[CriterionResult | None, str]:
+    With l = len(a): above 2k - 1 nothing is certified; below, the test is
+    the reshaped Kruskal criterion in degree 4, which the cascade has
+    already tried without success; at the boundary l = 2k - 1 the criterion
+    fires exactly when the Terracini dimension is the maximal (n+1)*l - 1.
+    """
     l = len(a)
     n = a.ambient_dim
     k = kruskal_rank(a)
     if l > 2 * k - 1:
-        return None, f"{l} points exceed 2k - 1 = {2 * k - 1} (k = {k})"
+        return False, f"{l} points exceed 2k - 1 = {2 * k - 1} (k = {k})"
     if l < 2 * k - 1:
-        fired, reason = _eval_reshaped_kruskal(a, 4)
-        return fired, f"{l} < 2k - 1 = {2 * k - 1}, delegated to reshaping: {reason}"
-    report = terracini_dimension(a, 4)
+        reason = _reshaped_kruskal(a, d)[1]
+        return False, f"{l} < 2k - 1 = {2 * k - 1}, delegated to reshaping: {reason}"
+    report = terracini_dimension(a, d)
     if report.tangents_independent:
-        return (CriterionResult(
-            "quartic",
-            f"boundary size 2k - 1 = {l} and tangent spaces in direct sum "
-            f"(dimension {report.dim})"),
-            f"fired (2k - 1 = {l}, Terracini dimension {report.dim})")
-    return None, (f"boundary size 2k - 1 = {l} but the Terracini dimension "
-                  f"{report.dim} is below {(n + 1) * l - 1}")
+        return True, f"fired (2k - 1 = {l}, Terracini dimension {report.dim})"
+    return False, (f"boundary size 2k - 1 = {l} but the Terracini dimension "
+                   f"{report.dim} is below {(n + 1) * l - 1}")
 
 
-def criterion_quartic(a: PointSet) -> CriterionResult | None:
-    """Degree-4 criterion driven by the Kruskal rank k of the points.
-
-    With l = len(a): above 2k - 1 nothing is certified; below, the test is
-    delegated to the reshaped Kruskal criterion in degree 4; at the boundary
-    l = 2k - 1 the criterion fires exactly when the Terracini dimension is
-    the maximal (n+1)*l - 1.
-    """
-    return _eval_quartic(a)[0]
+# The cascade, cheapest first: each rule's label, the rule, and the lowest
+# and highest degree it applies to.  The first rule that fires decides.
+_CASCADE = (
+    ("sylvester", _sylvester, 1, inf),
+    ("half-degree", _half_degree, 1, inf),
+    ("half-degree-spanning", _half_degree_spanning, 1, inf),
+    ("alignment-bound", _alignment_bound, 1, inf),
+    ("plane-gup", _plane_gup, 1, inf),
+    ("reshaped-kruskal", _reshaped_kruskal, 3, inf),
+    ("quartic", _quartic, 4, 4),
+)
 
 
 def complementary_bound(a: PointSet, d: int) -> int:
@@ -268,10 +225,11 @@ def complementary_bound(a: PointSet, d: int) -> int:
 def certify(a: PointSet, d: int) -> Certificate:
     """Run the certification cascade on a candidate decomposition.
 
-    The criteria run in a fixed order from cheapest to most expensive:
-    sylvester, half-degree, half-degree-spanning, alignment-bound,
-    plane-gup, reshaped-kruskal (degree >= 3), quartic (degree 4).  The
-    first hit decides; the notes record one line per criterion examined.
+    The criteria run in the fixed order of the cascade table, from cheapest
+    to most expensive: sylvester, half-degree, half-degree-spanning,
+    alignment-bound, plane-gup, reshaped-kruskal (degree >= 3), quartic
+    (degree 4).  The first hit decides; the notes record one line per
+    criterion examined.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
@@ -280,7 +238,7 @@ def certify(a: PointSet, d: int) -> Certificate:
     profile = hilbert_profile(a)
     minimal = check_minimal(a, d)
     notes: list[str] = []
-    fired: CriterionResult | None = None
+    fired: str | None = None
     evaluated: list[str] = []
 
     if not minimal:
@@ -289,29 +247,20 @@ def certify(a: PointSet, d: int) -> Certificate:
             f"(h({d}) = {profile.value_at(d)} < {l}), so the candidate "
             "is not a minimal decomposition; no criterion was attempted")
     else:
-        cascade: list[tuple[str, object]] = [
-            ("sylvester", lambda: _eval_sylvester(a, d)),
-            ("half-degree", lambda: _eval_half_degree(a, d)),
-            ("half-degree-spanning", lambda: _eval_half_degree_spanning(a, d)),
-            ("alignment-bound", lambda: _eval_alignment_bound(a, d)),
-            ("plane-gup", lambda: _eval_plane_gup(a, d)),
-        ]
-        if d >= 3:
-            cascade.append(("reshaped-kruskal", lambda: _eval_reshaped_kruskal(a, d)))
-        if d == 4:
-            cascade.append(("quartic", lambda: _eval_quartic(a)))
-        for name, evaluate in cascade:
-            evaluated.append(name)
-            result, reason = evaluate()
-            notes.append(f"{name}: {reason}")
-            if result is not None:
-                fired = result
+        for label, rule, lowest, highest in _CASCADE:
+            if not lowest <= d <= highest:
+                continue
+            evaluated.append(label)
+            hit, reason = rule(a, d)
+            notes.append(f"{label}: {reason}")
+            if hit:
+                fired = label
                 break
 
     examined = {1}
     if "reshaped-kruskal" in evaluated:
         examined.update(j for j, _ in reshaped_kruskal(a, d).ranks)
-    if fired is not None and fired.criterion == "plane-gup":
+    if fired == "plane-gup":
         examined.update(range(1, gup_cutoff(n, l) + 1))
     ranks = tuple((j, veronese_kruskal_rank(a, j)) for j in sorted(examined))
     # The quartic criterion takes the Terracini rank only at l = 2k - 1.
@@ -339,7 +288,7 @@ def certify(a: PointSet, d: int) -> Certificate:
         degree=d,
         set_size=l,
         ambient_dim=n,
-        criterion=fired.criterion if fired else None,
+        criterion=fired,
         rank=l if fired else None,
         diagnostics=diagnostics,
         notes=tuple(notes),

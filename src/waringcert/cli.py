@@ -43,7 +43,7 @@ from .terracini import TerraciniReport, terracini_dimension
 
 _GENERATOR = f"waringcert {__version__}"
 _SCHEMA_VERSION = 2
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
 
 
 class PointFileError(ValueError):
@@ -92,7 +92,7 @@ def parse_point_file(text: str) -> PointSetDocument:
             if rows:
                 raise PointFileError("dim must come before the points", lineno)
             body = line[len("dim:"):].strip()
-            if not body.isdigit() or int(body) < 1:
+            if not (body.isascii() and body.isdigit()) or int(body) < 1:
                 raise PointFileError(
                     f"dim must be a positive integer, got {body!r}", lineno)
             declared_dim = int(body)

@@ -42,7 +42,7 @@ def test_parse_rational_values():
     assert parse_rational("3") == 3
     assert parse_rational("-7") == -7
     assert parse_rational("1/2") == Fraction(1, 2)
-    for bad in ("1.5", "1e3", "x", "1/0/2", ""):
+    for bad in ("1.5", "1e3", "x", "1/0/2", "", "\u0663", "1/\u0663"):
         with pytest.raises(ValueError):
             parse_rational(bad)
     with pytest.raises(ZeroDivisionError):
@@ -76,6 +76,12 @@ def test_parse_point_file_errors_carry_line_numbers():
     with pytest.raises(PointFileError) as exc:
         parse_point_file("dim: two\n")
     assert exc.value.line == 1
+    with pytest.raises(PointFileError) as exc:
+        parse_point_file("dim: \u00b2\n1 0 0\n")
+    assert exc.value.line == 1
+    with pytest.raises(PointFileError) as exc:
+        parse_point_file("dim: 1\n1 \u0663\n")
+    assert exc.value.line == 2
 
 
 def test_parse_point_file_duplicates_name_both_lines():

@@ -1,6 +1,7 @@
 """Kruskal ranks, position properties, and the reshaping criterion."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +11,6 @@ from waringcert import (
     PointSet,
     ProjectivePoint,
     certify,
-    check_minimal,
-    criterion_alignment_bound,
-    criterion_half_degree,
-    criterion_half_degree_spanning,
-    criterion_plane_gup,
-    criterion_sylvester,
     degree_partitions,
     gup_cutoff,
     is_gup,
@@ -23,12 +18,13 @@ from waringcert import (
     kruskal_rank,
     reshaped_kruskal,
     span_dim,
-    terracini_dimension,
     veronese_kruskal_rank,
 )
 
 from conftest import random_points
-from oracles import reshaped_kruskal_table
+from oracles import (brute_max_collinear, fraction_rank, kruskal_by_subsets,
+                     monomial_values_by_powers, reshaped_kruskal_table,
+                     tangent_forms)
 
 
 def simplex_plus_ones(n):
@@ -182,7 +178,6 @@ def test_kruskal_report_validation():
 
 def test_report_ranks_within_bounds():
     rng = random.Random(45)
-    from math import comb
     for _ in range(6):
         n = rng.choice([2, 3])
         a = random_points(n, rng.randint(3, 6), rng)
@@ -239,22 +234,46 @@ def small_integer_sets(draw):
 
 
 def _oracle_outcome(a, d):
-    """The cascade's outcome, with the reshaping test taken from the table."""
-    if not check_minimal(a, d):
+    """The cascade's outcome with each rule's hypothesis checked from first
+    principles: ranks by Fraction elimination, alignment and Kruskal ranks
+    by exhaustive subsets, tangent spaces by polynomial multiplication, and
+    the reshaping test from the exhaustive table."""
+    coords = [p.primitive_coords for p in a]
+    l, n = len(a), a.ambient_dim
+    if fraction_rank(monomial_values_by_powers(coords, d)) < l:
         return "NotMinimal"
-    for name, criterion in (("sylvester", criterion_sylvester),
-                            ("half-degree", criterion_half_degree),
-                            ("half-degree-spanning", criterion_half_degree_spanning),
-                            ("alignment-bound", criterion_alignment_bound),
-                            ("plane-gup", criterion_plane_gup)):
-        if criterion(a, d) is not None:
-            return name
+    if n == 1 and 2 * l <= d + 1:
+        return "sylvester"
+    if 2 * l <= d + 1:
+        return "half-degree"
+    if fraction_rank(coords) == n + 1 and 2 * l <= d + n:
+        return "half-degree-spanning"
+    if l <= d and 2 * brute_max_collinear(coords) < d:
+        return "alignment-bound"
+    if n == 2 and 8 * l < d * d + d and _gup_by_subsets(coords):
+        return "plane-gup"
     if any(rep.passes for rep in reshaped_kruskal_table(a, d)):
         return "reshaped-kruskal"
-    if (d == 4 and len(a) == 2 * kruskal_rank(a) - 1
-            and terracini_dimension(a, 4).tangents_independent):
-        return "quartic"
+    if d == 4 and l == 2 * kruskal_by_subsets(coords, fraction_rank) - 1:
+        forms = [f for c in coords for f in tangent_forms(c, 4)]
+        exponents = sorted({e for f in forms for e in f})
+        if fraction_rank([[f.get(e, 0) for e in exponents] for f in forms]) == len(forms):
+            return "quartic"
     return "Inconclusive"
+
+
+def _gup_by_subsets(coords):
+    """General uniform position: the degree-j images have Kruskal rank
+    min(l, C(n+j, j)) for every j up to the first with C(n+j, j) >= l."""
+    l, n = len(coords), len(coords[0]) - 1
+    j = 1
+    while True:
+        rows = monomial_values_by_powers(coords, j)
+        if kruskal_by_subsets(rows, fraction_rank) != min(l, comb(n + j, j)):
+            return False
+        if comb(n + j, j) >= l:
+            return True
+        j += 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
