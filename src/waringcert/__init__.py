@@ -26,7 +26,7 @@ from .linalg import integer_rank
 from .terracini import (TerraciniReport, generic_terracini_dimension,
                         terracini_dimension)
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "Certificate", "Diagnostics", "DuplicatePointError", "GenericInfo",

@@ -34,21 +34,24 @@ class Verdict(enum.Enum):
 class Diagnostics:
     """Invariants of the input collected while certifying.
 
-    The Hilbert profile, the Kruskal rank, the largest collinear subset,
-    the span dimension and the complementary bound are always present.
-    The costly invariants are reported only where the cascade computed
-    them: veronese_kruskal_ranks lists (degree, rank) pairs for degree 1
-    (the Kruskal rank of A itself), the degrees the reshaped Kruskal search
-    swept, and degrees 1 to the GUP cutoff when plane-gup fired; terracini
-    is the degree-4 report the quartic criterion took at its boundary size
-    l = 2k - 1, and None otherwise.
+    The Hilbert profile, the span dimension and the complementary bound are
+    always present.  The costly invariants are reported only where the
+    cascade computed them, so a certificate costs no sweep that no
+    criterion read.  kruskal_rank (k_1) and max_collinear are set when a
+    rule that ran took them: alignment-bound with len(a) <= d, plane-gup
+    past its size test, reshaped-kruskal sweeping degree 1, or quartic
+    within its cap; they are None otherwise.  veronese_kruskal_ranks lists
+    (degree, rank) pairs for degree 1 when k_1 is set, the degrees the
+    reshaped Kruskal search swept, and degrees 1 to the GUP cutoff when
+    plane-gup fired.  terracini is the degree-4 report the quartic
+    criterion took at its boundary size l = 2k - 1, and None otherwise.
     """
 
     minimal: bool
     hilbert: HilbertProfile
-    kruskal_rank: int
+    kruskal_rank: int | None
     veronese_kruskal_ranks: tuple[tuple[int, int], ...]
-    max_collinear: int
+    max_collinear: int | None
     span_dim: int
     terracini: TerraciniReport | None
     complementary_bound: int
@@ -167,22 +170,35 @@ def _reshaped_kruskal(a: PointSet, d: int) -> tuple[bool, str]:
     return True, f"fired (partition {rep.partition}, ranks {rep.ranks})"
 
 
+def _quartic_cap(a: PointSet) -> int:
+    """The largest 2k - 1 that k_1 <= min(len(a), n + 1) allows."""
+    return 2 * min(len(a), a.ambient_dim + 1) - 1
+
+
 def _quartic(a: PointSet, d: int) -> tuple[bool, str]:
     """Degree 4, driven by the Kruskal rank k of the points.
 
-    With l = len(a): above 2k - 1 nothing is certified; below, the test is
-    the reshaped Kruskal criterion in degree 4, which the cascade has
-    already tried without success; at the boundary l = 2k - 1 the criterion
-    fires exactly when the Terracini dimension is the maximal (n+1)*l - 1.
+    With l = len(a): above 2k - 1 nothing is certified, and l above the
+    cap 2*min(l, n + 1) - 1 is ruled out before k is computed.  At the
+    boundary l = 2k - 1 the criterion fires exactly when the Terracini
+    dimension is the maximal (n+1)*l - 1.
+
+    Below the boundary the rule is never reached from ``certify``: when
+    every k points of A are independent and l <= 2k - 2, each point p has
+    the other l - 1 <= 2k - 3 points split into two groups of at most
+    k - 1, each on a hyperplane that misses p, so the product of the two
+    hyperplanes is a quadric through all points but p.  Then k_2 = l, and
+    the partition (1, 1, 2) passes the reshaped Kruskal test
+    2l <= 2k + l - 2, which the cascade tries first.
     """
     l = len(a)
     n = a.ambient_dim
+    cap = _quartic_cap(a)
+    if l > cap:
+        return False, f"{l} points exceed 2k - 1 <= {cap} (k <= {min(l, n + 1)})"
     k = kruskal_rank(a)
     if l > 2 * k - 1:
         return False, f"{l} points exceed 2k - 1 = {2 * k - 1} (k = {k})"
-    if l < 2 * k - 1:
-        reason = _reshaped_kruskal(a, d)[1]
-        return False, f"{l} < 2k - 1 = {2 * k - 1}, delegated to reshaping: {reason}"
     report = terracini_dimension(a, d)
     if report.tangents_independent:
         return True, f"fired (2k - 1 = {l}, Terracini dimension {report.dim})"
@@ -257,15 +273,22 @@ def certify(a: PointSet, d: int) -> Certificate:
                 fired = label
                 break
 
-    examined = {1}
-    if "reshaped-kruskal" in evaluated:
-        examined.update(j for j, _ in reshaped_kruskal(a, d).ranks)
+    # Whether a rule that ran took k_1 (and the largest collinear subset
+    # with it), decided from (a, d) alone and not from the set's memo, so
+    # that a certificate does not depend on what was computed before.
+    swept = ({j for j, _ in reshaped_kruskal(a, d).ranks}
+             if "reshaped-kruskal" in evaluated else set())
+    took_kruskal = (("alignment-bound" in evaluated and l <= d)
+                    or ("plane-gup" in evaluated and n == 2 and 8 * l < d * d + d)
+                    or 1 in swept
+                    or ("quartic" in evaluated and l <= _quartic_cap(a)))
+    k, m = kruskal_and_collinear(a) if took_kruskal else (None, None)
+    examined = swept | ({1} if took_kruskal else set())
     if fired == "plane-gup":
         examined.update(range(1, gup_cutoff(n, l) + 1))
     ranks = tuple((j, veronese_kruskal_rank(a, j)) for j in sorted(examined))
     # The quartic criterion takes the Terracini rank only at l = 2k - 1.
-    took_terracini = "quartic" in evaluated and l == 2 * kruskal_rank(a) - 1
-    k, m = kruskal_and_collinear(a)
+    took_terracini = "quartic" in evaluated and k is not None and l == 2 * k - 1
     diagnostics = Diagnostics(
         minimal=minimal,
         hilbert=profile,

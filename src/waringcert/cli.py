@@ -42,8 +42,8 @@ from .kruskal import gup_cutoff, is_gup, is_lgp, veronese_kruskal_rank
 from .terracini import TerraciniReport, terracini_dimension
 
 _GENERATOR = f"waringcert {__version__}"
-_SCHEMA_VERSION = 2
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
+_SCHEMA_VERSION = 3
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
 class PointFileError(ValueError):
@@ -66,11 +66,10 @@ class PointSetDocument:
 
 def parse_rational(token: str) -> Fraction:
     """Parse a decimal integer or p/q string; rejects float notation."""
-    if not _RATIONAL_RE.match(token):
+    if not _RATIONAL_RE.fullmatch(token):
         raise ValueError(
             f"{token!r} is not a decimal integer or p/q rational")
-    value = Fraction(token)
-    return value
+    return Fraction(token)
 
 
 def parse_point_file(text: str) -> PointSetDocument:
@@ -319,25 +318,24 @@ def render_human(report: dict) -> list[str]:
             lines += [f"criterion: {cert['criterion']}",
                       f"certified rank: {cert['rank']}",
                       "the decomposition is unique of this size"]
-        lines += [
-            "diagnostics:",
-            f"  minimal candidate: {yes_no[diag['minimal']]}",
-            f"  hilbert h-vector: {tuple(diag['hilbert']['h_vector'])}",
-            f"  kruskal rank: {diag['kruskal_rank']}",
-            "  veronese kruskal ranks: "
-            + ", ".join(f"k_{j}={k}" for j, k in diag["veronese_kruskal_ranks"]),
-            f"  max collinear subset: {diag['max_collinear']}",
-            f"  span dimension: {diag['span_dim']}",
+        ranks = ", ".join(f"k_{j}={k}" for j, k in diag["veronese_kruskal_ranks"])
+        # An invariant the cascade did not compute is null and has no line.
+        rows = [
+            ("minimal candidate", yes_no[diag["minimal"]]),
+            ("hilbert h-vector", tuple(diag["hilbert"]["h_vector"])),
+            ("kruskal rank", diag["kruskal_rank"]),
+            ("veronese kruskal ranks", ranks or None),
+            ("max collinear subset", diag["max_collinear"]),
+            ("span dimension", diag["span_dim"]),
+            ("terracini dimension", terracini and (
+                f"{terracini['dim']} (max possible {terracini['max_possible']}, "
+                f"N {terracini['veronese_dim']})")),
+            ("complementary decomposition bound", diag["complementary_bound"]),
         ]
-        if terracini is not None:
-            lines.append(
-                f"  terracini dimension: {terracini['dim']} (max possible "
-                f"{terracini['max_possible']}, N {terracini['veronese_dim']})")
-        lines += [
-            f"  complementary decomposition bound: {diag['complementary_bound']}",
-            "notes:",
-            *(f"  - {note}" for note in cert["notes"]),
-        ]
+        lines += ["diagnostics:",
+                  *(f"  {name}: {value}" for name, value in rows if value is not None),
+                  "notes:",
+                  *(f"  - {note}" for note in cert["notes"])]
     return lines
 
 

@@ -1,16 +1,20 @@
 """The certification cascade, its criteria, and generic rank reporting."""
 
 import gc
+import importlib
 import random
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from waringcert import kruskal
 from waringcert import (
     Certificate,
     Diagnostics,
     PointSet,
+    ProjectivePoint,
     Verdict,
     binary_generic_rank,
     certify,
@@ -18,15 +22,18 @@ from waringcert import (
     complementary_bound,
     generic_info,
     gup_cutoff,
+    is_lgp,
+    kruskal_and_collinear,
     kruskal_rank,
     random_point_set,
     reshaped_kruskal,
+    veronese_kruskal_rank,
 )
 from waringcert.certify import (_alignment_bound, _half_degree,
                                 _half_degree_spanning, _plane_gup, _quartic,
                                 _reshaped_kruskal, _sylvester)
 
-from conftest import random_points
+from conftest import corpus, random_points
 from oracles import generic_rank_from_one
 
 
@@ -148,8 +155,8 @@ def test_criterion_quartic_boundary_cases():
     assert fires(_quartic, seven, 4)
     eight = general_points(3, 8, 82)
     assert not fires(_quartic, eight, 4)
-    # Below the boundary the quartic rule defers to reshaping, which the
-    # cascade tries first.
+    # Below the boundary reshaped-kruskal fires first (see the property
+    # test of l <= 2k - 2 below).
     five = general_points(3, 5, 70)
     assert certify(five, 4).criterion == "reshaped-kruskal"
 
@@ -233,10 +240,15 @@ def test_diagnostics_hold_only_the_ranks_the_cascade_took():
                  (general_points(2, 6, 85), 4), (general_points(2, 9, 87), 6),
                  (general_points(3, 12, 88), 5)):
         assert certify(a, d).diagnostics.terracini is None, (len(a), d)
-    assert certify(binary(3), 5).diagnostics.veronese_kruskal_ranks == ((1, 2),)
+    # Nor k_1, when no rule that ran took it.
+    diag = certify(binary(3), 5).diagnostics
+    assert diag.veronese_kruskal_ranks == ()
+    assert diag.kruskal_rank is None and diag.max_collinear is None
 
 
-def test_certify_sweeps_no_veronese_degree_the_bound_rules_out(monkeypatch):
+@pytest.fixture
+def widths(monkeypatch):
+    """The row width of every Kruskal subset sweep, in order."""
     widths = []
     sweep = kruskal._all_subsets_independent
 
@@ -245,6 +257,10 @@ def test_certify_sweeps_no_veronese_degree_the_bound_rules_out(monkeypatch):
         return sweep(rows, size)
 
     monkeypatch.setattr(kruskal, "_all_subsets_independent", counting)
+    return widths
+
+
+def test_certify_sweeps_no_veronese_degree_the_bound_rules_out(widths):
     # (2, 16, 6): every partition of 6 is ruled out by min(l, C(2+j, j)),
     # and in the plane the Kruskal rank of the set is read from the
     # collinearity search, so nothing is swept.
@@ -253,7 +269,8 @@ def test_certify_sweeps_no_veronese_degree_the_bound_rules_out(monkeypatch):
     assert kruskal_rank(a) == 3
     assert cert.verdict is Verdict.INCONCLUSIVE
     assert widths == []
-    assert cert.diagnostics.veronese_kruskal_ranks == ((1, 3),)
+    assert cert.diagnostics.veronese_kruskal_ranks == ()
+    assert cert.diagnostics.kruskal_rank is None
     # (2, 13, 9): (1, 4, 4) is the cheapest partition left; its degree 4
     # (width 15 >= 13 points) is read from the Hilbert profile and its
     # degree 1 from the collinearity search, so no wider rows are swept.
@@ -270,6 +287,112 @@ def test_certify_sweeps_no_veronese_degree_the_bound_rules_out(monkeypatch):
     search = reshaped_kruskal(general_points(2, 11, 92), 10)
     assert search.passing.partition == (3, 3, 4)
     assert widths == [10]
+
+
+# General sets of the wide shapes: only (4, 9, 4), where l = 2*5 - 1 is
+# within the quartic cap, reads k_1, by one sweep of the C(9, 5) subsets of
+# its width-5 rows.  The others reach no rule that reads it: the reshaped
+# caps rule out every partition, l exceeds the quartic cap, or the set is
+# not minimal.
+@pytest.mark.parametrize("n, l, d, swept", [
+    (4, 7, 3, []), (3, 9, 4, []), (3, 11, 3, []), (3, 12, 2, []), (3, 12, 5, []),
+    (4, 10, 4, []), (4, 9, 4, [5])])
+def test_certify_sweeps_for_k1_only_where_a_rule_reads_it(widths, n, l, d, swept):
+    for seed in range(3):
+        a = general_points(n, l, seed)
+        cert = certify(a, d)
+        assert widths == swept, (seed, cert.notes)
+        assert (cert.diagnostics.kruskal_rank is None) == (swept == [])
+        assert is_lgp(a), seed
+        widths.clear()
+
+
+def _copy(a):
+    return lambda: PointSet(a.points)
+
+
+def _general(n, l, seed):
+    return lambda: general_points(n, l, seed)
+
+
+@pytest.mark.parametrize("build, d", [
+    (_general(2, 16, 90), 6), (_general(3, 9, 88), 4), (_general(4, 9, 86), 4),
+    (_general(3, 7, 81), 4), (_general(2, 5, 83), 4), (_general(3, 6, 78), 4),
+    (_general(2, 13, 80), 10), (_general(3, 12, 88), 5), (_general(4, 7, 3), 3),
+    (_copy(CONIC6), 6), (_copy(MAXCOL3), 6), (_copy(binary(3)), 5),
+])
+def test_certificate_does_not_depend_on_call_history(build, d):
+    fresh = certify(build(), d)
+    primed = build()
+    kruskal_rank(primed)
+    kruskal_and_collinear(primed)
+    veronese_kruskal_rank(primed, 1)
+    assert certify(primed, d) == fresh
+
+
+@st.composite
+def point_sets(draw, dims=(1, 2, 3, 4), min_size=1, max_size=9, bound=3):
+    """Point sets with small coordinates, so special positions are common."""
+    n = draw(st.sampled_from(dims))
+    coords = st.tuples(*[st.integers(-bound, bound)] * (n + 1)).filter(any)
+    rows = draw(st.lists(coords, min_size=min_size, max_size=max_size,
+                         unique_by=ProjectivePoint))
+    return PointSet.from_rows(rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(a=point_sets(dims=(2, 3, 4), min_size=3, max_size=8))
+def test_quartic_below_its_boundary_is_left_to_reshaping(a):
+    # With l <= 2k - 2 the other l - 1 points split into two groups of at
+    # most k - 1, each on a hyperplane missing the remaining point, so
+    # k_2 = l and the partition (1, 1, 2) passes: reshaped-kruskal, or a
+    # rule before it, fires, and the quartic rule is never reached.
+    assume(len(a) <= 2 * kruskal_rank(a) - 2)
+    assert reshaped_kruskal(a, 4).passing is not None
+    cert = certify(a, 4)
+    assert cert.verdict is Verdict.IDENTIFIABLE
+    assert cert.criterion != "quartic"
+    assert not any(note.startswith("quartic") for note in cert.notes)
+
+
+def _assert_k1_reported_exactly_when_taken(a, d):
+    # Diagnostics may only restate a k_1 that a criterion computed: the
+    # rules' own kruskal_and_collinear calls leave it in the set's memo,
+    # and the diagnostics block must find it there, never compute it anew.
+    key = (kruskal.kruskal_and_collinear.__wrapped__,)
+    found = []
+    module = importlib.import_module("waringcert.certify")
+    original = module.kruskal_and_collinear
+
+    def spy(points):
+        found.append(key in points._memo)
+        return original(points)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "kruskal_and_collinear", spy)
+        cert = certify(a, d)
+    took = key in a._memo
+    diag = cert.diagnostics
+    assert (diag.kruskal_rank is not None) == took
+    assert (diag.max_collinear is not None) == took
+    assert ((1, diag.kruskal_rank) in diag.veronese_kruskal_ranks) == took
+    if took:
+        assert found[-1]
+        assert (diag.kruskal_rank, diag.max_collinear) == kruskal_and_collinear(a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=point_sets(), d=st.integers(1, 6))
+def test_k1_is_reported_exactly_when_a_rule_took_it(a, d):
+    _assert_k1_reported_exactly_when_taken(a, d)
+
+
+def test_k1_is_reported_exactly_when_plane_gup_took_it():
+    # plane-gup reads k_1 past its size test 8l < d^2 + d; with l > d, so
+    # that alignment-bound has not read it already, that needs d >= 9.
+    for a in corpus(93, 12, [2], 13, bound=4, min_size=10):
+        for d in (9, 10):
+            _assert_k1_reported_exactly_when_taken(a, d)
 
 
 def test_certify_inconclusive_beyond_criteria():

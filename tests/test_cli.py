@@ -42,7 +42,7 @@ def test_parse_rational_values():
     assert parse_rational("3") == 3
     assert parse_rational("-7") == -7
     assert parse_rational("1/2") == Fraction(1, 2)
-    for bad in ("1.5", "1e3", "x", "1/0/2", "", "\u0663", "1/\u0663"):
+    for bad in ("1.5", "1e3", "x", "1/0/2", "", "\u0663", "1/\u0663", "3\n", "1/2\n"):
         with pytest.raises(ValueError):
             parse_rational(bad)
     with pytest.raises(ZeroDivisionError):
@@ -313,7 +313,7 @@ def test_structured_output_round_trips(tmp_path, capsys):
         capsys, ["certify", path, "--degree", "6", "--format", "structured"])
     parsed = json.loads(out)
     assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out
-    assert parsed["schema_version"] == 2
+    assert parsed["schema_version"] == 3
 
 
 def test_version_flag(capsys):

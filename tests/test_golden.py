@@ -12,6 +12,9 @@ leading entries and three collinear points.  ``generic-<n>-<d>.json`` and
 the quadric note, the two-decomposition note, a space over the oracle
 budget and the defective cubics of P^4.
 
+``golden_v2_certificates.json`` freezes every certificate's verdict,
+criterion, rank and notes as schema v2 gave them.
+
 A change that alters the structured output on purpose bumps
 ``schema_version``; any change that alters the output on purpose
 regenerates the corpus from the committed point files with
@@ -211,6 +214,20 @@ def test_corpus_reaches_every_outcome():
     # Seven points of P^4 at degree 3: Terracini dimension 33, one short of 34.
     report = json.loads((GOLDEN / "p4-7-d3.terracini.json").read_text())["terracini"]
     assert (report["dim"], report["expected_dim"]) == (33, 34)
+
+
+def test_schema_v3_keeps_every_v2_outcome():
+    # Schema v3 changed which diagnostics are reported and one note: the
+    # quartic rule's cap now rules out nine points of P^3 before k_1.
+    v2 = json.loads(GOLDEN.with_name("golden_v2_certificates.json").read_text())
+    assert set(v2) == set(DEGREES)
+    for case, old in v2.items():
+        cert = json.loads((GOLDEN / f"{case}.certify.json").read_text())["certificate"]
+        if case == "p3-9-d4":
+            notes = old["notes"]
+            notes[notes.index("quartic: 9 points exceed 2k - 1 = 7 (k = 4)")] = (
+                "quartic: 9 points exceed 2k - 1 <= 7 (k <= 4)")
+        assert {field: cert[field] for field in old} == old, case
 
 
 def test_the_defective_cubic_case_is_proved_without_bareiss(bareiss_calls):
