@@ -14,7 +14,7 @@ elimination, whose exact divisions keep every intermediate value an
 integer minor of the input.
 
 The modular pass packs each row into one Python int of fixed-width slots,
-W = 61 + min(rows, cols).bit_length() bits each, so that a row update is a
+W = 62 + min(rows, cols).bit_length() bits each, so that a row update is a
 single multiply-add of whole ints; ``_rank_mod_p`` proves that no slot
 overflows.  ``integer_kernel`` gives a fraction-free kernel basis, for
 callers that build kernel vectors from smaller matrices.  The Kruskal
@@ -27,6 +27,7 @@ used anywhere.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
@@ -35,6 +36,9 @@ from typing import Callable, Iterable, Sequence
 # The largest prime below 2**30: a residue is one CPython digit, and the
 # product of two residues is below 2**60.
 _PRIME = 1073741789
+# 2**30 modulo the prime: a slot folds its bits from 30 up onto its low bits
+# times this.
+_FOLD = (1 << 30) - _PRIME
 
 
 def integer_rank(rows: Iterable[Sequence[int]],
@@ -84,28 +88,34 @@ def _rank_mod_p(rows: Sequence[Sequence[int]], target: int) -> int:
 
     Gaussian elimination over F_p with each row packed into one int of
     fixed-width slots: the entry of column c, reduced to [0, p), sits in
-    slot cols - 1 - c, and a slot is W = 61 + m.bit_length() bits wide, where
+    slot cols - 1 - c, and a slot is W = 62 + m.bit_length() bits wide, where
     m = min(rows, cols).  For each column only that slot of each remaining
     row is extracted and reduced; the first row with a nonzero residue is
     the pivot.  The pivot row is removed, and its slots right of the pivot
-    column are unpacked, reduced to [0, p) and repacked as ``tail``.  Every
-    other row v with residue x becomes (v & low) + f * tail, f = -x / pivot
-    mod p in [0, p): one multiply-add of whole ints, where ``& low`` drops
-    the slots of the columns already eliminated.  Elimination stops as soon
-    as the rank reaches ``target``.
+    column become ``tail`` after whole-int folds: since 2**30 = 35 mod p,
+    a fold maps each slot s to (s & (2**30 - 1)) + 35 * (s >> 30), the same
+    residue, with two masked operations on the whole row.  Every other row
+    v with residue x becomes (v & low) + f * tail, f = -x / pivot mod p in
+    [0, p): one multiply-add of whole ints, where ``& low`` drops the slots
+    of the columns already eliminated.  Elimination stops as soon as the
+    rank reaches ``target``.
 
-    No slot overflows into its neighbour.  A slot starts below p, and an
-    update adds f * t < p**2 < 2**60 to it (f and the tail slot t are both
-    in [0, p)).  A row is updated only at a pivot step that leaves the rank
-    below target <= m, so fewer than m times, and every slot stays below
-    p + (m - 1) * p**2 < m * 2**60 < 2**(W - 1).  With no carries between
-    slots, each slot holds an integer congruent modulo p to its entry of
-    the row being eliminated over F_p.
+    No slot overflows into its neighbour.  Suppose every slot is below
+    2**(W - 1).  A fold maps a slot below b to one below
+    2**30 + 35 * (b >> 30) < 2**W, so it carries nothing; starting from
+    b = 2**(W - 1), folds are repeated until b <= 2p (two for every m below
+    2**18), so each tail slot t is below 2p.  A slot starts below p, and an
+    update adds f * t < 2 * p**2 < 2**61.  A row is updated only at a pivot
+    step that leaves the rank below target <= m, so fewer than m times, and
+    every slot stays below p + (m - 1) * 2 * p**2 < m * 2**61 <= 2**(W - 1).
+    With no carries between slots, each slot holds an integer congruent
+    modulo p to its entry of the row being eliminated over F_p.
     """
     p = _PRIME
     ncols = len(rows[0]) if rows else 0
-    width = 61 + min(len(rows), ncols).bit_length()
+    width = 62 + min(len(rows), ncols).bit_length()
     mask = (1 << width) - 1
+    folds, low30, high = _fold_masks(width, ncols)
     packed = []
     for row in rows:
         v = 0
@@ -126,17 +136,26 @@ def _rank_mod_p(rows: Sequence[Sequence[int]], target: int) -> int:
             break
         neg_inv = p - pow(residues.pop(hit), -1, p)
         low = (1 << shift) - 1
-        rest = packed.pop(hit) & low
-        tail = 0
-        at = 0
-        while rest:
-            tail |= ((rest & mask) % p) << at
-            rest >>= width
-            at += width
+        tail = packed.pop(hit) & low
+        for _ in range(folds):
+            tail = (tail & low30) + _FOLD * ((tail >> 30) & high)
         for i, x in enumerate(residues):
             if x:
                 packed[i] = (packed[i] & low) + (x * neg_inv % p) * tail
     return rank
+
+
+@lru_cache(maxsize=128)
+def _fold_masks(width: int, ncols: int) -> tuple[int, int, int]:
+    """For ``_rank_mod_p``'s rows of ``ncols`` slots of ``width`` bits: the
+    number of folds that takes a slot below 2**(width - 1) below 2p, and
+    the masks of the low 30 bits and of the rest of every slot."""
+    folds, bound = 0, 1 << width - 1
+    while bound > 2 * _PRIME:
+        bound = (1 << 30) + _FOLD * (bound >> 30)
+        folds += 1
+    ones = ((1 << width * ncols) - 1) // ((1 << width) - 1)
+    return folds, ones * ((1 << 30) - 1), ones * ((1 << width - 30) - 1)
 
 
 def integer_kernel(rows: Iterable[Sequence[int]]) -> list[list[int]]:
@@ -148,7 +167,10 @@ def integer_kernel(rows: Iterable[Sequence[int]]) -> list[list[int]]:
     is then zero in every pivot column but its own, c_i, so each column f
     without a pivot gives the kernel vector with entry s at f and
     -row_i[f] * s / row_i[c_i] at each c_i, s the lcm of the row_i[c_i]
-    with row_i[f] nonzero.  The rows must be nonempty.
+    with row_i[f] nonzero.  Pivots are taken left to right, so the columns
+    without one are those in the span of the columns before them, row_i[f]
+    is zero for every c_i > f, and the last nonzero entry of each kernel
+    vector is its column f.  The rows must be nonempty.
     """
     m = [list(r) for r in rows]
     ncols = len(m[0])

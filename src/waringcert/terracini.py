@@ -39,6 +39,43 @@ the points by ``_secant_cubic``.  Where the points are too special for
 its construction it yields nothing, and a wrong cubic would fail the
 exact check; either way the rank falls back to Bareiss.  No rank is taken
 from the Alexander-Hirschowitz list.
+
+The rank is taken in a frame.  A change of coordinates does not change it:
+for an invertible matrix M, F -> F(Mx) is an invertible linear map of the
+degree-d forms, and it sends L_p^(d-1) * x_j to L_q^(d-1) * (x_j o M),
+q = M^T p, where the x_j o M again span the linear forms.  So it carries
+the tangent space at p onto the tangent space at q, and the Terracini
+space of A onto that of M^T A.  ``_frame`` picks a maximal independent
+subset B of the points, k = h_A(1) of them, and completes it by any
+vectors to a basis of the whole space.  In that basis the points of B are
+the coordinate points e_0..e_(k-1), and every point has coordinates zero
+from k on: the first k are its coordinates in the basis B of its span,
+which is all that ``_frame`` computes.
+
+Cone formula: rank T_A = (Terracini rank of A in P^(k-1))
++ (n + 1 - k) * h_A(d - 1).  At a point whose coordinates vanish from k
+on, d/dx_j x^e is nonzero, for j < k, only when e is a monomial in
+x_0..x_(k-1), and for j >= k only when e - u_j is one.  So the matrix is
+block diagonal: the rows with j < k form the Terracini matrix of A inside
+its span, P^(k-1), and for each j >= k the rows with that j are the
+degree-(d-1) monomial values of A in x_0..x_(k-1), on the columns x_j
+times those monomials.  Monomials that involve x_k..x_n vanish on A, so
+those values have rank h_A(d - 1), which is k at d = 2.  For k = n + 1
+there is no second term.
+
+Frame identity: in P^(k-1), rank T_A = |C| + rank R.  The row (e_i, j) is
+d/dx_j x^e at e_i, which is nonzero only at the column e = (d-1)u_i + u_j,
+so the rows of the points of B are multiples of unit vectors and span the
+coordinate space of C, the set of columns they hit.  In degree 2 the rows
+(e_i, j) and (e_j, i) hit the same column u_i + u_j.  Modulo that span a
+row is its restriction to the columns outside C, so the rank is |C| plus
+the rank of R, the other points' rows on those columns.
+
+A right-kernel vector of the framed matrix vanishes on C, since the frame
+rows are unit rows there.  Its restriction to the other columns is in the
+kernel of R, and restriction keeps such vectors independent.  So the
+kernel candidates are built on the framed set and restricted; each is
+checked against R exactly all the same.
 """
 
 from __future__ import annotations
@@ -49,11 +86,16 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
 from operator import add, mul
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .geometry import (PointSet, memo_on_set, monomial_basis, monomial_values,
-                       random_point_set)
+from .geometry import (PointSet, memo_on_set, monomial_basis, monomial_rows,
+                       monomial_values, random_point_set)
+from .hilbert import hilbert_function
 from .linalg import integer_kernel, integer_rank
+
+
+# Per variable j, per column e: (e_j, index of e - u_j one degree lower).
+_Index = tuple[tuple[tuple[int, int], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -95,29 +137,44 @@ class TerraciniReport:
 
 
 @lru_cache(maxsize=None)
-def _derivative_index(n: int, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each variable j, (e_j, index of e - u_j in the degree-(d-1) basis)
-    per exponent vector e of the degree-d basis; (0, 0) where e_j = 0."""
+def _derivative_index(n: int, d: int, framed: bool) -> tuple[tuple[int, ...], _Index]:
+    """The columns of the degree-d basis that the tangent rows keep, and the
+    table that builds those rows on them.
+
+    Framed, the columns hit by the rows of the coordinate points are
+    dropped: row (e_i, j) hits only (d-1)u_i + u_j, so the kept columns are
+    the exponent vectors e with every e_i < d - 1.  Otherwise all are kept.
+    The table gives, for each variable j and kept column e, (e_j, index of
+    e - u_j in the degree-(d-1) basis), or (0, 0) where e_j = 0.
+    """
+    basis = monomial_basis(n, d)
     lower = {e: i for i, e in enumerate(monomial_basis(n, d - 1))}
+    kept = tuple(c for c, e in enumerate(basis) if not framed or max(e) < d - 1)
     table = []
     for j in range(n + 1):
         entries = []
-        for e in monomial_basis(n, d):
+        for e in (basis[c] for c in kept):
             if e[j]:
                 entries.append((e[j], lower[e[:j] + (e[j] - 1,) + e[j + 1:]]))
             else:
                 entries.append((0, 0))
         table.append(tuple(entries))
-    return tuple(table)
+    return kept, tuple(table)
+
+
+def _tangent_rows(values: Sequence[Sequence[int]], index: _Index) -> list[list[int]]:
+    """One integer row per point and variable j, from the degree-(d-1)
+    monomial values of each point: d/dx_j of every degree-d monomial of
+    ``index`` at the point."""
+    return [[f * v[i] for f, i in partials] for v in values for partials in index]
 
 
 def _terracini_rows(a: PointSet, d: int) -> list[list[int]]:
-    """One integer row per point p and variable j: d/dx_j of every degree-d
-    monomial at p (the tangent form L^(d-1)*x_j up to the module docstring's
-    scalings)."""
-    index = _derivative_index(a.ambient_dim, d)
-    return [[f * values[i] for f, i in partials]
-            for values in monomial_values(a, d - 1) for partials in index]
+    """The Terracini matrix of a in its own coordinates: one row per point p
+    and variable j, d/dx_j of every degree-d monomial at p (the tangent form
+    L^(d-1)*x_j up to the module docstring's scalings).  Its rank is what
+    ``terracini_dimension`` computes in the frame."""
+    return _tangent_rows(monomial_values(a, d - 1), _derivative_index(a.ambient_dim, d, False)[1])
 
 
 @lru_cache(maxsize=None)
@@ -230,20 +287,62 @@ def _kernel_candidates(a: PointSet, d: int) -> Iterator[list[int]]:
 
 
 @memo_on_set
+def _frame(a: PointSet) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """A frame of a: the indices of the points of B, the greedy maximal
+    independent subset in point order, and the integer coordinates of
+    every point in the basis B of the span, so that B's points are the
+    coordinate points e_0..e_(k-1) of P^(k-1).
+
+    One exact elimination gives both: ``integer_kernel`` of the matrix
+    whose columns are the primitive rows takes its pivots left to right,
+    so the pivot columns are B and each other point q has one kernel
+    vector, whose last nonzero entry is at q.  That vector is a relation
+    s q = -(sum over i of v_i b_i) with s != 0, so the coordinates of q
+    in the basis B are its entries at B, up to scale.
+    """
+    coords = [p.primitive_coords for p in a]
+    relations = {max(j for j, x in enumerate(v) if x): v
+                 for v in integer_kernel(list(zip(*coords)))}
+    frame = tuple(i for i in range(len(a)) if i not in relations)
+    return frame, tuple(tuple(relations[i][c] if i in relations else int(c == i) for c in frame)
+                        for i in range(len(a)))
+
+
+@memo_on_set
 def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     """Projective dimension of the span of all tangent spaces along a.
 
-    Stacks one integer row per tangent form L^(d-1)*x_j of every point (the
-    coefficient vector up to the scalings in the module docstring) and takes
-    the rank minus one.  When the rows fall short of full rank modulo the
-    prime, ``_kernel_candidates`` offers ``integer_rank`` right-kernel
-    vectors: the secant cubic of seven points of P^4 at d = 3, and the
-    products of ``_singular_products``.  Requires d >= 2.
+    The rank of the Terracini matrix, one integer row per tangent form
+    L^(d-1)*x_j of every point (the coefficient vector up to the scalings
+    in the module docstring), minus one.  The rank is taken in the frame of
+    ``_frame``, by the frame identity and the cone formula of the module
+    docstring: only the other points' rows outside the columns the frame
+    rows hit are ranked.  When they fall short of full rank modulo the
+    prime, ``_kernel_candidates`` of the framed set offers ``integer_rank``
+    right-kernel vectors, restricted to those columns: the secant cubic of
+    seven points of P^4 at d = 3, and the products of
+    ``_singular_products``.  Requires d >= 2.
     """
     if d < 2:
         raise ValueError(f"Terracini dimension needs degree >= 2, got {d}")
     n = a.ambient_dim
-    rank = integer_rank(_terracini_rows(a, d), kernel=lambda: _kernel_candidates(a, d))
+    frame, framed = _frame(a)
+    k = len(frame)
+    others = [q for i, q in enumerate(framed) if i not in frame]
+    kept, index = _derivative_index(k - 1, d, True)
+    rank = comb(k - 1 + d, d) - len(kept)
+    if others and kept:
+        def kernel() -> Iterator[list[int]]:
+            for v in _kernel_candidates(PointSet.from_rows(framed), d):
+                yield [v[c] for c in kept]
+
+        values = monomial_rows(others, d - 1)
+        rank += integer_rank(_tangent_rows(values, index), kernel=kernel)
+    if k <= n:
+        # h(d-1) is k at d = 2, and when every point is in B (independent
+        # points are separated in every degree >= 1).
+        h = k if d == 2 or not others else hilbert_function(a, d - 1)
+        rank += (n + 1 - k) * h
     return TerraciniReport(
         num_points=len(a),
         ambient_dim=n,

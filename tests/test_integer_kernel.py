@@ -148,6 +148,11 @@ def test_integer_kernel_is_a_primitive_basis_of_the_right_kernel(rows):
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
     if basis:
         assert minor_rank(basis) == len(basis)
+    # Each vector ends at its column without a pivot: one in the span of
+    # the columns before it.
+    cols = list(zip(*rows))
+    assert [max(j for j, x in enumerate(v) if x) for v in basis] == [
+        j for j in range(len(cols)) if minor_rank(cols[:j + 1]) == minor_rank(cols[:j])]
 
 
 @settings(**KERNEL_SETTINGS)

@@ -118,6 +118,28 @@ def test_packed_rank_mod_p_matches_list_oracle_and_stops_at_target(rows, cut):
     assert rows == before
 
 
+@st.composite
+def huge_entry_matrices(draw):
+    """Integer matrices up to 40 columns whose entries are multiples of P
+    or at least 2**70 in size, with rank modulo P bounded as above."""
+    rows = draw(modular_matrices())
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    zero = rng.random()
+    return [[P * rng.randint(-2 ** 50, 2 ** 50) if rng.random() < zero
+             else (x + P * rng.randint(2 ** 41, 2 ** 60)) * rng.choice((1, -1))
+             for x in row] for row in rows]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(huge_entry_matrices())
+def test_folded_rank_mod_p_matches_list_oracle_at_every_target(rows):
+    # The pivot tail is reduced by whole-int folds, not slot by slot: every
+    # target, from 0 to min(rows, cols), must stop at the oracle's rank.
+    rank = rank_mod_p(rows, P)
+    for target in range(min(len(rows), len(rows[0])) + 1):
+        assert linalg._rank_mod_p(rows, target) == min(rank, target)
+
+
 def test_packed_rank_mod_p_of_all_minus_one_residues():
     rng = random.Random(7)
     for nrows, ncols in [(1, 1), (3, 40), (40, 3), (40, 40)]:

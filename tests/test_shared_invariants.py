@@ -30,6 +30,7 @@ from waringcert import (
     max_collinear_subset_size,
     monomial_values,
     span_dim,
+    terracini_dimension,
     veronese_kruskal_rank,
 )
 from waringcert import hilbert, kruskal, linalg, terracini
@@ -258,8 +259,31 @@ def test_certify_4_9_4_takes_no_9_by_70_rank(rank_calls):
     assert cert.verdict.value == "Identifiable"
     assert (9, 70) not in rank_calls
     # h(0) needs no rank; h(1) and h(2) are the walk, then the quartic's
-    # Terracini rank of 45 rows.
-    assert rank_calls == [(9, 5), (9, 15), (45, 70)]
+    # Terracini rank: the 20 rows of the four points off the frame, on the
+    # 45 of 70 columns that the frame's tangent rows miss.
+    assert rank_calls == [(9, 5), (9, 15), (20, 45)]
+
+
+@pytest.mark.parametrize("n, size, d, shape", [(4, 7, 3, (10, 10)), (2, 5, 4, (6, 6)),
+                                               (5, 10, 3, (24, 20))])
+def test_terracini_ranks_only_the_rows_off_the_frame(rank_calls, n, size, d, shape):
+    # (n+1)(l - n - 1) rows, on the C(n+d, d) - |C| columns the (n+1)**2
+    # unit rows of the frame points miss.
+    a = general_points(n, size, 10 * size + d)
+    terracini_dimension(a, d)
+    assert rank_calls == [shape]
+
+
+@pytest.mark.parametrize("n, size", [(1, 1), (1, 2), (2, 3), (3, 2), (4, 3), (4, 5)])
+def test_independent_points_take_no_terracini_rank(rank_calls, n, size):
+    a = general_points(n, size, 11 * size + n)
+    assert span_dim(a) == size - 1
+    rank_calls.clear()
+    for d in (2, 3, 4):
+        report = terracini_dimension(a, d)
+        # In degree 2 two tangent spaces share L_p * L_q.
+        assert report.tangents_independent == (d > 2 or size == 1)
+    assert rank_calls == []
 
 
 def test_not_minimal_note_reads_h_from_the_profile(rank_calls):

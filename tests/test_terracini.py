@@ -20,11 +20,11 @@ from waringcert import (
     random_point_set,
     terracini_dimension,
 )
-from waringcert import terracini
+from waringcert import linalg, terracini
 from waringcert.terracini import _secant_cubic, _singular_products, _terracini_rows
 
 from conftest import BAREISS, random_points
-from oracles import apolarity_pairing, tangent_forms
+from oracles import apolarity_pairing, fraction_rank, tangent_forms
 
 
 def test_tangent_span_contains_the_power_itself():
@@ -301,3 +301,55 @@ def test_the_secant_cubic_does_not_depend_on_the_order_of_the_points(order):
     (g,) = _secant_cubic(a)
     (h,) = _secant_cubic(a.subset(order))
     assert h in (g, [-c for c in g])
+
+
+def _tangent_matrix(a, d):
+    """The tangent forms L**(d-1) * x_j of every point, as coefficient rows
+    over the degree-d basis, built by polynomial multiplication."""
+    basis = monomial_basis(a.ambient_dim, d)
+    return [[form.get(e, 0) for e in basis]
+            for p in a for form in tangent_forms(p.primitive_coords, d)]
+
+
+@st.composite
+def point_sets_and_degrees(draw):
+    """Points of P^n spanning at most P^m: small points of P^m, padded
+    with zeros and moved by a unipotent integer matrix, and a degree."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n))
+    size = draw(st.integers(1, 2 * (n + 1) + 2))
+    a = draw(small_points(m, size))
+    shear = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    rows = []
+    for p in a:
+        x = list(p.primitive_coords) + [0] * (n - m)
+        rows.append([x[i] + sum(shear[n * i + j - 1] * x[j] for j in range(i + 1, n + 1))
+                     for i in range(n + 1)])
+    return PointSet.from_rows(rows), draw(st.integers(2, 5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point_sets_and_degrees())
+def test_framed_rank_matches_the_fraction_rank_of_the_tangent_forms(case):
+    # The draws hold sets in a proper subspace with points off the frame,
+    # sets whose first n + 1 points are dependent, and l <= h(1); degree 2
+    # gives frame rows that share a column.  The oracle never calls
+    # integer_rank.
+    a, d = case
+    assert terracini_dimension(a, d).dim + 1 == fraction_rank(_tangent_matrix(a, d))
+
+
+P = linalg._PRIME
+
+
+@pytest.mark.parametrize("rows, d", [
+    # (1 : 1 : P) is independent of the first two points over Q but not
+    # modulo P: the frame must hold all three, and the set spans P^2.
+    ([(1, 0, 0), (0, 1, 0), (1, 1, P)], 3),
+    ([(1, 0, 0), (0, 1, 0), (1, 1, P), (2, -1, 0)], 2),
+    ([(1, 2, 0, 0), (0, 1, 0, 0), (3, 1, P, 0), (1, 1, 0, 0)], 3),
+])
+def test_the_frame_is_exact_where_the_prime_sees_a_dependence(rows, d):
+    a = PointSet.from_rows(rows)
+    assert len(terracini._frame(a)[0]) == integer_rank([p.primitive_coords for p in a])
+    assert terracini_dimension(a, d).dim + 1 == BAREISS(_terracini_rows(a, d))
