@@ -1,11 +1,12 @@
 """Projective points, point sets, and the monomial values on them.
 
-Points live in projective space P^n over the rationals and are stored in a
-canonical scaling: the first nonzero coordinate equals 1.  Each point also
-has a primitive integer representative, computed on first use, and every
-rank in the package is taken on integer rows built from it by
-``monomial_values``, which keeps them on the set.  Degree-d monomials in
-n+1 variables are enumerated in lexicographic order on exponent vectors,
+Points live in projective space P^n over the rationals.  A point is stored
+as its primitive integer representative: coprime integer coordinates whose
+first nonzero entry is positive.  Every rank in the package is taken on
+integer rows built from it by ``monomial_values``, which keeps them on the
+set.  The canonical rational coordinates, scaled so that the first nonzero
+one is 1, are derived from it on request.  Degree-d monomials in n+1
+variables are enumerated in lexicographic order on exponent vectors,
 largest first, so the basis for (n, d) = (1, 2) reads x0^2, x0*x1, x1^2.
 
 The monomial values of a point differ from its image under the degree-d
@@ -38,62 +39,53 @@ class DuplicatePointError(ValueError):
 
 
 class ProjectivePoint:
-    """A point of P^n, stored with first nonzero coordinate scaled to 1."""
+    """A point of P^n, stored as its primitive integer representative.
 
-    __slots__ = ("coords", "_primitive", "_hash")
+    Built from ints, Fractions, or anything ``Fraction`` parses, such as
+    "3/7": denominators are cleared, the gcd is divided out and the first
+    nonzero entry is made positive.  A row of ints builds no Fraction.
+    """
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("primitive_coords",)
+
+    primitive_coords: tuple[int, ...]
 
     def __init__(self, coords: Iterable[object]):
-        raw = tuple(Fraction(x) for x in coords)
+        raw = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coords]
         if len(raw) < 2:
             raise ValueError("a projective point needs at least 2 coordinates")
-        lead = next((x for x in raw if x != 0), None)
+        scale = lcm(*(x.denominator for x in raw))
+        ints = [x.numerator * (scale // x.denominator) for x in raw]
+        lead = next((x for x in ints if x), None)
         if lead is None:
             raise ValueError("the zero vector is not a projective point")
-        coords = tuple(x / lead for x in raw)
-        object.__setattr__(self, "coords", coords)
-        # Hashing a Fraction takes a modular inverse, so the hash of the
-        # coordinates is taken once, here, for the sets and dicts to come.
-        object.__setattr__(self, "_hash", hash(coords))
+        g = gcd(*ints) if lead > 0 else -gcd(*ints)
+        object.__setattr__(self, "primitive_coords", tuple(x // g for x in ints))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ProjectivePoint is immutable")
 
     def __reduce__(self):
-        # Rebuild from the coordinates: the slot restore would go through
-        # the blocking __setattr__; the primitive cache starts empty and the
-        # hash is taken afresh.
-        return (ProjectivePoint, (self.coords,))
+        # The slot restore would go through the blocking __setattr__.
+        return (ProjectivePoint, (self.primitive_coords,))
 
     @property
     def ambient_dim(self) -> int:
-        return len(self.coords) - 1
+        return len(self.primitive_coords) - 1
 
     @property
-    def primitive_coords(self) -> tuple[int, ...]:
-        """The primitive integer representative, with positive leading entry.
-
-        The canonical coordinates times the lcm of their denominators; the
-        entries then have gcd 1, because for each prime the coordinate of
-        largest denominator valuation keeps a unit there.  Computed on
-        first use and cached.
-        """
-        try:
-            return self._primitive
-        except AttributeError:
-            scale = lcm(*(c.denominator for c in self.coords))
-            value = tuple(c.numerator * (scale // c.denominator) for c in self.coords)
-            object.__setattr__(self, "_primitive", value)
-            return value
+    def coords(self) -> tuple[Fraction, ...]:
+        """The canonical rational coordinates: the first nonzero one is 1."""
+        lead = next(x for x in self.primitive_coords if x)
+        return tuple(Fraction(x, lead) for x in self.primitive_coords)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProjectivePoint):
             return NotImplemented
-        return self.coords == other.coords
+        return self.primitive_coords == other.primitive_coords
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.primitive_coords)
 
     def __repr__(self) -> str:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
@@ -169,14 +161,6 @@ class PointSet:
 
     def __repr__(self) -> str:
         return f"PointSet({list(self.points)!r})"
-
-    def without(self, index: int) -> "PointSet":
-        """The set with the point at ``index`` removed; needs len >= 2."""
-        if not 0 <= index < len(self.points):
-            raise IndexError(f"point index {index} out of range")
-        if len(self.points) == 1:
-            raise ValueError("cannot remove the only point of a set")
-        return PointSet(self.points[:index] + self.points[index + 1:])
 
     def subset(self, indices: Sequence[int]) -> "PointSet":
         return PointSet(self.points[i] for i in indices)

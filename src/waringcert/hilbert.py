@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import PointSet, memo_on_set, monomial_values, union
-from .linalg import integer_rank
+from .linalg import integer_kernel, integer_rank
 
 
 @memo_on_set
@@ -166,12 +166,26 @@ def is_separated(a: PointSet, d: int) -> bool:
     return hilbert_function(a, d) == len(a)
 
 
+@memo_on_set
+def _unseparated(a: PointSet, d: int) -> frozenset[int]:
+    """The indices of the points of a that no degree-d form separates.
+
+    Point p is separated exactly when its row of degree-d monomial values
+    is outside the span of the other rows, that is, when every linear
+    relation among the rows, a left-kernel vector, is 0 at p.  So the
+    points not separated are the union of the supports of one
+    ``integer_kernel`` basis of the transposed rows, whatever the basis.
+    """
+    relations = integer_kernel(list(zip(*monomial_values(a, d))))
+    return frozenset(j for v in relations for j, x in enumerate(v) if x)
+
+
 def separates_point(a: PointSet, index: int, d: int) -> bool:
     """True when some degree-d form vanishes on a minus the point but not there.
 
     Equivalent to the coordinate vector e_index lying in the image of the
-    evaluation map, which happens exactly when removing the point lowers the
-    Hilbert function by one.
+    evaluation map: removing the point lowers the Hilbert function by one,
+    and no linear relation among the points' monomial values involves it.
     """
     if not 0 <= index < len(a):
         raise IndexError(f"point index {index} out of range")
@@ -179,7 +193,7 @@ def separates_point(a: PointSet, index: int, d: int) -> bool:
         return False
     if len(a) == 1:
         return True
-    return hilbert_function(a.without(index), d) == hilbert_function(a, d) - 1
+    return index not in _unseparated(a, d)
 
 
 def satisfies_cb(a: PointSet, i: int) -> bool:
@@ -193,7 +207,7 @@ def satisfies_cb(a: PointSet, i: int) -> bool:
         raise ValueError(f"degree must be >= 0, got {i}")
     if len(a) == 1:
         return False
-    return not any(separates_point(a, j, i) for j in range(len(a)))
+    return len(_unseparated(a, i)) == len(a)
 
 
 def check_gkr_inequality(profile: HilbertProfile, i: int) -> bool:

@@ -74,7 +74,7 @@ the rank of R, the other points' rows on those columns.
 A right-kernel vector of the framed matrix vanishes on C, since the frame
 rows are unit rows there.  Its restriction to the other columns is in the
 kernel of R, and restriction keeps such vectors independent.  So the
-kernel candidates are built on the framed set and restricted; each is
+kernel candidates are built from the framed rows and restricted; each is
 checked against R exactly all the same.
 """
 
@@ -197,34 +197,35 @@ def _multiply(f: list[int], h: list[int], e: int, g: int, n: int) -> list[int]:
     return v
 
 
-def _singular_products(a: PointSet, d: int) -> Iterator[list[int]]:
-    """Coefficient vectors of the products F*H, F in I(Z)_e and H in I(Z)_(d-e).
+def _singular_products(rows: Sequence[Sequence[int]], d: int) -> Iterator[list[int]]:
+    """Coefficient vectors of the products F*H, F in I(Z)_e and H in I(Z)_(d-e),
+    Z the points with integer coordinate rows ``rows``.
 
     For e = 1..d//2 in turn; I(Z)_e, the degree-e forms vanishing on the
-    points, is the integer kernel of ``monomial_values(a, e)``.  Each
+    points, is the integer kernel of ``monomial_rows(rows, e)``.  Each
     product is singular at every point, so it lies in the right kernel of
-    ``_terracini_rows(a, d)`` (module docstring).  Built lazily: a degree e
+    the Terracini matrix of Z (module docstring).  Built lazily: a degree e
     and each product are computed only when the consumer asks for more.
     Seven points of P^4 spanning it have no such product at d = 3; there
     ``_secant_cubic`` gives the kernel vector.
     """
-    n = a.ambient_dim
+    n = len(rows[0]) - 1
     for e in range(1, d // 2 + 1):
-        low = integer_kernel(monomial_values(a, e))
+        low = integer_kernel(monomial_rows(rows, e))
         if not low:
             continue
-        high = low if 2 * e == d else integer_kernel(monomial_values(a, d - e))
+        high = low if 2 * e == d else integer_kernel(monomial_rows(rows, d - e))
         for i, f in enumerate(low):
             for h in (high[i:] if 2 * e == d else high):
                 yield _multiply(f, h, e, d - e, n)
 
 
-def _secant_cubic(a: PointSet) -> Iterator[list[int]]:
+def _secant_cubic(rows: Sequence[Sequence[int]]) -> Iterator[list[int]]:
     """The secant cubic G of the rational normal curve through seven points
-    of P^4, as one primitive coefficient vector; nothing where the
-    construction does not apply.
+    of P^4, given by integer coordinate rows, as one primitive coefficient
+    vector; nothing where the construction does not apply.
 
-    Let P_0..P_6 be the primitive rows, b_i (i = 0..4) the linear form
+    Let P_0..P_6 be the rows, b_i (i = 0..4) the linear form
     vanishing on the P_j with j in {0..4} other than i, mu_i = b_i(P_5),
     nu_i = b_i(P_6) and delta_ij = mu_i nu_j - mu_j nu_i.  Then
 
@@ -251,7 +252,6 @@ def _secant_cubic(a: PointSet) -> Iterator[list[int]]:
     coefficient above is nonzero, so G is not zero.  G is only a candidate:
     ``integer_rank`` checks it exactly.
     """
-    rows = monomial_values(a, 1)
     forms = []
     for i in range(5):
         basis = integer_kernel(rows[:i] + rows[i + 1:5])
@@ -277,13 +277,13 @@ def _secant_cubic(a: PointSet) -> Iterator[list[int]]:
     yield [c // g for c in cubic]
 
 
-def _kernel_candidates(a: PointSet, d: int) -> Iterator[list[int]]:
-    """Right-kernel candidates for ``_terracini_rows(a, d)``: the secant
-    cubic when there are seven points of P^4 and d = 3, then the products
-    of ``_singular_products``."""
-    if (a.ambient_dim, len(a), d) == (4, 7, 3):
-        yield from _secant_cubic(a)
-    yield from _singular_products(a, d)
+def _kernel_candidates(rows: Sequence[Sequence[int]], d: int) -> Iterator[list[int]]:
+    """Right-kernel candidates for the Terracini matrix of the points with
+    integer coordinate rows ``rows``: the secant cubic when there are seven
+    points of P^4 and d = 3, then the products of ``_singular_products``."""
+    if (len(rows[0]) - 1, len(rows), d) == (4, 7, 3):
+        yield from _secant_cubic(rows)
+    yield from _singular_products(rows, d)
 
 
 @memo_on_set
@@ -318,7 +318,7 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     ``_frame``, by the frame identity and the cone formula of the module
     docstring: only the other points' rows outside the columns the frame
     rows hit are ranked.  When they fall short of full rank modulo the
-    prime, ``_kernel_candidates`` of the framed set offers ``integer_rank``
+    prime, ``_kernel_candidates`` of the framed rows offers ``integer_rank``
     right-kernel vectors, restricted to those columns: the secant cubic of
     seven points of P^4 at d = 3, and the products of
     ``_singular_products``.  Requires d >= 2.
@@ -333,7 +333,7 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     rank = comb(k - 1 + d, d) - len(kept)
     if others and kept:
         def kernel() -> Iterator[list[int]]:
-            for v in _kernel_candidates(PointSet.from_rows(framed), d):
+            for v in _kernel_candidates(framed, d):
                 yield [v[c] for c in kept]
 
         values = monomial_rows(others, d - 1)

@@ -5,8 +5,10 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from waringcert import (
     DuplicatePointError,
@@ -36,6 +38,8 @@ def test_point_canonicalization():
     assert ProjectivePoint((2, 4)) == ProjectivePoint((3, 6))
     with pytest.raises(ValueError):
         ProjectivePoint((0, 0, 0))
+    with pytest.raises(ValueError):
+        ProjectivePoint((5,))
 
 
 def test_pickle_and_copies_rebuild_with_empty_caches():
@@ -51,22 +55,21 @@ def test_pickle_and_copies_rebuild_with_empty_caches():
     assert p.primitive_coords == (6, -1, 0)
     for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
         assert clone == p and clone.coords == p.coords
-        assert not hasattr(clone, "_primitive")
         assert clone.primitive_coords == (6, -1, 0)
 
 
-def test_point_hash_is_taken_once_and_agrees_across_scalings_and_pickling(monkeypatch):
+def test_point_hash_reads_no_fraction_and_agrees_across_scalings_and_pickling(monkeypatch):
     pairs = [
         (ProjectivePoint((2, 4, 6)), ProjectivePoint((Fraction(1, 3), Fraction(2, 3), 1))),
         (ProjectivePoint((0, -3, 6)), ProjectivePoint((0, Fraction(1, 7), Fraction(-2, 7)))),
         (ProjectivePoint((5, 0, 0, 1)), ProjectivePoint((Fraction(-5, 2), 0, 0, Fraction(-1, 2)))),
     ]
     for p, q in pairs:
-        assert p == q and hash(p) == hash(q) == hash(p.coords)
+        assert p == q and hash(p) == hash(q)
         clone = pickle.loads(pickle.dumps(q))
         assert clone == p and hash(clone) == hash(p)
         assert {p: 1}[clone] == 1
-    # Hashing the point again does not hash its Fraction coordinates again.
+    # Hashing a point hashes no Fraction, whatever it was built from.
     p = pairs[0][1]
     calls = []
     original = Fraction.__hash__
@@ -74,6 +77,52 @@ def test_point_hash_is_taken_once_and_agrees_across_scalings_and_pickling(monkey
     assert len({p, pairs[0][0]}) == 1
     assert PointSet([p, pairs[1][0]]) is not None
     assert calls == []
+
+
+def _rational_entry():
+    return st.one_of(
+        st.integers(-6, 6),
+        st.fractions(-6, 6, max_denominator=6),
+        st.builds("{}/{}".format, st.integers(-6, 6), st.integers(1, 6)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(2, 4).flatmap(
+    lambda size: st.lists(_rational_entry(), min_size=size, max_size=size)),
+    st.integers(-5, 5).filter(bool))
+def test_a_point_is_its_primitive_vector_and_keeps_its_canonical_coordinates(row, scale):
+    exact = [Fraction(x) for x in row]
+    assume(any(exact))
+    lead = next(x for x in exact if x)
+    p = ProjectivePoint(row)
+    assert p.coords == tuple(x / lead for x in exact)
+    prim = p.primitive_coords
+    assert all(type(x) is int for x in prim)
+    assert gcd(*prim) == 1 and next(x for x in prim if x) > 0
+    ratio = prim[exact.index(lead)] / lead
+    assert prim == tuple(x * ratio for x in exact)
+    spellings = [ProjectivePoint(exact), ProjectivePoint([str(x * scale) for x in exact])]
+    old_repr = "(" + " : ".join(str(x / lead) for x in exact) + ")"
+    for q in [p] + spellings:
+        assert q == p and hash(q) == hash(p) and repr(q) == old_repr
+
+
+def test_an_integer_row_builds_no_fraction(monkeypatch):
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    p = ProjectivePoint((0, -4, 6, 10))
+    assert p.primitive_coords == (0, 2, -3, -5)
+    assert p == ProjectivePoint([0, 2, -3, -5]) and len({p, ProjectivePoint((0, 6, -9, -15))}) == 1
+    random_point_set(3, 8, random.Random(0))
+    assert made == []
+    assert ProjectivePoint(("1/2", 1)).primitive_coords == (1, 2)
+    assert made
 
 
 def test_point_set_rejects_duplicates_with_indices():
@@ -89,7 +138,6 @@ def test_point_set_order_and_containment():
     assert len(a) == 3
     assert a[1] == ProjectivePoint((0, 1, 0))
     assert ProjectivePoint((2, 2, 2)) in a
-    assert a.without(0) == PointSet.from_rows([(0, 1, 0), (1, 1, 1)])
     assert a.subset([2, 0]) == PointSet.from_rows([(1, 1, 1), (1, 0, 0)])
 
 

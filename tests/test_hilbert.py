@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waringcert import (
     HilbertProfile,
     PointSet,
+    ProjectivePoint,
     check_gkr_inequality,
     hilbert_function,
     hilbert_profile,
@@ -21,6 +23,7 @@ from waringcert import (
 )
 
 from conftest import random_points
+from oracles import fraction_rank, monomial_values_by_powers
 
 
 def conic_points(count):
@@ -164,6 +167,29 @@ def test_satisfies_cb_examples():
     assert not satisfies_cb(PointSet.from_rows([(1, 5)]), 0)
     with pytest.raises(ValueError):
         satisfies_cb(GENERAL6, -1)
+
+
+def small_point_sets():
+    # Some points are put on the hyperplane x_n = 0, so that in low degree
+    # some points are separated and others are not.
+    def sets(n, size):
+        row = st.tuples(st.lists(st.integers(-1, 2), min_size=n + 1, max_size=n + 1),
+                        st.booleans()).map(lambda r: r[0][:-1] + [0] if r[1] else r[0])
+        return st.lists(row.filter(any), min_size=size, max_size=size,
+                        unique_by=lambda r: ProjectivePoint(r)).map(PointSet.from_rows)
+    return st.tuples(st.integers(2, 3), st.integers(2, 8)).flatmap(lambda shape: sets(*shape))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_point_sets(), st.integers(0, 3))
+def test_separation_matches_the_per_point_rank_definition(a, d):
+    # Point j is separated in degree d exactly when dropping its row of
+    # monomial values lowers the rank by one; ranks over Fraction.
+    rows = monomial_values_by_powers([p.primitive_coords for p in a], d)
+    full = fraction_rank(rows)
+    separated = [fraction_rank(rows[:j] + rows[j + 1:]) == full - 1 for j in range(len(a))]
+    assert [separates_point(a, j, d) for j in range(len(a))] == separated
+    assert satisfies_cb(a, d) == (not any(separated))
 
 
 def test_cb_is_downward_closed():

@@ -146,6 +146,10 @@ def test_generic_oracle_argument_validation():
         generic_terracini_dimension(2, 2, 2, trials=0)
 
 
+def coordinate_rows(a):
+    return [p.primitive_coords for p in a]
+
+
 def _rank_and_fallbacks(a, d, calls):
     """The Terracini rank of a at degree d, checked against Bareiss on the
     same rows, and the number of Bareiss fallbacks it took."""
@@ -200,7 +204,7 @@ def test_seven_points_at_degree_three_in_p4_are_proved_by_the_secant_cubic(barei
     # points is a cubic: I(Z)_1 = 0.  The secant cubic of the rational
     # normal curve through the points closes the gap instead.
     a = random_point_set(4, 7, random.Random(seed), bound=50)
-    assert list(_singular_products(a, 3)) == []
+    assert list(_singular_products(coordinate_rows(a), 3)) == []
     assert _rank_and_fallbacks(a, 3, bareiss_calls) == (34, 0)
 
 
@@ -233,7 +237,7 @@ SPECIAL_SEVEN = [
 def test_the_secant_cubic_declines_on_special_sets(bareiss_calls, rows):
     # The rank is still exact: the helper compares it with Bareiss.
     a = PointSet.from_rows(rows)
-    assert list(_secant_cubic(a)) == []
+    assert list(_secant_cubic(coordinate_rows(a))) == []
     _rank_and_fallbacks(a, 3, bareiss_calls)
 
 
@@ -245,8 +249,8 @@ def _dot(u, v):
 def test_a_wrong_secant_cubic_is_rejected(bareiss_calls, monkeypatch, change):
     # One coefficient moved, or the sign of one monomial flipped: the exact
     # check rejects the candidate and Bareiss decides, once.
-    def altered(a):
-        for g in _secant_cubic(a):
+    def altered(rows):
+        for g in _secant_cubic(rows):
             k = next(i for i, c in enumerate(g) if c)
             g[k] = g[k] + 1 if change == "coefficient" else -g[k]
             yield g
@@ -269,7 +273,7 @@ def test_seven_small_points_of_p4_rank_exactly(a):
     # Small coordinates put many sets in special position, where the
     # construction declines; where it does not, its cubic is a kernel vector.
     rows = _terracini_rows(a, 3)
-    for g in _secant_cubic(a):
+    for g in _secant_cubic(coordinate_rows(a)):
         assert any(g)
         assert not any(_dot(row, g) for row in rows)
     assert terracini_dimension(a, 3).dim + 1 == BAREISS(rows)
@@ -284,7 +288,7 @@ def test_the_secant_cubic_is_apolar_to_every_tangent_form(seed):
     # Independent of the Terracini rows and their column scaling: G pairs to
     # zero with each L**2 * x_j, so G is singular at every point.
     a = random_point_set(4, 7, random.Random(seed), bound=50)
-    (g,) = _secant_cubic(a)
+    (g,) = _secant_cubic(coordinate_rows(a))
     cubic = _as_form(g)
     assert cubic
     for p in a:
@@ -298,8 +302,8 @@ def test_the_secant_cubic_does_not_depend_on_the_order_of_the_points(order):
     # Another five points form the basis, and P_5, P_6 change roles, but the
     # rational normal curve through seven points, and its secant cubic, is one.
     a = random_point_set(4, 7, random.Random(3), bound=50)
-    (g,) = _secant_cubic(a)
-    (h,) = _secant_cubic(a.subset(order))
+    (g,) = _secant_cubic(coordinate_rows(a))
+    (h,) = _secant_cubic(coordinate_rows(a.subset(order)))
     assert h in (g, [-c for c in g])
 
 
