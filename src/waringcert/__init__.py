@@ -9,15 +9,13 @@ of rank and uniqueness.  All arithmetic is exact: every rank is taken on
 integer rows built from primitive integer representatives of the points.
 """
 
-from .certify import (Certificate, Diagnostics, GenericInfo, Verdict,
-                      binary_generic_rank, certify, check_minimal,
-                      complementary_bound, generic_info)
+from .certify import (Certificate, Diagnostics, GenericInfo, Verdict, certify,
+                      check_minimal, complementary_bound, generic_info)
 from .geometry import (DuplicatePointError, PointSet, ProjectivePoint,
                        max_collinear_subset_size, monomial_basis,
                        monomial_values, random_point_set, union)
 from .hilbert import (HilbertProfile, check_gkr_inequality, hilbert_function,
-                      hilbert_profile, is_linearly_independent, is_separated,
-                      satisfies_cb, separates_point, span_dim,
+                      hilbert_profile, satisfies_cb, separates_point, span_dim,
                       span_intersection_dim, union_profile_drop)
 from .kruskal import (KruskalReport, ReshapingSearch, degree_partitions,
                       gup_cutoff, is_gup, is_lgp, kruskal_and_collinear,
@@ -31,14 +29,13 @@ __version__ = "0.3.0"
 __all__ = [
     "Certificate", "Diagnostics", "DuplicatePointError", "GenericInfo",
     "HilbertProfile", "KruskalReport", "PointSet", "ProjectivePoint",
-    "ReshapingSearch", "TerraciniReport", "Verdict", "binary_generic_rank",
-    "certify", "check_gkr_inequality", "check_minimal", "complementary_bound",
+    "ReshapingSearch", "TerraciniReport", "Verdict", "certify",
+    "check_gkr_inequality", "check_minimal", "complementary_bound",
     "degree_partitions", "generic_info", "generic_terracini_dimension",
     "gup_cutoff", "hilbert_function", "hilbert_profile", "integer_rank",
-    "is_gup", "is_linearly_independent", "is_lgp", "is_separated",
-    "kruskal_and_collinear", "kruskal_rank", "max_collinear_subset_size",
-    "monomial_basis", "monomial_values", "random_point_set",
-    "reshaped_kruskal", "satisfies_cb", "separates_point", "span_dim",
-    "span_intersection_dim", "terracini_dimension", "union",
+    "is_gup", "is_lgp", "kruskal_and_collinear", "kruskal_rank",
+    "max_collinear_subset_size", "monomial_basis", "monomial_values",
+    "random_point_set", "reshaped_kruskal", "satisfies_cb", "separates_point",
+    "span_dim", "span_intersection_dim", "terracini_dimension", "union",
     "union_profile_drop", "veronese_kruskal_rank",
 ]

@@ -99,13 +99,6 @@ def check_minimal(a: PointSet, d: int) -> bool:
     return hilbert_profile(a).value_at(d) == len(a)
 
 
-def binary_generic_rank(d: int) -> int:
-    """Generic Waring rank of a binary degree-d form."""
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
-    return (d + 1) // 2 if d % 2 else (d + 2) // 2
-
-
 def _sylvester(a: PointSet, d: int) -> tuple[bool, str]:
     """Binary forms: 2*len(a) <= d + 1, that is, len(a) is below the generic
     rank of degree-d binary forms, or equals it with d odd (Sylvester)."""
@@ -318,10 +311,19 @@ def certify(a: PointSet, d: int) -> Certificate:
     )
 
 
-EXPECTED_TWO_DECOMPOSITIONS = {
-    (6, 2): 9,
-    (4, 3): 8,
-    (3, 5): 9,
+# Failures of generic identifiability at subgeneric rank for d >= 3
+# (Chiantini, Ottaviani and Vannieuwenhoven, Trans. AMS 2017): (n, d) ->
+# the ranks r whose generic form is not identifiable, each with how many
+# decompositions that form has.  The "infinitely many" ranks are the
+# defective cases of Alexander and Hirschowitz (J. Algebraic Geom. 1995),
+# at the expected generic rank; the generic rank there is one more.
+SUBGENERIC_EXCEPTIONS = {
+    (2, 4): ((5, "infinitely many"),),
+    (2, 6): ((9, "exactly two"),),
+    (3, 4): ((8, "exactly two"), (9, "infinitely many")),
+    (4, 3): ((7, "infinitely many"),),
+    (4, 4): ((14, "infinitely many"),),
+    (5, 3): ((9, "exactly two"),),
 }
 
 
@@ -330,10 +332,13 @@ class GenericInfo:
     """Generic rank data for degree-d forms on P^n.
 
     expected_generic_rank is ceil(C(n+d, d) / (n + 1)).  generic_rank is
-    the true generic rank; when oracle_verified is True it was computed by
-    sweeping the randomized Terracini oracle, otherwise it falls back to
-    the expected value.  exceptions lists the known failures of generic
-    identifiability at subgeneric rank for these parameters.
+    the true generic rank, by the Alexander-Hirschowitz theorem.
+    oracle_verified is True when one exact Terracini rank at generic_rank
+    random points filled the space of forms, which proves the upper bound
+    by Terracini's lemma; the theorem alone gives the value otherwise.
+    exceptions lists the known failures of generic identifiability at
+    subgeneric rank for these parameters, and why the rank is unverified
+    when it is.
     """
 
     ambient_dim: int
@@ -349,12 +354,21 @@ def generic_info(n: int, d: int, trials: int = 2, seed: int = 0,
                  max_space_dim: int = 500) -> GenericInfo:
     """Generic rank of degree-d forms on P^n, with identifiability caveats.
 
-    The true generic rank is the least r whose generic Terracini dimension
-    fills the whole space of degree-d forms; the sweep runs whenever the
-    number of monomials C(n+d, d) is at most max_space_dim.  It starts at
-    the expected rank ceil(C(n+d, d) / (n + 1)): r points span at most
-    (n+1)r - 1 dimensions, so no smaller r fills the space.  Requires
-    d >= 2 (in degree 1 every form has rank 1).
+    The generic rank comes from the Alexander-Hirschowitz theorem: n + 1
+    for quadrics, the expected rank ceil(C(n+d, d) / (n + 1)) plus one at
+    the defective (n, d) = (2, 4), (3, 4), (4, 3) and (4, 4), and the
+    expected rank elsewhere.  The lower bound takes no rank: below the
+    expected rank r, the tangent spaces at r - 1 points span at most
+    (n+1)(r-1) - 1 < C(n+d, d) - 1 dimensions, and for quadrics and at the
+    four defective (n, d) the theorem itself rules out every smaller rank.
+
+    When C(n+d, d) is at most max_space_dim, one witness checks the upper
+    bound: the Terracini dimension of generic_rank random points, drawn
+    from ``seed`` over up to ``trials`` trials.  If it fills the space,
+    Terracini's lemma proves that the generic rank is at most generic_rank
+    and oracle_verified is True.  A witness that falls short proves
+    nothing, so the rank is still the theorem's, unverified, with a note.
+    Requires d >= 2 (in degree 1 every form has rank 1).
     """
     if n < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {n}")
@@ -362,40 +376,38 @@ def generic_info(n: int, d: int, trials: int = 2, seed: int = 0,
         raise ValueError(f"degree must be >= 2, got {d}")
     space = comb(n + d, d)
     expected = -(-space // (n + 1))
-    if space <= max_space_dim:
-        r = expected
-        while True:
-            report = generic_terracini_dimension(n, d, r, trials=trials, seed=seed)
-            if report.dim == space - 1:
-                break
-            r += 1
-        generic_rank = r
-        verified = True
+    special = SUBGENERIC_EXCEPTIONS.get((n, d), ())
+    if d == 2:
+        rank = n + 1
     else:
-        generic_rank = expected
-        verified = False
+        rank = expected + any(count == "infinitely many" for _, count in special)
 
     exceptions = []
     if d == 2 and n >= 2:
         exceptions.append(
             f"degree 2: quadrics of every rank from 2 to {n} have infinitely "
             "many decompositions, so no subgeneric rank is identifiable")
-    special = EXPECTED_TWO_DECOMPOSITIONS.get((d, n))
-    if special is not None:
+    for r, count in special:
         exceptions.append(
-            f"rank {special}: the generic form of rank {special} has exactly "
-            "two decompositions")
-    if not verified:
+            f"rank {r}: the generic form of rank {r} has {count} decompositions")
+    verified = space <= max_space_dim and generic_terracini_dimension(
+        n, d, rank, trials=trials, seed=seed).dim == space - 1
+    if space > max_space_dim:
         exceptions.append(
             "generic rank not verified by the Terracini oracle (space "
             f"dimension {space} exceeds the budget {max_space_dim}); "
-            "reporting the expected value")
+            "reporting the Alexander-Hirschowitz value")
+    elif not verified:
+        exceptions.append(
+            f"generic rank not verified: no Terracini witness of {rank} "
+            f"points filled the space of dimension {space} in {trials} "
+            f"trials (seed {seed}); reporting the Alexander-Hirschowitz value")
     return GenericInfo(
         ambient_dim=n,
         degree=d,
         space_dim=space,
         expected_generic_rank=expected,
-        generic_rank=generic_rank,
+        generic_rank=rank,
         oracle_verified=verified,
         exceptions=tuple(exceptions),
     )

@@ -42,7 +42,7 @@ from .kruskal import gup_cutoff, is_gup, is_lgp, veronese_kruskal_rank
 from .terracini import TerraciniReport, terracini_dimension
 
 _GENERATOR = f"waringcert {__version__}"
-_SCHEMA_VERSION = 3
+_SCHEMA_VERSION = 4
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for the randomized terracini oracle (default: 0; "
                         "output is deterministic for a fixed seed)")
     p.add_argument("--trials", type=int, default=2,
-                   help="random draws per rank in the oracle sweep (default: 2)")
+                   help="random draws for the one terracini witness (default: 2)")
     _add_common(p, _cmd_generic)
     return parser
 

@@ -9,9 +9,9 @@ whose monomial space is at least as large as the set.
 
 The reshaping criterion splits a degree d = a + b + c and compares twice the
 set size against k_a + k_b + k_c - 2, where k_j is the Kruskal rank of the
-degree-j Veronese image.  Since k_j <= min(len(A), C(n+j, j)) (Kruskal 1977;
-Chiantini, Ottaviani and Vannieuwenhoven 2017), most partitions are ruled
-out before any subset is swept.
+degree-j Veronese image (Kruskal 1977; Chiantini, Ottaviani and
+Vannieuwenhoven 2017).  Since k_j <= h_A(j), the Hilbert function, most
+partitions are ruled out before any subset is swept.
 
 The degree-j image is taken as the integer rows ``monomial_values(a, j)``:
 they differ from the Veronese coordinates by a nonzero scaling of each row
@@ -243,8 +243,8 @@ class ReshapingSearch:
     None when no partition passes.  ranks lists (degree, Kruskal rank) for
     every Veronese degree the search swept, by degree.  bound is the largest
     proven upper bound on (k_x + k_y + k_z - 2) // 2 over all partitions,
-    taking k_j exact where swept and min(len(a), C(n+j, j)) elsewhere; it is
-    below len(a) exactly when no partition passes.
+    taking k_j exact where swept and h_A(j) elsewhere; it is below len(a)
+    exactly when no partition passes.
     """
 
     passing: KruskalReport | None
@@ -260,8 +260,12 @@ def reshaped_kruskal(a: PointSet, d: int) -> ReshapingSearch:
     Kruskal rank of the degree-j Veronese image; one passing partition
     certifies that len(a) is the rank and the decomposition is unique.
 
-    With l = len(a), each k_j is at most min(l, C(n+j, j)), so a partition
-    whose sum of these caps, minus 2, is below 2*l is dropped with no sweep.
+    With l = len(a), each k_j is at most h_A(j): the degree-j images span
+    h_A(j) dimensions, so any h_A(j) + 1 of them are dependent.  A partition
+    whose sum of these caps, minus 2, is below 2*l could never pass, and is
+    dropped with no sweep; so the cap changes neither whether a partition
+    passes nor which passes first, only which degrees are swept.  Since
+    h_A(j) <= min(l, C(n+j, j)), it drops every partition that cap would.
     The rest are tried cheapest first: degree j costs 1 when C(n+j, j) >= l
     (the Hilbert profile decides it unless the set is special) and
     C(l, C(n+j, j)) subsets otherwise, a partition the sum over its parts,
@@ -272,6 +276,7 @@ def reshaped_kruskal(a: PointSet, d: int) -> ReshapingSearch:
     """
     l = len(a)
     n = a.ambient_dim
+    h = hilbert_profile(a)
     parts = degree_partitions(d)
     known: dict[int, int] = {}
 
@@ -280,7 +285,7 @@ def reshaped_kruskal(a: PointSet, d: int) -> ReshapingSearch:
         return 1 if m >= l else comb(l, m)
 
     def upper(p: tuple[int, int, int]) -> int:
-        return sum(known.get(j, min(l, comb(n + j, j))) for j in p) - 2
+        return sum(known.get(j, h.value_at(j)) for j in p) - 2
 
     passing = None
     for p in sorted(parts, key=lambda p: sum(map(cost, p))):

@@ -222,6 +222,42 @@ def generic_rank_from_one(n, d, trials=2, seed=0):
     return r
 
 
+def reshaped_kruskal_by_count_caps(a, d):
+    """The reshaping search with each k_j capped by min(len(a), C(n+j, j)).
+
+    The library's pruned, cheapest-first search as it ran before it capped
+    k_j by the Hilbert function h_A(j): the count caps ignore the set's
+    position, so on special sets they keep partitions that cannot pass
+    and sweep their degrees.  A ``ReshapingSearch`` for comparison.
+    """
+    from waringcert import (KruskalReport, ReshapingSearch, degree_partitions,
+                            veronese_kruskal_rank)
+    l, n = len(a), a.ambient_dim
+    parts = degree_partitions(d)
+    known = {}
+
+    def cost(j):
+        m = comb(n + j, j)
+        return 1 if m >= l else comb(l, m)
+
+    def upper(p):
+        return sum(known.get(j, min(l, comb(n + j, j))) for j in p) - 2
+
+    passing = None
+    for p in sorted(parts, key=lambda p: sum(map(cost, p))):
+        pending = sorted({j for j in p if j not in known}, key=lambda j: (cost(j), j))
+        while pending and upper(p) >= 2 * l:
+            j = pending.pop(0)
+            known[j] = veronese_kruskal_rank(a, j)
+        if upper(p) >= 2 * l:
+            ranks = tuple(known[j] for j in p)
+            passing = KruskalReport(set_size=l, partition=p, ranks=ranks,
+                                    bound=(sum(ranks) - 2) // 2, passes=True)
+            break
+    return ReshapingSearch(passing=passing, ranks=tuple(sorted(known.items())),
+                           bound=max(map(upper, parts)) // 2)
+
+
 def reshaped_kruskal_table(a, d):
     """The reshaping test on every partition of d, with no bound or early stop.
 

@@ -16,13 +16,12 @@ from oracles import (apolarity_pairing, form_power, fraction_rank,
                      kernel_vector, linear_form_power, minor_rank,
                      reshaped_kruskal_table, tangent_forms)
 
-from waringcert import (PointSet, ProjectivePoint, Verdict,
-                        binary_generic_rank, certify, generic_info,
-                        generic_terracini_dimension, hilbert_function,
-                        hilbert_profile, kruskal_rank, monomial_basis,
-                        random_point_set, reshaped_kruskal, satisfies_cb,
-                        span_dim, span_intersection_dim, terracini_dimension,
-                        union_profile_drop)
+from waringcert import (PointSet, ProjectivePoint, Verdict, certify,
+                        generic_info, generic_terracini_dimension,
+                        hilbert_function, hilbert_profile, kruskal_rank,
+                        monomial_basis, random_point_set, reshaped_kruskal,
+                        satisfies_cb, span_dim, span_intersection_dim,
+                        terracini_dimension, union_profile_drop)
 
 _CORPUS = None
 
@@ -282,7 +281,8 @@ def test_criterion_09_binary_sylvester_suite():
     rng = random.Random(900)
     cases = 0
     for d in range(1, 10):
-        r_gen = binary_generic_rank(d)
+        # a linear form is its own first power, so its rank is 1
+        r_gen = generic_info(1, d).generic_rank if d > 1 else 1
         for r in range(1, r_gen + 1):
             a = random_point_set(1, r, rng, bound=30)
             cert = certify(a, d)
@@ -306,8 +306,8 @@ def test_criterion_10_soundness_refutation_sampling():
         if kind == "binary":
             d = rng.randint(5, 9)
             n = 1
-            a = random_point_set(1, rng.randint(2, binary_generic_rank(d) - 1),
-                                 rng, bound=30)
+            r_gen = generic_info(1, d).generic_rank
+            a = random_point_set(1, rng.randint(2, r_gen - 1), rng, bound=30)
         elif kind == "half":
             n = rng.choice([2, 3])
             d = rng.randint(5, 9)

@@ -11,15 +11,14 @@ import waringcert
 PUBLIC = [
     "Certificate", "Diagnostics", "DuplicatePointError", "GenericInfo",
     "HilbertProfile", "KruskalReport", "PointSet", "ProjectivePoint",
-    "ReshapingSearch", "TerraciniReport", "Verdict", "binary_generic_rank",
-    "certify", "check_gkr_inequality", "check_minimal", "complementary_bound",
+    "ReshapingSearch", "TerraciniReport", "Verdict", "certify",
+    "check_gkr_inequality", "check_minimal", "complementary_bound",
     "degree_partitions", "generic_info", "generic_terracini_dimension",
     "gup_cutoff", "hilbert_function", "hilbert_profile", "integer_rank",
-    "is_gup", "is_linearly_independent", "is_lgp", "is_separated",
-    "kruskal_and_collinear", "kruskal_rank", "max_collinear_subset_size",
-    "monomial_basis", "monomial_values", "random_point_set",
-    "reshaped_kruskal", "satisfies_cb", "separates_point", "span_dim",
-    "span_intersection_dim", "terracini_dimension", "union",
+    "is_gup", "is_lgp", "kruskal_and_collinear", "kruskal_rank",
+    "max_collinear_subset_size", "monomial_basis", "monomial_values",
+    "random_point_set", "reshaped_kruskal", "satisfies_cb", "separates_point",
+    "span_dim", "span_intersection_dim", "terracini_dimension", "union",
     "union_profile_drop", "veronese_kruskal_rank",
 ]
 

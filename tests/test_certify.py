@@ -15,8 +15,8 @@ from waringcert import (
     Diagnostics,
     PointSet,
     ProjectivePoint,
+    TerraciniReport,
     Verdict,
-    binary_generic_rank,
     certify,
     check_minimal,
     complementary_bound,
@@ -63,8 +63,12 @@ def test_check_minimal_examples():
 
 
 def test_binary_generic_rank_values():
-    assert [binary_generic_rank(d) for d in range(1, 10)] == [
-        1, 2, 2, 3, 3, 4, 4, 5, 5]
+    # Degree 1 is out of generic_info's range: a linear form is its own
+    # first power, so its rank is 1.
+    assert [generic_info(1, d).generic_rank for d in range(2, 10)] == [
+        2, 2, 3, 3, 4, 4, 5, 5]
+    assert [generic_rank_from_one(1, d) for d in range(2, 10)] == [
+        2, 2, 3, 3, 4, 4, 5, 5]
 
 
 def fires(rule, a, d):
@@ -84,10 +88,13 @@ def test_sylvester_inequality_matches_the_two_branch_rule():
     # or at r with d odd.  The criterion checks the one inequality
     # 2l <= d + 1; the two agree for every d < 200 and l <= d + 1.
     points = binary(200)
+    generic_rank = {d: generic_info(1, d, max_space_dim=0).generic_rank
+                    for d in range(2, 200)}
+    generic_rank[1] = 1
     for l in range(1, 201):
         a = points.subset(range(l))
         for d in range(max(1, l - 1), 200):
-            r = binary_generic_rank(d)
+            r = generic_rank[d]
             two_branch = l < r or (l == r and d % 2 == 1)
             assert (2 * l <= d + 1) == two_branch, (l, d)
             assert fires(_sylvester, a, d) == two_branch, (l, d)
@@ -505,6 +512,66 @@ def test_generic_info_argument_validation():
         generic_info(0, 4)
     with pytest.raises(ValueError):
         generic_info(2, 1)
+
+
+# The Alexander-Hirschowitz theorem, written out: quadrics have generic
+# rank n + 1, and for d >= 3 it is the expected rank except at four
+# (n, d), where it is one more.
+AH_DEFECTIVE = {(2, 4), (3, 4), (4, 3), (4, 4)}
+
+
+def alexander_hirschowitz_rank(n, d):
+    if d == 2:
+        return n + 1
+    return -(-comb(n + d, d) // (n + 1)) + ((n, d) in AH_DEFECTIVE)
+
+
+def test_generic_info_gives_the_alexander_hirschowitz_rank_with_a_witness():
+    shapes = [(n, d) for d in range(2, 9) for n in range(1, 31) if comb(n + d, d) <= 500]
+    assert len(shapes) == 69
+    for n, d in shapes:
+        info = generic_info(n, d)
+        assert info.generic_rank == alexander_hirschowitz_rank(n, d), (n, d)
+        assert info.oracle_verified, (n, d)
+    for n, d in AH_DEFECTIVE:
+        rank = alexander_hirschowitz_rank(n, d) - 1
+        assert (f"rank {rank}: the generic form of rank {rank} has infinitely "
+                "many decompositions") in generic_info(n, d).exceptions
+
+
+def test_generic_info_keeps_the_theorem_rank_when_no_witness_fills(monkeypatch):
+    # A witness that falls short proves nothing: the rank stays the
+    # theorem's, unverified, and a note says why.
+    module = importlib.import_module("waringcert.certify")
+    shapes = [(1, 5), (2, 4), (3, 2), (4, 4), (2, 7)]
+    verified = {shape: generic_info(*shape) for shape in shapes}
+
+    def short(n, d, r, trials=2, seed=0):
+        space = comb(n + d, d)
+        return TerraciniReport(num_points=r, ambient_dim=n, degree=d, dim=space - 2,
+                               max_possible=(n + 1) * r - 1, veronese_dim=space - 1)
+
+    monkeypatch.setattr(module, "generic_terracini_dimension", short)
+    for (n, d), good in verified.items():
+        info = generic_info(n, d, trials=3, seed=7)
+        assert not info.oracle_verified
+        assert info.generic_rank == good.generic_rank == alexander_hirschowitz_rank(n, d)
+        assert info.exceptions == good.exceptions + (
+            f"generic rank not verified: no Terracini witness of {info.generic_rank} "
+            f"points filled the space of dimension {info.space_dim} in 3 trials "
+            "(seed 7); reporting the Alexander-Hirschowitz value",)
+
+
+def test_twisted_cubic_sets_take_no_kruskal_sweep():
+    # Twenty points (1 : t : t^2 : t^3) at degree 11: h_A(j) = min(20, 3j + 1)
+    # caps every k_j, so no partition of 11 can reach 2*20 and no degree is
+    # swept.  Capped by min(l, C(n+j, j)) instead, the search swept subsets
+    # for over a minute before finding the same answer.
+    a = PointSet.from_rows([(1, t, t * t, t ** 3) for t in range(1, 21)])
+    cert = certify(a, 11)
+    assert cert.verdict is Verdict.INCONCLUSIVE
+    assert reshaped_kruskal(a, 11).ranks == ()
+    assert "reshaped-kruskal: no partition passes (proven bound 17 < 20)" in cert.notes
 
 
 # Generic sets at these sizes are not identifiable, so no criterion may

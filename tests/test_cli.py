@@ -313,7 +313,7 @@ def test_structured_output_round_trips(tmp_path, capsys):
         capsys, ["certify", path, "--degree", "6", "--format", "structured"])
     parsed = json.loads(out)
     assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out
-    assert parsed["schema_version"] == 3
+    assert parsed["schema_version"] == 4
 
 
 def test_version_flag(capsys):

@@ -16,7 +16,6 @@ from waringcert import (
     ProjectivePoint,
     certify,
     generic_terracini_dimension,
-    is_linearly_independent,
     max_collinear_subset_size,
     monomial_basis,
     monomial_values,
@@ -26,6 +25,7 @@ from waringcert import (
     veronese_kruskal_rank,
 )
 from waringcert.geometry import _box_point_count
+from waringcert.hilbert import is_linearly_independent
 
 from conftest import random_points
 from oracles import brute_max_collinear, linear_form_power

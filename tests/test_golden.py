@@ -6,11 +6,13 @@
 random sets chosen so that the corpus reaches every criterion of the
 cascade, NotMinimal, Inconclusive and the Alexander-Hirschowitz defective
 cases of five plane points at degree 4 and seven points of P^4 at degree 3,
-plus one hand-written set with rational coordinates, zeros, negative
-leading entries and three collinear points.  ``generic-<n>-<d>.json`` and
-``.txt`` hold the output of ``generic n d`` for forms with no exception,
-the quadric note, the two-decomposition note, a space over the oracle
-budget and the defective cubics of P^4.
+plus two hand-written sets: one with rational coordinates, zeros, negative
+leading entries and three collinear points, and twelve points of a twisted
+cubic.  ``generic-<n>-<d>.json`` and ``.txt`` hold the output of
+``generic n d`` for forms with no exception, the quadric note, the
+two-decomposition note, a space over the oracle budget, and the
+Alexander-Hirschowitz defective plane quartics, cubics and quartics of
+P^4.
 
 ``golden_v2_certificates.json`` freezes every certificate's verdict,
 criterion, rank and notes as schema v2 gave them.
@@ -58,8 +60,12 @@ RANDOM_CASES = {
     "p3-3-d1": (3, 3, 1, 1),           # Inconclusive, degree 1
 }
 
-# A hand-written plane set: (1:0:0), (0:1:0) and (-2:1:0) lie on z = 0.
-RATIONAL_CASE = ("rational-p2-7-d5", 5, """\
+# Hand-written sets: case name -> (degree, point file text).  In the
+# rational plane set (1:0:0), (0:1:0) and (-2:1:0) lie on z = 0.  The
+# twelve points of the twisted cubic are Inconclusive at degree 7: h_A(j) =
+# min(12, 3j + 1) caps every k_j, and no partition of 7 reaches 2*12.
+WRITTEN_CASES = {
+    "rational-p2-7-d5": (5, """\
 label: rationals, zeros and a collinear triple
 dim: 2
 1 0 0
@@ -69,7 +75,11 @@ dim: 2
 1/2 -1/3 2
 -4 7/5 1
 3 -1 -1/6
-""")
+"""),
+    "twisted-cubic-p3-12-d7": (7, "label: twisted cubic (1 : t : t^2 : t^3), t = 1..12\n"
+                               "dim: 3\n" + "".join(f"1 {t} {t * t} {t ** 3}\n"
+                                                    for t in range(1, 13))),
+}
 
 
 def _random_rows(n, size, seed):
@@ -94,7 +104,7 @@ def _point_text(n, rows):
 
 def _case_degrees():
     degrees = {name: spec[2] for name, spec in RANDOM_CASES.items()}
-    degrees[RATIONAL_CASE[0]] = RATIONAL_CASE[1]
+    degrees.update((name, degree) for name, (degree, _) in WRITTEN_CASES.items())
     return degrees
 
 
@@ -115,11 +125,13 @@ def _verb_argv(verb, degree, size):
 
 # case name -> (n, d) for the generic verb, which reads no point file.
 GENERIC_CASES = {
-    "generic-2-4": (2, 4),             # no exception, defective generic rank
+    "generic-2-4": (2, 4),             # defective generic rank, (2, 4) at 5 points
+    "generic-2-5": (2, 5),             # no exception
     "generic-3-2": (3, 2),             # quadrics
     "generic-2-6": (2, 6),             # two decompositions at rank 9
     "generic-5-7": (5, 7),             # over the oracle budget, not verified
     "generic-4-3": (4, 3),             # defective generic rank, (4, 3) at 7 points
+    "generic-4-4": (4, 4),             # defective generic rank, (4, 4) at 14 points
 }
 
 
@@ -218,9 +230,10 @@ def test_corpus_reaches_every_outcome():
 
 def test_schema_v3_keeps_every_v2_outcome():
     # Schema v3 changed which diagnostics are reported and one note: the
-    # quartic rule's cap now rules out nine points of P^3 before k_1.
+    # quartic rule's cap now rules out nine points of P^3 before k_1.  The
+    # twisted cubic case joined the corpus at schema v4.
     v2 = json.loads(GOLDEN.with_name("golden_v2_certificates.json").read_text())
-    assert set(v2) == set(DEGREES)
+    assert set(v2) == set(DEGREES) - {"twisted-cubic-p3-12-d7"}
     for case, old in v2.items():
         cert = json.loads((GOLDEN / f"{case}.certify.json").read_text())["certificate"]
         if case == "p3-9-d4":
@@ -253,9 +266,10 @@ def regenerate():
         path = GOLDEN / f"{name}.pts"
         if not path.exists():
             path.write_text(_point_text(n, _random_rows(n, size, seed)), encoding="utf-8")
-    path = GOLDEN / f"{RATIONAL_CASE[0]}.pts"
-    if not path.exists():
-        path.write_text(RATIONAL_CASE[2], encoding="utf-8")
+    for name, (_, text) in WRITTEN_CASES.items():
+        path = GOLDEN / f"{name}.pts"
+        if not path.exists():
+            path.write_text(text, encoding="utf-8")
     for case, degree in DEGREES.items():
         text = _point_file(case)
         for verb in VERBS:

@@ -12,7 +12,6 @@ from waringcert import (
     check_gkr_inequality,
     hilbert_function,
     hilbert_profile,
-    is_separated,
     kruskal_rank,
     monomial_values,
     satisfies_cb,
@@ -21,6 +20,7 @@ from waringcert import (
     span_intersection_dim,
     union_profile_drop,
 )
+from waringcert.hilbert import is_separated
 
 from conftest import random_points
 from oracles import fraction_rank, monomial_values_by_powers

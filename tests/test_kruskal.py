@@ -1,5 +1,6 @@
 """Kruskal ranks, position properties, and the reshaping criterion."""
 
+import importlib
 import random
 from math import comb
 
@@ -23,8 +24,8 @@ from waringcert import (
 
 from conftest import random_points
 from oracles import (brute_max_collinear, fraction_rank, kruskal_by_subsets,
-                     monomial_values_by_powers, reshaped_kruskal_table,
-                     tangent_forms)
+                     monomial_values_by_powers, reshaped_kruskal_by_count_caps,
+                     reshaped_kruskal_table, tangent_forms)
 
 
 def simplex_plus_ones(n):
@@ -291,3 +292,19 @@ def test_reshaped_search_agrees_with_exhaustive_table(a, d):
     cert = certify(a, d)
     assert (cert.criterion or cert.verdict.value) == _oracle_outcome(a, d)
     assert cert.rank == (len(a) if cert.criterion else None)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_integer_sets(), st.integers(3, 8))
+def test_hilbert_caps_keep_the_verdict_and_witness_of_the_count_caps(a, d):
+    # Capping k_j by h_A(j) instead of min(l, C(n+j, j)) drops only
+    # partitions that cannot pass: the passing partition, and so the
+    # certificate's verdict, criterion and rank, stay those of the count caps.
+    assert reshaped_kruskal(a, d).passing == reshaped_kruskal_by_count_caps(a, d).passing
+    fresh = PointSet.from_rows([p.primitive_coords for p in a])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module("waringcert.certify"), "reshaped_kruskal",
+                      reshaped_kruskal_by_count_caps)
+        old = certify(fresh, d)
+    new = certify(a, d)
+    assert (new.verdict, new.criterion, new.rank) == (old.verdict, old.criterion, old.rank)
