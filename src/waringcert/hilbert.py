@@ -45,11 +45,6 @@ def span_dim(a: PointSet) -> int:
     return hilbert_function(a, 1) - 1
 
 
-def is_linearly_independent(a: PointSet) -> bool:
-    """True when the coordinate vectors of the points are independent."""
-    return hilbert_function(a, 1) == len(a)
-
-
 @dataclass(frozen=True)
 class HilbertProfile:
     """Hilbert function values and first differences over degrees 0..j_max.
@@ -159,11 +154,6 @@ def hilbert_profile(a: PointSet, j_max: int | None = None) -> HilbertProfile:
     diffs = tuple(v - (values[j - 1] if j else 0) for j, v in enumerate(values))
     top = l - 1 if j_max is None else max(j_max, l - 1)
     return HilbertProfile(set_size=l, values=tuple(values), diffs=diffs, j_max=top)
-
-
-def is_separated(a: PointSet, d: int) -> bool:
-    """True when degree-d forms distinguish every point: h(d) = len(a)."""
-    return hilbert_function(a, d) == len(a)
 
 
 @memo_on_set

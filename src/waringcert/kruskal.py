@@ -21,14 +21,26 @@ subset's rank, hence the Kruskal rank.
 Each rank is read from an invariant already at hand where one decides it,
 and found by serial subset sweeps otherwise; it is cached on the point set,
 so each Veronese degree of a set is computed at most once, whichever of the
-Kruskal, GUP and reshaping tests asks first.  When C(n+j, j) >= len(A) the
-only subset of the bound's size is A itself, so k_j = len(A) exactly when
-h_A(j) = len(A), read off the Hilbert profile; the sweeps climb only when
-it falls short.  Three distinct points are dependent exactly when they are
-collinear, so k_1 >= 3 exactly when no three points are aligned: in the
-plane, where k_1 <= 3, the collinearity search gives k_1, and in higher
-dimensions k_1 >= 3 gives the largest aligned subset, 2
+Kruskal, GUP and reshaping tests asks first.  The degree-j images span
+h_A(j) dimensions, read off the Hilbert profile, so k_j <= h_A(j), with
+equality when h_A(j) = len(A) or h_A(j) <= 2; otherwise one sweep at size
+h_A(j) decides whether k_j reaches it, and the sweeps climb from size 3
+only when it does not.  Three distinct points are dependent exactly when
+they are collinear, so k_1 >= 3 exactly when no three points are aligned:
+in the plane, where k_1 <= 3, the collinearity search gives k_1, and in
+higher dimensions k_1 >= 3 gives the largest aligned subset, 2
 (``kruskal_and_collinear``).
+
+A sweep asks whether every s-subset of the rows M is independent.  It is
+first proved modulo the prime p of ``linalg``: with B the first s rows, Q
+columns where B_Q is invertible modulo p and C = R_Q B_Q^-1 for the other
+rows R, the minor of each s-subset on the columns Q is congruent to
++-det B_Q times a square minor of C, and every square minor of C is one
+of them.  If no square minor of C is zero modulo p, every subset has a
+nonzero integer minor and is independent.  The proof is sound for any s,
+and complete up to minors divisible by p when s is the rank of M, as it
+is at size h_A(j).  Otherwise the exact fraction-free sweep decides, so
+every answer is exact.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ from typing import Sequence
 from .geometry import (PointSet, max_collinear_subset_size, memo_on_set,
                        monomial_values)
 from .hilbert import hilbert_profile
+from .linalg import _minors_nonzero_mod_p, _standard_form_mod_p
 
 IntRows = Sequence[Sequence[int]]
 
@@ -79,10 +92,27 @@ def _independent_from(cands: IntRows, pos: int, prev: int, need: int) -> bool:
 def _all_subsets_independent(rows: IntRows, size: int) -> bool:
     """Whether every ``size``-subset of the rows is linearly independent.
 
-    One depth-first sweep over the subsets in lexicographic order, branch
-    by branch on the least index of the subset, stopping at the first
-    dependent subset.
+    First a modular proof.  Let B be the first ``size`` rows, Q columns with
+    B_Q invertible modulo p, and C = R_Q B_Q^-1 modulo p for the other rows
+    R (``linalg._standard_form_mod_p``).  Then M_Q = [I; C] B_Q modulo p,
+    so for every size-subset S, det M_{S,Q} is congruent to +-det B_Q times
+    the minor of C on the rows of S outside B and the columns of the rows
+    of B not in S; as S ranges over all size-subsets, these are every
+    square minor of C.  If every one is nonzero modulo p
+    (``linalg._minors_nonzero_mod_p``), each det M_{S,Q} is a nonzero
+    integer and every M_S is independent.  That holds for any rank of M.
+    When ``size`` is the rank, every column lies in the span of the columns
+    Q, so a set of rows is independent exactly when its minor on Q is
+    nonzero, and only a minor divisible by p can fail the proof.
+
+    When the first rows are dependent modulo p or some minor is zero
+    modulo p, nothing is proved, and the exact sweep decides: one depth-first sweep over the
+    subsets in lexicographic order, branch by branch on the least index of
+    the subset, stopping at the first dependent subset.
     """
+    tail = _standard_form_mod_p(rows, size)
+    if tail is not None and _minors_nonzero_mod_p(tail):
+        return True
     return all(_independent_from(rows, i, 1, size)
                for i in range(len(rows) - size + 1))
 
@@ -102,29 +132,26 @@ def _climb(rows: IntRows, top: int) -> int:
 
 
 def _veronese_kruskal(a: PointSet, j: int) -> int:
-    """Kruskal rank of the degree-j image, from the Hilbert profile where it
-    decides the answer and by subset sweeps otherwise.
+    """Kruskal rank of the degree-j image: h = h_A(j) where that decides it,
+    and otherwise one sweep at size h, with a climb below h only when it
+    finds a dependent subset.
 
-    Distinct points have nonproportional images, so a set of at most two
-    points, and any set in the two-dimensional space of binary linear forms,
-    has k_j = min(len(a), C(n+j, j)) with no sweep.  When C(n+j, j) >=
-    len(a) the whole set is the only subset of the bound's size: k_j =
-    len(a) when h(j) = len(a), and the climb runs only when h(j) is below.
-    Otherwise one sweep at the bound C(n+j, j) settles the answer when it
-    finds no dependent subset, and the climb runs when it does.
+    The images span h dimensions, so any h + 1 of them are dependent and
+    k_j <= h.  When h = len(a) the images are independent and k_j = h.
+    Distinct points have pairwise nonproportional images, so k_j >= 2 from
+    two points on, and h <= 2 gives k_j = h.  Otherwise every h-subset is
+    independent exactly when k_j = h; the sweep at size h runs through the
+    modular proof of ``_all_subsets_independent``, which is complete here
+    because h is the rank of the rows, and the exact sweep decides only
+    when the proof fails.
     """
-    l = len(a)
-    m = comb(a.ambient_dim + j, j)
-    if min(l, m) <= 2:
-        return min(l, m)
-    if m >= l:
-        if hilbert_profile(a).value_at(j) == l:
-            return l
-        return _climb(monomial_values(a, j), l)
+    h = hilbert_profile(a).value_at(j)
+    if h == len(a) or h <= 2:
+        return h
     rows = monomial_values(a, j)
-    if _all_subsets_independent(rows, m):
-        return m
-    return _climb(rows, m)
+    if _all_subsets_independent(rows, h):
+        return h
+    return _climb(rows, h)
 
 
 @memo_on_set

@@ -17,9 +17,12 @@ The modular pass packs each row into one Python int of fixed-width slots,
 W = 62 + min(rows, cols).bit_length() bits each, so that a row update is a
 single multiply-add of whole ints; ``_rank_mod_p`` proves that no slot
 overflows.  ``integer_kernel`` gives a fraction-free kernel basis, for
-callers that build kernel vectors from smaller matrices.  The Kruskal
-subset sweeps run their own Bareiss elimination, sharing the work of
-common subset prefixes.  Callers build integer rows directly (monomial
+callers that build kernel vectors from smaller matrices.  For the Kruskal
+subset sweeps, ``_standard_form_mod_p`` writes every row modulo p in terms
+of the first ones, C = R_Q B_Q^-1, and ``_minors_nonzero_mod_p`` checks
+every square minor of C modulo p; a sweep that this does not prove runs
+its own Bareiss elimination, sharing the work of common subset prefixes
+(``kruskal._independent_from``).  Callers build integer rows directly (monomial
 values at primitive integer representatives of the points), so no
 ``Fraction`` arithmetic runs here.  No floating point and no randomness is
 used anywhere.
@@ -28,6 +31,7 @@ used anywhere.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
@@ -156,6 +160,96 @@ def _fold_masks(width: int, ncols: int) -> tuple[int, int, int]:
         folds += 1
     ones = ((1 << width * ncols) - 1) // ((1 << width) - 1)
     return folds, ones * ((1 << 30) - 1), ones * ((1 << width - 30) - 1)
+
+
+def _standard_form_mod_p(rows: Sequence[Sequence[int]],
+                         size: int) -> list[list[int]] | None:
+    """C = R_Q B_Q^-1 modulo ``_PRIME``, as rows; None when the first ``size``
+    rows have rank below size modulo p.  The input is not modified.
+
+    B is the first ``size`` rows and R the others.  Q is a set of ``size``
+    columns with B_Q invertible modulo p, found row by row: for row i of B,
+    the first column not yet taken whose entry in row i is nonzero after
+    the column operations of the earlier pivots.  When size is the number of columns, Q is every column.
+    Gauss-Jordan elimination over F_p of the transposed rows restricted to
+    Q, that is, column operations on M_Q, turns M_Q into [I; C], so C has
+    one row per row of R and ``size`` columns.  Each step drops the entry
+    it has eliminated, so the lists shrink as they are reduced.
+    """
+    p = _PRIME
+
+    def reduced(v: list[int]) -> list[int]:
+        f = v[0]
+        return [(x - f * y) % p for x, y in zip(v[1:], pivot)] if f else v[1:]
+
+    cols = [[x % p for x in col] for col in zip(*rows)]
+    pivots: list[list[int]] = []
+    for _ in range(size):
+        hit = next((i for i, col in enumerate(cols) if col[0]), None)
+        if hit is None:
+            return None
+        pivot = cols.pop(hit)
+        inv = pow(pivot[0], -1, p)
+        pivot = [x * inv % p for x in pivot[1:]]
+        pivots = [*map(reduced, pivots), pivot]
+        cols = list(map(reduced, cols))
+    return [list(row) for row in zip(*pivots)]
+
+
+def _minors_nonzero_mod_p(c: Sequence[Sequence[int]]) -> bool:
+    """Whether every square minor of c is nonzero modulo ``_PRIME``.
+
+    A depth-first walk over the subsets of rows of whichever of c and its
+    transpose has more rows (both have the same square minors), stopping
+    at the first minor that is zero modulo p.  A subset of k rows carries
+    its exterior product: the k x k minors on those rows, one per k-subset
+    of the columns.  Laplace expansion along a new row, taken as the last,
+    gives the (k + 1)-minors: the minor on columns c_0 < ... < c_k is
+    sum_i (-1)**i * row[c_i] * (the k-minor without c_i), up to one sign
+    shared by the whole subset, which changes no zero.  So each minor is
+    computed once, with k + 1 multiplies, and with w the number of
+    columns walked, a carried vector has at most C(w, k) entries.
+    """
+    if not c or not c[0]:
+        return True
+    if len(c) < len(c[0]):
+        c = list(zip(*c))
+    p = _PRIME
+    width = len(c[0])
+    nrows = len(c)
+
+    def extend(start: int, minors: list[int], k: int) -> bool:
+        terms = _laplace_terms(width, k)
+        for u in range(start, nrows):
+            row = c[u]
+            signed = [*row, *(p - x for x in row)]
+            wider = []
+            for expansion in terms:
+                s = 0
+                for col, sub in expansion:
+                    s += signed[col] * minors[sub]
+                s %= p
+                if not s:
+                    return False
+                wider.append(s)
+            if k + 1 < width and not extend(u + 1, wider, k + 1):
+                return False
+        return True
+
+    return extend(0, [1], 0)
+
+
+@lru_cache(maxsize=64)
+def _laplace_terms(width: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For ``_minors_nonzero_mod_p``: one tuple per (k + 1)-subset of
+    range(width), in ``combinations`` order, of the pairs (column, index of
+    the k-subset without it), one per column of the subset.  A column at
+    an odd place in the subset is offset by width, so that it reads the
+    negated entry of the row."""
+    index = {sub: i for i, sub in enumerate(combinations(range(width), k))}
+    return tuple(tuple((col + width * (i % 2), index[sub[:i] + sub[i + 1:]])
+                       for i, col in enumerate(sub))
+                 for sub in combinations(range(width), k + 1))
 
 
 def integer_kernel(rows: Iterable[Sequence[int]]) -> list[list[int]]:

@@ -1,13 +1,14 @@
 """Shared helpers for the test suite: seeded random point-set corpora, and
-a count of the Bareiss fallbacks."""
+counts of the Bareiss fallbacks and of the exact Kruskal subset sweeps."""
 
 import random
 
 import pytest
 
-from waringcert import PointSet, ProjectivePoint, linalg
+from waringcert import PointSet, ProjectivePoint, kruskal, linalg
 
 BAREISS = linalg._bareiss_rank
+EXACT_SWEEP = kruskal._independent_from
 
 
 def random_points(n, size, rng, bound=9):
@@ -47,4 +48,18 @@ def bareiss_calls(monkeypatch):
         return BAREISS(m)
 
     monkeypatch.setattr(linalg, "_bareiss_rank", counted)
+    return calls
+
+
+@pytest.fixture
+def exact_sweeps(monkeypatch):
+    """The subset size of every ``kruskal._independent_from`` call, nested
+    calls included: empty exactly when no exact subset sweep ran."""
+    calls = []
+
+    def counted(cands, pos, prev, need):
+        calls.append(need)
+        return EXACT_SWEEP(cands, pos, prev, need)
+
+    monkeypatch.setattr(kruskal, "_independent_from", counted)
     return calls

@@ -314,6 +314,19 @@ def test_certify_sweeps_for_k1_only_where_a_rule_reads_it(widths, n, l, d, swept
         widths.clear()
 
 
+@pytest.mark.parametrize("n, l, d, swept", [(2, 11, 10, [6, 10]), (4, 9, 4, [5])])
+def test_general_sets_prove_their_sweeps_modulo_p(widths, exact_sweeps, n, l, d, swept):
+    # General sets: the sweeps that certify runs, at degrees 2 and 3 for
+    # plane-gup on (2, 11, 10) and k_1 for quartic on (4, 9, 4), are each
+    # proved by one modular standard form, with no exact subset sweep.
+    for seed in range(3):
+        cert = certify(general_points(n, l, 200 + seed), d)
+        assert cert.verdict is Verdict.IDENTIFIABLE, (seed, cert.notes)
+        assert widths == swept, seed
+        assert exact_sweeps == [], seed
+        widths.clear()
+
+
 def _copy(a):
     return lambda: PointSet(a.points)
 

@@ -16,6 +16,7 @@ from waringcert import (
     ProjectivePoint,
     certify,
     generic_terracini_dimension,
+    hilbert_function,
     max_collinear_subset_size,
     monomial_basis,
     monomial_values,
@@ -25,7 +26,6 @@ from waringcert import (
     veronese_kruskal_rank,
 )
 from waringcert.geometry import _box_point_count
-from waringcert.hilbert import is_linearly_independent
 
 from conftest import random_points
 from oracles import brute_max_collinear, linear_form_power
@@ -211,10 +211,10 @@ def test_veronese_set_injective_on_corpus():
 def test_span_dim_examples():
     collinear = PointSet.from_rows([(1, 0, 0), (1, 1, 0), (1, 2, 0)])
     assert span_dim(collinear) == 1
-    assert not is_linearly_independent(collinear)
+    assert hilbert_function(collinear, 1) != len(collinear)
     simplex = PointSet.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert span_dim(simplex) == 2
-    assert is_linearly_independent(simplex)
+    assert hilbert_function(simplex, 1) == len(simplex)
     singleton = PointSet.from_rows([(1, 7)])
     assert span_dim(singleton) == 0
 

@@ -20,7 +20,6 @@ from waringcert import (
     span_intersection_dim,
     union_profile_drop,
 )
-from waringcert.hilbert import is_separated
 
 from conftest import random_points
 from oracles import fraction_rank, monomial_values_by_powers
@@ -133,9 +132,9 @@ def test_is_separated_examples():
     rng = random.Random(22)
     for _ in range(10):
         a = random_points(rng.choice([1, 2]), rng.randint(1, 6), rng)
-        assert is_separated(a, len(a) - 1)
-    assert not is_separated(COLLINEAR3, 1)
-    assert is_separated(COLLINEAR3, 2)
+        assert hilbert_function(a, len(a) - 1) == len(a)
+    assert hilbert_function(COLLINEAR3, 1) != len(COLLINEAR3)
+    assert hilbert_function(COLLINEAR3, 2) == len(COLLINEAR3)
 
 
 def test_separation_from_kruskal_rank_bound():
@@ -143,7 +142,7 @@ def test_separation_from_kruskal_rank_bound():
     for _ in range(10):
         a = random_points(rng.choice([2, 3]), rng.randint(2, 7), rng)
         if len(a) <= 2 * kruskal_rank(a) - 1:
-            assert is_separated(a, 2)
+            assert hilbert_function(a, 2) == len(a)
 
 
 def test_separates_point_examples():

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from waringcert import kruskal, linalg
 from waringcert import (
     KruskalReport,
     PointSet,
@@ -14,6 +15,7 @@ from waringcert import (
     certify,
     degree_partitions,
     gup_cutoff,
+    hilbert_function,
     is_gup,
     is_lgp,
     kruskal_rank,
@@ -56,6 +58,8 @@ def test_kruskal_rank_aligned_and_small_sets():
     assert not is_lgp(ALIGNED4)
     assert kruskal_rank(PointSet.from_rows([(1, 2, 3)])) == 1
     assert kruskal_rank(PointSet.from_rows([(1, 0), (1, 1)])) == 2
+    # Collinear in P^3: h_A(1) = 2 gives k_1 = 2 with no sweep.
+    assert kruskal_rank(PointSet.from_rows([(1, 0, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0)])) == 2
 
 
 def test_kruskal_rank_binary_sets_always_lgp():
@@ -308,3 +312,88 @@ def test_hilbert_caps_keep_the_verdict_and_witness_of_the_count_caps(a, d):
         old = certify(fresh, d)
     new = certify(a, d)
     assert (new.verdict, new.criterion, new.rank) == (old.verdict, old.criterion, old.rank)
+
+
+P = linalg._PRIME
+
+
+@st.composite
+def planted_rows(draw):
+    """Tall integer matrices, up to 7 x 4, with a subset size to sweep.
+
+    Entries are small, or small plus a multiple of the prime P, so residues
+    and minors vanish modulo P while the integers do not; then some rows
+    are replaced by integer combinations of two others (coefficients that
+    may be multiples of P too), planting dependent subsets.
+    """
+    cols = draw(st.integers(1, 4))
+    size = draw(st.integers(1, cols))
+    entry = st.one_of(st.integers(-3, 3),
+                      st.tuples(st.integers(-3, 3), st.integers(-2, 2))
+                      .map(lambda t: t[0] + t[1] * P))
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=max(size, 2), max_size=7))
+    coeff = st.sampled_from((-2, -1, 1, 2, P, 1 - P))
+    for _ in range(draw(st.integers(0, 2))):
+        target, first, second = (draw(st.integers(0, len(rows) - 1)) for _ in range(3))
+        x, y = draw(coeff), draw(coeff)
+        rows[target] = [x * u + y * v for u, v in zip(rows[first], rows[second])]
+    return rows, size
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(planted_rows())
+def test_all_subsets_independent_matches_the_subset_oracle(case):
+    rows, size = case
+    expected = kruskal_by_subsets(rows, fraction_rank) >= size
+    assert kruskal._all_subsets_independent(rows, size) == expected
+
+
+@pytest.mark.parametrize("rows, size, expected", [
+    # The third row is (1, 0) modulo P: the 1 x 1 minor P of C fails the
+    # proof, and the exact sweep finds every pair independent.
+    ([(1, 0), (0, 1), (1, P)], 2, True),
+    # A 2 x 2 minor of C equal to P: zero modulo P, independent over Q.
+    ([(1, 0), (0, 1), (1, 1), (1, 1 + P)], 2, True),
+    # Proportional rows: the 2 x 2 minor of C is 1*2 - 1*2 = 0.
+    ([(1, 0), (0, 1), (1, 1), (2, 2)], 2, False),
+    # The first two rows are dependent, so B is singular and nothing is proved.
+    ([(1, 2, 0), (2, 4, 0), (0, 0, 1)], 2, False),
+])
+def test_a_failed_modular_proof_falls_back_to_the_exact_sweep(exact_sweeps, rows, size,
+                                                            expected):
+    assert kruskal._all_subsets_independent(rows, size) is expected
+    assert exact_sweeps
+
+
+def test_modular_proof_uses_pivot_columns_of_the_first_rows(exact_sweeps):
+    # The first two columns of the first two rows are singular; the pivot
+    # columns 1 and 2 are not, and the proof needs no exact sweep.
+    rows = [(0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 1, 3), (1, 5, 2)]
+    assert kruskal._all_subsets_independent(rows, 2)
+    assert exact_sweeps == []
+
+
+def test_twisted_cubic_k3_is_capped_by_the_hilbert_function(exact_sweeps):
+    # Twenty points (1 : t : t^2 : t^3): h_A(3) = 10, and every ten of the
+    # degree-3 images are independent (binary forms of degree 9), so k_3 = 10
+    # from one modular proof at size 10; climbing from size 3 took seconds.
+    a = PointSet.from_rows([(1, t, t * t, t ** 3) for t in range(1, 21)])
+    assert veronese_kruskal_rank(a, 3) == 10
+    assert veronese_kruskal_rank(a, 2) == 7
+    assert exact_sweeps == []
+
+
+def test_conic_sets_prove_k2_and_dependent_sets_sweep(exact_sweeps):
+    # Six points of a smooth conic: h_A(2) = 5 is the rank of the rows, so
+    # the modular proof at size 5 is complete and k_2 = 5 needs no sweep.
+    conic = PointSet.from_rows([(1, t, t * t) for t in range(6)])
+    assert veronese_kruskal_rank(conic, 2) == 5
+    assert exact_sweeps == []
+    # Four of six points on a line: four collinear images are dependent in
+    # degree 2, so the proof at h_A(2) = 5 fails, the exact sweep finds the
+    # dependent subset, and the climb gives k_2 = 3.
+    lined = PointSet.from_rows([(1, t, 0) for t in range(4)] + [(0, 0, 1), (1, 1, 1)])
+    assert hilbert_function(lined, 2) == 5
+    assert veronese_kruskal_rank(lined, 2) == 3
+    assert exact_sweeps

@@ -1,6 +1,7 @@
 """Exact linear algebra: frozen examples plus randomized invariants."""
 
 import random
+from itertools import combinations
 from operator import mul
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from waringcert import integer_rank, linalg
 
-from oracles import minor_rank, rank_mod_p
+from oracles import laplace_det, minor_rank, rank_mod_p
 
 P = linalg._PRIME
 
@@ -183,3 +184,61 @@ def test_bad_kernel_candidates_leave_the_rank_exact(bareiss_calls, candidates):
     rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, P, 0]]
     assert integer_rank(rows, kernel=lambda: iter(candidates)) == 3
     assert bareiss_calls == [3]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(modular_matrices(), st.integers(0, 40))
+def test_standard_form_mod_p_writes_every_row_in_the_first_rows(rows, cut):
+    # The matrices have rank at most k modulo P.  When the first `size` rows
+    # have rank `size` and that is the rank of all rows, every other row r
+    # lies in their span, and r = C_r B modulo P on every column, not only
+    # on the pivot columns Q that C was solved on.  A cut of 0 takes the
+    # size at the rank.
+    size = min(cut, len(rows), len(rows[0])) or rank_mod_p(rows, P)
+    form = linalg._standard_form_mod_p(rows, size)
+    head = rows[:size]
+    assert (form is None) == (rank_mod_p(head, P) < size)
+    if form is not None:
+        assert len(form) == len(rows) - size
+        assert all(len(c) == size for c in form)
+        if rank_mod_p(rows, P) == size:
+            for c, r in zip(form, rows[size:]):
+                assert [sum(map(mul, c, col)) % P for col in zip(*head)] == [x % P for x in r]
+
+
+@st.composite
+def minor_matrices(draw):
+    """Matrices up to 4 x 5 whose entries are small, or small plus a multiple
+    of P: many of their minors vanish over Z or only modulo P."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-2, 2).map(lambda x: x + P),
+                      st.integers(1, P - 1))
+    return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(minor_matrices())
+def test_minors_nonzero_mod_p_matches_every_laplace_minor(rows):
+    expected = all(laplace_det([[rows[r][c] for c in cs] for r in rs]) % P
+                   for k in range(1, min(len(rows), len(rows[0])) + 1)
+                   for rs in combinations(range(len(rows)), k)
+                   for cs in combinations(range(len(rows[0])), k))
+    assert linalg._minors_nonzero_mod_p(rows) is expected
+
+
+def test_minors_walk_carries_minors_over_the_shorter_side(monkeypatch):
+    # Both a 2 x 6 matrix and its transpose walk subsets of six rows, so
+    # each carried vector has at most C(2, k) entries, not C(6, k).
+    widths = []
+    terms = linalg._laplace_terms
+
+    def counted(width, k):
+        widths.append(width)
+        return terms(width, k)
+
+    monkeypatch.setattr(linalg, "_laplace_terms", counted)
+    rows = [[1, 2, 3, 4, 5, 6], [1, 4, 9, 16, 25, 36]]
+    assert linalg._minors_nonzero_mod_p(rows)
+    assert linalg._minors_nonzero_mod_p([list(col) for col in zip(*rows)])
+    assert set(widths) == {2}
