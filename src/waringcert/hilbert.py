@@ -142,17 +142,22 @@ def hilbert_profile(a: PointSet, j_max: int | None = None) -> HilbertProfile:
     guaranteed to have stabilised at len(a); callers may request more.
     Ranks are computed, and values stored, only up to the separation
     degree, the first d with h(d) = len(a): h is nondecreasing and bounded
-    by len(a), so every later value is len(a).  Each degree's rank is kept
-    on the set, so later calls, and ``value_at`` above the separation
-    degree, take no rank.  The walk leaves each degree's monomial values on
-    the set, so each next degree's rows are one step from the last.
+    by len(a), so every later value is len(a).  The walk leaves each
+    degree's rank and monomial values on the set, so each next degree's
+    rows are one step from the last, and the profile of each range is kept
+    there too: the criteria that read it share one object.
     """
+    return _profile(a, len(a) - 1 if j_max is None else max(j_max, len(a) - 1))
+
+
+@memo_on_set
+def _profile(a: PointSet, top: int) -> HilbertProfile:
+    """``hilbert_profile`` over degrees 0..top."""
     l = len(a)
     values = [hilbert_function(a, 0)]
     while values[-1] < l:
         values.append(hilbert_function(a, len(values)))
     diffs = tuple(v - (values[j - 1] if j else 0) for j, v in enumerate(values))
-    top = l - 1 if j_max is None else max(j_max, l - 1)
     return HilbertProfile(set_size=l, values=tuple(values), diffs=diffs, j_max=top)
 
 

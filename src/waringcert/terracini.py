@@ -27,18 +27,10 @@ makes F*H such a form.  These products are the kernel vectors offered to
 the forms vanishing in degree e are the integer kernel of the degree-e
 monomial values.  At the Alexander-Hirschowitz defective quartics, (2, 4)
 at 5 points, (3, 4) at 9 and (4, 4) at 14, the square of the quadric
-through the points proves the rank one short of full; in degree 2, the
-products of linear forms vanishing on the span do it for a set in a
-proper subspace (Alexander-Hirschowitz, J. Algebraic Geom. 1995;
-Brambilla-Ottaviani, J. Pure Appl. Algebra 2008).  Seven points of P^4 in
-degree 3 are defective with no such product (no linear form vanishes on
-them).  Seven points of P^4 in linearly general position lie on one
-rational normal curve, whose secant variety is a cubic hypersurface
-singular along the curve; that cubic is offered first, built exactly from
-the points by ``_secant_cubic``.  Where the points are too special for
-its construction it yields nothing, and a wrong cubic would fail the
-exact check; either way the rank falls back to Bareiss.  No rank is taken
-from the Alexander-Hirschowitz list.
+through the points proves the rank one short of full (Alexander-Hirschowitz,
+J. Algebraic Geom. 1995; Brambilla-Ottaviani, J. Pure Appl. Algebra 2008).
+Where no product closes the gap, the rank falls back to Bareiss; no rank
+is taken from the Alexander-Hirschowitz list.
 
 The rank is taken in a frame.  A change of coordinates does not change it:
 for an invertible matrix M, F -> F(Mx) is an invertible linear map of the
@@ -75,7 +67,9 @@ A right-kernel vector of the framed matrix vanishes on C, since the frame
 rows are unit rows there.  Its restriction to the other columns is in the
 kernel of R, and restriction keeps such vectors independent.  So the
 kernel candidates are built from the framed rows and restricted; each is
-checked against R exactly all the same.
+checked against R exactly all the same.  No linear form vanishes on the
+framed rows, which hold the coordinate points, so the products start in
+degree e = 2, and d <= 3 offers none.
 """
 
 from __future__ import annotations
@@ -83,13 +77,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import comb, gcd
-from operator import add, mul
+from math import comb
+from operator import add
 from typing import Iterator, Sequence
 
 from .geometry import (PointSet, memo_on_set, monomial_basis, monomial_rows,
-                       monomial_values, random_point_set)
+                       random_point_set)
 from .hilbert import hilbert_function
 from .linalg import integer_kernel, integer_rank
 
@@ -137,19 +130,19 @@ class TerraciniReport:
 
 
 @lru_cache(maxsize=None)
-def _derivative_index(n: int, d: int, framed: bool) -> tuple[tuple[int, ...], _Index]:
-    """The columns of the degree-d basis that the tangent rows keep, and the
-    table that builds those rows on them.
+def _derivative_index(n: int, d: int) -> tuple[tuple[int, ...], _Index]:
+    """The columns of the degree-d basis that the framed tangent rows keep,
+    and the table that builds those rows on them.
 
-    Framed, the columns hit by the rows of the coordinate points are
-    dropped: row (e_i, j) hits only (d-1)u_i + u_j, so the kept columns are
-    the exponent vectors e with every e_i < d - 1.  Otherwise all are kept.
-    The table gives, for each variable j and kept column e, (e_j, index of
-    e - u_j in the degree-(d-1) basis), or (0, 0) where e_j = 0.
+    The columns hit by the rows of the coordinate points are dropped: row
+    (e_i, j) hits only (d-1)u_i + u_j, so the kept columns are the exponent
+    vectors e with every e_i < d - 1.  The table gives, for each variable j
+    and kept column e, (e_j, index of e - u_j in the degree-(d-1) basis),
+    or (0, 0) where e_j = 0.
     """
     basis = monomial_basis(n, d)
     lower = {e: i for i, e in enumerate(monomial_basis(n, d - 1))}
-    kept = tuple(c for c, e in enumerate(basis) if not framed or max(e) < d - 1)
+    kept = tuple(c for c, e in enumerate(basis) if max(e) < d - 1)
     table = []
     for j in range(n + 1):
         entries = []
@@ -167,14 +160,6 @@ def _tangent_rows(values: Sequence[Sequence[int]], index: _Index) -> list[list[i
     monomial values of each point: d/dx_j of every degree-d monomial of
     ``index`` at the point."""
     return [[f * v[i] for f, i in partials] for v in values for partials in index]
-
-
-def _terracini_rows(a: PointSet, d: int) -> list[list[int]]:
-    """The Terracini matrix of a in its own coordinates: one row per point p
-    and variable j, d/dx_j of every degree-d monomial at p (the tangent form
-    L^(d-1)*x_j up to the module docstring's scalings).  Its rank is what
-    ``terracini_dimension`` computes in the frame."""
-    return _tangent_rows(monomial_values(a, d - 1), _derivative_index(a.ambient_dim, d, False)[1])
 
 
 @lru_cache(maxsize=None)
@@ -201,16 +186,15 @@ def _singular_products(rows: Sequence[Sequence[int]], d: int) -> Iterator[list[i
     """Coefficient vectors of the products F*H, F in I(Z)_e and H in I(Z)_(d-e),
     Z the points with integer coordinate rows ``rows``.
 
-    For e = 1..d//2 in turn; I(Z)_e, the degree-e forms vanishing on the
-    points, is the integer kernel of ``monomial_rows(rows, e)``.  Each
-    product is singular at every point, so it lies in the right kernel of
-    the Terracini matrix of Z (module docstring).  Built lazily: a degree e
-    and each product are computed only when the consumer asks for more.
-    Seven points of P^4 spanning it have no such product at d = 3; there
-    ``_secant_cubic`` gives the kernel vector.
+    For e = 2..d//2 in turn, since no linear form vanishes on framed rows;
+    I(Z)_e, the degree-e forms vanishing on the points, is the integer
+    kernel of ``monomial_rows(rows, e)``.  Each product is singular at every
+    point, so it lies in the right kernel of the Terracini matrix of Z
+    (module docstring).  Built lazily: a degree e and each product are
+    computed only when the consumer asks for more.
     """
     n = len(rows[0]) - 1
-    for e in range(1, d // 2 + 1):
+    for e in range(2, d // 2 + 1):
         low = integer_kernel(monomial_rows(rows, e))
         if not low:
             continue
@@ -218,72 +202,6 @@ def _singular_products(rows: Sequence[Sequence[int]], d: int) -> Iterator[list[i
         for i, f in enumerate(low):
             for h in (high[i:] if 2 * e == d else high):
                 yield _multiply(f, h, e, d - e, n)
-
-
-def _secant_cubic(rows: Sequence[Sequence[int]]) -> Iterator[list[int]]:
-    """The secant cubic G of the rational normal curve through seven points
-    of P^4, given by integer coordinate rows, as one primitive coefficient
-    vector; nothing where the construction does not apply.
-
-    Let P_0..P_6 be the rows, b_i (i = 0..4) the linear form
-    vanishing on the P_j with j in {0..4} other than i, mu_i = b_i(P_5),
-    nu_i = b_i(P_6) and delta_ij = mu_i nu_j - mu_j nu_i.  Then
-
-        G = sum over S = {i<j<k} in {0..4} of eps_S mu_u mu_w nu_u nu_w
-            delta_uw delta_ij delta_ik delta_jk b_i b_j b_k,
-
-    with {u<w} the complement of S and eps_S = (-1)^(number of pairs
-    s in S, t not in S with t < s) = -(-1)^(i+j+k); the code takes
-    (-1)^(i+j+k), which is -G.  In the coordinates z_i = b_i / mu_i
-    the first five points are the coordinate points, P_5 = (1:...:1) and
-    P_6 = (q_i), q_i = nu_i / mu_i.  The curve is then
-    t -> (q_i prod over j != i of (q_j t - 1)); by Lagrange interpolation
-    its 3 x 3 catalecticant is the sum of w_i z_i v_i v_i^T with
-    v_i = (1, q_i, q_i^2), and Cauchy-Binet turns its determinant, cleared
-    of denominators, into the ten terms above.  Scaling b_i scales every
-    term by the same factor, so the sign and scale of each kernel vector
-    do not matter.
-
-    Declines when the four rows for some b_i leave a kernel of dimension
-    other than one, or when some mu_i, nu_i or delta_ij is 0.  That covers
-    b_i(P_i) = 0 too: the five points then span the hyperplane b_i = 0,
-    every b_j that is built is its equation, and every delta_ij vanishes.
-    Otherwise the b_i are a basis of the linear forms and every
-    coefficient above is nonzero, so G is not zero.  G is only a candidate:
-    ``integer_rank`` checks it exactly.
-    """
-    forms = []
-    for i in range(5):
-        basis = integer_kernel(rows[:i] + rows[i + 1:5])
-        if len(basis) != 1:
-            return
-        forms.append(basis[0])
-    mu = [sum(map(mul, b, rows[5])) for b in forms]
-    nu = [sum(map(mul, b, rows[6])) for b in forms]
-    delta = {(i, j): mu[i] * nu[j] - mu[j] * nu[i] for i, j in combinations(range(5), 2)}
-    if not all(mu + nu) or not all(delta.values()):
-        return
-    cubic = [0] * comb(7, 3)
-    for i, j, k in combinations(range(5), 3):
-        u, w = (t for t in range(5) if t not in (i, j, k))
-        scale = (mu[u] * mu[w] * nu[u] * nu[w] * delta[u, w]
-                 * delta[i, j] * delta[i, k] * delta[j, k])
-        if (i + j + k) % 2:
-            scale = -scale
-        term = _multiply(_multiply(forms[i], forms[j], 1, 1, 4),
-                         [scale * c for c in forms[k]], 2, 1, 4)
-        cubic = list(map(add, cubic, term))
-    g = gcd(*cubic)
-    yield [c // g for c in cubic]
-
-
-def _kernel_candidates(rows: Sequence[Sequence[int]], d: int) -> Iterator[list[int]]:
-    """Right-kernel candidates for the Terracini matrix of the points with
-    integer coordinate rows ``rows``: the secant cubic when there are seven
-    points of P^4 and d = 3, then the products of ``_singular_products``."""
-    if (len(rows[0]) - 1, len(rows), d) == (4, 7, 3):
-        yield from _secant_cubic(rows)
-    yield from _singular_products(rows, d)
 
 
 @memo_on_set
@@ -318,10 +236,9 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     ``_frame``, by the frame identity and the cone formula of the module
     docstring: only the other points' rows outside the columns the frame
     rows hit are ranked.  When they fall short of full rank modulo the
-    prime, ``_kernel_candidates`` of the framed rows offers ``integer_rank``
-    right-kernel vectors, restricted to those columns: the secant cubic of
-    seven points of P^4 at d = 3, and the products of
-    ``_singular_products``.  Requires d >= 2.
+    prime, ``_singular_products`` of the framed rows offers
+    ``integer_rank`` right-kernel vectors, restricted to those columns.
+    Requires d >= 2.
     """
     if d < 2:
         raise ValueError(f"Terracini dimension needs degree >= 2, got {d}")
@@ -329,15 +246,12 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     frame, framed = _frame(a)
     k = len(frame)
     others = [q for i, q in enumerate(framed) if i not in frame]
-    kept, index = _derivative_index(k - 1, d, True)
+    kept, index = _derivative_index(k - 1, d)
     rank = comb(k - 1 + d, d) - len(kept)
     if others and kept:
-        def kernel() -> Iterator[list[int]]:
-            for v in _kernel_candidates(framed, d):
-                yield [v[c] for c in kept]
-
-        values = monomial_rows(others, d - 1)
-        rank += integer_rank(_tangent_rows(values, index), kernel=kernel)
+        rows = _tangent_rows(monomial_rows(others, d - 1), index)
+        rank += integer_rank(rows, kernel=lambda: ([v[c] for c in kept]
+                                                   for v in _singular_products(framed, d)))
     if k <= n:
         # h(d-1) is k at d = 2, and when every point is in B (independent
         # points are separated in every degree >= 1).

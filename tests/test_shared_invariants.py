@@ -292,3 +292,34 @@ def test_not_minimal_note_reads_h_from_the_profile(rank_calls):
     assert cert.verdict.value == "NotMinimal"
     assert "(h(2) = 3 < 5)" in cert.notes[0]
     assert (5, 3) in rank_calls
+
+
+def test_one_certify_builds_one_hilbert_profile(monkeypatch):
+    # certify, check_minimal, reshaped_kruskal and the Veronese Kruskal
+    # ranks all read the profile kept on the set.
+    built = []
+    original = hilbert.HilbertProfile.__post_init__
+
+    def counted(profile):
+        built.append(profile.set_size)
+        original(profile)
+
+    monkeypatch.setattr(hilbert.HilbertProfile, "__post_init__", counted)
+    sets = [general_points(n, size, 7 * size + d) for n, size, d in CERTIFY_SHAPES]
+    sets += [PointSet.from_rows(rows) for rows in SPECIAL.values()]
+    for a in sets:
+        for d in (2, 3, 5):
+            built.clear()
+            certify(fresh(a), d)
+            assert built == [len(a)]
+
+
+def test_a_profile_keeps_its_range_when_read_again():
+    a = general_points(2, 6, 3)
+    p = hilbert_profile(a)
+    assert hilbert_profile(a) is p
+    assert hilbert_profile(a, j_max=3) is p
+    wide = hilbert_profile(a, j_max=9)
+    assert (wide.j_max, p.j_max) == (9, 5)
+    assert wide.values == p.values
+    assert hilbert_profile(a, j_max=9) is wide

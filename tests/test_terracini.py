@@ -1,9 +1,7 @@
 """Terracini spaces: tangent rows, dimensions, and the generic oracle."""
 
 import random
-from fractions import Fraction
 from math import comb
-from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,27 +14,38 @@ from waringcert import (
     hilbert_function,
     integer_rank,
     monomial_basis,
-    monomial_values,
     random_point_set,
     terracini_dimension,
 )
 from waringcert import linalg, terracini
-from waringcert.terracini import _secant_cubic, _singular_products, _terracini_rows
+from waringcert.geometry import monomial_rows
+from waringcert.linalg import integer_kernel
+from waringcert.terracini import _singular_products
 
-from conftest import BAREISS, random_points
-from oracles import apolarity_pairing, fraction_rank, tangent_forms
+from conftest import random_points
+from oracles import fraction_rank, linear_form_power, tangent_forms
+
+
+def _tangent_matrix(a, d):
+    """The tangent forms L**(d-1) * x_j of every point, as coefficient rows
+    over the degree-d basis, built by polynomial multiplication."""
+    basis = monomial_basis(a.ambient_dim, d)
+    return [[form.get(e, 0) for e in basis]
+            for p in a for form in tangent_forms(p.primitive_coords, d)]
 
 
 def test_tangent_span_contains_the_power_itself():
-    # Euler's relation: sum of p_j * d/dx_j x^e at p is d * p^e, so the
-    # monomial values of p lie in the span of its Terracini rows.
+    # Euler's relation: sum of p_j * L**(d-1) * x_j is L**d, so the power
+    # of p lies in the span of its tangent forms.
     rng = random.Random(61)
     for _ in range(8):
         n = rng.choice([1, 2])
         d = rng.randint(2, 4)
         a = random_points(n, 1, rng)
-        rows = _terracini_rows(a, d)
-        assert integer_rank(rows + [list(monomial_values(a, d)[0])]) == integer_rank(rows)
+        rows = _tangent_matrix(a, d)
+        power = linear_form_power(a[0].primitive_coords, d)
+        rows_and_power = rows + [[power.get(e, 0) for e in monomial_basis(n, d)]]
+        assert fraction_rank(rows_and_power) == fraction_rank(rows) == n + 1
 
 
 def test_tangent_basis_rejects_degree_one():
@@ -146,16 +155,12 @@ def test_generic_oracle_argument_validation():
         generic_terracini_dimension(2, 2, 2, trials=0)
 
 
-def coordinate_rows(a):
-    return [p.primitive_coords for p in a]
-
-
 def _rank_and_fallbacks(a, d, calls):
-    """The Terracini rank of a at degree d, checked against Bareiss on the
-    same rows, and the number of Bareiss fallbacks it took."""
+    """The Terracini rank of a at degree d, checked against the fraction
+    rank of its tangent forms, and the number of Bareiss fallbacks it took."""
     before = len(calls)
     rank = terracini_dimension(a, d).dim + 1
-    assert rank == BAREISS(_terracini_rows(a, d))
+    assert rank == fraction_rank(_tangent_matrix(a, d))
     return rank, len(calls) - before
 
 
@@ -185,7 +190,9 @@ SUBSPACE_SETS = [
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("rows", SUBSPACE_SETS)
-def test_sets_in_a_proper_subspace_are_proved_by_linear_products(bareiss_calls, rows, d):
+def test_sets_in_a_proper_subspace_are_proved_by_the_cone_formula(bareiss_calls, rows, d):
+    # The framed rows span P^(k-1), so the rank inside it takes no kernel
+    # vector; the rest is (n + 1 - k) * h(d - 1).
     a = PointSet.from_rows(rows)
     rank, fallbacks = _rank_and_fallbacks(a, d, bareiss_calls)
     assert fallbacks == 0
@@ -199,29 +206,30 @@ def test_a_gap_wider_than_the_rank_is_left_to_bareiss(bareiss_calls):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_seven_points_at_degree_three_in_p4_are_proved_by_the_secant_cubic(bareiss_calls, seed):
+def test_seven_points_of_p4_in_degree_three_take_one_bareiss_rank(bareiss_calls, seed):
     # (4, 3, 7) is defective, but no product of forms vanishing on the
-    # points is a cubic: I(Z)_1 = 0.  The secant cubic of the rational
-    # normal curve through the points closes the gap instead.
+    # points is a cubic, so no kernel vector closes the gap: Bareiss ranks
+    # the 10 x 10 matrix of the two points off the frame.
     a = random_point_set(4, 7, random.Random(seed), bound=50)
-    assert list(_singular_products(coordinate_rows(a), 3)) == []
-    assert _rank_and_fallbacks(a, 3, bareiss_calls) == (34, 0)
+    assert list(_singular_products(terracini._frame(a)[1], 3)) == []
+    assert _rank_and_fallbacks(a, 3, bareiss_calls) == (34, 1)
+    assert bareiss_calls == [10]
 
 
 FRAME = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
          (0, 0, 0, 0, 1)]
 
 SPECIAL_SEVEN = [
-    # P_5 on x0 = 0, the hyperplane through P_1..P_4: mu_0 = 0.
+    # P_5 on x0 = 0, the hyperplane through P_1..P_4.
     FRAME + [(0, 1, 2, 3, 4), (1, 2, 3, 5, 7)],
-    # P_6 on x2 = 0: nu_2 = 0.
+    # P_6 on x2 = 0.
     FRAME + [(1, 1, 1, 1, 1), (1, 2, 0, 5, 7)],
-    # P_0, P_5 and P_6 collinear: nu_1 / mu_1 = nu_2 / mu_2, so delta_12 = 0.
+    # P_0, P_5 and P_6 collinear.
     FRAME + [(1, 1, 1, 1, 1), (2, 1, 1, 1, 1)],
     # Five points on the hyperplane x4 = 0, the first five among them.
     [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
      (1, 2, 3, 4, 0), (1, 1, 1, 1, 1), (2, -1, 3, 1, 5)],
-    # Five points on x4 = 0, two of them P_5 and P_6: delta_34 = 0.
+    # Five points on x4 = 0, two of them P_5 and P_6.
     [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 1),
      (3, 1, -2, 5, 7), (1, 1, 2, 1, 0), (2, -1, 3, 1, 0)],
     # Three collinear points among the first five: P_2 = P_0 + P_1.
@@ -234,30 +242,11 @@ SPECIAL_SEVEN = [
 
 
 @pytest.mark.parametrize("rows", SPECIAL_SEVEN)
-def test_the_secant_cubic_declines_on_special_sets(bareiss_calls, rows):
-    # The rank is still exact: the helper compares it with Bareiss.
-    a = PointSet.from_rows(rows)
-    assert list(_secant_cubic(coordinate_rows(a))) == []
-    _rank_and_fallbacks(a, 3, bareiss_calls)
-
-
-def _dot(u, v):
-    return sum(map(mul, u, v))
-
-
-@pytest.mark.parametrize("change", ["coefficient", "sign"])
-def test_a_wrong_secant_cubic_is_rejected(bareiss_calls, monkeypatch, change):
-    # One coefficient moved, or the sign of one monomial flipped: the exact
-    # check rejects the candidate and Bareiss decides, once.
-    def altered(rows):
-        for g in _secant_cubic(rows):
-            k = next(i for i, c in enumerate(g) if c)
-            g[k] = g[k] + 1 if change == "coefficient" else -g[k]
-            yield g
-
-    monkeypatch.setattr(terracini, "_secant_cubic", altered)
-    a = random_point_set(4, 7, random.Random(0), bound=50)
-    assert _rank_and_fallbacks(a, 3, bareiss_calls) == (34, 1)
+def test_special_seven_point_sets_of_p4_rank_exactly(bareiss_calls, rows):
+    # Points on hyperplanes, collinear triples, and points off the frame
+    # on its coordinate hyperplanes: the helper checks the rank against
+    # the fraction rank of the tangent forms.
+    _rank_and_fallbacks(PointSet.from_rows(rows), 3, bareiss_calls)
 
 
 def small_points(n, size):
@@ -270,49 +259,8 @@ def small_points(n, size):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(small_points(4, 7))
 def test_seven_small_points_of_p4_rank_exactly(a):
-    # Small coordinates put many sets in special position, where the
-    # construction declines; where it does not, its cubic is a kernel vector.
-    rows = _terracini_rows(a, 3)
-    for g in _secant_cubic(coordinate_rows(a)):
-        assert any(g)
-        assert not any(_dot(row, g) for row in rows)
-    assert terracini_dimension(a, 3).dim + 1 == BAREISS(rows)
-
-
-def _as_form(g):
-    return {e: Fraction(c) for e, c in zip(monomial_basis(4, 3), g) if c}
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_the_secant_cubic_is_apolar_to_every_tangent_form(seed):
-    # Independent of the Terracini rows and their column scaling: G pairs to
-    # zero with each L**2 * x_j, so G is singular at every point.
-    a = random_point_set(4, 7, random.Random(seed), bound=50)
-    (g,) = _secant_cubic(coordinate_rows(a))
-    cubic = _as_form(g)
-    assert cubic
-    for p in a:
-        for tangent in tangent_forms(p.primitive_coords, 3):
-            assert apolarity_pairing(cubic, tangent) == 0
-
-
-@pytest.mark.parametrize("order", [(6, 5, 4, 3, 2, 1, 0), (2, 5, 0, 6, 3, 1, 4),
-                                   (1, 2, 3, 4, 5, 6, 0)])
-def test_the_secant_cubic_does_not_depend_on_the_order_of_the_points(order):
-    # Another five points form the basis, and P_5, P_6 change roles, but the
-    # rational normal curve through seven points, and its secant cubic, is one.
-    a = random_point_set(4, 7, random.Random(3), bound=50)
-    (g,) = _secant_cubic(coordinate_rows(a))
-    (h,) = _secant_cubic(coordinate_rows(a.subset(order)))
-    assert h in (g, [-c for c in g])
-
-
-def _tangent_matrix(a, d):
-    """The tangent forms L**(d-1) * x_j of every point, as coefficient rows
-    over the degree-d basis, built by polynomial multiplication."""
-    basis = monomial_basis(a.ambient_dim, d)
-    return [[form.get(e, 0) for e in basis]
-            for p in a for form in tangent_forms(p.primitive_coords, d)]
+    # Small coordinates put many sets in special position.
+    assert terracini_dimension(a, 3).dim + 1 == fraction_rank(_tangent_matrix(a, 3))
 
 
 @st.composite
@@ -343,6 +291,20 @@ def test_framed_rank_matches_the_fraction_rank_of_the_tangent_forms(case):
     assert terracini_dimension(a, d).dim + 1 == fraction_rank(_tangent_matrix(a, d))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point_sets_and_degrees())
+def test_framed_rows_have_no_degree_one_kernel(case):
+    # The frame holds the coordinate points of P^(k-1), so no linear form
+    # vanishes on the framed rows: products of kernel vectors start in
+    # degree 2, and a set in a proper subspace is left to the cone formula.
+    a, d = case
+    frame, framed = terracini._frame(a)
+    assert integer_kernel(monomial_rows(framed, 1)) == []
+    assert fraction_rank(framed) == len(frame) == len(framed[0])
+    if d <= 3:
+        assert list(_singular_products(framed, d)) == []
+
+
 P = linalg._PRIME
 
 
@@ -356,4 +318,4 @@ P = linalg._PRIME
 def test_the_frame_is_exact_where_the_prime_sees_a_dependence(rows, d):
     a = PointSet.from_rows(rows)
     assert len(terracini._frame(a)[0]) == integer_rank([p.primitive_coords for p in a])
-    assert terracini_dimension(a, d).dim + 1 == BAREISS(_terracini_rows(a, d))
+    assert terracini_dimension(a, d).dim + 1 == fraction_rank(_tangent_matrix(a, d))
