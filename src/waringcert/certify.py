@@ -91,8 +91,8 @@ def check_minimal(a: PointSet, d: int) -> bool:
     Independence alone does not certify minimality.
 
     The images are independent exactly when h(d) = len(a), read from the
-    Hilbert profile: above the separation degree that takes no rank, and
-    at or below it the profile's own rank of degree d is the answer.
+    Hilbert profile, which proves its values from one modular pass and
+    takes an exact rank only for a degree the pass leaves open.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")

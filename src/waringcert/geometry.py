@@ -250,8 +250,8 @@ def monomial_values(a: PointSet, d: int) -> tuple[tuple[int, ...], ...]:
     ``monomial_rows`` of the primitive integer representatives, kept on the
     set as tuples, so the Hilbert function, the Kruskal sweeps and the
     Terracini rows share one immutable table.  When degree d - 1 is kept on
-    the set (the Hilbert walk leaves it there) the rows are one step from
-    it.
+    the set (the Hilbert profile's exact ranks, taken degree after degree,
+    leave it there) the rows are one step from it.
 
     These rows have the rank and the Kruskal rank of the evaluation matrix
     and of the Veronese coordinates of the set: they differ from either by a

@@ -9,38 +9,47 @@ Separation language: Z is separated in degree d when h_Z(d) = len(Z), and a
 single point is separated when some degree-d form vanishes on the rest of Z
 but not there.  A set has the Cayley-Bacharach property in degree i when no
 point is separated in degree i.
+
+The whole profile comes from one elimination modulo a prime (the idea of
+Moeller and Buchberger, 1982: the Hilbert function of a set of points from one
+incremental elimination, not one per degree).  In an affine chart, the
+degree-t rows, t the least degree with C(n+t, n) >= len(Z), hold every
+lower degree's rows as a column prefix, scaled row by row; the pivots of
+one column-by-column pass below each prefix bound h from below, and a
+bound that meets min(len(Z), C(n+j, n)) proves h(j).  A degree the pass
+does not prove takes an exact rank of its own rows.  ``hilbert_profile``
+has the proof, and every value of h in the package is read from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from itertools import count
+from math import comb
 
-from .geometry import PointSet, memo_on_set, monomial_values, union
-from .linalg import integer_kernel, integer_rank
+from .geometry import PointSet, memo_on_set, monomial_rows, monomial_values, union
+from .linalg import _PRIME, _pivots_mod_p, integer_kernel, integer_rank
 
 
-@memo_on_set
 def hilbert_function(a: PointSet, d: int) -> int:
     """h_Z(d): the number of independent conditions Z imposes in degree d.
 
-    Defined as 0 for negative d and 1 at d = 0, where the one monomial is
-    the constant 1; no rank is taken for either.  Always between 1 and
-    len(a) for d >= 0, and nondecreasing in d.  For d >= 1, the rank of the
-    integer monomial values at the primitive representatives, which differ
-    from the values at any other representatives only by a nonzero scaling
-    of each row.  This is one rank of the degree-d rows; ``hilbert_profile``
-    gives h(d) above the separation degree with no rank.
+    0 for negative d and 1 at d = 0, where the one monomial is the constant
+    1.  Always between 1 and len(a) for d >= 0, and nondecreasing in d.
+    For d >= 1, the rank of the integer monomial values at the primitive
+    representatives.  A lookup of ``hilbert_profile``, kept on the set,
+    which proves its values from one modular pass and takes an exact rank
+    for any degree the pass leaves open.
     """
-    if d <= 0:
-        return 1 if d == 0 else 0
-    return integer_rank(monomial_values(a, d))
+    return hilbert_profile(a).value_at(d)
 
 
 def span_dim(a: PointSet) -> int:
     """Projective dimension of the linear span: h(1) - 1.
 
-    The degree-1 monomial values are the primitive coordinates, so h(1) is
-    the rank of the coordinate matrix, taken once for both.
+    The degree-1 monomial values are the primitive coordinates, so h(1),
+    read from the profile, is the rank of the coordinate matrix.
     """
     return hilbert_function(a, 1) - 1
 
@@ -140,25 +149,119 @@ def hilbert_profile(a: PointSet, j_max: int | None = None) -> HilbertProfile:
 
     The range always reaches degree len(a) - 1, where the function is
     guaranteed to have stabilised at len(a); callers may request more.
-    Ranks are computed, and values stored, only up to the separation
-    degree, the first d with h(d) = len(a): h is nondecreasing and bounded
-    by len(a), so every later value is len(a).  The walk leaves each
-    degree's rank and monomial values on the set, so each next degree's
-    rows are one step from the last, and the profile of each range is kept
-    there too: the criteria that read it share one object.
+    Values are proved, and stored, only up to the separation degree s, the
+    first d with h(d) = len(a): h is nondecreasing and bounded by len(a),
+    so every later value is len(a).  The profile of each range is kept on
+    the set, so the criteria that read it share one object.
+
+    Every value is proved exactly.  h(d) is the rank of the degree-d
+    monomial values at any representatives of the points in any
+    coordinates: an invertible change of coordinates acts invertibly on
+    the degree-d forms, and scaling a point scales its row.  Let l =
+    len(a), N_j = C(n+j, n) and t the least j with N_j >= l.
+
+    - *Chart.*  L = x_0 + c*x_1 + ... + c**n * x_n, for the least c >= 0
+      with L(P) nonzero modulo p = ``linalg._PRIME`` at every primitive
+      point P.  L(P) is a polynomial in c of degree at most n, nonzero
+      modulo p because P is primitive, so each point rules out at most n
+      values of c modulo p, and of the l*n + 1 values 0..l*n, distinct
+      modulo p, some c is left.  The coordinates
+      (L, x_1, ..., x_n) differ from (x_0, ..., x_n) by a unimodular
+      matrix, so the points keep integer coordinates.
+    - *Pass.*  In the lexicographic order of ``monomial_rows`` the first
+      N_j degree-t monomials in the chart are L**(t-j) times the degree-j
+      monomials, in their own order.  So the first N_j columns of the
+      degree-t rows are the degree-j rows with row P scaled by
+      L(P)**(t-j), which is nonzero, and their rank over Q is h(j).
+      ``_pivots_mod_p`` eliminates those rows modulo p column by column,
+      stopping at rank l, and the pivots below column N_j count the rank
+      modulo p of the first N_j columns.  That is a lower bound on h(j),
+      since a minor that is nonzero modulo p is a nonzero integer, and
+      h(j) <= min(l, N_j).  Where the two meet, h(j) is proved.  As L(P)
+      is a unit modulo p, the bound falls short only where the points
+      themselves are special, or special modulo p.
+    - *Span.*  When the bound falls short at degree 1, ``_frame`` gives
+      k = h(1) exactly.  Where k <= n, complete the basis B of the span
+      to a basis of the whole space: in its coordinates every point has
+      x_k = ... = x_n = 0, so each monomial in those coordinates vanishes
+      on the points, and the degree-j rows are those of the first k
+      coordinates, which ``_frame`` computes, padded by zero columns.  So
+      the profile is that of those coordinates, points of P^(k-1).
+    - *Fallback.*  Each degree whose bound falls short takes
+      ``_exact_value``, the exact ``integer_rank`` of its own rows; so
+      does every degree above t while h < l, where the count of pivots,
+      below l, meets no bound.
     """
     return _profile(a, len(a) - 1 if j_max is None else max(j_max, len(a) - 1))
 
 
 @memo_on_set
 def _profile(a: PointSet, top: int) -> HilbertProfile:
-    """``hilbert_profile`` over degrees 0..top."""
+    """``hilbert_profile`` over degrees 0..top: one pass for the smallest
+    range, whose values every wider range shares."""
     l = len(a)
-    values = [hilbert_function(a, 0)]
+    if top > l - 1:
+        return replace(_profile(a, l - 1), j_max=top)
+    n = a.ambient_dim
+    t = next(j for j in count() if comb(n + j, n) >= l)
+    pivots = _pivots_mod_p(monomial_rows(_chart(a), t), l) if t else []
+    if t and bisect_left(pivots, n + 1) < min(l, n + 1):
+        frame, framed = _frame(a)
+        if len(frame) <= n:
+            return _profile(PointSet.from_rows(framed), top)
+    values = [1]
     while values[-1] < l:
-        values.append(hilbert_function(a, len(values)))
+        j = len(values)
+        width = comb(n + j, n)
+        full = min(l, width)
+        values.append(full if bisect_left(pivots, width) == full else _exact_value(a, j))
     diffs = tuple(v - (values[j - 1] if j else 0) for j, v in enumerate(values))
     return HilbertProfile(set_size=l, values=tuple(values), diffs=diffs, j_max=top)
+
+
+def _chart(a: PointSet) -> list[tuple[int, ...]]:
+    """The primitive points in the coordinates (L, x_1, ..., x_n) of
+    ``hilbert_profile``'s chart, L = x_0 + c*x_1 + ... + c**n * x_n for the
+    least c >= 0 with every L(P) nonzero modulo ``_PRIME``."""
+    points = [p.primitive_coords for p in a]
+    for c in count():
+        forms = []
+        for point in points:
+            value = 0
+            for x in reversed(point):
+                value = value * c + x
+            if not value % _PRIME:
+                break
+            forms.append(value)
+        else:
+            return [(form, *point[1:]) for form, point in zip(forms, points)]
+
+
+def _exact_value(a: PointSet, d: int) -> int:
+    """h(d) as the exact ``integer_rank`` of the degree-d rows."""
+    return integer_rank(monomial_values(a, d))
+
+
+@memo_on_set
+def _frame(a: PointSet) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """A frame of a: the indices of the points of B, the greedy maximal
+    independent subset in point order, and the integer coordinates of
+    every point in the basis B of the span, so that B's points are the
+    coordinate points e_0..e_(k-1) of P^(k-1).
+
+    One exact elimination gives both: ``integer_kernel`` of the matrix
+    whose columns are the primitive rows takes its pivots left to right,
+    so the pivot columns are B and each other point q has one kernel
+    vector, whose last nonzero entry is at q.  That vector is a relation
+    s q = -(sum over i of v_i b_i) with s != 0, so the coordinates of q
+    in the basis B are its entries at B, up to scale.
+    """
+    coords = [p.primitive_coords for p in a]
+    relations = {max(j for j, x in enumerate(v) if x): v
+                 for v in integer_kernel(list(zip(*coords)))}
+    frame = tuple(i for i in range(len(a)) if i not in relations)
+    return frame, tuple(tuple(relations[i][c] if i in relations else int(c == i) for c in frame)
+                        for i in range(len(a)))
 
 
 @memo_on_set

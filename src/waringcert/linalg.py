@@ -13,10 +13,14 @@ Only matrices whose bounds do not meet go on to fraction-free Bareiss
 elimination, whose exact divisions keep every intermediate value an
 integer minor of the input.
 
-The modular pass packs each row into one Python int of fixed-width slots,
+The modular pass, ``_pivots_mod_p``, eliminates column by column from the
+left and returns its pivot columns, so the pivots below column k count the
+rank modulo p of the first k columns: the Hilbert profile reads a lower
+bound on every degree's rank from one pass (``_rank_mod_p`` is their
+number).  It packs each row into one Python int of fixed-width slots,
 W = 62 + min(rows, cols).bit_length() bits each, so that a row update is a
-single multiply-add of whole ints; ``_rank_mod_p`` proves that no slot
-overflows.  ``integer_kernel`` gives a fraction-free kernel basis, for
+single multiply-add of whole ints, and proves that no slot overflows.
+``integer_kernel`` gives a fraction-free kernel basis, for
 callers that build kernel vectors from smaller matrices.  For the Kruskal
 subset sweeps, ``_standard_form_mod_p`` writes every row modulo p in terms
 of the first ones, C = R_Q B_Q^-1, and ``_minors_nonzero_mod_p`` checks
@@ -88,9 +92,17 @@ def integer_rank(rows: Iterable[Sequence[int]],
 
 
 def _rank_mod_p(rows: Sequence[Sequence[int]], target: int) -> int:
-    """min(target, rank of the rows modulo ``_PRIME``); the input is not modified.
+    """min(target, rank of the rows modulo ``_PRIME``); the input is not modified."""
+    return len(_pivots_mod_p(rows, target))
 
-    Gaussian elimination over F_p with each row packed into one int of
+
+def _pivots_mod_p(rows: Sequence[Sequence[int]], target: int) -> list[int]:
+    """The first min(target, r) pivot columns of the rows modulo ``_PRIME``,
+    r their rank modulo p, in increasing order; the input is not modified.
+
+    Gaussian elimination over F_p, column by column from the left, so the
+    pivots below column k number the rank modulo p of the first k columns.
+    Each row is packed into one int of
     fixed-width slots: the entry of column c, reduced to [0, p), sits in
     slot cols - 1 - c, and a slot is W = 62 + m.bit_length() bits wide, where
     m = min(rows, cols).  For each column only that slot of each remaining
@@ -126,17 +138,17 @@ def _rank_mod_p(rows: Sequence[Sequence[int]], target: int) -> int:
         for x in row:
             v = (v << width) | (x % p)
         packed.append(v)
-    rank = 0
+    pivots: list[int] = []
     for col in range(ncols):
-        if rank == target:
+        if len(pivots) == target:
             break
         shift = (ncols - 1 - col) * width
         residues = [((v >> shift) & mask) % p for v in packed]
         hit = next((i for i, x in enumerate(residues) if x), None)
         if hit is None:
             continue
-        rank += 1
-        if rank == target:
+        pivots.append(col)
+        if len(pivots) == target:
             break
         neg_inv = p - pow(residues.pop(hit), -1, p)
         low = (1 << shift) - 1
@@ -146,12 +158,12 @@ def _rank_mod_p(rows: Sequence[Sequence[int]], target: int) -> int:
         for i, x in enumerate(residues):
             if x:
                 packed[i] = (packed[i] & low) + (x * neg_inv % p) * tail
-    return rank
+    return pivots
 
 
 @lru_cache(maxsize=128)
 def _fold_masks(width: int, ncols: int) -> tuple[int, int, int]:
-    """For ``_rank_mod_p``'s rows of ``ncols`` slots of ``width`` bits: the
+    """For ``_pivots_mod_p``'s rows of ``ncols`` slots of ``width`` bits: the
     number of folds that takes a slot below 2**(width - 1) below 2p, and
     the masks of the low 30 bits and of the rest of every slot."""
     folds, bound = 0, 1 << width - 1

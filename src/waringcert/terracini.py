@@ -37,7 +37,8 @@ for an invertible matrix M, F -> F(Mx) is an invertible linear map of the
 degree-d forms, and it sends L_p^(d-1) * x_j to L_q^(d-1) * (x_j o M),
 q = M^T p, where the x_j o M again span the linear forms.  So it carries
 the tangent space at p onto the tangent space at q, and the Terracini
-space of A onto that of M^T A.  ``_frame`` picks a maximal independent
+space of A onto that of M^T A.  ``_frame``, which the Hilbert profile
+also reads for points spanning less than P^n, picks a maximal independent
 subset B of the points, k = h_A(1) of them, and completes it by any
 vectors to a basis of the whole space.  In that basis the points of B are
 the coordinate points e_0..e_(k-1), and every point has coordinates zero
@@ -83,7 +84,7 @@ from typing import Iterator, Sequence
 
 from .geometry import (PointSet, memo_on_set, monomial_basis, monomial_rows,
                        random_point_set)
-from .hilbert import hilbert_function
+from .hilbert import _frame, hilbert_function
 from .linalg import integer_kernel, integer_rank
 
 
@@ -202,28 +203,6 @@ def _singular_products(rows: Sequence[Sequence[int]], d: int) -> Iterator[list[i
         for i, f in enumerate(low):
             for h in (high[i:] if 2 * e == d else high):
                 yield _multiply(f, h, e, d - e, n)
-
-
-@memo_on_set
-def _frame(a: PointSet) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """A frame of a: the indices of the points of B, the greedy maximal
-    independent subset in point order, and the integer coordinates of
-    every point in the basis B of the span, so that B's points are the
-    coordinate points e_0..e_(k-1) of P^(k-1).
-
-    One exact elimination gives both: ``integer_kernel`` of the matrix
-    whose columns are the primitive rows takes its pivots left to right,
-    so the pivot columns are B and each other point q has one kernel
-    vector, whose last nonzero entry is at q.  That vector is a relation
-    s q = -(sum over i of v_i b_i) with s != 0, so the coordinates of q
-    in the basis B are its entries at B, up to scale.
-    """
-    coords = [p.primitive_coords for p in a]
-    relations = {max(j for j, x in enumerate(v) if x): v
-                 for v in integer_kernel(list(zip(*coords)))}
-    frame = tuple(i for i in range(len(a)) if i not in relations)
-    return frame, tuple(tuple(relations[i][c] if i in relations else int(c == i) for c in frame)
-                        for i in range(len(a)))
 
 
 @memo_on_set

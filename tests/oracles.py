@@ -1,7 +1,7 @@
 """Independent reference computations used to cross-check the library.
 
 Everything here is deliberately naive: determinants by Laplace expansion,
-ranks by scanning all square minors or by Gauss-Jordan elimination over
+ranks by scanning all square minors or by Gaussian elimination over
 ``Fraction``, powers of linear forms by repeated polynomial multiplication.
 Slow but obviously correct, which is the point; tests keep the inputs small
 enough for the exponential algorithms.
@@ -48,7 +48,11 @@ def minor_rank(rows):
 
 
 def fraction_rank(rows):
-    """Rank by Gauss-Jordan elimination over ``Fraction`` on a copy of the rows."""
+    """Rank by forward Gaussian elimination over ``Fraction`` on a copy of the rows.
+
+    Only the rows below each pivot are reduced, and only from the pivot's
+    column on: every entry left of it is already zero in those rows.
+    """
     m = [[Fraction(x) for x in row] for row in rows]
     rank = 0
     for col in range(len(m[0]) if m else 0):
@@ -57,10 +61,10 @@ def fraction_rank(rows):
             continue
         m[rank], m[hit] = m[hit], m[rank]
         pivot = m[rank]
-        for i, row in enumerate(m):
-            if i != rank and row[col]:
+        for row in m[rank + 1:]:
+            if row[col]:
                 factor = row[col] / pivot[col]
-                m[i] = [x - factor * y for x, y in zip(row, pivot)]
+                row[col:] = [x - factor * y for x, y in zip(row[col:], pivot[col:])]
         rank += 1
     return rank
 

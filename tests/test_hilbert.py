@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from waringcert import (
     HilbertProfile,
@@ -20,6 +20,7 @@ from waringcert import (
     span_intersection_dim,
     union_profile_drop,
 )
+from waringcert import hilbert, linalg
 
 from conftest import random_points
 from oracles import fraction_rank, monomial_values_by_powers
@@ -79,6 +80,113 @@ def test_hilbert_function_singleton_and_negative_degrees():
     assert hilbert_profile(single).h_vector == (1,)
     assert hilbert_function(single, -1) == 0
     assert hilbert_function(conic_points(3), -2) == 0
+
+
+P = linalg._PRIME
+
+
+def check_profile(a):
+    """Every value of the profile, and one degree past the separation
+    degree, against the fraction rank of the oracle monomial rows."""
+    profile = hilbert_profile(a)
+    rows = [p.primitive_coords for p in a]
+    top = profile.separation_degree + 1
+    expected = [fraction_rank(monomial_values_by_powers(rows, j)) for j in range(top + 1)]
+    assert [profile.value_at(j) for j in range(top + 1)] == expected
+    assert [hilbert_function(a, j) for j in range(top + 1)] == expected
+
+
+def twisted(m, n, ts):
+    """Points (1 : t : ... : t**m) of a rational normal curve of degree m,
+    in the first m + 1 coordinates of P^n."""
+    return [[t ** i for i in range(m + 1)] + [0] * (n - m) for t in ts]
+
+
+PROFILE_CASES = {
+    "singleton": [(0, 3, -2)],
+    "binary": [(1, t) for t in range(-3, 4)],
+    "x_0 zero modulo p": [(P, 1, 0), (0, 1, 2), (1, 0, 0), (2, -1, 5)],
+    "congruent modulo p": [(1, 0, 0), (1, P, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+    "on two lines": [(1, 1, 0), (1, 2, 0), (1, 3, 0), (1, 0, 1), (1, 0, 2)],
+    "collinear in P^3": twisted(1, 3, range(6)),
+    "conic in P^2": twisted(2, 2, range(7)),
+    "conic in P^4": twisted(2, 4, range(-2, 5)),
+    "twisted cubic": twisted(3, 3, range(1, 9)),
+    "twisted cubic in P^5": twisted(3, 5, range(-3, 4)),
+}
+
+
+@pytest.mark.parametrize("rows", PROFILE_CASES.values(), ids=PROFILE_CASES)
+def test_profile_matches_the_fraction_rank_of_every_degree(rows):
+    check_profile(PointSet.from_rows(rows))
+
+
+def test_the_chart_moves_off_points_with_x0_zero_modulo_p():
+    a = PointSet.from_rows(PROFILE_CASES["x_0 zero modulo p"])
+    chart = hilbert._chart(a)
+    assert all(row[0] % P for row in chart)
+    assert [row[1:] for row in chart] == [p.primitive_coords[1:] for p in a]
+
+
+@pytest.mark.parametrize("name, values, exact_degrees", [
+    # (1, 0, 0) and (1, p, 0) have equal rows modulo p, so the pass stops
+    # at rank 4 of 5 and degree 2 is ranked exactly; degree 1 is proved.
+    ("congruent modulo p", (1, 3, 5), [2]),
+    # The conic x1*x2 through the points zeroes the fifth column of the
+    # degree-2 rows, so the fifth pivot is the sixth column: still below
+    # N_2 = 6, and h(2) = 5 is proved by the pass.
+    ("on two lines", (1, 3, 5), []),
+])
+def test_the_pass_proves_a_degree_exactly_when_its_pivots_reach_the_bound(
+        monkeypatch, name, values, exact_degrees):
+    exact = []
+    original = hilbert._exact_value
+
+    def counted(a, d):
+        exact.append(d)
+        return original(a, d)
+
+    monkeypatch.setattr(hilbert, "_exact_value", counted)
+    a = PointSet.from_rows(PROFILE_CASES[name])
+    assert hilbert_profile(a).values == values
+    assert exact == exact_degrees
+
+
+@st.composite
+def profile_sets(draw):
+    """Sets of P^1..P^5 that reach every branch of the profile: general
+    points; points of a line, a conic or a twisted cubic of a subspace,
+    moved by a unimodular matrix, whose h is below its largest value; a
+    point with x_0 a multiple of the prime, so the chart takes c > 0; and
+    a point congruent modulo the prime to another."""
+    n = draw(st.integers(1, 5))
+    size = draw(st.integers(1, 7 if n <= 3 else 5))
+    m = draw(st.integers(0, min(3, n)))
+    if m:
+        ts = draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size, unique=True))
+        shear = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        rows = [[r[0] + sum(x * y for x, y in zip(shear, r[1:]))] + r[1:]
+                for r in twisted(m, n, ts)]
+    else:
+        rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1)
+                             .filter(any), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        rows[0][0] = P * draw(st.integers(-1, 1))
+    if draw(st.booleans()):
+        rows.append([rows[-1][0], rows[-1][1] + P * draw(st.sampled_from((-1, 1))),
+                     *rows[-1][2:]])
+    points = []
+    for r in rows:
+        if any(r) and ProjectivePoint(r) not in points:
+            points.append(ProjectivePoint(r))
+    assume(points)
+    return PointSet(points)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(profile_sets())
+def test_random_profiles_match_the_fraction_rank_of_every_degree(a):
+    check_profile(a)
 
 
 def test_hilbert_degree_one_is_span_dim_plus_one():

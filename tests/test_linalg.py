@@ -141,6 +141,35 @@ def test_folded_rank_mod_p_matches_list_oracle_at_every_target(rows):
         assert linalg._rank_mod_p(rows, target) == min(rank, target)
 
 
+@st.composite
+def skipping_matrices(draw):
+    """Integer matrices up to 12 x 12 in which some columns are multiples
+    of P, or an earlier column plus a multiple of P, so that elimination
+    modulo P skips them."""
+    nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    cols = []
+    for c in range(ncols):
+        kind = rng.random()
+        if kind < 0.2:
+            cols.append([P * rng.randint(-3, 3) for _ in range(nrows)])
+        elif kind < 0.4 and c:
+            cols.append([x + P * rng.randint(-3, 3) for x in rng.choice(cols)])
+        else:
+            cols.append([rng.randint(-3, 3) for _ in range(nrows)])
+    return [list(row) for row in zip(*cols)]
+
+
+@settings(**LINALG_SETTINGS)
+@given(skipping_matrices())
+def test_pivots_mod_p_are_the_columns_where_the_prefix_rank_rises(rows):
+    ncols = len(rows[0])
+    ranks = [rank_mod_p([row[:c] for row in rows], P) for c in range(ncols + 1)]
+    rises = [c for c in range(ncols) if ranks[c + 1] > ranks[c]]
+    for target in range(min(len(rows), ncols) + 1):
+        assert linalg._pivots_mod_p(rows, target) == rises[:target]
+
+
 def test_packed_rank_mod_p_of_all_minus_one_residues():
     rng = random.Random(7)
     for nrows, ncols in [(1, 1), (3, 40), (40, 3), (40, 40)]:

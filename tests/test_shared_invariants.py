@@ -1,7 +1,7 @@
 """Invariants read from one another, against the computations they replace.
 
 The library reads each invariant from the place that already computes it:
-h(d) above the separation degree and the span from the Hilbert walk, a
+h(d) above the separation degree and the span from the Hilbert profile, a
 Veronese Kruskal rank from h(j) when C(n+j, j) >= len(A), the plane's
 Kruskal rank from the collinearity search and the largest aligned subset
 from a Kruskal rank of at least 3.  Each shortcut is checked here against
@@ -217,6 +217,20 @@ def rank_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def profile_passes(monkeypatch):
+    """The (rows, cols, target) of every modular pass of the Hilbert profile."""
+    calls = []
+    original = hilbert._pivots_mod_p
+
+    def counted(rows, target):
+        calls.append((len(rows), len(rows[0]), target))
+        return original(rows, target)
+
+    monkeypatch.setattr(hilbert, "_pivots_mod_p", counted)
+    return calls
+
+
 def general_points(n, size, seed):
     return random_points(n, size, random.Random(seed), bound=20)
 
@@ -243,13 +257,17 @@ def test_certify_takes_no_rank_of_degree_d_rows_above_separation(rank_calls):
 
 
 def test_certify_ranks_the_degree_one_rows_once(rank_calls):
+    # The span is h(1) - 1, read from the profile.  Its one modular pass
+    # ranks the degree-1 rows as the first n + 1 columns of the degree-t
+    # rows, and where the points span less, h(1) is the size of their
+    # frame: no integer_rank of the degree-1 rows is taken.
     sets = [general_points(n, size, size) for n, size, _ in CERTIFY_SHAPES]
     sets.append(PointSet.from_rows(SPECIAL["six points of a plane of P^4, four aligned"]))
     sets.append(PointSet.from_rows(SPECIAL["binary points"]))
     for a, d in zip(sets, [4, 3, 5, 9, 6, 4, 9, 5, 3, 3, 2]):
         rank_calls.clear()
         cert = certify(a, d)
-        assert rank_calls.count((len(a), a.ambient_dim + 1)) == 1
+        assert (len(a), a.ambient_dim + 1) not in rank_calls
         assert cert.diagnostics.span_dim == integer_rank(rows_of(a)) - 1
 
 
@@ -258,10 +276,11 @@ def test_certify_4_9_4_takes_no_9_by_70_rank(rank_calls):
     cert = certify(a, 4)
     assert cert.verdict.value == "Identifiable"
     assert (9, 70) not in rank_calls
-    # h(0) needs no rank; h(1) and h(2) are the walk, then the quartic's
-    # Terracini rank: the 20 rows of the four points off the frame, on the
-    # 45 of 70 columns that the frame's tangent rows miss.
-    assert rank_calls == [(9, 5), (9, 15), (20, 45)]
+    # The profile's one modular pass proves h(1) and h(2) with no rank;
+    # what is left is the quartic's Terracini rank: the 20 rows of the
+    # four points off the frame, on the 45 of 70 columns that the frame's
+    # tangent rows miss.
+    assert rank_calls == [(20, 45)]
 
 
 @pytest.mark.parametrize("n, size, d, shape", [(4, 7, 3, (10, 10)), (2, 5, 4, (6, 6)),
@@ -286,12 +305,14 @@ def test_independent_points_take_no_terracini_rank(rank_calls, n, size):
     assert rank_calls == []
 
 
-def test_not_minimal_note_reads_h_from_the_profile(rank_calls):
+def test_not_minimal_note_reads_h_from_the_profile(rank_calls, profile_passes):
     a = PointSet.from_rows([(1, t) for t in range(5)])
     cert = certify(a, 2)
     assert cert.verdict.value == "NotMinimal"
     assert "(h(2) = 3 < 5)" in cert.notes[0]
-    assert (5, 3) in rank_calls
+    # One pass over the 5 x 5 rows of degree t = 4 proves the profile.
+    assert profile_passes == [(5, 5, 5)]
+    assert rank_calls == []
 
 
 def test_one_certify_builds_one_hilbert_profile(monkeypatch):
@@ -312,6 +333,31 @@ def test_one_certify_builds_one_hilbert_profile(monkeypatch):
             built.clear()
             certify(fresh(a), d)
             assert built == [len(a)]
+
+
+# The certify shapes (n, len, d) of the benchmark's wide and plane mixes.
+BENCHMARK_SHAPES = [(4, 7, 3), (3, 9, 4), (3, 11, 3), (4, 9, 4), (3, 12, 2), (3, 12, 5),
+                    (4, 10, 4), (1, 4, 9), (2, 5, 4), (1, 6, 9), (2, 9, 6), (2, 11, 10),
+                    (2, 13, 9), (2, 14, 6), (2, 15, 7), (2, 16, 6)]
+
+
+def test_general_sets_of_the_benchmark_shapes_take_no_exact_hilbert_rank(
+        monkeypatch, profile_passes):
+    # One modular pass proves every value: no degree falls back to an
+    # exact rank, and no set needs its frame.
+    def refuse(*args):
+        raise AssertionError("not expected here")
+
+    monkeypatch.setattr(hilbert, "_exact_value", refuse)
+    monkeypatch.setattr(hilbert, "_frame", refuse)
+    for n, size, d in BENCHMARK_SHAPES:
+        t = next(j for j in range(size) if comb(n + j, j) >= size)
+        for seed in range(3):
+            profile_passes.clear()
+            a = general_points(n, size, 100 * size + 10 * d + seed)
+            values = hilbert_profile(a).values
+            assert values == tuple(min(size, comb(n + j, j)) for j in range(t + 1))
+            assert profile_passes == [(size, comb(n + t, t), size)]
 
 
 def test_a_profile_keeps_its_range_when_read_again():

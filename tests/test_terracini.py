@@ -200,9 +200,19 @@ def test_sets_in_a_proper_subspace_are_proved_by_the_cone_formula(bareiss_calls,
 
 
 def test_a_gap_wider_than_the_rank_is_left_to_bareiss(bareiss_calls):
-    # Twelve points of a line of P^3 in degree 6: rank 19 of 84 columns.
+    # Twelve points of a line of P^3: their degree-5 rows have rank 6 of 56
+    # columns, a gap wider than the rank, so no kernel vector is asked for
+    # and Bareiss ranks them.  Their Terracini rank in degree 6, 19 of 84,
+    # takes no Bareiss: the cone formula reads h(5) from the profile,
+    # proved by one pass in the coordinates of the line.
     a = PointSet.from_rows([(1, t, 0, 0) for t in range(12)])
-    assert _rank_and_fallbacks(a, 6, bareiss_calls) == (19, 1)
+    assert _rank_and_fallbacks(a, 6, bareiss_calls) == (19, 0)
+
+    def refuse():
+        raise AssertionError("no kernel vector is asked for past a gap of r")
+
+    assert integer_rank(monomial_rows([p.primitive_coords for p in a], 5), kernel=refuse) == 6
+    assert bareiss_calls == [12]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
