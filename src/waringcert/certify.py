@@ -7,6 +7,11 @@ sufficient criteria.  The first criterion whose hypothesis holds certifies
 that len(A) is the Waring rank and that A is the unique decomposition; when
 none applies the result is Inconclusive, which certifies nothing.
 
+Each criterion is one rule (a, d) -> (fired, note, read), where read lists
+the Veronese degrees whose Kruskal rank the rule took, and the Terracini
+report if it took one; the diagnostics report exactly what the rules that
+ran read, so each hypothesis is tested in its rule alone.
+
 Every verdict is backed by exact integer arithmetic on primitive integer
 representatives of the points; there are no numeric tolerances anywhere.
 """
@@ -34,17 +39,14 @@ class Verdict(enum.Enum):
 class Diagnostics:
     """Invariants of the input collected while certifying.
 
-    The Hilbert profile, the span dimension and the complementary bound are
-    always present.  The costly invariants are reported only where the
-    cascade computed them, so a certificate costs no sweep that no
-    criterion read.  kruskal_rank (k_1) and max_collinear are set when a
-    rule that ran took them: alignment-bound with len(a) <= d, plane-gup
-    past its size test, reshaped-kruskal sweeping degree 1, or quartic
-    within its cap; they are None otherwise.  veronese_kruskal_ranks lists
-    (degree, rank) pairs for degree 1 when k_1 is set, the degrees the
-    reshaped Kruskal search swept, and degrees 1 to the GUP cutoff when
-    plane-gup fired.  terracini is the degree-4 report the quartic
-    criterion took at its boundary size l = 2k - 1, and None otherwise.
+    The Hilbert profile and the complementary bound are always present.
+    The costly invariants are reported only where a rule that ran read
+    them, so a certificate costs no sweep that no criterion read:
+    veronese_kruskal_ranks lists (degree, rank) for the union of the
+    degrees the rules report reading, and kruskal_rank (k_1) and
+    max_collinear are set exactly when degree 1 is among them.  terracini
+    is the Terracini report a rule read (only quartic reads one), and None
+    otherwise.
     """
 
     minimal: bool
@@ -52,9 +54,13 @@ class Diagnostics:
     kruskal_rank: int | None
     veronese_kruskal_ranks: tuple[tuple[int, int], ...]
     max_collinear: int | None
-    span_dim: int
     terracini: TerraciniReport | None
     complementary_bound: int
+
+    @property
+    def span_dim(self) -> int:
+        """Projective dimension of the linear span, h(1) - 1."""
+        return self.hilbert.value_at(1) - 1
 
 
 @dataclass(frozen=True)
@@ -73,14 +79,17 @@ class Certificate:
     set_size: int
     ambient_dim: int
     criterion: str | None
-    rank: int | None
     diagnostics: Diagnostics
     notes: tuple[str, ...]
 
     def __post_init__(self):
-        fired = self.verdict is Verdict.IDENTIFIABLE
-        if fired != (self.criterion is not None) or fired != (self.rank is not None):
-            raise ValueError("criterion and rank must be set exactly for Identifiable")
+        if (self.verdict is Verdict.IDENTIFIABLE) != (self.criterion is not None):
+            raise ValueError("criterion must be set exactly for Identifiable")
+
+    @property
+    def rank(self) -> int | None:
+        """The certified rank, set_size, for Identifiable; None otherwise."""
+        return self.set_size if self.verdict is Verdict.IDENTIFIABLE else None
 
 
 def check_minimal(a: PointSet, d: int) -> bool:
@@ -99,82 +108,85 @@ def check_minimal(a: PointSet, d: int) -> bool:
     return hilbert_profile(a).value_at(d) == len(a)
 
 
-def _sylvester(a: PointSet, d: int) -> tuple[bool, str]:
+# What a rule returns: whether it fired, its note, and what it read, the
+# Veronese degrees whose Kruskal rank it took and any Terracini report.
+_Outcome = tuple[bool, str, tuple[int | TerraciniReport, ...]]
+
+
+def _sylvester(a: PointSet, d: int) -> _Outcome:
     """Binary forms: 2*len(a) <= d + 1, that is, len(a) is below the generic
     rank of degree-d binary forms, or equals it with d odd (Sylvester)."""
     if a.ambient_dim != 1:
-        return False, f"not applicable (ambient dimension {a.ambient_dim}, needs 1)"
+        return False, f"not applicable (ambient dimension {a.ambient_dim}, needs 1)", ()
     l = len(a)
     if 2 * l <= d + 1:
-        return True, f"fired (2*{l} <= {d} + 1)"
+        return True, f"fired (2*{l} <= {d} + 1)", ()
     return False, (f"{l} points do not satisfy the binary rank bound "
-                   f"(2*{l} > {d} + 1)")
+                   f"(2*{l} > {d} + 1)"), ()
 
 
-def _half_degree(a: PointSet, d: int) -> tuple[bool, str]:
+def _half_degree(a: PointSet, d: int) -> _Outcome:
     """Twice the set size is at most d + 1."""
     l = len(a)
     if 2 * l <= d + 1:
-        return True, f"fired (2*{l} <= {d} + 1)"
-    return False, f"2*{l} = {2 * l} > {d + 1} = d + 1"
+        return True, f"fired (2*{l} <= {d} + 1)", ()
+    return False, f"2*{l} = {2 * l} > {d + 1} = d + 1", ()
 
 
-def _half_degree_spanning(a: PointSet, d: int) -> tuple[bool, str]:
+def _half_degree_spanning(a: PointSet, d: int) -> _Outcome:
     """The points span P^n and twice the set size is at most d + n."""
     l = len(a)
     n = a.ambient_dim
     if span_dim(a) != n:
-        return False, f"the points span a proper subspace (dimension {span_dim(a)} < {n})"
+        return False, f"the points span a proper subspace (dimension {span_dim(a)} < {n})", ()
     if 2 * l <= d + n:
-        return True, f"fired (spanning, 2*{l} <= {d} + {n})"
-    return False, f"2*{l} = {2 * l} > {d + n} = d + n"
+        return True, f"fired (spanning, 2*{l} <= {d} + {n})", ()
+    return False, f"2*{l} = {2 * l} > {d + n} = d + n", ()
 
 
-def _alignment_bound(a: PointSet, d: int) -> tuple[bool, str]:
+def _alignment_bound(a: PointSet, d: int) -> _Outcome:
     """len(a) <= d and every aligned subset has size below d/2."""
     l = len(a)
     if l > d:
-        return False, f"{l} points exceed the degree {d}"
+        return False, f"{l} points exceed the degree {d}", ()
     m = kruskal_and_collinear(a)[1]
     if 2 * m < d:
-        return True, f"fired ({l} <= {d}, aligned subset {m} < {d}/2)"
-    return False, f"an aligned subset of size {m} is not below {d}/2"
+        return True, f"fired ({l} <= {d}, aligned subset {m} < {d}/2)", (1,)
+    return False, f"an aligned subset of size {m} is not below {d}/2", (1,)
 
 
-def _plane_gup(a: PointSet, d: int) -> tuple[bool, str]:
-    """Plane sets in general uniform position with 8*len(a) < d^2 + d."""
+def _plane_gup(a: PointSet, d: int) -> _Outcome:
+    """Plane sets in general uniform position with 8*len(a) < d^2 + d.  A
+    set that fails GUP reports reading k_1 alone, whichever degree failed."""
     if a.ambient_dim != 2:
-        return False, f"not applicable (ambient dimension {a.ambient_dim}, needs 2)"
+        return False, f"not applicable (ambient dimension {a.ambient_dim}, needs 2)", ()
     l = len(a)
     if 8 * l >= d * d + d:
-        return False, f"8*{l} = {8 * l} is not below d^2 + d = {d * d + d}"
+        return False, f"8*{l} = {8 * l} is not below d^2 + d = {d * d + d}", ()
     if not is_gup(a):
-        return False, "the points are not in general uniform position"
-    return True, f"fired (GUP, 8*{l} < {d * d + d})"
+        return False, "the points are not in general uniform position", (1,)
+    return True, f"fired (GUP, 8*{l} < {d * d + d})", tuple(range(1, gup_cutoff(2, l) + 1))
 
 
-def _reshaped_kruskal(a: PointSet, d: int) -> tuple[bool, str]:
+def _reshaped_kruskal(a: PointSet, d: int) -> _Outcome:
     """Some partition d = x + y + z satisfies the reshaped Kruskal inequality
     2*len(a) <= k_x + k_y + k_z - 2; the note names the witness.  Needs d >= 3."""
     search = reshaped_kruskal(a, d)
     rep = search.passing
+    swept = tuple(j for j, _ in search.ranks)
     if rep is None:
-        return False, f"no partition passes (proven bound {search.bound} < {len(a)})"
-    return True, f"fired (partition {rep.partition}, ranks {rep.ranks})"
+        return False, f"no partition passes (proven bound {search.bound} < {len(a)})", swept
+    return True, f"fired (partition {rep.partition}, ranks {rep.ranks})", swept
 
 
-def _quartic_cap(a: PointSet) -> int:
-    """The largest 2k - 1 that k_1 <= min(len(a), n + 1) allows."""
-    return 2 * min(len(a), a.ambient_dim + 1) - 1
-
-
-def _quartic(a: PointSet, d: int) -> tuple[bool, str]:
+def _quartic(a: PointSet, d: int) -> _Outcome:
     """Degree 4, driven by the Kruskal rank k of the points.
 
     With l = len(a): above 2k - 1 nothing is certified, and l above the
     cap 2*min(l, n + 1) - 1 is ruled out before k is computed.  At the
     boundary l = 2k - 1 the criterion fires exactly when the Terracini
-    dimension is the maximal (n+1)*l - 1.
+    dimension is the maximal (n+1)*l - 1; the rule reads k_1 from the cap
+    on, and the Terracini report at the boundary.
 
     Below the boundary the rule is never reached from ``certify``: when
     every k points of A are independent and l <= 2k - 2, each point p has
@@ -186,17 +198,17 @@ def _quartic(a: PointSet, d: int) -> tuple[bool, str]:
     """
     l = len(a)
     n = a.ambient_dim
-    cap = _quartic_cap(a)
+    cap = 2 * min(l, n + 1) - 1
     if l > cap:
-        return False, f"{l} points exceed 2k - 1 <= {cap} (k <= {min(l, n + 1)})"
+        return False, f"{l} points exceed 2k - 1 <= {cap} (k <= {min(l, n + 1)})", ()
     k = kruskal_rank(a)
     if l > 2 * k - 1:
-        return False, f"{l} points exceed 2k - 1 = {2 * k - 1} (k = {k})"
+        return False, f"{l} points exceed 2k - 1 = {2 * k - 1} (k = {k})", (1,)
     report = terracini_dimension(a, d)
     if report.tangents_independent:
-        return True, f"fired (2k - 1 = {l}, Terracini dimension {report.dim})"
+        return True, f"fired (2k - 1 = {l}, Terracini dimension {report.dim})", (1, report)
     return False, (f"boundary size 2k - 1 = {l} but the Terracini dimension "
-                   f"{report.dim} is below {(n + 1) * l - 1}")
+                   f"{report.dim} is below {report.max_possible}"), (1, report)
 
 
 # The cascade, cheapest first: each rule's label, the rule, and the lowest
@@ -243,12 +255,11 @@ def certify(a: PointSet, d: int) -> Certificate:
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     l = len(a)
-    n = a.ambient_dim
     profile = hilbert_profile(a)
     minimal = check_minimal(a, d)
     notes: list[str] = []
     fired: str | None = None
-    evaluated: list[str] = []
+    read: set[int | TerraciniReport] = set()
 
     if not minimal:
         notes.append(
@@ -259,37 +270,22 @@ def certify(a: PointSet, d: int) -> Certificate:
         for label, rule, lowest, highest in _CASCADE:
             if not lowest <= d <= highest:
                 continue
-            evaluated.append(label)
-            hit, reason = rule(a, d)
+            hit, reason, took = rule(a, d)
             notes.append(f"{label}: {reason}")
+            read.update(took)
             if hit:
                 fired = label
                 break
 
-    # Whether a rule that ran took k_1 (and the largest collinear subset
-    # with it), decided from (a, d) alone and not from the set's memo, so
-    # that a certificate does not depend on what was computed before.
-    swept = ({j for j, _ in reshaped_kruskal(a, d).ranks}
-             if "reshaped-kruskal" in evaluated else set())
-    took_kruskal = (("alignment-bound" in evaluated and l <= d)
-                    or ("plane-gup" in evaluated and n == 2 and 8 * l < d * d + d)
-                    or 1 in swept
-                    or ("quartic" in evaluated and l <= _quartic_cap(a)))
-    k, m = kruskal_and_collinear(a) if took_kruskal else (None, None)
-    examined = swept | ({1} if took_kruskal else set())
-    if fired == "plane-gup":
-        examined.update(range(1, gup_cutoff(n, l) + 1))
-    ranks = tuple((j, veronese_kruskal_rank(a, j)) for j in sorted(examined))
-    # The quartic criterion takes the Terracini rank only at l = 2k - 1.
-    took_terracini = "quartic" in evaluated and k is not None and l == 2 * k - 1
+    k, m = kruskal_and_collinear(a) if 1 in read else (None, None)
+    degrees = sorted(j for j in read if isinstance(j, int))
     diagnostics = Diagnostics(
         minimal=minimal,
         hilbert=profile,
         kruskal_rank=k,
-        veronese_kruskal_ranks=ranks,
+        veronese_kruskal_ranks=tuple((j, veronese_kruskal_rank(a, j)) for j in degrees),
         max_collinear=m,
-        span_dim=span_dim(a),
-        terracini=terracini_dimension(a, d) if took_terracini else None,
+        terracini=next((r for r in read if isinstance(r, TerraciniReport)), None),
         complementary_bound=complementary_bound(a, d),
     )
     if not minimal:
@@ -303,9 +299,8 @@ def certify(a: PointSet, d: int) -> Certificate:
         verdict=verdict,
         degree=d,
         set_size=l,
-        ambient_dim=n,
+        ambient_dim=a.ambient_dim,
         criterion=fired,
-        rank=l if fired else None,
         diagnostics=diagnostics,
         notes=tuple(notes),
     )
@@ -350,8 +345,11 @@ class GenericInfo:
     exceptions: tuple[str, ...]
 
 
-def generic_info(n: int, d: int, trials: int = 2, seed: int = 0,
-                 max_space_dim: int = 500) -> GenericInfo:
+# The largest space of forms whose generic rank one Terracini witness checks.
+_MAX_SPACE_DIM = 500
+
+
+def generic_info(n: int, d: int, trials: int = 2, seed: int = 0) -> GenericInfo:
     """Generic rank of degree-d forms on P^n, with identifiability caveats.
 
     The generic rank comes from the Alexander-Hirschowitz theorem: n + 1
@@ -362,9 +360,9 @@ def generic_info(n: int, d: int, trials: int = 2, seed: int = 0,
     (n+1)(r-1) - 1 < C(n+d, d) - 1 dimensions, and for quadrics and at the
     four defective (n, d) the theorem itself rules out every smaller rank.
 
-    When C(n+d, d) is at most max_space_dim, one witness checks the upper
-    bound: the Terracini dimension of generic_rank random points, drawn
-    from ``seed`` over up to ``trials`` trials.  If it fills the space,
+    When C(n+d, d) is at most ``_MAX_SPACE_DIM``, one witness checks the
+    upper bound: the Terracini dimension of generic_rank random points,
+    drawn from ``seed`` over up to ``trials`` trials.  If it fills the space,
     Terracini's lemma proves that the generic rank is at most generic_rank
     and oracle_verified is True.  A witness that falls short proves
     nothing, so the rank is still the theorem's, unverified, with a note.
@@ -390,12 +388,12 @@ def generic_info(n: int, d: int, trials: int = 2, seed: int = 0,
     for r, count in special:
         exceptions.append(
             f"rank {r}: the generic form of rank {r} has {count} decompositions")
-    verified = space <= max_space_dim and generic_terracini_dimension(
+    verified = space <= _MAX_SPACE_DIM and generic_terracini_dimension(
         n, d, rank, trials=trials, seed=seed).dim == space - 1
-    if space > max_space_dim:
+    if space > _MAX_SPACE_DIM:
         exceptions.append(
             "generic rank not verified by the Terracini oracle (space "
-            f"dimension {space} exceeds the budget {max_space_dim}); "
+            f"dimension {space} exceeds the budget {_MAX_SPACE_DIM}); "
             "reporting the Alexander-Hirschowitz value")
     elif not verified:
         exceptions.append(

@@ -153,13 +153,14 @@ def _canonical_digest(points: PointSet) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _profile_block(profile: HilbertProfile) -> dict:
+def _profile_block(profile: HilbertProfile, j_max: int = 0) -> dict:
     # Values and differences through the separation degree s; from s on,
-    # h stays at the set size ("stable_tail").
+    # h stays at the set size ("stable_tail").  The printed range reaches
+    # degree l - 1, where h has stabilised, or j_max if that is larger.
     return {
-        "j_max": profile.j_max,
+        "j_max": max(j_max, profile.set_size - 1),
         "values": list(profile.values),
-        "diffs": list(profile.diffs),
+        "diffs": list(profile.h_vector),
         "stable_tail": {"from_degree": profile.separation_degree,
                         "value": profile.set_size},
         "h_vector": list(profile.h_vector),
@@ -168,30 +169,23 @@ def _profile_block(profile: HilbertProfile) -> dict:
 
 
 def _terracini_block(report: TerraciniReport) -> dict:
-    return {
-        "num_points": report.num_points,
-        "ambient_dim": report.ambient_dim,
-        "degree": report.degree,
-        "dim": report.dim,
-        "max_possible": report.max_possible,
-        "veronese_dim": report.veronese_dim,
-        "expected_dim": report.expected_dim,
-        "is_expected": report.is_expected,
-        "tangents_independent": report.tangents_independent,
-    }
+    return {name: getattr(report, name) for name in (
+        "num_points", "ambient_dim", "degree", "dim", "max_possible", "veronese_dim",
+        "expected_dim", "is_expected", "tangents_independent")}
 
 
 # Each _cmd_* returns (the verb's fields of the report, exit code); run()
 # adds the header and the input block and prints the report.
 
 def _cmd_hilbert(args: argparse.Namespace, points: PointSet) -> tuple[dict, int]:
-    profile = hilbert_profile(points, j_max=args.max_degree)
+    profile = hilbert_profile(points)
     cb_max: int | None = None
     for i in range(profile.separation_degree if len(points) >= 2 else 0):
         if not satisfies_cb(points, i):
             break
         cb_max = i
-    return {"profile": _profile_block(profile), "cayley_bacharach_max": cb_max}, 0
+    return {"profile": _profile_block(profile, args.max_degree or 0),
+            "cayley_bacharach_max": cb_max}, 0
 
 
 def _cmd_kruskal(args: argparse.Namespace, points: PointSet) -> tuple[dict, int]:

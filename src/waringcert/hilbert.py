@@ -18,14 +18,16 @@ lower degree's rows as a column prefix, scaled row by row; the pivots of
 one column-by-column pass below each prefix bound h from below, and a
 bound that meets min(len(Z), C(n+j, n)) proves h(j).  A degree the pass
 does not prove takes an exact rank of its own rows.  ``hilbert_profile``
-has the proof, and every value of h in the package is read from it.
+has the proof, and every value of h in the package is read from it.  A
+profile stores the values through the separation degree and no more; it
+is kept on the set, and the range the CLI prints is the CLI's own.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
-from itertools import count
+from dataclasses import dataclass
+from itertools import accumulate, count
 from math import comb
 
 from .geometry import PointSet, memo_on_set, monomial_rows, monomial_values, union
@@ -56,73 +58,46 @@ def span_dim(a: PointSet) -> int:
 
 @dataclass(frozen=True)
 class HilbertProfile:
-    """Hilbert function values and first differences over degrees 0..j_max.
+    """Hilbert function values h(0), ..., h(s) of a point set.
 
-    Only degrees 0..s are stored, where s is the separation degree, the
-    first degree with h(s) = set_size: h is nondecreasing and bounded by
-    the set size, so it equals set_size from degree s on and every later
-    difference is zero.  j_max is the requested range, at least s; the
-    stored part takes O(s) memory however large j_max is.
+    s is the separation degree, the first degree with h(s) = set_size: h
+    is nondecreasing and bounded by the set size, so it equals set_size
+    from degree s on and every later difference is zero.  The set size
+    and the differences are read off the values.
 
-    Invariants enforced at construction: values and diffs are consistent
-    cumulative sums starting at h(0) = 1, no value exceeds set_size, the
-    last stored value, and no earlier one, is set_size, and the values
-    have stabilised by degree set_size - 1.
+    Invariants enforced at construction: h(0) = 1, the values never
+    decrease, the last value, and no earlier one, is the set size, and
+    the values have stabilised by degree set_size - 1.
     """
 
-    set_size: int
     values: tuple[int, ...]
-    diffs: tuple[int, ...]
-    j_max: int
 
     def __post_init__(self):
-        if self.set_size < 1:
-            raise ValueError("set_size must be >= 1")
-        if len(self.values) != len(self.diffs) or not self.values:
-            raise ValueError("values and diffs must be nonempty and of equal length")
-        if self.j_max < len(self.values) - 1:
-            raise ValueError("j_max is below the stored range")
-        running = 0
-        for j, (v, dv) in enumerate(zip(self.values, self.diffs)):
-            running += dv
-            if v != running:
-                raise ValueError(f"values and diffs disagree at degree {j}")
-            if dv < 0:
-                raise ValueError(f"negative difference at degree {j}")
-            if v > self.set_size:
-                raise ValueError(f"h({j}) = {v} exceeds the set size")
-            if j >= self.set_size - 1 and v != self.set_size:
-                raise ValueError(f"h({j}) has not stabilised at the set size")
-        if self.values[0] != 1:
+        if not self.values or self.values[0] != 1:
             raise ValueError("h(0) must equal 1")
-        if self.values[-1] != self.set_size or self.set_size in self.values[:-1]:
+        if any(v > w for v, w in zip(self.values, self.values[1:])):
+            raise ValueError("h must not decrease")
+        if self.set_size in self.values[:-1]:
             raise ValueError("values must end at the first degree with h = set_size")
+        if len(self.values) > self.set_size:
+            raise ValueError("h has not stabilised at the set size by degree set_size - 1")
 
     @classmethod
     def from_diffs(cls, diffs: tuple[int, ...] | list[int]) -> "HilbertProfile":
-        """Profile with the given first differences.
+        """Profile with the given first differences; trailing zeros are dropped."""
+        diffs = list(diffs)
+        while len(diffs) > 1 and not diffs[-1]:
+            diffs.pop()
+        return cls(tuple(accumulate(diffs)))
 
-        The set size is the sum of the differences; the range reaches at
-        least degree set_size - 1, and trailing zero differences only
-        extend it.
-        """
-        size = sum(diffs)
-        values = []
-        running = 0
-        for dv in diffs:
-            running += dv
-            values.append(running)
-            if running == size:
-                break
-        if any(diffs[len(values):]):
-            raise ValueError("nonzero difference after h reaches the set size")
-        return cls(set_size=size, values=tuple(values), diffs=tuple(diffs[:len(values)]),
-                   j_max=max(len(diffs), size) - 1)
+    @property
+    def set_size(self) -> int:
+        return self.values[-1]
 
     @property
     def h_vector(self) -> tuple[int, ...]:
         """The differences through the separation degree; the last is nonzero."""
-        return self.diffs
+        return tuple(v - w for v, w in zip(self.values, (0,) + self.values))
 
     def value_at(self, d: int) -> int:
         """h(d), extending by 0 below degree 0 and by set_size above s."""
@@ -133,10 +108,8 @@ class HilbertProfile:
         return self.set_size
 
     def diff_at(self, d: int) -> int:
-        """Dh(d), zero outside the stored range."""
-        if 0 <= d < len(self.diffs):
-            return self.diffs[d]
-        return 0
+        """Dh(d) = h(d) - h(d - 1)."""
+        return self.value_at(d) - self.value_at(d - 1)
 
     @property
     def separation_degree(self) -> int:
@@ -144,15 +117,14 @@ class HilbertProfile:
         return len(self.values) - 1
 
 
-def hilbert_profile(a: PointSet, j_max: int | None = None) -> HilbertProfile:
-    """Hilbert profile of a over degrees 0..max(j_max, len(a) - 1).
+@memo_on_set
+def hilbert_profile(a: PointSet) -> HilbertProfile:
+    """Hilbert profile of a, kept on the set, so that the criteria that
+    read it share one object.
 
-    The range always reaches degree len(a) - 1, where the function is
-    guaranteed to have stabilised at len(a); callers may request more.
     Values are proved, and stored, only up to the separation degree s, the
     first d with h(d) = len(a): h is nondecreasing and bounded by len(a),
-    so every later value is len(a).  The profile of each range is kept on
-    the set, so the criteria that read it share one object.
+    so every later value is len(a).
 
     Every value is proved exactly.  h(d) is the rank of the degree-d
     monomial values at any representatives of the points in any
@@ -192,31 +164,21 @@ def hilbert_profile(a: PointSet, j_max: int | None = None) -> HilbertProfile:
       does every degree above t while h < l, where the count of pivots,
       below l, meets no bound.
     """
-    return _profile(a, len(a) - 1 if j_max is None else max(j_max, len(a) - 1))
-
-
-@memo_on_set
-def _profile(a: PointSet, top: int) -> HilbertProfile:
-    """``hilbert_profile`` over degrees 0..top: one pass for the smallest
-    range, whose values every wider range shares."""
     l = len(a)
-    if top > l - 1:
-        return replace(_profile(a, l - 1), j_max=top)
     n = a.ambient_dim
     t = next(j for j in count() if comb(n + j, n) >= l)
     pivots = _pivots_mod_p(monomial_rows(_chart(a), t), l) if t else []
     if t and bisect_left(pivots, n + 1) < min(l, n + 1):
         frame, framed = _frame(a)
         if len(frame) <= n:
-            return _profile(PointSet.from_rows(framed), top)
+            return hilbert_profile(PointSet.from_rows(framed))
     values = [1]
     while values[-1] < l:
         j = len(values)
         width = comb(n + j, n)
         full = min(l, width)
         values.append(full if bisect_left(pivots, width) == full else _exact_value(a, j))
-    diffs = tuple(v - (values[j - 1] if j else 0) for j, v in enumerate(values))
-    return HilbertProfile(set_size=l, values=tuple(values), diffs=diffs, j_max=top)
+    return HilbertProfile(tuple(values))
 
 
 def _chart(a: PointSet) -> list[tuple[int, ...]]:
@@ -316,18 +278,14 @@ def check_gkr_inequality(profile: HilbertProfile, i: int) -> bool:
 
         Dh(0) + ... + Dh(j)  <=  Dh(i+1-j) + ... + Dh(i+1)
 
-    This checks the inequality verbatim for an arbitrary profile, treating
-    differences outside the stored range as zero.  It is only a necessary
-    condition, so True never certifies the Cayley-Bacharach property.
+    The sums telescope, so this checks h(j) <= h(i+1) - h(i-j) for an
+    arbitrary profile.  It is only a necessary condition, so True never
+    certifies the Cayley-Bacharach property.
     """
     if i < 0:
         raise ValueError(f"degree must be >= 0, got {i}")
-    for j in range(i + 2):
-        low = sum(profile.diff_at(t) for t in range(j + 1))
-        high = sum(profile.diff_at(t) for t in range(i + 1 - j, i + 2))
-        if low > high:
-            return False
-    return True
+    return all(profile.value_at(j) <= profile.value_at(i + 1) - profile.value_at(i - j)
+               for j in range(i + 2))
 
 
 def union_profile_drop(a: PointSet, b: PointSet, d: int) -> bool:

@@ -234,17 +234,20 @@ class KruskalReport:
     set_size: int
     partition: tuple[int, int, int]
     ranks: tuple[int, int, int]
-    bound: int
-    passes: bool
 
     def __post_init__(self):
         if sorted(self.partition) != list(self.partition) or self.partition[0] < 1:
             raise ValueError(f"bad partition {self.partition}")
-        expected_bound = (sum(self.ranks) - 2) // 2
-        if self.bound != expected_bound:
-            raise ValueError(f"bound {self.bound} does not match ranks {self.ranks}")
-        if self.passes != (2 * self.set_size <= sum(self.ranks) - 2):
-            raise ValueError("passes flag disagrees with the rank inequality")
+
+    @property
+    def bound(self) -> int:
+        """(k_a + k_b + k_c - 2) // 2, the largest set size the ranks allow."""
+        return (sum(self.ranks) - 2) // 2
+
+    @property
+    def passes(self) -> bool:
+        """Whether 2*set_size <= k_a + k_b + k_c - 2."""
+        return self.set_size <= self.bound
 
 
 def degree_partitions(d: int) -> tuple[tuple[int, int, int], ...]:
@@ -324,8 +327,7 @@ def reshaped_kruskal(a: PointSet, d: int) -> ReshapingSearch:
         if upper(p) >= 2 * l:
             # Every part is exact now, so the partition passes.
             ranks = tuple(known[j] for j in p)
-            passing = KruskalReport(set_size=l, partition=p, ranks=ranks,
-                                    bound=(sum(ranks) - 2) // 2, passes=True)
+            passing = KruskalReport(set_size=l, partition=p, ranks=ranks)
             break
     return ReshapingSearch(passing=passing, ranks=tuple(sorted(known.items())),
                            bound=max(map(upper, parts)) // 2)

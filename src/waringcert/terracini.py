@@ -7,7 +7,9 @@ is the projective span of all these tangent spaces together; its dimension
 controls the local geometry of the secant variety at the decomposition.
 
 For r points the dimension can never exceed (n+1)r - 1, nor the dimension
-N = C(n+d, d) - 1 of the space of degree-d forms.  Random integer point
+N = C(n+d, d) - 1 of the space of degree-d forms; from d = 2r - 1 on it
+is (n+1)r - 1, with no rank taken (``terracini_dimension`` has the
+proof).  Random integer point
 sets attain the generic value with overwhelming probability, which gives a
 practical randomized oracle for generic Terracini dimensions.
 
@@ -106,14 +108,18 @@ class TerraciniReport:
     ambient_dim: int
     degree: int
     dim: int
-    max_possible: int
-    veronese_dim: int
 
     def __post_init__(self):
-        if self.max_possible != (self.ambient_dim + 1) * self.num_points - 1:
-            raise ValueError("max_possible disagrees with (n+1)r - 1")
-        if self.dim > min(self.max_possible, self.veronese_dim):
+        if self.dim > self.expected_dim:
             raise ValueError(f"dim {self.dim} exceeds its upper bound")
+
+    @property
+    def max_possible(self) -> int:
+        return (self.ambient_dim + 1) * self.num_points - 1
+
+    @property
+    def veronese_dim(self) -> int:
+        return comb(self.ambient_dim + self.degree, self.degree) - 1
 
     @property
     def expected_dim(self) -> int:
@@ -218,10 +224,25 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     prime, ``_singular_products`` of the framed rows offers
     ``integer_rank`` right-kernel vectors, restricted to those columns.
     Requires d >= 2.
+
+    From d >= 2l - 1 on, l = len(a), the tangent spaces are in direct sum
+    and no rank is taken.  Row (p, j) maps a degree-d form G to
+    d/dx_j G at p, so the rows are independent when, for each point p,
+    the forms singular at every other point have gradients at p that span
+    all n + 1 directions.  G = product over q != p of L_q^2, with L_q
+    linear, L_q(q) = 0 != L_q(p), is singular at every q != p and
+    G(p) != 0.  G*M with M(p) = 0 has gradient G(p)*grad M at p, and these
+    fill p-perp; G*L with L(p) != 0 leaves p-perp, since by Euler its
+    gradient pairs with p to (2l - 1)*G(p)*L(p).  Multiplying by a power
+    of a form nonzero at p reaches degree d and keeps both properties.
+    The bound is sharp: l collinear points fall short at d = 2l - 2.
     """
     if d < 2:
         raise ValueError(f"Terracini dimension needs degree >= 2, got {d}")
     n = a.ambient_dim
+    if d >= 2 * len(a) - 1:
+        return TerraciniReport(num_points=len(a), ambient_dim=n, degree=d,
+                               dim=(n + 1) * len(a) - 1)
     frame, framed = _frame(a)
     k = len(frame)
     others = [q for i, q in enumerate(framed) if i not in frame]
@@ -236,22 +257,15 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
         # points are separated in every degree >= 1).
         h = k if d == 2 or not others else hilbert_function(a, d - 1)
         rank += (n + 1 - k) * h
-    return TerraciniReport(
-        num_points=len(a),
-        ambient_dim=n,
-        degree=d,
-        dim=rank - 1,
-        max_possible=(n + 1) * len(a) - 1,
-        veronese_dim=comb(n + d, d) - 1,
-    )
+    return TerraciniReport(num_points=len(a), ambient_dim=n, degree=d, dim=rank - 1)
 
 
 def generic_terracini_dimension(n: int, d: int, r: int, trials: int = 2,
-                                seed: int = 0, bound: int = 50) -> TerraciniReport:
+                                seed: int = 0) -> TerraciniReport:
     """Terracini dimension at r random points of P^n, maximised over trials.
 
     Each trial draws r distinct points with integer coordinates uniform in
-    [-bound, bound] from a generator seeded by ``seed`` and keeps the report
+    [-50, 50] from a generator seeded by ``seed`` and keeps the report
     of largest dimension.  The generic dimension is the maximum over all
     point sets, so random draws can only undershoot; more trials shrink the
     (already negligible) chance of a degenerate draw.  Deterministic for
@@ -266,7 +280,7 @@ def generic_terracini_dimension(n: int, d: int, r: int, trials: int = 2,
     rng = random.Random(seed)
     best: TerraciniReport | None = None
     for _ in range(trials):
-        sample = random_point_set(n, r, rng, bound=bound)
+        sample = random_point_set(n, r, rng, bound=50)
         report = terracini_dimension(sample, d)
         if best is None or report.dim > best.dim:
             best = report

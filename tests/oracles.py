@@ -255,8 +255,7 @@ def reshaped_kruskal_by_count_caps(a, d):
             known[j] = veronese_kruskal_rank(a, j)
         if upper(p) >= 2 * l:
             ranks = tuple(known[j] for j in p)
-            passing = KruskalReport(set_size=l, partition=p, ranks=ranks,
-                                    bound=(sum(ranks) - 2) // 2, passes=True)
+            passing = KruskalReport(set_size=l, partition=p, ranks=ranks)
             break
     return ReshapingSearch(passing=passing, ranks=tuple(sorted(known.items())),
                            bound=max(map(upper, parts)) // 2)
@@ -274,7 +273,5 @@ def reshaped_kruskal_table(a, d):
     reports = []
     for part in degree_partitions(d):
         ranks = tuple(veronese_kruskal_rank(a, j) for j in part)
-        total = sum(ranks)
-        reports.append(KruskalReport(set_size=l, partition=part, ranks=ranks,
-                                     bound=(total - 2) // 2, passes=2 * l <= total - 2))
+        reports.append(KruskalReport(set_size=l, partition=part, ranks=ranks))
     return tuple(reports)

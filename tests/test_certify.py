@@ -22,6 +22,7 @@ from waringcert import (
     complementary_bound,
     generic_info,
     gup_cutoff,
+    is_gup,
     is_lgp,
     kruskal_and_collinear,
     kruskal_rank,
@@ -72,7 +73,7 @@ def test_binary_generic_rank_values():
 
 
 def fires(rule, a, d):
-    """Whether a cascade rule fires on (a, d); each returns (fired, note)."""
+    """Whether a cascade rule fires on (a, d); each returns (fired, note, read)."""
     return rule(a, d)[0]
 
 
@@ -88,9 +89,7 @@ def test_sylvester_inequality_matches_the_two_branch_rule():
     # or at r with d odd.  The criterion checks the one inequality
     # 2l <= d + 1; the two agree for every d < 200 and l <= d + 1.
     points = binary(200)
-    generic_rank = {d: generic_info(1, d, max_space_dim=0).generic_rank
-                    for d in range(2, 200)}
-    generic_rank[1] = 1
+    generic_rank = {d: (d + 2) // 2 for d in range(1, 200)}
     for l in range(1, 201):
         a = points.subset(range(l))
         for d in range(max(1, l - 1), 200):
@@ -415,6 +414,29 @@ def test_k1_is_reported_exactly_when_plane_gup_took_it():
             _assert_k1_reported_exactly_when_taken(a, d)
 
 
+# Ten plane points, six on the conic y = x^2 and no three collinear: they
+# pass plane-gup's size test at d = 9 and 10, and fail GUP at degree 2.
+CONIC_SIX_PLUS_FOUR = [(1, t, t * t) for t in (-2, -1, 0, 1, 2, 3)] + [
+    (1, -3, 2), (1, 2, -3), (1, -5, -1), (1, -5, 0)]
+
+
+@pytest.mark.parametrize("d, criterion, ranks", [
+    # plane-gup reads k_2 to find the failure but reports k_1 alone.
+    (9, "reshaped-kruskal", ((1, 3), (3, 10))),
+    # alignment-bound fires before plane-gup runs.
+    (10, "alignment-bound", ((1, 3),)),
+])
+def test_plane_gup_failing_gup_reports_k1_alone(d, criterion, ranks):
+    a = PointSet.from_rows(CONIC_SIX_PLUS_FOUR)
+    assert not is_gup(PointSet.from_rows(CONIC_SIX_PLUS_FOUR))
+    cert = certify(a, d)
+    assert cert.criterion == criterion
+    assert (d == 9) == ("plane-gup: the points are not in general uniform position"
+                        in cert.notes)
+    assert cert.diagnostics.veronese_kruskal_ranks == ranks
+    assert (cert.diagnostics.kruskal_rank, cert.diagnostics.max_collinear) == (3, 2)
+
+
 def test_certify_inconclusive_beyond_criteria():
     cert = certify(general_points(2, 6, 85), 4)
     assert cert.verdict is Verdict.INCONCLUSIVE
@@ -462,12 +484,12 @@ def test_certificate_requires_consistent_fields():
     with pytest.raises(ValueError):
         Certificate(
             verdict=Verdict.INCONCLUSIVE, degree=3, set_size=2,
-            ambient_dim=1, criterion="sylvester", rank=2,
+            ambient_dim=1, criterion="sylvester",
             diagnostics=cert.diagnostics, notes=())
     with pytest.raises(ValueError):
         Certificate(
             verdict=Verdict.IDENTIFIABLE, degree=3, set_size=2,
-            ambient_dim=1, criterion=None, rank=None,
+            ambient_dim=1, criterion=None,
             diagnostics=cert.diagnostics, notes=())
 
 
@@ -561,8 +583,7 @@ def test_generic_info_keeps_the_theorem_rank_when_no_witness_fills(monkeypatch):
 
     def short(n, d, r, trials=2, seed=0):
         space = comb(n + d, d)
-        return TerraciniReport(num_points=r, ambient_dim=n, degree=d, dim=space - 2,
-                               max_possible=(n + 1) * r - 1, veronese_dim=space - 1)
+        return TerraciniReport(num_points=r, ambient_dim=n, degree=d, dim=space - 2)
 
     monkeypatch.setattr(module, "generic_terracini_dimension", short)
     for (n, d), good in verified.items():

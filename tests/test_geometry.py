@@ -15,7 +15,6 @@ from waringcert import (
     PointSet,
     ProjectivePoint,
     certify,
-    generic_terracini_dimension,
     hilbert_function,
     max_collinear_subset_size,
     monomial_basis,
@@ -307,5 +306,3 @@ def test_sampling_past_the_box_raises_instead_of_hanging():
     assert _box_point_count(1, 1) == 4
     with pytest.raises(ValueError):
         random_point_set(1, 5, random.Random(0), bound=1)
-    with pytest.raises(ValueError):
-        generic_terracini_dimension(1, 8, 5, bound=1)

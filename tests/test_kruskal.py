@@ -171,14 +171,12 @@ def test_reshaped_kruskal_rejects_low_degree():
 
 def test_kruskal_report_validation():
     with pytest.raises(ValueError):
-        KruskalReport(set_size=4, partition=(2, 1, 1), ranks=(2, 2, 2),
-                      bound=2, passes=False)
+        KruskalReport(set_size=4, partition=(2, 1, 1), ranks=(2, 2, 2))
     with pytest.raises(ValueError):
-        KruskalReport(set_size=4, partition=(1, 1, 2), ranks=(2, 2, 2),
-                      bound=3, passes=False)
-    with pytest.raises(ValueError):
-        KruskalReport(set_size=4, partition=(1, 1, 2), ranks=(2, 2, 2),
-                      bound=2, passes=True)
+        KruskalReport(set_size=4, partition=(0, 1, 2), ranks=(2, 2, 2))
+    report = KruskalReport(set_size=4, partition=(1, 1, 2), ranks=(2, 2, 2))
+    assert (report.bound, report.passes) == (2, False)
+    assert KruskalReport(set_size=2, partition=(1, 1, 2), ranks=(2, 2, 2)).passes
 
 
 def test_report_ranks_within_bounds():

@@ -139,11 +139,9 @@ def test_generic_oracle_deterministic():
 
 def test_report_validation():
     with pytest.raises(ValueError):
-        TerraciniReport(num_points=2, ambient_dim=2, degree=2, dim=4,
-                        max_possible=6, veronese_dim=5)
-    with pytest.raises(ValueError):
-        TerraciniReport(num_points=2, ambient_dim=2, degree=2, dim=6,
-                        max_possible=5, veronese_dim=5)
+        TerraciniReport(num_points=2, ambient_dim=2, degree=2, dim=6)
+    report = TerraciniReport(num_points=2, ambient_dim=2, degree=2, dim=5)
+    assert (report.max_possible, report.veronese_dim, report.expected_dim) == (5, 5, 5)
 
 
 def test_generic_oracle_argument_validation():
@@ -329,3 +327,37 @@ def test_the_frame_is_exact_where_the_prime_sees_a_dependence(rows, d):
     a = PointSet.from_rows(rows)
     assert len(terracini._frame(a)[0]) == integer_rank([p.primitive_coords for p in a])
     assert terracini_dimension(a, d).dim + 1 == fraction_rank(_tangent_matrix(a, d))
+
+
+def _collinear(n, l):
+    """l points of a line of P^n."""
+    return PointSet.from_rows([(1, t) + (0,) * (n - 1) for t in range(l)])
+
+
+@pytest.mark.parametrize("n, l", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 3)])
+def test_tangent_spaces_are_independent_from_degree_2l_minus_1(n, l):
+    # No rank is taken from d = 2l - 1 on; the fraction rank of the tangent
+    # forms agrees, for general sets and for sets on a line.
+    general = random_points(n, l, random.Random(10 * n + l), bound=4)
+    for a in (general, _collinear(n, l)):
+        for d in range(max(2, 2 * l - 1), 2 * l + 2):
+            assert terracini_dimension(a, d).dim == (n + 1) * l - 1
+            assert fraction_rank(_tangent_matrix(a, d)) == (n + 1) * l
+
+
+@pytest.mark.parametrize("n, l", [(1, 2), (1, 4), (2, 2), (2, 3), (2, 5), (3, 4)])
+def test_collinear_points_fall_short_at_degree_2l_minus_2(n, l):
+    a = _collinear(n, l)
+    report = terracini_dimension(a, 2 * l - 2)
+    assert report.dim < report.max_possible
+    assert report.dim + 1 == fraction_rank(_tangent_matrix(a, 2 * l - 2))
+
+
+def test_high_degree_takes_no_rank(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integer_rank called")
+
+    monkeypatch.setattr(terracini, "integer_rank", refuse)
+    a = PointSet.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    report = terracini_dimension(a, 3000)
+    assert (report.dim, report.max_possible) == (11, 11)
