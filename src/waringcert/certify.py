@@ -19,10 +19,9 @@ representatives of the points; there are no numeric tolerances anywhere.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import comb, inf
 
-from .geometry import PointSet
+from .geometry import PointSet, Record
 from .hilbert import HilbertProfile, hilbert_profile, span_dim
 from .kruskal import (gup_cutoff, is_gup, kruskal_and_collinear, kruskal_rank,
                       reshaped_kruskal, veronese_kruskal_rank)
@@ -35,8 +34,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(Record):
     """Invariants of the input collected while certifying.
 
     The Hilbert profile and the complementary bound are always present.
@@ -63,8 +61,7 @@ class Diagnostics:
         return self.hilbert.value_at(1) - 1
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Outcome of certification for one (point set, degree) input.
 
     Identifiable means: the degree-d form with support A has Waring rank
@@ -322,8 +319,7 @@ SUBGENERIC_EXCEPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class GenericInfo:
+class GenericInfo(Record):
     """Generic rank data for degree-d forms on P^n.
 
     expected_generic_rank is ceil(C(n+d, d) / (n + 1)).  generic_rank is

@@ -30,13 +30,12 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
 from .certify import Verdict, certify, generic_info
-from .geometry import DuplicatePointError, PointSet, ProjectivePoint
+from .geometry import DuplicatePointError, PointSet, ProjectivePoint, Record
 from .hilbert import HilbertProfile, hilbert_profile, satisfies_cb
 from .kruskal import gup_cutoff, is_gup, is_lgp, veronese_kruskal_rank
 from .terracini import TerraciniReport, terracini_dimension
@@ -55,8 +54,7 @@ class PointFileError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
-class PointSetDocument:
+class PointSetDocument(Record):
     """A parsed input file: the point set, its label, and source lines."""
 
     points: PointSet

@@ -14,6 +14,8 @@ Veronese map only by a scaling of each column (the multinomial weight
 d!/prod(e_i!) of the exponent vector e) and by the scaling of the point,
 so the rows of a set have the rank and the Kruskal rank of its Veronese
 image.
+
+``Record`` is the immutable base class of every layer's report classes.
 """
 
 from __future__ import annotations
@@ -36,6 +38,47 @@ class DuplicatePointError(ValueError):
         super().__init__(
             f"points {first} and {second} coincide after canonical scaling"
         )
+
+
+class Record:
+    """An immutable record: its fields are its class annotations, in order.
+
+    Set once, by position or keyword, then checked by ``__post_init__``.
+    Equal by type and fields; hashed and printed in field order.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        try:
+            values = args + tuple(map(kwargs.pop, fields[len(args):]))
+        except KeyError as missing:
+            raise TypeError(f"{type(self).__name__} missing field {missing}") from None
+        if kwargs or len(values) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes exactly the fields {fields}")
+        self.__dict__.update(zip(fields, values))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        same = type(other) is type(self)
+        return self.__dict__ == other.__dict__ if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 class ProjectivePoint:

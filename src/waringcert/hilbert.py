@@ -26,11 +26,10 @@ is kept on the set, and the range the CLI prints is the CLI's own.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, count
 from math import comb
 
-from .geometry import PointSet, memo_on_set, monomial_rows, monomial_values, union
+from .geometry import PointSet, Record, memo_on_set, monomial_rows, monomial_values, union
 from .linalg import _PRIME, _pivots_mod_p, integer_kernel, integer_rank
 
 
@@ -56,8 +55,7 @@ def span_dim(a: PointSet) -> int:
     return hilbert_function(a, 1) - 1
 
 
-@dataclass(frozen=True)
-class HilbertProfile:
+class HilbertProfile(Record):
     """Hilbert function values h(0), ..., h(s) of a point set.
 
     s is the separation degree, the first degree with h(s) = set_size: h

@@ -45,12 +45,11 @@ every answer is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .geometry import (PointSet, max_collinear_subset_size, memo_on_set,
-                       monomial_values)
+from .geometry import (PointSet, Record, max_collinear_subset_size,
+                       memo_on_set, monomial_values)
 from .hilbert import hilbert_profile
 from .linalg import _minors_nonzero_mod_p, _standard_form_mod_p
 
@@ -227,8 +226,7 @@ def is_gup(a: PointSet) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class KruskalReport:
+class KruskalReport(Record):
     """Outcome of the reshaping test for one partition d = a + b + c."""
 
     set_size: int
@@ -265,8 +263,7 @@ def degree_partitions(d: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(parts, key=lambda p: (-p[2], p[0], p[1])))
 
 
-@dataclass(frozen=True)
-class ReshapingSearch:
+class ReshapingSearch(Record):
     """Outcome of the reshaping test over the partitions of one degree.
 
     passing is the first partition found to pass, with its exact ranks, or

@@ -78,14 +78,13 @@ degree e = 2, and d <= 3 offers none.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import add
 from typing import Iterator, Sequence
 
-from .geometry import (PointSet, memo_on_set, monomial_basis, monomial_rows,
-                       random_point_set)
+from .geometry import (PointSet, Record, memo_on_set, monomial_basis,
+                       monomial_rows, random_point_set)
 from .hilbert import _frame, hilbert_function
 from .linalg import integer_kernel, integer_rank
 
@@ -94,8 +93,7 @@ from .linalg import integer_kernel, integer_rank
 _Index = tuple[tuple[tuple[int, int], ...], ...]
 
 
-@dataclass(frozen=True)
-class TerraciniReport:
+class TerraciniReport(Record):
     """Dimension bookkeeping for one Terracini space computation.
 
     All dimensions are projective: ``dim`` is the rank of the coefficient

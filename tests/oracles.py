@@ -158,6 +158,45 @@ def kernel_vector(rows):
     ]
 
 
+def full_support_relation(rows):
+    """A relation sum(c_i * rows[i]) = 0 with every c_i nonzero, or None.
+
+    Gauss-Jordan elimination over ``Fraction`` on the transposed rows gives
+    a basis of the relations, one per free row.  The combination with
+    weights 1, t, t^2, ... of that basis is tried for t = 1, 2, ...: an
+    entry that some basis relation leaves nonzero vanishes for fewer t than
+    the basis has members, so the search ends.  None when no relation has
+    full support, that is when some row lies in no relation.
+    """
+    count = len(rows)
+    m = [[Fraction(row[i]) for row in rows] for i in range(len(rows[0]))]
+    pivots = []
+    for col in range(count):
+        hit = next((i for i in range(len(pivots), len(m)) if m[i][col]), None)
+        if hit is None:
+            continue
+        r = len(pivots)
+        m[r], m[hit] = m[hit], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[col]:
+                m[i] = [x - row[col] * y for x, y in zip(row, m[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(count) if c not in pivots):
+        relation = [Fraction(0)] * count
+        relation[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            relation[col] = -m[r][free]
+        basis.append(relation)
+    if not basis or not all(any(v[i] for v in basis) for i in range(count)):
+        return None
+    for t in range(1, count * len(basis) + 2):
+        combo = [sum(t ** k * v[i] for k, v in enumerate(basis)) for i in range(count)]
+        if all(combo):
+            return combo
+
+
 def monomial_values_by_powers(coord_rows, d):
     """The degree-d monomials of the lexicographic basis at each integer row.
 

@@ -1,12 +1,22 @@
-"""The public API, pinned, and the integer-only arithmetic of the rank layers."""
+"""The public API, pinned, its immutable report records, and the imports
+of the package's modules."""
 
 import ast
+import copy
 import importlib
 import inspect
+import pickle
+from pathlib import Path
 
 import pytest
 
 import waringcert
+from waringcert import (Certificate, Diagnostics, GenericInfo, HilbertProfile,
+                        KruskalReport, PointSet, ReshapingSearch, TerraciniReport,
+                        certify, generic_info, hilbert_profile, reshaped_kruskal,
+                        terracini_dimension)
+from waringcert.cli import PointSetDocument, parse_point_file
+from waringcert.geometry import Record
 
 PUBLIC = [
     "Certificate", "Diagnostics", "DuplicatePointError", "GenericInfo",
@@ -45,3 +55,89 @@ def test_rank_layers_use_no_fractions(module):
             assert node.id != "Fraction"
         elif isinstance(node, ast.Attribute):
             assert node.attr != "Fraction"
+
+
+@pytest.mark.parametrize("path", sorted(Path(waringcert.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    # The report classes are Records: a cold CLI run loads neither
+    # dataclasses nor the inspect module it imports.
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            assert all(alias.name != "dataclasses" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "dataclasses"
+
+
+def _records():
+    a = PointSet.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                            (1, 1, 1), (1, 2, 3), (1, 4, 5)])
+    cert = certify(a, 5)
+    search = reshaped_kruskal(a, 5)
+    return {
+        Certificate: cert, Diagnostics: cert.diagnostics,
+        GenericInfo: generic_info(2, 4), HilbertProfile: hilbert_profile(a),
+        KruskalReport: search.passing, ReshapingSearch: search,
+        TerraciniReport: terracini_dimension(a, 4),
+        PointSetDocument: parse_point_file("label: three\n1 0 0\n0 1 0\n1 1 1\n"),
+    }
+
+
+@pytest.mark.parametrize("cls", [Certificate, Diagnostics, GenericInfo, HilbertProfile,
+                                 KruskalReport, ReshapingSearch, TerraciniReport,
+                                 PointSetDocument], ids=lambda cls: cls.__name__)
+def test_report_records_are_immutable_and_compare_by_type_and_fields(cls):
+    record = _records()[cls]
+    assert type(record) is cls and isinstance(record, Record)
+    fields = list(cls.__annotations__)
+    assert list(vars(record)) == fields
+    kwargs = dict(vars(record))
+    values = list(kwargs.values())
+    for built in (cls(**kwargs), cls(**dict(reversed(kwargs.items()))), cls(*values),
+                  cls(*values[:1], **dict(list(kwargs.items())[1:]))):
+        assert built == record and hash(built) == hash(record)
+        assert repr(built) == repr(record)
+        assert list(vars(built)) == fields
+    assert repr(record).startswith(f"{cls.__name__}({fields[0]}=")
+
+    with pytest.raises(TypeError):
+        cls(**dict(list(kwargs.items())[:-1]))
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(**kwargs, unknown=None)
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError):
+        cls(*values, **{fields[0]: values[0]})
+
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], values[0])
+    with pytest.raises(AttributeError):
+        setattr(record, "unknown", None)
+    with pytest.raises(AttributeError):
+        delattr(record, fields[0])
+    assert vars(record) == kwargs
+
+    twin = type(cls.__name__, (Record,), {"__annotations__": dict(cls.__annotations__)})
+    assert twin(*values) != record and record != twin(*values)
+    assert record != tuple(values)
+
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(record, protocol))
+        assert type(clone) is cls and clone == record and hash(clone) == hash(record)
+    clone = copy.deepcopy(record)
+    assert clone == record and hash(clone) == hash(record)
+    assert list(vars(clone)) == fields
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Certificate(**{**vars(_records()[Certificate]), "criterion": None}),
+    lambda: HilbertProfile((1, 3, 2)),
+    lambda: HilbertProfile((1, 3, 3)),
+    lambda: KruskalReport(set_size=4, partition=(2, 1, 1), ranks=(3, 3, 3)),
+    lambda: TerraciniReport(num_points=2, ambient_dim=2, degree=4, dim=6),
+], ids=["certificate", "hilbert-decreasing", "hilbert-stalled", "kruskal", "terracini"])
+def test_record_validation_still_raises(build):
+    with pytest.raises(ValueError):
+        build()

@@ -35,7 +35,8 @@ from waringcert.certify import (_alignment_bound, _half_degree,
                                 _reshaped_kruskal, _sylvester)
 
 from conftest import corpus, random_points
-from oracles import generic_rank_from_one
+from oracles import (fraction_rank, full_support_relation, generic_rank_from_one,
+                     monomial_values_by_powers)
 
 
 def binary(count):
@@ -627,6 +628,43 @@ def test_non_identifiable_sizes_are_never_certified(n, d, r):
             f"{r} generic points of P^{n} at degree {d} (seed {seed}) were "
             f"certified by {cert.criterion}, but the generic form of rank {r} "
             "has more than one decomposition")
+
+
+# Sets Z whose degree-d images satisfy one relation with every coefficient
+# nonzero, split Z = A1 + B1 with |B1| <= |A1|: the relation writes the form
+# supported on A1 a second time, on B1, and a point C off Z joins both
+# decompositions.  The boundary sizes: d + 2 points of P^1 split as evenly
+# as possible, the 3 x 3 grid at d = 3 (a complete intersection of two
+# cubics, Cayley-Bacharach in degree 3), and ten points of a conic at d = 4,
+# which give the five-point plane quartics a second decomposition.
+BINARY_BOUNDARY = [([(1, t) for t in range(d + 2)], d, (d + 3) // 2, None)
+                   for d in range(2, 11)]
+GRID = [(1, i, j) for i in range(3) for j in range(3)]
+CONIC = [(t * t, t, 1) for t in range(10)]
+SECOND_DECOMPOSITION_CASES = BINARY_BOUNDARY + [
+    (GRID, 3, 5, None), (GRID, 3, 5, (1, 5, 7)),
+    (CONIC, 4, 5, None), (CONIC, 4, 5, (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("z, d, split, c", SECOND_DECOMPOSITION_CASES,
+                         ids=[f"binary-d{d}" for d in range(2, 11)]
+                         + ["grid", "grid-C", "conic", "conic-C"])
+def test_sets_with_a_second_decomposition_are_never_certified(z, d, split, c):
+    rows = monomial_values_by_powers(z, d)
+    assert fraction_rank(rows) == len(z) - 1
+    relation = full_support_relation(rows)
+    assert relation is not None and all(relation)
+    assert all(sum(w * row[k] for w, row in zip(relation, rows)) == 0
+               for k in range(len(rows[0])))
+    extra = [] if c is None else [c]
+    assert c not in z
+    a = PointSet.from_rows(z[:split] + extra)
+    assert len(z) - split + len(extra) <= len(a)
+    cert = certify(a, d)
+    assert cert.verdict is not Verdict.IDENTIFIABLE, (
+        f"{a} at degree {d} was certified by {cert.criterion}, but "
+        f"{z[split:] + extra} is a second decomposition")
 
 
 @pytest.mark.parametrize("n, d", [(2, 4), (2, 6), (4, 3), (3, 4), (2, 7), (5, 3), (2, 8)])

@@ -344,3 +344,15 @@ def test_cold_import_loads_no_process_pool():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cold_import_loads_no_dataclasses():
+    # The report classes are plain Records, so a cold run skips importing
+    # dataclasses and the inspect module it pulls in.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, waringcert.cli; "
+         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
