@@ -26,8 +26,10 @@ is kept on the set, and the range the CLI prints is the CLI's own.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import partial
 from itertools import accumulate, count
 from math import comb
+from typing import Callable, Sequence
 
 from .geometry import PointSet, Record, memo_on_set, monomial_rows, monomial_values, union
 from .linalg import _PRIME, _pivots_mod_p, integer_kernel, integer_rank
@@ -156,7 +158,8 @@ def hilbert_profile(a: PointSet) -> HilbertProfile:
       x_k = ... = x_n = 0, so each monomial in those coordinates vanishes
       on the points, and the degree-j rows are those of the first k
       coordinates, which ``_frame`` computes, padded by zero columns.  So
-      the profile is that of those coordinates, points of P^(k-1).
+      the profile is that of those integer rows, points of P^(k-1): the
+      chart, the pass and the fallback run on them.
     - *Fallback.*  Each degree whose bound falls short takes
       ``_exact_value``, the exact ``integer_rank`` of its own rows; so
       does every degree above t while h < l, where the count of pivots,
@@ -164,29 +167,42 @@ def hilbert_profile(a: PointSet) -> HilbertProfile:
     """
     l = len(a)
     n = a.ambient_dim
-    t = next(j for j in count() if comb(n + j, n) >= l)
-    pivots = _pivots_mod_p(monomial_rows(_chart(a), t), l) if t else []
-    if t and bisect_left(pivots, n + 1) < min(l, n + 1):
+    coords = [p.primitive_coords for p in a]
+    pivots = _profile_pivots(coords)
+    rows_of = partial(monomial_values, a)
+    if l > 1 and bisect_left(pivots, n + 1) < min(l, n + 1):
         frame, framed = _frame(a)
         if len(frame) <= n:
-            return hilbert_profile(PointSet.from_rows(framed))
+            n = len(frame) - 1
+            pivots = _profile_pivots(framed)
+            rows_of = partial(monomial_rows, framed)
     values = [1]
     while values[-1] < l:
         j = len(values)
         width = comb(n + j, n)
         full = min(l, width)
-        values.append(full if bisect_left(pivots, width) == full else _exact_value(a, j))
+        values.append(full if bisect_left(pivots, width) == full else _exact_value(rows_of, j))
     return HilbertProfile(tuple(values))
 
 
-def _chart(a: PointSet) -> list[tuple[int, ...]]:
-    """The primitive points in the coordinates (L, x_1, ..., x_n) of
-    ``hilbert_profile``'s chart, L = x_0 + c*x_1 + ... + c**n * x_n for the
-    least c >= 0 with every L(P) nonzero modulo ``_PRIME``."""
-    points = [p.primitive_coords for p in a]
+def _profile_pivots(coords: Sequence[Sequence[int]]) -> list[int]:
+    """The pivots of ``hilbert_profile``'s one modular pass over the
+    degree-t rows of the integer points ``coords`` in its chart, stopping
+    at rank len(coords); none when t = 0, a single point."""
+    l = len(coords)
+    n = len(coords[0]) - 1
+    t = next(j for j in count() if comb(n + j, n) >= l)
+    return _pivots_mod_p(monomial_rows(_chart(coords), t), l) if t else []
+
+
+def _chart(coords: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The primitive integer points ``coords`` in the coordinates
+    (L, x_1, ..., x_n) of ``hilbert_profile``'s chart,
+    L = x_0 + c*x_1 + ... + c**n * x_n for the least c >= 0 with every L(P)
+    nonzero modulo ``_PRIME``."""
     for c in count():
         forms = []
-        for point in points:
+        for point in coords:
             value = 0
             for x in reversed(point):
                 value = value * c + x
@@ -194,12 +210,12 @@ def _chart(a: PointSet) -> list[tuple[int, ...]]:
                 break
             forms.append(value)
         else:
-            return [(form, *point[1:]) for form, point in zip(forms, points)]
+            return [(form, *point[1:]) for form, point in zip(forms, coords)]
 
 
-def _exact_value(a: PointSet, d: int) -> int:
-    """h(d) as the exact ``integer_rank`` of the degree-d rows."""
-    return integer_rank(monomial_values(a, d))
+def _exact_value(rows_of: Callable[[int], Sequence[Sequence[int]]], d: int) -> int:
+    """h(d) as the exact ``integer_rank`` of the degree-d rows ``rows_of(d)``."""
+    return integer_rank(rows_of(d))
 
 
 @memo_on_set

@@ -28,8 +28,8 @@ h_A(j) decides whether k_j reaches it, and the sweeps climb from size 3
 only when it does not.  Three distinct points are dependent exactly when
 they are collinear, so k_1 >= 3 exactly when no three points are aligned:
 in the plane, where k_1 <= 3, the collinearity search gives k_1, and in
-higher dimensions k_1 >= 3 gives the largest aligned subset, 2
-(``kruskal_and_collinear``).
+higher dimensions k_1 >= 3 gives the largest aligned subset, 2; points of
+one line, h_A(1) = 2, need neither (``kruskal_and_collinear``).
 
 A sweep asks whether every s-subset of the rows M is independent.  It is
 first proved modulo the prime p of ``linalg``: with B the first s rows, Q
@@ -40,7 +40,10 @@ of them.  If no square minor of C is zero modulo p, every subset has a
 nonzero integer minor and is independent.  The proof is sound for any s,
 and complete up to minors divisible by p when s is the rank of M, as it
 is at size h_A(j).  Otherwise the exact fraction-free sweep decides, so
-every answer is exact.
+every answer is exact.  In degree 1 at s = n + 1, C holds the coordinates
+of the other points in the basis of the first n + 1; it is kept on the
+set (``_frame_mod_p``), and ``terracini_dimension`` reads it as its
+modular frame.
 """
 
 from __future__ import annotations
@@ -88,7 +91,8 @@ def _independent_from(cands: IntRows, pos: int, prev: int, need: int) -> bool:
                for i in range(len(rest) - need + 2))
 
 
-def _all_subsets_independent(rows: IntRows, size: int) -> bool:
+def _all_subsets_independent(rows: IntRows, size: int,
+                             tail: IntRows | None = None) -> bool:
     """Whether every ``size``-subset of the rows is linearly independent.
 
     First a modular proof.  Let B be the first ``size`` rows, Q columns with
@@ -104,12 +108,16 @@ def _all_subsets_independent(rows: IntRows, size: int) -> bool:
     Q, so a set of rows is independent exactly when its minor on Q is
     nonzero, and only a minor divisible by p can fail the proof.
 
+    ``tail``, when given, is that C, which the caller already has
+    (``_frame_mod_p``).
+
     When the first rows are dependent modulo p or some minor is zero
     modulo p, nothing is proved, and the exact sweep decides: one depth-first sweep over the
     subsets in lexicographic order, branch by branch on the least index of
     the subset, stopping at the first dependent subset.
     """
-    tail = _standard_form_mod_p(rows, size)
+    if tail is None:
+        tail = _standard_form_mod_p(rows, size)
     if tail is not None and _minors_nonzero_mod_p(tail):
         return True
     return all(_independent_from(rows, i, 1, size)
@@ -148,24 +156,47 @@ def _veronese_kruskal(a: PointSet, j: int) -> int:
     if h == len(a) or h <= 2:
         return h
     rows = monomial_values(a, j)
-    if _all_subsets_independent(rows, h):
+    tail = _frame_mod_p(a) if j == 1 and h == a.ambient_dim + 1 else None
+    if _all_subsets_independent(rows, h, tail):
         return h
     return _climb(rows, h)
+
+
+@memo_on_set
+def _frame_mod_p(a: PointSet) -> list[list[int]] | None:
+    """A modular frame of a: the coordinates modulo p = ``linalg._PRIME`` of
+    the points after the first n + 1 in the basis of the first n + 1, as
+    rows; None when those are dependent modulo p, or fewer than n + 1.
+
+    That is ``_standard_form_mod_p`` of the degree-1 rows with size n + 1,
+    C = R B^-1 for B the first n + 1 primitive rows and R the others, so a
+    point q of R is the sum of c_i * b_i modulo p, c its row of C.  Kept
+    on the set: the degree-1 Kruskal sweep reads it as its modular proof,
+    and ``terracini_dimension`` as its modular frame.
+    """
+    if len(a) <= a.ambient_dim:
+        return None
+    return _standard_form_mod_p(monomial_values(a, 1), a.ambient_dim + 1)
 
 
 @memo_on_set
 def kruskal_and_collinear(a: PointSet) -> tuple[int, int]:
     """The Kruskal rank k_1 of a, and the size of its largest collinear subset.
 
-    Each is read from the other where it can be: for len(a) >= 3, three
+    When h = h_A(1) <= 2, both are read off the profile: the points span a
+    line, or are one point, so every point lies on one line and k_1 = h.
+    Otherwise each is read from the other where it can be: three
     distinct points are dependent exactly when they are collinear, so
     k_1 >= 3 exactly when the largest collinear subset has size 2.  In the
     plane k_1 <= 3, so the collinearity search ``max_collinear_subset_size``
     gives k_1 with no subset sweep.  Elsewhere k_1 comes from
-    ``_veronese_kruskal`` (no work on the line or for at most two points),
-    and the collinearity search runs only when k_1 < 3.
+    ``_veronese_kruskal``, and the collinearity search runs only when
+    k_1 < 3.
     """
-    if a.ambient_dim == 2 and len(a) >= 3:
+    h = hilbert_profile(a).value_at(1)
+    if h <= 2:
+        return h, len(a)
+    if a.ambient_dim == 2:
         m = max_collinear_subset_size(a)
         return (3 if m == 2 else 2), m
     k = _veronese_kruskal(a, 1)

@@ -17,9 +17,14 @@ The modular pass, ``_pivots_mod_p``, eliminates column by column from the
 left and returns its pivot columns, so the pivots below column k count the
 rank modulo p of the first k columns: the Hilbert profile reads a lower
 bound on every degree's rank from one pass (``_rank_mod_p`` is their
-number).  It packs each row into one Python int of fixed-width slots,
+number).  Asked for at most ``target`` pivots, it eliminates the leading
+``target`` columns first, and all of them only when those fall short.
+It packs each row into one Python int of fixed-width slots,
 W = 62 + min(rows, cols).bit_length() bits each, so that a row update is a
 single multiply-add of whole ints, and proves that no slot overflows.
+A caller that has proved a lower bound modulo p on rows of the same rank
+(the Terracini rows in a modular frame) hands it to ``integer_rank``,
+which then takes no modular pass of its own.
 ``integer_kernel`` gives a fraction-free kernel basis, for
 callers that build kernel vectors from smaller matrices.  For the Kruskal
 subset sweeps, ``_standard_form_mod_p`` writes every row modulo p in terms
@@ -50,11 +55,14 @@ _FOLD = (1 << 30) - _PRIME
 
 
 def integer_rank(rows: Iterable[Sequence[int]],
-                 kernel: Callable[[], Iterable[Sequence[int]]] | None = None) -> int:
+                 kernel: Callable[[], Iterable[Sequence[int]]] | None = None,
+                 lower: int | None = None) -> int:
     """Rank of an integer matrix T, given as rows; the input is not modified.
 
     The rank is proved as a lower bound that meets an upper bound.  The
-    lower bound is r, the rank modulo p = ``_PRIME``.  The upper bound is
+    lower bound is r, the rank modulo p = ``_PRIME``, or ``lower`` when the
+    caller has already proved one, so that rows it has eliminated modulo p
+    are not eliminated again.  The upper bound is
     min(rows, cols), or cols - k when k integer vectors v with T v = 0 are
     independent modulo p (so over Q too).  Bareiss elimination runs only
     when the two bounds do not meet.
@@ -72,7 +80,7 @@ def integer_rank(rows: Iterable[Sequence[int]],
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
     full = min(len(rows), ncols)
-    rank = _rank_mod_p(rows, full)
+    rank = _rank_mod_p(rows, full) if lower is None else lower
     if rank == full:
         return rank
     gap = ncols - rank
@@ -100,21 +108,40 @@ def _pivots_mod_p(rows: Sequence[Sequence[int]], target: int) -> list[int]:
     """The first min(target, r) pivot columns of the rows modulo ``_PRIME``,
     r their rank modulo p, in increasing order; the input is not modified.
 
-    Gaussian elimination over F_p, column by column from the left, so the
-    pivots below column k number the rank modulo p of the first k columns.
+    Column c is a pivot exactly when the rank modulo p of the first c + 1
+    columns exceeds that of the first c, so the pivots below column k
+    number the rank modulo p of the first k columns, and the list depends
+    only on those prefix ranks.  The leading ``target`` columns are
+    eliminated first: if they have rank ``target``, every one of them is a
+    pivot and the list is 0..target - 1, the list the full pass returns,
+    since it stops at ``target`` pivots.  Only when they fall short are all
+    the columns eliminated, by ``_eliminate_mod_p``.
+    """
+    ncols = len(rows[0]) if rows else 0
+    if target < ncols:
+        pivots = _eliminate_mod_p([row[:target] for row in rows], target)
+        if len(pivots) == target:
+            return pivots
+    return _eliminate_mod_p(rows, target)
+
+
+def _eliminate_mod_p(rows: Sequence[Sequence[int]], target: int) -> list[int]:
+    """``_pivots_mod_p`` by one Gaussian elimination over F_p, column by
+    column from the left, stopping as soon as the rank reaches ``target``.
+
     Each row is packed into one int of
     fixed-width slots: the entry of column c, reduced to [0, p), sits in
     slot cols - 1 - c, and a slot is W = 62 + m.bit_length() bits wide, where
-    m = min(rows, cols).  For each column only that slot of each remaining
-    row is extracted and reduced; the first row with a nonzero residue is
-    the pivot.  The pivot row is removed, and its slots right of the pivot
+    m = min(rows, cols).  Each column takes one sweep of the remaining
+    rows: only that slot of each is extracted and reduced, and the first
+    row with a nonzero residue is the pivot, so the rows before it need no
+    update.  The pivot row is removed, and its slots right of the pivot
     column become ``tail`` after whole-int folds: since 2**30 = 35 mod p,
     a fold maps each slot s to (s & (2**30 - 1)) + 35 * (s >> 30), the same
-    residue, with two masked operations on the whole row.  Every other row
+    residue, with two masked operations on the whole row.  Every later row
     v with residue x becomes (v & low) + f * tail, f = -x / pivot mod p in
     [0, p): one multiply-add of whole ints, where ``& low`` drops the slots
-    of the columns already eliminated.  Elimination stops as soon as the
-    rank reaches ``target``.
+    of the columns already eliminated.
 
     No slot overflows into its neighbour.  Suppose every slot is below
     2**(W - 1).  A fold maps a slot below b to one below
@@ -140,24 +167,26 @@ def _pivots_mod_p(rows: Sequence[Sequence[int]], target: int) -> list[int]:
         packed.append(v)
     pivots: list[int] = []
     for col in range(ncols):
-        if len(pivots) == target:
-            break
         shift = (ncols - 1 - col) * width
-        residues = [((v >> shift) & mask) % p for v in packed]
-        hit = next((i for i, x in enumerate(residues) if x), None)
-        if hit is None:
+        for hit, v in enumerate(packed):
+            x = ((v >> shift) & mask) % p
+            if x:
+                break
+        else:
             continue
         pivots.append(col)
         if len(pivots) == target:
             break
-        neg_inv = p - pow(residues.pop(hit), -1, p)
+        neg_inv = p - pow(x, -1, p)
         low = (1 << shift) - 1
         tail = packed.pop(hit) & low
         for _ in range(folds):
             tail = (tail & low30) + _FOLD * ((tail >> 30) & high)
-        for i, x in enumerate(residues):
+        for i in range(hit, len(packed)):
+            v = packed[i]
+            x = ((v >> shift) & mask) % p
             if x:
-                packed[i] = (packed[i] & low) + (x * neg_inv % p) * tail
+                packed[i] = (v & low) + (x * neg_inv % p) * tail
     return pivots
 
 

@@ -73,6 +73,27 @@ kernel candidates are built from the framed rows and restricted; each is
 checked against R exactly all the same.  No linear form vanishes on the
 framed rows, which hold the coordinate points, so the products start in
 degree e = 2, and d <= 3 offers none.
+
+Modular frame: the same identity holds modulo p = ``linalg._PRIME``, and
+needs no exact frame.  Let B be the first n + 1 points, with primitive
+rows b_i independent modulo p, and M the matrix of those rows.  Each
+other point q is congruent to the sum of c_i * b_i, c its row of
+C = R B^-1 modulo p (``kruskal._frame_mod_p``).  Over F_p, G -> G^M,
+G^M(y) = G(M^T y), is an invertible linear map of the degree-d forms,
+and by the chain rule grad G^M(c) = M grad G(q), with M invertible.  So
+the rows of q, the functionals G -> d/dx_j G at q, span the image of
+those of c under an invertible map, and the Terracini matrix of A has the
+rank modulo p of that of the framed set: e_0..e_n and the rows c.  The
+frame rows' entries, e_j at e = (d-1)u_i + u_j, are d for j = i and 1
+otherwise: units modulo p when d < p, which ``terracini_dimension``
+checks, though every degree it ranks is below 2l - 1.  So the rank modulo
+p is |C| plus the rank modulo p of R, the rows of the c on the columns
+outside C, and it is a lower bound on the rank over Q, since the
+Terracini matrix is an integer matrix and a minor nonzero modulo p is a
+nonzero integer.  When it meets the upper bound min((n+1)l, C(n+d, d))
+the rank is proved; otherwise the rank of R modulo p is still a lower
+bound on the rank over Q of R in the exact frame, whose B is then the
+same first n + 1 points.
 """
 
 from __future__ import annotations
@@ -86,7 +107,8 @@ from typing import Iterator, Sequence
 from .geometry import (PointSet, Record, memo_on_set, monomial_basis,
                        monomial_rows, random_point_set)
 from .hilbert import _frame, hilbert_function
-from .linalg import integer_kernel, integer_rank
+from .kruskal import _frame_mod_p
+from .linalg import _PRIME, _rank_mod_p, integer_kernel, integer_rank
 
 
 # Per variable j, per column e: (e_j, index of e - u_j one degree lower).
@@ -215,13 +237,20 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
 
     The rank of the Terracini matrix, one integer row per tangent form
     L^(d-1)*x_j of every point (the coefficient vector up to the scalings
-    in the module docstring), minus one.  The rank is taken in the frame of
-    ``_frame``, by the frame identity and the cone formula of the module
-    docstring: only the other points' rows outside the columns the frame
-    rows hit are ranked.  When they fall short of full rank modulo the
-    prime, ``_singular_products`` of the framed rows offers
-    ``integer_rank`` right-kernel vectors, restricted to those columns.
-    Requires d >= 2.
+    in the module docstring), minus one.  Requires d >= 2.
+
+    It is first proved in the modular frame (module docstring), when
+    ``kruskal._frame_mod_p`` finds the first n + 1 points independent
+    modulo p and d < p: the rows of the other points, on the columns
+    outside C, are built modulo p and ranked by ``_rank_mod_p``, and when
+    |C| plus that rank meets min((n+1)l, C(n+d, d)) the report returns
+    with no exact frame and no integer row.  Otherwise the rank is taken
+    in the exact frame of ``_frame``, by the frame identity and the cone
+    formula: only the other points' integer rows outside the columns the
+    frame rows hit are ranked, with the modular rank, where there was
+    one, as ``integer_rank``'s lower bound, so those rows are not
+    eliminated again.  ``_singular_products`` of the framed rows offers
+    it right-kernel vectors, restricted to those columns.
 
     From d >= 2l - 1 on, l = len(a), the tangent spaces are in direct sum
     and no rank is taken.  Row (p, j) maps a degree-d form G to
@@ -241,6 +270,17 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     if d >= 2 * len(a) - 1:
         return TerraciniReport(num_points=len(a), ambient_dim=n, degree=d,
                                dim=(n + 1) * len(a) - 1)
+    lower = None
+    coords = _frame_mod_p(a) if d < _PRIME else None
+    if coords is not None:
+        kept, index = _derivative_index(n, d)
+        full = min((n + 1) * len(a), comb(n + d, d))
+        # The rank that R must reach: |C| + target = full.
+        target = full - (comb(n + d, d) - len(kept))
+        lower = _rank_mod_p(_tangent_rows(monomial_rows(coords, d - 1), index),
+                            target) if target else 0
+        if lower == target:
+            return TerraciniReport(num_points=len(a), ambient_dim=n, degree=d, dim=full - 1)
     frame, framed = _frame(a)
     k = len(frame)
     others = [q for i, q in enumerate(framed) if i not in frame]
@@ -249,7 +289,8 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     if others and kept:
         rows = _tangent_rows(monomial_rows(others, d - 1), index)
         rank += integer_rank(rows, kernel=lambda: ([v[c] for c in kept]
-                                                   for v in _singular_products(framed, d)))
+                                                   for v in _singular_products(framed, d)),
+                             lower=lower)
     if k <= n:
         # h(d-1) is k at d = 2, and when every point is in B (independent
         # points are separated in every degree >= 1).

@@ -90,6 +90,29 @@ def rank_mod_p(rows, p):
     return rank
 
 
+def pivot_columns_mod_p(rows, p):
+    """The pivot columns of the integer rows modulo the prime p, left to right.
+
+    The elimination of ``rank_mod_p``: a column is a pivot when some row
+    not yet used has a nonzero residue there, and every later row is then
+    cleared in that column.
+    """
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        rank = len(pivots)
+        hit = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if hit is None:
+            continue
+        m[rank], m[hit] = m[hit], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        for i in range(rank + 1, len(m)):
+            factor = m[i][col] * inv % p
+            m[i] = [(x - factor * y) % p for x, y in zip(m[i], m[rank])]
+        pivots.append(col)
+    return pivots
+
+
 def _poly_mul(f, g):
     out = {}
     for ea, ca in f.items():

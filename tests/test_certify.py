@@ -259,9 +259,9 @@ def widths(monkeypatch):
     widths = []
     sweep = kruskal._all_subsets_independent
 
-    def counting(rows, size):
+    def counting(rows, size, tail=None):
         widths.append(len(rows[0]))
-        return sweep(rows, size)
+        return sweep(rows, size, tail)
 
     monkeypatch.setattr(kruskal, "_all_subsets_independent", counting)
     return widths

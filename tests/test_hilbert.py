@@ -123,7 +123,7 @@ def test_profile_matches_the_fraction_rank_of_every_degree(rows):
 
 def test_the_chart_moves_off_points_with_x0_zero_modulo_p():
     a = PointSet.from_rows(PROFILE_CASES["x_0 zero modulo p"])
-    chart = hilbert._chart(a)
+    chart = hilbert._chart([p.primitive_coords for p in a])
     assert all(row[0] % P for row in chart)
     assert [row[1:] for row in chart] == [p.primitive_coords[1:] for p in a]
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from waringcert import integer_rank, linalg
 
-from oracles import laplace_det, minor_rank, rank_mod_p
+from oracles import laplace_det, minor_rank, pivot_columns_mod_p, rank_mod_p
 
 P = linalg._PRIME
 
@@ -168,6 +168,52 @@ def test_pivots_mod_p_are_the_columns_where_the_prefix_rank_rises(rows):
     rises = [c for c in range(ncols) if ranks[c + 1] > ranks[c]]
     for target in range(min(len(rows), ncols) + 1):
         assert linalg._pivots_mod_p(rows, target) == rises[:target]
+
+
+@st.composite
+def singular_leading_blocks(draw):
+    """Integer matrices up to 8 x 14, mostly wider than tall, in which one
+    column of a leading square block is dependent modulo P on the columns
+    before it: P times small integers, or an earlier column plus that."""
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 14))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    cols = [[rng.randint(-3, 3) for _ in range(nrows)] for _ in range(ncols)]
+    lead = draw(st.integers(1, min(nrows, ncols)))
+    c = draw(st.integers(0, lead - 1))
+    base = rng.choice(cols[:c]) if c and draw(st.booleans()) else [0] * nrows
+    cols[c] = [x + P * rng.randint(-2, 2) for x in base]
+    return [list(row) for row in zip(*cols)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(singular_leading_blocks(), skipping_matrices()))
+def test_pivots_mod_p_match_a_left_to_right_reference(rows):
+    # The packed pass eliminates the leading `target` columns first and
+    # all of them only when those fall short; the list it returns is the
+    # full elimination's, whichever way it went.
+    pivots = pivot_columns_mod_p(rows, P)
+    for target in range(min(len(rows), len(rows[0])) + 1):
+        assert linalg._pivots_mod_p(rows, target) == pivots[:target]
+
+
+def test_a_full_rank_leading_block_is_the_only_block_eliminated(monkeypatch):
+    blocks = []
+    eliminate = linalg._eliminate_mod_p
+
+    def counted(rows, target):
+        blocks.append((len(rows), len(rows[0]), target))
+        return eliminate(rows, target)
+
+    monkeypatch.setattr(linalg, "_eliminate_mod_p", counted)
+    rows = [[1, 0, 5, 7, 9], [0, 1, 2, 4, 8]]
+    assert linalg._pivots_mod_p(rows, 2) == [0, 1]
+    assert blocks == [(2, 2, 2)]
+    # The leading block [[1, P], [1, P]] has rank 1 modulo P, so every
+    # column is eliminated; the second pivot is column 2.
+    blocks.clear()
+    rows = [[1, P, 3, 0], [1, P, 4, 1]]
+    assert linalg._pivots_mod_p(rows, 2) == [0, 2]
+    assert blocks == [(2, 2, 2), (2, 4, 2)]
 
 
 def test_packed_rank_mod_p_of_all_minus_one_residues():

@@ -187,6 +187,51 @@ def test_the_plane_reads_k1_from_collinearity_and_space_reads_collinearity_from_
         assert kruskal_and_collinear(a)[1] == 2 == brute_max_collinear(rows_of(a))
 
 
+LINE_SETS = {
+    "binary points": SPECIAL["binary points"],
+    "plane points of the (1, 6, 9) shape": [(1, t) for t in (-7, -3, 0, 2, 5, 11)],
+    "collinear in P^3": [(1, t, 2 * t, -t) for t in range(-3, 4)],
+    "collinear in P^3, off the axes": [(2 + t, 1 - t, 3, t) for t in range(5)],
+    "pair of P^4": [(1, 0, 2, 0, 1), (0, 1, 0, 3, 1)],
+    "singleton of P^4": SPECIAL["singleton of P^4"],
+}
+
+
+@pytest.mark.parametrize("rows", LINE_SETS.values(), ids=LINE_SETS)
+def test_points_of_one_line_take_no_pair_scan(monkeypatch, rows):
+    # h(1) <= 2: every point lies on the line, or the set is one point, so
+    # k_1 = h(1) and the whole set is aligned; the values are those of the
+    # sweep and of the pair scan.
+    a = PointSet.from_rows(rows)
+    expected = (kruskal_by_subsets(rows_of(a), integer_rank),
+                max_collinear_subset_size(fresh(a)))
+    scans = []
+    monkeypatch.setattr(kruskal, "max_collinear_subset_size", scans.append)
+    assert kruskal_and_collinear(a) == expected == (min(len(a), 2), len(a))
+    assert scans == []
+
+
+def test_a_set_in_a_plane_of_p4_takes_its_framed_pass_on_integer_rows(monkeypatch,
+                                                                     profile_passes):
+    # 10 points of a plane of P^4: the pass on their own degree-2 rows
+    # falls short at degree 1, and the second pass runs on the framed
+    # integer rows of P^2, in degree 3, with no new PointSet.
+    rng = random.Random(24)
+    basis = [[rng.randint(-5, 5) for _ in range(5)] for _ in range(3)]
+    plane = random_points(2, 10, rng, bound=9)
+    a = PointSet.from_rows([[sum(c * b[i] for c, b in zip(p.primitive_coords, basis))
+                             for i in range(5)] for p in plane])
+    built = []
+    monkeypatch.setattr(PointSet, "__init__", lambda self, points: built.append(points))
+    values = hilbert_profile(a).values
+    monkeypatch.undo()
+    assert built == []
+    assert profile_passes == [(10, 15, 10), (10, 10, 10)]
+    assert values == hilbert_profile(plane).values == (1, 3, 6, 10)
+    for j, v in enumerate(values):
+        assert v == integer_rank(oracle_rows(a, j))
+
+
 def test_memoized_rows_cannot_be_mutated():
     a = PointSet.from_rows([(1, 2, 3), (0, 1, -1), (2, 0, 5)])
     rows = monomial_values(a, 2)
@@ -207,10 +252,10 @@ def rank_calls(monkeypatch):
     calls = []
     original = linalg.integer_rank
 
-    def counted(rows, kernel=None):
+    def counted(rows, kernel=None, lower=None):
         rows = list(rows)
         calls.append((len(rows), len(rows[0]) if rows else 0))
-        return original(rows, kernel=kernel)
+        return original(rows, kernel=kernel, lower=lower)
 
     for module in (linalg, hilbert, terracini):
         monkeypatch.setattr(module, "integer_rank", counted)
@@ -228,6 +273,21 @@ def profile_passes(monkeypatch):
         return original(rows, target)
 
     monkeypatch.setattr(hilbert, "_pivots_mod_p", counted)
+    return calls
+
+
+@pytest.fixture
+def modular_passes(monkeypatch):
+    """The (rows, cols) of every modular rank that ``terracini_dimension``
+    takes of its tangent rows in the modular frame."""
+    calls = []
+    original = terracini._rank_mod_p
+
+    def counted(rows, target):
+        calls.append((len(rows), len(rows[0])))
+        return original(rows, target)
+
+    monkeypatch.setattr(terracini, "_rank_mod_p", counted)
     return calls
 
 
@@ -271,7 +331,7 @@ def test_certify_ranks_the_degree_one_rows_once(rank_calls):
         assert cert.diagnostics.span_dim == integer_rank(rows_of(a)) - 1
 
 
-def test_certify_4_9_4_takes_no_9_by_70_rank(rank_calls):
+def test_certify_4_9_4_takes_no_9_by_70_rank(rank_calls, modular_passes):
     a = general_points(4, 9, 94)
     cert = certify(a, 4)
     assert cert.verdict.value == "Identifiable"
@@ -279,18 +339,81 @@ def test_certify_4_9_4_takes_no_9_by_70_rank(rank_calls):
     # The profile's one modular pass proves h(1) and h(2) with no rank;
     # what is left is the quartic's Terracini rank: the 20 rows of the
     # four points off the frame, on the 45 of 70 columns that the frame's
-    # tangent rows miss.
-    assert rank_calls == [(20, 45)]
+    # tangent rows miss, proved by their rank modulo p in the modular frame.
+    assert modular_passes == [(20, 45)]
 
 
 @pytest.mark.parametrize("n, size, d, shape", [(4, 7, 3, (10, 10)), (2, 5, 4, (6, 6)),
                                                (5, 10, 3, (24, 20))])
-def test_terracini_ranks_only_the_rows_off_the_frame(rank_calls, n, size, d, shape):
+def test_terracini_ranks_only_the_rows_off_the_frame(rank_calls, modular_passes,
+                                                     n, size, d, shape):
     # (n+1)(l - n - 1) rows, on the C(n+d, d) - |C| columns the (n+1)**2
-    # unit rows of the frame points miss.
+    # unit rows of the frame points miss.  The defective (4, 7, 3) and
+    # (2, 5, 4) fall short modulo p, and their exact rank is of the same
+    # rows in the exact frame.
     a = general_points(n, size, 10 * size + d)
     terracini_dimension(a, d)
-    assert rank_calls == [shape]
+    assert modular_passes == [shape]
+    assert rank_calls == ([] if terracini_dimension(a, d).is_expected else [shape])
+
+
+def test_certify_4_9_4_works_in_the_modular_frame_alone(monkeypatch, rank_calls,
+                                                        modular_passes):
+    # One standard form of the width-5 degree-1 rows serves the k_1 sweep
+    # and the Terracini frame; no integer_kernel (so no exact frame) and no
+    # integer_rank run, and each modular elimination is of a leading
+    # square block: the profile's 9 x 9 and the tangent rows' 20 x 20.
+    forms, kernels, blocks = [], [], []
+    standard_form = kruskal._standard_form_mod_p
+    eliminate = linalg._eliminate_mod_p
+
+    def counted_form(rows, size):
+        forms.append((len(rows), len(rows[0]), size))
+        return standard_form(rows, size)
+
+    def counted_block(rows, target):
+        blocks.append((len(rows), len(rows[0])))
+        return eliminate(rows, target)
+
+    def counted_kernel(rows):
+        kernels.append(rows)
+        return linalg.integer_kernel(rows)
+
+    monkeypatch.setattr(kruskal, "_standard_form_mod_p", counted_form)
+    monkeypatch.setattr(linalg, "_eliminate_mod_p", counted_block)
+    for module in (hilbert, terracini):
+        monkeypatch.setattr(module, "integer_kernel", counted_kernel)
+    for seed in (94, 95, 96):
+        forms.clear()
+        blocks.clear()
+        modular_passes.clear()
+        cert = certify(general_points(4, 9, seed), 4)
+        assert cert.criterion == "quartic"
+        assert forms == [(9, 5, 5)]
+        assert kernels == [] and rank_calls == []
+        assert modular_passes == [(20, 45)]
+        assert blocks == [(9, 9), (20, 20)]
+
+
+def test_five_plane_points_eliminate_their_tangent_rows_once(monkeypatch):
+    # Alexander-Hirschowitz: the modular rank of the 6 tangent rows off the
+    # frame is 5, one short; the exact path takes it as its lower bound,
+    # and the square of the conic closes the gap with no second
+    # elimination of those rows.
+    blocks = []
+    eliminate = linalg._eliminate_mod_p
+
+    def counted(rows, target):
+        blocks.append(len(rows))
+        return eliminate(rows, target)
+
+    monkeypatch.setattr(linalg, "_eliminate_mod_p", counted)
+    for seed in range(3):
+        blocks.clear()
+        cert = certify(general_points(2, 5, seed), 4)
+        assert cert.verdict.value == "Inconclusive"
+        assert cert.diagnostics.terracini.dim == 13
+        assert blocks.count(6) == 1
 
 
 @pytest.mark.parametrize("n, size", [(1, 1), (1, 2), (2, 3), (3, 2), (4, 3), (4, 5)])

@@ -4,7 +4,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from waringcert import (
     PointSet,
@@ -17,13 +17,14 @@ from waringcert import (
     random_point_set,
     terracini_dimension,
 )
-from waringcert import linalg, terracini
+from waringcert import kruskal, linalg, terracini
 from waringcert.geometry import monomial_rows
 from waringcert.linalg import integer_kernel
 from waringcert.terracini import _singular_products
 
 from conftest import random_points
 from oracles import fraction_rank, linear_form_power, tangent_forms
+from test_hilbert import PROFILE_CASES
 
 
 def _tangent_matrix(a, d):
@@ -327,6 +328,93 @@ def test_the_frame_is_exact_where_the_prime_sees_a_dependence(rows, d):
     a = PointSet.from_rows(rows)
     assert len(terracini._frame(a)[0]) == integer_rank([p.primitive_coords for p in a])
     assert terracini_dimension(a, d).dim + 1 == fraction_rank(_tangent_matrix(a, d))
+
+
+@pytest.fixture
+def exact_frames(monkeypatch):
+    """The size of every set whose exact frame ``terracini_dimension`` builds:
+    empty exactly when every rank was proved in the modular frame."""
+    calls = []
+    original = terracini._frame
+
+    def counted(a):
+        calls.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(terracini, "_frame", counted)
+    return calls
+
+
+def _checked_rank(a, d):
+    """The Terracini rank of a at degree d, checked against the fraction
+    rank of its tangent forms."""
+    rank = terracini_dimension(a, d).dim + 1
+    assert rank == fraction_rank(_tangent_matrix(a, d))
+    return rank
+
+
+@pytest.mark.parametrize("n, l, degrees", [(1, 4, (2, 3, 5)), (2, 6, (3, 4, 5)),
+                                           (3, 7, (3, 4)), (4, 9, (3, 4)), (3, 5, (2, 3))])
+def test_general_spanning_sets_are_proved_in_the_modular_frame(exact_frames, n, l, degrees):
+    # Rank modulo p of the tangent rows off the modular frame meets its
+    # upper bound, so no exact frame is built.
+    for seed in range(2):
+        a = random_point_set(n, l, random.Random(100 * n + l + seed), bound=50)
+        for d in degrees:
+            assert _checked_rank(a, d) == min((n + 1) * l, comb(n + d, d))
+    assert exact_frames == []
+
+
+@st.composite
+def spanning_sets_and_degrees(draw, dependent):
+    """Small points of P^n, n + 2 to 2n + 3 of them, and a degree below
+    2l - 1; with ``dependent``, point n is moved onto the line of points 0
+    and 1, so the first n + 1 points are dependent (two distinct points
+    never are, so then n >= 2)."""
+    n = draw(st.integers(2 if dependent else 1, 3))
+    l = draw(st.integers(n + 2, 2 * n + 3))
+    rows = [list(p.primitive_coords) for p in draw(small_points(n, l))]
+    if dependent:
+        s, t = draw(st.integers(1, 3)), draw(st.integers(-3, 3).filter(bool))
+        rows[n] = [s * x + t * y for x, y in zip(rows[0], rows[1])]
+        assume(len({ProjectivePoint(r) for r in rows}) == l)
+    return PointSet.from_rows(rows), draw(st.integers(2, min(5, 2 * l - 2)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spanning_sets_and_degrees(dependent=False))
+def test_the_modular_frame_matches_the_fraction_rank_on_spanning_sets(case):
+    # Small coordinates put many draws in special position, where the
+    # modular rank falls short and the exact path decides.
+    _checked_rank(*case)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spanning_sets_and_degrees(dependent=True))
+def test_sets_whose_first_points_are_dependent_take_the_exact_frame(case):
+    a, d = case
+    assert kruskal._frame_mod_p(a) is None
+    _checked_rank(a, d)
+
+
+@pytest.mark.parametrize("rows", PROFILE_CASES.values(), ids=PROFILE_CASES)
+def test_special_sets_rank_exactly(rows):
+    # Points of lines, conics and twisted cubics, congruent modulo p, or
+    # with x_0 a multiple of p.
+    a = PointSet.from_rows(rows)
+    for d in range(2, min(5, 2 * len(a) - 2) + 1):
+        _checked_rank(a, d)
+
+
+@pytest.mark.parametrize("n, l", [(2, 5), (4, 14)])
+def test_alexander_hirschowitz_quartics_fall_short_in_the_modular_frame(exact_frames, n, l):
+    # Every set of these shapes is one short of the expected rank, so the
+    # modular bound never meets it: the exact path proves the rank.
+    for seed in range(2):
+        a = random_point_set(n, l, random.Random(seed + 7), bound=50)
+        assert kruskal._frame_mod_p(a) is not None
+        assert _checked_rank(a, 4) == comb(n + 4, 4) - 1
+    assert exact_frames == [l, l]
 
 
 def _collinear(n, l):
