@@ -25,7 +25,8 @@ from .geometry import PointSet, Record
 from .hilbert import HilbertProfile, hilbert_profile, span_dim
 from .kruskal import (gup_cutoff, is_gup, kruskal_and_collinear, kruskal_rank,
                       reshaped_kruskal, veronese_kruskal_rank)
-from .terracini import TerraciniReport, generic_terracini_dimension, terracini_dimension
+from .terracini import (_TRIALS, TerraciniReport, generic_terracini_dimension,
+                        terracini_dimension)
 
 
 class Verdict(enum.Enum):
@@ -345,7 +346,7 @@ class GenericInfo(Record):
 _MAX_SPACE_DIM = 500
 
 
-def generic_info(n: int, d: int, trials: int = 2, seed: int = 0) -> GenericInfo:
+def generic_info(n: int, d: int, seed: int = 0) -> GenericInfo:
     """Generic rank of degree-d forms on P^n, with identifiability caveats.
 
     The generic rank comes from the Alexander-Hirschowitz theorem: n + 1
@@ -358,10 +359,11 @@ def generic_info(n: int, d: int, trials: int = 2, seed: int = 0) -> GenericInfo:
 
     When C(n+d, d) is at most ``_MAX_SPACE_DIM``, one witness checks the
     upper bound: the Terracini dimension of generic_rank random points,
-    drawn from ``seed`` over up to ``trials`` trials.  If it fills the space,
-    Terracini's lemma proves that the generic rank is at most generic_rank
-    and oracle_verified is True.  A witness that falls short proves
-    nothing, so the rank is still the theorem's, unverified, with a note.
+    drawn from ``seed`` in up to ``terracini._TRIALS`` trials.  If it fills
+    the space, Terracini's lemma proves that the generic rank is at most
+    generic_rank and oracle_verified is True.  A witness that falls short
+    proves nothing, so the rank is still the theorem's, unverified, with a
+    note.
     Requires d >= 2 (in degree 1 every form has rank 1).
     """
     if n < 1:
@@ -385,7 +387,7 @@ def generic_info(n: int, d: int, trials: int = 2, seed: int = 0) -> GenericInfo:
         exceptions.append(
             f"rank {r}: the generic form of rank {r} has {count} decompositions")
     verified = space <= _MAX_SPACE_DIM and generic_terracini_dimension(
-        n, d, rank, trials=trials, seed=seed).dim == space - 1
+        n, d, rank, seed=seed).dim == space - 1
     if space > _MAX_SPACE_DIM:
         exceptions.append(
             "generic rank not verified by the Terracini oracle (space "
@@ -394,7 +396,7 @@ def generic_info(n: int, d: int, trials: int = 2, seed: int = 0) -> GenericInfo:
     elif not verified:
         exceptions.append(
             f"generic rank not verified: no Terracini witness of {rank} "
-            f"points filled the space of dimension {space} in {trials} "
+            f"points filled the space of dimension {space} in {_TRIALS} "
             f"trials (seed {seed}); reporting the Alexander-Hirschowitz value")
     return GenericInfo(
         ambient_dim=n,

@@ -38,7 +38,7 @@ from .certify import Verdict, certify, generic_info
 from .geometry import DuplicatePointError, PointSet, ProjectivePoint, Record
 from .hilbert import HilbertProfile, hilbert_profile, satisfies_cb
 from .kruskal import gup_cutoff, is_gup, is_lgp, veronese_kruskal_rank
-from .terracini import TerraciniReport, terracini_dimension
+from .terracini import _TRIALS, TerraciniReport, terracini_dimension
 
 _GENERATOR = f"waringcert {__version__}"
 _SCHEMA_VERSION = 4
@@ -234,10 +234,11 @@ def _cmd_certify(args: argparse.Namespace, points: PointSet) -> tuple[dict, int]
 
 
 def _cmd_generic(args: argparse.Namespace, points: None) -> tuple[dict, int]:
-    info = generic_info(args.n, args.d, trials=args.trials, seed=args.seed)
+    info = generic_info(args.n, args.d, seed=args.seed)
+    # Schema v4 still reports the fixed draw count; the key goes at the
+    # next schema bump.
     return {
-        "arguments": {"n": args.n, "d": args.d, "seed": args.seed,
-                      "trials": args.trials},
+        "arguments": {"n": args.n, "d": args.d, "seed": args.seed, "trials": _TRIALS},
         "space_dim": info.space_dim,
         "expected_generic_rank": info.expected_generic_rank,
         "generic_rank": info.generic_rank,
@@ -379,15 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the randomized terracini oracle (default: 0; "
                         "output is deterministic for a fixed seed)")
-    p.add_argument("--trials", type=int, default=2,
-                   help="random draws for the one terracini witness (default: 2)")
     _add_common(p, _cmd_generic)
     return parser
 
 
 # verb -> (flag, least value it accepts), checked before any input is read
-_FLAG_FLOORS = {"generic": ("trials", 1), "kruskal": ("degree", 1),
-                "hilbert": ("max_degree", 0)}
+_FLAG_FLOORS = {"kruskal": ("degree", 1), "hilbert": ("max_degree", 0)}
 
 
 def run(argv: Sequence[str] | None = None) -> int:

@@ -137,9 +137,9 @@ class ProjectivePoint:
 class PointSet:
     """An ordered, duplicate-free tuple of points of a common P^n.
 
-    Invariants of the set computed with ``memo_on_set``, and the rows of
-    ``monomial_values``, are kept in its ``_memo`` dict, so they live
-    exactly as long as the set does.
+    Invariants of the set computed with ``memo_on_set``, the rows of
+    ``monomial_values`` among them, are kept in its ``_memo`` dict, so they
+    live exactly as long as the set does.
     """
 
     __slots__ = ("points", "_memo")
@@ -264,8 +264,7 @@ def _suffix_starts(n: int, d: int) -> tuple[int, ...]:
     return tuple(size - comb(n - i + d - 1, n - i) for i in range(n + 1))
 
 
-def monomial_rows(coords: Sequence[Sequence[int]], d: int,
-                  lower: Sequence[Sequence[int]] | None = None) -> tuple[tuple[int, ...], ...]:
+def monomial_rows(coords: Sequence[Sequence[int]], d: int) -> tuple[tuple[int, ...], ...]:
     """The degree-d monomials of the lexicographic basis at integer rows.
 
     Row i lists c^e for every exponent vector e of ``monomial_basis(n, d)``,
@@ -273,39 +272,32 @@ def monomial_rows(coords: Sequence[Sequence[int]], d: int,
     times the whole basis of degree d - 1, then x_1 times its monomials in
     x_1..x_n, and so on: each x_i times the suffix of the degree-(d-1) basis
     free of x_0..x_(i-1).  So a degree-d row is one product per entry of
-    the degree-(d-1) row.  Given those rows as ``lower`` that is one step;
-    otherwise the step is iterated up from degree 0, keeping only degree d.
+    the degree-(d-1) row, and the step is iterated up from degree 0.
     """
     if d < 0:
         raise ValueError(f"monomial degree must be >= 0, got {d}")
-    rows, first = (lower, d) if lower is not None else (((1,),) * len(coords), 1)
+    rows = ((1,),) * len(coords)
     n = len(coords[0]) - 1
-    for k in range(first, d + 1):
+    for k in range(1, d + 1):
         starts = _suffix_starts(n, k)
         rows = tuple(tuple([x * v for x, s in zip(p, starts) for v in row[s:]])
                      for p, row in zip(coords, rows))
     return rows
 
 
+@memo_on_set
 def monomial_values(a: PointSet, d: int) -> tuple[tuple[int, ...], ...]:
     """The degree-d monomials at the primitive representatives of the points.
 
     ``monomial_rows`` of the primitive integer representatives, kept on the
     set as tuples, so the Hilbert function, the Kruskal sweeps and the
-    Terracini rows share one immutable table.  When degree d - 1 is kept on
-    the set (the Hilbert profile's exact ranks, taken degree after degree,
-    leave it there) the rows are one step from it.
+    Terracini rows share one immutable table.
 
     These rows have the rank and the Kruskal rank of the evaluation matrix
     and of the Veronese coordinates of the set: they differ from either by a
     nonzero scaling of each row and of each column.
     """
-    memo = a._memo
-    rows = memo.get(("monomial_values", d))
-    if rows is None:
-        rows = memo[("monomial_values", d)] = monomial_rows(
-            [p.primitive_coords for p in a], d, memo.get(("monomial_values", d - 1)))
-    return rows
+    return monomial_rows([p.primitive_coords for p in a], d)
 
 
 @memo_on_set

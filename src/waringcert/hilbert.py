@@ -32,7 +32,7 @@ from math import comb
 from typing import Callable, Sequence
 
 from .geometry import PointSet, Record, memo_on_set, monomial_rows, monomial_values, union
-from .linalg import _PRIME, _pivots_mod_p, integer_kernel, integer_rank
+from .linalg import _PRIME, _pivots_mod_p, _standard_form_mod_p, integer_kernel, integer_rank
 
 
 def hilbert_function(a: PointSet, d: int) -> int:
@@ -238,6 +238,31 @@ def _frame(a: PointSet) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     frame = tuple(i for i in range(len(a)) if i not in relations)
     return frame, tuple(tuple(relations[i][c] if i in relations else int(c == i) for c in frame)
                         for i in range(len(a)))
+
+
+@memo_on_set
+def _frame_mod_p(a: PointSet) -> list[list[int]] | None:
+    """A modular frame of a: the coordinates modulo p = ``linalg._PRIME`` of
+    the points after the first n + 1 in the basis of the first n + 1, as
+    rows; None when those are dependent modulo p, or fewer than n + 1.
+
+    That is ``_standard_form_mod_p`` of the degree-1 rows with size n + 1,
+    C = R B^-1 for B the first n + 1 primitive rows and R the others, so a
+    point q of R is the sum of c_i * b_i modulo p, c its row of C.  Kept
+    on the set: the degree-1 Kruskal sweep reads it as its modular proof,
+    and ``terracini_dimension`` as its modular frame.
+
+    When it exists, the first n + 1 points are independent over Q too, so
+    they are the B of ``_frame``, which takes the greedy maximal independent
+    subset in point order.  So both frames have the same frame columns C
+    of the Terracini matrix, whose rank is |C| plus that of the other
+    points' rows, modulo p in this frame and over Q in that one; the rank
+    modulo p of those rows here is a lower bound on their rank over Q there
+    (``integer_rank``'s ``lower`` in ``terracini_dimension``).
+    """
+    if len(a) <= a.ambient_dim:
+        return None
+    return _standard_form_mod_p(monomial_values(a, 1), a.ambient_dim + 1)
 
 
 @memo_on_set

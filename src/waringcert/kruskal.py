@@ -31,97 +31,63 @@ in the plane, where k_1 <= 3, the collinearity search gives k_1, and in
 higher dimensions k_1 >= 3 gives the largest aligned subset, 2; points of
 one line, h_A(1) = 2, need neither (``kruskal_and_collinear``).
 
-A sweep asks whether every s-subset of the rows M is independent.  It is
-first proved modulo the prime p of ``linalg``: with B the first s rows, Q
-columns where B_Q is invertible modulo p and C = R_Q B_Q^-1 for the other
-rows R, the minor of each s-subset on the columns Q is congruent to
-+-det B_Q times a square minor of C, and every square minor of C is one
-of them.  If no square minor of C is zero modulo p, every subset has a
-nonzero integer minor and is independent.  The proof is sound for any s,
-and complete up to minors divisible by p when s is the rank of M, as it
-is at size h_A(j).  Otherwise the exact fraction-free sweep decides, so
-every answer is exact.  In degree 1 at s = n + 1, C holds the coordinates
-of the other points in the basis of the first n + 1; it is kept on the
-set (``_frame_mod_p``), and ``terracini_dimension`` reads it as its
-modular frame.
+A sweep asks whether every s-subset of the rows M is independent.  It
+runs modulo the prime p of ``linalg``, on C, the other rows written
+modulo p in the basis of the first s: each square minor of C is, up to
+a unit, the minor of one s-subset (``_all_subsets_independent``), so a
+nonzero residue proves its subset independent, and only a subset whose
+residue is zero takes an exact rank.  In degree 1 at s = n + 1, C is the
+set's modular frame (``hilbert._frame_mod_p``).
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
 from .geometry import (PointSet, Record, max_collinear_subset_size,
                        memo_on_set, monomial_values)
-from .hilbert import hilbert_profile
-from .linalg import _minors_nonzero_mod_p, _standard_form_mod_p
+from .hilbert import _frame_mod_p, hilbert_profile
+from .linalg import _minors_nonzero_mod_p, _standard_form_mod_p, integer_rank
 
 IntRows = Sequence[Sequence[int]]
 
 
-def _independent_from(cands: IntRows, pos: int, prev: int, need: int) -> bool:
-    """Whether cands[pos] with any need - 1 later rows is independent.
-
-    The rows in ``cands`` are the rows of one subset sweep after the
-    fraction-free elimination steps of the pivots already chosen (prev is
-    the last pivot, 1 before any), so "independent" includes those pivot
-    rows.  A reduced row is zero exactly when its row lies in their span.
-    Taking cands[pos] as the next pivot, at its first nonzero column, every
-    later row r becomes (p*r - r[col]*pivot) / prev, an exact division
-    (Sylvester's identity), and the pivot column is dropped.  Subsets that
-    share a prefix thus share its elimination: each extra row costs one
-    row reduction instead of a full elimination.
-    """
-    pivot = cands[pos]
-    col = next((c for c, x in enumerate(pivot) if x), None)
-    if col is None:
-        return False
-    if need == 1:
-        return True
-    p = pivot[col]
-    rest = []
-    for r in cands[pos + 1:]:
-        f = r[col]
-        row = [(p * x - f * y) // prev for x, y in zip(r, pivot)]
-        del row[col]
-        rest.append(row)
-    if need == 2:
-        return all(map(any, rest))
-    return all(_independent_from(rest, i, p, need - 1)
-               for i in range(len(rest) - need + 2))
-
-
 def _all_subsets_independent(rows: IntRows, size: int,
                              tail: IntRows | None = None) -> bool:
-    """Whether every ``size``-subset of the rows is linearly independent.
+    """Whether every ``size``-subset of the rows is linearly independent;
+    exact and complete for every size.
 
-    First a modular proof.  Let B be the first ``size`` rows, Q columns with
-    B_Q invertible modulo p, and C = R_Q B_Q^-1 modulo p for the other rows
-    R (``linalg._standard_form_mod_p``).  Then M_Q = [I; C] B_Q modulo p,
+    Let B be the first ``size`` rows, Q columns with B_Q invertible modulo
+    p, and C = R_Q B_Q^-1 modulo p for the other rows R
+    (``linalg._standard_form_mod_p``).  Then M_Q = [I; C] B_Q modulo p,
     so for every size-subset S, det M_{S,Q} is congruent to +-det B_Q times
     the minor of C on the rows of S outside B and the columns of the rows
-    of B not in S; as S ranges over all size-subsets, these are every
-    square minor of C.  If every one is nonzero modulo p
-    (``linalg._minors_nonzero_mod_p``), each det M_{S,Q} is a nonzero
-    integer and every M_S is independent.  That holds for any rank of M.
-    When ``size`` is the rank, every column lies in the span of the columns
-    Q, so a set of rows is independent exactly when its minor on Q is
-    nonzero, and only a minor divisible by p can fail the proof.
+    of B not in S.  This is one to one: the minor of C on rows T and
+    columns U belongs to S = {size + i : i in T} + (B - U), and the empty
+    minor to S = B.  A minor nonzero modulo p makes det M_{S,Q} a nonzero
+    integer, so M_S is independent; ``linalg._minors_nonzero_mod_p`` walks
+    every minor, and hands each zero one to ``clear``, which takes the
+    exact ``integer_rank`` of M_S.  So each subset is decided by a nonzero
+    residue or by one exact rank, whatever the rank of M.
 
     ``tail``, when given, is that C, which the caller already has
-    (``_frame_mod_p``).
-
-    When the first rows are dependent modulo p or some minor is zero
-    modulo p, nothing is proved, and the exact sweep decides: one depth-first sweep over the
-    subsets in lexicographic order, branch by branch on the least index of
-    the subset, stopping at the first dependent subset.
+    (``hilbert._frame_mod_p``).  When B is singular modulo p there is no
+    C, and every subset takes an exact rank, B first, so a B dependent
+    over Q ends the sweep at once.
     """
     if tail is None:
         tail = _standard_form_mod_p(rows, size)
-    if tail is not None and _minors_nonzero_mod_p(tail):
-        return True
-    return all(_independent_from(rows, i, 1, size)
-               for i in range(len(rows) - size + 1))
+    if tail is None:
+        return all(integer_rank([rows[i] for i in subset]) == size
+                   for subset in combinations(range(len(rows)), size))
+
+    def clear(others: list[int], dropped: list[int]) -> bool:
+        subset = [size + i for i in others] + [i for i in range(size) if i not in dropped]
+        return integer_rank([rows[i] for i in subset]) == size
+
+    return _minors_nonzero_mod_p(tail, clear)
 
 
 def _climb(rows: IntRows, top: int) -> int:
@@ -147,10 +113,7 @@ def _veronese_kruskal(a: PointSet, j: int) -> int:
     k_j <= h.  When h = len(a) the images are independent and k_j = h.
     Distinct points have pairwise nonproportional images, so k_j >= 2 from
     two points on, and h <= 2 gives k_j = h.  Otherwise every h-subset is
-    independent exactly when k_j = h; the sweep at size h runs through the
-    modular proof of ``_all_subsets_independent``, which is complete here
-    because h is the rank of the rows, and the exact sweep decides only
-    when the proof fails.
+    independent exactly when k_j = h, which the sweep at size h decides.
     """
     h = hilbert_profile(a).value_at(j)
     if h == len(a) or h <= 2:
@@ -160,23 +123,6 @@ def _veronese_kruskal(a: PointSet, j: int) -> int:
     if _all_subsets_independent(rows, h, tail):
         return h
     return _climb(rows, h)
-
-
-@memo_on_set
-def _frame_mod_p(a: PointSet) -> list[list[int]] | None:
-    """A modular frame of a: the coordinates modulo p = ``linalg._PRIME`` of
-    the points after the first n + 1 in the basis of the first n + 1, as
-    rows; None when those are dependent modulo p, or fewer than n + 1.
-
-    That is ``_standard_form_mod_p`` of the degree-1 rows with size n + 1,
-    C = R B^-1 for B the first n + 1 primitive rows and R the others, so a
-    point q of R is the sum of c_i * b_i modulo p, c its row of C.  Kept
-    on the set: the degree-1 Kruskal sweep reads it as its modular proof,
-    and ``terracini_dimension`` as its modular frame.
-    """
-    if len(a) <= a.ambient_dim:
-        return None
-    return _standard_form_mod_p(monomial_values(a, 1), a.ambient_dim + 1)
 
 
 @memo_on_set

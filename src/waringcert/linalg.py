@@ -29,9 +29,9 @@ which then takes no modular pass of its own.
 callers that build kernel vectors from smaller matrices.  For the Kruskal
 subset sweeps, ``_standard_form_mod_p`` writes every row modulo p in terms
 of the first ones, C = R_Q B_Q^-1, and ``_minors_nonzero_mod_p`` checks
-every square minor of C modulo p; a sweep that this does not prove runs
-its own Bareiss elimination, sharing the work of common subset prefixes
-(``kruskal._independent_from``).  Callers build integer rows directly (monomial
+every square minor of C modulo p, handing each one that is zero modulo p
+to its caller, which takes ``integer_rank`` of the one subset that minor
+names.  Callers build integer rows directly (monomial
 values at primitive integer representatives of the points), so no
 ``Fraction`` arithmetic runs here.  No floating point and no randomness is
 used anywhere.
@@ -237,33 +237,44 @@ def _standard_form_mod_p(rows: Sequence[Sequence[int]],
     return [list(row) for row in zip(*pivots)]
 
 
-def _minors_nonzero_mod_p(c: Sequence[Sequence[int]]) -> bool:
-    """Whether every square minor of c is nonzero modulo ``_PRIME``.
+def _minors_nonzero_mod_p(c: Sequence[Sequence[int]],
+                          clear: Callable[[list[int], list[int]], bool]) -> bool:
+    """Whether every square minor of c is nonzero modulo ``_PRIME`` or
+    cleared by ``clear``.
 
     A depth-first walk over the subsets of rows of whichever of c and its
-    transpose has more rows (both have the same square minors), stopping
-    at the first minor that is zero modulo p.  A subset of k rows carries
-    its exterior product: the k x k minors on those rows, one per k-subset
-    of the columns.  Laplace expansion along a new row, taken as the last,
-    gives the (k + 1)-minors: the minor on columns c_0 < ... < c_k is
+    transpose has more rows (both have the same square minors), visiting
+    each square minor once.  A subset of k rows carries its exterior
+    product: the k x k minors on those rows, one per k-subset of the
+    columns.  Laplace expansion along a new row, taken as the last, gives
+    the (k + 1)-minors: the minor on columns c_0 < ... < c_k is
     sum_i (-1)**i * row[c_i] * (the k-minor without c_i), up to one sign
     shared by the whole subset, which changes no zero.  So each minor is
     computed once, with k + 1 multiplies, and with w the number of
     columns walked, a carried vector has at most C(w, k) entries.
+
+    At a minor that is zero modulo p, the walk calls ``clear(rows, cols)``
+    with its row and column indices in c itself, increasing: the rows are
+    the path of the walk, and the columns, the len(wider)-th
+    (k + 1)-subset, are read off its expansion.  The walk goes on only
+    when ``clear`` returns True.
     """
     if not c or not c[0]:
         return True
-    if len(c) < len(c[0]):
+    flipped = len(c) < len(c[0])
+    if flipped:
         c = list(zip(*c))
     p = _PRIME
     width = len(c[0])
     nrows = len(c)
+    path: list[int] = []
 
     def extend(start: int, minors: list[int], k: int) -> bool:
         terms = _laplace_terms(width, k)
         for u in range(start, nrows):
             row = c[u]
             signed = [*row, *(p - x for x in row)]
+            path.append(u)
             wider = []
             for expansion in terms:
                 s = 0
@@ -271,10 +282,13 @@ def _minors_nonzero_mod_p(c: Sequence[Sequence[int]]) -> bool:
                     s += signed[col] * minors[sub]
                 s %= p
                 if not s:
-                    return False
+                    cols = [col % width for col, _ in expansion]
+                    if not (clear(cols, path[:]) if flipped else clear(path[:], cols)):
+                        return False
                 wider.append(s)
             if k + 1 < width and not extend(u + 1, wider, k + 1):
                 return False
+            path.pop()
         return True
 
     return extend(0, [1], 0)

@@ -78,7 +78,7 @@ Modular frame: the same identity holds modulo p = ``linalg._PRIME``, and
 needs no exact frame.  Let B be the first n + 1 points, with primitive
 rows b_i independent modulo p, and M the matrix of those rows.  Each
 other point q is congruent to the sum of c_i * b_i, c its row of
-C = R B^-1 modulo p (``kruskal._frame_mod_p``).  Over F_p, G -> G^M,
+C = R B^-1 modulo p (``hilbert._frame_mod_p``).  Over F_p, G -> G^M,
 G^M(y) = G(M^T y), is an invertible linear map of the degree-d forms,
 and by the chain rule grad G^M(c) = M grad G(q), with M invertible.  So
 the rows of q, the functionals G -> d/dx_j G at q, span the image of
@@ -92,8 +92,7 @@ outside C, and it is a lower bound on the rank over Q, since the
 Terracini matrix is an integer matrix and a minor nonzero modulo p is a
 nonzero integer.  When it meets the upper bound min((n+1)l, C(n+d, d))
 the rank is proved; otherwise the rank of R modulo p is still a lower
-bound on the rank over Q of R in the exact frame, whose B is then the
-same first n + 1 points.
+bound on the rank over Q of R in the exact frame (``_frame_mod_p``).
 """
 
 from __future__ import annotations
@@ -106,13 +105,15 @@ from typing import Iterator, Sequence
 
 from .geometry import (PointSet, Record, memo_on_set, monomial_basis,
                        monomial_rows, random_point_set)
-from .hilbert import _frame, hilbert_function
-from .kruskal import _frame_mod_p
+from .hilbert import _frame, _frame_mod_p, hilbert_function
 from .linalg import _PRIME, _rank_mod_p, integer_kernel, integer_rank
 
 
 # Per variable j, per column e: (e_j, index of e - u_j one degree lower).
 _Index = tuple[tuple[tuple[int, int], ...], ...]
+
+# The random draws of ``generic_terracini_dimension``.
+_TRIALS = 2
 
 
 class TerraciniReport(Record):
@@ -240,7 +241,7 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     in the module docstring), minus one.  Requires d >= 2.
 
     It is first proved in the modular frame (module docstring), when
-    ``kruskal._frame_mod_p`` finds the first n + 1 points independent
+    ``hilbert._frame_mod_p`` finds the first n + 1 points independent
     modulo p and d < p: the rows of the other points, on the columns
     outside C, are built modulo p and ranked by ``_rank_mod_p``, and when
     |C| plus that rank meets min((n+1)l, C(n+d, d)) the report returns
@@ -299,26 +300,24 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     return TerraciniReport(num_points=len(a), ambient_dim=n, degree=d, dim=rank - 1)
 
 
-def generic_terracini_dimension(n: int, d: int, r: int, trials: int = 2,
-                                seed: int = 0) -> TerraciniReport:
-    """Terracini dimension at r random points of P^n, maximised over trials.
+def generic_terracini_dimension(n: int, d: int, r: int, seed: int = 0) -> TerraciniReport:
+    """Terracini dimension at r random points of P^n, maximised over
+    ``_TRIALS`` draws.
 
-    Each trial draws r distinct points with integer coordinates uniform in
+    Each draw takes r distinct points with integer coordinates uniform in
     [-50, 50] from a generator seeded by ``seed`` and keeps the report
     of largest dimension.  The generic dimension is the maximum over all
-    point sets, so random draws can only undershoot; more trials shrink the
-    (already negligible) chance of a degenerate draw.  Deterministic for
-    fixed arguments.
+    point sets, so random draws can only undershoot; a second draw shrinks
+    the (already negligible) chance of a degenerate one.  Deterministic
+    for fixed arguments.
     """
     if n < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {n}")
     if r < 1:
         raise ValueError(f"point count must be >= 1, got {r}")
-    if trials < 1:
-        raise ValueError(f"trial count must be >= 1, got {trials}")
     rng = random.Random(seed)
     best: TerraciniReport | None = None
-    for _ in range(trials):
+    for _ in range(_TRIALS):
         sample = random_point_set(n, r, rng, bound=50)
         report = terracini_dimension(sample, d)
         if best is None or report.dim > best.dim:

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: seeded random point-set corpora, and
-counts of the Bareiss fallbacks and of the exact Kruskal subset sweeps."""
+counts of the Bareiss fallbacks and of the exact ranks of the Kruskal
+subset sweeps."""
 
 import random
 
@@ -8,7 +9,7 @@ import pytest
 from waringcert import PointSet, ProjectivePoint, kruskal, linalg
 
 BAREISS = linalg._bareiss_rank
-EXACT_SWEEP = kruskal._independent_from
+EXACT_RANK = kruskal.integer_rank
 
 
 def random_points(n, size, rng, bound=9):
@@ -53,13 +54,14 @@ def bareiss_calls(monkeypatch):
 
 @pytest.fixture
 def exact_sweeps(monkeypatch):
-    """The subset size of every ``kruskal._independent_from`` call, nested
-    calls included: empty exactly when no exact subset sweep ran."""
+    """The row count of every exact rank a Kruskal subset sweep takes
+    (``kruskal.integer_rank``): empty exactly when the modular walk proved
+    every subset of every sweep."""
     calls = []
 
-    def counted(cands, pos, prev, need):
-        calls.append(need)
-        return EXACT_SWEEP(cands, pos, prev, need)
+    def counted(rows):
+        calls.append(len(rows))
+        return EXACT_RANK(rows)
 
-    monkeypatch.setattr(kruskal, "_independent_from", counted)
+    monkeypatch.setattr(kruskal, "integer_rank", counted)
     return calls

@@ -274,7 +274,7 @@ def kruskal_by_subsets(rows, rank):
     return best
 
 
-def generic_rank_from_one(n, d, trials=2, seed=0):
+def generic_rank_from_one(n, d, seed=0):
     """Least r whose generic Terracini dimension fills the degree-d forms.
 
     The plain sweep from r = 1 over the library's randomized Terracini
@@ -283,7 +283,7 @@ def generic_rank_from_one(n, d, trials=2, seed=0):
     from waringcert import generic_terracini_dimension
     space = comb(n + d, d)
     r = 1
-    while generic_terracini_dimension(n, d, r, trials=trials, seed=seed).dim != space - 1:
+    while generic_terracini_dimension(n, d, r, seed=seed).dim != space - 1:
         r += 1
     return r
 

@@ -69,6 +69,18 @@ def test_no_module_imports_dataclasses(path):
             assert node.module != "dataclasses"
 
 
+def test_terracini_imports_nothing_from_kruskal():
+    # Both frames live in hilbert; kruskal keeps only Kruskal ranks.
+    path = Path(waringcert.__file__).with_name("terracini.py")
+    parts = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            parts += [part for alias in node.names for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            parts += (node.module or "").split(".") + [alias.name for alias in node.names]
+    assert "kruskal" not in parts
+
+
 def _records():
     a = PointSet.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1),
                             (1, 1, 1), (1, 2, 3), (1, 4, 5)])

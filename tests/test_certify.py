@@ -3,6 +3,7 @@
 import gc
 import importlib
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -582,18 +583,18 @@ def test_generic_info_keeps_the_theorem_rank_when_no_witness_fills(monkeypatch):
     shapes = [(1, 5), (2, 4), (3, 2), (4, 4), (2, 7)]
     verified = {shape: generic_info(*shape) for shape in shapes}
 
-    def short(n, d, r, trials=2, seed=0):
+    def short(n, d, r, seed=0):
         space = comb(n + d, d)
         return TerraciniReport(num_points=r, ambient_dim=n, degree=d, dim=space - 2)
 
     monkeypatch.setattr(module, "generic_terracini_dimension", short)
     for (n, d), good in verified.items():
-        info = generic_info(n, d, trials=3, seed=7)
+        info = generic_info(n, d, seed=7)
         assert not info.oracle_verified
         assert info.generic_rank == good.generic_rank == alexander_hirschowitz_rank(n, d)
         assert info.exceptions == good.exceptions + (
             f"generic rank not verified: no Terracini witness of {info.generic_rank} "
-            f"points filled the space of dimension {info.space_dim} in 3 trials "
+            f"points filled the space of dimension {info.space_dim} in 2 trials "
             "(seed 7); reporting the Alexander-Hirschowitz value",)
 
 
@@ -661,6 +662,70 @@ def test_sets_with_a_second_decomposition_are_never_certified(z, d, split, c):
     assert c not in z
     a = PointSet.from_rows(z[:split] + extra)
     assert len(z) - split + len(extra) <= len(a)
+    cert = certify(a, d)
+    assert cert.verdict is not Verdict.IDENTIFIABLE, (
+        f"{a} at degree {d} was certified by {cert.criterion}, but "
+        f"{z[split:] + extra} is a second decomposition")
+
+
+def _distinct(draw, count, bound):
+    return draw(st.lists(st.integers(-bound, bound), min_size=count, max_size=count,
+                         unique=True))
+
+
+@st.composite
+def second_decompositions(draw):
+    """(Z, split, C, d) for the test below, with Z drawn from four families
+    whose degree-d images satisfy a relation with every coefficient nonzero:
+    d + 2 points of P^1; a grid {(1, i_1, ..., i_n)} of type (a_1, ..., a_n),
+    a complete intersection, Cayley-Bacharach in every degree
+    d <= a_1 + ... + a_n - n - 1; 2d + 2 points of a smooth conic; and
+    nd + 2 points of the rational normal curve (1 : t : ... : t^n) of P^n,
+    n = 2..4.  The last two are rational normal curves of degree 2d and nd
+    under the Veronese map, on which any such number of points satisfy one
+    relation with full support.  Z is shuffled and split with
+    |Z| - split <= split, and C is up to three points off Z."""
+    family = draw(st.sampled_from(["binary", "grid", "conic", "curve"]))
+    if family == "binary":
+        n, d = 1, draw(st.integers(2, 8))
+        z = [(1, t) for t in _distinct(draw, d + 2, 20)]
+    elif family == "grid":
+        sides = draw(st.sampled_from([(2, 3), (3, 3), (2, 4), (3, 4), (2, 2, 2), (2, 2, 3)]))
+        n = len(sides)
+        d = draw(st.integers(2, sum(sides) - n - 1))
+        z = [(1, *p) for p in product(*(_distinct(draw, a, 5) for a in sides))]
+    elif family == "conic":
+        n, d = 2, draw(st.integers(2, 4))
+        m = draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                          min_size=3, max_size=3).filter(lambda m: fraction_rank(m) == 3))
+        z = [tuple(sum(x * y for x, y in zip(row, (t * t, t, 1))) for row in m)
+             for t in _distinct(draw, 2 * d + 2, 9)]
+    else:
+        n = draw(st.integers(2, 4))
+        d = draw(st.integers(2, {2: 4, 3: 3, 4: 2}[n]))
+        z = [tuple(t ** k for k in range(n + 1)) for t in _distinct(draw, n * d + 2, 8)]
+    z = draw(st.permutations(z))
+    split = draw(st.integers((len(z) + 1) // 2, len(z) - 1))
+    taken = set(map(ProjectivePoint, z))
+    extra = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)
+                          .filter(any).filter(lambda c: ProjectivePoint(c) not in taken),
+                          max_size=3, unique_by=ProjectivePoint))
+    return z, split, [tuple(c) for c in extra], d
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(second_decompositions())
+def test_drawn_sets_with_a_second_decomposition_are_never_certified(case):
+    # The relation writes the form with coefficients on A1 = Z[:split] a
+    # second time on B1 = Z[split:], and C joins both decompositions: B1 + C
+    # is a second decomposition of size at most len(A1 + C).
+    z, split, extra, d = case
+    rows = monomial_values_by_powers(z, d)
+    relation = full_support_relation(rows)
+    assert relation is not None and all(relation)
+    assert all(sum(w * row[k] for w, row in zip(relation, rows)) == 0
+               for k in range(len(rows[0])))
+    a = PointSet.from_rows(z[:split] + extra)
     cert = certify(a, d)
     assert cert.verdict is not Verdict.IDENTIFIABLE, (
         f"{a} at degree {d} was certified by {cert.criterion}, but "

@@ -281,11 +281,6 @@ def test_generic_plane_sextics_exception_note(capsys):
     assert "exactly two decompositions" in out
 
 
-def test_trials_validation(capsys):
-    code, _, err = run_cli(capsys, ["generic", "2", "4", "--trials", "0"])
-    assert code == 1 and "--trials" in err
-
-
 def test_structured_output_deterministic(tmp_path, capsys):
     path = write(tmp_path, "conic.pts", CONIC6)
     argv = ["certify", path, "--degree", "6", "--format", "structured"]

@@ -6,9 +6,9 @@
 random sets chosen so that the corpus reaches every criterion of the
 cascade, NotMinimal, Inconclusive and the Alexander-Hirschowitz defective
 cases of five plane points at degree 4 and seven points of P^4 at degree 3,
-plus two hand-written sets: one with rational coordinates, zeros, negative
-leading entries and three collinear points, and twelve points of a twisted
-cubic.  ``generic-<n>-<d>.json`` and ``.txt`` hold the output of
+plus four hand-written sets: one with rational coordinates, zeros, negative
+leading entries and three collinear points, twelve points of a twisted
+cubic, and two special sets whose Kruskal sweeps take exact ranks.  ``generic-<n>-<d>.json`` and ``.txt`` hold the output of
 ``generic n d`` for forms with no exception, the quadric note, the
 two-decomposition note, a space over the oracle budget, and the
 Alexander-Hirschowitz defective plane quartics, cubics and quartics of
@@ -63,7 +63,12 @@ RANDOM_CASES = {
 # Hand-written sets: case name -> (degree, point file text).  In the
 # rational plane set (1:0:0), (0:1:0) and (-2:1:0) lie on z = 0.  The
 # twelve points of the twisted cubic are Inconclusive at degree 7: h_A(j) =
-# min(12, 3j + 1) caps every k_j, and no partition of 7 reaches 2*12.
+# min(12, 3j + 1) caps every k_j, and no partition of 7 reaches 2*12.  The
+# last two are special sets whose Kruskal sweeps meet minors that vanish
+# modulo the prime and take exact ranks: eight points of P^3, three of them
+# aligned, are certified at degree 5 by reshaped-kruskal with k_1 = 2 from
+# a climb and k_2 = 8, and four points of a plane line and two more have
+# k_2 = 3 from a climb.
 WRITTEN_CASES = {
     "rational-p2-7-d5": (5, """\
 label: rationals, zeros and a collinear triple
@@ -79,6 +84,12 @@ dim: 2
     "twisted-cubic-p3-12-d7": (7, "label: twisted cubic (1 : t : t^2 : t^3), t = 1..12\n"
                                "dim: 3\n" + "".join(f"1 {t} {t * t} {t ** 3}\n"
                                                     for t in range(1, 13))),
+    "aligned-p3-8-d5": (5, "label: three aligned points among eight in P^3\n"
+                        "dim: 3\n1 0 0 0\n0 1 0 0\n1 1 0 0\n0 0 1 0\n0 0 0 1\n"
+                        "1 2 3 4\n2 -1 5 3\n1 4 -2 7\n"),
+    "lined-p2-6-d4": (4, "label: (1 : t : 0) for t = 0..3, and two points off the line\n"
+                      "dim: 2\n" + "".join(f"1 {t} 0\n" for t in range(4))
+                      + "0 0 1\n1 1 1\n"),
 }
 
 
@@ -231,9 +242,10 @@ def test_corpus_reaches_every_outcome():
 def test_schema_v3_keeps_every_v2_outcome():
     # Schema v3 changed which diagnostics are reported and one note: the
     # quartic rule's cap now rules out nine points of P^3 before k_1.  The
-    # twisted cubic case joined the corpus at schema v4.
+    # twisted cubic, aligned and lined cases joined the corpus at schema v4.
     v2 = json.loads(GOLDEN.with_name("golden_v2_certificates.json").read_text())
-    assert set(v2) == set(DEGREES) - {"twisted-cubic-p3-12-d7"}
+    assert set(v2) == set(DEGREES) - {"twisted-cubic-p3-12-d7", "aligned-p3-8-d5",
+                                      "lined-p2-6-d4"}
     for case, old in v2.items():
         cert = json.loads((GOLDEN / f"{case}.certify.json").read_text())["certificate"]
         if case == "p3-9-d4":

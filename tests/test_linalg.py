@@ -292,6 +292,11 @@ def minor_matrices(draw):
                          min_size=nrows, max_size=nrows))
 
 
+def refuse(rows, cols):
+    """A ``clear`` for ``_minors_nonzero_mod_p`` that clears no minor."""
+    return False
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(minor_matrices())
 def test_minors_nonzero_mod_p_matches_every_laplace_minor(rows):
@@ -299,7 +304,29 @@ def test_minors_nonzero_mod_p_matches_every_laplace_minor(rows):
                    for k in range(1, min(len(rows), len(rows[0])) + 1)
                    for rs in combinations(range(len(rows)), k)
                    for cs in combinations(range(len(rows[0])), k))
-    assert linalg._minors_nonzero_mod_p(rows) is expected
+    assert linalg._minors_nonzero_mod_p(rows, refuse) is expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(minor_matrices())
+def test_minors_walk_clears_each_zero_minor_once_in_the_matrix_own_indices(rows):
+    # Each matrix and its transpose, so tall and wide alike: the walk hands
+    # every square minor that is zero modulo P, and no other, to `clear`
+    # exactly once, with its row and column indices in the matrix itself,
+    # not in the transpose it may walk.
+    for m in (rows, [list(col) for col in zip(*rows)]):
+        zeros = sorted((rs, cs) for k in range(1, min(len(m), len(m[0])) + 1)
+                       for rs in combinations(range(len(m)), k)
+                       for cs in combinations(range(len(m[0])), k)
+                       if not laplace_det([[m[r][c] for c in cs] for r in rs]) % P)
+        cleared = []
+
+        def clear(rs, cs):
+            cleared.append((tuple(rs), tuple(cs)))
+            return True
+
+        assert linalg._minors_nonzero_mod_p(m, clear) is True
+        assert sorted(cleared) == zeros
 
 
 def test_minors_walk_carries_minors_over_the_shorter_side(monkeypatch):
@@ -314,6 +341,6 @@ def test_minors_walk_carries_minors_over_the_shorter_side(monkeypatch):
 
     monkeypatch.setattr(linalg, "_laplace_terms", counted)
     rows = [[1, 2, 3, 4, 5, 6], [1, 4, 9, 16, 25, 36]]
-    assert linalg._minors_nonzero_mod_p(rows)
-    assert linalg._minors_nonzero_mod_p([list(col) for col in zip(*rows)])
+    assert linalg._minors_nonzero_mod_p(rows, refuse)
+    assert linalg._minors_nonzero_mod_p([list(col) for col in zip(*rows)], refuse)
     assert set(widths) == {2}

@@ -114,7 +114,8 @@ def check_rows(a):
         expected = tuple(map(tuple, oracle_rows(a, d)))
         cold = fresh(a)
         assert monomial_values(cold, d) == expected
-        assert [key[1] for key in cold._memo if key[0] == "monomial_values"] == [d]
+        assert [key[1:] for key in cold._memo
+                if key[0] is monomial_values.__wrapped__] == [(d,)]
     walked = fresh(a)
     for d in range(top + 1):
         assert monomial_values(walked, d) == tuple(map(tuple, oracle_rows(a, d)))
@@ -364,7 +365,7 @@ def test_certify_4_9_4_works_in_the_modular_frame_alone(monkeypatch, rank_calls,
     # integer_rank run, and each modular elimination is of a leading
     # square block: the profile's 9 x 9 and the tangent rows' 20 x 20.
     forms, kernels, blocks = [], [], []
-    standard_form = kruskal._standard_form_mod_p
+    standard_form = hilbert._standard_form_mod_p
     eliminate = linalg._eliminate_mod_p
 
     def counted_form(rows, size):
@@ -379,7 +380,8 @@ def test_certify_4_9_4_works_in_the_modular_frame_alone(monkeypatch, rank_calls,
         kernels.append(rows)
         return linalg.integer_kernel(rows)
 
-    monkeypatch.setattr(kruskal, "_standard_form_mod_p", counted_form)
+    for module in (hilbert, kruskal):
+        monkeypatch.setattr(module, "_standard_form_mod_p", counted_form)
     monkeypatch.setattr(linalg, "_eliminate_mod_p", counted_block)
     for module in (hilbert, terracini):
         monkeypatch.setattr(module, "integer_kernel", counted_kernel)
