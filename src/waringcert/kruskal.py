@@ -37,14 +37,15 @@ modulo p in the basis of the first s: each square minor of C is, up to
 a unit, the minor of one s-subset (``_all_subsets_independent``), so a
 nonzero residue proves its subset independent, and only a subset whose
 residue is zero takes an exact rank.  In degree 1 at s = n + 1, C is the
-set's modular frame (``hilbert._frame_mod_p``).
+set's modular frame (``hilbert._frame_mod_p``), and a set with none goes
+straight to exact ranks.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Literal, Sequence
 
 from .geometry import (PointSet, Record, max_collinear_subset_size,
                        memo_on_set, monomial_values)
@@ -55,7 +56,7 @@ IntRows = Sequence[Sequence[int]]
 
 
 def _all_subsets_independent(rows: IntRows, size: int,
-                             tail: IntRows | None = None) -> bool:
+                             tail: IntRows | Literal[False] | None = None) -> bool:
     """Whether every ``size``-subset of the rows is linearly independent;
     exact and complete for every size.
 
@@ -73,13 +74,14 @@ def _all_subsets_independent(rows: IntRows, size: int,
     residue or by one exact rank, whatever the rank of M.
 
     ``tail``, when given, is that C, which the caller already has
-    (``hilbert._frame_mod_p``).  When B is singular modulo p there is no
-    C, and every subset takes an exact rank, B first, so a B dependent
-    over Q ends the sweep at once.
+    (``hilbert._frame_mod_p``), or False when the caller already knows B
+    is singular modulo p.  When B is singular modulo p there is no C, and
+    every subset takes an exact rank, B first, so a B dependent over Q
+    ends the sweep at once.
     """
     if tail is None:
         tail = _standard_form_mod_p(rows, size)
-    if tail is None:
+    if tail is None or tail is False:
         return all(integer_rank([rows[i] for i in subset]) == size
                    for subset in combinations(range(len(rows)), size))
 
@@ -119,7 +121,12 @@ def _veronese_kruskal(a: PointSet, j: int) -> int:
     if h == len(a) or h <= 2:
         return h
     rows = monomial_values(a, j)
-    tail = _frame_mod_p(a) if j == 1 and h == a.ambient_dim + 1 else None
+    tail = None
+    if j == 1 and h == a.ambient_dim + 1:
+        # The set's modular frame is this sweep's C; None from it means B
+        # is singular modulo p, which the sweep need not find again.
+        frame = _frame_mod_p(a)
+        tail = False if frame is None else frame
     if _all_subsets_independent(rows, h, tail):
         return h
     return _climb(rows, h)

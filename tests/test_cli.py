@@ -1,10 +1,12 @@
 """Command line front end: parsing, reports, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,10 @@ from waringcert.cli import (
     parse_rational,
     run,
 )
+
+
+GOLDEN = Path(__file__).with_name("golden")
+GOLDEN_POINT_FILES = sorted(GOLDEN.glob("*.pts"))
 
 
 def run_cli(capsys, argv):
@@ -351,3 +357,60 @@ def test_cold_import_loads_no_dataclasses():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cold_run_loads_no_openssl_hash():
+    # The digest is hashed by the interpreter's built-in SHA-256, so neither
+    # importing the CLI nor a certify run that writes the digest loads
+    # hashlib, whose _hashlib maps OpenSSL's libcrypto.
+    golden = GOLDEN / "p2-6-d5"
+    script = (
+        "import sys, waringcert.cli\n"
+        "hashes = ('hashlib', '_hashlib')\n"
+        "imported = [m for m in hashes if m in sys.modules]\n"
+        "code = waringcert.cli.run(sys.argv[1:])\n"
+        "print(code, imported, [m for m in hashes if m in sys.modules])\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "certify", "-", "--degree", "5",
+         "--format", "structured"],
+        input=golden.with_suffix(".pts").read_text(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+    assert last == "0 [] []"
+    assert report + "\n" == golden.with_suffix(".certify.json").read_text()
+
+
+def canonical_sha256(text):
+    points = parse_point_file(text).points
+    lines = [f"dim: {points.ambient_dim}"]
+    lines += [" ".join(str(c) for c in p.coords) for p in points]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def test_digest_is_the_sha256_of_the_canonical_coordinates(capsys):
+    for path in GOLDEN_POINT_FILES:
+        _, out, _ = run_cli(capsys, ["hilbert", str(path), "--format", "structured"])
+        assert json.loads(out)["input"]["digest"] == canonical_sha256(path.read_text()), path
+
+
+def test_digest_falls_back_to_hashlib_without_the_builtin_hash():
+    # A build without _sha2 (CPython >= 3.12) and _sha256 (before) hashes
+    # with hashlib, to the same digests.
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from waringcert.cli import run\n"
+        "digests = []\n"
+        "for path in sys.argv[1:]:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        run(['hilbert', path, '--format', 'structured'])\n"
+        "    digests.append(json.loads(out.getvalue())['input']['digest'])\n"
+        "print(json.dumps(['hashlib' in sys.modules, digests]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, GOLDEN_POINT_FILES)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    used_hashlib, digests = json.loads(proc.stdout)
+    assert used_hashlib
+    assert digests == [canonical_sha256(path.read_text()) for path in GOLDEN_POINT_FILES]

@@ -3,11 +3,12 @@
 import importlib
 import random
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from waringcert import kruskal, linalg
+from waringcert import hilbert, kruskal, linalg
 from waringcert import (
     KruskalReport,
     PointSet,
@@ -23,6 +24,7 @@ from waringcert import (
     span_dim,
     veronese_kruskal_rank,
 )
+from waringcert.cli import parse_point_file
 
 from conftest import random_points
 from oracles import (brute_max_collinear, fraction_rank, kruskal_by_subsets,
@@ -395,3 +397,23 @@ def test_conic_sets_prove_k2_and_dependent_sets_sweep(exact_sweeps):
     assert hilbert_function(lined, 2) == 5
     assert veronese_kruskal_rank(lined, 2) == 3
     assert exact_sweeps
+
+
+def test_a_set_without_a_modular_frame_takes_no_second_standard_form(monkeypatch):
+    # The first four of the eight points of aligned-p3-8-d5 are dependent
+    # (the first three lie on one line), so the set has no modular frame.
+    # The k_1 sweep at size 4 knows B is singular from the frame's one
+    # standard form and goes straight to exact ranks; only the climb's
+    # sweep at size 3 takes a standard form of its own.
+    text = (Path(__file__).with_name("golden") / "aligned-p3-8-d5.pts").read_text()
+    a = parse_point_file(text).points
+    forms = []
+    standard_form = linalg._standard_form_mod_p
+    for module in (hilbert, kruskal):
+        def counted(rows, size, name=module.__name__.rsplit(".", 1)[1]):
+            forms.append((name, len(rows), size))
+            return standard_form(rows, size)
+
+        monkeypatch.setattr(module, "_standard_form_mod_p", counted)
+    assert veronese_kruskal_rank(a, 1) == 2
+    assert forms == [("hilbert", 8, 4), ("kruskal", 8, 3)]
