@@ -21,10 +21,8 @@ image.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import combinations
 from math import comb, gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -256,33 +254,39 @@ def monomial_basis(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(exps)
 
 
-@lru_cache(maxsize=None)
-def _suffix_starts(n: int, d: int) -> tuple[int, ...]:
-    """For i = 0..n, the index in the degree-(d-1) basis at which the
-    monomials in x_i..x_n alone begin; they run to the end of the basis."""
-    size = comb(n + d - 1, n)
-    return tuple(size - comb(n - i + d - 1, n - i) for i in range(n + 1))
+@lru_cache(maxsize=64)
+def _product_table(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """For ``monomial_rows``: one pair (i, j) per monomial of the degree-k
+    lexicographic basis in n+1 variables, in basis order, such that the
+    monomial is x_i times monomial j of the degree-(k-1) basis.
+
+    The degree-k basis is x_0 times the whole degree-(k-1) basis, then x_1
+    times its monomials in x_1..x_n, and so on: x_i runs over the suffix
+    of the degree-(k-1) basis free of x_0..x_(i-1), which holds its last
+    C(n-i+k-1, n-i) monomials.
+    """
+    size = comb(n + k - 1, n)
+    return tuple((i, j) for i in range(n + 1)
+                 for j in range(size - comb(n - i + k - 1, n - i), size))
 
 
 def monomial_rows(coords: Sequence[Sequence[int]], d: int) -> tuple[tuple[int, ...], ...]:
     """The degree-d monomials of the lexicographic basis at integer rows.
 
     Row i lists c^e for every exponent vector e of ``monomial_basis(n, d)``,
-    c the i-th coordinate row.  The lexicographic basis of degree d is x_0
-    times the whole basis of degree d - 1, then x_1 times its monomials in
-    x_1..x_n, and so on: each x_i times the suffix of the degree-(d-1) basis
-    free of x_0..x_(i-1).  So a degree-d row is one product per entry of
-    the degree-(d-1) row, and the step is iterated up from degree 0.
+    c the i-th coordinate row.  Each degree-k monomial is one coordinate
+    times one degree-(k-1) monomial, as ``_product_table(n, k)`` lists
+    them, so a degree-k row is one product per pair of the table, and the
+    step is iterated up from degree 0.
     """
     if d < 0:
         raise ValueError(f"monomial degree must be >= 0, got {d}")
-    rows = ((1,),) * len(coords)
+    rows = [(1,)] * len(coords)
     n = len(coords[0]) - 1
     for k in range(1, d + 1):
-        starts = _suffix_starts(n, k)
-        rows = tuple(tuple([x * v for x, s in zip(p, starts) for v in row[s:]])
-                     for p, row in zip(coords, rows))
-    return rows
+        table = _product_table(n, k)
+        rows = [tuple([c[i] * row[j] for i, j in table]) for c, row in zip(coords, rows)]
+    return tuple(rows)
 
 
 @memo_on_set
@@ -304,26 +308,45 @@ def monomial_values(a: PointSet, d: int) -> tuple[tuple[int, ...], ...]:
 def max_collinear_subset_size(a: PointSet) -> int:
     """Size of the largest subset of a lying on one projective line.
 
-    For each point i, the later points j are grouped by the line through i
-    and j, named by its primitive Pluecker vector: the 2x2 minors of the
-    two primitive coordinate rows, divided by their gcd, with positive
-    leading entry.  A largest aligned subset is found from its first point,
-    so the answer is 1 plus the largest group; O(l^2) lines, no rank.
+    For each point p, the later points q are grouped by the line through
+    p and q, named by a projection.  With z the first coordinate where
+    p_z != 0, put w = p_z*q - q_z*p; it is nonzero, as q is not p, and
+    w_z = 0.  The line is the span of p and w.  If w' = s*p + t*w for a
+    later q', then coordinate z gives s*p_z = 0, so s = 0: two lines
+    through p coincide exactly when their w are proportional.  So each
+    line is keyed by w over the other n coordinates, divided by its gcd,
+    with positive leading entry: n entries per pair, where the Pluecker
+    vector has C(n+1, 2), in one path for every n.  A largest aligned
+    subset is found from its first point, so the answer is 1 plus the
+    largest group; O(l^2) lines, no rank.  The search stops at the first
+    point whose later points are no more than the largest group yet.
     Returns 1 for a singleton and 2 when no three points are aligned.
     ``kruskal.kruskal_and_collinear`` reads the same number off the
     Kruskal rank where it can, and runs this search otherwise.
     """
     rows = [p.primitive_coords for p in a]
-    pairs = list(combinations(range(len(rows[0])), 2))
+    # z -> (q_z, q without coordinate z) for every row q, built on first use.
+    cuts: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     best = 0
-    for i, p in enumerate(rows[:-1]):
-        lines: Counter[tuple[int, ...]] = Counter()
-        for q in rows[i + 1:]:
-            minors = [p[u] * q[v] - p[v] * q[u] for u, v in pairs]
-            g = gcd(*minors)
-            if next(x for x in minors if x) < 0:
-                g = -g
-            lines[tuple(x // g for x in minors)] += 1
+    for i, p in enumerate(rows):
+        if len(rows) - 1 - i <= best:
+            break
+        z = 0
+        while not p[z]:
+            z += 1
+        cut = cuts.get(z)
+        if cut is None:
+            cut = cuts[z] = [(q[z], q[:z] + q[z + 1:]) for q in rows]
+        pz, rest = cut[i]
+        lines: dict[tuple[int, ...], int] = {}
+        for qz, q in cut[i + 1:]:
+            w = [pz * y - qz * x for x, y in zip(rest, q)]
+            for x in w:
+                if x:
+                    break
+            g = gcd(*w) if x > 0 else -gcd(*w)
+            key = tuple([x // g for x in w])
+            lines[key] = lines.get(key, 0) + 1
         best = max(best, *lines.values())
     return 1 + best
 

@@ -24,10 +24,10 @@ from waringcert import (
     union,
     veronese_kruskal_rank,
 )
-from waringcert.geometry import _box_point_count
+from waringcert.geometry import _box_point_count, monomial_rows
 
 from conftest import random_points
-from oracles import brute_max_collinear, linear_form_power
+from oracles import brute_max_collinear, linear_form_power, monomial_values_by_powers
 
 
 def test_point_canonicalization():
@@ -274,6 +274,57 @@ def test_max_collinear_matches_brute_force():
             rng.shuffle(rows)
             a = PointSet.from_rows(rows)
             assert max_collinear_subset_size(a) == brute_max_collinear(rows)
+
+
+def test_max_collinear_matches_brute_force_on_lines_with_leading_zeros():
+    # For every n and z = 0..n, the first point has its first nonzero
+    # coordinate at z, so the search projects from z.  It lies on a planted
+    # line of 3-5 points whose first min(z, n - 1) coordinates vanish; up to
+    # two more points, with 0..n leading zeros, are added, and all but the
+    # first are shuffled.
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(n, z, data):
+        def point(zeros):
+            head = data.draw(st.integers(-4, 4).filter(bool))
+            return zeros * [0] + [head] + data.draw(
+                st.lists(st.integers(-4, 4), min_size=n - zeros, max_size=n - zeros))
+
+        lead = min(z, n - 1)
+        u, v = point(z), point(lead)
+        assume(any(u[i] * v[j] != u[j] * v[i] for i in range(n + 1) for j in range(i)))
+        # Distinct ratios s : t, t != 0, give distinct points of the line other than u.
+        ratios = st.tuples(st.integers(-3, 3), st.integers(-3, 3).filter(bool))
+        pairs = data.draw(st.lists(ratios, min_size=2, max_size=4,
+                                   unique_by=lambda pair: Fraction(pair[0], pair[1])))
+        rows = [[s * x + t * y for x, y in zip(u, v)] for s, t in pairs]
+        rows += [point(data.draw(st.integers(0, n))) for _ in range(data.draw(st.integers(0, 2)))]
+        unique = {ProjectivePoint(u): u}
+        for row in rows:
+            unique.setdefault(ProjectivePoint(row), row)
+        rows = [u] + data.draw(st.permutations(list(unique.values())[1:]))
+        a = PointSet.from_rows(rows)
+        assert max_collinear_subset_size(a) == brute_max_collinear(rows)
+
+    for n in (2, 3, 4):
+        for z in range(n + 1):
+            check(n, z)
+
+
+def test_monomial_rows_of_large_imprimitive_rows_match_the_power_table():
+    # Rows as the chart and the modular frame hand them over: not primitive,
+    # with entries up to 2**40 in absolute value, zeros and either sign.
+    rng = random.Random(15)
+    for n in range(1, 6):
+        coords = []
+        for _ in range(4):
+            scale = rng.choice([2, -3, 6, 2 ** 20])
+            coords.append([scale * rng.choice([0, rng.randint(-2 ** 40, 2 ** 40) // scale])
+                           for _ in range(n + 1)])
+        coords.append([2 ** 40] * (n + 1))
+        for d in range(7):
+            oracle = monomial_values_by_powers(coords, d)
+            assert monomial_rows(coords, d) == tuple(map(tuple, oracle))
 
 
 def test_random_point_set_deterministic():

@@ -6,10 +6,12 @@
 random sets chosen so that the corpus reaches every criterion of the
 cascade, NotMinimal, Inconclusive and the Alexander-Hirschowitz defective
 cases of five plane points at degree 4 and seven points of P^4 at degree 3,
-plus four hand-written sets: one with rational coordinates, zeros, negative
+plus five hand-written sets: one with rational coordinates, zeros, negative
 leading entries and three collinear points, twelve points of a twisted
-cubic, and two special sets whose Kruskal sweeps take exact ranks.  ``generic-<n>-<d>.json`` and ``.txt`` hold the output of
-``generic n d`` for forms with no exception, the quadric note, the
+cubic, two special sets whose Kruskal sweeps take exact ranks, and a plane
+set whose largest aligned subset lies on x_0 = 0.
+``generic-<n>-<d>.json`` and ``.txt`` hold the output of ``generic n d``
+for forms with no exception, the quadric note, the
 two-decomposition note, a space over the oracle budget, and the
 Alexander-Hirschowitz defective plane quartics, cubics and quartics of
 P^4.
@@ -68,7 +70,9 @@ RANDOM_CASES = {
 # modulo the prime and take exact ranks: eight points of P^3, three of them
 # aligned, are certified at degree 5 by reshaped-kruskal with k_1 = 2 from
 # a climb and k_2 = 8, and four points of a plane line and two more have
-# k_2 = 3 from a climb.
+# k_2 = 3 from a climb.  The last set puts four points of the line x_0 = 0
+# first, so the collinearity search projects from a coordinate past x_0:
+# alignment-bound reads k_1 = 2 and an aligned subset of 4 at degree 9.
 WRITTEN_CASES = {
     "rational-p2-7-d5": (5, """\
 label: rationals, zeros and a collinear triple
@@ -90,6 +94,8 @@ dim: 2
     "lined-p2-6-d4": (4, "label: (1 : t : 0) for t = 0..3, and two points off the line\n"
                       "dim: 2\n" + "".join(f"1 {t} 0\n" for t in range(4))
                       + "0 0 1\n1 1 1\n"),
+    "x0-line-p2-6-d9": (9, "label: four points on x_0 = 0, listed first, and two off the line\n"
+                        "dim: 2\n0 -2 4\n0 0 1\n0 3 1\n0 1 0\n1 2 3\n-2 1 5\n"),
 }
 
 
@@ -242,10 +248,11 @@ def test_corpus_reaches_every_outcome():
 def test_schema_v3_keeps_every_v2_outcome():
     # Schema v3 changed which diagnostics are reported and one note: the
     # quartic rule's cap now rules out nine points of P^3 before k_1.  The
-    # twisted cubic, aligned and lined cases joined the corpus at schema v4.
+    # twisted cubic, aligned, lined and x0-line cases joined the corpus at
+    # schema v4.
     v2 = json.loads(GOLDEN.with_name("golden_v2_certificates.json").read_text())
     assert set(v2) == set(DEGREES) - {"twisted-cubic-p3-12-d7", "aligned-p3-8-d5",
-                                      "lined-p2-6-d4"}
+                                      "lined-p2-6-d4", "x0-line-p2-6-d9"}
     for case, old in v2.items():
         cert = json.loads((GOLDEN / f"{case}.certify.json").read_text())["certificate"]
         if case == "p3-9-d4":
