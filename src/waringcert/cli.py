@@ -34,6 +34,7 @@ import argparse
 import json
 import re
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Sequence
 
@@ -190,11 +191,10 @@ def _terracini_block(report: TerraciniReport) -> dict:
 
 def _cmd_hilbert(args: argparse.Namespace, points: PointSet) -> tuple[dict, int]:
     profile = hilbert_profile(points)
-    cb_max: int | None = None
-    for i in range(profile.separation_degree if len(points) >= 2 else 0):
-        if not satisfies_cb(points, i):
-            break
-        cb_max = i
+    # The Cayley-Bacharach degrees are an initial run (``satisfies_cb``).
+    top = profile.separation_degree if len(points) >= 2 else 0
+    run = bisect_left(range(top), True, key=lambda i: not satisfies_cb(points, i))
+    cb_max = run - 1 if run else None
     return {"profile": _profile_block(profile, args.max_degree or 0),
             "cayley_bacharach_max": cb_max}, 0
 

@@ -235,30 +235,26 @@ def union(a: PointSet, b: PointSet) -> PointSet:
     return PointSet(merged)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def monomial_basis(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """The exponent vectors of the degree-d monomials in n+1 variables,
-    lexicographically descending."""
+    lexicographically descending: vector j of degree k - 1 with coordinate
+    i raised by one, for each pair (i, j) of ``_product_table(n, k)``."""
     if n < 0 or d < 0:
         raise ValueError(f"bad basis parameters n={n}, d={d}")
-    exps: list[tuple[int, ...]] = []
-
-    def build(prefix: list[int], remaining: int, position: int) -> None:
-        if position == n:
-            exps.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            build(prefix + [e], remaining - e, position + 1)
-
-    build([], d, 0)
-    return tuple(exps)
+    basis = [(0,) * (n + 1)]
+    for k in range(1, d + 1):
+        basis = [basis[j][:i] + (basis[j][i] + 1,) + basis[j][i + 1:]
+                 for i, j in _product_table(n, k)]
+    return tuple(basis)
 
 
 @lru_cache(maxsize=64)
 def _product_table(n: int, k: int) -> tuple[tuple[int, int], ...]:
-    """For ``monomial_rows``: one pair (i, j) per monomial of the degree-k
-    lexicographic basis in n+1 variables, in basis order, such that the
-    monomial is x_i times monomial j of the degree-(k-1) basis.
+    """For ``monomial_basis`` and ``monomial_rows``: one pair (i, j) per
+    monomial of the degree-k lexicographic basis in n+1 variables, in
+    basis order, such that the monomial is x_i times monomial j of the
+    degree-(k-1) basis.
 
     The degree-k basis is x_0 times the whole degree-(k-1) basis, then x_1
     times its monomials in x_1..x_n, and so on: x_i runs over the suffix

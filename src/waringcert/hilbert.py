@@ -301,6 +301,10 @@ def satisfies_cb(a: PointSet, i: int) -> bool:
     Every degree-i form vanishing at all points but one must vanish there
     too.  Defined as False for singletons (a nonzero constant separates the
     lone point, and every criterion using the property assumes len >= 2).
+
+    It holds in degree i - 1 if it holds in degree i: if F of degree i - 1
+    separates p, so does L*F in degree i, L linear with L(p) != 0.  So its
+    degrees are an initial run, ending below the separation degree.
     """
     if i < 0:
         raise ValueError(f"degree must be >= 0, got {i}")

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Literal, Sequence
+from typing import Sequence
 
 from .geometry import (PointSet, Record, max_collinear_subset_size,
                        memo_on_set, monomial_values)
@@ -55,8 +55,7 @@ from .linalg import _minors_nonzero_mod_p, _standard_form_mod_p, integer_rank
 IntRows = Sequence[Sequence[int]]
 
 
-def _all_subsets_independent(rows: IntRows, size: int,
-                             tail: IntRows | Literal[False] | None = None) -> bool:
+def _all_subsets_independent(rows: IntRows, size: int, c: IntRows | None) -> bool:
     """Whether every ``size``-subset of the rows is linearly independent;
     exact and complete for every size.
 
@@ -73,15 +72,14 @@ def _all_subsets_independent(rows: IntRows, size: int,
     exact ``integer_rank`` of M_S.  So each subset is decided by a nonzero
     residue or by one exact rank, whatever the rank of M.
 
-    ``tail``, when given, is that C, which the caller already has
-    (``hilbert._frame_mod_p``), or False when the caller already knows B
-    is singular modulo p.  When B is singular modulo p there is no C, and
-    every subset takes an exact rank, B first, so a B dependent over Q
-    ends the sweep at once.
+    ``c`` is that C, which the caller takes from
+    ``_standard_form_mod_p(rows, size)`` or, in degree 1 at size n + 1,
+    from the set's modular frame (``hilbert._frame_mod_p``); it is None
+    when B is singular modulo p.  Then there is no C, and every subset
+    takes an exact rank, B first, so a B dependent over Q ends the sweep
+    at once.
     """
-    if tail is None:
-        tail = _standard_form_mod_p(rows, size)
-    if tail is None or tail is False:
+    if c is None:
         return all(integer_rank([rows[i] for i in subset]) == size
                    for subset in combinations(range(len(rows)), size))
 
@@ -89,7 +87,7 @@ def _all_subsets_independent(rows: IntRows, size: int,
         subset = [size + i for i in others] + [i for i in range(size) if i not in dropped]
         return integer_rank([rows[i] for i in subset]) == size
 
-    return _minors_nonzero_mod_p(tail, clear)
+    return _minors_nonzero_mod_p(c, clear)
 
 
 def _climb(rows: IntRows, top: int) -> int:
@@ -101,7 +99,7 @@ def _climb(rows: IntRows, top: int) -> int:
     Needs top >= 3 and nonzero, pairwise nonproportional rows.
     """
     for s in range(3, top):
-        if not _all_subsets_independent(rows, s):
+        if not _all_subsets_independent(rows, s, _standard_form_mod_p(rows, s)):
             return s - 1
     return top - 1
 
@@ -121,13 +119,10 @@ def _veronese_kruskal(a: PointSet, j: int) -> int:
     if h == len(a) or h <= 2:
         return h
     rows = monomial_values(a, j)
-    tail = None
-    if j == 1 and h == a.ambient_dim + 1:
-        # The set's modular frame is this sweep's C; None from it means B
-        # is singular modulo p, which the sweep need not find again.
-        frame = _frame_mod_p(a)
-        tail = False if frame is None else frame
-    if _all_subsets_independent(rows, h, tail):
+    # In degree 1 at size n + 1 the set's modular frame is this sweep's C.
+    c = (_frame_mod_p(a) if j == 1 and h == a.ambient_dim + 1
+         else _standard_form_mod_p(rows, h))
+    if _all_subsets_independent(rows, h, c):
         return h
     return _climb(rows, h)
 

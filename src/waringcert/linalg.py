@@ -5,20 +5,21 @@ a lower bound that meets an upper bound.  ``integer_rank`` first eliminates
 modulo the prime p = 1073741789.  The rank r over F_p is a lower bound on
 the rank over Q: a minor that is nonzero mod p is a nonzero integer.  The
 upper bound is min(rows, cols), or cols - k when the caller offers integer
-right-kernel vectors: each is checked exactly, T v = 0 over Z, and k is the
-rank modulo p of those that pass (independence mod p implies independence
-over Q).  They are asked for only when the gap cols - r is at most r.  When
-the bounds meet, the rank is proved with no entry growth.
-Only matrices whose bounds do not meet go on to fraction-free Bareiss
-elimination, whose exact divisions keep every intermediate value an
-integer minor of the input.
+right-kernel vectors, as a lazy iterable: each is checked exactly,
+T v = 0 over Z, and k is the rank modulo p of those that pass
+(independence mod p implies independence over Q).  They are drawn only
+when the gap cols - r is at most r.  When the bounds meet, the rank is
+proved with no entry growth.  Only matrices whose bounds do not meet go
+on to fraction-free Bareiss elimination, whose exact divisions keep every
+intermediate value an integer minor of the input.
 
 The modular pass, ``_pivots_mod_p``, eliminates column by column from the
 left and returns its pivot columns, so the pivots below column k count the
 rank modulo p of the first k columns: the Hilbert profile reads a lower
-bound on every degree's rank from one pass (``_rank_mod_p`` is their
-number).  Asked for at most ``target`` pivots, it eliminates the leading
-``target`` columns first, and all of them only when those fall short.
+bound on every degree's rank from one pass, and every rank modulo p in
+the package is the number of its pivots.  Asked for at most ``target``
+pivots, it eliminates the leading ``target`` columns first, and all of
+them only when those fall short.
 It packs each row into one Python int of fixed-width slots,
 W = 62 + min(rows, cols).bit_length() bits each, so that a row update is a
 single multiply-add of whole ints, and proves that no slot overflows.
@@ -55,7 +56,7 @@ _FOLD = (1 << 30) - _PRIME
 
 
 def integer_rank(rows: Iterable[Sequence[int]],
-                 kernel: Callable[[], Iterable[Sequence[int]]] | None = None,
+                 kernel: Iterable[Sequence[int]] | None = None,
                  lower: int | None = None) -> int:
     """Rank of an integer matrix T, given as rows; the input is not modified.
 
@@ -67,41 +68,36 @@ def integer_rank(rows: Iterable[Sequence[int]],
     independent modulo p (so over Q too).  Bareiss elimination runs only
     when the two bounds do not meet.
 
-    ``kernel`` is an optional zero-argument callable yielding candidate
-    right-kernel vectors, integer sequences of length cols.  It is called
-    only when r falls short of min(rows, cols) and the gap cols - r is at
-    most r: closing the gap takes at least cols - r checks of T v, each
-    touching every entry, while Bareiss takes r pivot steps of about that
-    cost, so a larger gap is left to Bareiss.  Each candidate is checked
-    exactly, T v = 0 over Z, and one that fails is never used; candidates
-    are drawn until the checked ones have rank cols - r modulo p, or run
-    out.
+    ``kernel`` is an optional lazy iterable, such as a generator, of
+    candidate right-kernel vectors, integer sequences of length cols.  It
+    is drawn from only when r falls short of min(rows, cols) and the gap
+    cols - r is at most r: closing the gap takes at least cols - r checks
+    of T v, each touching every entry, while Bareiss takes r pivot steps
+    of about that cost, so a larger gap is left to Bareiss.  Each
+    candidate is checked exactly, T v = 0 over Z, and one that fails is
+    never used; candidates are drawn until the checked ones have rank
+    cols - r modulo p, or run out.
     """
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
     full = min(len(rows), ncols)
-    rank = _rank_mod_p(rows, full) if lower is None else lower
+    rank = len(_pivots_mod_p(rows, full)) if lower is None else lower
     if rank == full:
         return rank
     gap = ncols - rank
     if kernel is not None and gap <= rank:
         checked = []
         need = gap
-        for v in kernel():
+        for v in kernel:
             if len(v) == ncols and not any(sum(map(mul, row, v)) for row in rows):
                 checked.append(v)
                 if len(checked) == need:
-                    k = _rank_mod_p(checked, gap)
+                    k = len(_pivots_mod_p(checked, gap))
                     if k == gap:
                         return rank
                     # Each new vector adds at most one to k.
                     need += gap - k
     return _bareiss_rank([list(row) for row in rows])
-
-
-def _rank_mod_p(rows: Sequence[Sequence[int]], target: int) -> int:
-    """min(target, rank of the rows modulo ``_PRIME``); the input is not modified."""
-    return len(_pivots_mod_p(rows, target))
 
 
 def _pivots_mod_p(rows: Sequence[Sequence[int]], target: int) -> list[int]:

@@ -106,7 +106,7 @@ from typing import Iterator, Sequence
 from .geometry import (PointSet, Record, memo_on_set, monomial_basis,
                        monomial_rows, random_point_set)
 from .hilbert import _frame, _frame_mod_p, hilbert_function
-from .linalg import _PRIME, _rank_mod_p, integer_kernel, integer_rank
+from .linalg import _PRIME, _pivots_mod_p, integer_kernel, integer_rank
 
 
 # Per variable j, per column e: (e_j, index of e - u_j one degree lower).
@@ -157,7 +157,7 @@ class TerraciniReport(Record):
         return self.dim == self.max_possible
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _derivative_index(n: int, d: int) -> tuple[tuple[int, ...], _Index]:
     """The columns of the degree-d basis that the framed tangent rows keep,
     and the table that builds those rows on them.
@@ -190,7 +190,7 @@ def _tangent_rows(values: Sequence[Sequence[int]], index: _Index) -> list[list[i
     return [[f * v[i] for f, i in partials] for v in values for partials in index]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _product_index(n: int, e: int, f: int) -> tuple[tuple[int, ...], ...]:
     """Entry [i][k]: the index in the degree-(e+f) basis of the product of
     monomial i of the degree-e basis and monomial k of the degree-f basis."""
@@ -243,7 +243,7 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     It is first proved in the modular frame (module docstring), when
     ``hilbert._frame_mod_p`` finds the first n + 1 points independent
     modulo p and d < p: the rows of the other points, on the columns
-    outside C, are built modulo p and ranked by ``_rank_mod_p``, and when
+    outside C, are built modulo p and ranked by ``_pivots_mod_p``, and when
     |C| plus that rank meets min((n+1)l, C(n+d, d)) the report returns
     with no exact frame and no integer row.  Otherwise the rank is taken
     in the exact frame of ``_frame``, by the frame identity and the cone
@@ -278,8 +278,8 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
         full = min((n + 1) * len(a), comb(n + d, d))
         # The rank that R must reach: |C| + target = full.
         target = full - (comb(n + d, d) - len(kept))
-        lower = _rank_mod_p(_tangent_rows(monomial_rows(coords, d - 1), index),
-                            target) if target else 0
+        lower = len(_pivots_mod_p(_tangent_rows(monomial_rows(coords, d - 1), index),
+                                  target)) if target else 0
         if lower == target:
             return TerraciniReport(num_points=len(a), ambient_dim=n, degree=d, dim=full - 1)
     frame, framed = _frame(a)
@@ -289,8 +289,8 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     rank = comb(k - 1 + d, d) - len(kept)
     if others and kept:
         rows = _tangent_rows(monomial_rows(others, d - 1), index)
-        rank += integer_rank(rows, kernel=lambda: ([v[c] for c in kept]
-                                                   for v in _singular_products(framed, d)),
+        rank += integer_rank(rows, kernel=([v[c] for c in kept]
+                                           for v in _singular_products(framed, d)),
                              lower=lower)
     if k <= n:
         # h(d-1) is k at d = 2, and when every point is in B (independent

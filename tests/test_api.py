@@ -6,6 +6,7 @@ import copy
 import importlib
 import inspect
 import pickle
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,20 @@ def test_no_module_imports_dataclasses(path):
             assert all(alias.name != "dataclasses" for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             assert node.module != "dataclasses"
+
+
+def test_every_lru_cache_is_bounded():
+    # Caches keyed by user input (n, d) must not grow for the life of the
+    # process: every lru_cache in the package has a finite maxsize.
+    caches = {}
+    for info in pkgutil.iter_modules(waringcert.__path__):
+        module = importlib.import_module(f"waringcert.{info.name}")
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_parameters", None)):
+                caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
+    assert {"geometry.monomial_basis", "terracini._derivative_index",
+            "terracini._product_index"} <= caches.keys()
+    assert {name for name, size in caches.items() if size is None} == set()
 
 
 def test_terracini_imports_nothing_from_kruskal():

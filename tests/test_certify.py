@@ -260,9 +260,9 @@ def widths(monkeypatch):
     widths = []
     sweep = kruskal._all_subsets_independent
 
-    def counting(rows, size, tail=None):
+    def counting(rows, size, c):
         widths.append(len(rows[0]))
-        return sweep(rows, size, tail)
+        return sweep(rows, size, c)
 
     monkeypatch.setattr(kruskal, "_all_subsets_independent", counting)
     return widths

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from waringcert import PointSet, cli, satisfies_cb
 from waringcert.cli import (
     PointFileError,
     parse_point_file,
@@ -90,6 +91,18 @@ def test_parse_point_file_errors_carry_line_numbers():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("text, line", [
+    ("dim: 1\n1 0\nlabel: late\n", 3),
+    ("dim: 1\n1 0\n1/0 1\n", 3),
+    ("# no dim header\n\n5\n", 3),
+], ids=["label-after-a-point", "denominator-zero", "one-coordinate"])
+def test_malformed_point_files_exit_1_with_the_line_number(tmp_path, capsys, text, line):
+    path = write(tmp_path, "bad.pts", text)
+    code, out, err = run_cli(capsys, ["hilbert", path])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: line {line}: ")
+
+
 def test_parse_point_file_duplicates_name_both_lines():
     with pytest.raises(PointFileError) as exc:
         parse_point_file("dim: 1\n1 2\n3 0\n2 4\n")
@@ -134,6 +147,63 @@ def test_hilbert_singleton(tmp_path, capsys):
     report = json.loads(out)
     assert report["profile"]["h_vector"] == [1]
     assert report["cayley_bacharach_max"] is None
+
+
+def _points_text(rows):
+    return f"dim: {len(rows[0]) - 1}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in rows)
+
+
+def _cb_max_bottom_up(a):
+    """The last degree of the run of Cayley-Bacharach degrees from 0 up,
+    or None, one degree at a time."""
+    cb_max = None
+    for i in range(len(a)):
+        if not satisfies_cb(a, i):
+            break
+        cb_max = i
+    return cb_max
+
+
+CONIC = [(1, t, t * t) for t in range(-3, 5)]
+
+CB_SETS = {
+    "line-5-plus-1": [(1, t, 0) for t in range(5)] + [(0, 0, 1)],
+    "line-8-plus-1": [(1, t, 0) for t in range(8)] + [(1, 2, 3)],
+    "conic-6": CONIC[:6],
+    "conic-8": CONIC,
+    "conic-6-plus-1": CONIC[:6] + [(1, 1, 7)],
+    "conic-7-plus-2": CONIC[:7] + [(1, 1, 7), (0, 1, 5)],
+    "grid-3x3": [(1, x, y) for x in range(3) for y in range(3)],
+    **{f"binary-{l}": [(1, t) for t in range(l)] for l in (1, 2, 3, 5, 8, 13)},
+    "binary-mixed": [(1, 0), (0, 1), (1, 1), (2, -3), (5, 7), (1, -1)],
+}
+
+
+@pytest.mark.parametrize("rows", CB_SETS.values(), ids=CB_SETS.keys())
+def test_hilbert_cayley_bacharach_max_is_the_bottom_up_value(tmp_path, capsys, rows):
+    path = write(tmp_path, "set.pts", _points_text(rows))
+    code, out, _ = run_cli(capsys, ["hilbert", path, "--format", "structured"])
+    assert code == 0
+    expected = _cb_max_bottom_up(PointSet.from_rows(rows))
+    assert json.loads(out)["cayley_bacharach_max"] == expected
+
+
+def test_hilbert_bisects_for_the_cayley_bacharach_run(tmp_path, capsys, monkeypatch):
+    # Sixty points of P^1 are Cayley-Bacharach in degrees 0..58: bisection
+    # takes at most 7 kernels where the bottom-up walk took 59.
+    calls = []
+
+    def counted(a, i):
+        calls.append(i)
+        return satisfies_cb(a, i)
+
+    monkeypatch.setattr(cli, "satisfies_cb", counted)
+    path = write(tmp_path, "p1-60.pts", _points_text([(1, t) for t in range(60)]))
+    code, out, _ = run_cli(capsys, ["hilbert", path, "--format", "structured"])
+    assert code == 0
+    assert json.loads(out)["cayley_bacharach_max"] == 58
+    assert len(calls) <= 7
 
 
 def test_hilbert_max_degree_flag(tmp_path, capsys):

@@ -140,6 +140,29 @@ def test_point_set_order_and_containment():
     assert a.subset([2, 0]) == PointSet.from_rows([(1, 1, 1), (1, 0, 0)])
 
 
+P1, P2 = ProjectivePoint((1, 0)), ProjectivePoint((1, 0, 0))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: PointSet([]), ValueError),
+    (lambda: PointSet([P1, (0, 1)]), TypeError),
+    (lambda: PointSet([P1, P2]), ValueError),
+    (lambda: setattr(P1, "primitive_coords", (0, 1)), AttributeError),
+    (lambda: setattr(PointSet([P1]), "points", ()), AttributeError),
+    (lambda: union(PointSet([P1]), PointSet([P2])), ValueError),
+    (lambda: monomial_basis(-1, 2), ValueError),
+    (lambda: monomial_rows([(1, 0)], -1), ValueError),
+    (lambda: random_point_set(0, 3, random.Random(0)), ValueError),
+    (lambda: random_point_set(2, 0, random.Random(0)), ValueError),
+    (lambda: random_point_set(2, 3, random.Random(0), bound=0), ValueError),
+], ids=["empty-set", "non-point-item", "two-dimensions", "set-point-attribute",
+        "set-set-attribute", "union-across-dimensions", "basis-negative-n",
+        "rows-negative-degree", "sample-n-0", "sample-size-0", "sample-bound-0"])
+def test_bad_library_input_raises(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_union_keeps_first_set_order():
     a = PointSet.from_rows([(1, 0), (0, 1)])
     b = PointSet.from_rows([(0, 1), (1, 1)])

@@ -262,6 +262,17 @@ def test_separates_point_examples():
         separates_point(simplex, 3, 1)
 
 
+def test_gkr_check_rejects_a_negative_degree():
+    with pytest.raises(ValueError):
+        check_gkr_inequality(hilbert_profile(GENERAL6), -1)
+
+
+@pytest.mark.parametrize("a", [GENERAL6, PointSet.from_rows([(1, 1)])],
+                         ids=["six-points", "singleton"])
+def test_no_point_is_separated_in_a_negative_degree(a):
+    assert separates_point(a, 0, -1) is False
+
+
 def test_satisfies_cb_examples():
     assert not satisfies_cb(ALIGNED4, 1)
     assert satisfies_cb(conic_points(6), 2)

@@ -171,6 +171,13 @@ def test_reshaped_kruskal_rejects_low_degree():
         reshaped_kruskal(a, 2)
 
 
+@pytest.mark.parametrize("j", [0, -1])
+def test_veronese_kruskal_rank_rejects_degrees_below_1(j):
+    a = random_points(2, 3, random.Random(44))
+    with pytest.raises(ValueError):
+        veronese_kruskal_rank(a, j)
+
+
 def test_kruskal_report_validation():
     with pytest.raises(ValueError):
         KruskalReport(set_size=4, partition=(2, 1, 1), ranks=(2, 2, 2))
@@ -346,7 +353,8 @@ def planted_rows(draw):
 def test_all_subsets_independent_matches_the_subset_oracle(case):
     rows, size = case
     expected = kruskal_by_subsets(rows, fraction_rank) >= size
-    assert kruskal._all_subsets_independent(rows, size) == expected
+    c = linalg._standard_form_mod_p(rows, size)
+    assert kruskal._all_subsets_independent(rows, size, c) == expected
 
 
 @pytest.mark.parametrize("rows, size, expected", [
@@ -362,7 +370,8 @@ def test_all_subsets_independent_matches_the_subset_oracle(case):
 ])
 def test_a_failed_modular_proof_falls_back_to_the_exact_sweep(exact_sweeps, rows, size,
                                                             expected):
-    assert kruskal._all_subsets_independent(rows, size) is expected
+    c = linalg._standard_form_mod_p(rows, size)
+    assert kruskal._all_subsets_independent(rows, size, c) is expected
     assert exact_sweeps
 
 
@@ -370,7 +379,7 @@ def test_modular_proof_uses_pivot_columns_of_the_first_rows(exact_sweeps):
     # The first two columns of the first two rows are singular; the pivot
     # columns 1 and 2 are not, and the proof needs no exact sweep.
     rows = [(0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 1, 3), (1, 5, 2)]
-    assert kruskal._all_subsets_independent(rows, 2)
+    assert kruskal._all_subsets_independent(rows, 2, linalg._standard_form_mod_p(rows, 2))
     assert exact_sweeps == []
 
 

@@ -115,7 +115,7 @@ def test_packed_rank_mod_p_matches_list_oracle_and_stops_at_target(rows, cut):
     rank = rank_mod_p(rows, P)
     full = min(len(rows), len(rows[0]))
     for target in {full, min(cut, full), rank, max(rank - 1, 0)}:
-        assert linalg._rank_mod_p(rows, target) == min(rank, target)
+        assert len(linalg._pivots_mod_p(rows, target)) == min(rank, target)
     assert rows == before
 
 
@@ -138,7 +138,7 @@ def test_folded_rank_mod_p_matches_list_oracle_at_every_target(rows):
     # target, from 0 to min(rows, cols), must stop at the oracle's rank.
     rank = rank_mod_p(rows, P)
     for target in range(min(len(rows), len(rows[0])) + 1):
-        assert linalg._rank_mod_p(rows, target) == min(rank, target)
+        assert len(linalg._pivots_mod_p(rows, target)) == min(rank, target)
 
 
 @st.composite
@@ -220,29 +220,31 @@ def test_packed_rank_mod_p_of_all_minus_one_residues():
     rng = random.Random(7)
     for nrows, ncols in [(1, 1), (3, 40), (40, 3), (40, 40)]:
         rows = [[rng.choice((P - 1, -1)) for _ in range(ncols)] for _ in range(nrows)]
-        assert linalg._rank_mod_p(rows, min(nrows, ncols)) == rank_mod_p(rows, P) == 1
+        assert len(linalg._pivots_mod_p(rows, min(nrows, ncols))) == rank_mod_p(rows, P) == 1
 
 
 def _fail():
+    """A kernel generator that fails when a candidate is drawn from it."""
     raise AssertionError("the kernel was asked for on a full-rank matrix")
+    yield
 
 
 def test_kernel_is_not_asked_for_at_full_rank_mod_p_or_past_a_gap_of_r(bareiss_calls):
-    assert integer_rank([[1, 2, 3], [4, 5, 6]], kernel=_fail) == 2
-    assert integer_rank([[1, 0], [0, 1], [1, 1]], kernel=_fail) == 2
+    assert integer_rank([[1, 2, 3], [4, 5, 6]], kernel=_fail()) == 2
+    assert integer_rank([[1, 0], [0, 1], [1, 1]], kernel=_fail()) == 2
     assert bareiss_calls == []
     # Rank 1 in 3 columns: a gap of 2 > 1 goes straight to Bareiss.
-    assert integer_rank([[1, 1, 0], [2, 2, 0]], kernel=_fail) == 1
+    assert integer_rank([[1, 1, 0], [2, 2, 0]], kernel=_fail()) == 1
     assert bareiss_calls == [2]
 
 
 def test_checked_kernel_vectors_close_the_gap_without_bareiss(bareiss_calls):
     rows = [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 2, 0]]
     kernel = [[1, 1, -1, 0], [0, 0, 0, 5]]
-    assert integer_rank(rows, kernel=lambda: iter(kernel)) == 2
+    assert integer_rank(rows, kernel=iter(kernel)) == 2
     assert bareiss_calls == []
     # One vector short of cols - r: the Bareiss fallback decides.
-    assert integer_rank(rows, kernel=lambda: iter(kernel[:1])) == 2
+    assert integer_rank(rows, kernel=iter(kernel[:1])) == 2
     assert bareiss_calls == [3]
 
 
@@ -257,7 +259,7 @@ def test_bad_kernel_candidates_leave_the_rank_exact(bareiss_calls, candidates):
     # Rank 3 over Q but 2 modulo P, with a one-dimensional kernel: any two
     # candidates accepted as independent would "prove" rank 2.
     rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, P, 0]]
-    assert integer_rank(rows, kernel=lambda: iter(candidates)) == 3
+    assert integer_rank(rows, kernel=iter(candidates)) == 3
     assert bareiss_calls == [3]
 
 

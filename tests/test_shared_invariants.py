@@ -282,13 +282,13 @@ def modular_passes(monkeypatch):
     """The (rows, cols) of every modular rank that ``terracini_dimension``
     takes of its tangent rows in the modular frame."""
     calls = []
-    original = terracini._rank_mod_p
+    original = terracini._pivots_mod_p
 
     def counted(rows, target):
         calls.append((len(rows), len(rows[0])))
         return original(rows, target)
 
-    monkeypatch.setattr(terracini, "_rank_mod_p", counted)
+    monkeypatch.setattr(terracini, "_pivots_mod_p", counted)
     return calls
 
 
