@@ -148,7 +148,8 @@ class PointSet:
         pts = tuple(points)
         if not pts:
             raise ValueError("a point set must contain at least one point")
-        n = pts[0].ambient_dim
+        # A first item that is not a point is reported by the loop.
+        n = pts[0].ambient_dim if isinstance(pts[0], ProjectivePoint) else None
         for i, p in enumerate(pts):
             if not isinstance(p, ProjectivePoint):
                 raise TypeError(f"item {i} is not a ProjectivePoint")

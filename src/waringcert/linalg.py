@@ -9,9 +9,10 @@ right-kernel vectors, as a lazy iterable: each is checked exactly,
 T v = 0 over Z, and k is the rank modulo p of those that pass
 (independence mod p implies independence over Q).  They are drawn only
 when the gap cols - r is at most r.  When the bounds meet, the rank is
-proved with no entry growth.  Only matrices whose bounds do not meet go
-on to fraction-free Bareiss elimination, whose exact divisions keep every
-intermediate value an integer minor of the input.
+proved with no entry growth.  Only matrices whose bounds do not meet are
+eliminated exactly, by ``integer_kernel``'s fraction-free pass, the one
+exact elimination in the package: the rank is cols less the number of
+kernel vectors it finds.
 
 The modular pass, ``_pivots_mod_p``, eliminates column by column from the
 left and returns its pivot columns, so the pivots below column k count the
@@ -27,7 +28,8 @@ A caller that has proved a lower bound modulo p on rows of the same rank
 (the Terracini rows in a modular frame) hands it to ``integer_rank``,
 which then takes no modular pass of its own.
 ``integer_kernel`` gives a fraction-free kernel basis, for
-callers that build kernel vectors from smaller matrices.  For the Kruskal
+``integer_rank``'s last resort and for callers that build kernel vectors
+from smaller matrices.  For the Kruskal
 subset sweeps, ``_standard_form_mod_p`` writes every row modulo p in terms
 of the first ones, C = R_Q B_Q^-1, and ``_minors_nonzero_mod_p`` checks
 every square minor of C modulo p, handing each one that is zero modulo p
@@ -65,15 +67,15 @@ def integer_rank(rows: Iterable[Sequence[int]],
     caller has already proved one, so that rows it has eliminated modulo p
     are not eliminated again.  The upper bound is
     min(rows, cols), or cols - k when k integer vectors v with T v = 0 are
-    independent modulo p (so over Q too).  Bareiss elimination runs only
-    when the two bounds do not meet.
+    independent modulo p (so over Q too).  Only when the two bounds do not
+    meet is the rank taken exactly, as cols - len(``integer_kernel(T)``).
 
     ``kernel`` is an optional lazy iterable, such as a generator, of
     candidate right-kernel vectors, integer sequences of length cols.  It
     is drawn from only when r falls short of min(rows, cols) and the gap
     cols - r is at most r: closing the gap takes at least cols - r checks
-    of T v, each touching every entry, while Bareiss takes r pivot steps
-    of about that cost, so a larger gap is left to Bareiss.  Each
+    of T v, each touching every entry, while the exact elimination takes
+    r pivot steps of about that cost, so a larger gap is left to it.  Each
     candidate is checked exactly, T v = 0 over Z, and one that fails is
     never used; candidates are drawn until the checked ones have rank
     cols - r modulo p, or run out.
@@ -97,7 +99,7 @@ def integer_rank(rows: Iterable[Sequence[int]],
                         return rank
                     # Each new vector adds at most one to k.
                     need += gap - k
-    return _bareiss_rank([list(row) for row in rows])
+    return ncols - len(integer_kernel(rows))
 
 
 def _pivots_mod_p(rows: Sequence[Sequence[int]], target: int) -> list[int]:
@@ -346,39 +348,4 @@ def integer_kernel(rows: Iterable[Sequence[int]]) -> list[list[int]]:
         g = gcd(*v)
         basis.append([x // g for x in v])
     return basis
-
-
-def _bareiss_rank(m: list[list[int]]) -> int:
-    """Rank by fraction-free elimination, in place on the rows ``m``.
-
-    Bareiss elimination: the division by the previous pivot is exact
-    (Sylvester's determinant identity), so every entry stays an integer
-    minor of the input.  The pivot in each column is the first remaining
-    row with a nonzero entry; columns with no pivot are skipped and never
-    touched again, which preserves exactness.
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        hit = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if hit is None:
-            continue
-        m[rank], m[hit] = m[hit], m[rank]
-        row_p = m[rank]
-        p = row_p[col]
-        for r in range(rank + 1, nrows):
-            row_r = m[r]
-            factor = row_r[col]
-            # The update must run even when factor == 0: every row below the
-            # pivot is rescaled so that the later exact divisions by prev
-            # stay divisions of minors.
-            for c in range(col + 1, ncols):
-                row_r[c] = (p * row_r[c] - factor * row_p[c]) // prev
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 

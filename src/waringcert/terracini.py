@@ -31,8 +31,9 @@ monomial values.  At the Alexander-Hirschowitz defective quartics, (2, 4)
 at 5 points, (3, 4) at 9 and (4, 4) at 14, the square of the quadric
 through the points proves the rank one short of full (Alexander-Hirschowitz,
 J. Algebraic Geom. 1995; Brambilla-Ottaviani, J. Pure Appl. Algebra 2008).
-Where no product closes the gap, the rank falls back to Bareiss; no rank
-is taken from the Alexander-Hirschowitz list.
+Where no product closes the gap, the rank falls back to the exact
+elimination of ``integer_kernel``; no rank is taken from the
+Alexander-Hirschowitz list.
 
 The rank is taken in a frame.  A change of coordinates does not change it:
 for an invertible matrix M, F -> F(Mx) is an invertible linear map of the

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: seeded random point-set corpora, and
-counts of the Bareiss fallbacks and of the exact ranks of the Kruskal
-subset sweeps."""
+counts of the exact eliminations ``integer_rank`` falls back to and of the
+exact ranks of the Kruskal subset sweeps."""
 
 import random
 
@@ -8,7 +8,7 @@ import pytest
 
 from waringcert import PointSet, ProjectivePoint, kruskal, linalg
 
-BAREISS = linalg._bareiss_rank
+KERNEL = linalg.integer_kernel
 EXACT_RANK = kruskal.integer_rank
 
 
@@ -40,15 +40,18 @@ def corpus(seed, count, dims, max_size, bound=9, min_size=1):
 
 
 @pytest.fixture
-def bareiss_calls(monkeypatch):
-    """The row counts of every ``linalg._bareiss_rank`` call, in order."""
+def exact_eliminations(monkeypatch):
+    """The row counts of every exact elimination ``integer_rank`` falls
+    back to, in order.  Its fallback is ``integer_kernel`` looked up in
+    ``linalg``; the other modules import ``integer_kernel`` by name, so
+    their own kernels are not counted."""
     calls = []
 
-    def counted(m):
-        calls.append(len(m))
-        return BAREISS(m)
+    def counted(rows):
+        calls.append(len(rows))
+        return KERNEL(rows)
 
-    monkeypatch.setattr(linalg, "_bareiss_rank", counted)
+    monkeypatch.setattr(linalg, "integer_kernel", counted)
     return calls
 
 

@@ -146,6 +146,7 @@ P1, P2 = ProjectivePoint((1, 0)), ProjectivePoint((1, 0, 0))
 @pytest.mark.parametrize("call, error", [
     (lambda: PointSet([]), ValueError),
     (lambda: PointSet([P1, (0, 1)]), TypeError),
+    (lambda: PointSet([(1, 2), P1]), TypeError),
     (lambda: PointSet([P1, P2]), ValueError),
     (lambda: setattr(P1, "primitive_coords", (0, 1)), AttributeError),
     (lambda: setattr(PointSet([P1]), "points", ()), AttributeError),
@@ -155,9 +156,10 @@ P1, P2 = ProjectivePoint((1, 0)), ProjectivePoint((1, 0, 0))
     (lambda: random_point_set(0, 3, random.Random(0)), ValueError),
     (lambda: random_point_set(2, 0, random.Random(0)), ValueError),
     (lambda: random_point_set(2, 3, random.Random(0), bound=0), ValueError),
-], ids=["empty-set", "non-point-item", "two-dimensions", "set-point-attribute",
-        "set-set-attribute", "union-across-dimensions", "basis-negative-n",
-        "rows-negative-degree", "sample-n-0", "sample-size-0", "sample-bound-0"])
+], ids=["empty-set", "non-point-item", "non-point-first-item", "two-dimensions",
+        "set-point-attribute", "set-set-attribute", "union-across-dimensions",
+        "basis-negative-n", "rows-negative-degree", "sample-n-0", "sample-size-0",
+        "sample-bound-0"])
 def test_bad_library_input_raises(call, error):
     with pytest.raises(error):
         call()

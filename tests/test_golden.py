@@ -262,12 +262,14 @@ def test_schema_v3_keeps_every_v2_outcome():
         assert {field: cert[field] for field in old} == old, case
 
 
-def test_the_defective_cubic_case_takes_one_bareiss_rank_of_the_framed_rows(bareiss_calls):
+def test_the_defective_cubic_case_takes_one_exact_elimination_of_the_framed_rows(
+        exact_eliminations):
     # The golden set of seven points of P^4: no kernel vector closes the
-    # gap, so Bareiss ranks the 10 x 10 matrix of the two points off the frame.
+    # gap, so the exact elimination ranks the 10 x 10 matrix of the two
+    # points off the frame.
     a = parse_point_file(_point_file("p4-7-d3")).points
     assert terracini_dimension(a, 3).dim == 33
-    assert bareiss_calls == [10]
+    assert exact_eliminations == [10]
 
 
 def test_every_golden_file_belongs_to_a_case():

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from waringcert import (
@@ -22,6 +23,7 @@ from waringcert import (
     hilbert_profile,
     integer_rank,
     kruskal_rank,
+    linalg,
     max_collinear_subset_size,
     monomial_values,
     span_dim,
@@ -111,13 +113,14 @@ big = st.integers(-2 ** 40, 2 ** 40)
 
 
 @st.composite
-def low_rank_products(draw):
-    """A * B with inner size k below min(rows, cols), entries up to 2**40.
+def low_rank_products(draw, max_size=5):
+    """A * B with inner size k below min(rows, cols), entries up to 2**40,
+    and at most ``max_size`` rows and columns.
 
     In about half the draws the last column of A is multiplied by P, so the
     rank modulo P falls below the rank over Q whenever that column counts.
     """
-    nrows, ncols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    nrows, ncols = draw(st.integers(2, max_size)), draw(st.integers(2, max_size))
     k = draw(st.integers(1, min(nrows, ncols) - 1))
     a = draw(st.lists(st.lists(big, min_size=k, max_size=k),
                       min_size=nrows, max_size=nrows))
@@ -132,6 +135,24 @@ def low_rank_products(draw):
 @given(low_rank_products())
 def test_integer_rank_of_rank_deficient_products(rows):
     assert integer_rank(rows) == minor_rank(rows) < min(len(rows), len(rows[0]))
+
+
+@settings(**KERNEL_SETTINGS)
+@given(low_rank_products(max_size=12))
+def test_exact_elimination_ranks_larger_deficient_products(rows):
+    # Up to 12 x 12: the rank is below min(rows, cols), so with no kernel
+    # offered the two bounds never meet and the exact elimination, the
+    # integer_kernel looked up in linalg, decides once.
+    calls = []
+
+    def counted(m):
+        calls.append(len(m))
+        return integer_kernel(m)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "integer_kernel", counted)
+        assert integer_rank(rows) == fraction_rank(rows)
+    assert calls == [len(rows)]
 
 
 small_matrices = st.integers(1, 5).flatmap(lambda c: st.lists(

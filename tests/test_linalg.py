@@ -35,11 +35,12 @@ def test_collinear_rows_rank_and_kernel():
     assert integer_rank([[1, 0, 0], [1, 1, 0], [1, 2, 0]]) == 2
 
 
-def test_diagonal_rank_counts_nonzero_entries():
-    # Regression: the elimination must rescale every lower row, including
-    # rows with a zero entry in the pivot column.  The modular pass proves
-    # this rank alone, so Bareiss is called directly.
-    assert linalg._bareiss_rank([[7, 0, 0], [0, 3, 0], [0, 0, 1]]) == 3
+def test_diagonal_rank_counts_nonzero_entries(exact_eliminations):
+    # Regression: the exact elimination must update every later row,
+    # including rows with a zero entry in the pivot column.  The last
+    # entry is P, so the rank modulo P is 2 and the fallback decides.
+    assert integer_rank([[7, 0, 0], [0, 3, 0], [0, 0, P]]) == 3
+    assert exact_eliminations == [3]
 
 
 def test_proportional_rational_rows():
@@ -229,23 +230,24 @@ def _fail():
     yield
 
 
-def test_kernel_is_not_asked_for_at_full_rank_mod_p_or_past_a_gap_of_r(bareiss_calls):
+def test_kernel_is_not_asked_for_at_full_rank_mod_p_or_past_a_gap_of_r(exact_eliminations):
     assert integer_rank([[1, 2, 3], [4, 5, 6]], kernel=_fail()) == 2
     assert integer_rank([[1, 0], [0, 1], [1, 1]], kernel=_fail()) == 2
-    assert bareiss_calls == []
-    # Rank 1 in 3 columns: a gap of 2 > 1 goes straight to Bareiss.
+    assert exact_eliminations == []
+    # Rank 1 in 3 columns: a gap of 2 > 1 goes straight to the exact
+    # elimination.
     assert integer_rank([[1, 1, 0], [2, 2, 0]], kernel=_fail()) == 1
-    assert bareiss_calls == [2]
+    assert exact_eliminations == [2]
 
 
-def test_checked_kernel_vectors_close_the_gap_without_bareiss(bareiss_calls):
+def test_checked_kernel_vectors_close_the_gap_without_exact_elimination(exact_eliminations):
     rows = [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 2, 0]]
     kernel = [[1, 1, -1, 0], [0, 0, 0, 5]]
     assert integer_rank(rows, kernel=iter(kernel)) == 2
-    assert bareiss_calls == []
-    # One vector short of cols - r: the Bareiss fallback decides.
+    assert exact_eliminations == []
+    # One vector short of cols - r: the exact elimination decides.
     assert integer_rank(rows, kernel=iter(kernel[:1])) == 2
-    assert bareiss_calls == [3]
+    assert exact_eliminations == [3]
 
 
 @pytest.mark.parametrize("candidates", [
@@ -255,12 +257,12 @@ def test_checked_kernel_vectors_close_the_gap_without_bareiss(bareiss_calls):
     [[0, 0, 0], [0, 0, 0, 1]],         # a vector of the wrong length
     [[0, 0, 0, P], [0, 0, 0, 1]],      # a kernel vector that is zero modulo P
 ])
-def test_bad_kernel_candidates_leave_the_rank_exact(bareiss_calls, candidates):
+def test_bad_kernel_candidates_leave_the_rank_exact(exact_eliminations, candidates):
     # Rank 3 over Q but 2 modulo P, with a one-dimensional kernel: any two
     # candidates accepted as independent would "prove" rank 2.
     rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, P, 0]]
     assert integer_rank(rows, kernel=iter(candidates)) == 3
-    assert bareiss_calls == [3]
+    assert exact_eliminations == [3]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

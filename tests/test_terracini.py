@@ -154,7 +154,7 @@ def test_generic_oracle_argument_validation():
 
 def _rank_and_fallbacks(a, d, calls):
     """The Terracini rank of a at degree d, checked against the fraction
-    rank of its tangent forms, and the number of Bareiss fallbacks it took."""
+    rank of its tangent forms, and the number of exact eliminations it took."""
     before = len(calls)
     rank = terracini_dimension(a, d).dim + 1
     assert rank == fraction_rank(_tangent_matrix(a, d))
@@ -164,11 +164,11 @@ def _rank_and_fallbacks(a, d, calls):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("n, d, l, rank", [(2, 4, 5, 14), (3, 4, 9, 34), (4, 4, 14, 69)])
 def test_defective_quartic_rank_is_proved_by_the_square_of_the_quadric(
-        bareiss_calls, seed, n, d, l, rank):
+        exact_eliminations, seed, n, d, l, rank):
     # Alexander-Hirschowitz: one short of the expected rank.  The quadric Q
     # through the points gives the kernel vector Q**2.
     a = random_point_set(n, l, random.Random(seed), bound=50)
-    assert _rank_and_fallbacks(a, d, bareiss_calls) == (rank, 0)
+    assert _rank_and_fallbacks(a, d, exact_eliminations) == (rank, 0)
 
 
 SUBSPACE_SETS = [
@@ -187,41 +187,41 @@ SUBSPACE_SETS = [
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("rows", SUBSPACE_SETS)
-def test_sets_in_a_proper_subspace_are_proved_by_the_cone_formula(bareiss_calls, rows, d):
+def test_sets_in_a_proper_subspace_are_proved_by_the_cone_formula(exact_eliminations, rows, d):
     # The framed rows span P^(k-1), so the rank inside it takes no kernel
     # vector; the rest is (n + 1 - k) * h(d - 1).
     a = PointSet.from_rows(rows)
-    rank, fallbacks = _rank_and_fallbacks(a, d, bareiss_calls)
+    rank, fallbacks = _rank_and_fallbacks(a, d, exact_eliminations)
     assert fallbacks == 0
     assert rank < min((a.ambient_dim + 1) * len(a), comb(a.ambient_dim + d, d))
 
 
-def test_a_gap_wider_than_the_rank_is_left_to_bareiss(bareiss_calls):
+def test_a_gap_wider_than_the_rank_is_left_to_exact_elimination(exact_eliminations):
     # Twelve points of a line of P^3: their degree-5 rows have rank 6 of 56
     # columns, a gap wider than the rank, so no kernel vector is asked for
-    # and Bareiss ranks them.  Their Terracini rank in degree 6, 19 of 84,
-    # takes no Bareiss: the cone formula reads h(5) from the profile,
+    # and the exact elimination ranks them.  Their Terracini rank in degree
+    # 6, 19 of 84, takes none: the cone formula reads h(5) from the profile,
     # proved by one pass in the coordinates of the line.
     a = PointSet.from_rows([(1, t, 0, 0) for t in range(12)])
-    assert _rank_and_fallbacks(a, 6, bareiss_calls) == (19, 0)
+    assert _rank_and_fallbacks(a, 6, exact_eliminations) == (19, 0)
 
     def refuse():
         raise AssertionError("no kernel vector is asked for past a gap of r")
         yield
 
     assert integer_rank(monomial_rows([p.primitive_coords for p in a], 5), kernel=refuse()) == 6
-    assert bareiss_calls == [12]
+    assert exact_eliminations == [12]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_seven_points_of_p4_in_degree_three_take_one_bareiss_rank(bareiss_calls, seed):
+def test_seven_points_of_p4_in_degree_three_take_one_exact_elimination(exact_eliminations, seed):
     # (4, 3, 7) is defective, but no product of forms vanishing on the
-    # points is a cubic, so no kernel vector closes the gap: Bareiss ranks
-    # the 10 x 10 matrix of the two points off the frame.
+    # points is a cubic, so no kernel vector closes the gap: the exact
+    # elimination ranks the 10 x 10 matrix of the two points off the frame.
     a = random_point_set(4, 7, random.Random(seed), bound=50)
     assert list(_singular_products(terracini._frame(a)[1], 3)) == []
-    assert _rank_and_fallbacks(a, 3, bareiss_calls) == (34, 1)
-    assert bareiss_calls == [10]
+    assert _rank_and_fallbacks(a, 3, exact_eliminations) == (34, 1)
+    assert exact_eliminations == [10]
 
 
 FRAME = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
@@ -250,11 +250,11 @@ SPECIAL_SEVEN = [
 
 
 @pytest.mark.parametrize("rows", SPECIAL_SEVEN)
-def test_special_seven_point_sets_of_p4_rank_exactly(bareiss_calls, rows):
+def test_special_seven_point_sets_of_p4_rank_exactly(exact_eliminations, rows):
     # Points on hyperplanes, collinear triples, and points off the frame
     # on its coordinate hyperplanes: the helper checks the rank against
     # the fraction rank of the tangent forms.
-    _rank_and_fallbacks(PointSet.from_rows(rows), 3, bareiss_calls)
+    _rank_and_fallbacks(PointSet.from_rows(rows), 3, exact_eliminations)
 
 
 def small_points(n, size):
