@@ -17,10 +17,12 @@ degree-t rows, t the least degree with C(n+t, n) >= len(Z), hold every
 lower degree's rows as a column prefix, scaled row by row; the pivots of
 one column-by-column pass below each prefix bound h from below, and a
 bound that meets min(len(Z), C(n+j, n)) proves h(j).  A degree the pass
-does not prove takes an exact rank of its own rows.  ``hilbert_profile``
-has the proof, and every value of h in the package is read from it.  A
-profile stores the values through the separation degree and no more; it
-is kept on the set, and the range the CLI prints is the CLI's own.
+does not prove takes an exact rank of its own rows.  A set on a line
+takes no pass: its profile is (1, 2, ..., len(Z)), a Vandermonde fact.
+``hilbert_profile`` has the proof, and every value of h in the package is
+read from it.  A profile stores the values through the separation degree
+and no more; it is kept on the set, and the range the CLI prints is the
+CLI's own.
 """
 
 from __future__ import annotations
@@ -160,6 +162,14 @@ def hilbert_profile(a: PointSet) -> HilbertProfile:
       coordinates, which ``_frame`` computes, padded by zero columns.  So
       the profile is that of those integer rows, points of P^(k-1): the
       chart, the pass and the fallback run on them.
+    - *Line.*  When n = 1, or ``_frame`` has two points, so that the
+      points are those of P^1 in its coordinates, the profile is
+      (1, 2, ..., l) with no pass: h(j) = min(l, j + 1).  Take j <= l - 1
+      and any j + 1 of the points, (a_i : b_i).  Their degree-j rows
+      (a_i**(j-k) * b_i**k) for k = 0..j form a square homogeneous
+      Vandermonde matrix, whose determinant is, up to sign, the product
+      of a_i*b_k - a_k*b_i over the pairs, nonzero since the points are
+      distinct.  So h(j) >= j + 1 = N_j, and h(l - 1) = l.
     - *Fallback.*  Each degree whose bound falls short takes
       ``_exact_value``, the exact ``integer_rank`` of its own rows; so
       does every degree above t while h < l, where the count of pivots,
@@ -167,11 +177,15 @@ def hilbert_profile(a: PointSet) -> HilbertProfile:
     """
     l = len(a)
     n = a.ambient_dim
+    if n == 1:
+        return HilbertProfile(tuple(range(1, l + 1)))
     coords = [p.primitive_coords for p in a]
     pivots = _profile_pivots(coords)
     rows_of = partial(monomial_values, a)
     if l > 1 and bisect_left(pivots, n + 1) < min(l, n + 1):
         frame, framed = _frame(a)
+        if len(frame) == 2:
+            return HilbertProfile(tuple(range(1, l + 1)))
         if len(frame) <= n:
             n = len(frame) - 1
             pivots = _profile_pivots(framed)

@@ -267,39 +267,41 @@ def reshaped_kruskal(a: PointSet, d: int) -> ReshapingSearch:
     certifies that len(a) is the rank and the decomposition is unique.
 
     With l = len(a), each k_j is at most h_A(j): the degree-j images span
-    h_A(j) dimensions, so any h_A(j) + 1 of them are dependent.  A partition
-    whose sum of these caps, minus 2, is below 2*l could never pass, and is
-    dropped with no sweep; so the cap changes neither whether a partition
-    passes nor which passes first, only which degrees are swept.  Since
-    h_A(j) <= min(l, C(n+j, j)), it drops every partition that cap would.
-    The rest are tried cheapest first: degree j costs 1 when C(n+j, j) >= l
-    (the Hilbert profile decides it unless the set is special) and
-    C(l, C(n+j, j)) subsets otherwise, a partition the sum over its parts,
-    ties in degree_partitions order.  Within a partition the cheapest
-    degrees are swept first, and each exact rank replaces its cap, so a
-    partition stops as soon as it cannot pass.  The search stops at the
-    first partition that passes.
+    h_A(j) dimensions, so any h_A(j) + 1 of them are dependent.  Each cap
+    h_A(j) is read once into a list, and a swept degree's exact rank
+    replaces its cap there, so every bound is a plain sum of the list.  A
+    partition whose caps sum below 2*l + 2 could never pass, since exact
+    ranks only lower a bound, and is dropped before the search sorts; so
+    the cap changes neither whether a partition passes nor which passes
+    first, only which degrees are swept.  Since h_A(j) <= min(l,
+    C(n+j, j)), it drops every partition that cap would.  The rest are
+    tried cheapest first: degree j costs 1 when C(n+j, j) >= l (the Hilbert
+    profile decides it unless the set is special) and C(l, C(n+j, j))
+    subsets otherwise, a partition the sum over its parts, ties in
+    degree_partitions order.  Within a partition the cheapest degrees are
+    swept first, so a partition stops as soon as it cannot pass.  The
+    search stops at the first partition that passes.
     """
     l = len(a)
     n = a.ambient_dim
     h = hilbert_profile(a)
     parts = degree_partitions(d)
+    # caps[j] is h_A(j) until degree j is swept, and k_j from then on.
+    caps = [h.value_at(j) for j in range(d - 1)]
+    cost = [1 if comb(n + j, j) >= l else comb(l, comb(n + j, j)) for j in range(d - 1)]
     known: dict[int, int] = {}
 
-    def cost(j: int) -> int:
-        m = comb(n + j, j)
-        return 1 if m >= l else comb(l, m)
-
     def upper(p: tuple[int, int, int]) -> int:
-        return sum(known.get(j, h.value_at(j)) for j in p) - 2
+        x, y, z = p
+        return caps[x] + caps[y] + caps[z] - 2
 
+    open_parts = [p for p in parts if upper(p) >= 2 * l]
     passing = None
-    for p in sorted(parts, key=lambda p: sum(map(cost, p))):
-        pending = sorted({j for j in p if j not in known}, key=lambda j: (cost(j), j))
-        # A partition whose bound is below 2*l is dropped before any sweep.
+    for p in sorted(open_parts, key=lambda p: cost[p[0]] + cost[p[1]] + cost[p[2]]):
+        pending = sorted({j for j in p if j not in known}, key=lambda j: (cost[j], j))
         while pending and upper(p) >= 2 * l:
             j = pending.pop(0)
-            known[j] = veronese_kruskal_rank(a, j)
+            known[j] = caps[j] = veronese_kruskal_rank(a, j)
         if upper(p) >= 2 * l:
             # Every part is exact now, so the partition passes.
             ranks = tuple(known[j] for j in p)

@@ -31,10 +31,14 @@ which then takes no modular pass of its own.
 ``integer_rank``'s last resort and for callers that build kernel vectors
 from smaller matrices.  For the Kruskal
 subset sweeps, ``_standard_form_mod_p`` writes every row modulo p in terms
-of the first ones, C = R_Q B_Q^-1, and ``_minors_nonzero_mod_p`` checks
-every square minor of C modulo p, handing each one that is zero modulo p
-to its caller, which takes ``integer_rank`` of the one subset that minor
-names.  Callers build integer rows directly (monomial
+of the first ``size`` ones, C = R_Q B_Q^-1, by a row LU of those rows on
+the same packed rows, each followed by ``size`` identity slots, with
+W = 62 + size.bit_length() bits a slot since a row takes at most ``size``
+updates; its pivot columns Q are, row by row, the first column not yet
+taken whose entry in the reduced row is nonzero.  ``_minors_nonzero_mod_p``
+checks every square minor of C modulo p, handing each one that is zero
+modulo p to its caller, which takes ``integer_rank`` of the one subset
+that minor names.  Callers build integer rows directly (monomial
 values at primitive integer representatives of the points), so no
 ``Fraction`` arithmetic runs here.  No floating point and no randomness is
 used anywhere.
@@ -157,12 +161,7 @@ def _eliminate_mod_p(rows: Sequence[Sequence[int]], target: int) -> list[int]:
     width = 62 + min(len(rows), ncols).bit_length()
     mask = (1 << width) - 1
     folds, low30, high = _fold_masks(width, ncols)
-    packed = []
-    for row in rows:
-        v = 0
-        for x in row:
-            v = (v << width) | (x % p)
-        packed.append(v)
+    packed = _packed(rows, width, 0)
     pivots: list[int] = []
     for col in range(ncols):
         shift = (ncols - 1 - col) * width
@@ -188,11 +187,25 @@ def _eliminate_mod_p(rows: Sequence[Sequence[int]], target: int) -> list[int]:
     return pivots
 
 
+def _packed(rows: Sequence[Sequence[int]], width: int, pad: int) -> list[int]:
+    """Each row packed into one int of ``width``-bit slots: the entry of
+    column c, reduced to [0, p), in slot cols - 1 - c + pad, above ``pad``
+    zero slots."""
+    p = _PRIME
+    packed = []
+    for row in rows:
+        v = 0
+        for x in row:
+            v = (v << width) | (x % p)
+        packed.append(v << pad * width)
+    return packed
+
+
 @lru_cache(maxsize=128)
 def _fold_masks(width: int, ncols: int) -> tuple[int, int, int]:
-    """For ``_pivots_mod_p``'s rows of ``ncols`` slots of ``width`` bits: the
-    number of folds that takes a slot below 2**(width - 1) below 2p, and
-    the masks of the low 30 bits and of the rest of every slot."""
+    """For packed rows of ``ncols`` slots of ``width`` bits: the number of
+    folds that takes a slot below 2**(width - 1) below 2p, and the masks of
+    the low 30 bits and of the rest of every slot."""
     folds, bound = 0, 1 << width - 1
     while bound > 2 * _PRIME:
         bound = (1 << 30) + _FOLD * (bound >> 30)
@@ -209,30 +222,65 @@ def _standard_form_mod_p(rows: Sequence[Sequence[int]],
     B is the first ``size`` rows and R the others.  Q is a set of ``size``
     columns with B_Q invertible modulo p, found row by row: for row i of B,
     the first column not yet taken whose entry in row i is nonzero after
-    the column operations of the earlier pivots.  When size is the number of columns, Q is every column.
-    Gauss-Jordan elimination over F_p of the transposed rows restricted to
-    Q, that is, column operations on M_Q, turns M_Q into [I; C], so C has
-    one row per row of R and ``size`` columns.  Each step drops the entry
-    it has eliminated, so the lists shrink as they are reduced.
+    row i is reduced by the pivot rows before it.  With I those rows and J
+    their pivots, that entry is the Schur complement
+    B_iq - B_iJ B_IJ^-1 B_Iq, whether the earlier pivots act on the rows,
+    as here, or on the columns, as in a column elimination of M_Q.  When
+    size is the number of columns, Q is every column.  C has one row per
+    row of R and one column per row of B, and C_r B_Q = r_Q, so C depends
+    on the set Q alone, not on its order.
+
+    A row LU of B over F_p, on rows packed as in ``_eliminate_mod_p``
+    (``_packed``), each followed by ``size`` slots: row i of B gets 1 in
+    slot i of those, the rows of R get 0.  Row i of B is reduced by the
+    pivot rows 0..i-1 in turn: a row v whose slot at q_j holds x becomes
+    v + f * tail_j, f = -x / pivot_j mod p in [0, p), which is zero modulo
+    p at q_j.  Then its pivot q_i is chosen, and its slots from q_i
+    rightwards, the extra slots included, fold into tail_i.  Every slot
+    left of q_i is zero modulo p, taken or not, so dropping them changes
+    nothing modulo p.  Each row of R is reduced the same way by every
+    pivot row.  Row i of B starts as [e_i B | e_i], so every pivot row is
+    [A B | A] modulo p for some A, and a row r of R is reduced to
+    [r + A_r B | A_r].  That is zero modulo p on Q, so r_Q = -A_r B_Q, and
+    the extra slots hold A_r = -C_r.
+
+    No slot overflows: W = 62 + size.bit_length() bits.  Each row takes at
+    most ``size`` updates, one per pivot row, so as in ``_eliminate_mod_p``
+    every slot stays below p + size * 2 * p**2 < 2**(W - 1), and the folds
+    of ``_fold_masks`` take each tail slot below 2p.
     """
     p = _PRIME
+    ncols = len(rows[0]) if rows else 0
+    width = 62 + size.bit_length()
+    mask = (1 << width) - 1
+    folds, low30, high = _fold_masks(width, ncols + size)
+    packed = _packed(rows, width, size)
+    # The shifts of the columns not yet taken, left to right.
+    free = [(ncols - 1 - col + size) * width for col in range(ncols)]
+    steps: list[tuple[int, int, int]] = []
 
-    def reduced(v: list[int]) -> list[int]:
-        f = v[0]
-        return [(x - f * y) % p for x, y in zip(v[1:], pivot)] if f else v[1:]
+    def reduced(v: int) -> int:
+        for shift, neg_inv, tail in steps:
+            x = ((v >> shift) & mask) % p
+            if x:
+                v += (x * neg_inv % p) * tail
+        return v
 
-    cols = [[x % p for x in col] for col in zip(*rows)]
-    pivots: list[list[int]] = []
-    for _ in range(size):
-        hit = next((i for i, col in enumerate(cols) if col[0]), None)
-        if hit is None:
+    for i in range(size):
+        v = reduced(packed[i] | 1 << (size - 1 - i) * width)
+        for k, shift in enumerate(free):
+            x = ((v >> shift) & mask) % p
+            if x:
+                break
+        else:
             return None
-        pivot = cols.pop(hit)
-        inv = pow(pivot[0], -1, p)
-        pivot = [x * inv % p for x in pivot[1:]]
-        pivots = [*map(reduced, pivots), pivot]
-        cols = list(map(reduced, cols))
-    return [list(row) for row in zip(*pivots)]
+        del free[k]
+        tail = v & ((1 << shift + width) - 1)
+        for _ in range(folds):
+            tail = (tail & low30) + _FOLD * ((tail >> 30) & high)
+        steps.append((shift, p - pow(x, -1, p), tail))
+    slots = range((size - 1) * width, -1, -width)
+    return [[-(v >> s & mask) % p for s in slots] for v in map(reduced, packed[size:])]
 
 
 def _minors_nonzero_mod_p(c: Sequence[Sequence[int]],
@@ -266,12 +314,14 @@ def _minors_nonzero_mod_p(c: Sequence[Sequence[int]],
     width = len(c[0])
     nrows = len(c)
     path: list[int] = []
+    # Each row followed by its negation modulo p, built once for all the
+    # visits of that row.
+    signed_rows = [[*row, *(p - x for x in row)] for row in c]
 
     def extend(start: int, minors: list[int], k: int) -> bool:
         terms = _laplace_terms(width, k)
         for u in range(start, nrows):
-            row = c[u]
-            signed = [*row, *(p - x for x in row)]
+            signed = signed_rows[u]
             path.append(u)
             wider = []
             for expansion in terms:

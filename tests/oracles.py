@@ -113,6 +113,34 @@ def pivot_columns_mod_p(rows, p):
     return pivots
 
 
+
+def standard_form_mod_p(rows, size, p):
+    """C = R_Q B_Q^-1 modulo the prime p, as rows, for B the first ``size``
+    rows and R the others; None when B has rank below size modulo p.
+
+    Gauss-Jordan elimination over F_p of the transposed rows, on lists:
+    for row i of B, the first column not yet taken whose entry in row i is
+    nonzero after the column operations of the earlier pivots is the next
+    pivot, and column operations turn M_Q into [I; C].  Each step drops
+    the entry it has eliminated, so the lists shrink as they are reduced.
+    """
+    def reduced(v):
+        f = v[0]
+        return [(x - f * y) % p for x, y in zip(v[1:], pivot)] if f else v[1:]
+
+    cols = [[x % p for x in col] for col in zip(*rows)]
+    pivots = []
+    for _ in range(size):
+        hit = next((i for i, col in enumerate(cols) if col[0]), None)
+        if hit is None:
+            return None
+        pivot = cols.pop(hit)
+        inv = pow(pivot[0], -1, p)
+        pivot = [x * inv % p for x in pivot[1:]]
+        pivots = [*map(reduced, pivots), pivot]
+        cols = list(map(reduced, cols))
+    return [list(row) for row in zip(*pivots)]
+
 def _poly_mul(f, g):
     out = {}
     for ea, ca in f.items():
@@ -322,6 +350,44 @@ def reshaped_kruskal_by_count_caps(a, d):
     return ReshapingSearch(passing=passing, ranks=tuple(sorted(known.items())),
                            bound=max(map(upper, parts)) // 2)
 
+
+
+def reshaped_kruskal_by_profile_caps(a, d):
+    """The reshaping search with each k_j capped by h_A(j), read from the
+    profile at every bound.
+
+    The library's pruned, cheapest-first search as it ran before it read
+    the caps once into a list and dropped the partitions they rule out
+    before sorting: here every partition is sorted by cost, and one whose
+    bound is below 2*len(a) is skipped at its turn.  A ``ReshapingSearch``
+    for comparison.
+    """
+    from waringcert import (KruskalReport, ReshapingSearch, degree_partitions,
+                            hilbert_profile, veronese_kruskal_rank)
+    l, n = len(a), a.ambient_dim
+    h = hilbert_profile(a)
+    parts = degree_partitions(d)
+    known = {}
+
+    def cost(j):
+        m = comb(n + j, j)
+        return 1 if m >= l else comb(l, m)
+
+    def upper(p):
+        return sum(known.get(j, h.value_at(j)) for j in p) - 2
+
+    passing = None
+    for p in sorted(parts, key=lambda p: sum(map(cost, p))):
+        pending = sorted({j for j in p if j not in known}, key=lambda j: (cost(j), j))
+        while pending and upper(p) >= 2 * l:
+            j = pending.pop(0)
+            known[j] = veronese_kruskal_rank(a, j)
+        if upper(p) >= 2 * l:
+            ranks = tuple(known[j] for j in p)
+            passing = KruskalReport(set_size=l, partition=p, ranks=ranks)
+            break
+    return ReshapingSearch(passing=passing, ranks=tuple(sorted(known.items())),
+                           bound=max(map(upper, parts)) // 2)
 
 def reshaped_kruskal_table(a, d):
     """The reshaping test on every partition of d, with no bound or early stop.

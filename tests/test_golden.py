@@ -56,6 +56,7 @@ RANDOM_CASES = {
     "p4-7-d3": (4, 7, 3, 1),           # defective Terracini (4, 3) r = 7
     "p1-5-d3": (1, 5, 3, 1),           # NotMinimal
     "p2-11-d3": (2, 11, 3, 1),         # NotMinimal
+    "p1-6-d9": (1, 6, 9, 1),           # Inconclusive, every partition dropped by its caps
     "p3-9-d4": (3, 9, 4, 1),           # Inconclusive, defective (3, 4) r = 9
     "p2-5-d4": (2, 5, 4, 1),           # Inconclusive, defective (2, 4) r = 5
     "p2-4-d2": (2, 4, 2, 1),           # Inconclusive, quadrics
@@ -248,11 +249,11 @@ def test_corpus_reaches_every_outcome():
 def test_schema_v3_keeps_every_v2_outcome():
     # Schema v3 changed which diagnostics are reported and one note: the
     # quartic rule's cap now rules out nine points of P^3 before k_1.  The
-    # twisted cubic, aligned, lined and x0-line cases joined the corpus at
-    # schema v4.
+    # twisted cubic, aligned, lined, x0-line and p1-6-d9 cases joined the
+    # corpus at schema v4.
     v2 = json.loads(GOLDEN.with_name("golden_v2_certificates.json").read_text())
     assert set(v2) == set(DEGREES) - {"twisted-cubic-p3-12-d7", "aligned-p3-8-d5",
-                                      "lined-p2-6-d4", "x0-line-p2-6-d9"}
+                                      "lined-p2-6-d4", "x0-line-p2-6-d9", "p1-6-d9"}
     for case, old in v2.items():
         cert = json.loads((GOLDEN / f"{case}.certify.json").read_text())["certificate"]
         if case == "p3-9-d4":

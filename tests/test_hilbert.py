@@ -152,6 +152,45 @@ def test_the_pass_proves_a_degree_exactly_when_its_pivots_reach_the_bound(
     assert exact == exact_degrees
 
 
+# Sets on a line, some with points congruent modulo p: (1 : t) and
+# (1 : t + p) are distinct points with equal rows modulo p.
+LINE_CASES = {
+    "binary": (1, [(1, t) for t in range(-3, 4)]),
+    "binary, congruent modulo p": (1, [(1, 0), (1, P), (1, 1), (1, 1 + P), (0, 1),
+                                       (2, 1 + 2 * P)]),
+    "binary pair, congruent modulo p": (1, [(1, 5), (1, 5 + P)]),
+    "binary singleton": (1, [(3, -2)]),
+    "a line of P^3": (3, [(1, 2 + t, 3 * t, -1 + 2 * t) for t in range(-3, 3)]
+                      + [(0, 1, 3, 2), (1, 2 + P, 3 * P, -1 + 2 * P)]),
+}
+
+
+@pytest.mark.parametrize("n, rows", LINE_CASES.values(), ids=LINE_CASES)
+def test_a_set_on_a_line_has_the_profile_of_a_vandermonde_matrix(monkeypatch, n, rows):
+    # h(j) = min(l, j + 1), with no pass and no exact rank in P^1, and in
+    # P^3 the one pass of the set's own rows, which falls short at degree
+    # 1 and hands the set to its frame of two points.
+    passes, exact = [], []
+    pivots, exact_value = hilbert._pivots_mod_p, hilbert._exact_value
+
+    def counted_pass(rows, target):
+        passes.append(len(rows))
+        return pivots(rows, target)
+
+    def counted_exact(rows_of, d):
+        exact.append(d)
+        return exact_value(rows_of, d)
+
+    monkeypatch.setattr(hilbert, "_pivots_mod_p", counted_pass)
+    monkeypatch.setattr(hilbert, "_exact_value", counted_exact)
+    a = PointSet.from_rows(rows)
+    assert a.ambient_dim == n
+    assert hilbert_profile(a).values == tuple(range(1, len(a) + 1))
+    assert passes == ([] if n == 1 else [len(a)])
+    assert exact == []
+    check_profile(a)
+
+
 @st.composite
 def profile_sets(draw):
     """Sets of P^1..P^5 that reach every branch of the profile: general

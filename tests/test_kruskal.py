@@ -26,10 +26,11 @@ from waringcert import (
 )
 from waringcert.cli import parse_point_file
 
-from conftest import random_points
+from conftest import corpus, random_points
 from oracles import (brute_max_collinear, fraction_rank, kruskal_by_subsets,
                      monomial_values_by_powers, reshaped_kruskal_by_count_caps,
-                     reshaped_kruskal_table, tangent_forms)
+                     reshaped_kruskal_by_profile_caps, reshaped_kruskal_table,
+                     tangent_forms)
 
 
 def simplex_plus_ones(n):
@@ -426,3 +427,44 @@ def test_a_set_without_a_modular_frame_takes_no_second_standard_form(monkeypatch
         monkeypatch.setattr(module, "_standard_form_mod_p", counted)
     assert veronese_kruskal_rank(a, 1) == 2
     assert forms == [("hilbert", 8, 4), ("kruskal", 8, 3)]
+
+
+def _golden_set(case):
+    return parse_point_file((Path(__file__).with_name("golden") / f"{case}.pts").read_text()).points
+
+
+# Seeded general sets of P^1..P^4, and special ones whose caps h_A(j) sit
+# below the count caps: points of a line of P^2 and of P^3, of a conic, of a
+# twisted cubic, and the lined and aligned golden sets.
+RESHAPING_SETS = {
+    **{f"general {i}": a for i, a in enumerate(corpus(3030, 16, [1, 2, 3, 4], 12, min_size=2))},
+    "line of P^2": PointSet.from_rows([(1, t, 2 * t - 1) for t in range(7)]),
+    "line of P^3": PointSet.from_rows([(1, t, 0, -t) for t in range(-3, 4)]),
+    "conic": PointSet.from_rows([(1, t, t * t) for t in range(-4, 5)]),
+    "twisted cubic": rational_normal_curve(3, 10),
+    "lined-p2-6-d4": _golden_set("lined-p2-6-d4"),
+    "aligned-p3-8-d5": _golden_set("aligned-p3-8-d5"),
+}
+
+
+@pytest.mark.parametrize("a", RESHAPING_SETS.values(), ids=RESHAPING_SETS)
+def test_dropping_partitions_by_their_caps_keeps_the_search(a):
+    # Dropping a partition whose caps sum below 2l + 2 before the sort
+    # keeps the passing partition, the swept degrees and the bound of the
+    # search that skips it at its turn.
+    for d in range(3, 12):
+        assert reshaped_kruskal(a, d) == reshaped_kruskal_by_profile_caps(a, d), d
+
+
+def test_sixteen_plane_points_at_degree_six_sweep_no_degree(monkeypatch):
+    # h_A = (1, 3, 6, 10, 15, 16): the caps of every partition of 6 sum to
+    # at most 21 < 2 * 16 + 2, so the search sweeps nothing.
+    def refuse(a, j):
+        raise AssertionError(f"degree {j} swept")
+
+    monkeypatch.setattr(kruskal, "veronese_kruskal_rank", refuse)
+    for seed in range(3):
+        search = reshaped_kruskal(random_points(2, 16, random.Random(seed), bound=20), 6)
+        assert search.passing is None
+        assert search.ranks == ()
+        assert search.bound == (3 + 3 + 15 - 2) // 2

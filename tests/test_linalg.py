@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from waringcert import integer_rank, linalg
 
-from oracles import laplace_det, minor_rank, pivot_columns_mod_p, rank_mod_p
+from oracles import (laplace_det, minor_rank, pivot_columns_mod_p, rank_mod_p,
+                     standard_form_mod_p)
 
 P = linalg._PRIME
 
@@ -283,6 +284,37 @@ def test_standard_form_mod_p_writes_every_row_in_the_first_rows(rows, cut):
         if rank_mod_p(rows, P) == size:
             for c, r in zip(form, rows[size:]):
                 assert [sum(map(mul, c, col)) % P for col in zip(*head)] == [x % P for x in r]
+
+
+@st.composite
+def standard_form_cases(draw):
+    """Matrices up to 12 x 10 and a size from 1 to min(rows, cols): entries
+    zero, small, multiples of P or up to +-2**40, and rows that repeat an
+    earlier row modulo P, so that B is often singular modulo P."""
+    nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 10))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-3, 3).map(lambda x: x * P),
+                      st.integers(-2 ** 40, 2 ** 40))
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.integers(0, 3)) == 0:
+            earlier = draw(st.sampled_from(rows))
+            rows.append([x + P * draw(st.integers(-2, 2)) for x in earlier])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    top = min(nrows, ncols)
+    size = draw(st.one_of(st.integers(1, top), st.just(top)))
+    return rows, size
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(standard_form_cases())
+def test_packed_standard_form_matches_the_list_oracle(case):
+    # The packed row LU and the list-based column elimination take the
+    # same pivot columns Q, so C is equal entry by entry, or None on both.
+    rows, size = case
+    before = [list(r) for r in rows]
+    assert linalg._standard_form_mod_p(rows, size) == standard_form_mod_p(rows, size, P)
+    assert rows == before
 
 
 @st.composite
