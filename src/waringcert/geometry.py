@@ -84,7 +84,10 @@ class ProjectivePoint:
 
     Built from ints, Fractions, or anything ``Fraction`` parses, such as
     "3/7": denominators are cleared, the gcd is divided out and the first
-    nonzero entry is made positive.  A row of ints builds no Fraction.
+    nonzero entry is made positive.  A row whose entries are all exactly
+    ``int`` takes one gcd and a sign, with no denominator or lcm work; any
+    other row (bools, int subclasses, Fractions, strings) is read through
+    ``numerator`` and ``denominator``, to the same primitive vector.
     """
 
     __slots__ = ("primitive_coords",)
@@ -92,16 +95,19 @@ class ProjectivePoint:
     primitive_coords: tuple[int, ...]
 
     def __init__(self, coords: Iterable[object]):
-        raw = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coords]
-        if len(raw) < 2:
+        ints = tuple(coords)
+        if {*map(type, ints)} != {int}:
+            raw = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in ints]
+            scale = lcm(*(x.denominator for x in raw))
+            ints = tuple([x.numerator * (scale // x.denominator) for x in raw])
+        if len(ints) < 2:
             raise ValueError("a projective point needs at least 2 coordinates")
-        scale = lcm(*(x.denominator for x in raw))
-        ints = [x.numerator * (scale // x.denominator) for x in raw]
-        lead = next((x for x in ints if x), None)
-        if lead is None:
+        lead = next(filter(None, ints), 0)
+        if not lead:
             raise ValueError("the zero vector is not a projective point")
         g = gcd(*ints) if lead > 0 else -gcd(*ints)
-        object.__setattr__(self, "primitive_coords", tuple(x // g for x in ints))
+        object.__setattr__(self, "primitive_coords",
+                           ints if g == 1 else tuple([x // g for x in ints]))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ProjectivePoint is immutable")
@@ -368,11 +374,15 @@ def random_point_set(n: int, size: int, rng: random.Random,
                      bound: int = 50) -> PointSet:
     """A random set of ``size`` distinct points of P^n.
 
-    Coordinates are drawn uniformly from the integers in [-bound, bound];
-    zero vectors and points already drawn (after canonical scaling) are
-    rejected and redrawn.  Raises ValueError when the box holds fewer than
-    ``size`` distinct points; the points (1 : x_1 : ... : x_n) alone number
-    (2 bound + 1)^n, so only a larger ``size`` takes the exact count.
+    Coordinates are drawn uniformly from the integers in [-bound, bound],
+    each as ``rng.randrange(2 bound + 1) - bound``: the one
+    ``_randbelow(2 bound + 1)`` call that ``rng.randint(-bound, bound)``
+    makes, so the points and the state left in ``rng`` are those of
+    ``randint`` draws.  Zero vectors and points already drawn (after
+    canonical scaling) are rejected and redrawn.  Raises ValueError when
+    the box holds fewer than ``size`` distinct points; the points
+    (1 : x_1 : ... : x_n) alone number (2 bound + 1)^n, so only a larger
+    ``size`` takes the exact count.
     Determinism is the caller's responsibility via the supplied rng.
     """
     if n < 1 or size < 1:
@@ -386,9 +396,10 @@ def random_point_set(n: int, size: int, rng: random.Random,
                              f"in [-{bound}, {bound}], fewer than {size}")
     chosen: list[ProjectivePoint] = []
     seen: set[ProjectivePoint] = set()
+    draw, span = rng.randrange, 2 * bound + 1
     while len(chosen) < size:
-        raw = [rng.randint(-bound, bound) for _ in range(n + 1)]
-        if all(x == 0 for x in raw):
+        raw = [draw(span) - bound for _ in range(n + 1)]
+        if not any(raw):
             continue
         p = ProjectivePoint(raw)
         if p in seen:

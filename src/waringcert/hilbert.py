@@ -262,9 +262,11 @@ def _frame_mod_p(a: PointSet) -> list[list[int]] | None:
 
     That is ``_standard_form_mod_p`` of the degree-1 rows with size n + 1,
     C = R B^-1 for B the first n + 1 primitive rows and R the others, so a
-    point q of R is the sum of c_i * b_i modulo p, c its row of C.  Kept
-    on the set: the degree-1 Kruskal sweep reads it as its modular proof,
-    and ``terracini_dimension`` as its modular frame.
+    point q of R is the sum of c_i * b_i modulo p, c its row of C.  The
+    degree-1 monomial values are the primitive coordinates themselves
+    (the basis x_0, ..., x_n), so the form reads those and builds no
+    degree-1 table.  Kept on the set: the degree-1 Kruskal sweep reads it
+    as its modular proof, and ``terracini_dimension`` as its modular frame.
 
     When it exists, the first n + 1 points are independent over Q too, so
     they are the B of ``_frame``, which takes the greedy maximal independent
@@ -276,7 +278,7 @@ def _frame_mod_p(a: PointSet) -> list[list[int]] | None:
     """
     if len(a) <= a.ambient_dim:
         return None
-    return _standard_form_mod_p(monomial_values(a, 1), a.ambient_dim + 1)
+    return _standard_form_mod_p([p.primitive_coords for p in a], a.ambient_dim + 1)
 
 
 @memo_on_set

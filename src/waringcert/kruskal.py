@@ -43,6 +43,7 @@ straight to exact ranks.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Sequence
@@ -227,11 +228,14 @@ class KruskalReport(Record):
         return self.set_size <= self.bound
 
 
+@lru_cache(maxsize=64)
 def degree_partitions(d: int) -> tuple[tuple[int, int, int], ...]:
     """All partitions d = a + b + c with 1 <= a <= b <= c, most unbalanced first.
 
     Ordered by descending largest part, then ascending smallest;
-    reshaped_kruskal breaks ties of sweep cost in this order.
+    reshaped_kruskal breaks ties of sweep cost in this order.  The tuple
+    depends on d alone, so it is built once per d (a raised error is not
+    cached).
     """
     if d < 3:
         raise ValueError(f"degree must be >= 3 to split into three parts, got {d}")

@@ -23,10 +23,14 @@ pivots, it eliminates the leading ``target`` columns first, and all of
 them only when those fall short.
 It packs each row into one Python int of fixed-width slots,
 W = 62 + min(rows, cols).bit_length() bits each, so that a row update is a
-single multiply-add of whole ints, and proves that no slot overflows.
-A caller that has proved a lower bound modulo p on rows of the same rank
-(the Terracini rows in a modular frame) hands it to ``integer_rank``,
-which then takes no modular pass of its own.
+single multiply-add of whole ints, and its elimination,
+``_eliminate_mod_p``, proves that no slot overflows.  That elimination
+takes rows already packed, so a caller that builds its rows modulo p (the
+Terracini rows in a modular frame) writes each one into the packed layout
+as it builds it, with no list row and no second packing pass, and the same
+elimination and overflow proof serve it.  A caller that has proved a lower
+bound modulo p on rows of the same rank (those Terracini rows) hands it to
+``integer_rank``, which then takes no modular pass of its own.
 ``integer_kernel`` gives a fraction-free kernel basis, for
 ``integer_rank``'s last resort and for callers that build kernel vectors
 from smaller matrices.  For the Kruskal
@@ -117,33 +121,46 @@ def _pivots_mod_p(rows: Sequence[Sequence[int]], target: int) -> list[int]:
     eliminated first: if they have rank ``target``, every one of them is a
     pivot and the list is 0..target - 1, the list the full pass returns,
     since it stops at ``target`` pivots.  Only when they fall short are all
-    the columns eliminated, by ``_eliminate_mod_p``.
+    the columns eliminated.  Each elimination is ``_eliminate_mod_p`` of
+    the rows packed by ``_packed`` at the width ``_slot_width`` gives.
     """
     ncols = len(rows[0]) if rows else 0
     if target < ncols:
-        pivots = _eliminate_mod_p([row[:target] for row in rows], target)
+        pivots = _pivots_mod_p([row[:target] for row in rows], target)
         if len(pivots) == target:
             return pivots
-    return _eliminate_mod_p(rows, target)
+    return _eliminate_mod_p(_packed(rows, _slot_width(len(rows), ncols), 0), ncols, target)
 
 
-def _eliminate_mod_p(rows: Sequence[Sequence[int]], target: int) -> list[int]:
+def _slot_width(nrows: int, ncols: int) -> int:
+    """The slot width W = 62 + m.bit_length(), m = min(nrows, ncols), of
+    the packed rows that ``_eliminate_mod_p`` takes."""
+    return 62 + min(nrows, ncols).bit_length()
+
+
+def _eliminate_mod_p(packed: Sequence[int], ncols: int, target: int) -> list[int]:
     """``_pivots_mod_p`` by one Gaussian elimination over F_p, column by
-    column from the left, stopping as soon as the rank reaches ``target``.
+    column from the left, stopping as soon as the rank reaches ``target``;
+    the input is not modified.
 
-    Each row is packed into one int of
-    fixed-width slots: the entry of column c, reduced to [0, p), sits in
-    slot cols - 1 - c, and a slot is W = 62 + m.bit_length() bits wide, where
-    m = min(rows, cols).  Each column takes one sweep of the remaining
-    rows: only that slot of each is extracted and reduced, and the first
-    row with a nonzero residue is the pivot, so the rows before it need no
-    update.  The pivot row is removed, and its slots right of the pivot
-    column become ``tail`` after whole-int folds: since 2**30 = 35 mod p,
-    a fold maps each slot s to (s & (2**30 - 1)) + 35 * (s >> 30), the same
-    residue, with two masked operations on the whole row.  Every later row
-    v with residue x becomes (v & low) + f * tail, f = -x / pivot mod p in
-    [0, p): one multiply-add of whole ints, where ``& low`` drops the slots
-    of the columns already eliminated.
+    The rows come packed, each into one int of ``ncols`` fixed-width
+    slots, as ``_packed`` lays them out: the entry of column c, a residue
+    in [0, p), sits in slot ncols - 1 - c, and a slot is
+    W = ``_slot_width(len(packed), ncols)`` bits wide, 62 + m.bit_length()
+    for m = min(rows, cols).  ``_pivots_mod_p`` packs list rows so, and a
+    caller that builds its rows modulo p can write them in this layout
+    directly (the Terracini rows of ``terracini_dimension``); the proof
+    below needs only the layout.  Each column takes one sweep of the
+    remaining rows: only that slot of each is extracted and reduced, and
+    the first row with a nonzero residue is the pivot, so the rows before
+    it need no update.  The pivot row is removed, and its slots right of
+    the pivot column become ``tail`` after whole-int folds: since
+    2**30 = 35 mod p, a fold maps each slot s to
+    (s & (2**30 - 1)) + 35 * (s >> 30), the same residue, with two masked
+    operations on the whole row.  Every later row v with residue x becomes
+    (v & low) + f * tail, f = -x / pivot mod p in [0, p): one multiply-add
+    of whole ints, where ``& low`` drops the slots of the columns already
+    eliminated.
 
     No slot overflows into its neighbour.  Suppose every slot is below
     2**(W - 1).  A fold maps a slot below b to one below
@@ -157,11 +174,10 @@ def _eliminate_mod_p(rows: Sequence[Sequence[int]], target: int) -> list[int]:
     modulo p to its entry of the row being eliminated over F_p.
     """
     p = _PRIME
-    ncols = len(rows[0]) if rows else 0
-    width = 62 + min(len(rows), ncols).bit_length()
+    width = _slot_width(len(packed), ncols)
     mask = (1 << width) - 1
     folds, low30, high = _fold_masks(width, ncols)
-    packed = _packed(rows, width, 0)
+    packed = list(packed)
     pivots: list[int] = []
     for col in range(ncols):
         shift = (ncols - 1 - col) * width

@@ -5,7 +5,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -122,6 +122,70 @@ def test_an_integer_row_builds_no_fraction(monkeypatch):
     assert made == []
     assert ProjectivePoint(("1/2", 1)).primitive_coords == (1, 2)
     assert made
+
+
+def _primitive_by_fractions(row):
+    """The primitive vector of a row, by exact rational arithmetic alone:
+    scaled so that the first nonzero entry is 1, multiplied by the lcm of
+    the denominators and divided by the gcd, which keeps that entry
+    positive."""
+    exact = [Fraction(x) for x in row]
+    lead = next(x for x in exact if x)
+    scaled = [x / lead for x in exact]
+    ints = [x * lcm(*(y.denominator for y in scaled)) for x in scaled]
+    return tuple(int(x) // gcd(*map(int, ints)) for x in ints)
+
+
+def _int_rows():
+    """Rows of plain ints: small and huge entries, zeros, and leading zeros."""
+    entry = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70),
+                      st.sampled_from([0, 2 ** 70, -2 ** 70, -(2 ** 70) + 1]))
+    return st.tuples(st.integers(0, 2), st.lists(entry, min_size=1, max_size=5)).map(
+        lambda case: [0] * case[0] + case[1]).filter(lambda row: len(row) >= 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_int_rows())
+def test_an_int_row_has_the_primitive_vector_of_the_fraction_path(row):
+    assume(any(row))
+    p = ProjectivePoint(row)
+    assert p.primitive_coords == ProjectivePoint([Fraction(x) for x in row]).primitive_coords
+    assert p.primitive_coords == _primitive_by_fractions(row)
+    assert all(type(x) is int for x in p.primitive_coords)
+
+
+class _Tagged(int):
+    """An int subclass, which takes the path of non-int entries."""
+
+
+def _mixed_rows():
+    entry = st.one_of(
+        st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.builds(_Tagged, st.integers(-9, 9)),
+        st.fractions(-6, 6, max_denominator=6),
+        st.builds("{}/{}".format, st.integers(-6, 6), st.integers(1, 6)))
+    return st.lists(entry, min_size=2, max_size=5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mixed_rows())
+def test_bools_int_subclasses_and_mixed_rows_have_the_same_primitive_vector(row):
+    assume(any(Fraction(x) for x in row))
+    p = ProjectivePoint(row)
+    assert p.primitive_coords == _primitive_by_fractions(row)
+    assert all(type(x) is int for x in p.primitive_coords)
+
+
+@pytest.mark.parametrize("row, message", [
+    ((), "at least 2 coordinates"), ((5,), "at least 2 coordinates"),
+    ([Fraction(1, 2)], "at least 2 coordinates"), (("3/4",), "at least 2 coordinates"),
+    ((True,), "at least 2 coordinates"), ((0, 0), "the zero vector"),
+    ((0, 0, 0, 0), "the zero vector"), ((False, 0), "the zero vector"),
+    ((_Tagged(0), 0), "the zero vector"), ((Fraction(0), "0/5"), "the zero vector"),
+    (("x", 1), "Invalid literal"), (("x",), "Invalid literal"),
+])
+def test_short_rows_and_zero_vectors_raise_as_before(row, message):
+    with pytest.raises(ValueError, match=message):
+        ProjectivePoint(row)
 
 
 def test_point_set_rejects_duplicates_with_indices():
@@ -357,6 +421,32 @@ def test_random_point_set_deterministic():
     b = random_point_set(2, 6, random.Random(99))
     assert a == b
     assert len(a) == 6 and a.ambient_dim == 2
+
+
+def _points_by_randint(n, size, rng, bound):
+    """The sampler as ``randint`` draws it: zero vectors and points already
+    drawn are rejected and redrawn."""
+    chosen = []
+    while len(chosen) < size:
+        raw = [rng.randint(-bound, bound) for _ in range(n + 1)]
+        if any(raw):
+            p = ProjectivePoint([Fraction(x) for x in raw])
+            if p not in chosen:
+                chosen.append(p)
+    return chosen
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_random_point_set_draws_the_points_and_state_of_randint(n):
+    # With bound 1, every point of the box is drawn, so zero vectors and
+    # repeats are rejected many times; bound 50 is the generic witness's.
+    # The state left in the generator matters: a second trial draws on.
+    for seed in range(4):
+        for size, bound in [(_box_point_count(n, 1), 1), (n + 8, 50)]:
+            ours, theirs = random.Random(seed), random.Random(seed)
+            a = random_point_set(n, size, ours, bound=bound)
+            assert list(a) == _points_by_randint(n, size, theirs, bound)
+            assert ours.getstate() == theirs.getstate()
 
 
 def test_box_point_count_matches_enumeration():

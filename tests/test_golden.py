@@ -150,6 +150,7 @@ GENERIC_CASES = {
     "generic-5-7": (5, 7),             # over the oracle budget, not verified
     "generic-4-3": (4, 3),             # defective generic rank, (4, 3) at 7 points
     "generic-4-4": (4, 4),             # defective generic rank, (4, 4) at 14 points
+    "generic-2-8": (2, 8),             # the largest benchmark witness, 36 x 36 framed rows
 }
 
 

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+from itertools import product
 from math import comb
 from pathlib import Path
 
@@ -127,8 +128,18 @@ def test_degree_partitions_order():
     assert degree_partitions(5) == ((1, 1, 3), (1, 2, 2))
     assert degree_partitions(7) == (
         (1, 1, 5), (1, 2, 4), (1, 3, 3), (2, 2, 3))
-    with pytest.raises(ValueError):
-        degree_partitions(2)
+    for d in range(3, 13):
+        # Every sorted triple of positive parts, by descending largest part,
+        # then ascending smallest; the same tuple on every call.
+        triples = {tuple(sorted(t)) for t in product(range(1, d + 1), repeat=3)
+                   if sum(t) == d}
+        brute = tuple(sorted(triples, key=lambda t: (-t[2], t[0])))
+        assert degree_partitions(d) == brute
+        assert degree_partitions(d) is degree_partitions(d)
+    # A bad degree raises on every call: errors are not cached.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            degree_partitions(2)
 
 
 def test_reshaped_kruskal_quartic_general_six_in_p3():

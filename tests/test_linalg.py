@@ -202,9 +202,9 @@ def test_a_full_rank_leading_block_is_the_only_block_eliminated(monkeypatch):
     blocks = []
     eliminate = linalg._eliminate_mod_p
 
-    def counted(rows, target):
-        blocks.append((len(rows), len(rows[0]), target))
-        return eliminate(rows, target)
+    def counted(packed, ncols, target):
+        blocks.append((len(packed), ncols, target))
+        return eliminate(packed, ncols, target)
 
     monkeypatch.setattr(linalg, "_eliminate_mod_p", counted)
     rows = [[1, 0, 5, 7, 9], [0, 1, 2, 4, 8]]

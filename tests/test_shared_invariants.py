@@ -277,18 +277,23 @@ def profile_passes(monkeypatch):
     return calls
 
 
+def counting_eliminations(blocks, eliminate):
+    """``eliminate``, a ``_eliminate_mod_p``, recording the (rows, cols) of
+    every packed block it eliminates in ``blocks``."""
+    def counted(packed, ncols, target):
+        blocks.append((len(packed), ncols))
+        return eliminate(packed, ncols, target)
+    return counted
+
+
 @pytest.fixture
 def modular_passes(monkeypatch):
-    """The (rows, cols) of every modular rank that ``terracini_dimension``
-    takes of its tangent rows in the modular frame."""
+    """The (rows, cols) of every modular elimination that
+    ``terracini_dimension`` takes of its packed tangent rows in the modular
+    frame."""
     calls = []
-    original = terracini._pivots_mod_p
-
-    def counted(rows, target):
-        calls.append((len(rows), len(rows[0])))
-        return original(rows, target)
-
-    monkeypatch.setattr(terracini, "_pivots_mod_p", counted)
+    monkeypatch.setattr(terracini, "_eliminate_mod_p",
+                        counting_eliminations(calls, terracini._eliminate_mod_p))
     return calls
 
 
@@ -340,8 +345,9 @@ def test_certify_4_9_4_takes_no_9_by_70_rank(rank_calls, modular_passes):
     # The profile's one modular pass proves h(1) and h(2) with no rank;
     # what is left is the quartic's Terracini rank: the 20 rows of the
     # four points off the frame, on the 45 of 70 columns that the frame's
-    # tangent rows miss, proved by their rank modulo p in the modular frame.
-    assert modular_passes == [(20, 45)]
+    # tangent rows miss, proved by the rank modulo p of their leading 20
+    # columns in the modular frame.
+    assert modular_passes == [(20, 20)]
 
 
 @pytest.mark.parametrize("n, size, d, shape", [(4, 7, 3, (10, 10)), (2, 5, 4, (6, 6)),
@@ -366,15 +372,10 @@ def test_certify_4_9_4_works_in_the_modular_frame_alone(monkeypatch, rank_calls,
     # square block: the profile's 9 x 9 and the tangent rows' 20 x 20.
     forms, kernels, blocks = [], [], []
     standard_form = hilbert._standard_form_mod_p
-    eliminate = linalg._eliminate_mod_p
 
     def counted_form(rows, size):
         forms.append((len(rows), len(rows[0]), size))
         return standard_form(rows, size)
-
-    def counted_block(rows, target):
-        blocks.append((len(rows), len(rows[0])))
-        return eliminate(rows, target)
 
     def counted_kernel(rows):
         kernels.append(rows)
@@ -382,7 +383,9 @@ def test_certify_4_9_4_works_in_the_modular_frame_alone(monkeypatch, rank_calls,
 
     for module in (hilbert, kruskal):
         monkeypatch.setattr(module, "_standard_form_mod_p", counted_form)
-    monkeypatch.setattr(linalg, "_eliminate_mod_p", counted_block)
+    for module in (linalg, terracini):
+        monkeypatch.setattr(module, "_eliminate_mod_p",
+                            counting_eliminations(blocks, module._eliminate_mod_p))
     for module in (hilbert, terracini):
         monkeypatch.setattr(module, "integer_kernel", counted_kernel)
     for seed in (94, 95, 96):
@@ -393,7 +396,7 @@ def test_certify_4_9_4_works_in_the_modular_frame_alone(monkeypatch, rank_calls,
         assert cert.criterion == "quartic"
         assert forms == [(9, 5, 5)]
         assert kernels == [] and rank_calls == []
-        assert modular_passes == [(20, 45)]
+        assert modular_passes == [(20, 20)]
         assert blocks == [(9, 9), (20, 20)]
 
 
@@ -403,19 +406,15 @@ def test_five_plane_points_eliminate_their_tangent_rows_once(monkeypatch):
     # and the square of the conic closes the gap with no second
     # elimination of those rows.
     blocks = []
-    eliminate = linalg._eliminate_mod_p
-
-    def counted(rows, target):
-        blocks.append(len(rows))
-        return eliminate(rows, target)
-
-    monkeypatch.setattr(linalg, "_eliminate_mod_p", counted)
+    for module in (linalg, terracini):
+        monkeypatch.setattr(module, "_eliminate_mod_p",
+                            counting_eliminations(blocks, module._eliminate_mod_p))
     for seed in range(3):
         blocks.clear()
         cert = certify(general_points(2, 5, seed), 4)
         assert cert.verdict.value == "Inconclusive"
         assert cert.diagnostics.terracini.dim == 13
-        assert blocks.count(6) == 1
+        assert [rows for rows, _ in blocks].count(6) == 1
 
 
 @pytest.mark.parametrize("n, size", [(1, 1), (1, 2), (2, 3), (3, 2), (4, 3), (4, 5)])

@@ -416,6 +416,92 @@ def test_alexander_hirschowitz_quartics_fall_short_in_the_modular_frame(exact_fr
     assert exact_frames == [l, l]
 
 
+def _slots(v, ncols, width):
+    """The ``ncols`` slots of a packed row, left to right, and what lies
+    above them."""
+    mask = (1 << width) - 1
+    return [v >> (ncols - 1 - c) * width & mask for c in range(ncols)], v >> ncols * width
+
+
+@pytest.mark.parametrize("n, d, l", [(2, 4, 5), (4, 3, 7), (3, 4, 9), (4, 4, 9),
+                                     (2, 8, 15), (5, 3, 10), (1, 5, 4)])
+def test_witness_rows_are_packed_as_they_are_built(n, d, l):
+    # On exact and on reduced values, every width of leading block: the
+    # rows written straight into the packed layout are those ``_packed``
+    # makes of the list rows, at the width it would use, and every slot
+    # is a residue.
+    a = random_point_set(n, l, random.Random(31), bound=50)
+    coords = hilbert._frame_mod_p(a)
+    kept, index = terracini._derivative_index(n, d)
+    exact = monomial_rows(coords, d - 1)
+    for values in (exact, [[x % linalg._PRIME for x in v] for v in exact]):
+        rows = terracini._tangent_rows(values, index)
+        for ncols in sorted({1, len(kept) // 2, len(kept) - 1, len(kept)} - {0}):
+            width = 62 + min(len(rows), ncols).bit_length()
+            packed = terracini._packed_tangent_rows(values, index, ncols)
+            assert packed == linalg._packed([row[:ncols] for row in rows], width, 0)
+            for v in packed:
+                slots, above = _slots(v, ncols, width)
+                assert above == 0 and all(0 <= x < linalg._PRIME for x in slots)
+
+
+def _witness(n, d, l):
+    """The first draw of ``generic_terracini_dimension(n, d, l, seed=0)``."""
+    return random_point_set(n, l, random.Random(0), bound=50), d
+
+
+# Sets, degrees, and the (rows, cols, target) of every packed elimination
+# that ``terracini_dimension`` takes in the modular frame.  The Alexander-
+# Hirschowitz witnesses fill the space, so target = kept: their leading
+# block is every kept column, and it falls short by one.  A general
+# (4, 9, 4) is proved by its leading 20 of 45 columns.  Two plane sets have
+# a leading block short of its target although target < kept, so every
+# column is eliminated: the first reaches the target there, the second
+# does not.
+PACKED_WITNESSES = {
+    "(2, 4) at 5": (_witness(2, 4, 5), [(6, 6, 6)]),
+    "(4, 3) at 7": (_witness(4, 3, 7), [(10, 10, 10)]),
+    "(3, 4) at 9": (_witness(3, 4, 9), [(20, 19, 19)]),
+    "(4, 9, 4)": ((random_points(4, 9, random.Random(94), bound=20), 4), [(20, 20, 20)]),
+    "plane, short leading block": (
+        (PointSet.from_rows([(2, 0, -1), (2, -1, 2), (1, -2, 2), (0, -1, -1),
+                             (0, 2, -2), (0, 0, -1)]), 5), [(9, 9, 9), (9, 12, 9)]),
+    "plane, short on every column": (
+        (PointSet.from_rows([(1, 0, 1), (1, 0, 0), (1, 1, 0), (-1, 0, 1), (0, 0, -1)]), 5),
+        [(6, 6, 6), (6, 12, 6)]),
+}
+
+
+@pytest.mark.parametrize("case", PACKED_WITNESSES.values(), ids=PACKED_WITNESSES)
+def test_packed_witness_rows_keep_the_lower_bound_and_the_rank(monkeypatch, case):
+    (a, d), shapes = case
+    blocks, lowers = [], []
+    eliminate, rank_of = terracini._eliminate_mod_p, terracini.integer_rank
+
+    def counted(packed, ncols, target):
+        blocks.append((len(packed), ncols, target))
+        return eliminate(packed, ncols, target)
+
+    def spied(rows, kernel=None, lower=None):
+        lowers.append(lower)
+        return rank_of(rows, kernel=kernel, lower=lower)
+
+    monkeypatch.setattr(terracini, "_eliminate_mod_p", counted)
+    monkeypatch.setattr(terracini, "integer_rank", spied)
+    n, l = a.ambient_dim, len(a)
+    rank = terracini_dimension(a, d).dim + 1
+    assert rank == fraction_rank(_tangent_matrix(a, d))
+    assert blocks == shapes
+    # The lower bound is the number ``_pivots_mod_p`` takes of the list
+    # rows of the modular frame, handed to the exact path when it falls
+    # short of the target.
+    kept, index = terracini._derivative_index(n, d)
+    target = min((n + 1) * l, comb(n + d, d)) - comb(n + d, d) + len(kept)
+    rows = terracini._tangent_rows(monomial_rows(hilbert._frame_mod_p(a), d - 1), index)
+    lower = len(linalg._pivots_mod_p(rows, target))
+    assert lowers == ([] if lower == target else [lower])
+
+
 def _collinear(n, l):
     """l points of a line of P^n."""
     return PointSet.from_rows([(1, t) + (0,) * (n - 1) for t in range(l)])
