@@ -20,17 +20,18 @@ rank modulo p of the first k columns: the Hilbert profile reads a lower
 bound on every degree's rank from one pass, and every rank modulo p in
 the package is the number of its pivots.  Asked for at most ``target``
 pivots, it eliminates the leading ``target`` columns first, and all of
-them only when those fall short.
-It packs each row into one Python int of fixed-width slots,
-W = 62 + min(rows, cols).bit_length() bits each, so that a row update is a
-single multiply-add of whole ints, and its elimination,
-``_eliminate_mod_p``, proves that no slot overflows.  That elimination
-takes rows already packed, so a caller that builds its rows modulo p (the
-Terracini rows in a modular frame) writes each one into the packed layout
-as it builds it, with no list row and no second packing pass, and the same
-elimination and overflow proof serve it.  A caller that has proved a lower
-bound modulo p on rows of the same rank (those Terracini rows) hands it to
-``integer_rank``, which then takes no modular pass of its own.
+them only when those fall short, a rule written once, in
+``_leading_pivots``.  Each row is packed into one Python int of
+fixed-width slots, W = 62 + min(rows, cols).bit_length() bits each, so
+that a row update is a single multiply-add of whole ints, and the
+elimination, ``_eliminate_mod_p``, proves that no slot overflows.
+``_packed`` packs list rows; rows gathered as f * v[i] from shorter rows
+v by a table of pairs (f, i), as the Terracini rows of a modular frame
+are from the points' monomial values, are written packed as they are
+built, with no list row (``_gathered_pivots_mod_p``).  A caller that has
+proved a lower bound modulo p on rows of the same rank (those Terracini
+rows) hands it to ``integer_rank``, which then takes no modular pass of
+its own.
 ``integer_kernel`` gives a fraction-free kernel basis, for
 ``integer_rank``'s last resort and for callers that build kernel vectors
 from smaller matrices.  For the Kruskal
@@ -63,6 +64,9 @@ _PRIME = 1073741789
 # 2**30 modulo the prime: a slot folds its bits from 30 up onto its low bits
 # times this.
 _FOLD = (1 << 30) - _PRIME
+
+# Gathered rows: per row, per column, (f, i) for the entry f * v[i].
+_Index = Sequence[Sequence[tuple[int, int]]]
 
 
 def integer_rank(rows: Iterable[Sequence[int]],
@@ -117,19 +121,36 @@ def _pivots_mod_p(rows: Sequence[Sequence[int]], target: int) -> list[int]:
     Column c is a pivot exactly when the rank modulo p of the first c + 1
     columns exceeds that of the first c, so the pivots below column k
     number the rank modulo p of the first k columns, and the list depends
-    only on those prefix ranks.  The leading ``target`` columns are
-    eliminated first: if they have rank ``target``, every one of them is a
-    pivot and the list is 0..target - 1, the list the full pass returns,
-    since it stops at ``target`` pivots.  Only when they fall short are all
-    the columns eliminated.  Each elimination is ``_eliminate_mod_p`` of
-    the rows packed by ``_packed`` at the width ``_slot_width`` gives.
+    only on those prefix ranks.  ``_leading_pivots`` of the rows as
+    ``_packed`` packs them.
     """
     ncols = len(rows[0]) if rows else 0
+    return _leading_pivots(lambda k: _packed(rows if k == ncols else [row[:k] for row in rows],
+                                             _slot_width(len(rows), k), 0), ncols, target)
+
+
+def _gathered_pivots_mod_p(values: Sequence[Sequence[int]], index: _Index,
+                           ncols: int, target: int) -> list[int]:
+    """``_pivots_mod_p`` of the rows [f * v[i] for f, i in partials], one
+    per row v of ``values`` and entry ``partials`` of ``index``, each
+    written packed as it is built (``_packed_gathered``) from ``values``
+    reduced modulo p."""
+    values = [[x % _PRIME for x in v] for v in values]
+    return _leading_pivots(lambda k: _packed_gathered(values, index, k), ncols, target)
+
+
+def _leading_pivots(pack: Callable[[int], list[int]], ncols: int, target: int) -> list[int]:
+    """``_pivots_mod_p`` of rows of ``ncols`` columns whose leading k
+    columns ``pack(k)`` packs at the width ``_slot_width`` gives.  The
+    leading ``target`` columns are eliminated first: if they have rank
+    ``target``, every one is a pivot and the list is 0..target - 1, the
+    list the full pass returns, since it stops at ``target`` pivots.  Only
+    when they fall short are all the columns packed and eliminated."""
     if target < ncols:
-        pivots = _pivots_mod_p([row[:target] for row in rows], target)
+        pivots = _eliminate_mod_p(pack(target), target, target)
         if len(pivots) == target:
             return pivots
-    return _eliminate_mod_p(_packed(rows, _slot_width(len(rows), ncols), 0), ncols, target)
+    return _eliminate_mod_p(pack(ncols), ncols, target)
 
 
 def _slot_width(nrows: int, ncols: int) -> int:
@@ -143,24 +164,21 @@ def _eliminate_mod_p(packed: Sequence[int], ncols: int, target: int) -> list[int
     column from the left, stopping as soon as the rank reaches ``target``;
     the input is not modified.
 
-    The rows come packed, each into one int of ``ncols`` fixed-width
-    slots, as ``_packed`` lays them out: the entry of column c, a residue
-    in [0, p), sits in slot ncols - 1 - c, and a slot is
-    W = ``_slot_width(len(packed), ncols)`` bits wide, 62 + m.bit_length()
-    for m = min(rows, cols).  ``_pivots_mod_p`` packs list rows so, and a
-    caller that builds its rows modulo p can write them in this layout
-    directly (the Terracini rows of ``terracini_dimension``); the proof
-    below needs only the layout.  Each column takes one sweep of the
-    remaining rows: only that slot of each is extracted and reduced, and
-    the first row with a nonzero residue is the pivot, so the rows before
-    it need no update.  The pivot row is removed, and its slots right of
-    the pivot column become ``tail`` after whole-int folds: since
-    2**30 = 35 mod p, a fold maps each slot s to
-    (s & (2**30 - 1)) + 35 * (s >> 30), the same residue, with two masked
-    operations on the whole row.  Every later row v with residue x becomes
-    (v & low) + f * tail, f = -x / pivot mod p in [0, p): one multiply-add
-    of whole ints, where ``& low`` drops the slots of the columns already
-    eliminated.
+    The rows come packed, each into one int of ``ncols`` fixed-width slots,
+    as ``_packed`` and ``_packed_gathered`` lay them out: the entry of
+    column c, a residue in [0, p), sits in slot ncols - 1 - c, and a slot
+    is W = ``_slot_width(len(packed), ncols)`` = 62 + m.bit_length() bits
+    wide for m = min(rows, cols); the proof below needs only the
+    layout.  Each column takes one sweep of the remaining rows: only that
+    slot of each is extracted and reduced, and the first row with a nonzero
+    residue is the pivot, so the rows before it need no update.  The pivot
+    row is removed, and its slots right of the pivot column become ``tail``
+    after whole-int folds: since 2**30 = 35 mod p, a fold maps each slot s
+    to (s & (2**30 - 1)) + 35 * (s >> 30), the same residue, with two
+    masked operations on the whole row.  Every later row v with residue x
+    becomes (v & low) + f * tail, f = -x / pivot mod p in [0, p): one
+    multiply-add of whole ints, where ``& low`` drops the slots of the
+    columns already eliminated.
 
     No slot overflows into its neighbour.  Suppose every slot is below
     2**(W - 1).  A fold maps a slot below b to one below
@@ -214,6 +232,24 @@ def _packed(rows: Sequence[Sequence[int]], width: int, pad: int) -> list[int]:
         for x in row:
             v = (v << width) | (x % p)
         packed.append(v << pad * width)
+    return packed
+
+
+def _packed_gathered(values: Sequence[Sequence[int]], index: _Index, ncols: int) -> list[int]:
+    """The first ``ncols`` columns of the rows of ``_gathered_pivots_mod_p``,
+    each written straight into the packed layout as it is built.  Equal,
+    int for int, to ``_packed`` of those list rows at the width
+    ``_slot_width`` gives for them."""
+    p = _PRIME
+    width = _slot_width(len(values) * len(index), ncols)
+    lead = [partials[:ncols] for partials in index]
+    packed = []
+    for v in values:
+        for partials in lead:
+            row = 0
+            for f, i in partials:
+                row = row << width | f * v[i] % p
+            packed.append(row)
     return packed
 
 

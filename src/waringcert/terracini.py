@@ -94,14 +94,9 @@ Terracini matrix is an integer matrix and a minor nonzero modulo p is a
 nonzero integer.  When it meets the upper bound min((n+1)l, C(n+d, d))
 the rank is proved; otherwise the rank of R modulo p is still a lower
 bound on the rank over Q of R in the exact frame (``_frame_mod_p``).
-The rows of R are built modulo p from the degree-(d-1) monomial values
-of the rows c, and each is written straight into the packed layout of
-``linalg._eliminate_mod_p`` as it is built, with no list row: first only
-the leading target columns, target = min((n+1)l, C(n+d, d)) - |C|, which
-prove the rank when they have rank target modulo p.  Only a leading block
-that falls short, with columns left over, is built again on every column
-and eliminated there, as ``linalg._pivots_mod_p`` would; so the lower
-bound is the number that pass returns.
+The rows of R are gathered modulo p from the degree-(d-1) monomial
+values of the rows c by ``linalg._gathered_pivots_mod_p``, asked for
+target = min((n+1)l, C(n+d, d)) - |C| pivots.
 """
 
 from __future__ import annotations
@@ -115,12 +110,8 @@ from typing import Iterator, Sequence
 from .geometry import (PointSet, Record, memo_on_set, monomial_basis,
                        monomial_rows, random_point_set)
 from .hilbert import _frame, _frame_mod_p, hilbert_function
-from .linalg import (_PRIME, _eliminate_mod_p, _slot_width, integer_kernel,
-                     integer_rank)
+from .linalg import _PRIME, _Index, _gathered_pivots_mod_p, integer_kernel, integer_rank
 
-
-# Per variable j, per column e: (e_j, index of e - u_j one degree lower).
-_Index = tuple[tuple[tuple[int, int], ...], ...]
 
 # The random draws of ``generic_terracini_dimension``.
 _TRIALS = 2
@@ -200,27 +191,6 @@ def _tangent_rows(values: Sequence[Sequence[int]], index: _Index) -> list[list[i
     return [[f * v[i] for f, i in partials] for v in values for partials in index]
 
 
-def _packed_tangent_rows(values: Sequence[Sequence[int]], index: _Index,
-                         ncols: int) -> list[int]:
-    """The first ``ncols`` columns of ``_tangent_rows(values, index)``,
-    each row written straight into the packed layout of
-    ``linalg._eliminate_mod_p`` as it is built: the entry of column c,
-    reduced to [0, p), in slot ncols - 1 - c of
-    ``linalg._slot_width(rows, ncols)`` bits.  Equal, int for int, to
-    ``linalg._packed`` of those list rows at that width."""
-    p = _PRIME
-    width = _slot_width(len(values) * len(index), ncols)
-    lead = [partials[:ncols] for partials in index]
-    packed = []
-    for v in values:
-        for partials in lead:
-            row = 0
-            for f, i in partials:
-                row = row << width | f * v[i] % p
-            packed.append(row)
-    return packed
-
-
 @lru_cache(maxsize=64)
 def _product_index(n: int, e: int, f: int) -> tuple[tuple[int, ...], ...]:
     """Entry [i][k]: the index in the degree-(e+f) basis of the product of
@@ -274,16 +244,14 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     It is first proved in the modular frame (module docstring), when
     ``hilbert._frame_mod_p`` finds the first n + 1 points independent
     modulo p and d < p: the rows of the other points, on the columns
-    outside C, are packed modulo p as they are built
-    (``_packed_tangent_rows``), leading columns first, and ranked by
-    ``_eliminate_mod_p``, and when |C| plus that rank meets
-    min((n+1)l, C(n+d, d)) the report returns with no exact frame and no
-    integer row.  Otherwise the rank is taken
-    in the exact frame of ``_frame``, by the frame identity and the cone
-    formula: only the other points' integer rows outside the columns the
-    frame rows hit are ranked, with the modular rank, where there was
-    one, as ``integer_rank``'s lower bound, so those rows are not
-    eliminated again.  ``_singular_products`` of the framed rows offers
+    outside C, are ranked modulo p by ``linalg._gathered_pivots_mod_p``,
+    and when |C| plus that rank meets min((n+1)l, C(n+d, d)) the report
+    returns with no exact frame and no integer row.  Otherwise the rank
+    is taken in the exact frame of ``_frame``, by the frame identity and
+    the cone formula: only the other points' integer rows outside the
+    columns the frame rows hit are ranked, with the modular rank, where
+    there was one, as ``integer_rank``'s lower bound, so those rows are
+    not eliminated again.  ``_singular_products`` of the framed rows offers
     it right-kernel vectors, restricted to those columns.
 
     From d >= 2l - 1 on, l = len(a), the tangent spaces are in direct sum
@@ -313,14 +281,8 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
         target = full - (comb(n + d, d) - len(kept))
         lower = 0
         if target:
-            values = [[x % _PRIME for x in v] for v in monomial_rows(coords, d - 1)]
-            lower = len(_eliminate_mod_p(_packed_tangent_rows(values, index, target),
-                                         target, target))
-            if lower < target < len(kept):
-                # The leading block falls short: every column, as in
-                # ``_pivots_mod_p``.
-                lower = len(_eliminate_mod_p(
-                    _packed_tangent_rows(values, index, len(kept)), len(kept), target))
+            lower = len(_gathered_pivots_mod_p(monomial_rows(coords, d - 1), index,
+                                               len(kept), target))
         if lower == target:
             return TerraciniReport(num_points=len(a), ambient_dim=n, degree=d, dim=full - 1)
     frame, framed = _frame(a)

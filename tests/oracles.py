@@ -4,7 +4,10 @@ Everything here is deliberately naive: determinants by Laplace expansion,
 ranks by scanning all square minors or by Gaussian elimination over
 ``Fraction``, powers of linear forms by repeated polynomial multiplication.
 Slow but obviously correct, which is the point; tests keep the inputs small
-enough for the exponential algorithms.
+enough for the exponential algorithms.  Also the known facts the tests and
+the reach ledger (``reach/run.py``) check the certifier against: the
+Alexander-Hirschowitz generic ranks and the sets with a second
+decomposition.
 """
 
 from fractions import Fraction
@@ -403,3 +406,32 @@ def reshaped_kruskal_table(a, d):
         ranks = tuple(veronese_kruskal_rank(a, j) for j in part)
         reports.append(KruskalReport(set_size=l, partition=part, ranks=ranks))
     return tuple(reports)
+
+
+# The Alexander-Hirschowitz theorem, written out: quadrics have generic
+# rank n + 1, and for d >= 3 it is the expected rank except at four
+# (n, d), where it is one more.
+AH_DEFECTIVE = {(2, 4), (3, 4), (4, 3), (4, 4)}
+
+
+def alexander_hirschowitz_rank(n, d):
+    if d == 2:
+        return n + 1
+    return -(-comb(n + d, d) // (n + 1)) + ((n, d) in AH_DEFECTIVE)
+
+
+# Sets Z whose degree-d images satisfy one relation with every coefficient
+# nonzero, split Z = A1 + B1 with |B1| <= |A1|: the relation writes the form
+# supported on A1 a second time, on B1, and a point C off Z joins both
+# decompositions.  The boundary sizes: d + 2 points of P^1 split as evenly
+# as possible, the 3 x 3 grid at d = 3 (a complete intersection of two
+# cubics, Cayley-Bacharach in degree 3), and ten points of a conic at d = 4,
+# which give the five-point plane quartics a second decomposition.
+BINARY_BOUNDARY = [([(1, t) for t in range(d + 2)], d, (d + 3) // 2, None)
+                   for d in range(2, 11)]
+GRID = [(1, i, j) for i in range(3) for j in range(3)]
+CONIC = [(t * t, t, 1) for t in range(10)]
+SECOND_DECOMPOSITION_CASES = BINARY_BOUNDARY + [
+    (GRID, 3, 5, None), (GRID, 3, 5, (1, 5, 7)),
+    (CONIC, 4, 5, None), (CONIC, 4, 5, (1, 2, 3)),
+]

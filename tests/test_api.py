@@ -96,6 +96,43 @@ def test_terracini_imports_nothing_from_kruskal():
     assert "kruskal" not in parts
 
 
+PACKED_LAYOUT = {"_eliminate_mod_p", "_packed", "_slot_width", "_fold_masks"}
+
+
+def _names(path):
+    """Every name a module's source binds, imports or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_only_linalg_lays_out_a_modular_elimination():
+    # The packed rows and their elimination live in linalg alone, and the
+    # leading-block rule is written once: the only function that calls
+    # ``_eliminate_mod_p`` is ``_leading_pivots``.  A change to either is
+    # made in one place.
+    package = Path(waringcert.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        names = _names(path)
+        if path.name == "linalg.py":
+            assert PACKED_LAYOUT <= names
+        else:
+            assert not names & PACKED_LAYOUT, path.name
+    callers = {node.name for node in ast.walk(ast.parse((package / "linalg.py").read_text()))
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                       and call.func.id == "_eliminate_mod_p" for call in ast.walk(node))}
+    assert callers == {"_leading_pivots"}
+
+
 def _records():
     a = PointSet.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1),
                             (1, 1, 1), (1, 2, 3), (1, 4, 5)])

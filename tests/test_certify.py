@@ -36,7 +36,8 @@ from waringcert.certify import (_alignment_bound, _half_degree,
                                 _reshaped_kruskal, _sylvester)
 
 from conftest import corpus, random_points
-from oracles import (fraction_rank, full_support_relation, generic_rank_from_one,
+from oracles import (AH_DEFECTIVE, SECOND_DECOMPOSITION_CASES, alexander_hirschowitz_rank,
+                     fraction_rank, full_support_relation, generic_rank_from_one,
                      monomial_values_by_powers)
 
 
@@ -551,18 +552,6 @@ def test_generic_info_argument_validation():
         generic_info(2, 1)
 
 
-# The Alexander-Hirschowitz theorem, written out: quadrics have generic
-# rank n + 1, and for d >= 3 it is the expected rank except at four
-# (n, d), where it is one more.
-AH_DEFECTIVE = {(2, 4), (3, 4), (4, 3), (4, 4)}
-
-
-def alexander_hirschowitz_rank(n, d):
-    if d == 2:
-        return n + 1
-    return -(-comb(n + d, d) // (n + 1)) + ((n, d) in AH_DEFECTIVE)
-
-
 def test_generic_info_gives_the_alexander_hirschowitz_rank_with_a_witness():
     shapes = [(n, d) for d in range(2, 9) for n in range(1, 31) if comb(n + d, d) <= 500]
     assert len(shapes) == 69
@@ -629,23 +618,6 @@ def test_non_identifiable_sizes_are_never_certified(n, d, r):
             f"{r} generic points of P^{n} at degree {d} (seed {seed}) were "
             f"certified by {cert.criterion}, but the generic form of rank {r} "
             "has more than one decomposition")
-
-
-# Sets Z whose degree-d images satisfy one relation with every coefficient
-# nonzero, split Z = A1 + B1 with |B1| <= |A1|: the relation writes the form
-# supported on A1 a second time, on B1, and a point C off Z joins both
-# decompositions.  The boundary sizes: d + 2 points of P^1 split as evenly
-# as possible, the 3 x 3 grid at d = 3 (a complete intersection of two
-# cubics, Cayley-Bacharach in degree 3), and ten points of a conic at d = 4,
-# which give the five-point plane quartics a second decomposition.
-BINARY_BOUNDARY = [([(1, t) for t in range(d + 2)], d, (d + 3) // 2, None)
-                   for d in range(2, 11)]
-GRID = [(1, i, j) for i in range(3) for j in range(3)]
-CONIC = [(t * t, t, 1) for t in range(10)]
-SECOND_DECOMPOSITION_CASES = BINARY_BOUNDARY + [
-    (GRID, 3, 5, None), (GRID, 3, 5, (1, 5, 7)),
-    (CONIC, 4, 5, None), (CONIC, 4, 5, (1, 2, 3)),
-]
 
 
 @pytest.mark.parametrize("z, d, split, c", SECOND_DECOMPOSITION_CASES,

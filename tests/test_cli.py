@@ -463,6 +463,27 @@ def test_digest_is_the_sha256_of_the_canonical_coordinates(capsys):
         assert json.loads(out)["input"]["digest"] == canonical_sha256(path.read_text()), path
 
 
+def test_digest_in_process_without_the_builtin_hash_is_the_builtin_one(monkeypatch):
+    # The same fallback, taken in this process: with neither built-in
+    # module importable, hashlib gives every golden set the same digest.
+    sets = [parse_point_file(path.read_text()).points for path in GOLDEN_POINT_FILES]
+    builtin = [cli._canonical_digest(points) for points in sets]
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert [cli._canonical_digest(points) for points in sets] == builtin
+
+
+@pytest.mark.parametrize("name, degree, code", [("p2-6-d5", 5, 0), ("p2-5-d4", 4, 2)])
+def test_main_exits_with_the_code_of_run(monkeypatch, capsys, name, degree, code):
+    argv = ["certify", str(GOLDEN / f"{name}.pts"), "--degree", str(degree)]
+    assert run_cli(capsys, argv)[0] == code
+    monkeypatch.setattr(sys, "argv", ["waringcert", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert exit_.value.code == code
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.certify.txt").read_text()
+
+
 def test_digest_falls_back_to_hashlib_without_the_builtin_hash():
     # A build without _sha2 (CPython >= 3.12) and _sha256 (before) hashes
     # with hashlib, to the same digests.

@@ -204,6 +204,17 @@ def test_point_set_order_and_containment():
     assert a.subset([2, 0]) == PointSet.from_rows([(1, 1, 1), (1, 0, 0)])
 
 
+def test_points_and_sets_are_unequal_to_tuples():
+    # Comparison with another type is left to that type: the tuple's own
+    # comparison says unequal, and nothing raises.
+    p = ProjectivePoint((1, 2))
+    a = PointSet([p])
+    for record, other in ((p, (1, 2)), (p, p.primitive_coords), (a, (p,)), (a, a.points)):
+        assert type(record).__eq__(record, other) is NotImplemented
+        assert record != other and other != record
+        assert not record == other
+
+
 P1, P2 = ProjectivePoint((1, 0)), ProjectivePoint((1, 0, 0))
 
 

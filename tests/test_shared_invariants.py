@@ -290,10 +290,18 @@ def counting_eliminations(blocks, eliminate):
 def modular_passes(monkeypatch):
     """The (rows, cols) of every modular elimination that
     ``terracini_dimension`` takes of its packed tangent rows in the modular
-    frame."""
+    frame: the ``linalg._eliminate_mod_p`` calls inside its
+    ``_gathered_pivots_mod_p``."""
     calls = []
-    monkeypatch.setattr(terracini, "_eliminate_mod_p",
-                        counting_eliminations(calls, terracini._eliminate_mod_p))
+    gathered = terracini._gathered_pivots_mod_p
+
+    def spied(*args):
+        with monkeypatch.context() as inside:
+            inside.setattr(linalg, "_eliminate_mod_p",
+                           counting_eliminations(calls, linalg._eliminate_mod_p))
+            return gathered(*args)
+
+    monkeypatch.setattr(terracini, "_gathered_pivots_mod_p", spied)
     return calls
 
 
@@ -383,9 +391,8 @@ def test_certify_4_9_4_works_in_the_modular_frame_alone(monkeypatch, rank_calls,
 
     for module in (hilbert, kruskal):
         monkeypatch.setattr(module, "_standard_form_mod_p", counted_form)
-    for module in (linalg, terracini):
-        monkeypatch.setattr(module, "_eliminate_mod_p",
-                            counting_eliminations(blocks, module._eliminate_mod_p))
+    monkeypatch.setattr(linalg, "_eliminate_mod_p",
+                        counting_eliminations(blocks, linalg._eliminate_mod_p))
     for module in (hilbert, terracini):
         monkeypatch.setattr(module, "integer_kernel", counted_kernel)
     for seed in (94, 95, 96):
@@ -406,9 +413,8 @@ def test_five_plane_points_eliminate_their_tangent_rows_once(monkeypatch):
     # and the square of the conic closes the gap with no second
     # elimination of those rows.
     blocks = []
-    for module in (linalg, terracini):
-        monkeypatch.setattr(module, "_eliminate_mod_p",
-                            counting_eliminations(blocks, module._eliminate_mod_p))
+    monkeypatch.setattr(linalg, "_eliminate_mod_p",
+                        counting_eliminations(blocks, linalg._eliminate_mod_p))
     for seed in range(3):
         blocks.clear()
         cert = certify(general_points(2, 5, seed), 4)

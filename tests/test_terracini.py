@@ -438,7 +438,7 @@ def test_witness_rows_are_packed_as_they_are_built(n, d, l):
         rows = terracini._tangent_rows(values, index)
         for ncols in sorted({1, len(kept) // 2, len(kept) - 1, len(kept)} - {0}):
             width = 62 + min(len(rows), ncols).bit_length()
-            packed = terracini._packed_tangent_rows(values, index, ncols)
+            packed = linalg._packed_gathered(values, index, ncols)
             assert packed == linalg._packed([row[:ncols] for row in rows], width, 0)
             for v in packed:
                 slots, above = _slots(v, ncols, width)
@@ -476,17 +476,23 @@ PACKED_WITNESSES = {
 def test_packed_witness_rows_keep_the_lower_bound_and_the_rank(monkeypatch, case):
     (a, d), shapes = case
     blocks, lowers = [], []
-    eliminate, rank_of = terracini._eliminate_mod_p, terracini.integer_rank
+    eliminate, rank_of = linalg._eliminate_mod_p, terracini.integer_rank
+    gather = terracini._gathered_pivots_mod_p
 
     def counted(packed, ncols, target):
         blocks.append((len(packed), ncols, target))
         return eliminate(packed, ncols, target)
 
+    def gathered(*args):
+        with monkeypatch.context() as inside:
+            inside.setattr(linalg, "_eliminate_mod_p", counted)
+            return gather(*args)
+
     def spied(rows, kernel=None, lower=None):
         lowers.append(lower)
         return rank_of(rows, kernel=kernel, lower=lower)
 
-    monkeypatch.setattr(terracini, "_eliminate_mod_p", counted)
+    monkeypatch.setattr(terracini, "_gathered_pivots_mod_p", gathered)
     monkeypatch.setattr(terracini, "integer_rank", spied)
     n, l = a.ambient_dim, len(a)
     rank = terracini_dimension(a, d).dim + 1
