@@ -88,6 +88,8 @@ class ProjectivePoint:
     ``int`` takes one gcd and a sign, with no denominator or lcm work; any
     other row (bools, int subclasses, Fractions, strings) is read through
     ``numerator`` and ``denominator``, to the same primitive vector.
+    Both paths end in ``_take_ints``, which ``random_point_set`` calls on
+    its draws directly.
     """
 
     __slots__ = ("primitive_coords",)
@@ -102,12 +104,18 @@ class ProjectivePoint:
             ints = tuple([x.numerator * (scale // x.denominator) for x in raw])
         if len(ints) < 2:
             raise ValueError("a projective point needs at least 2 coordinates")
+        self._take_ints(ints)
+
+    def _take_ints(self, ints: tuple[int, ...]) -> ProjectivePoint:
+        """Store the primitive vector of a tuple of at least 2 exact ints,
+        with one gcd and a sign, and return the point."""
         lead = next(filter(None, ints), 0)
         if not lead:
             raise ValueError("the zero vector is not a projective point")
         g = gcd(*ints) if lead > 0 else -gcd(*ints)
         object.__setattr__(self, "primitive_coords",
                            ints if g == 1 else tuple([x // g for x in ints]))
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ProjectivePoint is immutable")
@@ -182,6 +190,15 @@ class PointSet:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[object]]) -> "PointSet":
         return cls(ProjectivePoint(row) for row in rows)
+
+    @classmethod
+    def _of_distinct(cls, points: tuple[ProjectivePoint, ...]) -> "PointSet":
+        """The set of a nonempty tuple of distinct points of one P^n, which
+        the caller has made so; none of ``__init__``'s checks is run."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "points", points)
+        object.__setattr__(a, "_memo", {})
+        return a
 
     @property
     def ambient_dim(self) -> int:
@@ -374,12 +391,16 @@ def random_point_set(n: int, size: int, rng: random.Random,
                      bound: int = 50) -> PointSet:
     """A random set of ``size`` distinct points of P^n.
 
-    Coordinates are drawn uniformly from the integers in [-bound, bound],
-    each as ``rng.randrange(2 bound + 1) - bound``: the one
-    ``_randbelow(2 bound + 1)`` call that ``rng.randint(-bound, bound)``
-    makes, so the points and the state left in ``rng`` are those of
-    ``randint`` draws.  Zero vectors and points already drawn (after
-    canonical scaling) are rejected and redrawn.  Raises ValueError when
+    Coordinates are drawn uniformly from the integers in [-bound, bound]:
+    each is x - bound for the first draw x of ``rng.getrandbits(k)``,
+    k = (2 bound + 1).bit_length(), below 2 bound + 1.  That is the
+    rejection loop of ``_randbelow(2 bound + 1)``, the one call that
+    ``rng.randint(-bound, bound)`` makes, so the points and the state left
+    in ``rng`` are those of ``randint`` draws.  Zero vectors and points
+    already drawn (after canonical scaling) are rejected and redrawn.  The
+    draws are exact ints, so each point takes ``ProjectivePoint._take_ints``
+    alone, and the kept points are distinct points of P^n, so the set skips
+    ``PointSet.__init__``'s checks.  Raises ValueError when
     the box holds fewer than ``size`` distinct points; the points
     (1 : x_1 : ... : x_n) alone number (2 bound + 1)^n, so only a larger
     ``size`` takes the exact count.
@@ -394,16 +415,18 @@ def random_point_set(n: int, size: int, rng: random.Random,
         if size > count:
             raise ValueError(f"P^{n} has only {count} points with coordinates "
                              f"in [-{bound}, {bound}], fewer than {size}")
-    chosen: list[ProjectivePoint] = []
-    seen: set[ProjectivePoint] = set()
-    draw, span = rng.randrange, 2 * bound + 1
+    # The distinct points drawn so far, in the order drawn.
+    chosen: dict[ProjectivePoint, None] = {}
+    draw, span = rng.getrandbits, 2 * bound + 1
+    bits = span.bit_length()
+    new = object.__new__
     while len(chosen) < size:
-        raw = [draw(span) - bound for _ in range(n + 1)]
-        if not any(raw):
-            continue
-        p = ProjectivePoint(raw)
-        if p in seen:
-            continue
-        seen.add(p)
-        chosen.append(p)
-    return PointSet(chosen)
+        raw = []
+        for _ in range(n + 1):
+            x = draw(bits)
+            while x >= span:
+                x = draw(bits)
+            raw.append(x - bound)
+        if any(raw):
+            chosen.setdefault(new(ProjectivePoint)._take_ints(tuple(raw)))
+    return PointSet._of_distinct(tuple(chosen))

@@ -25,10 +25,12 @@ them only when those fall short, a rule written once, in
 fixed-width slots, W = 62 + min(rows, cols).bit_length() bits each, so
 that a row update is a single multiply-add of whole ints, and the
 elimination, ``_eliminate_mod_p``, proves that no slot overflows.
-``_packed`` packs list rows; rows gathered as f * v[i] from shorter rows
-v by a table of pairs (f, i), as the Terracini rows of a modular frame
-are from the points' monomial values, are written packed as they are
-built, with no list row (``_gathered_pivots_mod_p``).  A caller that has
+``_packed`` packs list rows; rows gathered from shorter rows v as
+copies, entry w[i] at each column for a table of indices i, where w is v
+weighted by the caller's units modulo p, as the Terracini rows of a
+modular frame are from the points' monomial values in divided powers,
+are written packed as they are built, with no list row, no multiply and
+no reduction per slot (``_gathered_pivots_mod_p``).  A caller that has
 proved a lower bound modulo p on rows of the same rank (those Terracini
 rows) hands it to ``integer_rank``, which then takes no modular pass of
 its own.
@@ -65,8 +67,8 @@ _PRIME = 1073741789
 # times this.
 _FOLD = (1 << 30) - _PRIME
 
-# Gathered rows: per row, per column, (f, i) for the entry f * v[i].
-_Index = Sequence[Sequence[tuple[int, int]]]
+# Gathered rows: per row, per column, the index i of the entry w[i].
+_Index = Sequence[Sequence[int]]
 
 
 def integer_rank(rows: Iterable[Sequence[int]],
@@ -129,13 +131,16 @@ def _pivots_mod_p(rows: Sequence[Sequence[int]], target: int) -> list[int]:
                                              _slot_width(len(rows), k), 0), ncols, target)
 
 
-def _gathered_pivots_mod_p(values: Sequence[Sequence[int]], index: _Index,
-                           ncols: int, target: int) -> list[int]:
-    """``_pivots_mod_p`` of the rows [f * v[i] for f, i in partials], one
-    per row v of ``values`` and entry ``partials`` of ``index``, each
-    written packed as it is built (``_packed_gathered``) from ``values``
-    reduced modulo p."""
-    values = [[x % _PRIME for x in v] for v in values]
+def _gathered_pivots_mod_p(values: Sequence[Sequence[int]], weights: Sequence[int],
+                           index: _Index, ncols: int, target: int) -> list[int]:
+    """``_pivots_mod_p`` of the rows [w[i] for i in slots], one per row v
+    of ``values`` and entry ``slots`` of ``index``, where w is v weighted
+    by ``weights`` modulo p, w[i] = v[i] * weights[i] mod p, followed by
+    one 0, which an index equal to len(v) reads.  The weighting is the one
+    reduction pass over ``values``; each row is then a copy of entries of
+    w, written packed as it is built (``_packed_gathered``)."""
+    p = _PRIME
+    values = [[x % p for x in map(mul, v, weights)] + [0] for v in values]
     return _leading_pivots(lambda k: _packed_gathered(values, index, k), ncols, target)
 
 
@@ -236,19 +241,21 @@ def _packed(rows: Sequence[Sequence[int]], width: int, pad: int) -> list[int]:
 
 
 def _packed_gathered(values: Sequence[Sequence[int]], index: _Index, ncols: int) -> list[int]:
-    """The first ``ncols`` columns of the rows of ``_gathered_pivots_mod_p``,
-    each written straight into the packed layout as it is built.  Equal,
-    int for int, to ``_packed`` of those list rows at the width
+    """The first ``ncols`` columns of the rows [w[i] for i in slots], one
+    per row w of ``values`` and entry ``slots`` of ``index``, each written
+    straight into the packed layout as it is built.  The entries of
+    ``values`` must be residues in [0, p), as the weighting of
+    ``_gathered_pivots_mod_p`` leaves them, so each slot is a plain copy.
+    Equal, int for int, to ``_packed`` of those list rows at the width
     ``_slot_width`` gives for them."""
-    p = _PRIME
     width = _slot_width(len(values) * len(index), ncols)
-    lead = [partials[:ncols] for partials in index]
+    lead = [slots[:ncols] for slots in index]
     packed = []
-    for v in values:
-        for partials in lead:
+    for w in values:
+        for slots in lead:
             row = 0
-            for f, i in partials:
-                row = row << width | f * v[i] % p
+            for i in slots:
+                row = row << width | w[i]
             packed.append(row)
     return packed
 

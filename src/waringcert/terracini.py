@@ -18,9 +18,11 @@ e_j * multinomial(d, e) / d * p^(e - u_j), u_j the j-th unit vector, so
 dividing column e by multinomial(d, e) and multiplying the row by d leaves
 e_j * p^(e - u_j): the partial derivative of the monomial x^e at p.  Those
 are read off the degree-(d-1) monomial values of the primitive integer
-representatives; column and row scalings keep the rank.
+representatives; column and row scalings keep the rank.  Modulo a
+prime, the rows are scaled once more, into divided powers (Modular frame
+below).
 
-In this scaling the right kernel has a meaning (Terracini's lemma).  Row
+In this integer scaling the right kernel has a meaning (Terracini's lemma).  Row
 (p, j) pairs a vector c with d/dx_j G at p, where G = sum of c_e x^e, so c
 is in the kernel exactly when the form G is singular at every point.  If F
 vanishes on the points in degree e and H in degree d - e, the product rule
@@ -94,16 +96,27 @@ Terracini matrix is an integer matrix and a minor nonzero modulo p is a
 nonzero integer.  When it meets the upper bound min((n+1)l, C(n+d, d))
 the rank is proved; otherwise the rank of R modulo p is still a lower
 bound on the rank over Q of R in the exact frame (``_frame_mod_p``).
-The rows of R are gathered modulo p from the degree-(d-1) monomial
-values of the rows c by ``linalg._gathered_pivots_mod_p``, asked for
-target = min((n+1)l, C(n+d, d)) - |C| pivots.
+
+The rows of R are taken modulo p in divided powers: column e is scaled by
+(e!)^-1, where e! = e_0! * ... * e_n!.  Every exponent is at most d < p,
+so no factor e_i! is divisible by p and e! is a unit.  Since
+e! = e_j * (e - u_j)!, the entry e_j * c^(e - u_j) of row (c, j) becomes
+c^f / f! with f = e - u_j: the row is a copy of the divided powers
+c^f / f!, one per degree-(d-1) monomial f, at the columns f + u_j, and 0
+at the columns with e_j = 0, with no multiply per entry.  Scaling columns
+by units keeps the rank of every leading block of columns, so the pivot
+columns modulo p, and every rank read off them, are those of the integer
+rows.  ``linalg._gathered_pivots_mod_p`` weights the degree-(d-1)
+monomial values of the rows c by the (f!)^-1 of ``_divided_power_index``
+in its one reduction pass, copies each row out of the weighted values,
+and is asked for target = min((n+1)l, C(n+d, d)) - |C| pivots.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 from operator import add
 from typing import Iterator, Sequence
 
@@ -115,6 +128,9 @@ from .linalg import _PRIME, _Index, _gathered_pivots_mod_p, integer_kernel, inte
 
 # The random draws of ``generic_terracini_dimension``.
 _TRIALS = 2
+
+# Integer tangent rows: per variable, per column, (f, i) for the entry f * v[i].
+_Partials = Sequence[Sequence[tuple[int, int]]]
 
 
 class TerraciniReport(Record):
@@ -159,7 +175,7 @@ class TerraciniReport(Record):
 
 
 @lru_cache(maxsize=64)
-def _derivative_index(n: int, d: int) -> tuple[tuple[int, ...], _Index]:
+def _derivative_index(n: int, d: int) -> tuple[tuple[int, ...], _Partials]:
     """The columns of the degree-d basis that the framed tangent rows keep,
     and the table that builds those rows on them.
 
@@ -184,7 +200,25 @@ def _derivative_index(n: int, d: int) -> tuple[tuple[int, ...], _Index]:
     return kept, tuple(table)
 
 
-def _tangent_rows(values: Sequence[Sequence[int]], index: _Index) -> list[list[int]]:
+@lru_cache(maxsize=64)
+def _divided_power_index(n: int, d: int) -> tuple[tuple[int, ...], _Index]:
+    """The weights and the table that copy the framed tangent rows, in
+    divided powers, out of the degree-(d-1) monomial values modulo p.
+
+    The weight of monomial f of the degree-(d-1) basis is (f!)^-1 modulo
+    ``_PRIME``, f! the product of the factorials of its exponents, a unit
+    for d < p.  The table gives, for each variable j and kept column e of
+    ``_derivative_index``, the index of e - u_j in that basis, or the
+    index past its last monomial where e_j = 0.
+    """
+    lower = monomial_basis(n, d - 1)
+    weights = tuple(pow(prod(map(factorial, f)), -1, _PRIME) for f in lower)
+    _, index = _derivative_index(n, d)
+    return weights, tuple(tuple(i if e else len(lower) for e, i in partials)
+                          for partials in index)
+
+
+def _tangent_rows(values: Sequence[Sequence[int]], index: _Partials) -> list[list[int]]:
     """One integer row per point and variable j, from the degree-(d-1)
     monomial values of each point: d/dx_j of every degree-d monomial of
     ``index`` at the point."""
@@ -244,9 +278,10 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     It is first proved in the modular frame (module docstring), when
     ``hilbert._frame_mod_p`` finds the first n + 1 points independent
     modulo p and d < p: the rows of the other points, on the columns
-    outside C, are ranked modulo p by ``linalg._gathered_pivots_mod_p``,
-    and when |C| plus that rank meets min((n+1)l, C(n+d, d)) the report
-    returns with no exact frame and no integer row.  Otherwise the rank
+    outside C, are ranked modulo p in divided powers by
+    ``linalg._gathered_pivots_mod_p``, and when |C| plus that rank meets
+    min((n+1)l, C(n+d, d)) the report returns with no exact frame and no
+    integer row.  Otherwise the rank
     is taken in the exact frame of ``_frame``, by the frame identity and
     the cone formula: only the other points' integer rows outside the
     columns the frame rows hit are ranked, with the modular rank, where
@@ -275,14 +310,15 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     lower = None
     coords = _frame_mod_p(a) if d < _PRIME else None
     if coords is not None:
-        kept, index = _derivative_index(n, d)
+        kept, _ = _derivative_index(n, d)
         full = min((n + 1) * len(a), comb(n + d, d))
         # The rank that R must reach: |C| + target = full.
         target = full - (comb(n + d, d) - len(kept))
         lower = 0
         if target:
-            lower = len(_gathered_pivots_mod_p(monomial_rows(coords, d - 1), index,
-                                               len(kept), target))
+            weights, slots = _divided_power_index(n, d)
+            lower = len(_gathered_pivots_mod_p(monomial_rows(coords, d - 1), weights,
+                                               slots, len(kept), target))
         if lower == target:
             return TerraciniReport(num_points=len(a), ambient_dim=n, degree=d, dim=full - 1)
     frame, framed = _frame(a)

@@ -460,6 +460,25 @@ def test_random_point_set_draws_the_points_and_state_of_randint(n):
             assert ours.getstate() == theirs.getstate()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_a_sampled_set_is_the_set_its_points_make(n):
+    # The sampler builds its points and its set without running
+    # ``PointSet.__init__``'s checks: each point is canonical, the set is
+    # the one its points make, its memo starts empty and is its own, and a
+    # copy or an unpickled set, both rebuilt through ``__init__``, equal it.
+    for seed, size, bound in [(0, n + 8, 50), (1, _box_point_count(n, 1), 1)]:
+        s = random_point_set(n, size, random.Random(seed), bound=bound)
+        assert type(s) is PointSet and s == PointSet(list(s))
+        assert s._memo == {}
+        for p in s:
+            assert type(p) is ProjectivePoint and p == ProjectivePoint(p.primitive_coords)
+            assert {*map(type, p.primitive_coords)} == {int}
+        monomial_values(s, 2)
+        for twin in (copy.copy(s), pickle.loads(pickle.dumps(s))):
+            assert twin == s and hash(twin) == hash(s) and twin._memo == {}
+        assert len(s._memo) == 1
+
+
 def test_box_point_count_matches_enumeration():
     for n in (1, 2):
         for bound in range(1, 5):

@@ -1,7 +1,7 @@
 """Terracini spaces: tangent rows, dimensions, and the generic oracle."""
 
 import random
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -423,26 +423,75 @@ def _slots(v, ncols, width):
     return [v >> (ncols - 1 - c) * width & mask for c in range(ncols)], v >> ncols * width
 
 
+def _weighted(values, weights):
+    """The values weighted as ``linalg._gathered_pivots_mod_p`` weights
+    them: v[i] * weights[i] modulo p, then one 0."""
+    return [[x * c % linalg._PRIME for x, c in zip(v, weights)] + [0] for v in values]
+
+
+def _modular_witness_target(n, d, l):
+    """The pivots ``terracini_dimension`` asks of the framed rows of l
+    points: min((n+1)l, C(n+d, d)) less the columns the frame rows hit."""
+    kept, _ = terracini._derivative_index(n, d)
+    return min((n + 1) * l, comb(n + d, d)) - comb(n + d, d) + len(kept)
+
+
 @pytest.mark.parametrize("n, d, l", [(2, 4, 5), (4, 3, 7), (3, 4, 9), (4, 4, 9),
                                      (2, 8, 15), (5, 3, 10), (1, 5, 4)])
 def test_witness_rows_are_packed_as_they_are_built(n, d, l):
-    # On exact and on reduced values, every width of leading block: the
-    # rows written straight into the packed layout are those ``_packed``
-    # makes of the list rows, at the width it would use, and every slot
-    # is a residue.
+    # The gathered rows are the integer rows with column e scaled by the
+    # unit (e!)^-1 modulo p, so they are not equal slot for slot, but
+    # every leading block of them has the pivot columns of the integer
+    # rows.  On exact and on reduced values, every width of leading block:
+    # the rows written straight into the packed layout are the copies
+    # ``_packed`` makes of the weighted list rows, every slot is a
+    # residue, and the block's pivots are those of the integer rows.
+    p = linalg._PRIME
     a = random_point_set(n, l, random.Random(31), bound=50)
     coords = hilbert._frame_mod_p(a)
     kept, index = terracini._derivative_index(n, d)
+    weights, slots = terracini._divided_power_index(n, d)
+    basis = monomial_basis(n, d)
+    scale = [pow(prod(map(factorial, basis[c])), -1, p) for c in kept]
     exact = monomial_rows(coords, d - 1)
-    for values in (exact, [[x % linalg._PRIME for x in v] for v in exact]):
+    for values in (exact, [[x % p for x in v] for v in exact]):
         rows = terracini._tangent_rows(values, index)
+        weighted = _weighted(values, weights)
+        copies = [[w[i] for i in row_slots] for w in weighted for row_slots in slots]
+        assert copies == [[x * s % p for x, s in zip(row, scale)] for row in rows]
         for ncols in sorted({1, len(kept) // 2, len(kept) - 1, len(kept)} - {0}):
             width = 62 + min(len(rows), ncols).bit_length()
-            packed = linalg._packed_gathered(values, index, ncols)
-            assert packed == linalg._packed([row[:ncols] for row in rows], width, 0)
+            packed = linalg._packed_gathered(weighted, slots, ncols)
+            assert packed == linalg._packed([row[:ncols] for row in copies], width, 0)
             for v in packed:
-                slots, above = _slots(v, ncols, width)
-                assert above == 0 and all(0 <= x < linalg._PRIME for x in slots)
+                row_slots, above = _slots(v, ncols, width)
+                assert above == 0 and all(0 <= x < p for x in row_slots)
+            assert (linalg._eliminate_mod_p(packed, ncols, ncols)
+                    == linalg._pivots_mod_p([row[:ncols] for row in rows], ncols))
+        for target in {1, _modular_witness_target(n, d, l), len(kept)}:
+            assert (linalg._gathered_pivots_mod_p(values, weights, slots, len(kept), target)
+                    == linalg._pivots_mod_p(rows, target))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(2, 8), st.integers(0, 10), st.integers(0, 2**32),
+       st.sampled_from([1, 2, 50, 10**12]))
+def test_divided_power_rows_have_the_pivots_of_the_integer_rows(n, d, extra, seed, bound):
+    # Random framed sets, some in special position (bound 1 or 2), some
+    # with coordinates far above p: the gathered pass asked for the
+    # witness target, and for every kept column, gives the pivot list of
+    # the integer tangent rows.
+    l = n + 2 + min(extra, comb(n + d, d) // (n + 1))
+    assume(l <= (2 * bound + 1) ** n)
+    coords = hilbert._frame_mod_p(random_point_set(n, l, random.Random(seed), bound=bound))
+    assume(coords is not None)
+    kept, index = terracini._derivative_index(n, d)
+    weights, slots = terracini._divided_power_index(n, d)
+    values = monomial_rows(coords, d - 1)
+    rows = terracini._tangent_rows(values, index)
+    for target in {_modular_witness_target(n, d, l), len(kept)} - {0}:
+        assert (linalg._gathered_pivots_mod_p(values, weights, slots, len(kept), target)
+                == linalg._pivots_mod_p(rows, target))
 
 
 def _witness(n, d, l):
@@ -475,7 +524,7 @@ PACKED_WITNESSES = {
 @pytest.mark.parametrize("case", PACKED_WITNESSES.values(), ids=PACKED_WITNESSES)
 def test_packed_witness_rows_keep_the_lower_bound_and_the_rank(monkeypatch, case):
     (a, d), shapes = case
-    blocks, lowers = [], []
+    blocks, lowers, pivots = [], [], []
     eliminate, rank_of = linalg._eliminate_mod_p, terracini.integer_rank
     gather = terracini._gathered_pivots_mod_p
 
@@ -486,7 +535,8 @@ def test_packed_witness_rows_keep_the_lower_bound_and_the_rank(monkeypatch, case
     def gathered(*args):
         with monkeypatch.context() as inside:
             inside.setattr(linalg, "_eliminate_mod_p", counted)
-            return gather(*args)
+            pivots.append(gather(*args))
+            return pivots[-1]
 
     def spied(rows, kernel=None, lower=None):
         lowers.append(lower)
@@ -498,13 +548,14 @@ def test_packed_witness_rows_keep_the_lower_bound_and_the_rank(monkeypatch, case
     rank = terracini_dimension(a, d).dim + 1
     assert rank == fraction_rank(_tangent_matrix(a, d))
     assert blocks == shapes
-    # The lower bound is the number ``_pivots_mod_p`` takes of the list
-    # rows of the modular frame, handed to the exact path when it falls
-    # short of the target.
-    kept, index = terracini._derivative_index(n, d)
-    target = min((n + 1) * l, comb(n + d, d)) - comb(n + d, d) + len(kept)
+    # The divided-power rows have the pivot list ``_pivots_mod_p`` takes
+    # of the integer rows of the modular frame; its length is the lower
+    # bound, handed to the exact path when it falls short of the target.
+    _, index = terracini._derivative_index(n, d)
+    target = _modular_witness_target(n, d, l)
     rows = terracini._tangent_rows(monomial_rows(hilbert._frame_mod_p(a), d - 1), index)
-    lower = len(linalg._pivots_mod_p(rows, target))
+    assert pivots == [linalg._pivots_mod_p(rows, target)]
+    lower = len(pivots[0])
     assert lowers == ([] if lower == target else [lower])
 
 
