@@ -27,13 +27,15 @@ that a row update is a single multiply-add of whole ints, and the
 elimination, ``_eliminate_mod_p``, proves that no slot overflows.
 ``_packed`` packs list rows; rows gathered from shorter rows v as
 copies, entry w[i] at each column for a table of indices i, where w is v
-weighted by the caller's units modulo p, as the Terracini rows of a
-modular frame are from the points' monomial values in divided powers,
-are written packed as they are built, with no list row, no multiply and
-no reduction per slot (``_gathered_pivots_mod_p``).  A caller that has
-proved a lower bound modulo p on rows of the same rank (those Terracini
-rows) hands it to ``integer_rank``, which then takes no modular pass of
-its own.
+weighted by the caller's weights modulo p, are written packed as they
+are built, with no list row, no multiply and no reduction per slot
+(``_gathered_pivots_mod_p``).  The Terracini rows are copies in both
+frames of ``terracini``: the tangent forms' own coefficients, copied
+from the points' monomial values weighted by multinomials, gathered
+here modulo p in the modular frame, and as integer list rows in the
+exact one.  A caller that has proved a lower bound modulo p on rows of
+the same rank (those Terracini rows) hands it to ``integer_rank``,
+which then takes no modular pass of its own.
 ``integer_kernel`` gives a fraction-free kernel basis, for
 ``integer_rank``'s last resort and for callers that build kernel vectors
 from smaller matrices.  For the Kruskal
@@ -136,10 +138,12 @@ def _gathered_pivots_mod_p(values: Sequence[Sequence[int]], weights: Sequence[in
     """``_pivots_mod_p`` of the rows [w[i] for i in slots], one per row v
     of ``values`` and entry ``slots`` of ``index``, where w is v weighted
     by ``weights`` modulo p, w[i] = v[i] * weights[i] mod p, followed by
-    one 0, which an index equal to len(v) reads.  The weighting is the one
-    reduction pass over ``values``; each row is then a copy of entries of
-    w, written packed as it is built (``_packed_gathered``)."""
+    one 0, which an index equal to len(v) reads.  The weights are reduced
+    once, and the weighting is the one reduction pass over ``values``;
+    each row is then a copy of entries of w, written packed as it is built
+    (``_packed_gathered``)."""
     p = _PRIME
+    weights = [c % p for c in weights]
     values = [[x % p for x in map(mul, v, weights)] + [0] for v in values]
     return _leading_pivots(lambda k: _packed_gathered(values, index, k), ncols, target)
 

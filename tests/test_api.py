@@ -79,7 +79,7 @@ def test_every_lru_cache_is_bounded():
         for name, value in vars(module).items():
             if callable(getattr(value, "cache_parameters", None)):
                 caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
-    assert {"geometry.monomial_basis", "terracini._derivative_index",
+    assert {"geometry.monomial_basis", "terracini._tangent_index",
             "terracini._product_index"} <= caches.keys()
     assert {name for name, size in caches.items() if size is None} == set()
 

@@ -1,10 +1,11 @@
 """Terracini spaces: tangent rows, dimensions, and the generic oracle."""
 
 import random
-from math import comb, factorial, prod
+from math import comb
+from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from waringcert import (
     PointSet,
@@ -23,7 +24,7 @@ from waringcert.linalg import integer_kernel
 from waringcert.terracini import _singular_products
 
 from conftest import random_points
-from oracles import fraction_rank, linear_form_power, tangent_forms
+from oracles import fraction_rank, linear_form_power, pivot_columns_mod_p, tangent_forms
 from test_hilbert import PROFILE_CASES
 
 
@@ -313,6 +314,41 @@ def test_framed_rows_have_no_degree_one_kernel(case):
         assert list(_singular_products(framed, d)) == []
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point_sets_and_degrees())
+@example((random_point_set(2, 5, random.Random(0), bound=50), 4))
+@example((random_point_set(3, 9, random.Random(0), bound=50), 4))
+def test_exact_rows_are_the_tangent_forms_and_every_drawn_candidate_is_in_the_kernel(case):
+    # The rows the exact frame hands ``integer_rank`` are the oracle's
+    # tangent forms of the framed points off the frame, on the kept
+    # columns; every kernel candidate it draws is a product F*H scaled by
+    # e! per column, so T v = 0 holds for each and none is rejected.  Few
+    # draws reach the exact frame; the two Alexander-Hirschowitz quartics
+    # do, and there the square of the quadric is drawn.
+    a, d = case
+    frame, framed = terracini._frame(a)
+    others = [q for i, q in enumerate(framed) if i not in frame]
+    handed = []
+    rank_of = terracini.integer_rank
+
+    def checked(rows, kernel):
+        for v in kernel:
+            assert not any(sum(map(mul, row, v)) for row in rows)
+            yield v
+
+    def spied(rows, kernel=None, lower=None):
+        handed.append(rows)
+        return rank_of(rows, kernel=checked(rows, kernel), lower=lower)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(terracini, "integer_rank", spied)
+        rank = terracini_dimension(a, d).dim + 1
+    assert rank == fraction_rank(_tangent_matrix(a, d))
+    # No exact rank is taken when the modular frame proves it, or when no
+    # point or no column is left off the frame.
+    assert handed == ([_oracle_rows(others, d)] if handed else [])
+
+
 P = linalg._PRIME
 
 
@@ -429,69 +465,79 @@ def _weighted(values, weights):
     return [[x * c % linalg._PRIME for x, c in zip(v, weights)] + [0] for v in values]
 
 
+def _kept_columns(n, d):
+    """The degree-d monomials with every exponent below d - 1: the columns
+    the rows of the coordinate points of P^n do not hit."""
+    return [e for e in monomial_basis(n, d) if max(e) < d - 1]
+
+
+def _oracle_rows(coords, d):
+    """The tangent forms L**(d-1) * x_j of every coordinate row, built by
+    polynomial multiplication, as integer rows on the kept columns."""
+    kept = _kept_columns(len(coords[0]) - 1, d)
+    return [[int(form.get(e, 0)) for e in kept]
+            for q in coords for form in tangent_forms(q, d)]
+
+
 def _modular_witness_target(n, d, l):
     """The pivots ``terracini_dimension`` asks of the framed rows of l
     points: min((n+1)l, C(n+d, d)) less the columns the frame rows hit."""
-    kept, _ = terracini._derivative_index(n, d)
-    return min((n + 1) * l, comb(n + d, d)) - comb(n + d, d) + len(kept)
+    return min((n + 1) * l, comb(n + d, d)) - comb(n + d, d) + len(_kept_columns(n, d))
 
 
 @pytest.mark.parametrize("n, d, l", [(2, 4, 5), (4, 3, 7), (3, 4, 9), (4, 4, 9),
                                      (2, 8, 15), (5, 3, 10), (1, 5, 4)])
 def test_witness_rows_are_packed_as_they_are_built(n, d, l):
-    # The gathered rows are the integer rows with column e scaled by the
-    # unit (e!)^-1 modulo p, so they are not equal slot for slot, but
-    # every leading block of them has the pivot columns of the integer
-    # rows.  On exact and on reduced values, every width of leading block:
-    # the rows written straight into the packed layout are the copies
-    # ``_packed`` makes of the weighted list rows, every slot is a
-    # residue, and the block's pivots are those of the integer rows.
+    # The gathered rows are the tangent forms' own coefficients modulo p.
+    # On exact and on reduced values, every width of leading block: the
+    # rows written straight into the packed layout are, slot for slot,
+    # ``_packed`` of the oracle's tangent forms, every slot is a residue,
+    # and the block's pivots are those of the oracle rows.
     p = linalg._PRIME
     a = random_point_set(n, l, random.Random(31), bound=50)
     coords = hilbert._frame_mod_p(a)
-    kept, index = terracini._derivative_index(n, d)
-    weights, slots = terracini._divided_power_index(n, d)
-    basis = monomial_basis(n, d)
-    scale = [pow(prod(map(factorial, basis[c])), -1, p) for c in kept]
+    kept, weights, index = terracini._tangent_index(n, d)
+    assert [c for c, _ in kept] == [monomial_basis(n, d).index(e) for e in _kept_columns(n, d)]
+    oracle = _oracle_rows(coords, d)
     exact = monomial_rows(coords, d - 1)
     for values in (exact, [[x % p for x in v] for v in exact]):
-        rows = terracini._tangent_rows(values, index)
         weighted = _weighted(values, weights)
-        copies = [[w[i] for i in row_slots] for w in weighted for row_slots in slots]
-        assert copies == [[x * s % p for x, s in zip(row, scale)] for row in rows]
         for ncols in sorted({1, len(kept) // 2, len(kept) - 1, len(kept)} - {0}):
-            width = 62 + min(len(rows), ncols).bit_length()
-            packed = linalg._packed_gathered(weighted, slots, ncols)
-            assert packed == linalg._packed([row[:ncols] for row in copies], width, 0)
+            width = 62 + min(len(oracle), ncols).bit_length()
+            block = [row[:ncols] for row in oracle]
+            packed = linalg._packed_gathered(weighted, index, ncols)
+            assert packed == linalg._packed(block, width, 0)
             for v in packed:
                 row_slots, above = _slots(v, ncols, width)
                 assert above == 0 and all(0 <= x < p for x in row_slots)
-            assert (linalg._eliminate_mod_p(packed, ncols, ncols)
-                    == linalg._pivots_mod_p([row[:ncols] for row in rows], ncols))
+            assert linalg._eliminate_mod_p(packed, ncols, ncols) == pivot_columns_mod_p(block, p)
         for target in {1, _modular_witness_target(n, d, l), len(kept)}:
-            assert (linalg._gathered_pivots_mod_p(values, weights, slots, len(kept), target)
-                    == linalg._pivots_mod_p(rows, target))
+            assert (linalg._gathered_pivots_mod_p(values, weights, index, len(kept), target)
+                    == pivot_columns_mod_p(oracle, p)[:target])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.integers(1, 5), st.integers(2, 8), st.integers(0, 10), st.integers(0, 2**32),
        st.sampled_from([1, 2, 50, 10**12]))
-def test_divided_power_rows_have_the_pivots_of_the_integer_rows(n, d, extra, seed, bound):
+def test_gathered_rows_have_the_pivots_of_the_tangent_forms(n, d, extra, seed, bound):
     # Random framed sets, some in special position (bound 1 or 2), some
-    # with coordinates far above p: the gathered pass asked for the
-    # witness target, and for every kept column, gives the pivot list of
-    # the integer tangent rows.
+    # with coordinates far above p: the gathered rows are ``_packed`` of
+    # the oracle's tangent forms, and the gathered pass asked for the
+    # witness target, and for every kept column, gives their pivot list.
+    p = linalg._PRIME
     l = n + 2 + min(extra, comb(n + d, d) // (n + 1))
     assume(l <= (2 * bound + 1) ** n)
     coords = hilbert._frame_mod_p(random_point_set(n, l, random.Random(seed), bound=bound))
     assume(coords is not None)
-    kept, index = terracini._derivative_index(n, d)
-    weights, slots = terracini._divided_power_index(n, d)
+    kept, weights, index = terracini._tangent_index(n, d)
     values = monomial_rows(coords, d - 1)
-    rows = terracini._tangent_rows(values, index)
+    oracle = _oracle_rows(coords, d)
+    width = 62 + min(len(oracle), len(kept)).bit_length()
+    assert (linalg._packed_gathered(_weighted(values, weights), index, len(kept))
+            == linalg._packed(oracle, width, 0))
     for target in {_modular_witness_target(n, d, l), len(kept)} - {0}:
-        assert (linalg._gathered_pivots_mod_p(values, weights, slots, len(kept), target)
-                == linalg._pivots_mod_p(rows, target))
+        assert (linalg._gathered_pivots_mod_p(values, weights, index, len(kept), target)
+                == pivot_columns_mod_p(oracle, p)[:target])
 
 
 def _witness(n, d, l):
@@ -524,12 +570,13 @@ PACKED_WITNESSES = {
 @pytest.mark.parametrize("case", PACKED_WITNESSES.values(), ids=PACKED_WITNESSES)
 def test_packed_witness_rows_keep_the_lower_bound_and_the_rank(monkeypatch, case):
     (a, d), shapes = case
-    blocks, lowers, pivots = [], [], []
+    blocks, packs, lowers, pivots = [], [], [], []
     eliminate, rank_of = linalg._eliminate_mod_p, terracini.integer_rank
     gather = terracini._gathered_pivots_mod_p
 
     def counted(packed, ncols, target):
         blocks.append((len(packed), ncols, target))
+        packs.append(packed)
         return eliminate(packed, ncols, target)
 
     def gathered(*args):
@@ -548,13 +595,16 @@ def test_packed_witness_rows_keep_the_lower_bound_and_the_rank(monkeypatch, case
     rank = terracini_dimension(a, d).dim + 1
     assert rank == fraction_rank(_tangent_matrix(a, d))
     assert blocks == shapes
-    # The divided-power rows have the pivot list ``_pivots_mod_p`` takes
-    # of the integer rows of the modular frame; its length is the lower
-    # bound, handed to the exact path when it falls short of the target.
-    _, index = terracini._derivative_index(n, d)
+    # Every packed block is, slot for slot, ``_packed`` of the leading
+    # columns of the oracle's tangent forms of the modular frame, and the
+    # pivot list is theirs; its length is the lower bound, handed to the
+    # exact path when it falls short of the target.
+    oracle = _oracle_rows(hilbert._frame_mod_p(a), d)
+    for packed, (nrows, ncols, _) in zip(packs, blocks):
+        block = [row[:ncols] for row in oracle]
+        assert packed == linalg._packed(block, 62 + min(nrows, ncols).bit_length(), 0)
     target = _modular_witness_target(n, d, l)
-    rows = terracini._tangent_rows(monomial_rows(hilbert._frame_mod_p(a), d - 1), index)
-    assert pivots == [linalg._pivots_mod_p(rows, target)]
+    assert pivots == [pivot_columns_mod_p(oracle, linalg._PRIME)[:target]]
     lower = len(pivots[0])
     assert lowers == ([] if lower == target else [lower])
 
