@@ -326,8 +326,10 @@ class GenericInfo(Record):
     expected_generic_rank is ceil(C(n+d, d) / (n + 1)).  generic_rank is
     the true generic rank, by the Alexander-Hirschowitz theorem.
     oracle_verified is True when one exact Terracini rank at generic_rank
-    random points filled the space of forms, which proves the upper bound
-    by Terracini's lemma; the theorem alone gives the value otherwise.
+    points, the coordinate points and random points beyond them
+    (``generic_terracini_dimension``), filled the space of forms, which
+    proves the upper bound by Terracini's lemma; the theorem alone gives
+    the value otherwise.
     exceptions lists the known failures of generic identifiability at
     subgeneric rank for these parameters, and why the rank is unverified
     when it is.
@@ -358,9 +360,10 @@ def generic_info(n: int, d: int, seed: int = 0) -> GenericInfo:
     four defective (n, d) the theorem itself rules out every smaller rank.
 
     When C(n+d, d) is at most ``_MAX_SPACE_DIM``, one witness checks the
-    upper bound: the Terracini dimension of generic_rank random points,
-    drawn from ``seed`` in up to ``terracini._TRIALS`` trials.  If it fills
-    the space, Terracini's lemma proves that the generic rank is at most
+    upper bound: the Terracini dimension of generic_rank points, the n + 1
+    coordinate points and random points beyond them drawn from ``seed``, in
+    up to ``terracini._TRIALS`` trials.  If it fills the space,
+    Terracini's lemma proves that the generic rank is at most
     generic_rank and oracle_verified is True.  A witness that falls short
     proves nothing, so the rank is still the theorem's, unverified, with a
     note.

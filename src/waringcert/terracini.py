@@ -9,9 +9,10 @@ controls the local geometry of the secant variety at the decomposition.
 For r points the dimension can never exceed (n+1)r - 1, nor the dimension
 N = C(n+d, d) - 1 of the space of degree-d forms; from d = 2r - 1 on it
 is (n+1)r - 1, with no rank taken (``terracini_dimension`` has the
-proof).  Random integer point
-sets attain the generic value with overwhelming probability, which gives a
-practical randomized oracle for generic Terracini dimensions.
+proof).  Random integer point sets attain the generic value with
+overwhelming probability, which gives a practical randomized oracle for
+generic Terracini dimensions; ``generic_terracini_dimension`` draws them
+in their own frame (below).
 
 The rank is taken on integer rows, the tangent forms' own coefficients.
 With u_j the j-th unit vector, the coefficient of x^e in L^(d-1)*x_j is 0
@@ -98,8 +99,14 @@ When it meets the upper bound min((n+1)l, C(n+d, d)) the rank is proved;
 otherwise the rank of R modulo p is still a lower bound on the rank over
 Q of R in the exact frame (``_frame_mod_p``).
 
+The generic witness (``generic_terracini_dimension``) is drawn in this
+frame: e_0..e_n followed by random integer points, so B = I and C = R,
+the drawn rows themselves, of entries at most 50 in size in place of
+residues below p, and no standard form is taken.
+
 Both frames copy their rows of R out of the weighted values of one table,
-``_tangent_index``.  In the modular frame, ``linalg._gathered_pivots_mod_p``
+``_tangent_index``.  In the modular frame, ``_framed_rank_mod_p`` hands
+them to ``linalg._gathered_pivots_mod_p``, which
 reduces the weights modulo p once, weights the degree-(d-1) monomial
 values of the rows c in its one reduction pass, copies each row out of
 them with no multiply per entry, and is asked for
@@ -116,7 +123,7 @@ from math import comb, factorial, prod
 from operator import add, mul
 from typing import Iterator, Sequence
 
-from .geometry import (PointSet, Record, memo_on_set, monomial_basis,
+from .geometry import (PointSet, ProjectivePoint, Record, memo_on_set, monomial_basis,
                        monomial_rows, random_point_set)
 from .hilbert import _frame, _frame_mod_p, hilbert_function
 from .linalg import _Index, _gathered_pivots_mod_p, integer_kernel, integer_rank
@@ -234,6 +241,28 @@ def _singular_products(rows: Sequence[Sequence[int]], d: int) -> Iterator[list[i
                 yield _multiply(f, h, e, d - e, n)
 
 
+def _filled(n: int, d: int, l: int) -> TerraciniReport:
+    """The report of l points of P^n whose tangent spaces fill as much as
+    dimensions allow: rank min((n+1)l, C(n+d, d))."""
+    return TerraciniReport(num_points=l, ambient_dim=n, degree=d,
+                           dim=min((n + 1) * l, comb(n + d, d)) - 1)
+
+
+def _framed_rank_mod_p(coords: Sequence[Sequence[int]], n: int, d: int) -> tuple[int, int]:
+    """(lower, target) of the framed set e_0..e_n, then the points with
+    integer rows ``coords``, in degree d (module docstring, modular frame):
+    target = min((n+1)l, C(n+d, d)) - |C|, l the set's size, is the rank
+    that its rows R off the columns C must reach for a full rank, and
+    lower is their rank modulo p, taken up to target."""
+    kept, weights, index = _tangent_index(n, d)
+    space = comb(n + d, d)
+    target = min((n + 1) * (n + 1 + len(coords)), space) - (space - len(kept))
+    if not target:
+        return 0, 0
+    return len(_gathered_pivots_mod_p(monomial_rows(coords, d - 1), weights, index,
+                                      len(kept), target)), target
+
+
 @memo_on_set
 def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     """Projective dimension of the span of all tangent spaces along a.
@@ -245,9 +274,9 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     It is first proved in the modular frame (module docstring), when
     ``hilbert._frame_mod_p`` finds the first n + 1 points independent
     modulo p: the rows of the other points, on the columns outside C, are
-    ranked modulo p by ``linalg._gathered_pivots_mod_p``, and when |C|
-    plus that rank meets min((n+1)l, C(n+d, d)) the report returns with
-    no exact frame and no integer row.  Otherwise the rank is taken in
+    ranked modulo p by ``_framed_rank_mod_p``, and when |C| plus that rank
+    meets min((n+1)l, C(n+d, d)) the report returns with no exact frame
+    and no integer row.  Otherwise the rank is taken in
     the exact frame of ``_frame``, by the frame identity and
     the cone formula: only the other points' integer rows outside the
     columns the frame rows hit are ranked, with the modular rank, where
@@ -271,21 +300,13 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
         raise ValueError(f"Terracini dimension needs degree >= 2, got {d}")
     n = a.ambient_dim
     if d >= 2 * len(a) - 1:
-        return TerraciniReport(num_points=len(a), ambient_dim=n, degree=d,
-                               dim=(n + 1) * len(a) - 1)
+        return _filled(n, d, len(a))
     lower = None
     coords = _frame_mod_p(a)
     if coords is not None:
-        kept, weights, index = _tangent_index(n, d)
-        full = min((n + 1) * len(a), comb(n + d, d))
-        # The rank that R must reach: |C| + target = full.
-        target = full - (comb(n + d, d) - len(kept))
-        lower = 0
-        if target:
-            lower = len(_gathered_pivots_mod_p(monomial_rows(coords, d - 1), weights,
-                                               index, len(kept), target))
+        lower, target = _framed_rank_mod_p(coords, n, d)
         if lower == target:
-            return TerraciniReport(num_points=len(a), ambient_dim=n, degree=d, dim=full - 1)
+            return _filled(n, d, len(a))
     frame, framed = _frame(a)
     k = len(frame)
     others = [q for i, q in enumerate(framed) if i not in frame]
@@ -306,25 +327,56 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
 
 
 def generic_terracini_dimension(n: int, d: int, r: int, seed: int = 0) -> TerraciniReport:
-    """Terracini dimension at r random points of P^n, maximised over
-    ``_TRIALS`` draws.
+    """Terracini dimension at r points of P^n drawn in their own frame,
+    maximised over ``_TRIALS`` draws.
 
-    Each draw takes r distinct points with integer coordinates uniform in
-    [-50, 50] from a generator seeded by ``seed`` and keeps the report
-    of largest dimension.  The generic dimension is the maximum over all
-    point sets, so random draws can only undershoot; a second draw shrinks
-    the (already negligible) chance of a degenerate one.  Deterministic
-    for fixed arguments.
+    The witness is the coordinate points e_0..e_n followed by r - n - 1
+    distinct points with integer coordinates uniform in [-50, 50], none a
+    coordinate point, drawn by ``random_point_set`` from a generator seeded
+    by ``seed``: one draw of r - n - 1 points, or, when that draw holds a
+    coordinate point, the first r - n - 1 other points of a draw of r
+    (which raises, as the sampler does, when [-50, 50]^(n+1) holds fewer
+    than r points).  For r <= n + 1 the witness is e_0..e_(r-1), and
+    nothing is drawn.
+
+    A set whose first n + 1 points are independent is carried by its
+    frame's change of coordinates onto one whose first n + 1 points are
+    e_0..e_n, with the same Terracini rank (module docstring), so the
+    modular frame of ``terracini_dimension`` ranks sets of this kind; the
+    witness draws one directly, still at random, not in a special
+    position.  Its drawn rows are the rows C of that frame (B = I, so
+    C = R B^-1 = R), ranked by ``_framed_rank_mod_p``: a draw that fills
+    the space modulo p returns with no frame and no exact rank, and any
+    other is ranked by ``terracini_dimension``, so every report is exact.
+    From d >= 2r - 1 on no rank is taken.
+
+    The generic dimension is the maximum over all point sets, so a draw
+    can only undershoot; a second draw shrinks the (already negligible)
+    chance of a degenerate one, and the report of largest dimension is
+    kept.  Deterministic for fixed arguments.
     """
     if n < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {n}")
     if r < 1:
         raise ValueError(f"point count must be >= 1, got {r}")
+    frame = tuple(ProjectivePoint([int(i == j) for j in range(n + 1)])
+                  for i in range(min(r, n + 1)))
+    if r <= n + 1:
+        return terracini_dimension(PointSet._of_distinct(frame), d)
     rng = random.Random(seed)
     best: TerraciniReport | None = None
     for _ in range(_TRIALS):
-        sample = random_point_set(n, r, rng, bound=50)
-        report = terracini_dimension(sample, d)
+        drawn = random_point_set(n, r - n - 1, rng, bound=50).points
+        # A coordinate point has n zero coordinates; r distinct points hold
+        # at most n + 1 of them.
+        if any(p.primitive_coords.count(0) == n for p in drawn):
+            drawn = tuple(p for p in random_point_set(n, r, rng, bound=50)
+                          if p.primitive_coords.count(0) != n)[:r - n - 1]
+        if 2 <= d < 2 * r - 1:
+            lower, target = _framed_rank_mod_p([p.primitive_coords for p in drawn], n, d)
+            if lower == target:
+                return _filled(n, d, r)
+        report = terracini_dimension(PointSet._of_distinct(frame + drawn), d)
         if best is None or report.dim > best.dim:
             best = report
         if best.dim == best.expected_dim:

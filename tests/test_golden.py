@@ -151,6 +151,7 @@ GENERIC_CASES = {
     "generic-4-3": (4, 3),             # defective generic rank, (4, 3) at 7 points
     "generic-4-4": (4, 4),             # defective generic rank, (4, 4) at 14 points
     "generic-2-8": (2, 8),             # the largest benchmark witness, 36 x 36 framed rows
+    "generic-1-40": (1, 40),           # binary forms: 21 points, degree-39 monomial values
 }
 
 

@@ -153,6 +153,128 @@ def test_generic_oracle_argument_validation():
         generic_terracini_dimension(2, 2, 0)
 
 
+def _axes(n, k):
+    """The rows of the first k coordinate points of P^n."""
+    return [tuple(int(i == j) for j in range(n + 1)) for i in range(k)]
+
+
+def _documented_draws(n, r, seed):
+    """The rows of each trial's witness, rebuilt from the recipe in
+    ``generic_terracini_dimension``'s docstring: e_0..e_n, then one sampler
+    draw of r - n - 1 points, or, when it holds a coordinate point, the
+    first r - n - 1 other points of a draw of r."""
+    if r <= n + 1:
+        return [_axes(n, r)]
+    rng, draws = random.Random(seed), []
+    for _ in range(terracini._TRIALS):
+        rows = [p.primitive_coords for p in random_point_set(n, r - n - 1, rng, bound=50)]
+        if any(row.count(0) == n for row in rows):
+            rows = [row for row in (p.primitive_coords
+                                    for p in random_point_set(n, r, rng, bound=50))
+                    if row.count(0) != n][:r - n - 1]
+        draws.append(_axes(n, n + 1) + rows)
+    return draws
+
+
+def _spied_witness(monkeypatch, n, d, r, seed):
+    """``generic_terracini_dimension(n, d, r, seed)``, with the rows that
+    it hands ``_framed_rank_mod_p`` itself and the sets it hands
+    ``terracini_dimension``."""
+    framed, ranked, inside = [], [], []
+    rank_mod_p, dimension = terracini._framed_rank_mod_p, terracini.terracini_dimension
+
+    def spied_rank(coords, *args):
+        if not inside:
+            framed.append([tuple(row) for row in coords])
+        return rank_mod_p(coords, *args)
+
+    def spied_dimension(a, *args):
+        ranked.append(a)
+        inside.append(a)
+        try:
+            return dimension(a, *args)
+        finally:
+            inside.pop()
+
+    with monkeypatch.context() as m:
+        m.setattr(terracini, "_framed_rank_mod_p", spied_rank)
+        m.setattr(terracini, "terracini_dimension", spied_dimension)
+        report = generic_terracini_dimension(n, d, r, seed=seed)
+    return report, framed, ranked
+
+
+# (n, d, r, seed): the coordinate points alone (r <= n + 1), no rank from
+# d >= 2r - 1 on, witnesses that fill, the defective (2, 4) at 5 and
+# (3, 4) at 9, and binary draws whose first sample holds (0 : 1): at
+# seed 4 the draw of r that replaces it holds no coordinate point among
+# the points kept, at seed 190 it holds (1 : 0) among them.
+WITNESS_CASES = [
+    (2, 2, 2, 0), (2, 2, 3, 0), (3, 3, 2, 0), (3, 2, 4, 1), (1, 3, 2, 0), (2, 5, 3, 0),
+    (2, 4, 6, 0), (2, 5, 7, 1), (4, 3, 8, 2), (3, 4, 10, 0), (1, 12, 7, 0),
+    (2, 4, 5, 0), (3, 4, 9, 1), (1, 7, 6, 4), (1, 9, 8, 190),
+]
+
+
+@pytest.mark.parametrize("n, d, r, seed", WITNESS_CASES)
+def test_generic_witness_is_its_frame_and_draws(monkeypatch, n, d, r, seed):
+    # The report is terracini_dimension of the set of the frame and the
+    # draws, which is the fraction rank of its tangent forms; the draws
+    # are distinct (``PointSet.from_rows`` raises on a repeat), none a
+    # coordinate point, and the same on a second call.
+    report, framed, ranked = _spied_witness(monkeypatch, n, d, r, seed)
+    draws = _documented_draws(n, r, seed)
+    if r > n + 1 and 2 <= d < 2 * r - 1:
+        assert framed == [rows[n + 1:] for rows in draws[:len(framed)]]
+    assert [[p.primitive_coords for p in a] for a in ranked] == draws[:len(ranked)]
+    sets = [PointSet.from_rows(rows) for rows in draws]
+    for a in sets:
+        assert [p.primitive_coords for p in a[:n + 1]] == _axes(n, min(r, n + 1))
+        assert all(p.primitive_coords.count(0) != n for p in a[n + 1:])
+    reports = [terracini_dimension(a, d) for a in sets]
+    assert [rep.dim + 1 for rep in reports] == [fraction_rank(_tangent_matrix(a, d)) for a in sets]
+    assert report == (reports[0] if reports[0].is_expected
+                      else max(reports, key=lambda rep: rep.dim))
+    assert _spied_witness(monkeypatch, n, d, r, seed) == (report, framed, ranked)
+
+
+@pytest.mark.parametrize("n, d, r, dim", [(2, 4, 5, 13), (3, 4, 9, 33)])
+def test_defective_witnesses_fall_back_to_the_exact_path(monkeypatch, n, d, r, dim):
+    # Their rank modulo p falls short, so each of the two draws is ranked
+    # by terracini_dimension, which reaches the exact frame; the report is
+    # the Alexander-Hirschowitz value, equal to the fraction rank.
+    exact = []
+    frame = terracini._frame
+
+    def spied(a):
+        exact.append(a)
+        return frame(a)
+
+    monkeypatch.setattr(terracini, "_frame", spied)
+    report, framed, ranked = _spied_witness(monkeypatch, n, d, r, 0)
+    assert report.dim == dim
+    assert len(framed) == len(ranked) == len(exact) == terracini._TRIALS
+    assert exact == ranked
+    assert all(fraction_rank(_tangent_matrix(a, d)) == dim + 1 for a in ranked)
+
+
+@pytest.mark.parametrize("n, d, r", [(2, 4, 6), (4, 3, 8), (3, 4, 10), (2, 8, 15), (5, 3, 10),
+                                     (1, 40, 21)])
+def test_a_filling_witness_takes_no_frame(monkeypatch, n, d, r):
+    # The witness draws its points in the frame: when its rank modulo p
+    # fills the space, no standard form, frame or exact rank is taken.
+    def refused(*args, **kwargs):
+        raise AssertionError("the witness took a frame or an exact rank")
+
+    for module, name in ((hilbert, "_frame_mod_p"), (terracini, "_frame_mod_p"),
+                         (hilbert, "_standard_form_mod_p"), (linalg, "_standard_form_mod_p"),
+                         (terracini, "_frame"), (terracini, "integer_rank"),
+                         (terracini, "terracini_dimension")):
+        monkeypatch.setattr(module, name, refused)
+    for seed in range(3):
+        report = generic_terracini_dimension(n, d, r, seed=seed)
+        assert report.dim == report.veronese_dim == report.expected_dim
+
+
 def _rank_and_fallbacks(a, d, calls):
     """The Terracini rank of a at degree d, checked against the fraction
     rank of its tangent forms, and the number of exact eliminations it took."""
@@ -540,23 +662,26 @@ def test_gathered_rows_have_the_pivots_of_the_tangent_forms(n, d, extra, seed, b
                 == pivot_columns_mod_p(oracle, p)[:target])
 
 
-def _witness(n, d, l):
-    """The first draw of ``generic_terracini_dimension(n, d, l, seed=0)``."""
+def _sampled(n, d, l):
+    """l random points of P^n, ``random_point_set`` at seed 0 and bound 50,
+    and the degree d: a general set, whose first n + 1 points
+    ``terracini_dimension`` carries into its modular frame."""
     return random_point_set(n, l, random.Random(0), bound=50), d
 
 
 # Sets, degrees, and the (rows, cols, target) of every packed elimination
-# that ``terracini_dimension`` takes in the modular frame.  The Alexander-
-# Hirschowitz witnesses fill the space, so target = kept: their leading
-# block is every kept column, and it falls short by one.  A general
+# that ``terracini_dimension`` takes in the modular frame.  Random sets of
+# the Alexander-Hirschowitz defective sizes would fill the space, so
+# target = kept: their leading block is every kept column, and it falls
+# short by one.  A general
 # (4, 9, 4) is proved by its leading 20 of 45 columns.  Two plane sets have
 # a leading block short of its target although target < kept, so every
 # column is eliminated: the first reaches the target there, the second
 # does not.
 PACKED_WITNESSES = {
-    "(2, 4) at 5": (_witness(2, 4, 5), [(6, 6, 6)]),
-    "(4, 3) at 7": (_witness(4, 3, 7), [(10, 10, 10)]),
-    "(3, 4) at 9": (_witness(3, 4, 9), [(20, 19, 19)]),
+    "(2, 4) at 5": (_sampled(2, 4, 5), [(6, 6, 6)]),
+    "(4, 3) at 7": (_sampled(4, 3, 7), [(10, 10, 10)]),
+    "(3, 4) at 9": (_sampled(3, 4, 9), [(20, 19, 19)]),
     "(4, 9, 4)": ((random_points(4, 9, random.Random(94), bound=20), 4), [(20, 20, 20)]),
     "plane, short leading block": (
         (PointSet.from_rows([(2, 0, -1), (2, -1, 2), (1, -2, 2), (0, -1, -1),
