@@ -227,9 +227,6 @@ class PointSet:
     def __repr__(self) -> str:
         return f"PointSet({list(self.points)!r})"
 
-    def subset(self, indices: Sequence[int]) -> "PointSet":
-        return PointSet(self.points[i] for i in indices)
-
 
 def memo_on_set(fn: Callable) -> Callable:
     """Cache ``fn(a, *args)`` in ``a._memo``, keyed on fn and the args.

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import partial
-from itertools import accumulate, count
+from itertools import count
 from math import comb
 from typing import Callable, Sequence
 
@@ -84,14 +84,6 @@ class HilbertProfile(Record):
         if len(self.values) > self.set_size:
             raise ValueError("h has not stabilised at the set size by degree set_size - 1")
 
-    @classmethod
-    def from_diffs(cls, diffs: tuple[int, ...] | list[int]) -> "HilbertProfile":
-        """Profile with the given first differences; trailing zeros are dropped."""
-        diffs = list(diffs)
-        while len(diffs) > 1 and not diffs[-1]:
-            diffs.pop()
-        return cls(tuple(accumulate(diffs)))
-
     @property
     def set_size(self) -> int:
         return self.values[-1]
@@ -108,10 +100,6 @@ class HilbertProfile(Record):
         if d < len(self.values):
             return self.values[d]
         return self.set_size
-
-    def diff_at(self, d: int) -> int:
-        """Dh(d) = h(d) - h(d - 1)."""
-        return self.value_at(d) - self.value_at(d - 1)
 
     @property
     def separation_degree(self) -> int:
@@ -274,7 +262,7 @@ def _frame_mod_p(a: PointSet) -> list[list[int]] | None:
     of the Terracini matrix, whose rank is |C| plus that of the other
     points' rows, modulo p in this frame and over Q in that one; the rank
     modulo p of those rows here is a lower bound on their rank over Q there
-    (``integer_rank``'s ``lower`` in ``terracini_dimension``).
+    (the ``lower`` that ``terracini_dimension`` hands ``_certified_rank``).
     """
     if len(a) <= a.ambient_dim:
         return None

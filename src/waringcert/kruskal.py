@@ -207,7 +207,8 @@ def is_gup(a: PointSet) -> bool:
 
 
 class KruskalReport(Record):
-    """Outcome of the reshaping test for one partition d = a + b + c."""
+    """Outcome of the reshaping test for one partition d = a + b + c: it
+    passes when 2*set_size <= sum(ranks) - 2."""
 
     set_size: int
     partition: tuple[int, int, int]
@@ -216,16 +217,6 @@ class KruskalReport(Record):
     def __post_init__(self):
         if sorted(self.partition) != list(self.partition) or self.partition[0] < 1:
             raise ValueError(f"bad partition {self.partition}")
-
-    @property
-    def bound(self) -> int:
-        """(k_a + k_b + k_c - 2) // 2, the largest set size the ranks allow."""
-        return (sum(self.ranks) - 2) // 2
-
-    @property
-    def passes(self) -> bool:
-        """Whether 2*set_size <= k_a + k_b + k_c - 2."""
-        return self.set_size <= self.bound
 
 
 @lru_cache(maxsize=64)

@@ -4,15 +4,13 @@ Every rank in this package is taken on integer rows, exactly, and proved as
 a lower bound that meets an upper bound.  ``integer_rank`` first eliminates
 modulo the prime p = 1073741789.  The rank r over F_p is a lower bound on
 the rank over Q: a minor that is nonzero mod p is a nonzero integer.  The
-upper bound is min(rows, cols), or cols - k when the caller offers integer
-right-kernel vectors, as a lazy iterable: each is checked exactly,
-T v = 0 over Z, and k is the rank modulo p of those that pass
-(independence mod p implies independence over Q).  They are drawn only
-when the gap cols - r is at most r.  When the bounds meet, the rank is
-proved with no entry growth.  Only matrices whose bounds do not meet are
+upper bound is min(rows, cols); when the bounds meet, the rank is proved
+with no entry growth.  Only matrices whose bounds do not meet are
 eliminated exactly, by ``integer_kernel``'s fraction-free pass, the one
 exact elimination in the package: the rank is cols less the number of
-kernel vectors it finds.
+kernel vectors it finds.  A Terracini rank has an upper bound of its own,
+checked kernel vectors built from forms vanishing on the points, and
+``terracini._certified_rank`` proves it on the same terms.
 
 The modular pass, ``_pivots_mod_p``, eliminates column by column from the
 left and returns its pivot columns, so the pivots below column k count the
@@ -33,12 +31,9 @@ are built, with no list row, no multiply and no reduction per slot
 frames of ``terracini``: the tangent forms' own coefficients, copied
 from the points' monomial values weighted by multinomials, gathered
 here modulo p in the modular frame, and as integer list rows in the
-exact one.  A caller that has proved a lower bound modulo p on rows of
-the same rank (those Terracini rows) hands it to ``integer_rank``,
-which then takes no modular pass of its own.
-``integer_kernel`` gives a fraction-free kernel basis, for
-``integer_rank``'s last resort and for callers that build kernel vectors
-from smaller matrices.  For the Kruskal
+exact one.  ``integer_kernel`` gives a fraction-free kernel basis, for
+the last resort of ``integer_rank`` and of the Terracini rank, and for
+callers that build kernel vectors from smaller matrices.  For the Kruskal
 subset sweeps, ``_standard_form_mod_p`` writes every row modulo p in terms
 of the first ``size`` ones, C = R_Q B_Q^-1, by a row LU of those rows on
 the same packed rows, each followed by ``size`` identity slots, with
@@ -73,48 +68,18 @@ _FOLD = (1 << 30) - _PRIME
 _Index = Sequence[Sequence[int]]
 
 
-def integer_rank(rows: Iterable[Sequence[int]],
-                 kernel: Iterable[Sequence[int]] | None = None,
-                 lower: int | None = None) -> int:
+def integer_rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank of an integer matrix T, given as rows; the input is not modified.
 
-    The rank is proved as a lower bound that meets an upper bound.  The
-    lower bound is r, the rank modulo p = ``_PRIME``, or ``lower`` when the
-    caller has already proved one, so that rows it has eliminated modulo p
-    are not eliminated again.  The upper bound is
-    min(rows, cols), or cols - k when k integer vectors v with T v = 0 are
-    independent modulo p (so over Q too).  Only when the two bounds do not
-    meet is the rank taken exactly, as cols - len(``integer_kernel(T)``).
-
-    ``kernel`` is an optional lazy iterable, such as a generator, of
-    candidate right-kernel vectors, integer sequences of length cols.  It
-    is drawn from only when r falls short of min(rows, cols) and the gap
-    cols - r is at most r: closing the gap takes at least cols - r checks
-    of T v, each touching every entry, while the exact elimination takes
-    r pivot steps of about that cost, so a larger gap is left to it.  Each
-    candidate is checked exactly, T v = 0 over Z, and one that fails is
-    never used; candidates are drawn until the checked ones have rank
-    cols - r modulo p, or run out.
+    The rank modulo p = ``_PRIME`` is a lower bound on the rank over Q, and
+    min(rows, cols) an upper bound; when they meet, that is the rank.
+    Otherwise the rank is taken exactly, as cols - len(``integer_kernel(T)``).
     """
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
     full = min(len(rows), ncols)
-    rank = len(_pivots_mod_p(rows, full)) if lower is None else lower
-    if rank == full:
-        return rank
-    gap = ncols - rank
-    if kernel is not None and gap <= rank:
-        checked = []
-        need = gap
-        for v in kernel:
-            if len(v) == ncols and not any(sum(map(mul, row, v)) for row in rows):
-                checked.append(v)
-                if len(checked) == need:
-                    k = len(_pivots_mod_p(checked, gap))
-                    if k == gap:
-                        return rank
-                    # Each new vector adds at most one to k.
-                    need += gap - k
+    if len(_pivots_mod_p(rows, full)) == full:
+        return full
     return ncols - len(integer_kernel(rows))
 
 

@@ -31,8 +31,8 @@ the kernel exactly when the form G = sum of v_e x^e / e! is singular at
 every point.  If F vanishes on the points in degree e and H in degree
 d - e, the product rule makes F*H such a form, and a product with
 coefficients g is the kernel vector v_e = e! g_e.  These are the kernel
-vectors offered to ``integer_rank`` when the rows fall short of full rank
-modulo its prime; the forms vanishing in degree e are the integer kernel
+vectors that ``_certified_rank`` checks when the rows fall short of full
+rank modulo p; the forms vanishing in degree e are the integer kernel
 of the degree-e monomial values.  At the Alexander-Hirschowitz defective
 quartics, (2, 4) at 5 points, (3, 4) at 9 and (4, 4) at 14, the square of
 the quadric through the points proves the rank one short of full
@@ -110,9 +110,10 @@ them to ``linalg._gathered_pivots_mod_p``, which
 reduces the weights modulo p once, weights the degree-(d-1) monomial
 values of the rows c in its one reduction pass, copies each row out of
 them with no multiply per entry, and is asked for
-target = min((n+1)l, C(n+d, d)) - |C| pivots.  In the exact frame the
-integer weighted values of the other points are copied into the rows
-handed to ``integer_rank``.
+target = min((n+1)l, C(n+d, d)) - |C| pivots.  When that rank falls
+short, ``_certified_rank`` copies the integer weighted values of the other
+points into exact rows of R and proves their rank, from the frame's
+rows, the rank modulo p and no second modular pass of R.
 """
 
 from __future__ import annotations
@@ -123,10 +124,10 @@ from math import comb, factorial, prod
 from operator import add, mul
 from typing import Iterator, Sequence
 
-from .geometry import (PointSet, ProjectivePoint, Record, memo_on_set, monomial_basis,
-                       monomial_rows, random_point_set)
+from .geometry import (PointSet, Record, memo_on_set, monomial_basis, monomial_rows,
+                       random_point_set)
 from .hilbert import _frame, _frame_mod_p, hilbert_function
-from .linalg import _Index, _gathered_pivots_mod_p, integer_kernel, integer_rank
+from .linalg import _Index, _gathered_pivots_mod_p, _pivots_mod_p, integer_kernel
 
 
 # The random draws of ``generic_terracini_dimension``.
@@ -263,6 +264,48 @@ def _framed_rank_mod_p(coords: Sequence[Sequence[int]], n: int, d: int) -> tuple
                                       len(kept), target)), target
 
 
+def _certified_rank(framed: Sequence[Sequence[int]], others: Sequence[Sequence[int]],
+                    m: int, d: int, lower: int) -> int:
+    """|C| + rank R in degree d for a set framed in P^m: ``framed`` the
+    integer rows of all its points, e_0..e_m among them, and ``others`` the
+    rows of the points off the frame, whose tangent rows R off the columns
+    C have rank ``lower`` modulo p, short of full (module docstring).
+
+    rank R is proved as a lower bound that meets an upper bound: ``lower``
+    below, and above it cols - k, where k is the rank modulo p of checked
+    kernel vectors of R (independence modulo p implies independence over
+    Q).  The candidates are ``_singular_products`` of ``framed``, each
+    restricted to the kept columns with g_e scaled by e!, built lazily and
+    drawn only while the gap = cols - lower is at most lower: closing the
+    gap takes at least gap checks of R v, each touching every entry, while
+    the exact elimination takes lower pivot steps of about that cost, so a
+    larger gap is left to it.  Each candidate is checked exactly, R v = 0
+    over Z, and one that fails is never used; candidates are drawn until
+    the checked ones have rank gap modulo p, or run out.  Only when the
+    bounds do not meet is rank R taken exactly, as cols less the number of
+    vectors in ``integer_kernel(R)``.
+    """
+    kept, weights, index = _tangent_index(m, d)
+    space = comb(m + d, d)
+    values = [[*map(mul, v, weights), 0] for v in monomial_rows(others, d - 1)]
+    rows = [[w[i] for i in slots] for w in values for slots in index]
+    gap = len(kept) - lower
+    if gap <= lower:
+        checked = []
+        need = gap
+        for g in _singular_products(framed, d):
+            v = [g[c] * s for c, s in kept]
+            if not any(sum(map(mul, row, v)) for row in rows):
+                checked.append(v)
+                if len(checked) == need:
+                    k = len(_pivots_mod_p(checked, gap))
+                    if k == gap:
+                        return space - gap
+                    # Each new vector adds at most one to k.
+                    need += gap - k
+    return space - len(integer_kernel(rows))
+
+
 @memo_on_set
 def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     """Projective dimension of the span of all tangent spaces along a.
@@ -276,13 +319,13 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     modulo p: the rows of the other points, on the columns outside C, are
     ranked modulo p by ``_framed_rank_mod_p``, and when |C| plus that rank
     meets min((n+1)l, C(n+d, d)) the report returns with no exact frame
-    and no integer row.  Otherwise the rank is taken in
-    the exact frame of ``_frame``, by the frame identity and
-    the cone formula: only the other points' integer rows outside the
-    columns the frame rows hit are ranked, with the modular rank, where
-    there was one, as ``integer_rank``'s lower bound, so those rows are
-    not eliminated again.  ``_singular_products`` of the framed rows offers
-    it right-kernel vectors, restricted to those columns.
+    and no integer row.  Otherwise the rank is taken in the exact frame of
+    ``_frame``, by the frame identity and the cone formula: only the other
+    points' rows outside the columns the frame rows hit are ranked.  Their
+    rank modulo p is the modular frame's, where there was one, and
+    otherwise ``_framed_rank_mod_p`` of the exact frame's rows; when it
+    falls short, ``_certified_rank`` proves the rank over Q from it, so
+    those rows are not eliminated modulo p again.
 
     From d >= 2l - 1 on, l = len(a), the tangent spaces are in direct sum
     and no rank is taken.  Under the apolarity pairing, row (p, j) maps a
@@ -301,7 +344,6 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     n = a.ambient_dim
     if d >= 2 * len(a) - 1:
         return _filled(n, d, len(a))
-    lower = None
     coords = _frame_mod_p(a)
     if coords is not None:
         lower, target = _framed_rank_mod_p(coords, n, d)
@@ -310,14 +352,11 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     frame, framed = _frame(a)
     k = len(frame)
     others = [q for i, q in enumerate(framed) if i not in frame]
-    kept, weights, index = _tangent_index(k - 1, d)
-    rank = comb(k - 1 + d, d) - len(kept)
-    if others and kept:
-        values = [[*map(mul, v, weights), 0] for v in monomial_rows(others, d - 1)]
-        rows = [[w[i] for i in slots] for w in values for slots in index]
-        rank += integer_rank(rows, kernel=([v[c] * s for c, s in kept]
-                                           for v in _singular_products(framed, d)),
-                             lower=lower)
+    if coords is None:
+        lower, target = _framed_rank_mod_p(others, k - 1, d)
+    # At full rank of R, |C| + target is min(k l, C(k-1+d, d)).
+    rank = (min(k * len(a), comb(k - 1 + d, d)) if lower == target
+            else _certified_rank(framed, others, k - 1, d, lower))
     if k <= n:
         # h(d-1) is k at d = 2, and when every point is in B (independent
         # points are separated in every degree >= 1).
@@ -337,7 +376,8 @@ def generic_terracini_dimension(n: int, d: int, r: int, seed: int = 0) -> Terrac
     coordinate point, the first r - n - 1 other points of a draw of r
     (which raises, as the sampler does, when [-50, 50]^(n+1) holds fewer
     than r points).  For r <= n + 1 the witness is e_0..e_(r-1), and
-    nothing is drawn.
+    nothing is drawn; from d >= 2r - 1 on nothing is drawn and no rank is
+    taken (``terracini_dimension`` has the proof).
 
     A set whose first n + 1 points are independent is carried by its
     frame's change of coordinates onto one whose first n + 1 points are
@@ -345,40 +385,39 @@ def generic_terracini_dimension(n: int, d: int, r: int, seed: int = 0) -> Terrac
     modular frame of ``terracini_dimension`` ranks sets of this kind; the
     witness draws one directly, still at random, not in a special
     position.  Its drawn rows are the rows C of that frame (B = I, so
-    C = R B^-1 = R), ranked by ``_framed_rank_mod_p``: a draw that fills
-    the space modulo p returns with no frame and no exact rank, and any
-    other is ranked by ``terracini_dimension``, so every report is exact.
-    From d >= 2r - 1 on no rank is taken.
+    C = R B^-1 = R), and the frame is exact as well: ``_framed_rank_mod_p``
+    ranks them modulo p, a draw that fills the space returns with no
+    exact rank, and ``_certified_rank`` proves the rank of any other from
+    its frame, its draws and that rank modulo p, so every report is exact.
 
     The generic dimension is the maximum over all point sets, so a draw
     can only undershoot; a second draw shrinks the (already negligible)
-    chance of a degenerate one, and the report of largest dimension is
-    kept.  Deterministic for fixed arguments.
+    chance of a degenerate one, and the largest dimension is kept.
+    Deterministic for fixed arguments.
     """
     if n < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {n}")
     if r < 1:
         raise ValueError(f"point count must be >= 1, got {r}")
-    frame = tuple(ProjectivePoint([int(i == j) for j in range(n + 1)])
-                  for i in range(min(r, n + 1)))
+    if d < 2:
+        raise ValueError(f"Terracini dimension needs degree >= 2, got {d}")
+    if d >= 2 * r - 1:
+        return _filled(n, d, r)
+    axes = [tuple(int(i == j) for j in range(n + 1)) for i in range(min(r, n + 1))]
     if r <= n + 1:
-        return terracini_dimension(PointSet._of_distinct(frame), d)
+        return terracini_dimension(PointSet.from_rows(axes), d)
     rng = random.Random(seed)
-    best: TerraciniReport | None = None
+    rank = 0
     for _ in range(_TRIALS):
-        drawn = random_point_set(n, r - n - 1, rng, bound=50).points
+        drawn = [p.primitive_coords for p in random_point_set(n, r - n - 1, rng, bound=50)]
         # A coordinate point has n zero coordinates; r distinct points hold
         # at most n + 1 of them.
-        if any(p.primitive_coords.count(0) == n for p in drawn):
-            drawn = tuple(p for p in random_point_set(n, r, rng, bound=50)
-                          if p.primitive_coords.count(0) != n)[:r - n - 1]
-        if 2 <= d < 2 * r - 1:
-            lower, target = _framed_rank_mod_p([p.primitive_coords for p in drawn], n, d)
-            if lower == target:
-                return _filled(n, d, r)
-        report = terracini_dimension(PointSet._of_distinct(frame + drawn), d)
-        if best is None or report.dim > best.dim:
-            best = report
-        if best.dim == best.expected_dim:
-            break
-    return best
+        if any(row.count(0) == n for row in drawn):
+            drawn = [row for row in (p.primitive_coords
+                                     for p in random_point_set(n, r, rng, bound=50))
+                     if row.count(0) != n][:r - n - 1]
+        lower, target = _framed_rank_mod_p(drawn, n, d)
+        if lower == target:
+            return _filled(n, d, r)
+        rank = max(rank, _certified_rank(axes + drawn, drawn, n, d, lower))
+    return TerraciniReport(num_points=r, ambient_dim=n, degree=d, dim=rank - 1)

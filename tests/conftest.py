@@ -1,15 +1,18 @@
 """Shared helpers for the test suite: seeded random point-set corpora, and
-counts of the exact eliminations ``integer_rank`` falls back to and of the
-exact ranks of the Kruskal subset sweeps."""
+counts of the exact eliminations that ``integer_rank`` and the Terracini
+rank fall back to and of the exact ranks of the Kruskal subset sweeps."""
 
 import random
+import sys
 
 import pytest
 
-from waringcert import PointSet, ProjectivePoint, kruskal, linalg
+from waringcert import PointSet, ProjectivePoint, kruskal, linalg, terracini
 
 KERNEL = linalg.integer_kernel
 EXACT_RANK = kruskal.integer_rank
+# The two rank proofs whose last resort is ``integer_kernel`` of their rows.
+FALLBACKS = (linalg.integer_rank.__code__, terracini._certified_rank.__code__)
 
 
 def random_points(n, size, rng, bound=9):
@@ -39,19 +42,27 @@ def corpus(seed, count, dims, max_size, bound=9, min_size=1):
     return sets
 
 
-@pytest.fixture
-def exact_eliminations(monkeypatch):
-    """The row counts of every exact elimination ``integer_rank`` falls
-    back to, in order.  Its fallback is ``integer_kernel`` looked up in
-    ``linalg``; the other modules import ``integer_kernel`` by name, so
-    their own kernels are not counted."""
-    calls = []
-
-    def counted(rows):
-        calls.append(len(rows))
+def spy_fallbacks(monkeypatch, record):
+    """Hand ``record`` the rows of every exact elimination that
+    ``linalg.integer_rank`` or ``terracini._certified_rank`` falls back to,
+    in order: their ``integer_kernel`` calls.  The kernels that other code
+    takes, of smaller matrices (``_singular_products``' forms vanishing on
+    the points, the frames), are not recorded."""
+    def spied(rows):
+        if sys._getframe(1).f_code in FALLBACKS:
+            record(rows)
         return KERNEL(rows)
 
-    monkeypatch.setattr(linalg, "integer_kernel", counted)
+    for module in (linalg, terracini):
+        monkeypatch.setattr(module, "integer_kernel", spied)
+
+
+@pytest.fixture
+def exact_eliminations(monkeypatch):
+    """The row counts of every exact elimination a rank falls back to
+    (``spy_fallbacks``), in order."""
+    calls = []
+    spy_fallbacks(monkeypatch, lambda rows: calls.append(len(rows)))
     return calls
 
 

@@ -107,9 +107,12 @@ def test_criterion_02_hilbert_function_basic_properties():
         # profile machinery agrees with the raw values and partial sums
         prof = hilbert_profile(z)
         assert all(prof.value_at(d) == values[d] for d in range(l + 2))
-        assert all(
-            prof.value_at(i) == sum(prof.diff_at(d) for d in range(i + 1))
-            for i in range(l + 2))
+        assert all(prof.value_at(i) == sum(prof.h_vector[:i + 1]) for i in range(l + 2))
+
+
+def _differences(profile, count):
+    """Dh(j) = h(j) - h(j - 1) for j = 0 .. count - 1."""
+    return [profile.value_at(j) - profile.value_at(j - 1) for j in range(count)]
 
 
 def test_criterion_03_growth_and_subset_monotonicity():
@@ -118,7 +121,7 @@ def test_criterion_03_growth_and_subset_monotonicity():
     for z in sets:
         l = len(z)
         prof = hilbert_profile(z)
-        diffs = [prof.diff_at(j) for j in range(0, l + 2)]
+        diffs = _differences(prof, l + 2)
         # once a difference falls to its index it can never grow again
         for j in range(1, l + 1):
             if diffs[j] <= j:
@@ -126,12 +129,13 @@ def test_criterion_03_growth_and_subset_monotonicity():
         if l < 2:
             continue
         size = rng.randint(1, l - 1)
-        sub = z.subset(sorted(rng.sample(range(l), size)))
+        sub = PointSet(z[i] for i in sorted(rng.sample(range(l), size)))
         sprof = hilbert_profile(sub)
         # removing points can only lower the function and its differences
+        sdiffs = _differences(sprof, l + 1)
         for d in range(0, l + 1):
             assert sprof.value_at(d) <= prof.value_at(d)
-            assert sprof.diff_at(d) <= prof.diff_at(d)
+            assert sdiffs[d] <= diffs[d]
 
 
 def _veronese_rows(a, d):
@@ -171,8 +175,7 @@ def test_criterion_05_span_intersection_oracle():
         sa = rng.randint(1, 5)
         sb = rng.randint(1, 5)
         full = random_point_set(n, sa + sb, rng, bound=9)
-        a = full.subset(range(sa))
-        b = full.subset(range(sa, sa + sb))
+        a, b = PointSet(full.points[:sa]), PointSet(full.points[sa:])
         d = rng.randint(1, 4)
         rows_a, rows_b = _veronese_rows(a, d), _veronese_rows(b, d)
         direct = (fraction_rank(rows_a) + fraction_rank(rows_b)
@@ -191,12 +194,13 @@ def test_criterion_06_reshaped_kruskal_boundary():
         passing = reshaped_kruskal(at_boundary, 4).passing
         assert reshaped_kruskal_table(at_boundary, 4) == (passing,)
         assert passing.partition == (1, 1, 2)
-        assert passing.bound == 2 * n
-        assert passing.passes
+        assert (sum(passing.ranks) - 2) // 2 == 2 * n
+        assert 2 * passing.set_size <= sum(passing.ranks) - 2
 
         over = random_point_set(n, 2 * n + 1, random.Random(210 + n), bound=20)
         assert reshaped_kruskal(over, 4).passing is None
-        assert not reshaped_kruskal_table(over, 4)[0].passes
+        failing = reshaped_kruskal_table(over, 4)[0]
+        assert 2 * failing.set_size > sum(failing.ranks) - 2
 
 
 def test_criterion_07_quartic_end_to_end():

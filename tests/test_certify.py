@@ -94,7 +94,7 @@ def test_sylvester_inequality_matches_the_two_branch_rule():
     points = binary(200)
     generic_rank = {d: (d + 2) // 2 for d in range(1, 200)}
     for l in range(1, 201):
-        a = points.subset(range(l))
+        a = PointSet(points.points[:l])
         for d in range(max(1, l - 1), 200):
             r = generic_rank[d]
             two_branch = l < r or (l == r and d % 2 == 1)

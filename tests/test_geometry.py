@@ -201,7 +201,6 @@ def test_point_set_order_and_containment():
     assert len(a) == 3
     assert a[1] == ProjectivePoint((0, 1, 0))
     assert ProjectivePoint((2, 2, 2)) in a
-    assert a.subset([2, 0]) == PointSet.from_rows([(1, 1, 1), (1, 0, 0)])
 
 
 def test_points_and_sets_are_unequal_to_tuples():

@@ -7,7 +7,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from waringcert import integer_rank, linalg
+from waringcert import PointSet, integer_rank, linalg, terracini, terracini_dimension
 
 from oracles import (laplace_det, minor_rank, pivot_columns_mod_p, rank_mod_p,
                      standard_form_mod_p)
@@ -225,45 +225,77 @@ def test_packed_rank_mod_p_of_all_minus_one_residues():
         assert len(linalg._pivots_mod_p(rows, min(nrows, ncols))) == rank_mod_p(rows, P) == 1
 
 
-def _fail():
-    """A kernel generator that fails when a candidate is drawn from it."""
-    raise AssertionError("the kernel was asked for on a full-rank matrix")
-    yield
+# e_0..e_2 and two more points of P^2: five points, the Alexander-Hirschowitz
+# quartic case, whose 6 tangent rows off the frame have rank 5 of 6.
+AXES = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+FIVE = AXES + [(1, 1, 1), (1, 2, 3)]
 
 
-def test_kernel_is_not_asked_for_at_full_rank_mod_p_or_past_a_gap_of_r(exact_eliminations):
-    assert integer_rank([[1, 2, 3], [4, 5, 6]], kernel=_fail()) == 2
-    assert integer_rank([[1, 0], [0, 1], [1, 1]], kernel=_fail()) == 2
+def _certified(rows, d, short=0):
+    """``terracini._certified_rank`` of the points of P^2 with integer rows
+    ``rows``, e_0..e_2 first, in degree d, handed the rank modulo p of
+    their tangent rows off the frame less ``short``."""
+    lower = terracini._framed_rank_mod_p(rows[3:], 2, d)[0] - short
+    return terracini._certified_rank(rows, rows[3:], 2, d, lower)
+
+
+def _offer(monkeypatch, candidates):
+    """Let ``candidates`` stand for ``_singular_products``: the degree-d
+    coefficient vectors that ``_certified_rank`` restricts and checks."""
+    monkeypatch.setattr(terracini, "_singular_products", lambda framed, d: candidates)
+
+
+def _then_fail(vectors=()):
+    """The vectors, then a failure if one more is drawn."""
+    yield from vectors
+    raise AssertionError("a kernel candidate was drawn that the rank did not need")
+
+
+def test_kernel_is_not_asked_for_at_full_rank_mod_p_or_past_a_gap_of_r(monkeypatch,
+                                                                        exact_eliminations):
+    _offer(monkeypatch, _then_fail())
+    # Full rank modulo p, in the modular frame and, with the first three
+    # points dependent, in the exact one: no exact step is taken.
+    general = PointSet.from_rows(AXES + [(1, 1, 1)])
+    dependent = PointSet.from_rows([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 3)])
+    assert terracini_dimension(general, 4).dim == 11
+    assert terracini_dimension(dependent, 3).dim == 9
     assert exact_eliminations == []
-    # Rank 1 in 3 columns: a gap of 2 > 1 goes straight to the exact
-    # elimination.
-    assert integer_rank([[1, 1, 0], [2, 2, 0]], kernel=_fail()) == 1
-    assert exact_eliminations == [2]
-
-
-def test_checked_kernel_vectors_close_the_gap_without_exact_elimination(exact_eliminations):
-    rows = [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 2, 0]]
-    kernel = [[1, 1, -1, 0], [0, 0, 0, 5]]
-    assert integer_rank(rows, kernel=iter(kernel)) == 2
-    assert exact_eliminations == []
-    # One vector short of cols - r: the exact elimination decides.
-    assert integer_rank(rows, kernel=iter(kernel[:1])) == 2
+    # Three collinear points fall short at degree 4: rank 2 of 6 columns, a
+    # gap of 4 > 2, goes straight to the exact elimination.
+    assert _certified(AXES + [(1, 1, 0)], 4) == 11
     assert exact_eliminations == [3]
+
+
+def test_checked_kernel_vectors_close_the_gap_without_exact_elimination(monkeypatch,
+                                                                        exact_eliminations):
+    # The square of the conic through the five points closes the gap of 1,
+    # and no second candidate is drawn.
+    square = next(terracini._singular_products(FIVE, 4))
+    assert _certified(FIVE, 4) == 14
+    _offer(monkeypatch, _then_fail([square]))
+    assert _certified(FIVE, 4) == 14
+    assert exact_eliminations == []
+    # One vector short of the gap: the exact elimination decides.
+    _offer(monkeypatch, iter([]))
+    assert _certified(FIVE, 4) == 14
+    assert exact_eliminations == [6]
 
 
 @pytest.mark.parametrize("candidates", [
-    [[0, 0, 1, 0], [0, 0, 0, 1]],      # a non-kernel vector
-    [[0, 0, 0, 0], [0, 0, 0, 1]],      # the zero vector
-    [[0, 0, 0, 1], [0, 0, 0, 1]],      # one kernel vector given twice
-    [[0, 0, 0], [0, 0, 0, 1]],         # a vector of the wrong length
-    [[0, 0, 0, P], [0, 0, 0, 1]],      # a kernel vector that is zero modulo P
-])
-def test_bad_kernel_candidates_leave_the_rank_exact(exact_eliminations, candidates):
-    # Rank 3 over Q but 2 modulo P, with a one-dimensional kernel: any two
-    # candidates accepted as independent would "prove" rank 2.
-    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, P, 0]]
-    assert integer_rank(rows, kernel=iter(candidates)) == 3
-    assert exact_eliminations == [3]
+    lambda q: [[int(i == 3) for i in range(15)], q],   # a non-kernel vector
+    lambda q: [[0] * 15, q],                            # the zero vector
+    lambda q: [q, q],                                   # one kernel vector given twice
+    lambda q: [terracini._multiply(q, [1, 0, 0], 4, 1, 2), q],  # a product of degree 5
+    lambda q: [[P * x for x in q], q],                  # a kernel vector that is zero modulo P
+], ids=[f"candidates{i}" for i in range(5)])
+def test_bad_kernel_candidates_leave_the_rank_exact(monkeypatch, exact_eliminations, candidates):
+    # Handed a rank modulo p one below the rank over Q, with a
+    # one-dimensional kernel: any two candidates accepted as independent
+    # would "prove" the rank one short.
+    _offer(monkeypatch, iter(candidates(next(terracini._singular_products(FIVE, 4)))))
+    assert _certified(FIVE, 4, short=1) == 14
+    assert exact_eliminations == [6]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -7,7 +7,8 @@ Kruskal rank from the collinearity search and the largest aligned subset
 from a Kruskal rank of at least 3.  Each shortcut is checked here against
 the full computation (subset sweeps, ``integer_rank`` on the rows, the
 power-table monomial values of ``oracles``) on special and random sets of
-P^1..P^4, and a patched ``integer_rank`` counts the ranks that are left.
+P^1..P^4, and a patched ``integer_rank`` and ``terracini._certified_rank``
+count the exact ranks that are left.
 """
 
 import random
@@ -249,17 +250,24 @@ def test_memoized_rows_cannot_be_mutated():
 
 @pytest.fixture
 def rank_calls(monkeypatch):
-    """The (rows, cols) shape of every ``integer_rank`` call, in order."""
+    """The (rows, cols) shape of every exact rank, in order: of the rows of
+    every ``integer_rank`` call, and of the tangent rows off the frame
+    whose rank every ``terracini._certified_rank`` call proves."""
     calls = []
-    original = linalg.integer_rank
+    rank, certified = linalg.integer_rank, terracini._certified_rank
 
-    def counted(rows, kernel=None, lower=None):
+    def counted(rows):
         rows = list(rows)
         calls.append((len(rows), len(rows[0]) if rows else 0))
-        return original(rows, kernel=kernel, lower=lower)
+        return rank(rows)
 
-    for module in (linalg, hilbert, terracini):
+    def counted_certified(framed, others, m, d, lower):
+        calls.append(((m + 1) * len(others), len(terracini._tangent_index(m, d)[0])))
+        return certified(framed, others, m, d, lower)
+
+    for module in (linalg, hilbert):
         monkeypatch.setattr(module, "integer_rank", counted)
+    monkeypatch.setattr(terracini, "_certified_rank", counted_certified)
     return calls
 
 

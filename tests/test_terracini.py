@@ -23,7 +23,7 @@ from waringcert.geometry import monomial_rows
 from waringcert.linalg import integer_kernel
 from waringcert.terracini import _singular_products
 
-from conftest import random_points
+from conftest import random_points, spy_fallbacks
 from oracles import fraction_rank, linear_form_power, pivot_columns_mod_p, tangent_forms
 from test_hilbert import PROFILE_CASES
 
@@ -178,18 +178,23 @@ def _documented_draws(n, r, seed):
 
 def _spied_witness(monkeypatch, n, d, r, seed):
     """``generic_terracini_dimension(n, d, r, seed)``, with the rows that
-    it hands ``_framed_rank_mod_p`` itself and the sets it hands
-    ``terracini_dimension``."""
-    framed, ranked, inside = [], [], []
-    rank_mod_p, dimension = terracini._framed_rank_mod_p, terracini.terracini_dimension
+    it hands ``_framed_rank_mod_p`` itself and the rows of the sets, frame
+    and draws, that it hands ``_certified_rank`` itself."""
+    framed, certified, inside = [], [], []
+    rank_mod_p, certified_rank = terracini._framed_rank_mod_p, terracini._certified_rank
+    dimension = terracini.terracini_dimension
 
     def spied_rank(coords, *args):
         if not inside:
             framed.append([tuple(row) for row in coords])
         return rank_mod_p(coords, *args)
 
+    def spied_certified(rows, *args):
+        if not inside:
+            certified.append([tuple(row) for row in rows])
+        return certified_rank(rows, *args)
+
     def spied_dimension(a, *args):
-        ranked.append(a)
         inside.append(a)
         try:
             return dimension(a, *args)
@@ -198,9 +203,10 @@ def _spied_witness(monkeypatch, n, d, r, seed):
 
     with monkeypatch.context() as m:
         m.setattr(terracini, "_framed_rank_mod_p", spied_rank)
+        m.setattr(terracini, "_certified_rank", spied_certified)
         m.setattr(terracini, "terracini_dimension", spied_dimension)
         report = generic_terracini_dimension(n, d, r, seed=seed)
-    return report, framed, ranked
+    return report, framed, certified
 
 
 # (n, d, r, seed): the coordinate points alone (r <= n + 1), no rank from
@@ -221,11 +227,11 @@ def test_generic_witness_is_its_frame_and_draws(monkeypatch, n, d, r, seed):
     # draws, which is the fraction rank of its tangent forms; the draws
     # are distinct (``PointSet.from_rows`` raises on a repeat), none a
     # coordinate point, and the same on a second call.
-    report, framed, ranked = _spied_witness(monkeypatch, n, d, r, seed)
+    report, framed, certified = _spied_witness(monkeypatch, n, d, r, seed)
     draws = _documented_draws(n, r, seed)
     if r > n + 1 and 2 <= d < 2 * r - 1:
         assert framed == [rows[n + 1:] for rows in draws[:len(framed)]]
-    assert [[p.primitive_coords for p in a] for a in ranked] == draws[:len(ranked)]
+    assert certified == draws[:len(certified)]
     sets = [PointSet.from_rows(rows) for rows in draws]
     for a in sets:
         assert [p.primitive_coords for p in a[:n + 1]] == _axes(n, min(r, n + 1))
@@ -234,27 +240,52 @@ def test_generic_witness_is_its_frame_and_draws(monkeypatch, n, d, r, seed):
     assert [rep.dim + 1 for rep in reports] == [fraction_rank(_tangent_matrix(a, d)) for a in sets]
     assert report == (reports[0] if reports[0].is_expected
                       else max(reports, key=lambda rep: rep.dim))
-    assert _spied_witness(monkeypatch, n, d, r, seed) == (report, framed, ranked)
+    assert _spied_witness(monkeypatch, n, d, r, seed) == (report, framed, certified)
 
 
 @pytest.mark.parametrize("n, d, r, dim", [(2, 4, 5, 13), (3, 4, 9, 33)])
 def test_defective_witnesses_fall_back_to_the_exact_path(monkeypatch, n, d, r, dim):
     # Their rank modulo p falls short, so each of the two draws is ranked
-    # by terracini_dimension, which reaches the exact frame; the report is
-    # the Alexander-Hirschowitz value, equal to the fraction rank.
-    exact = []
-    frame = terracini._frame
-
-    def spied(a):
-        exact.append(a)
-        return frame(a)
-
-    monkeypatch.setattr(terracini, "_frame", spied)
-    report, framed, ranked = _spied_witness(monkeypatch, n, d, r, 0)
+    # by ``_certified_rank`` on its own frame and draws; the report is the
+    # Alexander-Hirschowitz value, equal to the fraction rank.
+    report, framed, certified = _spied_witness(monkeypatch, n, d, r, 0)
     assert report.dim == dim
-    assert len(framed) == len(ranked) == len(exact) == terracini._TRIALS
-    assert exact == ranked
-    assert all(fraction_rank(_tangent_matrix(a, d)) == dim + 1 for a in ranked)
+    assert len(framed) == len(certified) == terracini._TRIALS
+    assert [rows[n + 1:] for rows in certified] == framed
+    assert all(fraction_rank(_tangent_matrix(PointSet.from_rows(rows), d)) == dim + 1
+               for rows in certified)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n, d, r, dim", [(2, 4, 5, 13), (3, 4, 9, 33), (4, 4, 14, 68)])
+def test_a_short_witness_draw_is_ranked_modulo_p_once_and_takes_no_frame(monkeypatch, seed,
+                                                                         n, d, r, dim):
+    # The Alexander-Hirschowitz quartics: each draw falls short modulo p,
+    # and its rank modulo p is the exact step's lower bound.  No standard
+    # form, exact frame or point set is ranked, and each draw's tangent
+    # rows are eliminated modulo p once.
+    def refused(*args, **kwargs):
+        raise AssertionError("the witness took a frame or ranked a point set")
+
+    for module, name in ((hilbert, "_frame_mod_p"), (terracini, "_frame_mod_p"),
+                         (terracini, "_frame"), (terracini, "terracini_dimension")):
+        monkeypatch.setattr(module, name, refused)
+    passes, draws = [], []
+    gathered, certified = terracini._gathered_pivots_mod_p, terracini._certified_rank
+
+    def counted(*args):
+        passes.append(args)
+        return gathered(*args)
+
+    def spied(*args):
+        draws.append(args)
+        return certified(*args)
+
+    monkeypatch.setattr(terracini, "_gathered_pivots_mod_p", counted)
+    monkeypatch.setattr(terracini, "_certified_rank", spied)
+    report = generic_terracini_dimension(n, d, r, seed=seed)
+    assert report == TerraciniReport(num_points=r, ambient_dim=n, degree=d, dim=dim)
+    assert len(passes) == len(draws) == terracini._TRIALS
 
 
 @pytest.mark.parametrize("n, d, r", [(2, 4, 6), (4, 3, 8), (3, 4, 10), (2, 8, 15), (5, 3, 10),
@@ -267,7 +298,7 @@ def test_a_filling_witness_takes_no_frame(monkeypatch, n, d, r):
 
     for module, name in ((hilbert, "_frame_mod_p"), (terracini, "_frame_mod_p"),
                          (hilbert, "_standard_form_mod_p"), (linalg, "_standard_form_mod_p"),
-                         (terracini, "_frame"), (terracini, "integer_rank"),
+                         (terracini, "_frame"), (terracini, "_certified_rank"),
                          (terracini, "terracini_dimension")):
         monkeypatch.setattr(module, name, refused)
     for seed in range(3):
@@ -319,21 +350,25 @@ def test_sets_in_a_proper_subspace_are_proved_by_the_cone_formula(exact_eliminat
     assert rank < min((a.ambient_dim + 1) * len(a), comb(a.ambient_dim + d, d))
 
 
-def test_a_gap_wider_than_the_rank_is_left_to_exact_elimination(exact_eliminations):
-    # Twelve points of a line of P^3: their degree-5 rows have rank 6 of 56
-    # columns, a gap wider than the rank, so no kernel vector is asked for
-    # and the exact elimination ranks them.  Their Terracini rank in degree
-    # 6, 19 of 84, takes none: the cone formula reads h(5) from the profile,
-    # proved by one pass in the coordinates of the line.
+def test_a_gap_wider_than_the_rank_is_left_to_exact_elimination(monkeypatch,
+                                                                exact_eliminations):
+    # Twelve points of a line of P^3: their Terracini rank in degree 6, 19
+    # of 84, takes no exact elimination: the cone formula reads h(5) from
+    # the profile, proved by one pass in the coordinates of the line.
     a = PointSet.from_rows([(1, t, 0, 0) for t in range(12)])
     assert _rank_and_fallbacks(a, 6, exact_eliminations) == (19, 0)
 
-    def refuse():
+    # Three collinear points of P^2 and a fourth off their line: in degree
+    # 4 the 3 tangent rows off the frame have rank 2 of 6 columns, a gap
+    # wider than the rank, so no kernel vector is asked for and the exact
+    # elimination ranks them.
+    def refuse(framed, d):
         raise AssertionError("no kernel vector is asked for past a gap of r")
-        yield
 
-    assert integer_rank(monomial_rows([p.primitive_coords for p in a], 5), kernel=refuse()) == 6
-    assert exact_eliminations == [12]
+    monkeypatch.setattr(terracini, "_singular_products", refuse)
+    b = PointSet.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)])
+    assert _rank_and_fallbacks(b, 4, exact_eliminations) == (11, 1)
+    assert exact_eliminations == [3]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -441,34 +476,44 @@ def test_framed_rows_have_no_degree_one_kernel(case):
 @example((random_point_set(2, 5, random.Random(0), bound=50), 4))
 @example((random_point_set(3, 9, random.Random(0), bound=50), 4))
 def test_exact_rows_are_the_tangent_forms_and_every_drawn_candidate_is_in_the_kernel(case):
-    # The rows the exact frame hands ``integer_rank`` are the oracle's
-    # tangent forms of the framed points off the frame, on the kept
-    # columns; every kernel candidate it draws is a product F*H scaled by
-    # e! per column, so T v = 0 holds for each and none is rejected.  Few
-    # draws reach the exact frame; the two Alexander-Hirschowitz quartics
-    # do, and there the square of the quadric is drawn.
+    # ``_certified_rank`` is handed the exact frame's rows and those of the
+    # points off it; the rows it eliminates are the oracle's tangent forms
+    # of the points off the frame, on the kept columns, and every kernel
+    # candidate it draws, a product F*H scaled by e! per column, has
+    # T v = 0 on them, so none is rejected.  Few draws reach the exact
+    # step; the two Alexander-Hirschowitz quartics do, and there the
+    # square of the quadric is drawn.
     a, d = case
     frame, framed = terracini._frame(a)
     others = [q for i, q in enumerate(framed) if i not in frame]
-    handed = []
-    rank_of = terracini.integer_rank
+    handed, eliminated = [], []
+    certified, products = terracini._certified_rank, terracini._singular_products
 
-    def checked(rows, kernel):
-        for v in kernel:
-            assert not any(sum(map(mul, row, v)) for row in rows)
-            yield v
+    def checked(rows, e):
+        kept = terracini._tangent_index(len(rows[0]) - 1, e)[0]
+        for g in products(rows, e):
+            v = [g[c] * s for c, s in kept]
+            assert not any(sum(map(mul, row, v)) for row in _oracle_rows(others, e))
+            yield g
 
-    def spied(rows, kernel=None, lower=None):
-        handed.append(rows)
-        return rank_of(rows, kernel=checked(rows, kernel), lower=lower)
+    def spied(rows, rest, m, e, lower):
+        handed.append((rows, rest))
+        rank = certified(rows, rest, m, e, lower)
+        # A lower bound of 0 leaves the rank to the exact elimination.
+        assert certified(rows, rest, m, e, 0) == rank
+        return rank
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(terracini, "integer_rank", spied)
+        patch.setattr(terracini, "_certified_rank", spied)
+        patch.setattr(terracini, "_singular_products", checked)
+        spy_fallbacks(patch, eliminated.append)
         rank = terracini_dimension(a, d).dim + 1
     assert rank == fraction_rank(_tangent_matrix(a, d))
-    # No exact rank is taken when the modular frame proves it, or when no
-    # point or no column is left off the frame.
-    assert handed == ([_oracle_rows(others, d)] if handed else [])
+    # No exact step is taken when a frame's rank modulo p proves the rank,
+    # or when no point or no column is left off the frame.
+    assert handed == ([(framed, others)] if handed else [])
+    assert all(rows == _oracle_rows(others, d) for rows in eliminated)
+    assert bool(eliminated) == bool(handed)
 
 
 P = linalg._PRIME
@@ -696,7 +741,7 @@ PACKED_WITNESSES = {
 def test_packed_witness_rows_keep_the_lower_bound_and_the_rank(monkeypatch, case):
     (a, d), shapes = case
     blocks, packs, lowers, pivots = [], [], [], []
-    eliminate, rank_of = linalg._eliminate_mod_p, terracini.integer_rank
+    eliminate, certified = linalg._eliminate_mod_p, terracini._certified_rank
     gather = terracini._gathered_pivots_mod_p
 
     def counted(packed, ncols, target):
@@ -710,12 +755,12 @@ def test_packed_witness_rows_keep_the_lower_bound_and_the_rank(monkeypatch, case
             pivots.append(gather(*args))
             return pivots[-1]
 
-    def spied(rows, kernel=None, lower=None):
+    def spied(framed, others, m, e, lower):
         lowers.append(lower)
-        return rank_of(rows, kernel=kernel, lower=lower)
+        return certified(framed, others, m, e, lower)
 
     monkeypatch.setattr(terracini, "_gathered_pivots_mod_p", gathered)
-    monkeypatch.setattr(terracini, "integer_rank", spied)
+    monkeypatch.setattr(terracini, "_certified_rank", spied)
     n, l = a.ambient_dim, len(a)
     rank = terracini_dimension(a, d).dim + 1
     assert rank == fraction_rank(_tangent_matrix(a, d))
@@ -760,9 +805,9 @@ def test_collinear_points_fall_short_at_degree_2l_minus_2(n, l):
 
 def test_high_degree_takes_no_rank(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("integer_rank called")
+        raise AssertionError("an exact rank was taken")
 
-    monkeypatch.setattr(terracini, "integer_rank", refuse)
+    monkeypatch.setattr(terracini, "_certified_rank", refuse)
     a = PointSet.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     report = terracini_dimension(a, 3000)
     assert (report.dim, report.max_possible) == (11, 11)
