@@ -60,11 +60,10 @@ class PointFileError(ValueError):
 
 
 class PointSetDocument(Record):
-    """A parsed input file: the point set, its label, and source lines."""
+    """A parsed input file: the point set and its label."""
 
     points: PointSet
     label: str | None
-    point_lines: tuple[int, ...]
 
 
 def parse_rational(token: str) -> Fraction:
@@ -133,8 +132,7 @@ def parse_point_file(text: str) -> PointSetDocument:
         raise PointFileError(
             f"points on lines {row_lines[exc.first]} and {row_lines[exc.second]} "
             "coincide after canonical scaling") from None
-    return PointSetDocument(points=points, label=label,
-                            point_lines=tuple(row_lines))
+    return PointSetDocument(points=points, label=label)
 
 
 def _read_input(path: str) -> str:
@@ -423,7 +421,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             if doc.label is not None:
                 report["input"]["label"] = doc.label
         fields, code = args.func(args, points)
-    except (PointFileError, ValueError, IndexError) as exc:
+    except (PointFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report.update(fields)

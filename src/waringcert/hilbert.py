@@ -249,11 +249,12 @@ def _frame_mod_p(a: PointSet) -> list[list[int]] | None:
     rows; None when those are dependent modulo p, or fewer than n + 1.
 
     That is ``_standard_form_mod_p`` of the degree-1 rows with size n + 1,
-    C = R B^-1 for B the first n + 1 primitive rows and R the others, so a
-    point q of R is the sum of c_i * b_i modulo p, c its row of C.  The
-    degree-1 monomial values are the primitive coordinates themselves
-    (the basis x_0, ..., x_n), so the form reads those and builds no
-    degree-1 table.  Kept on the set: the degree-1 Kruskal sweep reads it
+    the one modular elimination of ``linalg`` with its pivots drawn from B,
+    the first n + 1 primitive rows: every column is a pivot, and C = R B^-1
+    for R the others, so a point q of R is the sum of c_i * b_i modulo p,
+    c its row of C.  The degree-1 monomial values are the primitive
+    coordinates themselves (the basis x_0, ..., x_n), so the form reads
+    those and builds no degree-1 table.  Kept on the set: the degree-1 Kruskal sweep reads it
     as its modular proof, and ``terracini_dimension`` as its modular frame.
 
     When it exists, the first n + 1 points are independent over Q too, so

@@ -33,12 +33,13 @@ one line, h_A(1) = 2, need neither (``kruskal_and_collinear``).
 
 A sweep asks whether every s-subset of the rows M is independent.  It
 runs modulo the prime p of ``linalg``, on C, the other rows written
-modulo p in the basis of the first s: each square minor of C is, up to
-a unit, the minor of one s-subset (``_all_subsets_independent``), so a
-nonzero residue proves its subset independent, and only a subset whose
-residue is zero takes an exact rank.  In degree 1 at s = n + 1, C is the
-set's modular frame (``hilbert._frame_mod_p``), and a set with none goes
-straight to exact ranks.
+modulo p in the basis of the first s by ``linalg``'s one modular
+elimination, its pivots drawn from those s rows: each square minor of C
+is, up to a unit, the minor of one s-subset (``_all_subsets_independent``),
+so a nonzero residue proves its subset independent, and only a subset
+whose residue is zero takes an exact rank.  In degree 1 at s = n + 1, C
+is the set's modular frame (``hilbert._frame_mod_p``), and a set with
+none goes straight to exact ranks.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ def _all_subsets_independent(rows: IntRows, size: int, c: IntRows | None) -> boo
     """Whether every ``size``-subset of the rows is linearly independent;
     exact and complete for every size.
 
-    Let B be the first ``size`` rows, Q columns with B_Q invertible modulo
-    p, and C = R_Q B_Q^-1 modulo p for the other rows R
+    Let B be the first ``size`` rows, Q its pivot columns modulo p, where
+    its prefix rank rises, so that B_Q is invertible modulo p, and
+    C = R_Q B_Q^-1 modulo p for the other rows R
     (``linalg._standard_form_mod_p``).  Then M_Q = [I; C] B_Q modulo p,
     so for every size-subset S, det M_{S,Q} is congruent to +-det B_Q times
     the minor of C on the rows of S outside B and the columns of the rows

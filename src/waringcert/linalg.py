@@ -35,17 +35,17 @@ exact one.  ``integer_kernel`` gives a fraction-free kernel basis, for
 the last resort of ``integer_rank`` and of the Terracini rank, and for
 callers that build kernel vectors from smaller matrices.  For the Kruskal
 subset sweeps, ``_standard_form_mod_p`` writes every row modulo p in terms
-of the first ``size`` ones, C = R_Q B_Q^-1, by a row LU of those rows on
-the same packed rows, each followed by ``size`` identity slots, with
-W = 62 + size.bit_length() bits a slot since a row takes at most ``size``
-updates; its pivot columns Q are, row by row, the first column not yet
-taken whose entry in the reduced row is nonzero.  ``_minors_nonzero_mod_p``
-checks every square minor of C modulo p, handing each one that is zero
-modulo p to its caller, which takes ``integer_rank`` of the one subset
-that minor names.  Callers build integer rows directly (monomial
-values at primitive integer representatives of the points), so no
-``Fraction`` arithmetic runs here.  No floating point and no randomness is
-used anywhere.
+of the first ``size`` ones, C = R_Q B_Q^-1, by the same elimination, the
+one modular elimination in the package, on the same packed rows, each
+followed by ``size`` identity columns, with its pivots drawn from those
+rows alone: Q is the set of columns where their prefix rank rises modulo
+p, and the identity columns of every other row, reduced, hold its row of
+-C.  ``_minors_nonzero_mod_p`` checks every square minor of C modulo p,
+handing each one that is zero modulo p to its caller, which takes
+``integer_rank`` of the one subset that minor names.  Callers build
+integer rows directly (monomial values at primitive integer
+representatives of the points), so no ``Fraction`` arithmetic runs here.
+No floating point and no randomness is used anywhere.
 """
 
 from __future__ import annotations
@@ -121,10 +121,10 @@ def _leading_pivots(pack: Callable[[int], list[int]], ncols: int, target: int) -
     list the full pass returns, since it stops at ``target`` pivots.  Only
     when they fall short are all the columns packed and eliminated."""
     if target < ncols:
-        pivots = _eliminate_mod_p(pack(target), target, target)
+        pivots = _eliminate_mod_p(pack(target), target, target)[0]
         if len(pivots) == target:
             return pivots
-    return _eliminate_mod_p(pack(ncols), ncols, target)
+    return _eliminate_mod_p(pack(ncols), ncols, target)[0]
 
 
 def _slot_width(nrows: int, ncols: int) -> int:
@@ -133,25 +133,31 @@ def _slot_width(nrows: int, ncols: int) -> int:
     return 62 + min(nrows, ncols).bit_length()
 
 
-def _eliminate_mod_p(packed: Sequence[int], ncols: int, target: int) -> list[int]:
-    """``_pivots_mod_p`` by one Gaussian elimination over F_p, column by
-    column from the left, stopping as soon as the rank reaches ``target``;
-    the input is not modified.
+def _eliminate_mod_p(packed: Sequence[int], ncols: int, target: int,
+                     leading: int | None = None) -> tuple[list[int], list[int]]:
+    """One Gaussian elimination over F_p, column by column from the left,
+    stopping as soon as the rank reaches ``target``; the input is not
+    modified.  Pivots are drawn from the first ``leading`` rows alone, all
+    of them by default: those rows come first and stay first as pivot rows
+    are removed, and every row is reduced.  Returns the pivot columns, the
+    first min(target, r) columns where the prefix rank modulo p of the
+    leading rows rises, r their rank modulo p, and the rows not taken as
+    pivots, reduced: each is zero modulo p on every pivot column.
 
     The rows come packed, each into one int of ``ncols`` fixed-width slots,
     as ``_packed`` and ``_packed_gathered`` lay them out: the entry of
     column c, a residue in [0, p), sits in slot ncols - 1 - c, and a slot
     is W = ``_slot_width(len(packed), ncols)`` = 62 + m.bit_length() bits
-    wide for m = min(rows, cols); the proof below needs only the
-    layout.  Each column takes one sweep of the remaining rows: only that
-    slot of each is extracted and reduced, and the first row with a nonzero
+    wide for m = min(rows, cols); the proof below needs only the layout.
+    Each column takes one sweep of the leading rows left: only that slot
+    of each is extracted and reduced, and the first row with a nonzero
     residue is the pivot, so the rows before it need no update.  The pivot
-    row is removed, and its slots right of the pivot column become ``tail``
-    after whole-int folds: since 2**30 = 35 mod p, a fold maps each slot s
-    to (s & (2**30 - 1)) + 35 * (s >> 30), the same residue, with two
-    masked operations on the whole row.  Every later row v with residue x
-    becomes (v & low) + f * tail, f = -x / pivot mod p in [0, p): one
-    multiply-add of whole ints, where ``& low`` drops the slots of the
+    row is removed, and its slots right of the pivot column become
+    ``tail`` after whole-int folds: since 2**30 = 35 mod p, a fold maps
+    each slot s to (s & (2**30 - 1)) + 35 * (s >> 30), the same residue,
+    with two masked operations on the whole row.  Every later row v with
+    residue x becomes (v & low) + f * tail, f = -x / pivot mod p in [0, p):
+    one multiply-add of whole ints, where ``& low`` drops the slots of the
     columns already eliminated.
 
     No slot overflows into its neighbour.  Suppose every slot is below
@@ -159,32 +165,32 @@ def _eliminate_mod_p(packed: Sequence[int], ncols: int, target: int) -> list[int
     2**30 + 35 * (b >> 30) < 2**W, so it carries nothing; starting from
     b = 2**(W - 1), folds are repeated until b <= 2p (two for every m below
     2**18), so each tail slot t is below 2p.  A slot starts below p, and an
-    update adds f * t < 2 * p**2 < 2**61.  A row is updated only at a pivot
-    step that leaves the rank below target <= m, so fewer than m times, and
-    every slot stays below p + (m - 1) * 2 * p**2 < m * 2**61 <= 2**(W - 1).
-    With no carries between slots, each slot holds an integer congruent
-    modulo p to its entry of the row being eliminated over F_p.
+    update adds f * t < 2 * p**2 < 2**61.  A row is updated at most once
+    per pivot, so at most m times, and every slot stays below
+    p + m * 2 * p**2 < m * 2**61 <= 2**(W - 1).  With no carries between
+    slots, each slot holds an integer congruent modulo p to its entry of
+    the row being eliminated over F_p.
     """
     p = _PRIME
     width = _slot_width(len(packed), ncols)
     mask = (1 << width) - 1
     folds, low30, high = _fold_masks(width, ncols)
     packed = list(packed)
+    leading = len(packed) if leading is None else leading
     pivots: list[int] = []
     for col in range(ncols):
         shift = (ncols - 1 - col) * width
-        for hit, v in enumerate(packed):
-            x = ((v >> shift) & mask) % p
+        for hit in range(leading):
+            x = ((packed[hit] >> shift) & mask) % p
             if x:
                 break
         else:
             continue
         pivots.append(col)
-        if len(pivots) == target:
-            break
         neg_inv = p - pow(x, -1, p)
         low = (1 << shift) - 1
         tail = packed.pop(hit) & low
+        leading -= 1
         for _ in range(folds):
             tail = (tail & low30) + _FOLD * ((tail >> 30) & high)
         for i in range(hit, len(packed)):
@@ -192,7 +198,9 @@ def _eliminate_mod_p(packed: Sequence[int], ncols: int, target: int) -> list[int
             x = ((v >> shift) & mask) % p
             if x:
                 packed[i] = (v & low) + (x * neg_inv % p) * tail
-    return pivots
+        if len(pivots) == target:
+            break
+    return pivots, packed
 
 
 def _packed(rows: Sequence[Sequence[int]], width: int, pad: int) -> list[int]:
@@ -247,68 +255,31 @@ def _standard_form_mod_p(rows: Sequence[Sequence[int]],
     """C = R_Q B_Q^-1 modulo ``_PRIME``, as rows; None when the first ``size``
     rows have rank below size modulo p.  The input is not modified.
 
-    B is the first ``size`` rows and R the others.  Q is a set of ``size``
-    columns with B_Q invertible modulo p, found row by row: for row i of B,
-    the first column not yet taken whose entry in row i is nonzero after
-    row i is reduced by the pivot rows before it.  With I those rows and J
-    their pivots, that entry is the Schur complement
-    B_iq - B_iJ B_IJ^-1 B_Iq, whether the earlier pivots act on the rows,
-    as here, or on the columns, as in a column elimination of M_Q.  When
+    B is the first ``size`` rows and R the others.  Q is the set of pivot
+    columns of B, the columns where B's prefix rank rises modulo p; when
     size is the number of columns, Q is every column.  C has one row per
     row of R and one column per row of B, and C_r B_Q = r_Q, so C depends
-    on the set Q alone, not on its order.
+    on the set Q alone.
 
-    A row LU of B over F_p, on rows packed as in ``_eliminate_mod_p``
-    (``_packed``), each followed by ``size`` slots: row i of B gets 1 in
-    slot i of those, the rows of R get 0.  Row i of B is reduced by the
-    pivot rows 0..i-1 in turn: a row v whose slot at q_j holds x becomes
-    v + f * tail_j, f = -x / pivot_j mod p in [0, p), which is zero modulo
-    p at q_j.  Then its pivot q_i is chosen, and its slots from q_i
-    rightwards, the extra slots included, fold into tail_i.  Every slot
-    left of q_i is zero modulo p, taken or not, so dropping them changes
-    nothing modulo p.  Each row of R is reduced the same way by every
-    pivot row.  Row i of B starts as [e_i B | e_i], so every pivot row is
-    [A B | A] modulo p for some A, and a row r of R is reduced to
-    [r + A_r B | A_r].  That is zero modulo p on Q, so r_Q = -A_r B_Q, and
-    the extra slots hold A_r = -C_r.
-
-    No slot overflows: W = 62 + size.bit_length() bits.  Each row takes at
-    most ``size`` updates, one per pivot row, so as in ``_eliminate_mod_p``
-    every slot stays below p + size * 2 * p**2 < 2**(W - 1), and the folds
-    of ``_fold_masks`` take each tail slot below 2p.
+    ``_eliminate_mod_p`` of [M | E], M the rows and E ``size`` identity
+    columns, 1 in column i of row i of B and 0 elsewhere, drawing its
+    pivots from B alone.  [B | I] has rank size, so it finds size pivots,
+    all of them columns of M exactly when B has rank size modulo p.  Every
+    pivot row is then [A B | A] modulo p for some A, so a row r of R is
+    reduced to [r + A_r B | A_r], zero modulo p on Q: r_Q = -A_r B_Q, and
+    its columns of E hold A_r = -C_r.
     """
-    p = _PRIME
     ncols = len(rows[0]) if rows else 0
-    width = 62 + size.bit_length()
-    mask = (1 << width) - 1
-    folds, low30, high = _fold_masks(width, ncols + size)
+    width = _slot_width(len(rows), ncols + size)
     packed = _packed(rows, width, size)
-    # The shifts of the columns not yet taken, left to right.
-    free = [(ncols - 1 - col + size) * width for col in range(ncols)]
-    steps: list[tuple[int, int, int]] = []
-
-    def reduced(v: int) -> int:
-        for shift, neg_inv, tail in steps:
-            x = ((v >> shift) & mask) % p
-            if x:
-                v += (x * neg_inv % p) * tail
-        return v
-
     for i in range(size):
-        v = reduced(packed[i] | 1 << (size - 1 - i) * width)
-        for k, shift in enumerate(free):
-            x = ((v >> shift) & mask) % p
-            if x:
-                break
-        else:
-            return None
-        del free[k]
-        tail = v & ((1 << shift + width) - 1)
-        for _ in range(folds):
-            tail = (tail & low30) + _FOLD * ((tail >> 30) & high)
-        steps.append((shift, p - pow(x, -1, p), tail))
+        packed[i] |= 1 << (size - 1 - i) * width
+    pivots, rest = _eliminate_mod_p(packed, ncols + size, size, leading=size)
+    if any(col >= ncols for col in pivots):
+        return None
+    mask = (1 << width) - 1
     slots = range((size - 1) * width, -1, -width)
-    return [[-(v >> s & mask) % p for s in slots] for v in map(reduced, packed[size:])]
+    return [[-(v >> s & mask) % _PRIME for s in slots] for v in rest]
 
 
 def _minors_nonzero_mod_p(c: Sequence[Sequence[int]],

@@ -114,10 +114,23 @@ def _names(path):
     return names
 
 
+def _functions(path):
+    """Every function a module's source defines, by name."""
+    return {node.name: node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)}
+
+
+def _calls(node, name):
+    """The calls of ``name`` in the body of ``node``."""
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == name]
+
+
 def test_only_linalg_lays_out_a_modular_elimination():
-    # The packed rows and their elimination live in linalg alone, and the
-    # leading-block rule is written once: the only function that calls
-    # ``_eliminate_mod_p`` is ``_leading_pivots``.  A change to either is
+    # The packed rows and their elimination live in linalg alone, and there
+    # is one modular elimination: ``_leading_pivots`` writes the
+    # leading-block rule once, and the standard form is one call of the
+    # same elimination with its pivots drawn from B.  A change to either is
     # made in one place.
     package = Path(waringcert.__file__).parent
     for path in sorted(package.glob("*.py")):
@@ -126,11 +139,29 @@ def test_only_linalg_lays_out_a_modular_elimination():
             assert PACKED_LAYOUT <= names
         else:
             assert not names & PACKED_LAYOUT, path.name
-    callers = {node.name for node in ast.walk(ast.parse((package / "linalg.py").read_text()))
-               if isinstance(node, ast.FunctionDef)
-               and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                       and call.func.id == "_eliminate_mod_p" for call in ast.walk(node))}
-    assert callers == {"_leading_pivots"}
+    functions = _functions(package / "linalg.py")
+    callers = {name for name, node in functions.items() if _calls(node, "_eliminate_mod_p")}
+    assert callers == {"_leading_pivots", "_standard_form_mod_p"}
+    # Only ``_eliminate_mod_p`` inverts a pivot or folds a tail: a fold
+    # needs the masks of ``_fold_masks``, which reads ``_FOLD`` to count the
+    # folds a slot bound takes and is called by the elimination alone.
+    inverters = {(path.name, name) for path in package.glob("*.py")
+                 for name, node in _functions(path).items()
+                 if any(len(call.args) == 3 and ast.unparse(call.args[1]) == "-1"
+                        for call in _calls(node, "pow"))}
+    assert inverters == {("linalg.py", "_eliminate_mod_p")}
+    fold_readers = {name for name, node in functions.items()
+                    if any(isinstance(leaf, ast.Name) and leaf.id == "_FOLD"
+                           for leaf in ast.walk(node))}
+    assert fold_readers == {"_eliminate_mod_p", "_fold_masks"}
+    assert {name for name, node in functions.items()
+            if _calls(node, "_fold_masks")} == {"_eliminate_mod_p"}
+    # The standard form has no pivot steps of its own: no pivot search
+    # (no break), no closure over steps, one elimination.
+    form = functions["_standard_form_mod_p"]
+    assert len(_calls(form, "_eliminate_mod_p")) == 1
+    assert not any(isinstance(node, (ast.Break, ast.While, ast.FunctionDef, ast.Lambda))
+                   for node in ast.walk(form) if node is not form)
 
 
 def _records():

@@ -62,7 +62,6 @@ def test_parse_point_file_headers_and_comments():
     assert doc.label == "demo"
     assert len(doc.points) == 2
     assert doc.points[1].coords == (1, Fraction(1, 2))
-    assert doc.point_lines == (4, 6)
 
 
 def test_parse_point_file_errors_carry_line_numbers():
@@ -101,6 +100,38 @@ def test_malformed_point_files_exit_1_with_the_line_number(tmp_path, capsys, tex
     code, out, err = run_cli(capsys, ["hilbert", path])
     assert code == 1 and out == ""
     assert err.startswith(f"error: line {line}: ")
+
+
+VERB_CALLS = {"hilbert": "hilbert_profile", "kruskal": "veronese_kruskal_rank",
+              "terracini": "terracini_dimension", "certify": "certify",
+              "generic": "generic_info"}
+
+
+def _broken(*args, **kwargs):
+    raise IndexError("an indexing fault inside a verb")
+
+
+@pytest.mark.parametrize("verb", VERB_CALLS)
+def test_an_index_error_inside_a_verb_is_not_reported_as_bad_input(tmp_path, capsys,
+                                                                   monkeypatch, verb):
+    # Only malformed input exits 1: a fault inside a verb propagates, and
+    # with every verb broken, a malformed file and an out-of-range flag
+    # still exit 1 before any verb runs.
+    for name in VERB_CALLS.values():
+        monkeypatch.setattr(cli, name, _broken)
+    good = write(tmp_path, "s.pts", "dim: 2\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n")
+    degree = ["--degree", "3"] if verb in ("terracini", "certify") else []
+    argv = ["generic", "2", "4"] if verb == "generic" else [verb, good, *degree]
+    with pytest.raises(IndexError, match="inside a verb"):
+        run(argv)
+    if verb != "generic":
+        bad = write(tmp_path, "bad.pts", "dim: 1\n1 0\n1/0 1\n")
+        code, out, err = run_cli(capsys, [verb, bad, *degree])
+        assert (code, out) == (1, "") and err.startswith("error: line 3: ")
+    if verb in ("hilbert", "kruskal"):
+        flag = "--max-degree" if verb == "hilbert" else "--degree"
+        code, out, err = run_cli(capsys, [verb, good, flag, "-1"])
+        assert (code, out) == (1, "") and err.startswith(f"error: {flag} must be >= ")
 
 
 def test_parse_point_file_duplicates_name_both_lines():

@@ -198,6 +198,26 @@ def test_pivots_mod_p_match_a_left_to_right_reference(rows):
         assert linalg._pivots_mod_p(rows, target) == pivots[:target]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(singular_leading_blocks(), skipping_matrices(), modular_matrices()),
+       st.data())
+def test_elimination_draws_its_pivots_from_the_leading_rows(rows, data):
+    # Pivots drawn from the first `leading` rows alone are those rows' own
+    # pivots; every row not taken as a pivot is returned, reduced to zero
+    # modulo P on every pivot column.
+    nrows, ncols = len(rows), len(rows[0])
+    leading = data.draw(st.integers(0, nrows - 1))
+    target = data.draw(st.integers(1, min(nrows, ncols)))
+    width = linalg._slot_width(nrows, ncols)
+    packed = linalg._packed(rows, width, 0)
+    pivots, rest = linalg._eliminate_mod_p(packed, ncols, target, leading=leading)
+    assert pivots == pivot_columns_mod_p(rows[:leading], P)[:target]
+    assert len(rest) == nrows - len(pivots)
+    mask = (1 << width) - 1
+    for v in rest:
+        assert all((v >> (ncols - 1 - c) * width & mask) % P == 0 for c in pivots)
+
+
 def test_a_full_rank_leading_block_is_the_only_block_eliminated(monkeypatch):
     blocks = []
     eliminate = linalg._eliminate_mod_p
@@ -341,8 +361,9 @@ def standard_form_cases(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(standard_form_cases())
 def test_packed_standard_form_matches_the_list_oracle(case):
-    # The packed row LU and the list-based column elimination take the
-    # same pivot columns Q, so C is equal entry by entry, or None on both.
+    # The packed elimination, its pivots drawn from B, and the list-based
+    # column elimination take the same pivot columns Q, so C is equal
+    # entry by entry, or None on both.
     rows, size = case
     before = [list(r) for r in rows]
     assert linalg._standard_form_mod_p(rows, size) == standard_form_mod_p(rows, size, P)

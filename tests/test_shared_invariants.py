@@ -286,11 +286,14 @@ def profile_passes(monkeypatch):
 
 
 def counting_eliminations(blocks, eliminate):
-    """``eliminate``, a ``_eliminate_mod_p``, recording the (rows, cols) of
-    every packed block it eliminates in ``blocks``."""
-    def counted(packed, ncols, target):
-        blocks.append((len(packed), ncols))
-        return eliminate(packed, ncols, target)
+    """``eliminate``, a ``_eliminate_mod_p``, recording in ``blocks`` the
+    (rows, cols) of every packed block it ranks, and the
+    (rows, cols, leading) of every standard form it takes, told apart by
+    its ``leading``."""
+    def counted(packed, ncols, target, leading=None):
+        blocks.append((len(packed), ncols) if leading is None
+                      else (len(packed), ncols, leading))
+        return eliminate(packed, ncols, target, leading)
     return counted
 
 
@@ -384,8 +387,10 @@ def test_certify_4_9_4_works_in_the_modular_frame_alone(monkeypatch, rank_calls,
                                                         modular_passes):
     # One standard form of the width-5 degree-1 rows serves the k_1 sweep
     # and the Terracini frame; no integer_kernel (so no exact frame) and no
-    # integer_rank run, and each modular elimination is of a leading
-    # square block: the profile's 9 x 9 and the tangent rows' 20 x 20.
+    # integer_rank run, and each modular rank is of a leading square block:
+    # the profile's 9 x 9 and the tangent rows' 20 x 20.  The form's own
+    # elimination is of the 9 degree-1 rows and 5 identity columns, its
+    # pivots drawn from the 5 rows of B.
     forms, kernels, blocks = [], [], []
     standard_form = hilbert._standard_form_mod_p
 
@@ -412,7 +417,7 @@ def test_certify_4_9_4_works_in_the_modular_frame_alone(monkeypatch, rank_calls,
         assert forms == [(9, 5, 5)]
         assert kernels == [] and rank_calls == []
         assert modular_passes == [(20, 20)]
-        assert blocks == [(9, 9), (20, 20)]
+        assert blocks == [(9, 9), (9, 10, 5), (20, 20)]
 
 
 def test_five_plane_points_eliminate_their_tangent_rows_once(monkeypatch):
@@ -428,7 +433,7 @@ def test_five_plane_points_eliminate_their_tangent_rows_once(monkeypatch):
         cert = certify(general_points(2, 5, seed), 4)
         assert cert.verdict.value == "Inconclusive"
         assert cert.diagnostics.terracini.dim == 13
-        assert [rows for rows, _ in blocks].count(6) == 1
+        assert [rows for rows, *_ in blocks].count(6) == 1
 
 
 @pytest.mark.parametrize("n, size", [(1, 1), (1, 2), (2, 3), (3, 2), (4, 3), (4, 5)])

@@ -677,7 +677,7 @@ def test_witness_rows_are_packed_as_they_are_built(n, d, l):
             for v in packed:
                 row_slots, above = _slots(v, ncols, width)
                 assert above == 0 and all(0 <= x < p for x in row_slots)
-            assert linalg._eliminate_mod_p(packed, ncols, ncols) == pivot_columns_mod_p(block, p)
+            assert linalg._eliminate_mod_p(packed, ncols, ncols)[0] == pivot_columns_mod_p(block, p)
         for target in {1, _modular_witness_target(n, d, l), len(kept)}:
             assert (linalg._gathered_pivots_mod_p(values, weights, index, len(kept), target)
                     == pivot_columns_mod_p(oracle, p)[:target])
