@@ -23,7 +23,7 @@ from math import comb, inf
 
 from .geometry import PointSet, Record
 from .hilbert import HilbertProfile, hilbert_profile, span_dim
-from .kruskal import (gup_cutoff, is_gup, kruskal_and_collinear, kruskal_rank,
+from .kruskal import (_gup_failure, gup_cutoff, kruskal_and_collinear, kruskal_rank,
                       reshaped_kruskal, veronese_kruskal_rank)
 from .terracini import (_TRIALS, TerraciniReport, generic_terracini_dimension,
                         terracini_dimension)
@@ -42,19 +42,23 @@ class Diagnostics(Record):
     The costly invariants are reported only where a rule that ran read
     them, so a certificate costs no sweep that no criterion read:
     veronese_kruskal_ranks lists (degree, rank) for the union of the
-    degrees the rules report reading, and kruskal_rank (k_1) and
-    max_collinear are set exactly when degree 1 is among them.  terracini
+    degrees the rules report reading, and max_collinear is set exactly
+    when degree 1 is among them, like kruskal_rank (k_1).  terracini
     is the Terracini report a rule read (only quartic reads one), and None
     otherwise.
     """
 
     minimal: bool
     hilbert: HilbertProfile
-    kruskal_rank: int | None
     veronese_kruskal_ranks: tuple[tuple[int, int], ...]
     max_collinear: int | None
     terracini: TerraciniReport | None
     complementary_bound: int
+
+    @property
+    def kruskal_rank(self) -> int | None:
+        """k_1, the degree-1 entry of veronese_kruskal_ranks, or None."""
+        return dict(self.veronese_kruskal_ranks).get(1)
 
     @property
     def span_dim(self) -> int:
@@ -154,15 +158,18 @@ def _alignment_bound(a: PointSet, d: int) -> _Outcome:
 
 
 def _plane_gup(a: PointSet, d: int) -> _Outcome:
-    """Plane sets in general uniform position with 8*len(a) < d^2 + d.  A
-    set that fails GUP reports reading k_1 alone, whichever degree failed."""
+    """Plane sets in general uniform position with 8*len(a) < d^2 + d.  The
+    rule reads k_j from degree 1 up to the first degree that fails GUP, or
+    to the GUP cutoff."""
     if a.ambient_dim != 2:
         return False, f"not applicable (ambient dimension {a.ambient_dim}, needs 2)", ()
     l = len(a)
     if 8 * l >= d * d + d:
         return False, f"8*{l} = {8 * l} is not below d^2 + d = {d * d + d}", ()
-    if not is_gup(a):
-        return False, "the points are not in general uniform position", (1,)
+    failed = _gup_failure(a)
+    if failed is not None:
+        return (False, "the points are not in general uniform position",
+                tuple(range(1, failed + 1)))
     return True, f"fired (GUP, 8*{l} < {d * d + d})", tuple(range(1, gup_cutoff(2, l) + 1))
 
 
@@ -275,14 +282,12 @@ def certify(a: PointSet, d: int) -> Certificate:
                 fired = label
                 break
 
-    k, m = kruskal_and_collinear(a) if 1 in read else (None, None)
     degrees = sorted(j for j in read if isinstance(j, int))
     diagnostics = Diagnostics(
         minimal=minimal,
         hilbert=profile,
-        kruskal_rank=k,
         veronese_kruskal_ranks=tuple((j, veronese_kruskal_rank(a, j)) for j in degrees),
-        max_collinear=m,
+        max_collinear=kruskal_and_collinear(a)[1] if 1 in read else None,
         terracini=next((r for r in read if isinstance(r, TerraciniReport)), None),
         complementary_bound=complementary_bound(a, d),
     )
@@ -323,8 +328,7 @@ SUBGENERIC_EXCEPTIONS = {
 class GenericInfo(Record):
     """Generic rank data for degree-d forms on P^n.
 
-    expected_generic_rank is ceil(C(n+d, d) / (n + 1)).  generic_rank is
-    the true generic rank, by the Alexander-Hirschowitz theorem.
+    generic_rank is the true generic rank, by the Alexander-Hirschowitz theorem.
     oracle_verified is True when one exact Terracini rank at generic_rank
     points, the coordinate points and random points beyond them
     (``generic_terracini_dimension``), filled the space of forms, which
@@ -337,11 +341,19 @@ class GenericInfo(Record):
 
     ambient_dim: int
     degree: int
-    space_dim: int
-    expected_generic_rank: int
     generic_rank: int
     oracle_verified: bool
     exceptions: tuple[str, ...]
+
+    @property
+    def space_dim(self) -> int:
+        """Dimension C(n+d, d) of the space of degree-d forms."""
+        return comb(self.ambient_dim + self.degree, self.degree)
+
+    @property
+    def expected_generic_rank(self) -> int:
+        """ceil(C(n+d, d) / (n + 1))."""
+        return -(-self.space_dim // (self.ambient_dim + 1))
 
 
 # The largest space of forms whose generic rank one Terracini witness checks.
@@ -404,8 +416,6 @@ def generic_info(n: int, d: int, seed: int = 0) -> GenericInfo:
     return GenericInfo(
         ambient_dim=n,
         degree=d,
-        space_dim=space,
-        expected_generic_rank=expected,
         generic_rank=rank,
         oracle_verified=verified,
         exceptions=tuple(exceptions),

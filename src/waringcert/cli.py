@@ -43,10 +43,10 @@ from .certify import Verdict, certify, generic_info
 from .geometry import DuplicatePointError, PointSet, ProjectivePoint, Record
 from .hilbert import HilbertProfile, hilbert_profile, satisfies_cb
 from .kruskal import gup_cutoff, is_gup, is_lgp, veronese_kruskal_rank
-from .terracini import _TRIALS, TerraciniReport, terracini_dimension
+from .terracini import TerraciniReport, terracini_dimension
 
 _GENERATOR = f"waringcert {__version__}"
-_SCHEMA_VERSION = 4
+_SCHEMA_VERSION = 5
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
@@ -78,19 +78,19 @@ def parse_point_file(text: str) -> PointSetDocument:
     """Parse the point set format described in the module docstring."""
     label: str | None = None
     declared_dim: int | None = None
-    rows: list[tuple[Fraction, ...]] = []
-    row_lines: list[int] = []
+    points: list[ProjectivePoint] = []
+    point_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("label:"):
-            if rows:
+            if points:
                 raise PointFileError("label must come before the points", lineno)
             label = line[len("label:"):].strip()
             continue
         if line.startswith("dim:"):
-            if rows:
+            if points:
                 raise PointFileError("dim must come before the points", lineno)
             body = line[len("dim:"):].strip()
             if not (body.isascii() and body.isdigit()) or int(body) < 1:
@@ -112,27 +112,25 @@ def parse_point_file(text: str) -> PointSetDocument:
         expected = None
         if declared_dim is not None:
             expected = declared_dim + 1
-        elif rows:
-            expected = len(rows[0])
+        elif points:
+            expected = points[0].ambient_dim + 1
         if expected is not None and len(coords) != expected:
             raise PointFileError(
                 f"expected {expected} coordinates, found {len(coords)}", lineno)
-        if len(coords) < 2:
-            raise PointFileError(
-                f"a point needs at least 2 coordinates, found {len(coords)}", lineno)
-        if all(c == 0 for c in coords):
-            raise PointFileError("the zero vector is not a projective point", lineno)
-        rows.append(tuple(coords))
-        row_lines.append(lineno)
-    if not rows:
+        try:
+            points.append(ProjectivePoint(coords))
+        except ValueError as exc:
+            raise PointFileError(str(exc), lineno) from None
+        point_lines.append(lineno)
+    if not points:
         raise PointFileError("no points found in input")
     try:
-        points = PointSet(ProjectivePoint(r) for r in rows)
+        point_set = PointSet(points)
     except DuplicatePointError as exc:
         raise PointFileError(
-            f"points on lines {row_lines[exc.first]} and {row_lines[exc.second]} "
+            f"points on lines {point_lines[exc.first]} and {point_lines[exc.second]} "
             "coincide after canonical scaling") from None
-    return PointSetDocument(points=points, label=label)
+    return PointSetDocument(points=point_set, label=label)
 
 
 def _read_input(path: str) -> str:
@@ -163,16 +161,11 @@ def _canonical_digest(points: PointSet) -> str:
     return sha256(payload).hexdigest()
 
 
-def _profile_block(profile: HilbertProfile, j_max: int = 0) -> dict:
-    # Values and differences through the separation degree s; from s on,
-    # h stays at the set size ("stable_tail").  The printed range reaches
-    # degree l - 1, where h has stabilised, or j_max if that is larger.
+def _profile_block(profile: HilbertProfile) -> dict:
+    # Values through the separation degree s; from s on, h stays at the
+    # set size, the last value.
     return {
-        "j_max": max(j_max, profile.set_size - 1),
         "values": list(profile.values),
-        "diffs": list(profile.h_vector),
-        "stable_tail": {"from_degree": profile.separation_degree,
-                        "value": profile.set_size},
         "h_vector": list(profile.h_vector),
         "separation_degree": profile.separation_degree,
     }
@@ -193,7 +186,7 @@ def _cmd_hilbert(args: argparse.Namespace, points: PointSet) -> tuple[dict, int]
     top = profile.separation_degree if len(points) >= 2 else 0
     run = bisect_left(range(top), True, key=lambda i: not satisfies_cb(points, i))
     cb_max = run - 1 if run else None
-    return {"profile": _profile_block(profile, args.max_degree or 0),
+    return {"profile": _profile_block(profile),
             "cayley_bacharach_max": cb_max}, 0
 
 
@@ -246,10 +239,8 @@ def _cmd_certify(args: argparse.Namespace, points: PointSet) -> tuple[dict, int]
 
 def _cmd_generic(args: argparse.Namespace, points: None) -> tuple[dict, int]:
     info = generic_info(args.n, args.d, seed=args.seed)
-    # Schema v4 still reports the fixed draw count; the key goes at the
-    # next schema bump.
     return {
-        "arguments": {"n": args.n, "d": args.d, "seed": args.seed, "trials": _TRIALS},
+        "arguments": {"n": args.n, "d": args.d, "seed": args.seed},
         "space_dim": info.space_dim,
         "expected_generic_rank": info.expected_generic_rank,
         "generic_rank": info.generic_rank,
@@ -271,8 +262,7 @@ def render_human(report: dict) -> list[str]:
             f"generic rank: {report['generic_rank']}"
             + ("" if verified else " (not oracle-verified)"),
             "verified by terracini oracle: "
-            + (f"yes (seed {arguments['seed']}, trials {arguments['trials']})"
-               if verified else "no"),
+            + (f"yes (seed {arguments['seed']})" if verified else "no"),
         ]
         if not report["exceptions"]:
             return lines + ["identifiability exceptions: none known"]
@@ -284,14 +274,12 @@ def render_human(report: dict) -> list[str]:
              + (f" (label: {source['label']})" if source.get("label") else "")]
     if command == "hilbert":
         profile, cb_max = report["profile"], report["cayley_bacharach_max"]
-        tail = profile["stable_tail"]
+        values, s = profile["values"], profile["separation_degree"]
         lines += [
-            f"degrees 0..{profile['j_max']}",
-            "h    : " + " ".join(str(v) for v in profile["values"])
-            + f" (= {tail['value']} from degree {tail['from_degree']} on)",
-            "diff : " + " ".join(str(v) for v in profile["diffs"]),
+            "h    : " + " ".join(str(v) for v in values)
+            + f" (= {values[-1]} from degree {s} on)",
             f"h-vector: {tuple(profile['h_vector'])}",
-            f"separated from degree: {profile['separation_degree']}",
+            f"separated from degree: {s}",
             f"cayley-bacharach up to: {'none' if cb_max is None else cb_max}",
         ]
     elif command == "kruskal":
@@ -361,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilbert", help="Hilbert function profile and "
                                        "Cayley-Bacharach data of a point set")
     p.add_argument("file", help="point set file, or - for stdin")
-    p.add_argument("--max-degree", type=int, default=None, metavar="J",
-                   help="extend the profile to degree J (default: set size - 1)")
     _add_common(p, _cmd_hilbert)
 
     p = sub.add_parser("kruskal", help="Kruskal ranks and position properties")
@@ -395,19 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# verb -> (flag, least value it accepts), checked before any input is read
-_FLAG_FLOORS = {"kruskal": ("degree", 1), "hilbert": ("max_degree", 0)}
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.verb in _FLAG_FLOORS:
-        dest, least = _FLAG_FLOORS[args.verb]
-        value = getattr(args, dest)
-        if value is not None and value < least:
-            print(f"error: --{dest.replace('_', '-')} must be >= {least}",
-                  file=sys.stderr)
-            return 1
+    # Checked before any input is read.
+    if args.verb == "kruskal" and args.degree < 1:
+        print("error: --degree must be >= 1", file=sys.stderr)
+        return 1
     report = {"schema_version": _SCHEMA_VERSION, "generator": _GENERATOR,
               "command": args.verb}
     try:

@@ -200,12 +200,18 @@ def is_gup(a: PointSet) -> bool:
     that degree on the condition asks for full linear independence, which
     is preserved in all higher degrees.
     """
+    return _gup_failure(a) is None
+
+
+def _gup_failure(a: PointSet) -> int | None:
+    """The first degree j that ``is_gup`` checks with k(v_j(a)) short of
+    min(len(a), C(n+j, j)), or None when every checked degree attains it."""
     cutoff = gup_cutoff(a.ambient_dim, len(a))
     for j in range(1, cutoff + 1):
         target = min(len(a), comb(a.ambient_dim + j, j))
         if veronese_kruskal_rank(a, j) != target:
-            return False
-    return True
+            return j
+    return None
 
 
 class KruskalReport(Record):

@@ -226,6 +226,19 @@ def test_report_records_are_immutable_and_compare_by_type_and_fields(cls):
     assert list(vars(clone)) == fields
 
 
+def test_records_derive_what_they_do_not_store():
+    # A value that follows from a record's fields is a property, not a field.
+    records = _records()
+    info, diag = records[GenericInfo], records[Diagnostics]
+    assert {"space_dim", "expected_generic_rank"}.isdisjoint(GenericInfo._fields)
+    assert (info.space_dim, info.expected_generic_rank) == (15, 5)
+    assert "kruskal_rank" not in Diagnostics._fields
+    assert diag.veronese_kruskal_ranks == ((1, 3), (2, 6)) and diag.kruskal_rank == 3
+    no_k1 = Diagnostics(**{**vars(diag), "veronese_kruskal_ranks": ((2, 6),),
+                           "max_collinear": None})
+    assert no_k1.kruskal_rank is None
+
+
 @pytest.mark.parametrize("build", [
     lambda: Certificate(**{**vars(_records()[Certificate]), "criterion": None}),
     lambda: HilbertProfile((1, 3, 2)),

@@ -424,12 +424,12 @@ CONIC_SIX_PLUS_FOUR = [(1, t, t * t) for t in (-2, -1, 0, 1, 2, 3)] + [
 
 
 @pytest.mark.parametrize("d, criterion, ranks", [
-    # plane-gup reads k_2 to find the failure but reports k_1 alone.
-    (9, "reshaped-kruskal", ((1, 3), (3, 10))),
+    # plane-gup reads k_1 and k_2, the degree that fails GUP, and reports both.
+    (9, "reshaped-kruskal", ((1, 3), (2, 5), (3, 10))),
     # alignment-bound fires before plane-gup runs.
     (10, "alignment-bound", ((1, 3),)),
 ])
-def test_plane_gup_failing_gup_reports_k1_alone(d, criterion, ranks):
+def test_plane_gup_failing_gup_reports_ranks_through_the_failed_degree(d, criterion, ranks):
     a = PointSet.from_rows(CONIC_SIX_PLUS_FOUR)
     assert not is_gup(PointSet.from_rows(CONIC_SIX_PLUS_FOUR))
     cert = certify(a, d)

@@ -128,10 +128,9 @@ def test_an_index_error_inside_a_verb_is_not_reported_as_bad_input(tmp_path, cap
         bad = write(tmp_path, "bad.pts", "dim: 1\n1 0\n1/0 1\n")
         code, out, err = run_cli(capsys, [verb, bad, *degree])
         assert (code, out) == (1, "") and err.startswith("error: line 3: ")
-    if verb in ("hilbert", "kruskal"):
-        flag = "--max-degree" if verb == "hilbert" else "--degree"
-        code, out, err = run_cli(capsys, [verb, good, flag, "-1"])
-        assert (code, out) == (1, "") and err.startswith(f"error: {flag} must be >= ")
+    if verb == "kruskal":
+        code, out, err = run_cli(capsys, [verb, good, "--degree", "-1"])
+        assert (code, out) == (1, "") and err.startswith("error: --degree must be >= ")
 
 
 def test_parse_point_file_duplicates_name_both_lines():
@@ -166,7 +165,8 @@ def test_hilbert_line_profile_structured(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["command"] == "hilbert"
-    assert report["profile"]["h_vector"] == [1, 2, 1, 1, 1]
+    assert report["profile"] == {"values": [1, 3, 4, 5, 6], "h_vector": [1, 2, 1, 1, 1],
+                                 "separation_degree": 4}
     assert report["cayley_bacharach_max"] == 0
     assert report["input"]["set_size"] == 6
 
@@ -237,29 +237,16 @@ def test_hilbert_bisects_for_the_cayley_bacharach_run(tmp_path, capsys, monkeypa
     assert len(calls) <= 7
 
 
-def test_hilbert_max_degree_flag(tmp_path, capsys):
+def test_hilbert_has_no_max_degree_flag(tmp_path, capsys):
+    # The profile stops at the separation degree, so a printed range is
+    # not an option: the flag is an argparse error.
     path = write(tmp_path, "conic.pts", CONIC6)
-    code, out, _ = run_cli(
-        capsys, ["hilbert", path, "--max-degree", "8", "--format", "structured"])
-    assert code == 0
-    assert json.loads(out)["profile"]["j_max"] == 8
-
-
-def test_hilbert_output_size_does_not_grow_with_max_degree(tmp_path, capsys):
-    # Only the digits of J itself differ: the stable tail is one statement.
-    path = write(tmp_path, "four.pts", "dim: 2\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n")
-    for fmt in ("human", "structured"):
-        sizes = {}
-        for j in ("8", "1000000"):
-            code, out, _ = run_cli(
-                capsys, ["hilbert", path, "--max-degree", j, "--format", fmt])
-            assert code == 0
-            sizes[j] = len(out)
-        assert sizes["1000000"] - sizes["8"] == len("1000000") - len("8")
-    profile = json.loads(out)["profile"]
-    assert profile["values"] == [1, 3, 4]
-    assert profile["stable_tail"] == {"from_degree": 2, "value": 4}
-    assert profile["j_max"] == 1000000
+    for j in ("3", "0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            run(["hilbert", path, "--max-degree", j])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --max-degree" in captured.err
 
 
 def test_kruskal_simplex_plus_ones(tmp_path, capsys):
@@ -296,22 +283,12 @@ def test_kruskal_degree_flag_doubles(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["kruskal", "--degree", "0"], "error: --degree must be >= 1\n"),
     (["kruskal", "--degree", "-3"], "error: --degree must be >= 1\n"),
-    (["hilbert", "--max-degree", "-1"], "error: --max-degree must be >= 0\n"),
-], ids=["kruskal-degree-0", "kruskal-degree-negative", "hilbert-max-degree-negative"])
+], ids=["kruskal-degree-0", "kruskal-degree-negative"])
 def test_out_of_range_degree_flags_are_rejected(tmp_path, capsys, argv, message):
     path = write(tmp_path, "s.pts", "dim: 2\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n")
     for fmt in ("human", "structured"):
         code, out, err = run_cli(capsys, [argv[0], path, *argv[1:], "--format", fmt])
         assert (code, out, err) == (1, "", message)
-
-
-def test_hilbert_max_degree_zero_is_accepted(tmp_path, capsys):
-    # The profile always reaches degree l - 1, so 0 gives the default range.
-    path = write(tmp_path, "s.pts", "dim: 2\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n")
-    code, out, _ = run_cli(
-        capsys, ["hilbert", path, "--max-degree", "0", "--format", "structured"])
-    assert code == 0
-    assert json.loads(out)["profile"]["j_max"] == 3
 
 
 def test_terracini_five_plane_points(tmp_path, capsys):
@@ -415,7 +392,7 @@ def test_structured_output_round_trips(tmp_path, capsys):
         capsys, ["certify", path, "--degree", "6", "--format", "structured"])
     parsed = json.loads(out)
     assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out
-    assert parsed["schema_version"] == 4
+    assert parsed["schema_version"] == 5
 
 
 def test_version_flag(capsys):

@@ -129,13 +129,11 @@ def _case_degrees():
 DEGREES = _case_degrees()
 
 
-def _verb_argv(verb, degree, size):
+def _verb_argv(verb, degree):
     if verb == "certify":
         return ["certify", "-", "--degree", str(degree)]
     if verb == "hilbert":
         return ["hilbert", "-"]
-    if verb == "hilbert-max":
-        return ["hilbert", "-", "--max-degree", str(size + 2)]
     if verb == "kruskal":
         return ["kruskal", "-", "--degree", "3"]
     return ["terracini", "-", "--degree", str(max(degree, 2))]
@@ -155,7 +153,7 @@ GENERIC_CASES = {
 }
 
 
-VERBS = ("certify", "hilbert", "hilbert-max", "kruskal", "terracini")
+VERBS = ("certify", "hilbert", "kruskal", "terracini")
 EXIT_BY_VERDICT = {"Identifiable": 0, "Inconclusive": 2, "NotMinimal": 3}
 # --format value -> golden file suffix
 FORMATS = {"structured": "json", "human": "txt"}
@@ -178,10 +176,6 @@ def _point_file(case):
     return (GOLDEN / f"{case}.pts").read_text(encoding="utf-8")
 
 
-def _size(text):
-    return len(parse_point_file(text).points)
-
-
 def _golden(case, verb, fmt):
     return (GOLDEN / f"{case}.{verb}.{FORMATS[fmt]}").read_bytes().decode("utf-8")
 
@@ -198,7 +192,7 @@ def _check_exit_code(case, verb, code):
 @pytest.mark.parametrize("case", sorted(DEGREES))
 def test_structured_output_is_byte_identical(case, verb):
     text = _point_file(case)
-    code, out = run_verb(_verb_argv(verb, DEGREES[case], _size(text)), text)
+    code, out = run_verb(_verb_argv(verb, DEGREES[case]), text)
     assert out == _golden(case, verb, "structured"), f"{case} {verb}: structured output changed"
     _check_exit_code(case, verb, code)
 
@@ -207,7 +201,7 @@ def test_structured_output_is_byte_identical(case, verb):
 @pytest.mark.parametrize("case", sorted(DEGREES))
 def test_human_output_is_byte_identical(case, verb):
     text = _point_file(case)
-    code, out = run_verb(_verb_argv(verb, DEGREES[case], _size(text)), text, "human")
+    code, out = run_verb(_verb_argv(verb, DEGREES[case]), text, "human")
     assert out == _golden(case, verb, "human"), f"{case} {verb}: human output changed"
     _check_exit_code(case, verb, code)
 
@@ -299,7 +293,7 @@ def regenerate():
         text = _point_file(case)
         for verb in VERBS:
             for fmt, suffix in FORMATS.items():
-                _, out = run_verb(_verb_argv(verb, degree, _size(text)), text, fmt)
+                _, out = run_verb(_verb_argv(verb, degree), text, fmt)
                 (GOLDEN / f"{case}.{verb}.{suffix}").write_bytes(out.encode("utf-8"))
     for case, (n, d) in GENERIC_CASES.items():
         for fmt, suffix in FORMATS.items():
