@@ -237,11 +237,11 @@ def test_hilbert_bisects_for_the_cayley_bacharach_run(tmp_path, capsys, monkeypa
     assert len(calls) <= 7
 
 
-def test_hilbert_has_no_max_degree_flag(tmp_path, capsys):
+def test_hilbert_max_degree_flag(tmp_path, capsys):
     # The profile stops at the separation degree, so a printed range is
     # not an option: the flag is an argparse error.
     path = write(tmp_path, "conic.pts", CONIC6)
-    for j in ("3", "0", "-1"):
+    for j in ("3", "0"):
         with pytest.raises(SystemExit) as exc:
             run(["hilbert", path, "--max-degree", j])
         assert exc.value.code == 2
@@ -280,15 +280,26 @@ def test_kruskal_degree_flag_doubles(tmp_path, capsys):
     assert report["gup_cutoff_degree"] == 2
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["kruskal", "--degree", "0"], "error: --degree must be >= 1\n"),
-    (["kruskal", "--degree", "-3"], "error: --degree must be >= 1\n"),
-], ids=["kruskal-degree-0", "kruskal-degree-negative"])
-def test_out_of_range_degree_flags_are_rejected(tmp_path, capsys, argv, message):
+@pytest.mark.parametrize("argv, exit_code, message", [
+    (["kruskal", "--degree", "0"], 1, "error: --degree must be >= 1\n"),
+    (["kruskal", "--degree", "-3"], 1, "error: --degree must be >= 1\n"),
+    # hilbert has no --max-degree: argparse prints its usage, then this line.
+    (["hilbert", "--max-degree", "-1"], 2,
+     "waringcert: error: unrecognized arguments: --max-degree -1\n"),
+], ids=["kruskal-degree-0", "kruskal-degree-negative", "hilbert-max-degree-negative"])
+def test_out_of_range_degree_flags_are_rejected(tmp_path, capsys, argv, exit_code, message):
     path = write(tmp_path, "s.pts", "dim: 2\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n")
     for fmt in ("human", "structured"):
-        code, out, err = run_cli(capsys, [argv[0], path, *argv[1:], "--format", fmt])
-        assert (code, out, err) == (1, "", message)
+        try:
+            code = run([argv[0], path, *argv[1:], "--format", fmt])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (exit_code, "")
+        if exit_code == 2:
+            assert err.startswith("usage: waringcert ")
+            err = err[err.rindex("\n", 0, -1) + 1:]
+        assert err == message
 
 
 def test_terracini_five_plane_points(tmp_path, capsys):

@@ -17,7 +17,9 @@ Alexander-Hirschowitz defective plane quartics, cubics and quartics of
 P^4.
 
 ``golden_v2_certificates.json`` freezes every certificate's verdict,
-criterion, rank and notes as schema v2 gave them.
+criterion, rank and notes as schema v2 gave them, and
+``<case>.hilbert-max.json`` and ``.txt`` freeze the schema v4 output of
+``hilbert --max-degree J``, J = set size + 2, a flag schema v5 removed.
 
 A change that alters the structured output on purpose bumps
 ``schema_version``; any change that alters the output on purpose
@@ -132,7 +134,7 @@ DEGREES = _case_degrees()
 def _verb_argv(verb, degree):
     if verb == "certify":
         return ["certify", "-", "--degree", str(degree)]
-    if verb == "hilbert":
+    if verb in ("hilbert", FROZEN_V4):
         return ["hilbert", "-"]
     if verb == "kruskal":
         return ["kruskal", "-", "--degree", "3"]
@@ -153,7 +155,12 @@ GENERIC_CASES = {
 }
 
 
-VERBS = ("certify", "hilbert", "kruskal", "terracini")
+# Frozen schema v4 records, never regenerated: the v5 ``hilbert`` output
+# must state the same facts once.  ``diffs`` was ``h_vector``,
+# ``stable_tail`` was ``separation_degree`` and the set size ``values[-1]``,
+# and ``j_max`` only set the human "degrees 0..J" line.
+FROZEN_V4 = "hilbert-max"
+VERBS = ("certify", "hilbert", FROZEN_V4, "kruskal", "terracini")
 EXIT_BY_VERDICT = {"Identifiable": 0, "Inconclusive": 2, "NotMinimal": 3}
 # --format value -> golden file suffix
 FORMATS = {"structured": "json", "human": "txt"}
@@ -176,8 +183,37 @@ def _point_file(case):
     return (GOLDEN / f"{case}.pts").read_text(encoding="utf-8")
 
 
+def _v5_report(text):
+    # A frozen v4 hilbert report less the keys v5 dropped, after checking
+    # that each dropped key repeats one that stays.
+    report = json.loads(text)
+    assert report["schema_version"] == 4
+    profile = report["profile"]
+    assert profile.pop("diffs") == profile["h_vector"]
+    assert profile.pop("stable_tail") == {"from_degree": profile["separation_degree"],
+                                          "value": profile["values"][-1]}
+    assert profile["values"][-1] == report["input"]["set_size"]
+    assert profile.pop("j_max") == report["input"]["set_size"] + 2
+    report["schema_version"] = 5
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _v5_text(text):
+    # A frozen v4 hilbert text less its "degrees 0..J" and "diff :" lines.
+    lines = text.splitlines(keepends=True)
+    assert lines[1].startswith("degrees 0..") and lines[3].startswith("diff : ")
+    return "".join(lines[:1] + lines[2:3] + lines[4:])
+
+
+def _read_golden(name, suffix):
+    text = (GOLDEN / f"{name}.{suffix}").read_bytes().decode("utf-8")
+    if name.endswith(f".{FROZEN_V4}"):
+        return _v5_report(text) if suffix == "json" else _v5_text(text)
+    return text
+
+
 def _golden(case, verb, fmt):
-    return (GOLDEN / f"{case}.{verb}.{FORMATS[fmt]}").read_bytes().decode("utf-8")
+    return _read_golden(f"{case}.{verb}", FORMATS[fmt])
 
 
 def _check_exit_code(case, verb, code):
@@ -220,8 +256,8 @@ def test_generic_output_is_byte_identical(case, fmt):
 def test_human_text_renders_from_structured_report(name):
     # The human text is a view of the structured report: every field it
     # shows is in the JSON.
-    report = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
-    text = (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
+    report = json.loads(_read_golden(name, "json"))
+    text = _read_golden(name, "txt")
     assert "\n".join(render_human(report)) + "\n" == text
 
 
@@ -292,6 +328,8 @@ def regenerate():
     for case, degree in DEGREES.items():
         text = _point_file(case)
         for verb in VERBS:
+            if verb == FROZEN_V4:
+                continue
             for fmt, suffix in FORMATS.items():
                 _, out = run_verb(_verb_argv(verb, degree), text, fmt)
                 (GOLDEN / f"{case}.{verb}.{suffix}").write_bytes(out.encode("utf-8"))
