@@ -14,12 +14,13 @@ from .certify import (Certificate, Diagnostics, GenericInfo, Verdict, certify,
 from .geometry import (DuplicatePointError, PointSet, ProjectivePoint,
                        max_collinear_subset_size, monomial_basis,
                        monomial_values, random_point_set, union)
-from .hilbert import (HilbertProfile, check_gkr_inequality, hilbert_function,
-                      hilbert_profile, satisfies_cb, separates_point, span_dim,
-                      span_intersection_dim, union_profile_drop)
-from .kruskal import (KruskalReport, ReshapingSearch, degree_partitions,
-                      gup_cutoff, is_gup, is_lgp, kruskal_and_collinear,
-                      kruskal_rank, reshaped_kruskal, veronese_kruskal_rank)
+from .hilbert import (HilbertProfile, check_gkr_inequality, gup_cutoff,
+                      hilbert_function, hilbert_profile, satisfies_cb,
+                      separates_point, span_dim, span_intersection_dim,
+                      union_profile_drop)
+from .kruskal import (KruskalReport, ReshapingSearch, degree_partitions, is_gup,
+                      is_lgp, kruskal_and_collinear, kruskal_rank,
+                      reshaped_kruskal, veronese_kruskal_rank)
 from .linalg import integer_rank
 from .terracini import (TerraciniReport, generic_terracini_dimension,
                         terracini_dimension)

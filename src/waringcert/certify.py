@@ -22,8 +22,8 @@ import enum
 from math import comb, inf
 
 from .geometry import PointSet, Record
-from .hilbert import HilbertProfile, hilbert_profile, span_dim
-from .kruskal import (_gup_failure, gup_cutoff, kruskal_and_collinear, kruskal_rank,
+from .hilbert import HilbertProfile, gup_cutoff, hilbert_profile, span_dim
+from .kruskal import (_gup_failure, kruskal_and_collinear, kruskal_rank,
                       reshaped_kruskal, veronese_kruskal_rank)
 from .terracini import (_TRIALS, TerraciniReport, generic_terracini_dimension,
                         terracini_dimension)
@@ -328,9 +328,11 @@ SUBGENERIC_EXCEPTIONS = {
 class GenericInfo(Record):
     """Generic rank data for degree-d forms on P^n.
 
-    generic_rank is the true generic rank, by the Alexander-Hirschowitz theorem.
-    oracle_verified is True when one exact Terracini rank at generic_rank
-    points, the coordinate points and random points beyond them
+    generic_rank is the true generic rank, which the Alexander-Hirschowitz
+    theorem gives from (n, d) alone, so it is a property, as are space_dim
+    and expected_generic_rank.  oracle_verified is True when one exact
+    Terracini rank at generic_rank points, the coordinate points and
+    random points beyond them
     (``generic_terracini_dimension``), filled the space of forms, which
     proves the upper bound by Terracini's lemma; the theorem alone gives
     the value otherwise.
@@ -341,7 +343,6 @@ class GenericInfo(Record):
 
     ambient_dim: int
     degree: int
-    generic_rank: int
     oracle_verified: bool
     exceptions: tuple[str, ...]
 
@@ -355,6 +356,17 @@ class GenericInfo(Record):
         """ceil(C(n+d, d) / (n + 1))."""
         return -(-self.space_dim // (self.ambient_dim + 1))
 
+    @property
+    def generic_rank(self) -> int:
+        """n + 1 for quadrics, the expected rank plus one at the defective
+        (n, d) = (2, 4), (3, 4), (4, 3) and (4, 4), and the expected rank
+        elsewhere."""
+        if self.degree == 2:
+            return self.ambient_dim + 1
+        special = SUBGENERIC_EXCEPTIONS.get((self.ambient_dim, self.degree), ())
+        return self.expected_generic_rank + any(count == "infinitely many"
+                                                for _, count in special)
+
 
 # The largest space of forms whose generic rank one Terracini witness checks.
 _MAX_SPACE_DIM = 500
@@ -363,11 +375,10 @@ _MAX_SPACE_DIM = 500
 def generic_info(n: int, d: int, seed: int = 0) -> GenericInfo:
     """Generic rank of degree-d forms on P^n, with identifiability caveats.
 
-    The generic rank comes from the Alexander-Hirschowitz theorem: n + 1
-    for quadrics, the expected rank ceil(C(n+d, d) / (n + 1)) plus one at
-    the defective (n, d) = (2, 4), (3, 4), (4, 3) and (4, 4), and the
-    expected rank elsewhere.  The lower bound takes no rank: below the
-    expected rank r, the tangent spaces at r - 1 points span at most
+    The generic rank is the Alexander-Hirschowitz value, which the record
+    derives from (n, d) (``GenericInfo.generic_rank``).  The lower bound
+    takes no rank: below the expected rank r = ceil(C(n+d, d) / (n + 1)),
+    the tangent spaces at r - 1 points span at most
     (n+1)(r-1) - 1 < C(n+d, d) - 1 dimensions, and for quadrics and at the
     four defective (n, d) the theorem itself rules out every smaller rank.
 
@@ -385,20 +396,14 @@ def generic_info(n: int, d: int, seed: int = 0) -> GenericInfo:
         raise ValueError(f"ambient dimension must be >= 1, got {n}")
     if d < 2:
         raise ValueError(f"degree must be >= 2, got {d}")
-    space = comb(n + d, d)
-    expected = -(-space // (n + 1))
-    special = SUBGENERIC_EXCEPTIONS.get((n, d), ())
-    if d == 2:
-        rank = n + 1
-    else:
-        rank = expected + any(count == "infinitely many" for _, count in special)
-
+    theorem = GenericInfo(ambient_dim=n, degree=d, oracle_verified=False, exceptions=())
+    space, rank = theorem.space_dim, theorem.generic_rank
     exceptions = []
     if d == 2 and n >= 2:
         exceptions.append(
             f"degree 2: quadrics of every rank from 2 to {n} have infinitely "
             "many decompositions, so no subgeneric rank is identifiable")
-    for r, count in special:
+    for r, count in SUBGENERIC_EXCEPTIONS.get((n, d), ()):
         exceptions.append(
             f"rank {r}: the generic form of rank {r} has {count} decompositions")
     verified = space <= _MAX_SPACE_DIM and generic_terracini_dimension(
@@ -413,10 +418,5 @@ def generic_info(n: int, d: int, seed: int = 0) -> GenericInfo:
             f"generic rank not verified: no Terracini witness of {rank} "
             f"points filled the space of dimension {space} in {_TRIALS} "
             f"trials (seed {seed}); reporting the Alexander-Hirschowitz value")
-    return GenericInfo(
-        ambient_dim=n,
-        degree=d,
-        generic_rank=rank,
-        oracle_verified=verified,
-        exceptions=tuple(exceptions),
-    )
+    return GenericInfo(ambient_dim=n, degree=d, oracle_verified=verified,
+                       exceptions=tuple(exceptions))

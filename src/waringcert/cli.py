@@ -41,8 +41,8 @@ from typing import Sequence
 from . import __version__
 from .certify import Verdict, certify, generic_info
 from .geometry import DuplicatePointError, PointSet, ProjectivePoint, Record
-from .hilbert import HilbertProfile, hilbert_profile, satisfies_cb
-from .kruskal import gup_cutoff, is_gup, is_lgp, veronese_kruskal_rank
+from .hilbert import HilbertProfile, gup_cutoff, hilbert_profile, satisfies_cb
+from .kruskal import is_gup, is_lgp, veronese_kruskal_rank
 from .terracini import TerraciniReport, terracini_dimension
 
 _GENERATOR = f"waringcert {__version__}"

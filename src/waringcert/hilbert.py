@@ -13,8 +13,8 @@ point is separated in degree i.
 The whole profile comes from one elimination modulo a prime (the idea of
 Moeller and Buchberger, 1982: the Hilbert function of a set of points from one
 incremental elimination, not one per degree).  In an affine chart, the
-degree-t rows, t the least degree with C(n+t, n) >= len(Z), hold every
-lower degree's rows as a column prefix, scaled row by row; the pivots of
+degree-t rows, t the least degree >= 1 with C(n+t, n) >= len(Z), hold
+every lower degree's rows as a column prefix, scaled row by row; the pivots of
 one column-by-column pass below each prefix bound h from below, and a
 bound that meets min(len(Z), C(n+j, n)) proves h(j).  A degree the pass
 does not prove takes an exact rank of its own rows.  A set on a line
@@ -120,7 +120,7 @@ def hilbert_profile(a: PointSet) -> HilbertProfile:
     monomial values at any representatives of the points in any
     coordinates: an invertible change of coordinates acts invertibly on
     the degree-d forms, and scaling a point scales its row.  Let l =
-    len(a), N_j = C(n+j, n) and t the least j with N_j >= l.
+    len(a), N_j = C(n+j, n) and t the least j >= 1 with N_j >= l.
 
     - *Chart.*  L = x_0 + c*x_1 + ... + c**n * x_n, for the least c >= 0
       with L(P) nonzero modulo p = ``linalg._PRIME`` at every primitive
@@ -189,12 +189,18 @@ def hilbert_profile(a: PointSet) -> HilbertProfile:
 
 def _profile_pivots(coords: Sequence[Sequence[int]]) -> list[int]:
     """The pivots of ``hilbert_profile``'s one modular pass over the
-    degree-t rows of the integer points ``coords`` in its chart, stopping
-    at rank len(coords); none when t = 0, a single point."""
+    degree-t rows of the integer points ``coords`` in its chart, t =
+    ``gup_cutoff(n, len(coords))``, stopping at rank len(coords).  A single
+    point takes the one-row pass of degree 1, which proves nothing the
+    profile (1,) needs."""
     l = len(coords)
-    n = len(coords[0]) - 1
-    t = next(j for j in count() if comb(n + j, n) >= l)
-    return _pivots_mod_p(monomial_rows(_chart(coords), t), l) if t else []
+    t = gup_cutoff(len(coords[0]) - 1, l)
+    return _pivots_mod_p(monomial_rows(_chart(coords), t), l)
+
+
+def gup_cutoff(n: int, size: int) -> int:
+    """First degree j >= 1 whose monomial space on P^n has dimension >= size."""
+    return next(j for j in count(1) if comb(n + j, n) >= size)
 
 
 def _chart(coords: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -243,31 +249,16 @@ def _frame(a: PointSet) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
 
 
 @memo_on_set
-def _frame_mod_p(a: PointSet) -> list[list[int]] | None:
-    """A modular frame of a: the coordinates modulo p = ``linalg._PRIME`` of
-    the points after the first n + 1 in the basis of the first n + 1, as
-    rows; None when those are dependent modulo p, or fewer than n + 1.
+def _standard_form(a: PointSet, j: int, size: int) -> list[list[int]] | None:
+    """``_standard_form_mod_p`` of the degree-j monomial values of a with
+    ``size``: the other points' rows modulo p = ``linalg._PRIME`` in the
+    basis of the first ``size``, or None when those are dependent modulo p.
 
-    That is ``_standard_form_mod_p`` of the degree-1 rows with size n + 1,
-    the one modular elimination of ``linalg`` with its pivots drawn from B,
-    the first n + 1 primitive rows: every column is a pivot, and C = R B^-1
-    for R the others, so a point q of R is the sum of c_i * b_i modulo p,
-    c its row of C.  The degree-1 monomial values are the primitive
-    coordinates themselves (the basis x_0, ..., x_n), so the form reads
-    those and builds no degree-1 table.  Kept on the set: the degree-1 Kruskal sweep reads it
-    as its modular proof, and ``terracini_dimension`` as its modular frame.
-
-    When it exists, the first n + 1 points are independent over Q too, so
-    they are the B of ``_frame``, which takes the greedy maximal independent
-    subset in point order.  So both frames have the same frame columns C
-    of the Terracini matrix, whose rank is |C| plus that of the other
-    points' rows, modulo p in this frame and over Q in that one; the rank
-    modulo p of those rows here is a lower bound on their rank over Q there
-    (the ``lower`` that ``terracini_dimension`` hands ``_certified_rank``).
+    Kept on the set, so each Kruskal sweep of the degree-j image at that
+    size takes its C from one elimination, and ``terracini_dimension``
+    reads the entry (1, n + 1), the k_1 sweep's, as its modular frame.
     """
-    if len(a) <= a.ambient_dim:
-        return None
-    return _standard_form_mod_p([p.primitive_coords for p in a], a.ambient_dim + 1)
+    return _standard_form_mod_p(monomial_values(a, j), size)
 
 
 @memo_on_set

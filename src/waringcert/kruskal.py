@@ -37,9 +37,8 @@ modulo p in the basis of the first s by ``linalg``'s one modular
 elimination, its pivots drawn from those s rows: each square minor of C
 is, up to a unit, the minor of one s-subset (``_all_subsets_independent``),
 so a nonzero residue proves its subset independent, and only a subset
-whose residue is zero takes an exact rank.  In degree 1 at s = n + 1, C
-is the set's modular frame (``hilbert._frame_mod_p``), and a set with
-none goes straight to exact ranks.
+whose residue is zero takes an exact rank.  C is kept on the set by
+``hilbert._standard_form``.
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ from typing import Sequence
 
 from .geometry import (PointSet, Record, max_collinear_subset_size,
                        memo_on_set, monomial_values)
-from .hilbert import _frame_mod_p, hilbert_profile
-from .linalg import _minors_nonzero_mod_p, _standard_form_mod_p, integer_rank
+from .hilbert import _standard_form, gup_cutoff, hilbert_profile
+from .linalg import _minors_nonzero_mod_p, integer_rank
 
 IntRows = Sequence[Sequence[int]]
 
@@ -64,7 +63,7 @@ def _all_subsets_independent(rows: IntRows, size: int, c: IntRows | None) -> boo
     Let B be the first ``size`` rows, Q its pivot columns modulo p, where
     its prefix rank rises, so that B_Q is invertible modulo p, and
     C = R_Q B_Q^-1 modulo p for the other rows R
-    (``linalg._standard_form_mod_p``).  Then M_Q = [I; C] B_Q modulo p,
+    (``hilbert._standard_form``).  Then M_Q = [I; C] B_Q modulo p,
     so for every size-subset S, det M_{S,Q} is congruent to +-det B_Q times
     the minor of C on the rows of S outside B and the columns of the rows
     of B not in S.  This is one to one: the minor of C on rows T and
@@ -75,12 +74,9 @@ def _all_subsets_independent(rows: IntRows, size: int, c: IntRows | None) -> boo
     exact ``integer_rank`` of M_S.  So each subset is decided by a nonzero
     residue or by one exact rank, whatever the rank of M.
 
-    ``c`` is that C, which the caller takes from
-    ``_standard_form_mod_p(rows, size)`` or, in degree 1 at size n + 1,
-    from the set's modular frame (``hilbert._frame_mod_p``); it is None
-    when B is singular modulo p.  Then there is no C, and every subset
-    takes an exact rank, B first, so a B dependent over Q ends the sweep
-    at once.
+    ``c`` is that C, or None when B is singular modulo p.  Then there is
+    no C, and every subset takes an exact rank, B first, so a B dependent
+    over Q ends the sweep at once.
     """
     if c is None:
         return all(integer_rank([rows[i] for i in subset]) == size
@@ -93,16 +89,18 @@ def _all_subsets_independent(rows: IntRows, size: int, c: IntRows | None) -> boo
     return _minors_nonzero_mod_p(c, clear)
 
 
-def _climb(rows: IntRows, top: int) -> int:
-    """Kruskal rank of rows whose top-subsets are not all independent.
+def _climb(a: PointSet, j: int, top: int) -> int:
+    """Kruskal rank of the degree-j image when its top-subsets are not all
+    independent.
 
     If every s-subset is independent then so is every smaller subset, since
     a dependent subset stays dependent under extension; so the answer is
     one below the first size from 3 up whose sweep finds a dependent subset.
     Needs top >= 3 and nonzero, pairwise nonproportional rows.
     """
+    rows = monomial_values(a, j)
     for s in range(3, top):
-        if not _all_subsets_independent(rows, s, _standard_form_mod_p(rows, s)):
+        if not _all_subsets_independent(rows, s, _standard_form(a, j, s)):
             return s - 1
     return top - 1
 
@@ -121,13 +119,9 @@ def _veronese_kruskal(a: PointSet, j: int) -> int:
     h = hilbert_profile(a).value_at(j)
     if h == len(a) or h <= 2:
         return h
-    rows = monomial_values(a, j)
-    # In degree 1 at size n + 1 the set's modular frame is this sweep's C.
-    c = (_frame_mod_p(a) if j == 1 and h == a.ambient_dim + 1
-         else _standard_form_mod_p(rows, h))
-    if _all_subsets_independent(rows, h, c):
+    if _all_subsets_independent(monomial_values(a, j), h, _standard_form(a, j, h)):
         return h
-    return _climb(rows, h)
+    return _climb(a, j, h)
 
 
 @memo_on_set
@@ -182,14 +176,6 @@ def kruskal_rank(a: PointSet) -> int:
 def is_lgp(a: PointSet) -> bool:
     """Linearly general position: the Kruskal rank attains min(len, n + 1)."""
     return kruskal_rank(a) == min(len(a), a.ambient_dim + 1)
-
-
-def gup_cutoff(n: int, size: int) -> int:
-    """First degree j whose monomial space has dimension >= size."""
-    j = 1
-    while comb(n + j, j) < size:
-        j += 1
-    return j
 
 
 def is_gup(a: PointSet) -> bool:

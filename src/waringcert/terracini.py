@@ -85,19 +85,24 @@ Modular frame: the same identity holds modulo p = ``linalg._PRIME``, and
 needs no exact frame.  Let B be the first n + 1 points, with primitive
 rows b_i independent modulo p, and M the matrix of those rows.  Each
 other point q is congruent to M^T c, the sum of c_i * b_i, c its row of
-C = R B^-1 modulo p (``hilbert._frame_mod_p``).  The entries of the
-tangent forms are integer polynomials in the point, so the rows of q
-modulo p are the tangent forms of M^T c over F_p, and there, as over Q,
-F -> F(Mx) is an invertible linear map of the degree-d forms that
-carries the tangent space at c onto the one at M^T c.  So the Terracini
-matrix of A has the rank modulo p of that of the framed set: e_0..e_n
-and the rows c.  Its frame rows are unit rows, so the rank modulo p is
-|C| plus the rank modulo p of R, the rows of the c on the columns outside
-C, and it is a lower bound on the rank over Q, since the Terracini matrix
-is an integer matrix and a minor nonzero modulo p is a nonzero integer.
-When it meets the upper bound min((n+1)l, C(n+d, d)) the rank is proved;
-otherwise the rank of R modulo p is still a lower bound on the rank over
-Q of R in the exact frame (``_frame_mod_p``).
+C = R B^-1 modulo p, the standard form of the degree-1 rows at size
+n + 1 that the k_1 sweep takes (``hilbert._standard_form``).  The entries
+of the tangent forms are integer polynomials in the point, so the rows
+of q modulo p are the tangent forms of M^T c over F_p, and there, as
+over Q, F -> F(Mx) is an invertible linear map of the degree-d forms
+that carries the tangent space at c onto the one at M^T c.  So the
+Terracini matrix of A has the rank modulo p of that of the framed set:
+e_0..e_n and the rows c.  Its frame rows are unit rows, so the rank
+modulo p is |C| plus the rank modulo p of R, the rows of the c on the
+columns outside C, and it is a lower bound on the rank over Q, since the
+Terracini matrix is an integer matrix and a minor nonzero modulo p is a
+nonzero integer.  When it meets the upper bound min((n+1)l, C(n+d, d))
+the rank is proved; otherwise the rank of R modulo p is still a lower
+bound on the rank over Q of R in the exact frame.  B, independent modulo
+p, is independent over Q, so it is the B of ``_frame``, the greedy
+maximal independent subset in point order, and both frames have the same
+columns C: the rank modulo p of the Terracini matrix, |C| plus that of R
+here, is at most its rank over Q, |C| plus that of R there.
 
 The generic witness (``generic_terracini_dimension``) is drawn in this
 frame: e_0..e_n followed by random integer points, so B = I and C = R,
@@ -126,7 +131,7 @@ from typing import Iterator, Sequence
 
 from .geometry import (PointSet, Record, memo_on_set, monomial_basis, monomial_rows,
                        random_point_set)
-from .hilbert import _frame, _frame_mod_p, hilbert_function
+from .hilbert import _frame, _standard_form, hilbert_function
 from .linalg import _Index, _gathered_pivots_mod_p, _pivots_mod_p, integer_kernel
 
 
@@ -315,7 +320,7 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     Requires d >= 2.
 
     It is first proved in the modular frame (module docstring), when
-    ``hilbert._frame_mod_p`` finds the first n + 1 points independent
+    ``hilbert._standard_form`` finds the first n + 1 points independent
     modulo p: the rows of the other points, on the columns outside C, are
     ranked modulo p by ``_framed_rank_mod_p``, and when |C| plus that rank
     meets min((n+1)l, C(n+d, d)) the report returns with no exact frame
@@ -344,7 +349,7 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     n = a.ambient_dim
     if d >= 2 * len(a) - 1:
         return _filled(n, d, len(a))
-    coords = _frame_mod_p(a)
+    coords = _standard_form(a, 1, n + 1) if len(a) > n else None
     if coords is not None:
         lower, target = _framed_rank_mod_p(coords, n, d)
         if lower == target:

@@ -230,8 +230,8 @@ def test_records_derive_what_they_do_not_store():
     # A value that follows from a record's fields is a property, not a field.
     records = _records()
     info, diag = records[GenericInfo], records[Diagnostics]
-    assert {"space_dim", "expected_generic_rank"}.isdisjoint(GenericInfo._fields)
-    assert (info.space_dim, info.expected_generic_rank) == (15, 5)
+    assert {"space_dim", "expected_generic_rank", "generic_rank"}.isdisjoint(GenericInfo._fields)
+    assert (info.space_dim, info.expected_generic_rank, info.generic_rank) == (15, 5, 6)
     assert "kruskal_rank" not in Diagnostics._fields
     assert diag.veronese_kruskal_ranks == ((1, 3), (2, 6)) and diag.kruskal_rank == 3
     no_k1 = Diagnostics(**{**vars(diag), "veronese_kruskal_ranks": ((2, 6),),

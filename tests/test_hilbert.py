@@ -1,6 +1,7 @@
 """Hilbert functions, profiles, separation, Cayley-Bacharach, and spans."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,6 +11,7 @@ from waringcert import (
     PointSet,
     ProjectivePoint,
     check_gkr_inequality,
+    gup_cutoff,
     hilbert_function,
     hilbert_profile,
     kruskal_rank,
@@ -189,6 +191,29 @@ def test_a_set_on_a_line_has_the_profile_of_a_vandermonde_matrix(monkeypatch, n,
     assert passes == ([] if n == 1 else [len(a)])
     assert exact == []
     check_profile(a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_pass_runs_in_the_cutoff_degree(monkeypatch, n):
+    # One pass over the rows of degree gup_cutoff(n, l), the least j >= 1
+    # with C(n+j, n) >= l, and stopping at rank l; a single point takes a
+    # one-row pass of degree 1, and its profile is (1,).
+    passes = []
+    pivots = hilbert._pivots_mod_p
+
+    def counted(rows, target):
+        passes.append((len(rows), len(rows[0]), target))
+        return pivots(rows, target)
+
+    monkeypatch.setattr(hilbert, "_pivots_mod_p", counted)
+    for l in range(1, 12):
+        passes.clear()
+        a = random_points(n, l, random.Random(10 * n + l), bound=50)
+        values = hilbert_profile(a).values
+        assert passes[0] == (l, comb(n + gup_cutoff(n, l), n), l)
+        assert values == tuple(min(l, comb(n + j, n)) for j in range(len(values)))
+        if l == 1:
+            assert passes == [(1, n + 1, 1)] and values == (1,)
 
 
 @st.composite

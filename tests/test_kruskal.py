@@ -106,6 +106,8 @@ def test_gup_cutoff_values():
     assert gup_cutoff(2, 7) == 3
     assert gup_cutoff(3, 4) == 1
     assert gup_cutoff(1, 6) == 5
+    # One home, in hilbert, whose profile pass runs in this degree.
+    assert gup_cutoff is kruskal.gup_cutoff is hilbert.gup_cutoff
 
 
 def test_is_gup_conic_examples():
@@ -433,21 +435,25 @@ def test_conic_sets_prove_k2_and_dependent_sets_sweep(exact_sweeps):
 def test_a_set_without_a_modular_frame_takes_no_second_standard_form(monkeypatch):
     # The first four of the eight points of aligned-p3-8-d5 are dependent
     # (the first three lie on one line), so the set has no modular frame.
-    # The k_1 sweep at size 4 knows B is singular from the frame's one
-    # standard form and goes straight to exact ranks; only the climb's
-    # sweep at size 3 takes a standard form of its own.
+    # The k_1 sweep at size 4 knows B is singular from the set's one
+    # standard form at that size and goes straight to exact ranks; only
+    # the climb's sweep at size 3 takes a standard form of its own.  Every
+    # sweep's form is the set's, and kruskal names no elimination.
     text = (Path(__file__).with_name("golden") / "aligned-p3-8-d5.pts").read_text()
     a = parse_point_file(text).points
     forms = []
     standard_form = linalg._standard_form_mod_p
-    for module in (hilbert, kruskal):
-        def counted(rows, size, name=module.__name__.rsplit(".", 1)[1]):
-            forms.append((name, len(rows), size))
-            return standard_form(rows, size)
 
-        monkeypatch.setattr(module, "_standard_form_mod_p", counted)
+    def counted(rows, size):
+        forms.append((len(rows), size))
+        return standard_form(rows, size)
+
+    monkeypatch.setattr(hilbert, "_standard_form_mod_p", counted)
+    assert not hasattr(kruskal, "_standard_form_mod_p")
     assert veronese_kruskal_rank(a, 1) == 2
-    assert forms == [("hilbert", 8, 4), ("kruskal", 8, 3)]
+    assert forms == [(8, 4), (8, 3)]
+    assert hilbert._standard_form(a, 1, 4) is None
+    assert forms == [(8, 4), (8, 3)]
 
 
 def _golden_set(case):

@@ -151,6 +151,11 @@ def test_generic_oracle_argument_validation():
         generic_terracini_dimension(0, 2, 1)
     with pytest.raises(ValueError):
         generic_terracini_dimension(2, 2, 0)
+    # Degree 1 is refused up front: past the check, one point (d >= 2r - 1)
+    # and five points (a draw) would each return a report of degree 1.
+    for r in (1, 5):
+        with pytest.raises(ValueError, match="degree >= 2"):
+            generic_terracini_dimension(2, 1, r)
 
 
 def _axes(n, k):
@@ -273,7 +278,7 @@ def test_a_short_witness_draw_is_ranked_modulo_p_once_and_takes_no_frame(monkeyp
     def refused(*args, **kwargs):
         raise AssertionError("the witness took a frame or ranked a point set")
 
-    for module, name in ((hilbert, "_frame_mod_p"), (terracini, "_frame_mod_p"),
+    for module, name in ((hilbert, "_standard_form"), (terracini, "_standard_form"),
                          (terracini, "_frame"), (terracini, "terracini_dimension")):
         monkeypatch.setattr(module, name, refused)
     passes, draws = [], []
@@ -302,7 +307,7 @@ def test_a_filling_witness_takes_no_frame(monkeypatch, n, d, r):
     def refused(*args, **kwargs):
         raise AssertionError("the witness took a frame or an exact rank")
 
-    for module, name in ((hilbert, "_frame_mod_p"), (terracini, "_frame_mod_p"),
+    for module, name in ((hilbert, "_standard_form"), (terracini, "_standard_form"),
                          (hilbert, "_standard_form_mod_p"), (linalg, "_standard_form_mod_p"),
                          (terracini, "_frame"), (terracini, "_certified_rank"),
                          (terracini, "terracini_dimension")):
@@ -601,7 +606,7 @@ def test_the_modular_frame_matches_the_fraction_rank_on_spanning_sets(case):
 @given(spanning_sets_and_degrees(dependent=True))
 def test_sets_whose_first_points_are_dependent_take_the_exact_frame(case):
     a, d = case
-    assert hilbert._frame_mod_p(a) is None
+    assert hilbert._standard_form(a, 1, a.ambient_dim + 1) is None
     _checked_rank(a, d)
 
 
@@ -620,7 +625,7 @@ def test_alexander_hirschowitz_quartics_fall_short_in_the_modular_frame(exact_fr
     # modular bound never meets it: the exact path proves the rank.
     for seed in range(2):
         a = random_point_set(n, l, random.Random(seed + 7), bound=50)
-        assert hilbert._frame_mod_p(a) is not None
+        assert hilbert._standard_form(a, 1, n + 1) is not None
         assert _checked_rank(a, 4) == comb(n + 4, 4) - 1
     assert exact_frames == [l, l]
 
@@ -668,7 +673,7 @@ def test_witness_rows_are_packed_as_they_are_built(n, d, l):
     # and the block's pivots are those of the oracle rows.
     p = linalg._PRIME
     a = random_point_set(n, l, random.Random(31), bound=50)
-    coords = hilbert._frame_mod_p(a)
+    coords = hilbert._standard_form(a, 1, n + 1)
     kept, weights, index = terracini._tangent_index(n, d)
     assert [c for c, _ in kept] == [monomial_basis(n, d).index(e) for e in _kept_columns(n, d)]
     oracle = _oracle_rows(coords, d)
@@ -700,7 +705,8 @@ def test_gathered_rows_have_the_pivots_of_the_tangent_forms(n, d, extra, seed, b
     p = linalg._PRIME
     l = n + 2 + min(extra, comb(n + d, d) // (n + 1))
     assume(l <= (2 * bound + 1) ** n)
-    coords = hilbert._frame_mod_p(random_point_set(n, l, random.Random(seed), bound=bound))
+    coords = hilbert._standard_form(random_point_set(n, l, random.Random(seed), bound=bound),
+                                    1, n + 1)
     assume(coords is not None)
     kept, weights, index = terracini._tangent_index(n, d)
     values = monomial_rows(coords, d - 1)
@@ -775,7 +781,7 @@ def test_packed_witness_rows_keep_the_lower_bound_and_the_rank(monkeypatch, case
     # columns of the oracle's tangent forms of the modular frame, and the
     # pivot list is theirs; its length is the lower bound, handed to the
     # exact path when it falls short of the target.
-    oracle = _oracle_rows(hilbert._frame_mod_p(a), d)
+    oracle = _oracle_rows(hilbert._standard_form(a, 1, n + 1), d)
     for packed, (nrows, ncols, _) in zip(packs, blocks):
         block = [row[:ncols] for row in oracle]
         assert packed == linalg._packed(block, 62 + min(nrows, ncols).bit_length(), 0)
