@@ -15,9 +15,10 @@ Point set file format, one point per line:
     1  1   1
     1  1/2 1/4
 
-Coordinates are decimal integers or p/q rational strings; no floating
-point is accepted.  The optional ``dim`` header cross-checks the ambient
-dimension; without it the first point fixes the coordinate count.
+Coordinates are decimal integers or p/q rational strings, read by
+``ProjectivePoint``; no floating point is accepted.  The optional ``dim``
+header cross-checks the ambient dimension; without it the first point
+fixes the coordinate count.
 
 Every report on a point file carries ``input.digest``, the SHA-256 of the
 set's canonical coordinates, so the same points written differently give
@@ -32,10 +33,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from bisect import bisect_left
-from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
@@ -47,7 +46,6 @@ from .terracini import TerraciniReport, terracini_dimension
 
 _GENERATOR = f"waringcert {__version__}"
 _SCHEMA_VERSION = 5
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
 class PointFileError(ValueError):
@@ -66,21 +64,14 @@ class PointSetDocument(Record):
     label: str | None
 
 
-def parse_rational(token: str) -> Fraction:
-    """Parse a decimal integer or p/q string; rejects float notation."""
-    if not _RATIONAL_RE.fullmatch(token):
-        raise ValueError(
-            f"{token!r} is not a decimal integer or p/q rational")
-    return Fraction(token)
-
-
 def parse_point_file(text: str) -> PointSetDocument:
     """Parse the point set format described in the module docstring."""
     label: str | None = None
-    declared_dim: int | None = None
+    dim: int | None = None
     points: list[ProjectivePoint] = []
     point_lines: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # An editor's UTF-8 byte-order mark is not part of the first line.
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -96,31 +87,18 @@ def parse_point_file(text: str) -> PointSetDocument:
             if not (body.isascii() and body.isdigit()) or int(body) < 1:
                 raise PointFileError(
                     f"dim must be a positive integer, got {body!r}", lineno)
-            declared_dim = int(body)
+            dim = int(body)
             continue
         tokens = line.split()
-        coords = []
-        for tok in tokens:
-            try:
-                value = parse_rational(tok)
-            except ValueError as exc:
-                raise PointFileError(str(exc), lineno) from None
-            except ZeroDivisionError:
-                raise PointFileError(
-                    f"{tok!r} has denominator zero", lineno) from None
-            coords.append(value)
-        expected = None
-        if declared_dim is not None:
-            expected = declared_dim + 1
-        elif points:
-            expected = points[0].ambient_dim + 1
-        if expected is not None and len(coords) != expected:
+        if dim is not None and len(tokens) != dim + 1:
             raise PointFileError(
-                f"expected {expected} coordinates, found {len(coords)}", lineno)
+                f"expected {dim + 1} coordinates, found {len(tokens)}", lineno)
         try:
-            points.append(ProjectivePoint(coords))
+            points.append(ProjectivePoint(tokens))
         except ValueError as exc:
             raise PointFileError(str(exc), lineno) from None
+        # Without a dim header, the first point fixes the coordinate count.
+        dim = len(tokens) - 1
         point_lines.append(lineno)
     if not points:
         raise PointFileError("no points found in input")
@@ -400,7 +378,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             if doc.label is not None:
                 report["input"]["label"] = doc.label
         fields, code = args.func(args, points)
-    except (PointFileError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report.update(fields)

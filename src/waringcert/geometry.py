@@ -24,6 +24,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import comb, gcd, lcm
+from numbers import Rational
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -79,17 +80,36 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def _exact_pair(x: object) -> tuple[int, int]:
+    """The (numerator, denominator) of one exact coordinate, the denominator
+    positive: a Rational through its two attributes, a string in the
+    point-file syntax through ``int``."""
+    if not isinstance(x, str):
+        if isinstance(x, Rational):
+            return x.numerator, x.denominator
+        raise TypeError(f"coordinate {x!r} is not exact: give an int, a Fraction "
+                        "or a decimal integer or p/q string")
+    num, slash, den = x.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not (x.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
+        raise ValueError(f"{x!r} is not a decimal integer or p/q rational")
+    if slash and not int(den):
+        raise ValueError(f"{x!r} has denominator zero")
+    return int(num), int(den) if slash else 1
+
+
 class ProjectivePoint:
     """A point of P^n, stored as its primitive integer representative.
 
-    Built from ints, Fractions, or anything ``Fraction`` parses, such as
-    "3/7": denominators are cleared, the gcd is divided out and the first
-    nonzero entry is made positive.  A row whose entries are all exactly
-    ``int`` takes one gcd and a sign, with no denominator or lcm work; any
-    other row (bools, int subclasses, Fractions, strings) is read through
-    ``numerator`` and ``denominator``, to the same primitive vector.
-    Both paths end in ``_take_ints``, which ``random_point_set`` calls on
-    its draws directly.
+    Each coordinate is exact: a ``numbers.Rational`` (an int, a bool, a
+    Fraction) or a string in the point-file syntax, an ASCII decimal
+    integer or ``p/q``.  Floats, Decimals and every other value raise
+    TypeError.  Denominators are cleared, the gcd is divided out and the
+    first nonzero entry is made positive.  A row whose entries are all
+    exactly ``int`` takes one gcd and a sign, with no denominator or lcm
+    work; any other row is read entry by entry as an integer pair by
+    ``_exact_pair``, and no row builds a Fraction.  Both paths end in
+    ``_take_ints``, which ``random_point_set`` calls on its draws directly.
     """
 
     __slots__ = ("primitive_coords",)
@@ -99,9 +119,9 @@ class ProjectivePoint:
     def __init__(self, coords: Iterable[object]):
         ints = tuple(coords)
         if {*map(type, ints)} != {int}:
-            raw = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in ints]
-            scale = lcm(*(x.denominator for x in raw))
-            ints = tuple([x.numerator * (scale // x.denominator) for x in raw])
+            pairs = [_exact_pair(x) for x in ints]
+            scale = lcm(*(q for _, q in pairs))
+            ints = tuple([p * (scale // q) for p, q in pairs])
         if len(ints) < 2:
             raise ValueError("a projective point needs at least 2 coordinates")
         self._take_ints(ints)

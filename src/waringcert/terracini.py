@@ -65,15 +65,15 @@ monomials.  The weights are nonzero, and monomials that involve
 x_k..x_n vanish on A, so those values have rank h_A(d - 1), which is k at
 d = 2.  For k = n + 1 there is no second term.
 
-Frame identity: in P^(k-1), rank T_A = |C| + rank R.  The row (e_i, j) is
+Frame identity: in P^(k-1), rank T_A = |U| + rank R.  The row (e_i, j) is
 the form x_i^(d-1)*x_j, the unit row of the column e = (d-1)u_i + u_j, so
-the rows of the points of B span the coordinate space of C, the set of
+the rows of the points of B span the coordinate space of U, the set of
 columns they hit.  In degree 2 the rows (e_i, j) and (e_j, i) hit the
 same column u_i + u_j.  Modulo that span a row is its restriction to the
-columns outside C, so the rank is |C| plus the rank of R, the other
+columns outside U, so the rank is |U| plus the rank of R, the other
 points' rows on those columns.
 
-A right-kernel vector of the framed matrix vanishes on C, since the frame
+A right-kernel vector of the framed matrix vanishes on U, since the frame
 rows are unit rows there.  Its restriction to the other columns is in the
 kernel of R, and restriction keeps such vectors independent.  So the
 kernel candidates are built from the framed rows and restricted; each is
@@ -93,16 +93,16 @@ over Q, F -> F(Mx) is an invertible linear map of the degree-d forms
 that carries the tangent space at c onto the one at M^T c.  So the
 Terracini matrix of A has the rank modulo p of that of the framed set:
 e_0..e_n and the rows c.  Its frame rows are unit rows, so the rank
-modulo p is |C| plus the rank modulo p of R, the rows of the c on the
-columns outside C, and it is a lower bound on the rank over Q, since the
+modulo p is |U| plus the rank modulo p of R, the rows of the c on the
+columns outside U, and it is a lower bound on the rank over Q, since the
 Terracini matrix is an integer matrix and a minor nonzero modulo p is a
 nonzero integer.  When it meets the upper bound min((n+1)l, C(n+d, d))
 the rank is proved; otherwise the rank of R modulo p is still a lower
 bound on the rank over Q of R in the exact frame.  B, independent modulo
 p, is independent over Q, so it is the B of ``_frame``, the greedy
 maximal independent subset in point order, and both frames have the same
-columns C: the rank modulo p of the Terracini matrix, |C| plus that of R
-here, is at most its rank over Q, |C| plus that of R there.
+columns U: the rank modulo p of the Terracini matrix, |U| plus that of R
+here, is at most its rank over Q, |U| plus that of R there.
 
 The generic witness (``generic_terracini_dimension``) is drawn in this
 frame: e_0..e_n followed by random integer points, so B = I and C = R,
@@ -115,7 +115,7 @@ them to ``linalg._gathered_pivots_mod_p``, which
 reduces the weights modulo p once, weights the degree-(d-1) monomial
 values of the rows c in its one reduction pass, copies each row out of
 them with no multiply per entry, and is asked for
-target = min((n+1)l, C(n+d, d)) - |C| pivots.  When that rank falls
+target = min((n+1)l, C(n+d, d)) - |U| pivots.  When that rank falls
 short, ``_certified_rank`` copies the integer weighted values of the other
 points into exact rows of R and proves their rank, from the frame's
 rows, the rank modulo p and no second modular pass of R.
@@ -257,8 +257,8 @@ def _filled(n: int, d: int, l: int) -> TerraciniReport:
 def _framed_rank_mod_p(coords: Sequence[Sequence[int]], n: int, d: int) -> tuple[int, int]:
     """(lower, target) of the framed set e_0..e_n, then the points with
     integer rows ``coords``, in degree d (module docstring, modular frame):
-    target = min((n+1)l, C(n+d, d)) - |C|, l the set's size, is the rank
-    that its rows R off the columns C must reach for a full rank, and
+    target = min((n+1)l, C(n+d, d)) - |U|, l the set's size, is the rank
+    that its rows R off the columns U must reach for a full rank, and
     lower is their rank modulo p, taken up to target."""
     kept, weights, index = _tangent_index(n, d)
     space = comb(n + d, d)
@@ -271,10 +271,10 @@ def _framed_rank_mod_p(coords: Sequence[Sequence[int]], n: int, d: int) -> tuple
 
 def _certified_rank(framed: Sequence[Sequence[int]], others: Sequence[Sequence[int]],
                     m: int, d: int, lower: int) -> int:
-    """|C| + rank R in degree d for a set framed in P^m: ``framed`` the
+    """|U| + rank R in degree d for a set framed in P^m: ``framed`` the
     integer rows of all its points, e_0..e_m among them, and ``others`` the
     rows of the points off the frame, whose tangent rows R off the columns
-    C have rank ``lower`` modulo p, short of full (module docstring).
+    U have rank ``lower`` modulo p, short of full (module docstring).
 
     rank R is proved as a lower bound that meets an upper bound: ``lower``
     below, and above it cols - k, where k is the rank modulo p of checked
@@ -321,8 +321,8 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
 
     It is first proved in the modular frame (module docstring), when
     ``hilbert._standard_form`` finds the first n + 1 points independent
-    modulo p: the rows of the other points, on the columns outside C, are
-    ranked modulo p by ``_framed_rank_mod_p``, and when |C| plus that rank
+    modulo p: the rows of the other points, on the columns outside U, are
+    ranked modulo p by ``_framed_rank_mod_p``, and when |U| plus that rank
     meets min((n+1)l, C(n+d, d)) the report returns with no exact frame
     and no integer row.  Otherwise the rank is taken in the exact frame of
     ``_frame``, by the frame identity and the cone formula: only the other
@@ -359,7 +359,7 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     others = [q for i, q in enumerate(framed) if i not in frame]
     if coords is None:
         lower, target = _framed_rank_mod_p(others, k - 1, d)
-    # At full rank of R, |C| + target is min(k l, C(k-1+d, d)).
+    # At full rank of R, |U| + target is min(k l, C(k-1+d, d)).
     rank = (min(k * len(a), comb(k - 1 + d, d)) if lower == target
             else _certified_rank(framed, others, k - 1, d, lower))
     if k <= n:

@@ -41,7 +41,8 @@ def test_public_names_are_pinned_and_resolve():
         assert getattr(waringcert, name) is not None
 
 
-@pytest.mark.parametrize("module", ["linalg", "hilbert", "kruskal", "terracini", "certify"])
+@pytest.mark.parametrize("module", ["linalg", "hilbert", "kruskal", "terracini", "certify",
+                                    "cli"])
 def test_rank_layers_use_no_fractions(module):
     # The package binds the name certify to the function, so import by path.
     source = inspect.getsource(importlib.import_module(f"waringcert.{module}"))

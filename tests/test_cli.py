@@ -14,7 +14,6 @@ from waringcert import PointSet, cli, satisfies_cb
 from waringcert.cli import (
     PointFileError,
     parse_point_file,
-    parse_rational,
     run,
 )
 
@@ -43,17 +42,6 @@ GENERAL7_P3 = "dim: 3\n" + "\n".join(
     ["1 0 0 0", "0 1 0 0", "0 0 1 0", "0 0 0 1",
      "1 1 1 1", "1 2 3 4", "1 5 2 7"]) + "\n"
 GENERAL8_P3 = GENERAL7_P3 + "1 3 9 2\n"
-
-
-def test_parse_rational_values():
-    assert parse_rational("3") == 3
-    assert parse_rational("-7") == -7
-    assert parse_rational("1/2") == Fraction(1, 2)
-    for bad in ("1.5", "1e3", "x", "1/0/2", "", "\u0663", "1/\u0663", "3\n", "1/2\n"):
-        with pytest.raises(ValueError):
-            parse_rational(bad)
-    with pytest.raises(ZeroDivisionError):
-        parse_rational("1/0")
 
 
 def test_parse_point_file_headers_and_comments():
@@ -88,6 +76,9 @@ def test_parse_point_file_errors_carry_line_numbers():
     with pytest.raises(PointFileError) as exc:
         parse_point_file("dim: 1\n1 \u0663\n")
     assert exc.value.line == 2
+    # A bad token on a line with the wrong count: the count is reported.
+    with pytest.raises(PointFileError, match="line 3: expected 3 coordinates, found 2"):
+        parse_point_file("dim: 2\n1 0 0\n1 0.5\n")
 
 
 @pytest.mark.parametrize("text, line", [
@@ -359,6 +350,25 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["certify", "-", "--degree", "5"])
     assert code == 0
     assert "sylvester" in out
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, source):
+    # An editor may open a UTF-8 file with U+FEFF; the report is the one
+    # of the same file without it.
+    golden = GOLDEN / "twisted-cubic-p3-12-d7.pts"
+    data = b"\xef\xbb\xbf" + golden.read_bytes()
+    path = tmp_path / "bom.pts"
+    path.write_bytes(data)
+    argv = ["hilbert", str(path) if source == "file" else "-"]
+    proc = subprocess.run([sys.executable, "-m", "waringcert.cli", *argv],
+                          input=data if source == "stdin" else b"", capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden.with_suffix(".hilbert.txt").read_bytes()
+    assert parse_point_file("\ufeff" + golden.read_text()) == parse_point_file(
+        golden.read_text())
+    with pytest.raises(PointFileError, match="line 1: "):
+        parse_point_file("\ufeff\ufeffdim: 1\n1 0\n")
 
 
 def test_generic_plane_quartics(tmp_path, capsys):

@@ -3,12 +3,14 @@
 import copy
 import pickle
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from waringcert import (
     DuplicatePointError,
@@ -106,22 +108,80 @@ def test_a_point_is_its_primitive_vector_and_keeps_its_canonical_coordinates(row
         assert q == p and hash(q) == hash(p) and repr(q) == old_repr
 
 
-def test_an_integer_row_builds_no_fraction(monkeypatch):
-    made = []
+def _record_fractions(patch, made):
+    """Make every Fraction built under ``patch`` append its arguments to
+    ``made``."""
     original = Fraction.__new__
 
     def counted(cls, *args, **kwargs):
         made.append(args)
         return original(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    patch.setattr(Fraction, "__new__", staticmethod(counted))
+
+
+def test_an_integer_row_builds_no_fraction(monkeypatch):
+    half = Fraction(1, 2)
+    made = []
+    _record_fractions(monkeypatch, made)
     p = ProjectivePoint((0, -4, 6, 10))
     assert p.primitive_coords == (0, 2, -3, -5)
     assert p == ProjectivePoint([0, 2, -3, -5]) and len({p, ProjectivePoint((0, 6, -9, -15))}) == 1
     random_point_set(3, 8, random.Random(0))
     assert made == []
+    # Nor does a row of strings, Fractions or bools: each entry is read as
+    # an integer pair.
     assert ProjectivePoint(("1/2", 1)).primitive_coords == (1, 2)
-    assert made
+    assert ProjectivePoint(("-3/4", "+2", True)).primitive_coords == (3, -8, -4)
+    assert made == []
+    assert ProjectivePoint((half, False, 1)).primitive_coords == (1, 0, 2)
+    assert made == []
+
+
+@st.composite
+def _point_file_token(draw):
+    """A point-file token and its value: a decimal integer, maybe with a
+    sign and leading zeros, or p/q with q nonzero."""
+    p = draw(st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70)))
+    sign = "-" if p < 0 else draw(st.sampled_from(["", "+"]))
+    text = sign + "0" * draw(st.integers(0, 2)) + str(abs(p))
+    q = draw(st.one_of(st.none(), st.integers(1, 12)))
+    return (text, Fraction(p)) if q is None else (f"{text}/{q}", Fraction(p, q))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_point_file_token(), min_size=2, max_size=5))
+@example([("3", Fraction(3)), ("-7", Fraction(-7)), ("1/2", Fraction(1, 2))])
+def test_a_row_of_point_file_strings_reads_as_its_fractions_and_builds_none(tokens):
+    values = [value for _, value in tokens]
+    assume(any(values))
+    expected = ProjectivePoint(values).primitive_coords
+    made = []
+    with pytest.MonkeyPatch.context() as patch:
+        _record_fractions(patch, made)
+        p = ProjectivePoint([text for text, _ in tokens])
+    assert made == []
+    assert p.primitive_coords == expected
+
+
+NOT_A_RATIONAL = "{!r} is not a decimal integer or p/q rational"
+REFUSALS = [
+    *((x, TypeError, "is not exact")
+      for x in (0.5, float("inf"), float("nan"), Decimal("0.5"), 1j, None)),
+    *((x, ValueError, NOT_A_RATIONAL.format(x))
+      for x in ("0.5", "1.5", "1e3", " 3", "3\n", "1/2\n", "\u0663", "1/\u0663", "1_000",
+                "x", "+-3", "1/-2", "1/0/2", "")),
+    ("1/0", ValueError, "'1/0' has denominator zero"),
+]
+
+
+@pytest.mark.parametrize("entry, error, message", REFUSALS,
+                         ids=[ascii(entry) for entry, _, _ in REFUSALS])
+def test_inexact_and_malformed_coordinates_are_refused(entry, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        ProjectivePoint([1, entry])
+    with pytest.raises(error, match=re.escape(message)):
+        PointSet.from_rows([[entry, 1]])
 
 
 def _primitive_by_fractions(row):
@@ -181,7 +241,7 @@ def test_bools_int_subclasses_and_mixed_rows_have_the_same_primitive_vector(row)
     ((True,), "at least 2 coordinates"), ((0, 0), "the zero vector"),
     ((0, 0, 0, 0), "the zero vector"), ((False, 0), "the zero vector"),
     ((_Tagged(0), 0), "the zero vector"), ((Fraction(0), "0/5"), "the zero vector"),
-    (("x", 1), "Invalid literal"), (("x",), "Invalid literal"),
+    (("x", 1), "'x' is not a decimal integer"), (("x",), "'x' is not a decimal integer"),
 ])
 def test_short_rows_and_zero_vectors_raise_as_before(row, message):
     with pytest.raises(ValueError, match=message):

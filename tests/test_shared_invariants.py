@@ -373,7 +373,7 @@ def test_certify_4_9_4_takes_no_9_by_70_rank(rank_calls, modular_passes):
                                                (5, 10, 3, (24, 20))])
 def test_terracini_ranks_only_the_rows_off_the_frame(rank_calls, modular_passes,
                                                      n, size, d, shape):
-    # (n+1)(l - n - 1) rows, on the C(n+d, d) - |C| columns the (n+1)**2
+    # (n+1)(l - n - 1) rows, on the C(n+d, d) - |U| columns the (n+1)**2
     # unit rows of the frame points miss.  The defective (4, 7, 3) and
     # (2, 5, 4) fall short modulo p, and their exact rank is of the same
     # rows in the exact frame.
