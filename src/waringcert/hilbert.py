@@ -28,10 +28,9 @@ CLI's own.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import partial
 from itertools import count
 from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .geometry import PointSet, Record, memo_on_set, monomial_rows, monomial_values, union
 from .linalg import _PRIME, _pivots_mod_p, _standard_form_mod_p, integer_kernel, integer_rank
@@ -159,9 +158,9 @@ def hilbert_profile(a: PointSet) -> HilbertProfile:
       of a_i*b_k - a_k*b_i over the pairs, nonzero since the points are
       distinct.  So h(j) >= j + 1 = N_j, and h(l - 1) = l.
     - *Fallback.*  Each degree whose bound falls short takes
-      ``_exact_value``, the exact ``integer_rank`` of its own rows; so
-      does every degree above t while h < l, where the count of pivots,
-      below l, meets no bound.
+      ``_exact_value``, the exact ``integer_rank`` of its rows of the
+      points the pass ran on; so does every degree above t while h < l,
+      where the count of pivots, below l, meets no bound.
     """
     l = len(a)
     n = a.ambient_dim
@@ -169,21 +168,20 @@ def hilbert_profile(a: PointSet) -> HilbertProfile:
         return HilbertProfile(tuple(range(1, l + 1)))
     coords = [p.primitive_coords for p in a]
     pivots = _profile_pivots(coords)
-    rows_of = partial(monomial_values, a)
-    if l > 1 and bisect_left(pivots, n + 1) < min(l, n + 1):
+    if bisect_left(pivots, n + 1) < min(l, n + 1):
         frame, framed = _frame(a)
         if len(frame) == 2:
             return HilbertProfile(tuple(range(1, l + 1)))
         if len(frame) <= n:
             n = len(frame) - 1
-            pivots = _profile_pivots(framed)
-            rows_of = partial(monomial_rows, framed)
+            coords = framed
+            pivots = _profile_pivots(coords)
     values = [1]
     while values[-1] < l:
         j = len(values)
         width = comb(n + j, n)
         full = min(l, width)
-        values.append(full if bisect_left(pivots, width) == full else _exact_value(rows_of, j))
+        values.append(full if bisect_left(pivots, width) == full else _exact_value(coords, j))
     return HilbertProfile(tuple(values))
 
 
@@ -221,9 +219,9 @@ def _chart(coords: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
             return [(form, *point[1:]) for form, point in zip(forms, coords)]
 
 
-def _exact_value(rows_of: Callable[[int], Sequence[Sequence[int]]], d: int) -> int:
-    """h(d) as the exact ``integer_rank`` of the degree-d rows ``rows_of(d)``."""
-    return integer_rank(rows_of(d))
+def _exact_value(coords: Sequence[Sequence[int]], d: int) -> int:
+    """h(d) as the exact ``integer_rank`` of the degree-d rows of ``coords``."""
+    return integer_rank(monomial_rows(coords, d))
 
 
 @memo_on_set
@@ -233,16 +231,14 @@ def _frame(a: PointSet) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     every point in the basis B of the span, so that B's points are the
     coordinate points e_0..e_(k-1) of P^(k-1).
 
-    One exact elimination gives both: ``integer_kernel`` of the matrix
-    whose columns are the primitive rows takes its pivots left to right,
-    so the pivot columns are B and each other point q has one kernel
-    vector, whose last nonzero entry is at q.  That vector is a relation
-    s q = -(sum over i of v_i b_i) with s != 0, so the coordinates of q
-    in the basis B are its entries at B, up to scale.
+    One exact elimination gives both, ``_relations(a, 1)``: its kernel of
+    the matrix whose columns are the primitive rows takes its pivots left
+    to right, so the pivot columns are B and each other point q has one
+    kernel vector, whose last nonzero entry is at q.  That vector is a
+    relation s q = -(sum over i of v_i b_i) with s != 0, so the
+    coordinates of q in the basis B are its entries at B, up to scale.
     """
-    coords = [p.primitive_coords for p in a]
-    relations = {max(j for j, x in enumerate(v) if x): v
-                 for v in integer_kernel(list(zip(*coords)))}
+    relations = {max(j for j, x in enumerate(v) if x): v for v in _relations(a, 1)}
     frame = tuple(i for i in range(len(a)) if i not in relations)
     return frame, tuple(tuple(relations[i][c] if i in relations else int(c == i) for c in frame)
                         for i in range(len(a)))
@@ -262,17 +258,16 @@ def _standard_form(a: PointSet, j: int, size: int) -> list[list[int]] | None:
 
 
 @memo_on_set
-def _unseparated(a: PointSet, d: int) -> frozenset[int]:
-    """The indices of the points of a that no degree-d form separates.
+def _relations(a: PointSet, d: int) -> list[list[int]]:
+    """The linear relations among the degree-d rows of a, a left kernel:
+    one ``integer_kernel`` basis of the transposed ``monomial_values(a, d)``.
 
-    Point p is separated exactly when its row of degree-d monomial values
-    is outside the span of the other rows, that is, when every linear
-    relation among the rows, a left-kernel vector, is 0 at p.  So the
-    points not separated are the union of the supports of one
-    ``integer_kernel`` basis of the transposed rows, whatever the basis.
+    Point p is separated in degree d exactly when its row is outside the
+    span of the other rows, that is, when every relation, whatever the
+    basis, is 0 at p; a single nonzero row has none.  In degree 1 the rows
+    are the primitive coordinates, whose relations ``_frame`` reads.
     """
-    relations = integer_kernel(list(zip(*monomial_values(a, d))))
-    return frozenset(j for v in relations for j, x in enumerate(v) if x)
+    return integer_kernel(list(zip(*monomial_values(a, d))))
 
 
 def separates_point(a: PointSet, index: int, d: int) -> bool:
@@ -286,17 +281,15 @@ def separates_point(a: PointSet, index: int, d: int) -> bool:
         raise IndexError(f"point index {index} out of range")
     if d < 0:
         return False
-    if len(a) == 1:
-        return True
-    return index not in _unseparated(a, d)
+    return not any(v[index] for v in _relations(a, d))
 
 
 def satisfies_cb(a: PointSet, i: int) -> bool:
     """Cayley-Bacharach property in degree i: no point is separated.
 
     Every degree-i form vanishing at all points but one must vanish there
-    too.  Defined as False for singletons (a nonzero constant separates the
-    lone point, and every criterion using the property assumes len >= 2).
+    too.  False for singletons: a nonzero constant separates the lone
+    point (every criterion using the property assumes len >= 2).
 
     It holds in degree i - 1 if it holds in degree i: if F of degree i - 1
     separates p, so does L*F in degree i, L linear with L(p) != 0.  So its
@@ -304,9 +297,8 @@ def satisfies_cb(a: PointSet, i: int) -> bool:
     """
     if i < 0:
         raise ValueError(f"degree must be >= 0, got {i}")
-    if len(a) == 1:
-        return False
-    return len(_unseparated(a, i)) == len(a)
+    relations = _relations(a, i)
+    return all(any(v[j] for v in relations) for j in range(len(a)))
 
 
 def check_gkr_inequality(profile: HilbertProfile, i: int) -> bool:

@@ -112,12 +112,14 @@ def _veronese_kruskal(a: PointSet, j: int) -> int:
 
     The images span h dimensions, so any h + 1 of them are dependent and
     k_j <= h.  When h = len(a) the images are independent and k_j = h.
-    Distinct points have pairwise nonproportional images, so k_j >= 2 from
-    two points on, and h <= 2 gives k_j = h.  Otherwise every h-subset is
-    independent exactly when k_j = h, which the sweep at size h decides.
+    Otherwise h >= 3: degree 1 comes only from ``kruskal_and_collinear``
+    with h >= 3, and for j >= 2, h >= min(len(a), 3), as products of
+    linear forms separate any three points, so h <= 2 only where h =
+    len(a).  Then every h-subset is independent exactly when k_j = h,
+    which the sweep at size h decides.
     """
     h = hilbert_profile(a).value_at(j)
-    if h == len(a) or h <= 2:
+    if h == len(a):
         return h
     if _all_subsets_independent(monomial_values(a, j), h, _standard_form(a, j, h)):
         return h

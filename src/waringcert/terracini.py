@@ -83,29 +83,30 @@ degree e = 2, and d <= 3 offers none.
 
 Modular frame: the same identity holds modulo p = ``linalg._PRIME``, and
 needs no exact frame.  Let B be the first n + 1 points, with primitive
-rows b_i independent modulo p, and M the matrix of those rows.  Each
-other point q is congruent to M^T c, the sum of c_i * b_i, c its row of
-C = R B^-1 modulo p, the standard form of the degree-1 rows at size
-n + 1 that the k_1 sweep takes (``hilbert._standard_form``).  The entries
-of the tangent forms are integer polynomials in the point, so the rows
-of q modulo p are the tangent forms of M^T c over F_p, and there, as
-over Q, F -> F(Mx) is an invertible linear map of the degree-d forms
-that carries the tangent space at c onto the one at M^T c.  So the
-Terracini matrix of A has the rank modulo p of that of the framed set:
-e_0..e_n and the rows c.  Its frame rows are unit rows, so the rank
-modulo p is |U| plus the rank modulo p of R, the rows of the c on the
-columns outside U, and it is a lower bound on the rank over Q, since the
-Terracini matrix is an integer matrix and a minor nonzero modulo p is a
-nonzero integer.  When it meets the upper bound min((n+1)l, C(n+d, d))
-the rank is proved; otherwise the rank of R modulo p is still a lower
-bound on the rank over Q of R in the exact frame.  B, independent modulo
-p, is independent over Q, so it is the B of ``_frame``, the greedy
-maximal independent subset in point order, and both frames have the same
-columns U: the rank modulo p of the Terracini matrix, |U| plus that of R
-here, is at most its rank over Q, |U| plus that of R there.
+rows b_i independent modulo p, and M the matrix of those rows.  Each other
+point q is congruent to M^T c, the sum of c_i * b_i, c its row of
+C = Y B^-1 modulo p, Y the other points' primitive rows: the standard form
+of the degree-1 rows at size n + 1 that the k_1 sweep takes
+(``hilbert._standard_form``).  The entries of the tangent forms are
+integer polynomials in the point, so the rows of q modulo p are the
+tangent forms of M^T c over F_p, and there, as over Q, F -> F(Mx) is an
+invertible linear map of the degree-d forms that carries the tangent space
+at c onto the one at M^T c.  So the Terracini matrix of A has the rank
+modulo p of that of the framed set: e_0..e_n and the rows c.  Its frame
+rows are unit rows, so the rank modulo p is |U| plus the rank modulo p of
+R, the rows of the c on the columns outside U, and it is a lower bound on
+the rank over Q, since the Terracini matrix is an integer matrix and a
+minor nonzero modulo p is a nonzero integer.  When it meets the upper
+bound min((n+1)l, C(n+d, d)) the rank is proved; otherwise the rank of R
+modulo p is still a lower bound on the rank over Q of R in the exact
+frame.  B, independent modulo p, is independent over Q, so it is the B of
+``_frame``, the greedy maximal independent subset in point order, and both
+frames have the same columns U: the rank modulo p of the Terracini matrix,
+|U| plus that of R here, is at most its rank over Q, |U| plus that of R
+there.
 
 The generic witness (``generic_terracini_dimension``) is drawn in this
-frame: e_0..e_n followed by random integer points, so B = I and C = R,
+frame: e_0..e_n followed by random integer points, so B = I and C = Y,
 the drawn rows themselves, of entries at most 50 in size in place of
 residues below p, and no standard form is taken.
 
@@ -390,7 +391,7 @@ def generic_terracini_dimension(n: int, d: int, r: int, seed: int = 0) -> Terrac
     modular frame of ``terracini_dimension`` ranks sets of this kind; the
     witness draws one directly, still at random, not in a special
     position.  Its drawn rows are the rows C of that frame (B = I, so
-    C = R B^-1 = R), and the frame is exact as well: ``_framed_rank_mod_p``
+    C = Y B^-1 = Y), and the frame is exact as well: ``_framed_rank_mod_p``
     ranks them modulo p, a draw that fills the space returns with no
     exact rank, and ``_certified_rank`` proves the rank of any other from
     its frame, its draws and that rank modulo p, so every report is exact.

@@ -1,9 +1,13 @@
-"""Shared helpers for the test suite: seeded random point-set corpora, and
+"""Shared helpers for the test suite: seeded random point-set corpora,
 counts of the exact eliminations that ``integer_rank`` and the Terracini
-rank fall back to and of the exact ranks of the Kruskal subset sweeps."""
+rank fall back to and of the exact ranks of the Kruskal subset sweeps, and
+the repository's scripts as modules."""
 
+import functools
+import importlib.util
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,22 @@ def corpus(seed, count, dims, max_size, bound=9, min_size=1):
         size = rng.randint(min_size, max_size)
         sets.append(random_points(n, size, rng, bound=bound))
     return sets
+
+
+@functools.cache
+def load_script(folder, name):
+    """The script ``folder/name.py`` of the repository, loaded as a module;
+    any ``sys.path`` entry it adds for its sibling modules is taken out
+    again."""
+    spec = importlib.util.spec_from_file_location(
+        f"{folder}_{name}", Path(__file__).resolve().parents[1] / folder / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
 
 
 def spy_fallbacks(monkeypatch, record):

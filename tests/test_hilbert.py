@@ -339,6 +339,36 @@ def test_satisfies_cb_examples():
         satisfies_cb(GENERAL6, -1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_singleton_is_separated_in_every_degree_and_never_cayley_bacharach(n):
+    # Its one nonzero row of monomial values has no relation.
+    a = PointSet.from_rows([tuple(range(1, n + 2))])
+    for d in range(4):
+        assert separates_point(a, 0, d) is True
+        assert satisfies_cb(a, d) is False
+
+
+def test_the_frame_and_the_degree_1_separation_tests_take_one_kernel(monkeypatch):
+    # Six points spanning a plane of P^3, (a : b : c : a + b + c): the frame
+    # and every degree-1 separation and Cayley-Bacharach test read the one
+    # kernel of the transposed primitive rows kept on the set.
+    taken = []
+    kernel = hilbert.integer_kernel
+
+    def counted(rows):
+        taken.append(rows)
+        return kernel(rows)
+
+    monkeypatch.setattr(hilbert, "integer_kernel", counted)
+    a = PointSet.from_rows([(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 1, 3),
+                            (1, 2, 3, 6), (2, -1, 1, 2)])
+    frame, framed = hilbert._frame(a)
+    assert frame == (0, 1, 2)
+    assert [separates_point(a, i, 1) for i in range(len(a))] == [False] * len(a)
+    assert satisfies_cb(a, 1)
+    assert taken == [list(zip(*(p.primitive_coords for p in a)))]
+
+
 def small_point_sets():
     # Some points are put on the hyperplane x_n = 0, so that in low degree
     # some points are separated and others are not.

@@ -195,6 +195,18 @@ def test_reshaped_kruskal_rejects_low_degree():
         reshaped_kruskal(a, 2)
 
 
+@pytest.mark.parametrize("rows", [[(2, 1)], [(1, 0), (1, 1)], [(1, 2, 3)], [(1, 0, 0), (0, 1, 1)],
+                                  [(1, 0, 0, 0)], [(1, 2, 3, 4), (0, 1, 0, 1)]])
+def test_one_or_two_points_have_full_veronese_kruskal_ranks_with_no_sweep(monkeypatch, rows):
+    # h_A(j) = l for l <= 2 in every degree, so no standard form is taken.
+    def refuse(*args):
+        raise AssertionError("no sweep expected")
+
+    monkeypatch.setattr(kruskal, "_standard_form", refuse)
+    a = PointSet.from_rows(rows)
+    assert [veronese_kruskal_rank(a, j) for j in range(1, 5)] == [len(a)] * 4
+
+
 @pytest.mark.parametrize("j", [0, -1])
 def test_veronese_kruskal_rank_rejects_degrees_below_1(j):
     a = random_points(2, 3, random.Random(44))

@@ -1,18 +1,15 @@
 """The reach ledger (``reach/run.py``) on a slice of its corpus: its keys,
 its counts, its bytes and its soundness flag."""
 
-import importlib.util
 import json
 import re
 from itertools import islice
-from pathlib import Path
 
 from waringcert import PointSet
 
-SPEC = importlib.util.spec_from_file_location(
-    "reach_run", Path(__file__).resolve().parents[1] / "reach" / "run.py")
-run = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(run)
+from conftest import load_script
+
+run = load_script("reach", "run")
 
 KEY = re.compile(r"(Identifiable|NotMinimal|Inconclusive) [a-z-]+")
 

@@ -36,7 +36,7 @@ from waringcert import (
 )
 from waringcert import hilbert, kruskal, linalg, terracini
 
-from conftest import random_points
+from conftest import load_script, random_points
 from oracles import brute_max_collinear, kruskal_by_subsets, monomial_values_by_powers
 
 SETTINGS = dict(max_examples=40, deadline=None, derandomize=True)
@@ -478,9 +478,8 @@ def test_one_certify_builds_one_hilbert_profile(monkeypatch):
 
 
 # The certify shapes (n, len, d) of the benchmark's wide and plane mixes.
-BENCHMARK_SHAPES = [(4, 7, 3), (3, 9, 4), (3, 11, 3), (4, 9, 4), (3, 12, 2), (3, 12, 5),
-                    (4, 10, 4), (1, 4, 9), (2, 5, 4), (1, 6, 9), (2, 9, 6), (2, 11, 10),
-                    (2, 13, 9), (2, 14, 6), (2, 15, 7), (2, 16, 6)]
+BENCHMARK_SHAPES = [shape for mix in load_script("perfbench", "run").CERTIFY_MIXES.values()
+                    for shape in mix]
 
 
 def test_general_sets_of_the_benchmark_shapes_take_no_exact_hilbert_rank(
