@@ -25,6 +25,15 @@ set's canonical coordinates, so the same points written differently give
 the same digest.  It is hashed with the interpreter's built-in SHA-256,
 so a cold run loads no OpenSSL library (``_canonical_digest``).
 
+A cold run loads only the layers its verb uses.  This module imports
+``geometry`` and ``hilbert`` (and through it ``linalg``), which read the
+point file and answer ``hilbert``; every other verb imports its layer when
+it runs (``certify`` and ``generic`` import ``certify``, which loads every
+layer).  ``json`` is imported only to print a structured report.  The
+digest and the reports write each coordinate from the primitive integers,
+and no ``Fraction`` is built outside ``ProjectivePoint.coords``, so no run
+imports ``fractions`` or ``decimal``.
+
 Exit codes for ``certify``: 0 Identifiable, 2 Inconclusive, 3 NotMinimal.
 All verbs exit 1 on malformed input.
 """
@@ -32,17 +41,17 @@ All verbs exit 1 on malformed input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from bisect import bisect_left
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .certify import Verdict, certify, generic_info
-from .geometry import DuplicatePointError, PointSet, ProjectivePoint, Record
+from .geometry import (DuplicatePointError, PointSet, ProjectivePoint, Record,
+                       _canonical_texts)
 from .hilbert import HilbertProfile, gup_cutoff, hilbert_profile, satisfies_cb
-from .kruskal import is_gup, is_lgp, veronese_kruskal_rank
-from .terracini import TerraciniReport, terracini_dimension
+
+if TYPE_CHECKING:
+    from .terracini import TerraciniReport
 
 _GENERATOR = f"waringcert {__version__}"
 _SCHEMA_VERSION = 5
@@ -134,7 +143,7 @@ def _canonical_digest(points: PointSet) -> str:
             from hashlib import sha256
     lines = [f"dim: {points.ambient_dim}"]
     for p in points:
-        lines.append(" ".join(str(c) for c in p.coords))
+        lines.append(" ".join(_canonical_texts(p.primitive_coords)))
     payload = "\n".join(lines).encode("utf-8")
     return sha256(payload).hexdigest()
 
@@ -169,6 +178,7 @@ def _cmd_hilbert(args: argparse.Namespace, points: PointSet) -> tuple[dict, int]
 
 
 def _cmd_kruskal(args: argparse.Namespace, points: PointSet) -> tuple[dict, int]:
+    from .kruskal import is_gup, is_lgp, veronese_kruskal_rank
     ranks = [[j, veronese_kruskal_rank(points, j)] for j in range(1, args.degree + 1)]
     return {
         "kruskal_rank": ranks[0][1],
@@ -180,17 +190,12 @@ def _cmd_kruskal(args: argparse.Namespace, points: PointSet) -> tuple[dict, int]
 
 
 def _cmd_terracini(args: argparse.Namespace, points: PointSet) -> tuple[dict, int]:
+    from .terracini import terracini_dimension
     return {"terracini": _terracini_block(terracini_dimension(points, args.degree))}, 0
 
 
-_EXIT_BY_VERDICT = {
-    Verdict.IDENTIFIABLE: 0,
-    Verdict.INCONCLUSIVE: 2,
-    Verdict.NOT_MINIMAL: 3,
-}
-
-
 def _cmd_certify(args: argparse.Namespace, points: PointSet) -> tuple[dict, int]:
+    from .certify import Verdict, certify
     cert = certify(points, args.degree)
     diag = cert.diagnostics
     block = {
@@ -212,10 +217,13 @@ def _cmd_certify(args: argparse.Namespace, points: PointSet) -> tuple[dict, int]
         },
         "notes": list(cert.notes),
     }
-    return {"certificate": block}, _EXIT_BY_VERDICT[cert.verdict]
+    exit_by_verdict = {Verdict.IDENTIFIABLE: 0, Verdict.INCONCLUSIVE: 2,
+                       Verdict.NOT_MINIMAL: 3}
+    return {"certificate": block}, exit_by_verdict[cert.verdict]
 
 
 def _cmd_generic(args: argparse.Namespace, points: None) -> tuple[dict, int]:
+    from .certify import generic_info
     info = generic_info(args.n, args.d, seed=args.seed)
     return {
         "arguments": {"n": args.n, "d": args.d, "seed": args.seed},
@@ -281,6 +289,7 @@ def render_human(report: dict) -> list[str]:
             f"tangent spaces independent: {yes_no[rep['tangents_independent']]}",
         ]
     else:
+        from .certify import Verdict
         cert = report["certificate"]
         diag, terracini = cert["diagnostics"], cert["diagnostics"]["terracini"]
         lines += [f"degree: {cert['degree']}", f"verdict: {cert['verdict']}"]
@@ -383,6 +392,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 1
     report.update(fields)
     if args.format == "structured":
+        import json
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print("\n".join(render_human(report)))

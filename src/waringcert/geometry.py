@@ -5,8 +5,11 @@ as its primitive integer representative: coprime integer coordinates whose
 first nonzero entry is positive.  Every rank in the package is taken on
 integer rows built from it by ``monomial_values``, which keeps them on the
 set.  The canonical rational coordinates, scaled so that the first nonzero
-one is 1, are derived from it on request.  Degree-d monomials in n+1
-variables are enumerated in lexicographic order on exponent vectors,
+one is 1, are derived from it on request.  No ``Fraction`` is built
+outside ``ProjectivePoint.coords``: ``repr`` and the CLI's digest write
+each coordinate from the integers (``_canonical_texts``), so this module
+loads without ``fractions`` and ``decimal``.  Degree-d monomials
+in n+1 variables are enumerated in lexicographic order on exponent vectors,
 largest first, so the basis for (n, d) = (1, 2) reads x0^2, x0*x1, x1^2.
 
 The monomial values of a point differ from its image under the degree-d
@@ -20,12 +23,14 @@ image.
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
 from functools import lru_cache, wraps
 from math import comb, gcd, lcm
 from numbers import Rational
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    import random
+    from fractions import Fraction
 
 
 class DuplicatePointError(ValueError):
@@ -151,6 +156,7 @@ class ProjectivePoint:
     @property
     def coords(self) -> tuple[Fraction, ...]:
         """The canonical rational coordinates: the first nonzero one is 1."""
+        from fractions import Fraction
         lead = next(x for x in self.primitive_coords if x)
         return tuple(Fraction(x, lead) for x in self.primitive_coords)
 
@@ -163,7 +169,20 @@ class ProjectivePoint:
         return hash(self.primitive_coords)
 
     def __repr__(self) -> str:
-        return "(" + " : ".join(str(c) for c in self.coords) + ")"
+        return "(" + " : ".join(_canonical_texts(self.primitive_coords)) + ")"
+
+
+def _canonical_texts(primitive: Sequence[int]) -> list[str]:
+    """``str`` of each canonical coordinate ``Fraction(x, lead)``, written
+    from the integers: lead, the first nonzero entry, is positive, so with
+    g = gcd(x, lead) the reduced fraction is (x // g) / (lead // g), printed
+    without its denominator when that is 1."""
+    lead = next(x for x in primitive if x)
+    texts = []
+    for x in primitive:
+        g = gcd(x, lead)
+        texts.append(str(x // g) if g == lead else f"{x // g}/{lead // g}")
+    return texts
 
 
 class PointSet:

@@ -124,7 +124,6 @@ rows, the rank modulo p and no second modular pass of R.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from math import comb, factorial, prod
 from operator import add, mul
@@ -412,6 +411,7 @@ def generic_terracini_dimension(n: int, d: int, r: int, seed: int = 0) -> Terrac
     axes = [tuple(int(i == j) for j in range(n + 1)) for i in range(min(r, n + 1))]
     if r <= n + 1:
         return terracini_dimension(PointSet.from_rows(axes), d)
+    import random
     rng = random.Random(seed)
     rank = 0
     for _ in range(_TRIALS):

@@ -7,6 +7,8 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,58 @@ def test_public_names_are_pinned_and_resolve():
     assert len(set(waringcert.__all__)) == len(waringcert.__all__)
     for name in waringcert.__all__:
         assert getattr(waringcert, name) is not None
+
+
+def _fresh(script):
+    """The literal a fresh interpreter prints last, run under -X dev with
+    every warning an error."""
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+def test_importing_the_package_registers_every_layer_and_runs_none():
+    # dir() lists every public name before any is read, and type() reads a
+    # lazily registered module without running its body.
+    names, registered, executed = _fresh(
+        "import sys, types, waringcert\n"
+        "layers = [m for m in sys.modules if m.startswith('waringcert.')]\n"
+        "print(repr((dir(waringcert), sorted(layers), [m for m in layers\n"
+        "            if type(sys.modules[m]) is types.ModuleType])))\n")
+    assert set(PUBLIC) <= set(names)
+    assert registered == sorted(f"waringcert.{m}" for m in (
+        "linalg", "geometry", "hilbert", "kruskal", "terracini", "certify"))
+    assert executed == []
+
+
+def test_an_unknown_attribute_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'waringcert' has no attribute 'no_such_name'"):
+        waringcert.no_such_name
+    assert not hasattr(waringcert, "_CASCADE")
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from waringcert import no_such_name", {})
+
+
+@pytest.mark.parametrize("first", [
+    "import waringcert.certify",
+    "from waringcert.certify import _CASCADE",
+    "importlib.import_module('waringcert.certify')",
+], ids=["import", "from-import", "import-module"])
+def test_the_certify_module_never_shadows_the_certify_function(first):
+    # A module registered by hand is never bound onto its package, so
+    # whatever is imported first, the package's certify is the function.
+    assert _fresh(
+        "import importlib, types\n"
+        f"{first}\n"
+        "from waringcert import PointSet, certify\n"
+        "import waringcert\n"
+        "module = importlib.import_module('waringcert.certify')\n"
+        "cert = certify(PointSet.from_rows([(1, 0), (0, 1), (1, 1)]), 5)\n"
+        "print(repr((type(certify) is types.FunctionType, waringcert.certify is certify,\n"
+        "            type(module) is types.ModuleType, module.certify is certify,\n"
+        "            cert.verdict.value, cert.criterion)))\n"
+    ) == (True, True, True, True, "Identifiable", "sylvester")
 
 
 @pytest.mark.parametrize("module", ["linalg", "hilbert", "kruskal", "terracini", "certify",

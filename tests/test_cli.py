@@ -1,6 +1,8 @@
 """Command line front end: parsing, reports, exit codes, determinism."""
 
+import ast
 import hashlib
+import importlib
 import io
 import json
 import subprocess
@@ -93,9 +95,13 @@ def test_malformed_point_files_exit_1_with_the_line_number(tmp_path, capsys, tex
     assert err.startswith(f"error: line {line}: ")
 
 
-VERB_CALLS = {"hilbert": "hilbert_profile", "kruskal": "veronese_kruskal_rank",
-              "terracini": "terracini_dimension", "certify": "certify",
-              "generic": "generic_info"}
+# Where each verb reads the function that does its work: hilbert from the
+# cli module's own imports, every other verb from its layer when it runs.
+VERB_CALLS = {"hilbert": ("cli", "hilbert_profile"),
+              "kruskal": ("kruskal", "veronese_kruskal_rank"),
+              "terracini": ("terracini", "terracini_dimension"),
+              "certify": ("certify", "certify"),
+              "generic": ("certify", "generic_info")}
 
 
 def _broken(*args, **kwargs):
@@ -108,8 +114,8 @@ def test_an_index_error_inside_a_verb_is_not_reported_as_bad_input(tmp_path, cap
     # Only malformed input exits 1: a fault inside a verb propagates, and
     # with every verb broken, a malformed file and an out-of-range flag
     # still exit 1 before any verb runs.
-    for name in VERB_CALLS.values():
-        monkeypatch.setattr(cli, name, _broken)
+    for module, name in VERB_CALLS.values():
+        monkeypatch.setattr(importlib.import_module(f"waringcert.{module}"), name, _broken)
     good = write(tmp_path, "s.pts", "dim: 2\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n")
     degree = ["--degree", "3"] if verb in ("terracini", "certify") else []
     argv = ["generic", "2", "4"] if verb == "generic" else [verb, good, *degree]
@@ -477,6 +483,49 @@ def test_cold_run_loads_no_openssl_hash():
     report, _, last = proc.stdout.rstrip("\n").rpartition("\n")
     assert last == "0 [] []"
     assert report + "\n" == golden.with_suffix(".certify.json").read_text()
+
+
+# A cold run that prints, after its report, the layers whose body ran
+# (type() reads a lazily registered module without loading it) and the
+# modules the run imported.
+COLD_RUN = (
+    "import sys, types\n"
+    "before = set(sys.modules)\n"
+    "import waringcert.cli\n"
+    "code = waringcert.cli.run(sys.argv[1:])\n"
+    "layers = ('linalg', 'geometry', 'hilbert', 'kruskal', 'terracini', 'certify')\n"
+    "registered = [m for m in layers if f'waringcert.{m}' in sys.modules]\n"
+    "executed = [m for m in registered\n"
+    "            if type(sys.modules[f'waringcert.{m}']) is types.ModuleType]\n"
+    "print(repr((code, registered, executed, sorted(set(sys.modules) - before))))\n")
+
+ALL_LAYERS = ["linalg", "geometry", "hilbert", "kruskal", "terracini", "certify"]
+READER = ["linalg", "geometry", "hilbert"]
+
+
+@pytest.mark.parametrize("argv, golden, executed", [
+    (["hilbert", "-"], "p2-6-d5.hilbert.txt", READER),
+    (["hilbert", "-", "--format", "structured"], "p2-6-d5.hilbert.json", READER),
+    (["kruskal", "-", "--degree", "3"], "p2-6-d5.kruskal.txt", READER + ["kruskal"]),
+    (["terracini", "-", "--degree", "5"], "p2-6-d5.terracini.txt", READER + ["terracini"]),
+    (["certify", "-", "--degree", "5"], "p2-6-d5.certify.txt", ALL_LAYERS),
+    (["generic", "2", "4"], "generic-2-4.txt", ALL_LAYERS),
+], ids=["hilbert", "hilbert-structured", "kruskal", "terracini", "certify", "generic"])
+def test_a_cold_run_executes_only_the_layers_its_verb_uses(argv, golden, executed):
+    # Every layer is registered, so perfbench's tracer finds it, but a
+    # layer's body runs only when its verb reads it; no verb builds a
+    # Fraction, and a human report imports no json.
+    proc = subprocess.run([sys.executable, "-c", COLD_RUN, *argv],
+                          input=(GOLDEN / "p2-6-d5.pts").read_text(),
+                          capture_output=True, text=True)
+    report, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+    code, registered, ran, imported = ast.literal_eval(last)
+    assert (proc.returncode, code) == (0, 0), proc.stderr
+    assert report + "\n" == (GOLDEN / golden).read_text()
+    assert registered == ALL_LAYERS
+    assert ran == executed
+    assert not {"fractions", "decimal"} & set(imported)
+    assert ("json" in imported) == ("structured" in argv)
 
 
 def canonical_sha256(text):

@@ -26,7 +26,7 @@ from waringcert import (
     union,
     veronese_kruskal_rank,
 )
-from waringcert.geometry import _box_point_count, monomial_rows
+from waringcert.geometry import _box_point_count, _canonical_texts, monomial_rows
 
 from conftest import random_points
 from oracles import brute_max_collinear, linear_form_power, monomial_values_by_powers
@@ -212,6 +212,23 @@ def test_an_int_row_has_the_primitive_vector_of_the_fraction_path(row):
     assert p.primitive_coords == ProjectivePoint([Fraction(x) for x in row]).primitive_coords
     assert p.primitive_coords == _primitive_by_fractions(row)
     assert all(type(x) is int for x in p.primitive_coords)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_int_rows())
+@example([0, 6, -4, 2 ** 70 + 1, 0])
+def test_canonical_texts_are_the_strings_of_the_canonical_fractions(row):
+    # repr and the CLI's digest write each coordinate from the integers,
+    # with no Fraction; coords still builds them.
+    assume(any(row))
+    p = ProjectivePoint(row)
+    prim = p.primitive_coords
+    lead = next(x for x in prim if x)
+    texts = [str(Fraction(x, lead)) for x in prim]
+    assert _canonical_texts(prim) == texts
+    assert all(type(c) is Fraction for c in p.coords)
+    assert [str(c) for c in p.coords] == texts
+    assert repr(p) == "(" + " : ".join(texts) + ")"
 
 
 class _Tagged(int):
