@@ -115,6 +115,8 @@ class ProjectivePoint:
     work; any other row is read entry by entry as an integer pair by
     ``_exact_pair``, and no row builds a Fraction.  Both paths end in
     ``_take_ints``, which ``random_point_set`` calls on its draws directly.
+    A row given as one string or bytes object raises TypeError, as it
+    would otherwise be read one character or byte at a time.
     """
 
     __slots__ = ("primitive_coords",)
@@ -122,6 +124,9 @@ class ProjectivePoint:
     primitive_coords: tuple[int, ...]
 
     def __init__(self, coords: Iterable[object]):
+        if isinstance(coords, (str, bytes, bytearray)):
+            raise TypeError(f"a row is a sequence of coordinates, not one "
+                            f"{type(coords).__name__}")
         ints = tuple(coords)
         if {*map(type, ints)} != {int}:
             pairs = [_exact_pair(x) for x in ints]
@@ -377,8 +382,9 @@ def max_collinear_subset_size(a: PointSet) -> int:
     largest group; O(l^2) lines, no rank.  The search stops at the first
     point whose later points are no more than the largest group yet.
     Returns 1 for a singleton and 2 when no three points are aligned.
-    ``kruskal.kruskal_and_collinear`` reads the same number off the
-    Kruskal rank where it can, and runs this search otherwise.
+    In the plane ``kruskal.veronese_kruskal_rank`` reads k_1 off this
+    number; elsewhere ``kruskal.kruskal_and_collinear`` reads it off k_1
+    when k_1 >= 3, and runs this search otherwise.
     """
     rows = [p.primitive_coords for p in a]
     # z -> (q_z, q without coordinate z) for every row q, built on first use.

@@ -18,18 +18,17 @@ they differ from the Veronese coordinates by a nonzero scaling of each row
 and of each column (the multinomial weights), and such scalings keep every
 subset's rank, hence the Kruskal rank.
 
-Each rank is read from an invariant already at hand where one decides it,
-and found by serial subset sweeps otherwise; it is cached on the point set,
-so each Veronese degree of a set is computed at most once, whichever of the
-Kruskal, GUP and reshaping tests asks first.  The degree-j images span
-h_A(j) dimensions, read off the Hilbert profile, so k_j <= h_A(j), with
-equality when h_A(j) = len(A) or h_A(j) <= 2; otherwise one sweep at size
-h_A(j) decides whether k_j reaches it, and the sweeps climb from size 3
-only when it does not.  Three distinct points are dependent exactly when
-they are collinear, so k_1 >= 3 exactly when no three points are aligned:
-in the plane, where k_1 <= 3, the collinearity search gives k_1, and in
-higher dimensions k_1 >= 3 gives the largest aligned subset, 2; points of
-one line, h_A(1) = 2, need neither (``kruskal_and_collinear``).
+Each rank is found by ``veronese_kruskal_rank``, which holds every rule
+for it: an invariant already at hand where one decides it, serial subset
+sweeps otherwise.  It is cached on the point set, so each Veronese degree
+of a set is computed at most once, whichever of the Kruskal, GUP and
+reshaping tests asks first.  The degree-j images span h_A(j) dimensions,
+read off the Hilbert profile, so k_j <= h_A(j), with equality when
+h_A(j) = len(A) or h_A(j) <= 2; in the plane, k_1 is read from the
+collinearity search; otherwise one sweep at size h_A(j) decides whether
+k_j reaches it, and the sweeps climb from size 3 only when it does not.
+``kruskal_and_collinear`` pairs k_1 with the largest aligned subset, read
+off k_1 where k_1 decides it.
 
 A sweep asks whether every s-subset of the rows M is independent.  It
 runs modulo the prime p of ``linalg``, on C, the other rows written
@@ -89,81 +88,58 @@ def _all_subsets_independent(rows: IntRows, size: int, c: IntRows | None) -> boo
     return _minors_nonzero_mod_p(c, clear)
 
 
-def _climb(a: PointSet, j: int, top: int) -> int:
-    """Kruskal rank of the degree-j image when its top-subsets are not all
-    independent.
-
-    If every s-subset is independent then so is every smaller subset, since
-    a dependent subset stays dependent under extension; so the answer is
-    one below the first size from 3 up whose sweep finds a dependent subset.
-    Needs top >= 3 and nonzero, pairwise nonproportional rows.
-    """
-    rows = monomial_values(a, j)
-    for s in range(3, top):
-        if not _all_subsets_independent(rows, s, _standard_form(a, j, s)):
-            return s - 1
-    return top - 1
-
-
-def _veronese_kruskal(a: PointSet, j: int) -> int:
-    """Kruskal rank of the degree-j image: h = h_A(j) where that decides it,
-    and otherwise one sweep at size h, with a climb below h only when it
-    finds a dependent subset.
-
-    The images span h dimensions, so any h + 1 of them are dependent and
-    k_j <= h.  When h = len(a) the images are independent and k_j = h.
-    Otherwise h >= 3: degree 1 comes only from ``kruskal_and_collinear``
-    with h >= 3, and for j >= 2, h >= min(len(a), 3), as products of
-    linear forms separate any three points, so h <= 2 only where h =
-    len(a).  Then every h-subset is independent exactly when k_j = h,
-    which the sweep at size h decides.
-    """
-    h = hilbert_profile(a).value_at(j)
-    if h == len(a):
-        return h
-    if _all_subsets_independent(monomial_values(a, j), h, _standard_form(a, j, h)):
-        return h
-    return _climb(a, j, h)
-
-
-@memo_on_set
-def kruskal_and_collinear(a: PointSet) -> tuple[int, int]:
-    """The Kruskal rank k_1 of a, and the size of its largest collinear subset.
-
-    When h = h_A(1) <= 2, both are read off the profile: the points span a
-    line, or are one point, so every point lies on one line and k_1 = h.
-    Otherwise each is read from the other where it can be: three
-    distinct points are dependent exactly when they are collinear, so
-    k_1 >= 3 exactly when the largest collinear subset has size 2.  In the
-    plane k_1 <= 3, so the collinearity search ``max_collinear_subset_size``
-    gives k_1 with no subset sweep.  Elsewhere k_1 comes from
-    ``_veronese_kruskal``, and the collinearity search runs only when
-    k_1 < 3.
-    """
-    h = hilbert_profile(a).value_at(1)
-    if h <= 2:
-        return h, len(a)
-    if a.ambient_dim == 2:
-        m = max_collinear_subset_size(a)
-        return (3 if m == 2 else 2), m
-    k = _veronese_kruskal(a, 1)
-    if k >= 3:
-        return k, 2
-    return k, max_collinear_subset_size(a)
-
-
 @memo_on_set
 def veronese_kruskal_rank(a: PointSet, j: int) -> int:
-    """Kruskal rank of the degree-j Veronese image of a; j >= 1.
+    """Kruskal rank k_j of the degree-j Veronese image of a; j >= 1.
 
-    Degree 1 is read from ``kruskal_and_collinear``, every other degree
-    from ``_veronese_kruskal``.
+    With h = h_A(j), the images span h dimensions, so any h + 1 of them
+    are dependent and k_j <= h.  When h = len(a) the images are
+    independent and k_j = h.  When h <= 2, k_j = h as well: in degree 1
+    the points span a line, or are one point, and for j >= 2, h >=
+    min(len(a), 3), as products of linear forms separate any three points,
+    so h <= 2 only where h = len(a).  Otherwise h >= 3, and since three
+    distinct points are dependent exactly when they are collinear, k_1 >= 3
+    exactly when no three points are aligned: in the plane, where k_1 <= 3,
+    the collinearity search ``max_collinear_subset_size`` gives k_1 with no
+    subset sweep.  Elsewhere every h-subset is independent exactly when
+    k_j = h, which one sweep at size h decides.  When it finds a dependent
+    subset the sweeps climb from size 3: if every s-subset is independent
+    then so is every smaller subset, since a dependent subset stays
+    dependent under extension, so k_j is one below the first size whose
+    sweep finds a dependent subset, and h - 1 when none below h does.  The
+    rows of distinct points are nonzero and pairwise nonproportional, so
+    k_j >= 2 and the climb may start at 3.
     """
     if j < 1:
         raise ValueError(f"Veronese degree must be >= 1, got {j}")
-    if j == 1:
-        return kruskal_and_collinear(a)[0]
-    return _veronese_kruskal(a, j)
+    h = hilbert_profile(a).value_at(j)
+    if h == len(a) or h <= 2:
+        return h
+    if j == 1 and a.ambient_dim == 2:
+        return 3 if max_collinear_subset_size(a) == 2 else 2
+    rows = monomial_values(a, j)
+
+    def sweep(size: int) -> bool:
+        return _all_subsets_independent(rows, size, _standard_form(a, j, size))
+
+    if sweep(h):
+        return h
+    return next((s - 1 for s in range(3, h) if not sweep(s)), h - 1)
+
+
+def kruskal_and_collinear(a: PointSet) -> tuple[int, int]:
+    """The Kruskal rank k_1 of a, and the size of its largest collinear subset.
+
+    k_1 is ``veronese_kruskal_rank(a, 1)``.  When h_A(1) <= 2 every point
+    lies on one line, so the whole set is aligned.  Otherwise k_1 >= 3
+    exactly when the largest collinear subset has size 2, so the
+    collinearity search ``max_collinear_subset_size`` runs only when
+    k_1 < 3, and in the plane k_1 has already read it.
+    """
+    k = veronese_kruskal_rank(a, 1)
+    if hilbert_profile(a).value_at(1) <= 2:
+        return k, len(a)
+    return k, 2 if k >= 3 else max_collinear_subset_size(a)
 
 
 def kruskal_rank(a: PointSet) -> int:

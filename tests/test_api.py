@@ -219,6 +219,15 @@ def test_only_linalg_lays_out_a_modular_elimination():
                    for node in ast.walk(form) if node is not form)
 
 
+def test_only_veronese_kruskal_rank_sweeps_subsets():
+    # Every rule for a Kruskal rank is in ``veronese_kruskal_rank``: no other
+    # code of ``kruskal`` sweeps subsets or takes a standard form.
+    tree = ast.parse((Path(waringcert.__file__).parent / "kruskal.py").read_text())
+    sweepers = {getattr(node, "name", type(node).__name__) for node in tree.body
+                if _calls(node, "_all_subsets_independent") or _calls(node, "_standard_form")}
+    assert sweepers == {"veronese_kruskal_rank"}
+
+
 def _records():
     a = PointSet.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1),
                             (1, 1, 1), (1, 2, 3), (1, 4, 5)])

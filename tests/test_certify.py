@@ -381,7 +381,7 @@ def _assert_k1_reported_exactly_when_taken(a, d):
     # Diagnostics may only restate a k_1 that a criterion computed: the
     # rules' own kruskal_and_collinear calls leave it in the set's memo,
     # and the diagnostics block must find it there, never compute it anew.
-    key = (kruskal.kruskal_and_collinear.__wrapped__,)
+    key = (kruskal.veronese_kruskal_rank.__wrapped__, 1)
     found = []
     module = importlib.import_module("waringcert.certify")
     original = module.kruskal_and_collinear

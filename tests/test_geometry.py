@@ -184,6 +184,19 @@ def test_inexact_and_malformed_coordinates_are_refused(entry, error, message):
         PointSet.from_rows([[entry, 1]])
 
 
+@pytest.mark.parametrize("row, name", [("12", "str"), (b"12", "bytes")])
+def test_a_row_given_as_one_string_is_refused(row, name):
+    # Iterating "12" or b"12" yields its characters or bytes, which would
+    # silently read as the point (1 : 2) or (49 : 50).
+    message = f"a row is a sequence of coordinates, not one {name}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        ProjectivePoint(row)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        PointSet.from_rows([row, row])
+    assert PointSet.from_rows([["1", "2"], ["1", "3"]]).points == (
+        ProjectivePoint((1, 2)), ProjectivePoint((1, 3)))
+
+
 def _primitive_by_fractions(row):
     """The primitive vector of a row, by exact rational arithmetic alone:
     scaled so that the first nonzero entry is 1, multiplied by the lcm of

@@ -187,6 +187,13 @@ def test_the_plane_reads_k1_from_collinearity_and_space_reads_collinearity_from_
     for n, size in ((3, 9), (4, 7), (4, 3)):
         a = random_points(n, size, rng, bound=20)
         assert kruskal_and_collinear(a)[1] == 2 == brute_max_collinear(rows_of(a))
+    # Three plane points off a line: h(1) = l decides k_1 = 3, with
+    # neither a sweep nor the collinearity search.
+    monkeypatch.setattr(kruskal, "_all_subsets_independent", refuse)
+    for rows in ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 2, 3), (4, -5, 6), (-7, 8, 9)]):
+        a = PointSet.from_rows(rows)
+        assert kruskal_and_collinear(a) == (3, 2) == (
+            kruskal_by_subsets(rows_of(a), integer_rank), brute_max_collinear(rows_of(a)))
 
 
 LINE_SETS = {
