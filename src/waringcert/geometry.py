@@ -23,6 +23,7 @@ image.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from functools import lru_cache, wraps
 from math import comb, gcd, lcm
 from numbers import Rational
@@ -116,7 +117,8 @@ class ProjectivePoint:
     ``_exact_pair``, and no row builds a Fraction.  Both paths end in
     ``_take_ints``, which ``random_point_set`` calls on its draws directly.
     A row given as one string or bytes object raises TypeError, as it
-    would otherwise be read one character or byte at a time.
+    would otherwise be read one character or byte at a time, and so does
+    a set or a mapping, which would be read in its iteration order.
     """
 
     __slots__ = ("primitive_coords",)
@@ -124,7 +126,7 @@ class ProjectivePoint:
     primitive_coords: tuple[int, ...]
 
     def __init__(self, coords: Iterable[object]):
-        if isinstance(coords, (str, bytes, bytearray)):
+        if isinstance(coords, (str, bytes, bytearray, Set, Mapping)):
             raise TypeError(f"a row is a sequence of coordinates, not one "
                             f"{type(coords).__name__}")
         ints = tuple(coords)

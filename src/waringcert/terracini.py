@@ -31,15 +31,21 @@ the kernel exactly when the form G = sum of v_e x^e / e! is singular at
 every point.  If F vanishes on the points in degree e and H in degree
 d - e, the product rule makes F*H such a form, and a product with
 coefficients g is the kernel vector v_e = e! g_e.  These are the kernel
-vectors that ``_certified_rank`` checks when the rows fall short of full
-rank modulo p; the forms vanishing in degree e are the integer kernel
-of the degree-e monomial values.  At the Alexander-Hirschowitz defective
-quartics, (2, 4) at 5 points, (3, 4) at 9 and (4, 4) at 14, the square of
-the quadric through the points proves the rank one short of full
+vectors that ``_certified_rank`` checks when the rows fall short modulo p
+of the upper bound ``_rank_bound``; the forms vanishing in degree e are
+the integer kernel of the degree-e monomial values.  Some products exist
+for every set of l points: l < N_t points lie on a form F of degree t,
+and F*G is one for every G in I(A)_(d-t), so ``_rank_bound`` counts them
+from (n, d, l) alone.  At the Alexander-Hirschowitz defective quartics, (2, 4)
+at 5 points, (3, 4) at 9 and (4, 4) at 14, that count is the square of
+the quadric through the points, and the bound is one short of full
 (Alexander-Hirschowitz, J. Algebraic Geom. 1995; Brambilla-Ottaviani,
-J. Pure Appl. Algebra 2008).  Where no product closes the gap, the rank
-falls back to the exact elimination of ``integer_kernel``; no rank is
-taken from the Alexander-Hirschowitz list.
+J. Pure Appl. Algebra 2008), so a rank modulo p that meets it proves the
+rank with no kernel vector.  Where the count gives nothing, as for six
+points of a conic in degree 4, ``_certified_rank`` checks the products
+it finds; where no product closes the gap, the rank falls back to the
+exact elimination of ``integer_kernel``.  No rank is taken from the
+Alexander-Hirschowitz list.
 
 The rank is taken in a frame.  A change of coordinates does not change it:
 for an invertible matrix M, F -> F(Mx) is an invertible linear map of the
@@ -97,7 +103,7 @@ rows are unit rows, so the rank modulo p is |U| plus the rank modulo p of
 R, the rows of the c on the columns outside U, and it is a lower bound on
 the rank over Q, since the Terracini matrix is an integer matrix and a
 minor nonzero modulo p is a nonzero integer.  When it meets the upper
-bound min((n+1)l, C(n+d, d)) the rank is proved; otherwise the rank of R
+bound ``_rank_bound(n, d, l)`` the rank is proved; otherwise the rank of R
 modulo p is still a lower bound on the rank over Q of R in the exact
 frame.  B, independent modulo p, is independent over Q, so it is the B of
 ``_frame``, the greedy maximal independent subset in point order, and both
@@ -116,7 +122,7 @@ them to ``linalg._gathered_pivots_mod_p``, which
 reduces the weights modulo p once, weights the degree-(d-1) monomial
 values of the rows c in its one reduction pass, copies each row out of
 them with no multiply per entry, and is asked for
-target = min((n+1)l, C(n+d, d)) - |U| pivots.  When that rank falls
+target = ``_rank_bound(n, d, l)`` - |U| pivots.  When that rank falls
 short, ``_certified_rank`` copies the integer weighted values of the other
 points into exact rows of R and proves their rank, from the frame's
 rows, the rank modulo p and no second modular pass of R.
@@ -247,22 +253,45 @@ def _singular_products(rows: Sequence[Sequence[int]], d: int) -> Iterator[list[i
                 yield _multiply(f, h, e, d - e, n)
 
 
+def _rank_bound(n: int, d: int, l: int) -> int:
+    """An upper bound on the Terracini rank of any l points of P^n in
+    degree d: min((n+1)l, N_d - max(0, N_(d-t) - l)), N_j = C(n+j, n) and
+    t the least degree >= 1 with N_t > l; the second term is 0 when d < t.
+
+    There are (n+1)l rows.  Since h_A(t) <= l < N_t, some nonzero form F
+    of degree t vanishes on A.  For every G in I(A)_(d-t), the product
+    F*G vanishes with its gradient at every point, so its e!-scaled
+    coefficients lie in the right kernel (module docstring, apolarity).
+    G -> F*G is injective, and dim I(A)_(d-t) >= N_(d-t) - l, since the l
+    evaluations at A cut it out of the degree-(d-t) forms; so the kernel
+    has dimension at least N_(d-t) - l.  The least t gives the largest
+    N_(d-t).  At (2, 4) at 5 points, (3, 4) at 9 and (4, 4) at 14, t = 2
+    and the bound is one below min((n+1)l, N_d): F and G are the quadric
+    Q through the points, and the kernel vector is Q^2, counted from
+    (n, d, l) alone.
+    """
+    t = 1
+    while comb(n + t, n) <= l:
+        t += 1
+    short = max(0, comb(n + d - t, n) - l) if d >= t else 0
+    return min((n + 1) * l, comb(n + d, n) - short)
+
+
 def _filled(n: int, d: int, l: int) -> TerraciniReport:
     """The report of l points of P^n whose tangent spaces fill as much as
-    dimensions allow: rank min((n+1)l, C(n+d, d))."""
+    any l points can: rank ``_rank_bound(n, d, l)``."""
     return TerraciniReport(num_points=l, ambient_dim=n, degree=d,
-                           dim=min((n + 1) * l, comb(n + d, d)) - 1)
+                           dim=_rank_bound(n, d, l) - 1)
 
 
 def _framed_rank_mod_p(coords: Sequence[Sequence[int]], n: int, d: int) -> tuple[int, int]:
     """(lower, target) of the framed set e_0..e_n, then the points with
     integer rows ``coords``, in degree d (module docstring, modular frame):
-    target = min((n+1)l, C(n+d, d)) - |U|, l the set's size, is the rank
-    that its rows R off the columns U must reach for a full rank, and
+    target = ``_rank_bound(n, d, l)`` - |U|, l the set's size, is the rank
+    that its rows R off the columns U must reach to meet the bound, and
     lower is their rank modulo p, taken up to target."""
     kept, weights, index = _tangent_index(n, d)
-    space = comb(n + d, d)
-    target = min((n + 1) * (n + 1 + len(coords)), space) - (space - len(kept))
+    target = _rank_bound(n, d, n + 1 + len(coords)) - (comb(n + d, d) - len(kept))
     if not target:
         return 0, 0
     return len(_gathered_pivots_mod_p(monomial_rows(coords, d - 1), weights, index,
@@ -274,7 +303,8 @@ def _certified_rank(framed: Sequence[Sequence[int]], others: Sequence[Sequence[i
     """|U| + rank R in degree d for a set framed in P^m: ``framed`` the
     integer rows of all its points, e_0..e_m among them, and ``others`` the
     rows of the points off the frame, whose tangent rows R off the columns
-    U have rank ``lower`` modulo p, short of full (module docstring).
+    U have rank ``lower`` modulo p, short of ``_rank_bound`` (module
+    docstring).
 
     rank R is proved as a lower bound that meets an upper bound: ``lower``
     below, and above it cols - k, where k is the rank modulo p of checked
@@ -323,8 +353,10 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     ``hilbert._standard_form`` finds the first n + 1 points independent
     modulo p: the rows of the other points, on the columns outside U, are
     ranked modulo p by ``_framed_rank_mod_p``, and when |U| plus that rank
-    meets min((n+1)l, C(n+d, d)) the report returns with no exact frame
-    and no integer row.  Otherwise the rank is taken in the exact frame of
+    meets ``_rank_bound(n, d, l)`` the report returns with no exact frame
+    and no integer row: at the Alexander-Hirschowitz quartics too, where
+    that bound is one short of full.  Otherwise the rank is taken in the
+    exact frame of
     ``_frame``, by the frame identity and the cone formula: only the other
     points' rows outside the columns the frame rows hit are ranked.  Their
     rank modulo p is the modular frame's, where there was one, and
@@ -348,6 +380,7 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
         raise ValueError(f"Terracini dimension needs degree >= 2, got {d}")
     n = a.ambient_dim
     if d >= 2 * len(a) - 1:
+        # The direct sum reaches (n+1)l, so the bound is (n+1)l there.
         return _filled(n, d, len(a))
     coords = _standard_form(a, 1, n + 1) if len(a) > n else None
     if coords is not None:
@@ -359,8 +392,8 @@ def terracini_dimension(a: PointSet, d: int) -> TerraciniReport:
     others = [q for i, q in enumerate(framed) if i not in frame]
     if coords is None:
         lower, target = _framed_rank_mod_p(others, k - 1, d)
-    # At full rank of R, |U| + target is min(k l, C(k-1+d, d)).
-    rank = (min(k * len(a), comb(k - 1 + d, d)) if lower == target
+    # When R reaches its target, |U| + target is the bound in P^(k-1).
+    rank = (_rank_bound(k - 1, d, len(a)) if lower == target
             else _certified_rank(framed, others, k - 1, d, lower))
     if k <= n:
         # h(d-1) is k at d = 2, and when every point is in B (independent
@@ -391,8 +424,8 @@ def generic_terracini_dimension(n: int, d: int, r: int, seed: int = 0) -> Terrac
     witness draws one directly, still at random, not in a special
     position.  Its drawn rows are the rows C of that frame (B = I, so
     C = Y B^-1 = Y), and the frame is exact as well: ``_framed_rank_mod_p``
-    ranks them modulo p, a draw that fills the space returns with no
-    exact rank, and ``_certified_rank`` proves the rank of any other from
+    ranks them modulo p, a draw that meets ``_rank_bound`` returns with
+    no exact rank, and ``_certified_rank`` proves the rank of any other from
     its frame, its draws and that rank modulo p, so every report is exact.
 
     The generic dimension is the maximum over all point sets, so a draw

@@ -8,6 +8,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -195,6 +196,23 @@ def test_a_row_given_as_one_string_is_refused(row, name):
         PointSet.from_rows([row, row])
     assert PointSet.from_rows([["1", "2"], ["1", "3"]]).points == (
         ProjectivePoint((1, 2)), ProjectivePoint((1, 3)))
+
+
+@pytest.mark.parametrize("row, name", [
+    ({3, 1}, "set"), (frozenset({3, 1}), "frozenset"), ({5: "x", 7: "y"}, "dict"),
+    ({5: "x", 7: "y"}.keys(), "dict_keys"), (MappingProxyType({3: 0, 1: 0}), "mappingproxy"),
+])
+def test_a_row_given_as_a_set_or_a_mapping_is_refused(row, name):
+    # A set or a mapping iterates in an order of its own: {3, 1} would
+    # read as (1 : 3), and {5: "x", 7: "y"} as its keys, (5 : 7).
+    message = f"a row is a sequence of coordinates, not one {name}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        ProjectivePoint(row)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        PointSet.from_rows([row, (1, 2)])
+    # Lists, tuples and generators are ordered, and are still read.
+    for ordered in ([3, 1], (3, 1), (x for x in (3, 1))):
+        assert ProjectivePoint(ordered).primitive_coords == (3, 1)
 
 
 def _primitive_by_fractions(row):

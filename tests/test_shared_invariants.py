@@ -376,18 +376,20 @@ def test_certify_4_9_4_takes_no_9_by_70_rank(rank_calls, modular_passes):
     assert modular_passes == [(20, 20)]
 
 
-@pytest.mark.parametrize("n, size, d, shape", [(4, 7, 3, (10, 10)), (2, 5, 4, (6, 6)),
+@pytest.mark.parametrize("n, size, d, shape", [(4, 7, 3, (10, 10)), (2, 5, 4, (6, 5)),
                                                (5, 10, 3, (24, 20))])
 def test_terracini_ranks_only_the_rows_off_the_frame(rank_calls, modular_passes,
                                                      n, size, d, shape):
     # (n+1)(l - n - 1) rows, on the C(n+d, d) - |U| columns the (n+1)**2
-    # unit rows of the frame points miss.  The defective (4, 7, 3) and
-    # (2, 5, 4) fall short modulo p, and their exact rank is of the same
-    # rows in the exact frame.
+    # unit rows of the frame points miss.  The defective (2, 5, 4) meets
+    # its counted bound, one below full, on the leading 5 of its 6 columns,
+    # with no exact rank.  The defective (4, 7, 3), which no count sees,
+    # falls short modulo p, and its exact rank is of the same rows in the
+    # exact frame.
     a = general_points(n, size, 10 * size + d)
     terracini_dimension(a, d)
     assert modular_passes == [shape]
-    assert rank_calls == ([] if terracini_dimension(a, d).is_expected else [shape])
+    assert rank_calls == ([shape] if (n, size, d) == (4, 7, 3) else [])
 
 
 def test_certify_4_9_4_works_in_the_modular_frame_alone(monkeypatch, rank_calls,
@@ -426,11 +428,43 @@ def test_certify_4_9_4_works_in_the_modular_frame_alone(monkeypatch, rank_calls,
         assert blocks == [(9, 9), (9, 10, 5), (20, 20)]
 
 
+def test_certify_2_5_4_proves_its_terracini_rank_in_the_modular_frame(monkeypatch, rank_calls,
+                                                                      modular_passes):
+    # Five plane points in degree 4 are one short of the expected
+    # Terracini rank, and the count of ``terracini._rank_bound`` proves
+    # it: one standard form of the width-3 degree-1 rows, one modular pass
+    # of the 6 tangent rows off the frame on the leading 5 of their 6
+    # columns, and no integer_kernel (so no exact frame, no quadric) and
+    # no integer_rank.
+    forms, kernels = [], []
+    standard_form = hilbert._standard_form_mod_p
+
+    def counted_form(rows, size):
+        forms.append((len(rows), len(rows[0]), size))
+        return standard_form(rows, size)
+
+    def counted_kernel(rows):
+        kernels.append(rows)
+        return linalg.integer_kernel(rows)
+
+    monkeypatch.setattr(hilbert, "_standard_form_mod_p", counted_form)
+    for module in (hilbert, terracini):
+        monkeypatch.setattr(module, "integer_kernel", counted_kernel)
+    for seed in range(3):
+        forms.clear()
+        modular_passes.clear()
+        cert = certify(general_points(2, 5, seed), 4)
+        assert cert.verdict.value == "Inconclusive"
+        assert cert.diagnostics.terracini.dim == 13
+        assert forms == [(5, 3, 3)]
+        assert kernels == [] and rank_calls == []
+        assert modular_passes == [(6, 5)]
+
+
 def test_five_plane_points_eliminate_their_tangent_rows_once(monkeypatch):
     # Alexander-Hirschowitz: the modular rank of the 6 tangent rows off the
-    # frame is 5, one short; the exact path takes it as its lower bound,
-    # and the square of the conic closes the gap with no second
-    # elimination of those rows.
+    # frame is 5, one short of full and equal to the counted bound, so the
+    # rank is proved with no second elimination of those rows.
     blocks = []
     monkeypatch.setattr(linalg, "_eliminate_mod_p",
                         counting_eliminations(blocks, linalg._eliminate_mod_p))

@@ -81,6 +81,33 @@ def test_plane_quartic_five_points_defect():
     assert not rep.tangents_independent
 
 
+# Every (n, d) of P^1..P^4 in degrees 2..5 with at most 60 forms of degree d.
+COUNTED_SHAPES = [(n, d) for n in range(1, 5) for d in range(2, 6) if comb(n + d, d) <= 60]
+
+
+@pytest.mark.parametrize("n, d", COUNTED_SHAPES)
+def test_the_counted_bound_holds_for_the_fraction_rank_of_the_tangent_forms(n, d):
+    # ``_rank_bound`` is a count from (n, d, l) alone, so it bounds the
+    # rank of every set; the oracle ranks the tangent forms over Fraction,
+    # with no call into linalg.  Every size up to one past the first that
+    # can fill the space, drawn in boxes 2, 3 and 50: the small boxes put
+    # many sets in special position, where the rank is lower still.
+    rng = random.Random(100 * n + d)
+    for l in range(1, -(-comb(n + d, d) // (n + 1)) + 2):
+        for bound in (2, 3, 50):
+            a = random_point_set(n, l, rng, bound=bound)
+            assert fraction_rank(_tangent_matrix(a, d)) <= terracini._rank_bound(n, d, l)
+
+
+@pytest.mark.parametrize("n, l", [(2, 5), (3, 9), (4, 14)])
+def test_the_counted_bound_is_the_rank_of_the_alexander_hirschowitz_quartics(n, l):
+    # One below min((n+1)l, C(n+4, 4)), and drawn sets reach it.
+    assert terracini._rank_bound(n, 4, l) == min((n + 1) * l, comb(n + 4, 4)) - 1
+    for seed in range(2):
+        a = random_point_set(n, l, random.Random(seed), bound=50)
+        assert fraction_rank(_tangent_matrix(a, 4)) == terracini._rank_bound(n, 4, l)
+
+
 def test_plane_quartic_six_points_fill():
     rep = generic_terracini_dimension(2, 4, 6)
     assert rep.dim == 14
@@ -256,47 +283,46 @@ def test_generic_witness_is_its_frame_and_draws(monkeypatch, n, d, r, seed):
 
 @pytest.mark.parametrize("n, d, r, dim", [(2, 4, 5, 13), (3, 4, 9, 33)])
 def test_defective_witnesses_fall_back_to_the_exact_path(monkeypatch, n, d, r, dim):
-    # Their rank modulo p falls short, so each of the two draws is ranked
-    # by ``_certified_rank`` on its own frame and draws; the report is the
-    # Alexander-Hirschowitz value, equal to the fraction rank.
+    # The Alexander-Hirschowitz value is the counted bound, one below the
+    # expected rank: the first draw's rank modulo p meets it, so that draw
+    # alone is ranked, and nothing is handed to ``_certified_rank``.  The
+    # report equals the fraction rank of that draw's tangent forms.
     report, framed, certified = _spied_witness(monkeypatch, n, d, r, 0)
     assert report.dim == dim
-    assert len(framed) == len(certified) == terracini._TRIALS
-    assert [rows[n + 1:] for rows in certified] == framed
-    assert all(fraction_rank(_tangent_matrix(PointSet.from_rows(rows), d)) == dim + 1
-               for rows in certified)
+    rows = _documented_draws(n, r, 0)[0]
+    assert framed == [rows[n + 1:]] and certified == []
+    assert fraction_rank(_tangent_matrix(PointSet.from_rows(rows), d)) == dim + 1
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("n, d, r, dim", [(2, 4, 5, 13), (3, 4, 9, 33), (4, 4, 14, 68)])
 def test_a_short_witness_draw_is_ranked_modulo_p_once_and_takes_no_frame(monkeypatch, seed,
                                                                          n, d, r, dim):
-    # The Alexander-Hirschowitz quartics: each draw falls short modulo p,
-    # and its rank modulo p is the exact step's lower bound.  No standard
-    # form, exact frame or point set is ranked, and each draw's tangent
-    # rows are eliminated modulo p once.
+    # The Alexander-Hirschowitz quartics: the first draw's rank modulo p
+    # meets the counted target, the Alexander-Hirschowitz rank less the
+    # columns the frame rows hit, in one pass.  No standard form, exact
+    # frame, point set, certified rank or integer kernel is taken.
     def refused(*args, **kwargs):
-        raise AssertionError("the witness took a frame or ranked a point set")
+        raise AssertionError("the witness took a frame, an exact rank or a point set")
 
     for module, name in ((hilbert, "_standard_form"), (terracini, "_standard_form"),
-                         (terracini, "_frame"), (terracini, "terracini_dimension")):
+                         (terracini, "_frame"), (terracini, "terracini_dimension"),
+                         (terracini, "_certified_rank"), (terracini, "integer_kernel"),
+                         (linalg, "integer_kernel")):
         monkeypatch.setattr(module, name, refused)
-    passes, draws = [], []
-    gathered, certified = terracini._gathered_pivots_mod_p, terracini._certified_rank
+    passes, pivots = [], []
+    gathered = terracini._gathered_pivots_mod_p
 
     def counted(*args):
-        passes.append(args)
-        return gathered(*args)
-
-    def spied(*args):
-        draws.append(args)
-        return certified(*args)
+        passes.append(args[-1])
+        pivots.append(gathered(*args))
+        return pivots[-1]
 
     monkeypatch.setattr(terracini, "_gathered_pivots_mod_p", counted)
-    monkeypatch.setattr(terracini, "_certified_rank", spied)
     report = generic_terracini_dimension(n, d, r, seed=seed)
     assert report == TerraciniReport(num_points=r, ambient_dim=n, degree=d, dim=dim)
-    assert len(passes) == len(draws) == terracini._TRIALS
+    target = dim + 1 - comb(n + d, d) + len(_kept_columns(n, d))
+    assert passes == [target] and len(pivots[0]) == target
 
 
 @pytest.mark.parametrize("n, d, r", [(2, 4, 6), (4, 3, 8), (3, 4, 10), (2, 8, 15), (5, 3, 10),
@@ -331,7 +357,8 @@ def _rank_and_fallbacks(a, d, calls):
 def test_defective_quartic_rank_is_proved_by_the_square_of_the_quadric(
         exact_eliminations, seed, n, d, l, rank):
     # Alexander-Hirschowitz: one short of the expected rank.  The quadric Q
-    # through the points gives the kernel vector Q**2.
+    # through the points gives the kernel vector Q**2, which the count of
+    # ``_rank_bound`` reads from (n, d, l), so no exact elimination is taken.
     a = random_point_set(n, l, random.Random(seed), bound=50)
     assert _rank_and_fallbacks(a, d, exact_eliminations) == (rank, 0)
 
@@ -392,6 +419,9 @@ def test_seven_points_of_p4_in_degree_three_take_one_exact_elimination(exact_eli
     assert _rank_and_fallbacks(a, 3, exact_eliminations) == (34, 1)
     assert exact_eliminations == [10]
 
+
+# Seven points of the conic x_0 x_2 = x_1^2 of P^2.
+CONIC = [(1, t, t * t) for t in (0, 1, -1, 2, -2, 3)] + [(0, 0, 1)]
 
 FRAME = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
          (0, 0, 0, 0, 1)]
@@ -486,14 +516,17 @@ def test_framed_rows_have_no_degree_one_kernel(case):
 @given(point_sets_and_degrees())
 @example((random_point_set(2, 5, random.Random(0), bound=50), 4))
 @example((random_point_set(3, 9, random.Random(0), bound=50), 4))
+@example((PointSet.from_rows(CONIC[:6]), 4))
+@example((PointSet.from_rows(CONIC), 5))
 def test_exact_rows_are_the_tangent_forms_and_every_drawn_candidate_is_in_the_kernel(case):
     # ``_certified_rank`` is handed the exact frame's rows and those of the
     # points off it; the rows it eliminates are the oracle's tangent forms
     # of the points off the frame, on the kept columns, and every kernel
     # candidate it draws, a product F*H scaled by e! per column, has
     # T v = 0 on them, so none is rejected.  Few draws reach the exact
-    # step; the two Alexander-Hirschowitz quartics do, and there the
-    # square of the quadric is drawn.
+    # step; points of a conic do, and there the square of the conic is
+    # drawn.  The two Alexander-Hirschowitz quartics meet their counted
+    # bound in the modular frame and take no exact step.
     a, d = case
     frame, framed = terracini._frame(a)
     others = [q for i, q in enumerate(framed) if i not in frame]
@@ -525,6 +558,34 @@ def test_exact_rows_are_the_tangent_forms_and_every_drawn_candidate_is_in_the_ke
     assert handed == ([(framed, others)] if handed else [])
     assert all(rows == _oracle_rows(others, d) for rows in eliminated)
     assert bool(eliminated) == bool(handed)
+
+
+@pytest.mark.parametrize("rows, d, rank", [(CONIC[:6], 4, 14), (CONIC, 5, 18)])
+def test_points_of_a_conic_still_take_the_certified_rank(monkeypatch, rows, d, rank):
+    # The count gives nothing here: six or seven points are at least
+    # N_2 = 6, so its form F is a cubic and N_(d-3) - l <= 0.  Yet the
+    # conic Q through the points makes Q*H singular at all of them for H in
+    # I(A)_(d-2).  So the rank modulo p falls short of ``_rank_bound``, and
+    # ``_certified_rank`` proves it once, from products it draws; it
+    # agrees with the fraction rank of the tangent forms.
+    a = PointSet.from_rows(rows)
+    assert terracini._rank_bound(a.ambient_dim, d, len(a)) > rank
+    certified, drawn = [], []
+    certify, products = terracini._certified_rank, terracini._singular_products
+
+    def spied(*args):
+        certified.append(args)
+        return certify(*args)
+
+    def counted(framed, e):
+        for g in products(framed, e):
+            drawn.append(g)
+            yield g
+
+    monkeypatch.setattr(terracini, "_certified_rank", spied)
+    monkeypatch.setattr(terracini, "_singular_products", counted)
+    assert terracini_dimension(a, d).dim + 1 == rank == fraction_rank(_tangent_matrix(a, d))
+    assert len(certified) == 1 and drawn
 
 
 P = linalg._PRIME
@@ -620,14 +681,24 @@ def test_special_sets_rank_exactly(rows):
 
 
 @pytest.mark.parametrize("n, l", [(2, 5), (4, 14)])
-def test_alexander_hirschowitz_quartics_fall_short_in_the_modular_frame(exact_frames, n, l):
-    # Every set of these shapes is one short of the expected rank, so the
-    # modular bound never meets it: the exact path proves the rank.
+def test_alexander_hirschowitz_quartics_meet_the_counted_bound_modulo_p(
+        monkeypatch, exact_frames, n, l):
+    # Every set of these shapes is one short of the expected rank, and the
+    # count of ``_rank_bound`` says so: the rank modulo p meets that bound
+    # in the modular frame, so no exact frame, certified rank or integer
+    # kernel is taken.
+    certified, kernels = [], []
+    rank, kernel = terracini._certified_rank, linalg.integer_kernel
+    monkeypatch.setattr(terracini, "_certified_rank",
+                        lambda *args: certified.append(args) or rank(*args))
+    for module in (hilbert, terracini, linalg):
+        monkeypatch.setattr(module, "integer_kernel",
+                            lambda rows: kernels.append(rows) or kernel(rows))
     for seed in range(2):
         a = random_point_set(n, l, random.Random(seed + 7), bound=50)
         assert hilbert._standard_form(a, 1, n + 1) is not None
         assert _checked_rank(a, 4) == comb(n + 4, 4) - 1
-    assert exact_frames == [l, l]
+    assert exact_frames == [] and certified == [] and kernels == []
 
 
 def _slots(v, ncols, width):
@@ -659,8 +730,9 @@ def _oracle_rows(coords, d):
 
 def _modular_witness_target(n, d, l):
     """The pivots ``terracini_dimension`` asks of the framed rows of l
-    points: min((n+1)l, C(n+d, d)) less the columns the frame rows hit."""
-    return min((n + 1) * l, comb(n + d, d)) - comb(n + d, d) + len(_kept_columns(n, d))
+    points: the counted bound ``_rank_bound(n, d, l)`` less the columns the
+    frame rows hit."""
+    return terracini._rank_bound(n, d, l) - comb(n + d, d) + len(_kept_columns(n, d))
 
 
 @pytest.mark.parametrize("n, d, l", [(2, 4, 5), (4, 3, 7), (3, 4, 9), (4, 4, 9),
@@ -727,18 +799,19 @@ def _sampled(n, d, l):
 
 
 # Sets, degrees, and the (rows, cols, target) of every packed elimination
-# that ``terracini_dimension`` takes in the modular frame.  Random sets of
-# the Alexander-Hirschowitz defective sizes would fill the space, so
-# target = kept: their leading block is every kept column, and it falls
-# short by one.  A general
+# that ``terracini_dimension`` takes in the modular frame.  At the
+# Alexander-Hirschowitz defective sizes the counted target is one below
+# the kept columns, and the leading block of that many columns meets it.
+# (4, 3) at 7 is defective too, but no count sees it: its target is every
+# kept column, and it falls short by one.  A general
 # (4, 9, 4) is proved by its leading 20 of 45 columns.  Two plane sets have
 # a leading block short of its target although target < kept, so every
 # column is eliminated: the first reaches the target there, the second
 # does not.
 PACKED_WITNESSES = {
-    "(2, 4) at 5": (_sampled(2, 4, 5), [(6, 6, 6)]),
+    "(2, 4) at 5": (_sampled(2, 4, 5), [(6, 5, 5)]),
     "(4, 3) at 7": (_sampled(4, 3, 7), [(10, 10, 10)]),
-    "(3, 4) at 9": (_sampled(3, 4, 9), [(20, 19, 19)]),
+    "(3, 4) at 9": (_sampled(3, 4, 9), [(20, 18, 18)]),
     "(4, 9, 4)": ((random_points(4, 9, random.Random(94), bound=20), 4), [(20, 20, 20)]),
     "plane, short leading block": (
         (PointSet.from_rows([(2, 0, -1), (2, -1, 2), (1, -2, 2), (0, -1, -1),
