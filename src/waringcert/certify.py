@@ -25,8 +25,8 @@ from .geometry import PointSet, Record
 from .hilbert import HilbertProfile, gup_cutoff, hilbert_profile, span_dim
 from .kruskal import (_gup_failure, kruskal_and_collinear, kruskal_rank,
                       reshaped_kruskal, veronese_kruskal_rank)
-from .terracini import (_TRIALS, TerraciniReport, generic_terracini_dimension,
-                        terracini_dimension)
+from .terracini import (_TRIALS, TerraciniReport, _rank_bound,
+                        generic_terracini_dimension, terracini_dimension)
 
 
 class Verdict(enum.Enum):
@@ -309,18 +309,19 @@ def certify(a: PointSet, d: int) -> Certificate:
     )
 
 
-# Failures of generic identifiability at subgeneric rank for d >= 3
-# (Chiantini, Ottaviani and Vannieuwenhoven, Trans. AMS 2017): (n, d) ->
-# the ranks r whose generic form is not identifiable, each with how many
-# decompositions that form has.  The "infinitely many" ranks are the
-# defective cases of Alexander and Hirschowitz (J. Algebraic Geom. 1995),
-# at the expected generic rank; the generic rank there is one more.
+# Failures of generic identifiability at subgeneric rank for d >= 3 that
+# no count sees (Chiantini, Ottaviani and Vannieuwenhoven, Trans. AMS 2017):
+# (n, d) -> the ranks r whose generic form is not identifiable, each with
+# how many decompositions that form has.  The defective ranks where
+# ``terracini._rank_bound`` falls short of (n+1)r, (2, 4) at 5, (3, 4) at 9
+# and (4, 4) at 14, are counted by ``generic_info``, not listed.  The one
+# "infinitely many" rank is the defective case of Alexander and
+# Hirschowitz (J. Algebraic Geom. 1995) that the count does not see, at the
+# expected generic rank; the generic rank there is one more.
 SUBGENERIC_EXCEPTIONS = {
-    (2, 4): ((5, "infinitely many"),),
     (2, 6): ((9, "exactly two"),),
-    (3, 4): ((8, "exactly two"), (9, "infinitely many")),
+    (3, 4): ((8, "exactly two"),),
     (4, 3): ((7, "infinitely many"),),
-    (4, 4): ((14, "infinitely many"),),
     (5, 3): ((9, "exactly two"),),
 }
 
@@ -328,14 +329,14 @@ SUBGENERIC_EXCEPTIONS = {
 class GenericInfo(Record):
     """Generic rank data for degree-d forms on P^n.
 
-    generic_rank is the true generic rank, which the Alexander-Hirschowitz
-    theorem gives from (n, d) alone, so it is a property, as are space_dim
-    and expected_generic_rank.  oracle_verified is True when one exact
-    Terracini rank at generic_rank points, the coordinate points and
-    random points beyond them
+    generic_rank is the true generic rank, counted from (n, d) alone
+    (``generic_rank`` has the proof of its lower bound), so it is a
+    property, as are space_dim and expected_generic_rank.
+    oracle_verified is True when one exact Terracini rank at generic_rank
+    points, the coordinate points and random points beyond them
     (``generic_terracini_dimension``), filled the space of forms, which
-    proves the upper bound by Terracini's lemma; the theorem alone gives
-    the value otherwise.
+    proves the upper bound by Terracini's lemma; the Alexander-Hirschowitz
+    theorem alone gives the upper bound otherwise.
     exceptions lists the known failures of generic identifiability at
     subgeneric rank for these parameters, and why the rank is unverified
     when it is.
@@ -358,14 +359,24 @@ class GenericInfo(Record):
 
     @property
     def generic_rank(self) -> int:
-        """n + 1 for quadrics, the expected rank plus one at the defective
-        (n, d) = (2, 4), (3, 4), (4, 3) and (4, 4), and the expected rank
-        elsewhere."""
-        if self.degree == 2:
-            return self.ambient_dim + 1
-        special = SUBGENERIC_EXCEPTIONS.get((self.ambient_dim, self.degree), ())
-        return self.expected_generic_rank + any(count == "infinitely many"
-                                                for _, count in special)
+        """The least r, from the expected rank up, whose counted Terracini
+        bound ``terracini._rank_bound(n, d, r)`` reaches C(n+d, d), plus one
+        where ``SUBGENERIC_EXCEPTIONS`` lists that r as "infinitely many",
+        which is (4, 3) at 7 alone.
+
+        The lower bound is Terracini's lemma: the tangent spaces at r'
+        general points span the tangent space of the r'-th secant
+        variety, and below r the count, which bounds every set, keeps them
+        short of the space of forms, so no r' points fill it.  Below the
+        expected rank, (n+1)r' < C(n+d, d) already; at d = 2 the count
+        reaches C(n+2, 2) first at n + 1 points, and at the quartics
+        (2, 4), (3, 4) and (4, 4) one past the expected rank.  Only at
+        (4, 3) is the bound cited, from Alexander and Hirschowitz.
+        """
+        n, d, r = self.ambient_dim, self.degree, self.expected_generic_rank
+        while _rank_bound(n, d, r) < self.space_dim:
+            r += 1
+        return r + ((r, "infinitely many") in SUBGENERIC_EXCEPTIONS.get((n, d), ()))
 
 
 # The largest space of forms whose generic rank one Terracini witness checks.
@@ -375,12 +386,13 @@ _MAX_SPACE_DIM = 500
 def generic_info(n: int, d: int, seed: int = 0) -> GenericInfo:
     """Generic rank of degree-d forms on P^n, with identifiability caveats.
 
-    The generic rank is the Alexander-Hirschowitz value, which the record
-    derives from (n, d) (``GenericInfo.generic_rank``).  The lower bound
-    takes no rank: below the expected rank r = ceil(C(n+d, d) / (n + 1)),
-    the tangent spaces at r - 1 points span at most
-    (n+1)(r-1) - 1 < C(n+d, d) - 1 dimensions, and for quadrics and at the
-    four defective (n, d) the theorem itself rules out every smaller rank.
+    The generic rank is the record's count from (n, d)
+    (``GenericInfo.generic_rank``).  Its lower bound takes no rank: below
+    it, the counted bound ``terracini._rank_bound`` keeps the tangent
+    spaces short of the space of forms, which proves it for quadrics, at
+    the defective quartics (2, 4), (3, 4) and (4, 4) and wherever it is
+    the expected rank; only at (4, 3) is it cited from Alexander and
+    Hirschowitz.
 
     When C(n+d, d) is at most ``_MAX_SPACE_DIM``, one witness checks the
     upper bound: the Terracini dimension of generic_rank points, the n + 1
@@ -390,6 +402,11 @@ def generic_info(n: int, d: int, seed: int = 0) -> GenericInfo:
     generic_rank and oracle_verified is True.  A witness that falls short
     proves nothing, so the rank is still the theorem's, unverified, with a
     note.
+
+    The notes, in rank order: for d = 2 the quadric note; for d > 2,
+    (rank - 1, "infinitely many") when the count at rank - 1 points is
+    short of (n+1)(rank - 1), so the secant variety there is defective,
+    and the entries of ``SUBGENERIC_EXCEPTIONS``, which no count sees.
     Requires d >= 2 (in degree 1 every form has rank 1).
     """
     if n < 1:
@@ -403,7 +420,10 @@ def generic_info(n: int, d: int, seed: int = 0) -> GenericInfo:
         exceptions.append(
             f"degree 2: quadrics of every rank from 2 to {n} have infinitely "
             "many decompositions, so no subgeneric rank is identifiable")
-    for r, count in SUBGENERIC_EXCEPTIONS.get((n, d), ()):
+    notes = list(SUBGENERIC_EXCEPTIONS.get((n, d), ()))
+    if d > 2 and _rank_bound(n, d, rank - 1) < (n + 1) * (rank - 1):
+        notes.append((rank - 1, "infinitely many"))
+    for r, count in sorted(notes):
         exceptions.append(
             f"rank {r}: the generic form of rank {r} has {count} decompositions")
     verified = space <= _MAX_SPACE_DIM and generic_terracini_dimension(

@@ -36,16 +36,23 @@ of the upper bound ``_rank_bound``; the forms vanishing in degree e are
 the integer kernel of the degree-e monomial values.  Some products exist
 for every set of l points: l < N_t points lie on a form F of degree t,
 and F*G is one for every G in I(A)_(d-t), so ``_rank_bound`` counts them
-from (n, d, l) alone.  At the Alexander-Hirschowitz defective quartics, (2, 4)
-at 5 points, (3, 4) at 9 and (4, 4) at 14, that count is the square of
-the quadric through the points, and the bound is one short of full
-(Alexander-Hirschowitz, J. Algebraic Geom. 1995; Brambilla-Ottaviani,
+from (n, d, l) alone.  In degree 2 it counts the products of two linear
+forms vanishing on the points, which makes it the rank of any l <= n + 1
+independent points.  At the Alexander-Hirschowitz defective quartics,
+(2, 4) at 5 points, (3, 4) at 9 and (4, 4) at 14, that count is the
+square of the quadric through the points, and the bound is one short of
+full (Alexander-Hirschowitz, J. Algebraic Geom. 1995; Brambilla-Ottaviani,
 J. Pure Appl. Algebra 2008), so a rank modulo p that meets it proves the
-rank with no kernel vector.  Where the count gives nothing, as for six
-points of a conic in degree 4, ``_certified_rank`` checks the products
-it finds; where no product closes the gap, the rank falls back to the
-exact elimination of ``integer_kernel``.  No rank is taken from the
-Alexander-Hirschowitz list.
+rank with no kernel vector.  By their theorem, then, the count is the
+generic Terracini rank at every (n, d, l) but one, seven points of P^4
+in degree 3, where the kernel vector is the secant cubic of the rational
+normal quartic through the points; ``certify.GenericInfo.generic_rank``
+reads the generic rank from the count and cites only that case.  Where
+the count gives nothing, as for six points of a conic in degree 4,
+``_certified_rank`` checks the products it finds; where no product
+closes the gap, the rank falls back to the exact elimination of
+``integer_kernel``.  No rank is taken from the Alexander-Hirschowitz
+list.
 
 The rank is taken in a frame.  A change of coordinates does not change it:
 for an invertible matrix M, F -> F(Mx) is an invertible linear map of the
@@ -111,8 +118,9 @@ frames have the same columns U: the rank modulo p of the Terracini matrix,
 |U| plus that of R here, is at most its rank over Q, |U| plus that of R
 there.
 
-The generic witness (``generic_terracini_dimension``) is drawn in this
-frame: e_0..e_n followed by random integer points, so B = I and C = Y,
+The generic witness (``generic_terracini_dimension``) past n + 1 points
+is drawn in this frame: e_0..e_n followed by random integer points, so
+B = I and C = Y,
 the drawn rows themselves, of entries at most 50 in size in place of
 residues below p, and no standard form is taken.
 
@@ -137,7 +145,7 @@ from typing import Iterator, Sequence
 
 from .geometry import (PointSet, Record, memo_on_set, monomial_basis, monomial_rows,
                        random_point_set)
-from .hilbert import _frame, _standard_form, hilbert_function
+from .hilbert import _frame, _standard_form, gup_cutoff, hilbert_function
 from .linalg import _Index, _gathered_pivots_mod_p, _pivots_mod_p, integer_kernel
 
 
@@ -255,24 +263,37 @@ def _singular_products(rows: Sequence[Sequence[int]], d: int) -> Iterator[list[i
 
 def _rank_bound(n: int, d: int, l: int) -> int:
     """An upper bound on the Terracini rank of any l points of P^n in
-    degree d: min((n+1)l, N_d - max(0, N_(d-t) - l)), N_j = C(n+j, n) and
-    t the least degree >= 1 with N_t > l; the second term is 0 when d < t.
+    degree d, counted from (n, d, l) alone; N_j = C(n+j, n).
 
-    There are (n+1)l rows.  Since h_A(t) <= l < N_t, some nonzero form F
-    of degree t vanishes on A.  For every G in I(A)_(d-t), the product
-    F*G vanishes with its gradient at every point, so its e!-scaled
-    coefficients lie in the right kernel (module docstring, apolarity).
-    G -> F*G is injective, and dim I(A)_(d-t) >= N_(d-t) - l, since the l
+    At d = 2 it is N_2 - C(n+2-l, 2), which is l(n+1) - C(l, 2) for
+    l <= n + 1 and N_2 from there on.  The linear forms vanishing on A
+    have dimension at least n + 1 - l.  Every product of two of them is
+    singular at every point, so its e!-scaled coefficients lie in the
+    right kernel (module docstring, apolarity).  Taken as variables,
+    those linear forms give the quadrics in them, at least C(n+2-l, 2)
+    independent ones.  The bound is exact for independent points: framed
+    as e_0..e_(l-1), their rows x_i*x_j, i < l, are the unit rows of
+    every quadric monomial that is not a quadric in x_l..x_n.
+
+    For d >= 3 it is min((n+1)l, N_d - max(0, N_(d-t) - l)), with
+    t = ``hilbert.gup_cutoff(n, l + 1)``, the least degree >= 1 with
+    N_t > l; the second term is 0 when d < t.  There are (n+1)l rows.
+    Since h_A(t) <= l < N_t, some nonzero form F of degree t vanishes on
+    A.  For every G in I(A)_(d-t), the product F*G vanishes with its
+    gradient at every point, so it too is a kernel vector.  G -> F*G is
+    injective, and dim I(A)_(d-t) >= N_(d-t) - l, since the l
     evaluations at A cut it out of the degree-(d-t) forms; so the kernel
     has dimension at least N_(d-t) - l.  The least t gives the largest
     N_(d-t).  At (2, 4) at 5 points, (3, 4) at 9 and (4, 4) at 14, t = 2
     and the bound is one below min((n+1)l, N_d): F and G are the quadric
     Q through the points, and the kernel vector is Q^2, counted from
-    (n, d, l) alone.
+    (n, d, l) alone.  For l <= n + 1 it is (n+1)l, since n*l <= C(n+2, 3)
+    for l <= n and (n+1)^2 <= N_3: the rank of the coordinate points,
+    whose rows x_i^(d-1)*x_j are the unit rows of distinct monomials.
     """
-    t = 1
-    while comb(n + t, n) <= l:
-        t += 1
+    if d == 2:
+        return comb(n + 2, 2) - comb(max(n + 2 - l, 0), 2)
+    t = gup_cutoff(n, l + 1)
     short = max(0, comb(n + d - t, n) - l) if d >= t else 0
     return min((n + 1) * l, comb(n + d, n) - short)
 
@@ -414,8 +435,11 @@ def generic_terracini_dimension(n: int, d: int, r: int, seed: int = 0) -> Terrac
     coordinate point, the first r - n - 1 other points of a draw of r
     (which raises, as the sampler does, when [-50, 50]^(n+1) holds fewer
     than r points).  For r <= n + 1 the witness is e_0..e_(r-1), and
-    nothing is drawn; from d >= 2r - 1 on nothing is drawn and no rank is
-    taken (``terracini_dimension`` has the proof).
+    nothing is drawn and no rank is taken: their tangent rows are unit
+    rows, one for each distinct monomial x_i^(d-1)*x_j with i < r, and
+    there are exactly as many of those as ``_rank_bound(n, d, r)`` counts.
+    From d >= 2r - 1 on nothing is drawn and no rank is taken either
+    (``terracini_dimension`` has the proof).
 
     A set whose first n + 1 points are independent is carried by its
     frame's change of coordinates onto one whose first n + 1 points are
@@ -439,11 +463,9 @@ def generic_terracini_dimension(n: int, d: int, r: int, seed: int = 0) -> Terrac
         raise ValueError(f"point count must be >= 1, got {r}")
     if d < 2:
         raise ValueError(f"Terracini dimension needs degree >= 2, got {d}")
-    if d >= 2 * r - 1:
+    if d >= 2 * r - 1 or r <= n + 1:
         return _filled(n, d, r)
-    axes = [tuple(int(i == j) for j in range(n + 1)) for i in range(min(r, n + 1))]
-    if r <= n + 1:
-        return terracini_dimension(PointSet.from_rows(axes), d)
+    axes = [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
     import random
     rng = random.Random(seed)
     rank = 0

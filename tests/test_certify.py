@@ -14,6 +14,7 @@ from waringcert import kruskal
 from waringcert import (
     Certificate,
     Diagnostics,
+    GenericInfo,
     PointSet,
     ProjectivePoint,
     TerraciniReport,
@@ -31,9 +32,10 @@ from waringcert import (
     reshaped_kruskal,
     veronese_kruskal_rank,
 )
-from waringcert.certify import (_alignment_bound, _half_degree,
+from waringcert.certify import (SUBGENERIC_EXCEPTIONS, _alignment_bound, _half_degree,
                                 _half_degree_spanning, _plane_gup, _quartic,
                                 _reshaped_kruskal, _sylvester)
+from waringcert.terracini import _rank_bound
 
 from conftest import corpus, random_points
 from oracles import (AH_DEFECTIVE, SECOND_DECOMPOSITION_CASES, alexander_hirschowitz_rank,
@@ -563,6 +565,29 @@ def test_generic_info_gives_the_alexander_hirschowitz_rank_with_a_witness():
         rank = alexander_hirschowitz_rank(n, d) - 1
         assert (f"rank {rank}: the generic form of rank {rank} has infinitely "
                 "many decompositions") in generic_info(n, d).exceptions
+
+
+def test_the_exception_table_holds_only_what_no_count_sees():
+    # The one "infinitely many" entry is a defect the count misses: at its
+    # rank the count is full.
+    infinite = [(n, d, r) for (n, d), entries in SUBGENERIC_EXCEPTIONS.items()
+                for r, count in entries if count == "infinitely many"]
+    assert infinite == [(4, 3, 7)]
+    for n, d, r in infinite:
+        assert _rank_bound(n, d, r) == (n + 1) * r
+    # Below the generic rank, for d >= 3, the count falls short of
+    # min((n+1)r, N_d) only at the defective quartics.  Binary forms stop
+    # at degree 99: their count, min(2r, d + 1), is never short.
+    short = []
+    for n in range(1, 30):
+        for d in range(3, 100):
+            space = comb(n + d, d)
+            if space <= 5000:
+                info = GenericInfo(ambient_dim=n, degree=d, oracle_verified=False,
+                                   exceptions=())
+                short += [(n, d, r) for r in range(1, info.generic_rank)
+                          if _rank_bound(n, d, r) < min((n + 1) * r, space)]
+    assert short == [(2, 4, 5), (3, 4, 9), (4, 4, 14)]
 
 
 def test_generic_info_keeps_the_theorem_rank_when_no_witness_fills(monkeypatch):

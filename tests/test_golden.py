@@ -12,9 +12,10 @@ cubic, two special sets whose Kruskal sweeps take exact ranks, and a plane
 set whose largest aligned subset lies on x_0 = 0.
 ``generic-<n>-<d>.json`` and ``.txt`` hold the output of ``generic n d``
 for forms with no exception, the quadric note, the
-two-decomposition note, a space over the oracle budget, and the
+two-decomposition note, a space over the oracle budget, the
 Alexander-Hirschowitz defective plane quartics, cubics and quartics of
-P^4.
+P^4, and the quartics of P^3 and cubics of P^5, whose two-decomposition
+notes stand beside a defective rank and beside none.
 
 ``golden_v2_certificates.json`` freezes every certificate's verdict,
 criterion, rank and notes as schema v2 gave them, and
@@ -150,6 +151,8 @@ GENERIC_CASES = {
     "generic-5-7": (5, 7),             # over the oracle budget, not verified
     "generic-4-3": (4, 3),             # defective generic rank, (4, 3) at 7 points
     "generic-4-4": (4, 4),             # defective generic rank, (4, 4) at 14 points
+    "generic-3-4": (3, 4),             # a table note at 8 and a counted one at 9
+    "generic-5-3": (5, 3),             # a table note, and a count that sees no defect
     "generic-2-8": (2, 8),             # the largest benchmark witness, 36 x 36 framed rows
     "generic-1-40": (1, 40),           # binary forms: 21 points, degree-39 monomial values
 }

@@ -11,6 +11,7 @@ from waringcert import (
     PointSet,
     ProjectivePoint,
     TerraciniReport,
+    generic_info,
     generic_terracini_dimension,
     hilbert_function,
     integer_rank,
@@ -106,6 +107,47 @@ def test_the_counted_bound_is_the_rank_of_the_alexander_hirschowitz_quartics(n, 
     for seed in range(2):
         a = random_point_set(n, l, random.Random(seed), bound=50)
         assert fraction_rank(_tangent_matrix(a, 4)) == terracini._rank_bound(n, 4, l)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_the_counted_bound_is_the_rank_of_general_points_in_degree_2(n):
+    # Up to n + 1 points: the quadrics in the n + 1 - l linear forms
+    # through them fill the kernel, so drawn sets meet l(n+1) - C(l, 2).
+    rng = random.Random(n)
+    for l in range(1, n + 2):
+        assert terracini._rank_bound(n, 2, l) == l * (n + 1) - comb(l, 2)
+        a = random_point_set(n, l, rng, bound=50)
+        assert fraction_rank(_tangent_matrix(a, 2)) == terracini._rank_bound(n, 2, l)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_coordinate_witness_is_counted(n):
+    # Up to n + 1 points the witness is e_0..e_(r-1), reported from the
+    # count with no rank taken: the count is their Fraction rank.
+    for d in range(2, 6):
+        for r in range(1, n + 2):
+            axes = PointSet.from_rows([tuple(int(i == j) for j in range(n + 1))
+                                       for i in range(r)])
+            rank = fraction_rank(_tangent_matrix(axes, d))
+            assert generic_terracini_dimension(n, d, r).dim == rank - 1, (d, r)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_generic_quadrics_take_no_frame_or_kernel(monkeypatch, n):
+    # The witness of n + 1 coordinate points is counted, so no standard
+    # form, exact frame or integer kernel is taken.
+    calls = []
+
+    def spied(name, original):
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("_standard_form", "_frame"):
+        monkeypatch.setattr(terracini, name, spied(name, getattr(terracini, name)))
+    for module in (hilbert, terracini, linalg):
+        monkeypatch.setattr(module, "integer_kernel", spied("integer_kernel", integer_kernel))
+    info = generic_info(n, 2)
+    assert (info.generic_rank, info.oracle_verified) == (n + 1, True)
+    assert calls == []
 
 
 def test_plane_quartic_six_points_fill():
